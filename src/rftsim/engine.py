@@ -5,18 +5,20 @@ item, previous transition) to the region manager, installs any emitted
 recording into the automaton, and only then performs the current
 instruction's transition.  A recording stopped by the loop-closing branch
 therefore lands its own stop instruction inside the fresh region, and the
-manager observes each item exactly once, in trace order.
+manager observes each item at most once, in trace order.  An emitted
+recording first passes through the manager's ``complete`` hook with its
+trace index; look-ahead techniques read the window's flow up to it there.
 
 Recording is purely observational: while a manager records, instructions
 keep being attributed to the states actually traversed.
 
-Identical inputs produce bit-identical results.  Two elisions keep the
-loop fast without changing any counter: before the first region exists,
-stretches of interpreter-side sequential flow are accounted in bulk when
-the manager only reacts to backward branches, and manager calls are
-dropped while the previous transition was native-side and the manager
-advertises native idleness.  An equivalence test pins both paths to the
-naive per-item loop.
+Identical inputs produce bit-identical results.  Two elisions, open to
+every manager, keep the loop fast without changing any counter: before
+the first region exists, stretches of interpreter-side sequential flow
+are accounted in bulk when the manager only reacts to backward branches,
+and manager calls are dropped while the previous transition was
+native-side and the manager advertises native idleness.  An equivalence
+test pins both paths to the naive per-item loop.
 """
 
 from __future__ import annotations
@@ -83,6 +85,7 @@ def _run_items(automaton: Automaton, manager, trace: Trace, start: int, end: int
     sizes = trace.sizes
     step = automaton.step_addr
     handle = manager._handle
+    complete = manager.complete
     append = automaton.append_region
     bulk = automaton.bulk_interp
     stretch = automaton.run_native_stretch
@@ -126,6 +129,7 @@ def _run_items(automaton: Automaton, manager, trace: Trace, start: int, end: int
         s = sizes[i]
         formed = handle(la, ls, a, s, kind)
         if formed is not None:
+            formed = complete(formed, i)
             expansion = formed.expansion
             if expansion is None:
                 append(formed.items)
@@ -150,6 +154,7 @@ def run_simulation(trace: Union[Trace, TraceStream, Iterable[TraceItem]],
     n = len(trace)
     start = min(config.skip, n)
     end = n if config.limit is None else min(n, start + config.limit)
+    manager.attach(trace, start)
     _run_items(automaton, manager, trace, start, end)
     wall = time.perf_counter() - t0
     cold = config.cold_threshold if config.cold_threshold is not None else config.rft.threshold

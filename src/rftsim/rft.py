@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from .automaton import TransitionKind
-from .trace_io import TraceItem
+from .trace_io import Trace, TraceItem
 
 TECHNIQUES = ("net", "mret2", "lei", "netplus", "net-r", "netplus-e-r")
 
@@ -44,6 +44,8 @@ DEFAULT_THRESHOLD = 1024
 DEFAULT_MAX_REGION_SIZE = 1024
 DEFAULT_EXPANSION_DEPTH = 10
 DEFAULT_HISTORY_CAPACITY = 8192
+# items per catch-up step of the lazy flow map, bounding its transient lists
+_FLOW_CHUNK = 1 << 12
 
 _STAYED_INTERP = int(TransitionKind.STAYED_INTERP)
 _INTERP_TO_NATIVE = int(TransitionKind.INTERP_TO_NATIVE)
@@ -162,7 +164,12 @@ class RegionManager:
     elided: while ``native_idle`` holds, calls whose ``kind`` is
     native-side (STAYED_NATIVE / NATIVE_TO_NATIVE) are no-ops; while
     ``backward_only`` holds and no region exists, only backward-branch
-    items can have any effect.  Managers keep both flags current.
+    items can have any effect.  Every manager keeps both flags current.
+
+    The engine calls ``attach(trace, start)`` before replaying
+    ``trace[start:]``, and passes each emitted recording through
+    ``complete(recording, index)``, ``index`` being the emitting item's
+    trace position; look-ahead managers expand the recording there.
     """
 
     technique = "?"
@@ -180,6 +187,12 @@ class RegionManager:
     def _handle(self, la: int, ls: int, a: int, s: int,
                 kind: int) -> Optional[RegionRecording]:
         raise NotImplementedError
+
+    def attach(self, trace: Trace, start: int) -> None:
+        pass
+
+    def complete(self, recording: RegionRecording, index: int) -> RegionRecording:
+        return recording
 
 
 class NetManager(RegionManager):
@@ -212,9 +225,6 @@ class NetManager(RegionManager):
     def _stop(self, la: int, ls: int, a: int, kind: int) -> bool:
         return kind == 1 or a < la or len(self._rec) >= self._max_size
 
-    def _finish(self, items: list[tuple[int, int]]) -> RegionRecording:
-        return RegionRecording(items)
-
     def _handle(self, la, ls, a, s, kind):
         if self._recording:
             if self._stop(la, ls, a, kind):
@@ -223,7 +233,7 @@ class NetManager(RegionManager):
                 self.backward_only = True
                 items = self._rec
                 self._rec = []
-                return self._finish(items)
+                return RegionRecording(items)
             self._append(a, s)
             return None
         if (kind == 0 and a < la) or kind == 2:
@@ -450,13 +460,14 @@ def netplus_expand(cfg: Mapping[int, Sequence], recording: Sequence[tuple[int, i
     """Bounded look-ahead over the observed control flow.
 
     ``cfg`` maps address -> (size, successor address set), reflecting all
-    instruction pairs observed so far.  Starting from every successor of a
-    recorded address that leaves the recording, walks of at most ``depth``
-    outside addresses are explored; a walk is accepted when it re-reaches
-    the recording's entry (``extended=False``) or any recorded address
-    (``extended=True``).  The union of addresses on accepted walks is
-    returned, wired with the observed successor relation restricted to the
-    accepted and recorded addresses.
+    instruction pairs observed so far, in the trace window up to the emit
+    index.  Starting from every successor of a recorded address that
+    leaves the recording, walks of at most ``depth`` outside addresses are
+    explored; a walk is accepted when it re-reaches the recording's entry
+    (``extended=False``) or any recorded address (``extended=True``).  The
+    union of addresses on accepted walks is returned, wired with the
+    observed successor relation restricted to the accepted and recorded
+    addresses.
 
     With sensible traces never-executed code cannot appear: the search
     knows only instructions that actually ran.
@@ -540,8 +551,12 @@ def netplus_expand(cfg: Mapping[int, Sequence], recording: Sequence[tuple[int, i
 
 
 class _ExpansionMixin:
-    """Adds observed-control-flow maintenance and emit-time look-ahead to a
-    linear recording manager."""
+    """Adds emit-time look-ahead to a linear recording manager.
+
+    The flow map is caught up lazily to each emit index ``i``: it knows
+    each address in ``trace[start:i + 1]`` with its first size, and each
+    pair ``(addresses[j - 1], addresses[j])`` with ``start < j <= i``.
+    """
 
     extended = False
 
@@ -549,31 +564,32 @@ class _ExpansionMixin:
         super().__init__(config)
         self._depth = config.expansion_depth
         self._cfg: dict[int, list] = {}
-        # the flow map needs every instruction pair, so calls can never
-        # be elided
-        self.native_idle = False
-        self.backward_only = False
 
-    def _handle(self, la, ls, a, s, kind):
+    def attach(self, trace, start):
+        self._trace = trace
+        self._base = self._covered = start
+        self._cfg = {}
+
+    def complete(self, recording, index):
         cfg = self._cfg
-        if la >= 0:
-            ent = cfg.get(la)
-            if ent is None:
-                cfg[la] = [ls, {a}]
-            else:
-                ent[1].add(a)
-        if a not in cfg:
-            cfg[a] = [s, set()]
-        res = super()._handle(la, ls, a, s, kind)
-        self.native_idle = False
-        self.backward_only = False
-        return res
-
-    def _finish(self, items):
-        expansion = netplus_expand(self._cfg, items, self._depth, self.extended)
-        if not expansion.members:
-            expansion = None
-        return RegionRecording(items, expansion)
+        addrs = self._trace.addresses
+        sizes = self._trace.sizes
+        lo = self._covered
+        while lo <= index:
+            hi = min(index + 1, lo + _FLOW_CHUNK)
+            # reversed, so the chunk's first size of each address wins
+            for a, s in dict(zip(reversed(addrs[lo:hi]), reversed(sizes[lo:hi]))).items():
+                if a not in cfg:
+                    cfg[a] = [s, set()]
+            j = max(lo, self._base + 1)
+            for u, v in set(zip(addrs[j - 1:hi - 1], addrs[j:hi])):
+                cfg[u][1].add(v)
+            lo = hi
+        self._covered = lo
+        expansion = netplus_expand(cfg, recording.items, self._depth, self.extended)
+        if expansion.members:
+            recording.expansion = expansion
+        return recording
 
 
 class NetPlusManager(_ExpansionMixin, NetManager):

@@ -211,6 +211,8 @@ def load_text(path: Union[str, Path]) -> Trace:
                 size = int(parts[1], 10)
             except ValueError as exc:
                 raise TraceFormatError(f"{path}:{lineno}: {exc}") from None
+            if not 0 <= addr < 1 << 64:
+                raise TraceFormatError(f"{path}:{lineno}: address {parts[0]} outside [0, 2**64)")
             if size < 1:
                 raise TraceFormatError(f"{path}:{lineno}: instruction size must be >= 1")
             addrs.append(addr)
@@ -342,6 +344,8 @@ def _collect_spans(loop: LoopSpec, out: list[tuple[int, int, int]], path: str) -
         if ph.period < 1:
             raise TraceSpecError(f"{path}: phase period must be >= 1")
     start, end = loop.own_span()
+    if start < 0 or end > 1 << 64:
+        raise TraceSpecError(f"{path}: address range [{start:#x},{end:#x}) outside [0, 2**64)")
     out.append((start, end, len(out)))
     for i, ch in enumerate(loop.children):
         if ch.base < end:

@@ -16,18 +16,20 @@ from rftsim.engine import SimulationConfig
 
 def naive_run(trace: Trace, config: SimulationConfig) -> Automaton:
     """Reference simulation: per-item manager call (previous transition),
-    append on emission, then the automaton step."""
+    the emit-time hook and append on emission, then the automaton step."""
     automaton = Automaton()
     manager = make_rft(config.rft)
     n = len(trace)
     start = min(config.skip, n)
     end = n if config.limit is None else min(n, start + config.limit)
+    manager.attach(trace, start)
     kind = TransitionKind.STAYED_INTERP
     last = None
     for i in range(start, end):
         item = trace[i]
         formed = manager.handle_new_instruction(last, item, kind)
         if formed is not None:
+            formed = manager.complete(formed, i)
             if formed.expansion is None:
                 automaton.append_region(formed.items)
             else:

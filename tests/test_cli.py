@@ -107,6 +107,16 @@ def test_simulate_text_trace(capsys, tmp_path):
     assert "0.7" in out
 
 
+@pytest.mark.parametrize("rft", ["net", "netplus"])
+def test_simulate_text_address_outside_u64_data_error(capsys, tmp_path, rft):
+    path = tmp_path / "t.txt"
+    path.write_text("100 4\n-10 4\n")
+    code, _, err = run_cli(capsys, "simulate", "--trace", str(path),
+                           "--trace-format", "text", "--rft", rft)
+    assert code == 2
+    assert ":2: address" in err
+
+
 # --- sweep --------------------------------------------------------------------
 
 def test_sweep_cartesian_rows(capsys, loop_trace):
@@ -223,6 +233,15 @@ def test_gen_trace_overlap_rejected(capsys, tmp_path):
                            "--out", str(tmp_path / "x.rtr"))
     assert code == 2
     assert "overlap" in err
+
+
+def test_gen_trace_negative_base_rejected(capsys, tmp_path):
+    spec_path = tmp_path / "prog.json"
+    spec_path.write_text('{"loops": [{"base": "-0x10", "body": 4, "iters": 1}]}')
+    code, _, err = run_cli(capsys, "gen-trace", "--spec", str(spec_path),
+                           "--out", str(tmp_path / "x.rtr"))
+    assert code == 2
+    assert "outside" in err
 
 
 # --- dump --------------------------------------------------------------------------

@@ -1,0 +1,102 @@
+"""Independent oracle for the look-ahead managers' flow map.
+
+netplus and netplus-e-r build the observed control flow lazily, when a
+recording is emitted.  The oracle below builds it literally, one item at
+a time, as a per-item manager would: the previous item is the one at the
+previous trace position of the window, never an address sentinel.  The
+two maps must agree at every emit index.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+import rftsim.engine as engine
+from conftest import random_graph_walk, random_rft_config, random_trace
+from rftsim import Trace
+from rftsim.engine import SimulationConfig, run_simulation
+from rftsim.rft import _FLOW_CHUNK, RFTConfig
+
+EXPANDING = ("netplus", "netplus-e-r")
+
+
+def emitted_flow_maps(monkeypatch, trace, config):
+    """Run the engine and return (emit index, flow map) per emission."""
+    seen = []
+    make_rft = engine.make_rft
+
+    def factory(rft_config):
+        manager = make_rft(rft_config)
+        complete = manager.complete
+
+        def snapshot(recording, index):
+            out = complete(recording, index)
+            seen.append((index, {a: (s, frozenset(succ))
+                                 for a, (s, succ) in manager._cfg.items()}))
+            return out
+        manager.complete = snapshot
+        return manager
+
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "make_rft", factory)
+        run_simulation(trace, config)
+    return seen
+
+
+def literal_flow_maps(trace, start, indices):
+    """Per-item flow map of ``trace[start:i + 1]`` for each ``i`` in the
+    sorted ``indices``: every item adds the edge from the item before it
+    in the window, then itself as a node with its first size."""
+    out = []
+    cfg: dict[int, list] = {}
+    wanted = iter(indices)
+    nxt = next(wanted, None)
+    i = start
+    while nxt is not None:
+        a, s = trace.addresses[i], trace.sizes[i]
+        if i > start:
+            cfg[trace.addresses[i - 1]][1].add(a)
+        if a not in cfg:
+            cfg[a] = [s, set()]
+        while nxt == i:
+            out.append((i, {u: (size, frozenset(succ)) for u, (size, succ) in cfg.items()}))
+            nxt = next(wanted, None)
+        i += 1
+    return out
+
+
+def check_window(monkeypatch, trace, config):
+    lazy = emitted_flow_maps(monkeypatch, trace, config)
+    start = min(config.skip, len(trace))
+    assert lazy == literal_flow_maps(trace, start, [i for i, _ in lazy])
+    return lazy
+
+
+def test_lazy_flow_map_equals_literal_map_on_random_windows(monkeypatch):
+    rng = random.Random(0xF10)
+    emissions = 0
+    for case in range(120):
+        trace = random_trace(rng, max_items=1500)
+        config = SimulationConfig(rft=random_rft_config(rng, EXPANDING[case % 2]))
+        if case % 3 and len(trace):
+            config = SimulationConfig(rft=config.rft, skip=rng.randrange(len(trace)),
+                                      limit=rng.randrange(1, len(trace) + 1))
+        emissions += len(check_window(monkeypatch, trace, config))
+    assert emissions > 200
+
+
+@pytest.mark.parametrize("technique", EXPANDING)
+def test_lazy_flow_map_catches_up_across_chunks(monkeypatch, technique):
+    # a 64-instruction cycle whose entry turns hot only after more than
+    # one catch-up chunk of items, followed by a random walk elsewhere
+    body = [0x10000 + 4 * k for k in range(64)]
+    threshold = _FLOW_CHUNK // len(body) + 8
+    cycle = body * (threshold + 2)
+    walk = random_graph_walk(random.Random(7), 3000)
+    trace = Trace(cycle + walk.addresses, [4] * len(cycle) + walk.sizes)
+    skip = 5
+    config = SimulationConfig(rft=RFTConfig(technique, threshold=threshold), skip=skip)
+    lazy = check_window(monkeypatch, trace, config)
+    assert lazy and lazy[0][0] - skip > _FLOW_CHUNK

@@ -9,7 +9,7 @@ from rftsim.rft import (HistoryBuffer, LeiManager, Mret2Manager, NetManager,
                         NetPlusManager, NetRManager, RFTConfig, RegionRecording,
                         TECHNIQUES, make_rft, mret2_intersect, netplus_expand,
                         netr_stop_condition, was_backward_branch)
-from rftsim.trace_io import TraceItem
+from rftsim.trace_io import Trace, TraceItem
 
 SI = int(TransitionKind.STAYED_INTERP)
 I2N = int(TransitionKind.INTERP_TO_NATIVE)
@@ -22,14 +22,16 @@ def cfg(technique="net", **kw):
 
 
 def feed(manager, seq):
-    """Drive a manager with (address, size, kind) triples; returns emissions
-    as (index, recording) pairs."""
+    """Drive a manager with (address, size, kind) triples, passing each
+    emission through the emit-time hook; returns emissions as (index,
+    recording) pairs."""
     out = []
+    manager.attach(Trace([a for a, _, _ in seq], [s for _, s, _ in seq]), 0)
     la, ls = -1, 0
     for i, (a, s, kind) in enumerate(seq):
         rec = manager._handle(la, ls, a, s, kind)
         if rec is not None:
-            out.append((i, rec))
+            out.append((i, manager.complete(rec, i)))
         la, ls = a, s
     return out
 

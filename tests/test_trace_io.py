@@ -88,6 +88,20 @@ def test_text_zero_size_rejected(tmp_path):
         open_trace(path, "text")
 
 
+@pytest.mark.parametrize("address", ["-10", "10000000000000000"])
+def test_text_address_outside_u64_rejected(tmp_path, address):
+    path = tmp_path / "t.txt"
+    path.write_text(f"100 4\n{address} 4\n")
+    with pytest.raises(TraceFormatError, match=":2: address"):
+        load_trace(path, "text")
+
+
+def test_text_address_u64_bounds_accepted(tmp_path):
+    path = tmp_path / "t.txt"
+    path.write_text("0 4\nffffffffffffffff 4\n")
+    assert load_trace(path, "text").addresses == [0, 2**64 - 1]
+
+
 items_strategy = st.lists(
     st.tuples(st.integers(0, 2**64 - 1), st.integers(1, 2**32 - 1)),
     max_size=60)
@@ -178,6 +192,18 @@ def test_overlapping_loops_rejected():
                         LoopSpec(base=0x108, body=4, iters=1)))
     with pytest.raises(TraceSpecError, match="overlap"):
         validate_spec(spec)
+
+
+@pytest.mark.parametrize("base", [-0x10, 2**64 - 8])
+def test_loop_span_outside_u64_rejected(base):
+    spec = ProgramSpec((LoopSpec(base=base, body=4, iters=1),))
+    with pytest.raises(TraceSpecError, match="outside"):
+        validate_spec(spec)
+
+
+def test_loop_span_ending_at_u64_limit_accepted():
+    trace = generate_trace(ProgramSpec((LoopSpec(base=2**64 - 16, body=4, iters=1),)))
+    assert trace.addresses[-1] == 2**64 - 4
 
 
 def test_child_before_parent_body_rejected():
