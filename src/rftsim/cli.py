@@ -45,6 +45,9 @@ NA marks an average over zero regions; the 90%% cover set prints
 'unreachable' when even all regions cover less than 90%%.
 """ % (", ".join(CONFIG_COLUMNS), ", ".join(REPORT_COLUMNS), ", ".join(COST_COLUMNS))
 
+_PARALLELISM_HELP = ("worker processes, capped at the config count and usable CPUs "
+                     "(default: 1); results are identical at any level")
+
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors; this tool reserves 2 for I/O
@@ -154,8 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="size-cap values: comma list or start:stop[:step]")
     p_sweep.add_argument("--history-capacities", default=None,
                          help="lei capacity values: comma list or start:stop[:step]")
-    p_sweep.add_argument("--parallelism", type=int, default=1,
-                         help="worker count (default: 1); results are identical at any level")
+    p_sweep.add_argument("--parallelism", type=int, default=1, help=_PARALLELISM_HELP)
     _add_output_args(p_sweep)
     _add_cost_args(p_sweep)
 
@@ -167,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--baseline", default="net",
                        help="technique whose values normalise every row (default: net)")
     _add_param_args(p_cmp)
-    p_cmp.add_argument("--parallelism", type=int, default=1)
+    p_cmp.add_argument("--parallelism", type=int, default=1, help=_PARALLELISM_HELP)
     _add_output_args(p_cmp)
 
     p_gen = sub.add_parser("gen-trace", help="render a loop-nest spec into a trace file")

@@ -23,8 +23,10 @@ test pins both paths to the naive per-item loop.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence, Union
 
@@ -165,29 +167,63 @@ def run_simulation(trace: Union[Trace, TraceStream, Iterable[TraceItem]],
                             items_consumed=end - start, wall_time_s=wall)
 
 
+# set by _init_worker in each forked sweep worker: (trace, configs)
+_worker_sweep: Optional[tuple[Trace, Sequence[SimulationConfig]]] = None
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
+
+
+def _run_config(trace: Trace, config: SimulationConfig) -> SweepOutcome:
+    try:
+        return SweepOutcome(config=config, result=run_simulation(trace, config))
+    except Exception as exc:  # noqa: BLE001 - reported per config
+        return SweepOutcome(config=config, error=f"{type(exc).__name__}: {exc}")
+
+
+def _init_worker(trace: Trace, configs: Sequence[SimulationConfig]) -> None:
+    global _worker_sweep
+    _worker_sweep = (trace, configs)
+
+
+def _run_indexed(index: int) -> SweepOutcome:
+    trace, configs = _worker_sweep
+    return _run_config(trace, configs[index])
+
+
 def run_sweep(trace: Union[Trace, TraceStream, Iterable[TraceItem]],
               configs: Sequence[SimulationConfig],
               parallelism: int = 1) -> list[SweepOutcome]:
     """Run several configurations over one shared trace.
 
     The trace is loaded once; each configuration gets a private automaton
-    and manager, so results are independent of ``parallelism`` and of
-    sibling configs.  A failing config reports its error without aborting
-    the others; outcomes keep config order.
+    and manager, so results are identical at any ``parallelism`` and
+    independent of sibling configs.  A failing config reports its error
+    without aborting the others; outcomes keep config order.
+
+    Configs run in ``min(parallelism, len(configs), usable CPUs)`` worker
+    processes started with ``fork``.  Each worker inherits the loaded
+    trace copy-on-write, so it is never pickled; only config indices go
+    to the workers and only ``SweepOutcome``s come back.  With one worker,
+    or where ``fork`` is unavailable, configs run in this process.  Fork
+    copies only the calling thread, so call this with more than one worker
+    only from a process whose other threads hold no lock the simulation
+    needs.
     """
     if not configs:
         raise ValueError("configs must be non-empty")
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
     shared = _as_trace(trace)
-
-    def one(config: SimulationConfig) -> SweepOutcome:
-        try:
-            return SweepOutcome(config=config, result=run_simulation(shared, config))
-        except Exception as exc:  # noqa: BLE001 - reported per config
-            return SweepOutcome(config=config, error=f"{type(exc).__name__}: {exc}")
-
-    if parallelism == 1 or len(configs) == 1:
-        return [one(c) for c in configs]
-    with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        return list(pool.map(one, configs))
+    workers = min(parallelism, len(configs), _usable_cpus())
+    if workers == 1 or "fork" not in multiprocessing.get_all_start_methods():
+        return [_run_config(shared, c) for c in configs]
+    with ProcessPoolExecutor(max_workers=workers,
+                             mp_context=multiprocessing.get_context("fork"),
+                             initializer=_init_worker,
+                             initargs=(shared, configs)) as pool:
+        return list(pool.map(_run_indexed, range(len(configs))))

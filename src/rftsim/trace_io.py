@@ -156,12 +156,26 @@ class TraceStream:
                      self._trace.sizes[self._next:self._end])
 
 
-def _intern_addresses(values: list[int]) -> list[int]:
-    # Collapse equal ints to shared objects; file loads otherwise hold one
-    # boxed int per record, which dominates memory on large loop-heavy traces.
+# Binary loads of more than _INTERN_THRESHOLD items collapse equal
+# addresses to shared int objects; otherwise the trace holds one boxed int
+# per record, which dominates memory on large loop-heavy traces.  The
+# column is converted _INTERN_CHUNK items at a time, so only one chunk of
+# unshared ints is alive at once.  Smaller traces skip interning, whose
+# dict pass adds load time that their few boxed ints do not repay.
+_INTERN_THRESHOLD = 1_000_000
+_INTERN_CHUNK = 65_536
+
+
+def _address_list(column: np.ndarray) -> list[int]:
+    if len(column) <= _INTERN_THRESHOLD:
+        return column.tolist()
     seen: dict[int, int] = {}
     setdefault = seen.setdefault
-    return [setdefault(v, v) for v in values]
+    addresses: list[int] = []
+    for lo in range(0, len(column), _INTERN_CHUNK):
+        values = column[lo:lo + _INTERN_CHUNK].tolist()
+        addresses.extend(map(setdefault, values, values))
+    return addresses
 
 
 def load_binary(path: Union[str, Path]) -> Trace:
@@ -189,10 +203,7 @@ def load_binary(path: Union[str, Path]) -> Trace:
         if len(bad):
             offset = _HEADER.size + int(bad[0]) * _RECORD.size
             raise TraceFormatError(f"{path}: zero instruction size at byte offset {offset}")
-    addresses = records["address"].tolist()
-    if len(addresses) > 1_000_000:
-        addresses = _intern_addresses(addresses)
-    return Trace(addresses, records["size"].tolist())
+    return Trace(_address_list(records["address"]), records["size"].tolist())
 
 
 def load_text(path: Union[str, Path]) -> Trace:

@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -153,6 +157,24 @@ def test_sweep_parallelism_identical_output(capsys, loop_trace):
     _, out1, _ = run_cli(capsys, *args, "--parallelism", "1")
     _, out6, _ = run_cli(capsys, *args, "--parallelism", "6")
     assert out1 == out6
+
+
+def test_sweep_cli_forked_workers_identical_output(loop_trace):
+    # a fresh interpreter, as a user or the benchmark runs the CLI, so the
+    # forked workers start from a process that imported nothing else
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    args = [sys.executable, "-m", "rftsim.cli", "sweep", "--trace", str(loop_trace),
+            "--rfts", "net,mret2,lei,netplus,net-r,netplus-e-r", "--threshold", "2",
+            "--format", "json", "--costs"]
+    runs = [subprocess.run(args + ["--parallelism", p], env=env, capture_output=True,
+                           timeout=120)
+            for p in ("1", "2")]
+    for run in runs:
+        assert run.returncode == 0, run.stderr.decode()
+    assert runs[0].stdout == runs[1].stdout
+    assert json.loads(runs[0].stdout)["runs"][0]["report"]["metrics"]["num_regions"] == 1
 
 
 # --- compare --------------------------------------------------------------------

@@ -1,9 +1,11 @@
 import json
+import multiprocessing
 import random
 
 import pytest
 
 from conftest import naive_run, random_rft_config, random_trace
+from rftsim import engine
 from rftsim.engine import SimulationConfig, run_simulation, run_sweep
 from rftsim.metrics import CostParams, compute_report, report_json_dict
 from rftsim.rft import RFTConfig, TECHNIQUES
@@ -130,14 +132,74 @@ def test_sweep_threshold_arrivals():
         assert run_simulation(trace, config).report.num_regions == expected
 
 
-def test_sweep_isolates_config_errors():
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Let a sweep at parallelism 2 fork workers even on a one-CPU host."""
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
+
+
+def test_sweep_isolates_config_errors(two_cpus):
     trace = generate_trace(A1_SPEC)
     bad = SimulationConfig(rft=RFTConfig(threshold=2))
     object.__setattr__(bad.rft, "technique", "bogus")  # corrupt post-validation
-    good = SimulationConfig(rft=RFTConfig(threshold=2))
-    outcomes = run_sweep(trace, [bad, good])
-    assert outcomes[0].error is not None and outcomes[0].result is None
-    assert outcomes[1].error is None and outcomes[1].result is not None
+    good = SimulationConfig(rft=RFTConfig(threshold=3))
+    for parallelism in (1, 2):
+        outcomes = run_sweep(trace, [bad, good], parallelism=parallelism)
+        assert [o.config for o in outcomes] == [bad, good]
+        assert outcomes[0].result is None
+        assert outcomes[0].error == ("ValueError: unknown technique 'bogus'; "
+                                     "expected one of " + ", ".join(TECHNIQUES))
+        assert outcomes[1].error is None
+        assert outcomes[1].result.report == run_simulation(trace, good).report
+
+
+def test_sweep_dumps_and_costs_cross_processes(two_cpus):
+    rng = random.Random(11)
+    trace = random_trace(rng, max_items=3000)
+    configs = [SimulationConfig(rft=RFTConfig(technique=t, threshold=3),
+                                cost=CostParams(10, 1, 5, 100, 2), collect_dump=True)
+               for t in TECHNIQUES]
+    serial = run_sweep(trace, configs, parallelism=1)
+    forked = run_sweep(trace, configs, parallelism=2)
+    assert [o.result.dump for o in forked] == [o.result.dump for o in serial]
+    assert [o.result.cost for o in forked] == [o.result.cost for o in serial]
+    assert all(o.result.cost is not None for o in forked)
+
+
+@pytest.mark.parametrize("cpus", [None, 4])
+def test_sweep_worker_count_capped(monkeypatch, cpus):
+    if cpus is not None:
+        monkeypatch.setattr(engine, "_usable_cpus", lambda: cpus)
+    cpus = engine._usable_cpus()
+    requested = []
+
+    class InProcessExecutor:
+        """Stands in for the process pool: records its size, runs in-process."""
+
+        def __init__(self, max_workers, mp_context, initializer, initargs):
+            requested.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", InProcessExecutor)
+    monkeypatch.setattr(engine, "_worker_sweep", None)
+    trace = generate_trace(A1_SPEC)
+    configs = [SimulationConfig(rft=RFTConfig(technique=t, threshold=2))
+               for t in TECHNIQUES]
+    outcomes = run_sweep(trace, configs, parallelism=10_000)
+    workers = min(len(configs), cpus)
+    assert requested == ([workers] if workers > 1 else [])
+    assert [o.config for o in outcomes] == configs
+    assert all(o.error is None for o in outcomes)
+    assert not multiprocessing.active_children()
 
 
 def test_sweep_empty_configs_rejected():

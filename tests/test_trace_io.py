@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rftsim import trace_io
 from rftsim.trace_io import (AlternatingPaths, LoopSpec, ProgramSpec, Trace,
                              TraceFormatError, TraceItem, TraceSpecError,
                              TraceStream, generate_trace, load_trace, open_trace,
@@ -125,6 +126,25 @@ def test_text_round_trip_matches_binary(tmp_path_factory, pairs):
     write_trace(root / "t.txt", items, "text")
     assert (list(open_trace(root / "t.rtr", "binary"))
             == list(open_trace(root / "t.txt", "text")) == items)
+
+
+def test_binary_load_interns_addresses_across_chunks(tmp_path, monkeypatch):
+    # a 5-instruction loop body read in 7-item chunks: every address
+    # recurs in chunks that start at different offsets of the body
+    base = 2**63
+    addresses = [base + 4 * (k % 5) for k in range(40)] + [2**64 - 1, base]
+    path = tmp_path / "t.rtr"
+    write_trace(path, Trace(addresses, [4] * len(addresses)))
+    monkeypatch.setattr(trace_io, "_INTERN_THRESHOLD", 10)
+    monkeypatch.setattr(trace_io, "_INTERN_CHUNK", 7)
+    loaded = load_trace(path).addresses
+    records = np.frombuffer(path.read_bytes(), dtype=trace_io._RECORD_DTYPE,
+                            offset=trace_io._HEADER.size)
+    assert loaded == records["address"].tolist() == addresses
+    first = {}
+    for a in loaded:
+        assert first.setdefault(a, a) is a
+    assert len(first) == 6
 
 
 def test_backward_indices():
