@@ -1,7 +1,6 @@
 """Trace-driven simulator for region formation in dynamic translators."""
 
-from .automaton import (Automaton, Region, RegionStats, TransitionKind,
-                        new_automaton)
+from .automaton import Automaton, Region, RegionStats, TransitionKind
 from .engine import (SimulationConfig, SimulationResult, SweepOutcome,
                      run_simulation, run_sweep)
 from .metrics import (CostBreakdown, CostParams, MetricsReport,
@@ -11,8 +10,8 @@ from .rft import (RFTConfig, RegionExpansion, RegionManager, RegionRecording,
                   HistoryBuffer, TECHNIQUES, make_rft, mret2_intersect,
                   netplus_expand, netr_stop_condition, was_backward_branch)
 from .trace_io import (AlternatingPaths, LoopSpec, ProgramSpec, Trace,
-                       TraceFormatError, TraceItem, TraceSpecError, TraceStream,
-                       generate_trace, load_trace, open_trace,
-                       parse_program_spec, write_trace)
+                       TraceFormatError, TraceItem, TraceSpecError,
+                       generate_trace, load_trace, parse_program_spec,
+                       write_trace)
 
 __version__ = "0.1.0"

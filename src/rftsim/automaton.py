@@ -2,12 +2,13 @@
 
 States correspond to recorded instructions grouped into regions; one
 distinguished state (id 0) accounts for every instruction executed outside
-any region, i.e. interpreter-side.  The automaton is traversed one
-instruction at a time and is lazily extended with new edges; whole regions
-are appended by the simulation engine when a region formation technique
-finishes a recording.
+any region, i.e. interpreter-side.  The automaton is traversed in trace
+order and is lazily extended with new edges; whole regions are appended by
+the simulation engine when a region formation technique finishes a
+recording.
 
-Transition resolution for an incoming instruction address, in order:
+Transition resolution for an incoming instruction address, in order (one
+stepping kernel, ``Automaton.run_native_stretch``, applies these rules):
 
 1. follow the current state's outgoing edge keyed by that address, if any;
 2. otherwise, if any region state holds that address, create an edge from
@@ -26,8 +27,6 @@ from dataclasses import dataclass
 from enum import IntEnum
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .trace_io import TraceItem
-
 NTE_STATE = 0
 
 
@@ -45,7 +44,11 @@ _K = (TransitionKind.STAYED_INTERP, TransitionKind.INTERP_TO_NATIVE,
       TransitionKind.NATIVE_TO_INTERP, TransitionKind.STAYED_NATIVE,
       TransitionKind.NATIVE_TO_NATIVE)
 
-INTERP_KINDS = (TransitionKind.STAYED_INTERP, TransitionKind.NATIVE_TO_INTERP)
+# Wake sets: which items a region manager must see, each judged by the
+# transition of the item before it (see Automaton.run_native_stretch).
+WAKE_BRANCH = 0  # region-exit and interpreter-side backward-branch targets
+WAKE_INTERP = 1  # every item after an interpreter-side transition
+WAKE_ALL = 2     # every item
 
 
 class Region:
@@ -95,7 +98,6 @@ class RegionStats:
     """Immutable counter snapshot for one region."""
 
     rid: int
-    creation_index: int
     entry_address: int
     static_size: int
     recorded_size: int
@@ -181,73 +183,14 @@ class Automaton:
     # -- stepping -------------------------------------------------------
 
     def step_addr(self, address: int, size: int) -> TransitionKind:
-        """Consume one instruction; returns the transition performed.
+        """Consume one instruction; returns the transition performed."""
+        return _K[self.run_native_stretch((address,), (size,), 0, 1, WAKE_ALL)[1]]
 
-        Kept argument-flat so the engine's inner loop avoids building
-        per-item objects.  ``size`` is recorded only when a new edge's
-        target needs it; states keep the size they were recorded with.
-        """
-        e = self._cur_edges.get(address)
-        if e is None:
-            cands = self._addr_index.get(address)
-            if cands is None:
-                # rule 3: interpreter fallback, no edge materialised
-                self.total += 1
-                self.interp += 1
-                self._exec[0] += 1
-                src = self._cur_owner
-                if src >= 0:
-                    self._regions[src].in_traversal = False
-                    self._cur = NTE_STATE
-                    self._cur_edges = self._edges[0]
-                    self._cur_owner = -1
-                    return _K[2]
-                return _K[0]
-            tid = cands[0]
-            self._cur_edges[address] = [tid, 1]
-        else:
-            tid = e[0]
-            e[1] += 1
-        # edges only ever target region states
-        self._exec[tid] += 1
-        self.total += 1
-        self.native += 1
-        own = self._owner[tid]
-        src = self._cur_owner
-        r = self._regions[own]
-        r.dyn_count += 1
-        if own == src:
-            kind = 3
-        elif src < 0:
-            kind = 1
-            r.entries_interp += 1
-        else:
-            kind = 4
-            self.region_transitions += 1
-            r.entries_native += 1
-            self._regions[src].in_traversal = False
-        if tid == r.entry_state:
-            r.head_execs += 1
-            r.in_traversal = True
-        if tid == r.core_tail_state:
-            r.tail_execs += 1
-            if r.in_traversal:
-                r.completions += 1
-                r.in_traversal = False
-        self._cur = tid
-        self._cur_edges = self._edges[tid]
-        self._cur_owner = own
-        return _K[kind]
-
-    def step(self, item: TraceItem) -> TransitionKind:
-        return self.step_addr(item[0], item[1])
-
+    # the benchmark harness still calls this
     def bulk_interp(self, count: int) -> None:
         """Attribute ``count`` consecutive interpreter-side instructions at
         once.  Only legal while the cursor sits on the interpreter state
-        and no address in the gap is held by any region; the engine uses
-        this for region-free stretches where each step would be a plain
-        interpreter self-transition."""
+        and no address in the gap is held by any region."""
         if self._cur != NTE_STATE:
             raise RuntimeError("bulk interpreter accounting requires the interpreter state")
         self.total += count
@@ -255,33 +198,45 @@ class Automaton:
         self._exec[0] += count
 
     def run_native_stretch(self, addrs: Sequence[int], sizes: Sequence[int],
-                           i: int, end: int) -> tuple[int, int]:
-        """Consume items ``addrs[i:end]`` while execution stays native.
+                           i: int, end: int, wake: int) -> tuple[int, int]:
+        """The stepping kernel: the only code applying the resolution rules.
 
-        Semantically identical to calling :meth:`step_addr` per item, but
-        with the loop state held in locals; returns ``(next_i, kind)``
-        where ``kind`` is the transition of the last consumed item.  Stops
-        after the first interpreter-side landing (so a region manager can
-        resume observing) or at ``end``.  Only legal while the cursor is
-        on a region state.
+        Requires ``i < end``.  Consumes item ``addrs[i]``, then every
+        following item before ``end`` up to, not including, the next one
+        in the wake set ``wake``; returns ``(next_i, kind)`` where ``kind``
+        is the transition of the last consumed item.  An item is in the
+        wake set
+
+        - ``WAKE_BRANCH``: when the previous transition was
+          NATIVE_TO_INTERP, or was STAYED_INTERP and the item's address is
+          lower than the previous one (a backward branch);
+        - ``WAKE_INTERP``: when the previous transition ended
+          interpreter-side (STAYED_INTERP or NATIVE_TO_INTERP);
+        - ``WAKE_ALL``: always, so exactly one item is consumed.
+
+        ``sizes`` is unused: states keep the size they were recorded with.
+        The name and the argument order predate the interpreter side; the
+        benchmark harness still wraps the kernel under this name.
         """
-        cur_edges = self._cur_edges
-        cur_owner = self._cur_owner
-        if cur_owner < 0:
-            raise RuntimeError("native stretch requires a region-state cursor")
+        if wake == WAKE_ALL:
+            end = i + 1
+        branches_only = wake == WAKE_BRANCH
         edges_l = self._edges
         exec_l = self._exec
         owner_l = self._owner
         regions = self._regions
         index = self._addr_index
-        r = regions[cur_owner]
-        total = 0
+        cur_edges = self._cur_edges
+        cur_owner = self._cur_owner
+        r = regions[cur_owner] if cur_owner >= 0 else None
+        tid = self._cur
+        interp = 0
         native = 0
         transitions = 0
-        tid = self._cur
-        kind = 3
-        while i < end:
+        while True:
             a = addrs[i]
+            i += 1
+            # rule 1: the current state's edge
             e = cur_edges.get(a)
             if e is not None:
                 e[1] += 1
@@ -289,28 +244,41 @@ class Automaton:
             else:
                 cands = index.get(a)
                 if cands is None:
-                    # interpreter fallback ends the stretch
-                    total += 1
-                    self.interp += 1
-                    exec_l[0] += 1
-                    r.in_traversal = False
-                    tid = NTE_STATE
-                    cur_edges = edges_l[0]
-                    cur_owner = -1
-                    i += 1
-                    kind = 2
-                    break
+                    # rule 3: interpreter fallback, no edge materialised
+                    interp += 1
+                    if cur_owner >= 0:
+                        r.in_traversal = False
+                        tid = NTE_STATE
+                        cur_edges = edges_l[0]
+                        cur_owner = -1
+                        kind = 2
+                        # the next item is a region-exit target, which
+                        # every wake set includes
+                        break
+                    kind = 0
+                    if not branches_only or i >= end or addrs[i] < a:
+                        break
+                    continue
+                # rule 2: an edge to the earliest-created region's state
                 tid = cands[0]
                 cur_edges[a] = [tid, 1]
+            # edges only ever target region states
             exec_l[tid] += 1
-            total += 1
             native += 1
             own = owner_l[tid]
-            if own != cur_owner:
-                transitions += 1
-                r.in_traversal = False
-                r = regions[own]
-                r.entries_native += 1
+            if own == cur_owner:
+                kind = 3
+            else:
+                if cur_owner < 0:
+                    kind = 1
+                    r = regions[own]
+                    r.entries_interp += 1
+                else:
+                    kind = 4
+                    transitions += 1
+                    r.in_traversal = False
+                    r = regions[own]
+                    r.entries_native += 1
                 cur_owner = own
             r.dyn_count += 1
             if tid == r.entry_state:
@@ -322,11 +290,15 @@ class Automaton:
                     r.completions += 1
                     r.in_traversal = False
             cur_edges = edges_l[tid]
-            i += 1
+            # a native-side landing wakes only WAKE_ALL, which ends here
+            if i >= end:
+                break
         self._cur = tid
         self._cur_edges = cur_edges
         self._cur_owner = cur_owner
-        self.total += total
+        self.total += interp + native
+        self.interp += interp
+        self._exec[0] += interp
         self.native += native
         self.region_transitions += transitions
         return i, kind
@@ -413,7 +385,7 @@ class Automaton:
             raise KeyError(f"unknown region id {rid}")
         r = self._regions[rid]
         return RegionStats(
-            rid=r.rid, creation_index=r.rid, entry_address=r.entry_address,
+            rid=r.rid, entry_address=r.entry_address,
             static_size=r.static_size, recorded_size=len(r.states),
             expansion_size=len(r.expansion_states),
             entries_from_interpreter=r.entries_interp,
@@ -467,7 +439,3 @@ class Automaton:
             "regions": regions,
         }
 
-
-def new_automaton() -> Automaton:
-    """Fresh automaton holding only the interpreter state."""
-    return Automaton()

@@ -1,24 +1,23 @@
 """Simulation driver.
 
-For every consumed instruction the engine first hands (last item, current
-item, previous transition) to the region manager, installs any emitted
-recording into the automaton, and only then performs the current
-instruction's transition.  A recording stopped by the loop-closing branch
-therefore lands its own stop instruction inside the fresh region, and the
-manager observes each item at most once, in trace order.  An emitted
-recording first passes through the manager's ``complete`` hook with its
-trace index; look-ahead techniques read the window's flow up to it there.
+The engine hands (last address, current item, previous transition) to
+the region manager, installs any emitted recording into the automaton,
+and only then performs the current instruction's transition.  A
+recording stopped by the loop-closing branch therefore lands its own
+stop instruction inside the fresh region, and the manager observes each
+item at most once, in trace order.  An emitted recording first passes
+through the manager's ``complete`` hook with its trace index; look-ahead
+techniques read the window's flow up to it there.
 
 Recording is purely observational: while a manager records, instructions
 keep being attributed to the states actually traversed.
 
-Identical inputs produce bit-identical results.  Two elisions, open to
-every manager, keep the loop fast without changing any counter: before
-the first region exists, stretches of interpreter-side sequential flow
-are accounted in bulk when the manager only reacts to backward branches,
-and manager calls are dropped while the previous transition was
-native-side and the manager advertises native idleness.  An equivalence
-test pins both paths to the naive per-item loop.
+Identical inputs produce bit-identical results.  Each manager declares a
+wake set, the items it must see; after each call the automaton's one
+stepping kernel consumes the current item and every following item up
+to the next one in that set, with no manager call in between.  Calls on
+the skipped items would be no-ops, so no counter changes; an equivalence
+test pins the engine to the naive per-item loop.
 """
 
 from __future__ import annotations
@@ -28,13 +27,13 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .automaton import Automaton
 from .metrics import (CostBreakdown, CostParams, MetricsReport, compute_report,
                       estimate_times)
 from .rft import RFTConfig, make_rft
-from .trace_io import Trace, TraceItem, TraceStream
+from .trace_io import Trace
 
 
 @dataclass(frozen=True)
@@ -74,62 +73,18 @@ class SweepOutcome:
     error: Optional[str] = None
 
 
-def _as_trace(trace: Union[Trace, TraceStream, Iterable[TraceItem]]) -> Trace:
-    if isinstance(trace, Trace):
-        return trace
-    if isinstance(trace, TraceStream):
-        return trace.read_all()
-    return Trace.from_items(trace)
-
-
 def _run_items(automaton: Automaton, manager, trace: Trace, start: int, end: int) -> None:
     addrs = trace.addresses
     sizes = trace.sizes
-    step = automaton.step_addr
     handle = manager._handle
     complete = manager.complete
     append = automaton.append_region
-    bulk = automaton.bulk_interp
-    stretch = automaton.run_native_stretch
+    advance = automaton.run_native_stretch
     kind = 0
     la = -1
-    ls = 0
-    native_idle = manager.native_idle
-    backward_only = manager.backward_only
-    regionless = automaton.num_regions == 0
-    bw = None
-    bw_pos = 0
     i = start
     while i < end:
-        if kind >= 3:
-            if native_idle:
-                # the manager ignores native-side flow; let the automaton
-                # consume the stretch without per-item manager calls
-                j, kind = stretch(addrs, sizes, i, end)
-                la = addrs[j - 1]
-                ls = sizes[j - 1]
-                i = j
-                continue
-        elif kind == 0 and regionless and backward_only and i > start:
-            # interpreter cruise before any region: only backward branches
-            # can matter, so account the gap in bulk
-            if bw is None:
-                bw = trace.backward_indices()
-                bw_len = len(bw)
-            while bw_pos < bw_len and bw[bw_pos] < i:
-                bw_pos += 1
-            j = int(bw[bw_pos]) if bw_pos < bw_len else end
-            if j >= end:
-                bulk(end - i)
-                break
-            if j > i:
-                bulk(j - i)
-                la = addrs[j - 1]
-                ls = sizes[j - 1]
-                i = j
-        a = addrs[i]
-        s = sizes[i]
-        formed = handle(la, ls, a, s, kind)
+        formed = handle(la, addrs[i], sizes[i], kind)
         if formed is not None:
             formed = complete(formed, i)
             expansion = formed.expansion
@@ -137,19 +92,12 @@ def _run_items(automaton: Automaton, manager, trace: Trace, start: int, end: int
                 append(formed.items)
             else:
                 append(formed.items, expansion.members, expansion.successors)
-            regionless = False
-        native_idle = manager.native_idle
-        backward_only = manager.backward_only
-        kind = step(a, s)
-        la = a
-        ls = s
-        i += 1
+        i, kind = advance(addrs, sizes, i, end, manager.wake)
+        la = addrs[i - 1]
 
 
-def run_simulation(trace: Union[Trace, TraceStream, Iterable[TraceItem]],
-                   config: SimulationConfig) -> SimulationResult:
+def run_simulation(trace: Trace, config: SimulationConfig) -> SimulationResult:
     """Replay one trace window through one technique; deterministic."""
-    trace = _as_trace(trace)
     t0 = time.perf_counter()
     automaton = Automaton()
     manager = make_rft(config.rft)
@@ -195,8 +143,7 @@ def _run_indexed(index: int) -> SweepOutcome:
     return _run_config(trace, configs[index])
 
 
-def run_sweep(trace: Union[Trace, TraceStream, Iterable[TraceItem]],
-              configs: Sequence[SimulationConfig],
+def run_sweep(trace: Trace, configs: Sequence[SimulationConfig],
               parallelism: int = 1) -> list[SweepOutcome]:
     """Run several configurations over one shared trace.
 
@@ -218,12 +165,11 @@ def run_sweep(trace: Union[Trace, TraceStream, Iterable[TraceItem]],
         raise ValueError("configs must be non-empty")
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
-    shared = _as_trace(trace)
     workers = min(parallelism, len(configs), _usable_cpus())
     if workers == 1 or "fork" not in multiprocessing.get_all_start_methods():
-        return [_run_config(shared, c) for c in configs]
+        return [_run_config(trace, c) for c in configs]
     with ProcessPoolExecutor(max_workers=workers,
                              mp_context=multiprocessing.get_context("fork"),
                              initializer=_init_worker,
-                             initargs=(shared, configs)) as pool:
+                             initargs=(trace, configs)) as pool:
         return list(pool.map(_run_indexed, range(len(configs))))

@@ -1,9 +1,9 @@
 """Region formation techniques.
 
-A region manager watches every consumed instruction together with the
-transition the automaton performed for the *previous* instruction, keeps
-its own hotness counters and recording buffers, and occasionally emits a
-finished recording.  The engine installs emitted recordings into the
+A region manager watches the consumed instructions its declared wake set
+includes, each together with the transition the automaton performed for
+the *previous* instruction, keeps its own hotness counters and recording
+buffers, and occasionally emits a finished recording.  The engine installs emitted recordings into the
 automaton before performing the current instruction's transition, so a
 recording stopped by a loop-closing branch catches that very branch
 target as its first native execution.
@@ -35,7 +35,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from .automaton import TransitionKind
+from .automaton import WAKE_ALL, WAKE_BRANCH, WAKE_INTERP, TransitionKind
 from .trace_io import Trace, TraceItem
 
 TECHNIQUES = ("net", "mret2", "lei", "netplus", "net-r", "netplus-e-r")
@@ -154,17 +154,18 @@ def netr_stop_condition(recording: Sequence[tuple[int, int]], current: TraceItem
 
 
 class RegionManager:
-    """Base contract: one call per consumed instruction.
+    """Base contract: one call per consumed instruction it must see.
 
     ``kind`` is the transition the automaton performed for the previous
     instruction; the current instruction has not been stepped yet when the
     manager runs, which lets an emitted region capture it.
 
-    ``native_idle`` and ``backward_only`` advertise when calls can be
-    elided: while ``native_idle`` holds, calls whose ``kind`` is
-    native-side (STAYED_NATIVE / NATIVE_TO_NATIVE) are no-ops; while
-    ``backward_only`` holds and no region exists, only backward-branch
-    items can have any effect.  Every manager keeps both flags current.
+    ``wake`` declares which items the manager must see, as one of the
+    automaton's wake sets: ``WAKE_BRANCH`` (region-exit and
+    interpreter-side backward-branch targets), ``WAKE_INTERP`` (every item
+    after an interpreter-side transition) or ``WAKE_ALL``.  A call on any
+    other item must be a no-op, so the engine skips it.  The engine reads
+    ``wake`` after every call; a manager changes it as its state changes.
 
     The engine calls ``attach(trace, start)`` before replaying
     ``trace[start:]``, and passes each emitted recording through
@@ -173,19 +174,14 @@ class RegionManager:
     """
 
     technique = "?"
-
-    def __init__(self):
-        self.native_idle = True
-        self.backward_only = True
+    wake = WAKE_ALL
 
     def handle_new_instruction(self, last: Optional[TraceItem], current: TraceItem,
                                kind: TransitionKind) -> Optional[RegionRecording]:
-        if last is None:
-            return self._handle(-1, 0, current[0], current[1], kind)
-        return self._handle(last[0], last[1], current[0], current[1], kind)
+        la = -1 if last is None else last[0]
+        return self._handle(la, current[0], current[1], kind)
 
-    def _handle(self, la: int, ls: int, a: int, s: int,
-                kind: int) -> Optional[RegionRecording]:
+    def _handle(self, la: int, a: int, s: int, kind: int) -> Optional[RegionRecording]:
         raise NotImplementedError
 
     def attach(self, trace: Trace, start: int) -> None:
@@ -207,9 +203,9 @@ class NetManager(RegionManager):
     """
 
     technique = "net"
+    wake = WAKE_BRANCH
 
     def __init__(self, config: RFTConfig):
-        super().__init__()
         self._threshold = config.threshold
         self._max_size = config.max_region_size
         self._hot: dict[int, int] = {}
@@ -222,15 +218,14 @@ class NetManager(RegionManager):
     def _append(self, a: int, s: int) -> None:
         self._rec.append((a, s))
 
-    def _stop(self, la: int, ls: int, a: int, kind: int) -> bool:
+    def _stop(self, la: int, a: int, kind: int) -> bool:
         return kind == 1 or a < la or len(self._rec) >= self._max_size
 
-    def _handle(self, la, ls, a, s, kind):
+    def _handle(self, la, a, s, kind):
         if self._recording:
-            if self._stop(la, ls, a, kind):
+            if self._stop(la, a, kind):
                 self._recording = False
-                self.native_idle = True
-                self.backward_only = True
+                self.wake = WAKE_BRANCH
                 items = self._rec
                 self._rec = []
                 return RegionRecording(items)
@@ -242,8 +237,7 @@ class NetManager(RegionManager):
             if c >= self._threshold:
                 hot[a] = 0
                 self._recording = True
-                self.native_idle = False
-                self.backward_only = False
+                self.wake = WAKE_ALL
                 self._start(a, s)
             else:
                 hot[a] = c
@@ -269,7 +263,7 @@ class NetRManager(NetManager):
         self._rec.append((a, s))
         self._rec_set.add(a)
 
-    def _stop(self, la, ls, a, kind):
+    def _stop(self, la, a, kind):
         return a in self._rec_set or kind == 1 or len(self._rec) >= self._max_size
 
 
@@ -283,11 +277,11 @@ class Mret2Manager(RegionManager):
     """
 
     technique = "mret2"
+    wake = WAKE_BRANCH
 
     _IDLE, _REC1, _ARMED, _REC2 = range(4)
 
     def __init__(self, config: RFTConfig):
-        super().__init__()
         self._threshold = config.threshold
         self._max_size = config.max_region_size
         self._hot: dict[int, int] = {}
@@ -299,7 +293,7 @@ class Mret2Manager(RegionManager):
     def _stop(self, la, a, kind):
         return kind == 1 or a < la or len(self._rec) >= self._max_size
 
-    def _handle(self, la, ls, a, s, kind):
+    def _handle(self, la, a, s, kind):
         st = self._state
         if st == self._IDLE:
             if (kind == 0 and a < la) or kind == 2:
@@ -309,8 +303,7 @@ class Mret2Manager(RegionManager):
                     hot[a] = 0
                     self._state = self._REC1
                     self._rec = [(a, s)]
-                    self.native_idle = False
-                    self.backward_only = False
+                    self.wake = WAKE_ALL
                 else:
                     hot[a] = c
             return None
@@ -324,7 +317,7 @@ class Mret2Manager(RegionManager):
                     self._rec = [(a, s)]
                 else:
                     self._state = self._ARMED
-                    self.native_idle = True
+                    self.wake = WAKE_INTERP
             else:
                 self._rec.append((a, s))
             return None
@@ -332,14 +325,13 @@ class Mret2Manager(RegionManager):
             if a == self._entry and (kind == 0 or kind == 2):
                 self._state = self._REC2
                 self._rec = [(a, s)]
-                self.native_idle = False
+                self.wake = WAKE_ALL
             return None
         if self._stop(la, a, kind):
             pass2 = RegionRecording(self._rec)
             self._rec = []
             self._state = self._IDLE
-            self.native_idle = True
-            self.backward_only = True
+            self.wake = WAKE_BRANCH
             return mret2_intersect(RegionRecording(self._pass1), pass2)
         self._rec.append((a, s))
         return None
@@ -416,17 +408,16 @@ class LeiManager(RegionManager):
     """
 
     technique = "lei"
+    wake = WAKE_INTERP
 
     def __init__(self, config: RFTConfig):
-        super().__init__()
-        self.backward_only = False
         self._threshold = config.threshold
         self._max_size = config.max_region_size
         self._hist = HistoryBuffer(config.history_capacity)
         self._hot: dict[int, int] = {}
         self._sizes: dict[int, int] = {}
 
-    def _handle(self, la, ls, a, s, kind):
+    def _handle(self, la, a, s, kind):
         if kind != 0 and kind != 2:
             return None
         self._sizes[a] = s

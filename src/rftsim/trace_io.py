@@ -1,4 +1,4 @@
-"""Trace formats, trace streaming, and synthetic trace generation.
+"""Trace formats and synthetic trace generation.
 
 A trace is a flat sequence of executed-instruction records (address plus
 instruction size).  Two on-disk formats carry the same logical content:
@@ -43,7 +43,6 @@ class TraceItem(NamedTuple):
 
     address: int
     size: int
-    flags: int = 0
 
 
 class TraceFormatError(ValueError):
@@ -71,15 +70,6 @@ class Trace:
         self.sizes = sizes
         self._backward = None
 
-    @classmethod
-    def from_items(cls, items: Iterable[TraceItem]) -> "Trace":
-        addrs: list[int] = []
-        sizes: list[int] = []
-        for it in items:
-            addrs.append(it[0])
-            sizes.append(it[1])
-        return cls(addrs, sizes)
-
     def __len__(self) -> int:
         return len(self.addresses)
 
@@ -90,6 +80,7 @@ class Trace:
         for a, s in zip(self.addresses, self.sizes):
             yield TraceItem(a, s)
 
+    # the benchmark harness still calls this
     def backward_indices(self) -> np.ndarray:
         """Sorted indices j >= 1 where item j is a backward branch target.
 
@@ -104,56 +95,6 @@ class Trace:
             else:
                 self._backward = (np.nonzero(a[1:] < a[:-1])[0] + 1).astype(np.int64)
         return self._backward
-
-
-class TraceStream:
-    """Iterator over a windowed trace with position bookkeeping.
-
-    ``position`` counts items yielded so far (after the skip window was
-    applied).  A stream is confined to a single consumer.
-    """
-
-    def __init__(self, trace: Trace, skip: int = 0, limit: Optional[int] = None,
-                 source: str = "<memory>", format: str = "binary"):
-        if skip < 0:
-            raise ValueError("skip must be >= 0")
-        if limit is not None and limit < 0:
-            raise ValueError("limit must be >= 0")
-        self._trace = trace
-        self._start = min(skip, len(trace))
-        end = len(trace) if limit is None else min(len(trace), self._start + limit)
-        self._end = end
-        self._next = self._start
-        self.source = source
-        self.format = format
-
-    @property
-    def position(self) -> int:
-        return self._next - self._start
-
-    def __len__(self) -> int:
-        return self._end - self._start
-
-    def __iter__(self) -> "TraceStream":
-        return self
-
-    def __next__(self) -> TraceItem:
-        if self._next >= self._end:
-            raise StopIteration
-        item = self._trace[self._next]
-        self._next += 1
-        return item
-
-    def next_item(self) -> Optional[TraceItem]:
-        """Next item in order, or None at end of stream."""
-        if self._next >= self._end:
-            return None
-        return self.__next__()
-
-    def read_all(self) -> Trace:
-        """Remaining window as a Trace (does not advance position)."""
-        return Trace(self._trace.addresses[self._next:self._end],
-                     self._trace.sizes[self._next:self._end])
 
 
 # Binary loads of more than _INTERN_THRESHOLD items collapse equal
@@ -237,17 +178,6 @@ def load_trace(path: Union[str, Path], format: str = "binary") -> Trace:
     if format == "text":
         return load_text(path)
     raise ValueError(f"unknown trace format {format!r}")
-
-
-def open_trace(path: Union[str, Path], format: str = "binary",
-               skip: int = 0, limit: Optional[int] = None) -> TraceStream:
-    """Open a trace file and position a stream after ``skip`` items.
-
-    The stream yields at most ``limit`` items.  Raises TraceFormatError on
-    malformed input and FileNotFoundError on a missing file.
-    """
-    trace = load_trace(path, format)
-    return TraceStream(trace, skip=skip, limit=limit, source=str(path), format=format)
 
 
 def write_binary(path: Union[str, Path], items: Union[Trace, Iterable[TraceItem]]) -> None:

@@ -35,7 +35,7 @@ def naive_run(trace: Trace, config: SimulationConfig) -> Automaton:
             else:
                 automaton.append_region(formed.items, formed.expansion.members,
                                         formed.expansion.successors)
-        kind = automaton.step(item)
+        kind = automaton.step_addr(item[0], item[1])
         last = item
     return automaton
 

@@ -2,20 +2,20 @@ import random
 
 import pytest
 
-from rftsim.automaton import Automaton, TransitionKind, new_automaton
-from rftsim.trace_io import TraceItem
+from rftsim.automaton import (WAKE_ALL, WAKE_BRANCH, WAKE_INTERP, Automaton,
+                              TransitionKind)
 
 A, B, C = 0x100, 0x104, 0x108
 
 
 def step(auto, addr, size=4):
-    return auto.step(TraceItem(addr, size))
+    return auto.step_addr(addr, size)
 
 
 # --- creation ---------------------------------------------------------------
 
 def test_new_automaton_has_only_interpreter_state():
-    auto = new_automaton()
+    auto = Automaton()
     assert auto.num_states == 1
     assert auto.num_regions == 0
     assert auto.total == 0
@@ -23,7 +23,7 @@ def test_new_automaton_has_only_interpreter_state():
 
 
 def test_fresh_automaton_counters_zero():
-    auto = new_automaton()
+    auto = Automaton()
     assert (auto.interp, auto.native, auto.region_transitions) == (0, 0, 0)
     assert auto.nte_executions == 0
 
@@ -31,14 +31,14 @@ def test_fresh_automaton_counters_zero():
 # --- step resolution --------------------------------------------------------
 
 def test_unknown_address_stays_interp():
-    auto = new_automaton()
+    auto = Automaton()
     assert step(auto, 0xDEAD) is TransitionKind.STAYED_INTERP
     assert auto.interp == 1 and auto.native == 0
     assert auto.nte_executions == 1
 
 
 def test_entry_into_region_counts_interp_entry():
-    auto = new_automaton()
+    auto = Automaton()
     rid = auto.append_region([(A, 4), (B, 4), (C, 4)])
     assert step(auto, A) is TransitionKind.INTERP_TO_NATIVE
     stats = auto.region_stats(rid)
@@ -47,7 +47,7 @@ def test_entry_into_region_counts_interp_entry():
 
 
 def test_side_entry_counts_entry_but_not_head():
-    auto = new_automaton()
+    auto = Automaton()
     rid = auto.append_region([(A, 4), (B, 4), (C, 4)])
     step(auto, B)
     stats = auto.region_stats(rid)
@@ -61,7 +61,7 @@ def test_side_entry_counts_entry_but_not_head():
 
 
 def test_internal_back_edge_is_stayed_native():
-    auto = new_automaton()
+    auto = Automaton()
     rid = auto.append_region([(A, 4), (B, 4), (C, 4)])
     assert step(auto, A) is TransitionKind.INTERP_TO_NATIVE
     assert step(auto, B) is TransitionKind.STAYED_NATIVE
@@ -75,7 +75,7 @@ def test_internal_back_edge_is_stayed_native():
 
 
 def test_region_exit_and_reentry():
-    auto = new_automaton()
+    auto = Automaton()
     auto.append_region([(A, 4), (B, 4)])
     step(auto, A)
     assert step(auto, 0x900) is TransitionKind.NATIVE_TO_INTERP
@@ -84,7 +84,7 @@ def test_region_exit_and_reentry():
 
 
 def test_region_to_region_transition():
-    auto = new_automaton()
+    auto = Automaton()
     auto.append_region([(A, 4), (B, 4)])
     auto.append_region([(C, 4)])
     step(auto, A)
@@ -95,7 +95,7 @@ def test_region_to_region_transition():
 
 
 def test_duplicate_address_resolves_to_earliest_region():
-    auto = new_automaton()
+    auto = Automaton()
     auto.append_region([(A, 4), (B, 4)])
     auto.append_region([(A, 4), (C, 4)])
     assert [auto.state_owner(s) for s in auto.states_at(A)] == [0, 1]
@@ -105,7 +105,7 @@ def test_duplicate_address_resolves_to_earliest_region():
 
 
 def test_interrupted_traversal_not_completed():
-    auto = new_automaton()
+    auto = Automaton()
     rid = auto.append_region([(A, 4), (B, 4), (C, 4)])
     step(auto, A)
     step(auto, B)
@@ -118,7 +118,7 @@ def test_interrupted_traversal_not_completed():
 
 
 def test_single_state_region_completes_every_landing():
-    auto = new_automaton()
+    auto = Automaton()
     rid = auto.append_region([(A, 4)])
     step(auto, A)
     step(auto, A)
@@ -130,7 +130,7 @@ def test_single_state_region_completes_every_landing():
 # --- append_region ----------------------------------------------------------
 
 def test_append_shape():
-    auto = new_automaton()
+    auto = Automaton()
     rid = auto.append_region([(A, 4), (B, 4), (C, 4)])
     dump = auto.dump()
     region = dump["regions"][rid]
@@ -144,7 +144,7 @@ def test_append_shape():
 
 
 def test_append_same_recording_twice_duplicates():
-    auto = new_automaton()
+    auto = Automaton()
     auto.append_region([(A, 4), (B, 4), (C, 4)])
     auto.append_region([(A, 4), (B, 4), (C, 4)])
     owners = [auto.state_owner(s) for s in auto.states_at(A)]
@@ -152,7 +152,7 @@ def test_append_same_recording_twice_duplicates():
 
 
 def test_append_with_expansion_matches_manual_graph():
-    auto = new_automaton()
+    auto = Automaton()
     rid = auto.append_region([(A, 4), (B, 4), (C, 4)],
                              expansion=[(0x10C, 4), (0x110, 4)],
                              expansion_successors={0x110: (A,), C: (0x10C,),
@@ -173,22 +173,22 @@ def test_append_with_expansion_matches_manual_graph():
 
 def test_append_empty_recording_rejected():
     with pytest.raises(ValueError, match="empty"):
-        new_automaton().append_region([])
+        Automaton().append_region([])
 
 
 def test_append_expansion_overlapping_recording_rejected():
-    auto = new_automaton()
+    auto = Automaton()
     with pytest.raises(ValueError, match="duplicates"):
         auto.append_region([(A, 4)], expansion=[(A, 4)], expansion_successors={})
 
 
 def test_region_stats_unknown_id():
     with pytest.raises(KeyError):
-        new_automaton().region_stats(0)
+        Automaton().region_stats(0)
 
 
 def test_region_stats_fresh_region_zeroed():
-    auto = new_automaton()
+    auto = Automaton()
     rid = auto.append_region([(A, 4)])
     stats = auto.region_stats(rid)
     assert (stats.entries, stats.dynamic_instructions, stats.head_executions,
@@ -224,7 +224,7 @@ def _check_invariants(auto):
 
 def test_invariants_after_random_walk():
     rng = random.Random(7)
-    auto = new_automaton()
+    auto = Automaton()
     addrs = [0x100 + 4 * i for i in range(12)]
     auto.append_region([(addrs[0], 4), (addrs[1], 4)])
     auto.append_region([(addrs[2], 4), (addrs[3], 4), (addrs[4], 4)])
@@ -239,7 +239,7 @@ def test_replay_deterministic():
     seq = [rng.choice([A, B, C, 0x200, 0x204]) for _ in range(500)]
 
     def run():
-        auto = new_automaton()
+        auto = Automaton()
         auto.append_region([(A, 4), (B, 4)])
         auto.append_region([(C, 4), (0x200, 4)])
         for a in seq:
@@ -250,9 +250,9 @@ def test_replay_deterministic():
 
 
 def test_bulk_interp_matches_steps():
-    auto1 = new_automaton()
+    auto1 = Automaton()
     auto1.bulk_interp(5)
-    auto2 = new_automaton()
+    auto2 = Automaton()
     for i in range(5):
         step(auto2, 0x500 + 4 * i)
     assert (auto1.total, auto1.interp, auto1.nte_executions) == \
@@ -260,34 +260,149 @@ def test_bulk_interp_matches_steps():
 
 
 def test_bulk_interp_requires_interpreter_cursor():
-    auto = new_automaton()
+    auto = Automaton()
     auto.append_region([(A, 4)])
     step(auto, A)
     with pytest.raises(RuntimeError):
         auto.bulk_interp(1)
 
 
-def test_run_native_stretch_equals_steps():
-    rng = random.Random(11)
-    addrs = [A, B, C, 0x200, 0x204, 0x900]
-    seq = [rng.choice(addrs) for _ in range(2000)]
-    sizes = [4] * len(seq)
+# --- the stepping kernel against a literal model ------------------------------
 
-    ref = new_automaton()
-    ref.append_region([(A, 4), (B, 4), (C, 4)])
-    ref.append_region([(0x200, 4), (0x204, 4)])
-    for a in seq:
-        step(ref, a)
+SI, I2N, N2I, SN, N2N = range(5)
 
-    fast = new_automaton()
-    fast.append_region([(A, 4), (B, 4), (C, 4)])
-    fast.append_region([(0x200, 4), (0x204, 4)])
-    i = 0
-    kind = 0
-    while i < len(seq):
-        if kind >= 3:
-            i, kind = fast.run_native_stretch(seq, sizes, i, len(seq))
+
+class LiteralAutomaton:
+    """The automaton's three resolution rules and counters, written out
+    one item at a time from their definitions, sharing no code with
+    ``Automaton``.  State 0 is the interpreter; region states are numbered
+    in creation order, each region's recording in order."""
+
+    def __init__(self):
+        self.address = [None]
+        self.size = [None]
+        self.region = [None]
+        self.executions = [0]
+        self.edges = [{}]          # state -> {address: [target, count]}
+        self.regions = []
+        self.cursor = 0
+        self.total = self.interp = self.native = self.transitions = 0
+
+    def append(self, recording):
+        rid = len(self.regions)
+        first = len(self.address)
+        for a, s in recording:
+            self.address.append(a)
+            self.size.append(s)
+            self.region.append(rid)
+            self.executions.append(0)
+            self.edges.append({})
+        ids = list(range(first, len(self.address)))
+        for x, y in zip(ids, ids[1:]):
+            self.edges[x].setdefault(self.address[y], [y, 0])
+        self.regions.append({
+            "id": rid, "entry_address": recording[0][0], "entry_state": ids[0],
+            "core_tail_state": ids[-1], "recorded_states": ids,
+            "expansion_states": [], "entries_from_interpreter": 0,
+            "entries_from_native": 0, "dynamic_instructions": 0,
+            "head_executions": 0, "tail_executions": 0,
+            "completed_traversals": 0, "in_traversal": False})
+
+    def step(self, a):
+        """Consume one item; returns its transition kind."""
+        src = self.cursor
+        edge = self.edges[src].get(a)
+        if edge is None:
+            holders = [(self.region[sid], sid) for sid in range(1, len(self.address))
+                       if self.address[sid] == a]
+            if holders:
+                # rule 2: the earliest-created region's (first) state
+                edge = self.edges[src][a] = [min(holders)[1], 0]
+        target = 0 if edge is None else edge[0]   # rule 3 when no edge
+        if edge is not None:
+            edge[1] += 1
+        self.total += 1
+        self.executions[target] += 1
+        self.cursor = target
+        left = None if self.region[src] is None else self.regions[self.region[src]]
+        if target == 0:
+            self.interp += 1
+            if left is None:
+                return SI
+            left["in_traversal"] = False
+            return N2I
+        self.native += 1
+        r = self.regions[self.region[target]]
+        r["dynamic_instructions"] += 1
+        if left is None:
+            kind = I2N
+            r["entries_from_interpreter"] += 1
+        elif left is r:
+            kind = SN
         else:
-            kind = fast.step_addr(seq[i], 4)
-            i += 1
-    assert fast.dump() == ref.dump()
+            kind = N2N
+            self.transitions += 1
+            r["entries_from_native"] += 1
+            left["in_traversal"] = False
+        if target == r["entry_state"]:
+            r["head_executions"] += 1
+            r["in_traversal"] = True
+        if target == r["core_tail_state"]:
+            r["tail_executions"] += 1
+            if r["in_traversal"]:
+                r["completed_traversals"] += 1
+                r["in_traversal"] = False
+        return kind
+
+    def dump(self):
+        states = [{"id": sid, "address": self.address[sid], "size": self.size[sid],
+                   "region": self.region[sid], "executions": self.executions[sid],
+                   "edges": [[a, t, c] for a, (t, c) in sorted(self.edges[sid].items())]}
+                  for sid in range(len(self.address))]
+        regions = [{k: v for k, v in r.items() if k != "in_traversal"}
+                   for r in self.regions]
+        return {"total_instructions": self.total,
+                "interpreted_instructions": self.interp,
+                "native_instructions": self.native,
+                "region_transitions": self.transitions,
+                "states": states, "regions": regions}
+
+
+def wakes(wake, prev_kind, prev_address, address):
+    """Whether an item is in a wake set, given the item before it."""
+    if wake == WAKE_ALL:
+        return True
+    if wake == WAKE_INTERP:
+        return prev_kind in (SI, N2I)
+    return prev_kind == N2I or (prev_kind == SI and address < prev_address)
+
+
+def test_kernel_matches_literal_model():
+    rng = random.Random(11)
+    for case in range(120):
+        pool = [0x100 + 4 * k for k in range(rng.randint(3, 12))]
+        seq = [rng.choice(pool) for _ in range(rng.randint(1, 400))]
+        sizes = [4] * len(seq)
+        # regions install at segment boundaries, between kernel calls
+        cuts = sorted(rng.sample(range(len(seq) + 1), min(len(seq) + 1, 4)))
+        recordings = [[(rng.choice(pool), 4) for _ in range(rng.randint(1, 5))]
+                      for _ in cuts]
+        for wake in (WAKE_BRANCH, WAKE_INTERP, WAKE_ALL):
+            auto = Automaton()
+            model = LiteralAutomaton()
+            kinds = []
+            for lo, hi, recording in zip(cuts, cuts[1:] + [len(seq)], recordings):
+                if rng.random() < 0.8:
+                    auto.append_region(recording)
+                    model.append(recording)
+                i = lo
+                while i < hi:
+                    kinds.append(model.step(seq[i]))
+                    stop = i + 1
+                    while stop < hi and not wakes(wake, kinds[-1], seq[stop - 1], seq[stop]):
+                        kinds.append(model.step(seq[stop]))
+                        stop += 1
+                    assert auto.run_native_stretch(seq, sizes, i, hi, wake) == \
+                        (stop, kinds[-1]), (case, wake, i)
+                    i = stop
+            assert auto.dump() == model.dump(), (case, wake)

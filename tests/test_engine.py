@@ -72,10 +72,12 @@ def test_straight_line_no_regions():
 
 def test_skip_limit_window():
     trace = generate_trace(A1_SPEC)
-    config = SimulationConfig(rft=RFTConfig(threshold=2), skip=3, limit=12)
-    result = run_simulation(trace, config)
-    assert result.items_consumed == 12
-    assert result.report.total_instructions == 12
+    # a window inside the trace, and a skip beyond its end
+    for skip, limit, consumed in ((3, 12, 12), (40, None, 0)):
+        config = SimulationConfig(rft=RFTConfig(threshold=2), skip=skip, limit=limit)
+        result = run_simulation(trace, config)
+        assert result.items_consumed == consumed
+        assert result.report.total_instructions == consumed
 
 
 def test_cost_attached_when_requested():

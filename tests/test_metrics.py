@@ -6,17 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rftsim.automaton import new_automaton
+from rftsim.automaton import Automaton
 from rftsim.metrics import (CostParams, MetricsReport, cold_region_fraction,
                             completion_ratio, compute_report, estimate_times,
                             format_cell, ninety_percent_cover_set,
                             report_csv_row, report_json_dict)
-from rftsim.trace_io import TraceItem
 
 
 def drive(auto, addrs):
     for a in addrs:
-        auto.step(TraceItem(a, 4))
+        auto.step_addr(a, 4)
 
 
 # --- cover set ----------------------------------------------------------------
@@ -71,7 +70,7 @@ def test_completion_no_heads():
 
 def _stats(entries):
     from rftsim.automaton import RegionStats
-    return RegionStats(rid=0, creation_index=0, entry_address=0, static_size=1,
+    return RegionStats(rid=0, entry_address=0, static_size=1,
                        recorded_size=1, expansion_size=0,
                        entries_from_interpreter=entries, entries_from_native=0,
                        dynamic_instructions=0, head_executions=0,
@@ -166,7 +165,7 @@ def test_negative_cost_rejected():
 # --- compute_report ---------------------------------------------------------------
 
 def test_report_zero_regions_na_markers():
-    auto = new_automaton()
+    auto = Automaton()
     drive(auto, [0x100, 0x104, 0x108])
     report = compute_report(auto)
     assert report.num_regions == 0
@@ -178,7 +177,7 @@ def test_report_zero_regions_na_markers():
 
 
 def test_report_empty_run_all_zero():
-    report = compute_report(new_automaton())
+    report = compute_report(Automaton())
     assert report.total_instructions == 0
     assert report.coverage == 0.0
     assert report.ninety_percent_cover_set == 0
@@ -186,7 +185,7 @@ def test_report_empty_run_all_zero():
 
 def test_report_transition_chain():
     # R1's exit always enters R2, crossing k times
-    auto = new_automaton()
+    auto = Automaton()
     auto.append_region([(0x100, 4), (0x104, 4)])
     auto.append_region([(0x200, 4), (0x204, 4)])
     k = 5
@@ -198,7 +197,7 @@ def test_report_transition_chain():
 
 
 def test_report_duplication_ratio():
-    auto = new_automaton()
+    auto = Automaton()
     auto.append_region([(0x100, 4), (0x104, 4)])
     auto.append_region([(0x104, 4), (0x108, 4)])
     report = compute_report(auto)
@@ -207,7 +206,7 @@ def test_report_duplication_ratio():
 
 
 def test_report_invariants_restate_conservation():
-    auto = new_automaton()
+    auto = Automaton()
     auto.append_region([(0x100, 4), (0x104, 4)])
     drive(auto, [0x100, 0x104, 0x900, 0x100, 0x104])
     r = compute_report(auto)
@@ -219,7 +218,7 @@ def test_report_invariants_restate_conservation():
 # --- serialisation ----------------------------------------------------------------
 
 def test_csv_row_na_and_unreachable_markers():
-    auto = new_automaton()
+    auto = Automaton()
     drive(auto, [0x100])
     row = report_csv_row(compute_report(auto))
     assert "unreachable" in row
@@ -227,7 +226,7 @@ def test_csv_row_na_and_unreachable_markers():
 
 
 def test_json_report_carries_region_table():
-    auto = new_automaton()
+    auto = Automaton()
     auto.append_region([(0x100, 4)])
     drive(auto, [0x100, 0x100])
     doc = report_json_dict(compute_report(auto))
@@ -244,7 +243,7 @@ def test_format_cell():
 
 def test_avg_static_times_count_recovers_hot_static():
     import math
-    auto = new_automaton()
+    auto = Automaton()
     auto.append_region([(0x100, 4), (0x104, 4), (0x108, 4), (0x10C, 4)])
     auto.append_region([(0x200, 4), (0x204, 4), (0x208, 4)])
     auto.append_region([(0x300, 4), (0x304, 4), (0x308, 4)])

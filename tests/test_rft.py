@@ -27,12 +27,12 @@ def feed(manager, seq):
     recording) pairs."""
     out = []
     manager.attach(Trace([a for a, _, _ in seq], [s for _, s, _ in seq]), 0)
-    la, ls = -1, 0
+    la = -1
     for i, (a, s, kind) in enumerate(seq):
-        rec = manager._handle(la, ls, a, s, kind)
+        rec = manager._handle(la, a, s, kind)
         if rec is not None:
             out.append((i, manager.complete(rec, i)))
-        la, ls = a, s
+        la = a
     return out
 
 
@@ -78,11 +78,11 @@ def test_net_straight_line_never_records():
 def test_net_stops_on_entering_existing_region():
     mgr = NetManager(cfg(threshold=1))
     # backward branch to X starts recording immediately (T=1)
-    assert mgr._handle(0x200, 4, 0x100, 4, SI) is None
-    assert mgr._handle(0x100, 4, 0x104, 4, SI) is None
+    assert mgr._handle(0x200, 0x100, 4, SI) is None
+    assert mgr._handle(0x100, 0x104, 4, SI) is None
     # previous instruction entered an existing region: emit, truncated
     # before the current instruction
-    rec = mgr._handle(0x104, 4, 0x300, 4, I2N)
+    rec = mgr._handle(0x104, 0x300, 4, I2N)
     assert rec == RegionRecording([(0x100, 4), (0x104, 4)])
 
 
@@ -98,13 +98,13 @@ def test_net_size_cap():
 def test_net_profiles_exit_targets():
     mgr = NetManager(cfg(threshold=1))
     # a native-to-interp transition profiles the following instruction
-    rec = mgr._handle(0x500, 4, 0x600, 4, N2I)
+    rec = mgr._handle(0x500, 0x600, 4, N2I)
     assert rec is None and mgr._recording
 
 
 def test_net_no_profiling_on_native_kinds():
     mgr = NetManager(cfg(threshold=1))
-    assert mgr._handle(0x200, 4, 0x100, 4, SN) is None
+    assert mgr._handle(0x200, 0x100, 4, SN) is None
     assert not mgr._recording and mgr._hot == {}
 
 

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from rftsim import trace_io
 from rftsim.trace_io import (AlternatingPaths, LoopSpec, ProgramSpec, Trace,
                              TraceFormatError, TraceItem, TraceSpecError,
-                             TraceStream, generate_trace, load_trace, open_trace,
-                             parse_program_spec, validate_spec, write_trace)
+                             generate_trace, load_trace, parse_program_spec,
+                             validate_spec, write_trace)
 
 ITEMS3 = [TraceItem(0x100, 4), TraceItem(0x104, 2), TraceItem(0x200, 8)]
 
@@ -18,24 +18,10 @@ def write3(tmp_path, fmt="binary"):
     return path
 
 
-# --- open/window ------------------------------------------------------------
+# --- load -------------------------------------------------------------------
 
 def test_open_full_window(tmp_path):
-    stream = open_trace(write3(tmp_path))
-    assert list(stream) == ITEMS3
-    assert stream.position == 3
-
-
-def test_skip_limit_window(tmp_path):
-    stream = open_trace(write3(tmp_path), skip=1, limit=1)
-    assert stream.next_item() == ITEMS3[1]
-    assert stream.next_item() is None
-    assert stream.position == 1
-
-
-def test_skip_beyond_end(tmp_path):
-    stream = open_trace(write3(tmp_path), skip=10)
-    assert stream.next_item() is None
+    assert list(load_trace(write3(tmp_path))) == ITEMS3
 
 
 def test_corrupt_magic_rejected(tmp_path):
@@ -44,7 +30,7 @@ def test_corrupt_magic_rejected(tmp_path):
     raw[0] ^= 0xFF
     path.write_bytes(bytes(raw))
     with pytest.raises(TraceFormatError, match="magic"):
-        open_trace(path)
+        load_trace(path)
 
 
 def test_truncated_record_reports_offset(tmp_path):
@@ -52,7 +38,7 @@ def test_truncated_record_reports_offset(tmp_path):
     raw = path.read_bytes()
     path.write_bytes(raw[:-5])
     with pytest.raises(TraceFormatError, match="offset 48"):
-        open_trace(path)
+        load_trace(path)
 
 
 def test_nonzero_flags_rejected(tmp_path):
@@ -61,32 +47,32 @@ def test_nonzero_flags_rejected(tmp_path):
     raw[16 + 12] = 1  # flags field of the first record
     path.write_bytes(bytes(raw))
     with pytest.raises(TraceFormatError, match="flags"):
-        open_trace(path)
+        load_trace(path)
 
 
 def test_missing_file():
     with pytest.raises(FileNotFoundError):
-        open_trace("/nonexistent/trace.rtr")
+        load_trace("/nonexistent/trace.rtr")
 
 
 def test_text_decode(tmp_path):
     path = tmp_path / "t.txt"
     path.write_text("# header comment\n100 4\n\n104 2\n200 8\n")
-    assert list(open_trace(path, "text")) == ITEMS3
+    assert list(load_trace(path, "text")) == ITEMS3
 
 
 def test_text_bad_line(tmp_path):
     path = tmp_path / "t.txt"
     path.write_text("100 4\nbogus\n")
     with pytest.raises(TraceFormatError, match=":2"):
-        open_trace(path, "text")
+        load_trace(path, "text")
 
 
 def test_text_zero_size_rejected(tmp_path):
     path = tmp_path / "t.txt"
     path.write_text("100 0\n")
     with pytest.raises(TraceFormatError, match="size"):
-        open_trace(path, "text")
+        load_trace(path, "text")
 
 
 @pytest.mark.parametrize("address", ["-10", "10000000000000000"])
@@ -114,7 +100,7 @@ def test_binary_round_trip(tmp_path_factory, pairs):
     items = [TraceItem(a, s) for a, s in pairs]
     path = tmp_path_factory.mktemp("rt") / "t.rtr"
     write_trace(path, items, "binary")
-    assert list(open_trace(path, "binary")) == items
+    assert list(load_trace(path, "binary")) == items
 
 
 @settings(max_examples=60)
@@ -124,8 +110,8 @@ def test_text_round_trip_matches_binary(tmp_path_factory, pairs):
     root = tmp_path_factory.mktemp("rt")
     write_trace(root / "t.rtr", items, "binary")
     write_trace(root / "t.txt", items, "text")
-    assert (list(open_trace(root / "t.rtr", "binary"))
-            == list(open_trace(root / "t.txt", "text")) == items)
+    assert (list(load_trace(root / "t.rtr", "binary"))
+            == list(load_trace(root / "t.txt", "text")) == items)
 
 
 def test_binary_load_interns_addresses_across_chunks(tmp_path, monkeypatch):
@@ -256,8 +242,3 @@ def test_unknown_format_rejected(tmp_path):
     with pytest.raises(ValueError, match="format"):
         load_trace(path, "xml")
 
-
-def test_stream_read_all_is_window():
-    tr = Trace([1, 2, 3, 4, 5], [1, 1, 1, 1, 1])
-    stream = TraceStream(tr, skip=1, limit=3)
-    assert stream.read_all().addresses == [2, 3, 4]
