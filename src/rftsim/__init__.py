@@ -7,8 +7,7 @@ from .metrics import (CostBreakdown, CostParams, MetricsReport,
                       cold_region_fraction, completion_ratio, compute_report,
                       estimate_times, ninety_percent_cover_set)
 from .rft import (RFTConfig, RegionExpansion, RegionManager, RegionRecording,
-                  HistoryBuffer, TECHNIQUES, make_rft, mret2_intersect,
-                  netplus_expand, netr_stop_condition, was_backward_branch)
+                  TECHNIQUES, make_rft, mret2_intersect, netplus_expand)
 from .trace_io import (AlternatingPaths, LoopSpec, ProgramSpec, Trace,
                        TraceFormatError, TraceItem, TraceSpecError,
                        generate_trace, load_trace, parse_program_spec,

@@ -19,6 +19,11 @@ stepping kernel, ``Automaton.run_native_stretch``, applies these rules):
 The same guest address may be materialised in several regions (code
 duplication); rule 2 always prefers the earliest-created region,
 mirroring an address map that keeps its first translation.
+
+Edges only key addresses that some region state holds, so an item runs
+natively exactly when its address is held (``Automaton.held``).  A run of
+interpreter-side items therefore ends at its first held address, and the
+kernel credits such a run without resolving it item by item.
 """
 
 from __future__ import annotations
@@ -43,12 +48,6 @@ class TransitionKind(IntEnum):
 _K = (TransitionKind.STAYED_INTERP, TransitionKind.INTERP_TO_NATIVE,
       TransitionKind.NATIVE_TO_INTERP, TransitionKind.STAYED_NATIVE,
       TransitionKind.NATIVE_TO_NATIVE)
-
-# Wake sets: which items a region manager must see, each judged by the
-# transition of the item before it (see Automaton.run_native_stretch).
-WAKE_BRANCH = 0  # region-exit and interpreter-side backward-branch targets
-WAKE_INTERP = 1  # every item after an interpreter-side transition
-WAKE_ALL = 2     # every item
 
 
 class Region:
@@ -147,20 +146,12 @@ class Automaton:
     # -- introspection ------------------------------------------------
 
     @property
-    def num_states(self) -> int:
-        return len(self._addr)
-
-    @property
     def num_regions(self) -> int:
         return len(self._regions)
 
     @property
     def nte_executions(self) -> int:
         return self._exec[0]
-
-    @property
-    def cursor(self) -> int:
-        return self._cur
 
     def regions(self) -> Sequence[Region]:
         """Live region objects, creation order.  Treat as read-only."""
@@ -176,17 +167,23 @@ class Automaton:
     def state_executions(self, sid: int) -> int:
         return self._exec[sid]
 
-    def states_at(self, address: int) -> Sequence[int]:
-        """State ids holding an address, ordered by owning region creation."""
-        return self._addr_index.get(address, ())
+    @property
+    def held(self) -> Mapping[int, list[int]]:
+        """The address index: each address some region state holds, mapped
+        to those state ids in owning-region creation order.  Read-only.
+
+        An item whose address is not held falls back to the interpreter
+        (rule 3), so a region manager scanning an interpreter-side run
+        stops at the first held address: that item enters a region.
+        """
+        return self._addr_index
 
     # -- stepping -------------------------------------------------------
 
     def step_addr(self, address: int, size: int) -> TransitionKind:
         """Consume one instruction; returns the transition performed."""
-        return _K[self.run_native_stretch((address,), (size,), 0, 1, WAKE_ALL)[1]]
+        return _K[self.run_native_stretch((address,), (size,), 0, 1, 0)[1]]
 
-    # the benchmark harness still calls this
     def bulk_interp(self, count: int) -> None:
         """Attribute ``count`` consecutive interpreter-side instructions at
         once.  Only legal while the cursor sits on the interpreter state
@@ -198,29 +195,25 @@ class Automaton:
         self._exec[0] += count
 
     def run_native_stretch(self, addrs: Sequence[int], sizes: Sequence[int],
-                           i: int, end: int, wake: int) -> tuple[int, int]:
+                           i: int, end: int, h: int) -> tuple[int, int]:
         """The stepping kernel: the only code applying the resolution rules.
 
-        Requires ``i < end``.  Consumes item ``addrs[i]``, then every
-        following item before ``end`` up to, not including, the next one
-        in the wake set ``wake``; returns ``(next_i, kind)`` where ``kind``
-        is the transition of the last consumed item.  An item is in the
-        wake set
-
-        - ``WAKE_BRANCH``: when the previous transition was
-          NATIVE_TO_INTERP, or was STAYED_INTERP and the item's address is
-          lower than the previous one (a backward branch);
-        - ``WAKE_INTERP``: when the previous transition ended
-          interpreter-side (STAYED_INTERP or NATIVE_TO_INTERP);
-        - ``WAKE_ALL``: always, so exactly one item is consumed.
+        Requires ``i <= h < end``.  Credits items ``[i, h)`` to the
+        interpreter; when ``h > i`` the cursor must sit on the interpreter
+        state and no address in that gap may be held (see ``held``).  Then
+        steps from item ``h`` and stops after the first item that falls
+        back to the interpreter (rule 3 always ends a call): item ``h``
+        alone if it stays interpreter-side, else the NATIVE_TO_INTERP
+        landing that ends the native run, or at ``end``.  Returns
+        ``(next_i, kind)``, ``kind`` being the transition of the last
+        consumed item.
 
         ``sizes`` is unused: states keep the size they were recorded with.
         The name and the argument order predate the interpreter side; the
         benchmark harness still wraps the kernel under this name.
         """
-        if wake == WAKE_ALL:
-            end = i + 1
-        branches_only = wake == WAKE_BRANCH
+        interp = h - i
+        i = h
         edges_l = self._edges
         exec_l = self._exec
         owner_l = self._owner
@@ -230,7 +223,6 @@ class Automaton:
         cur_owner = self._cur_owner
         r = regions[cur_owner] if cur_owner >= 0 else None
         tid = self._cur
-        interp = 0
         native = 0
         transitions = 0
         while True:
@@ -246,19 +238,14 @@ class Automaton:
                 if cands is None:
                     # rule 3: interpreter fallback, no edge materialised
                     interp += 1
+                    kind = 0
                     if cur_owner >= 0:
                         r.in_traversal = False
                         tid = NTE_STATE
                         cur_edges = edges_l[0]
                         cur_owner = -1
                         kind = 2
-                        # the next item is a region-exit target, which
-                        # every wake set includes
-                        break
-                    kind = 0
-                    if not branches_only or i >= end or addrs[i] < a:
-                        break
-                    continue
+                    break
                 # rule 2: an edge to the earliest-created region's state
                 tid = cands[0]
                 cur_edges[a] = [tid, 1]
@@ -290,7 +277,6 @@ class Automaton:
                     r.completions += 1
                     r.in_traversal = False
             cur_edges = edges_l[tid]
-            # a native-side landing wakes only WAKE_ALL, which ends here
             if i >= end:
                 break
         self._cur = tid

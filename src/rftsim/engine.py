@@ -1,23 +1,23 @@
 """Simulation driver.
 
-The engine hands (last address, current item, previous transition) to
-the region manager, installs any emitted recording into the automaton,
-and only then performs the current instruction's transition.  A
-recording stopped by the loop-closing branch therefore lands its own
-stop instruction inside the fresh region, and the manager observes each
-item at most once, in trace order.  An emitted recording first passes
-through the manager's ``complete`` hook with its trace index; look-ahead
-techniques read the window's flow up to it there.
+The engine alternates two calls.  The region manager's ``scan`` consumes
+an interpreter-side run: it sees each item with the previous item's
+transition and stops at an emission, at the first item that enters a
+region, or at the window's end.  The automaton's stepping kernel then
+credits the scanned items to the interpreter and steps from the item the
+scan stopped at through the native run that follows, up to the next
+region exit.  An emitted recording first passes through the manager's
+``complete`` hook with its trace index (look-ahead techniques read the
+window's flow up to it there) and is installed before the kernel steps
+the emitting item, so a recording stopped by the loop-closing branch
+lands its own stop instruction inside the fresh region.  Each item is
+scanned at most once, in trace order.
 
 Recording is purely observational: while a manager records, instructions
 keep being attributed to the states actually traversed.
 
-Identical inputs produce bit-identical results.  Each manager declares a
-wake set, the items it must see; after each call the automaton's one
-stepping kernel consumes the current item and every following item up
-to the next one in that set, with no manager call in between.  Calls on
-the skipped items would be no-ops, so no counter changes; an equivalence
-test pins the engine to the naive per-item loop.
+Identical inputs produce bit-identical results; an equivalence test pins
+the engine to a per-item reference loop.
 """
 
 from __future__ import annotations
@@ -76,23 +76,30 @@ class SweepOutcome:
 def _run_items(automaton: Automaton, manager, trace: Trace, start: int, end: int) -> None:
     addrs = trace.addresses
     sizes = trace.sizes
-    handle = manager._handle
+    scan = manager.scan
     complete = manager.complete
     append = automaton.append_region
     advance = automaton.run_native_stretch
+    held = automaton.held
     kind = 0
     la = -1
     i = start
     while i < end:
-        formed = handle(la, addrs[i], sizes[i], kind)
+        k, formed, entered = scan(addrs, sizes, i, end, la, kind, held)
         if formed is not None:
-            formed = complete(formed, i)
+            # an emission on entering a region is due before item k + 1;
+            # item k's address is already held by an earlier region, so
+            # installing before stepping item k leaves its transition alone
+            formed = complete(formed, k + 1 if entered else k)
             expansion = formed.expansion
             if expansion is None:
                 append(formed.items)
             else:
                 append(formed.items, expansion.members, expansion.successors)
-        i, kind = advance(addrs, sizes, i, end, manager.wake)
+        elif k == end:
+            automaton.bulk_interp(end - i)
+            return
+        i, kind = advance(addrs, sizes, i, end, k)
         la = addrs[i - 1]
 
 

@@ -1,12 +1,15 @@
 """Region formation techniques.
 
-A region manager watches the consumed instructions its declared wake set
-includes, each together with the transition the automaton performed for
-the *previous* instruction, keeps its own hotness counters and recording
-buffers, and occasionally emits a finished recording.  The engine installs emitted recordings into the
-automaton before performing the current instruction's transition, so a
-recording stopped by a loop-closing branch catches that very branch
-target as its first native execution.
+A region manager scans each interpreter-side run of the trace in one
+call.  It sees each item together with the transition the automaton
+performed for the *previous* item, keeps its own hotness counters and
+recording buffers, and occasionally emits a finished recording.  Items
+executed inside regions are never shown to it: every technique ignores
+native-side transitions except the entry into a region, which ends a
+recording, and the scan handles that entry where it sees it.  The engine
+installs emitted recordings into the automaton before performing the
+emitting item's transition, so a recording stopped by a loop-closing
+branch catches that very branch target as its first native execution.
 
 Six techniques are provided:
 
@@ -31,12 +34,11 @@ All hotness profiling happens on interpreter-side transitions only.
 
 from __future__ import annotations
 
-from collections import deque
+import math
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Container, Mapping, Optional, Sequence
 
-from .automaton import WAKE_ALL, WAKE_BRANCH, WAKE_INTERP, TransitionKind
-from .trace_io import Trace, TraceItem
+from .trace_io import Trace
 
 TECHNIQUES = ("net", "mret2", "lei", "netplus", "net-r", "netplus-e-r")
 
@@ -46,23 +48,6 @@ DEFAULT_EXPANSION_DEPTH = 10
 DEFAULT_HISTORY_CAPACITY = 8192
 # items per catch-up step of the lazy flow map, bounding its transient lists
 _FLOW_CHUNK = 1 << 12
-
-_STAYED_INTERP = int(TransitionKind.STAYED_INTERP)
-_INTERP_TO_NATIVE = int(TransitionKind.INTERP_TO_NATIVE)
-_NATIVE_TO_INTERP = int(TransitionKind.NATIVE_TO_INTERP)
-
-
-def was_backward_branch(last: Optional[TraceItem], current: TraceItem) -> bool:
-    """True iff flow from ``last`` to ``current`` is a taken backward branch.
-
-    Backward means non-sequential (``current.address != last.address +
-    last.size``) and targeting a lower address.  With sizes >= 1 the
-    address comparison alone implies non-sequential flow; both clauses are
-    kept for traces that violate the size invariant.
-    """
-    if last is None:
-        return False
-    return current[0] != last[0] + last[1] and current[0] < last[0]
 
 
 @dataclass(frozen=True)
@@ -137,52 +122,52 @@ def mret2_intersect(pass1: RegionRecording, pass2: RegionRecording) -> RegionRec
     return RegionRecording([(a, s) for a, s in pass1.items if a in in_pass2])
 
 
-def netr_stop_condition(recording: Sequence[tuple[int, int]], current: TraceItem,
-                        kind: TransitionKind, max_region_size: int) -> bool:
-    """Relaxed stop test: a repeated address (cycle), the size cap, or
-    entry into an existing region ends the recording; backward branches do
-    not."""
-    if kind == _INTERP_TO_NATIVE:
-        return True
-    if len(recording) >= max_region_size:
-        return True
-    addr = current[0]
-    return any(a == addr for a, _ in recording)
-
-
 # --- managers --------------------------------------------------------------
 
+# The scans loop with `while True`: CPython 3.11 specializes a function's
+# bytecode only after a warm-up that counts calls and unconditional
+# backward jumps, not the conditional jump closing a `while <condition>`
+# loop, and one scan call often covers a whole window.
 
 class RegionManager:
-    """Base contract: one call per consumed instruction it must see.
+    """Base contract: ``scan`` consumes one interpreter-side run.
 
-    ``kind`` is the transition the automaton performed for the previous
-    instruction; the current instruction has not been stepped yet when the
-    manager runs, which lets an emitted region capture it.
+    ``scan(addrs, sizes, i, end, la, kind, held)`` is called while the
+    automaton's cursor sits on the interpreter state.  It visits items
+    from ``i`` in trace order: item ``i`` with ``kind``, the transition of
+    the item before it (STAYED_INTERP or NATIVE_TO_INTERP), whose address
+    is ``la`` (-1 before a window's first item), and every later item with
+    STAYED_INTERP.  It returns ``(k, recording, entered)`` and stops at
+    whichever comes first:
 
-    ``wake`` declares which items the manager must see, as one of the
-    automaton's wake sets: ``WAKE_BRANCH`` (region-exit and
-    interpreter-side backward-branch targets), ``WAKE_INTERP`` (every item
-    after an interpreter-side transition) or ``WAKE_ALL``.  A call on any
-    other item must be a no-op, so the engine skips it.  The engine reads
-    ``wake`` after every call; a manager changes it as its state changes.
+    - an emission while seeing item ``k``: ``(k, recording, False)``;
+    - the first item ``k`` whose address ``held`` (``Automaton.held``)
+      contains: that item enters a region.  A recording in flight would
+      stop on the next item, seen after the entry, so when ``k + 1 < end``
+      the scan emits it at once as ``(k, recording, True)``, due before
+      item ``k + 1``; otherwise it returns ``(k, None, False)``;
+    - ``end``: ``(end, None, False)``.
+
+    A scan never looks past the item it stops at, and a recording in
+    flight never outlives its scan unless that scan reached the window's
+    end.
 
     The engine calls ``attach(trace, start)`` before replaying
     ``trace[start:]``, and passes each emitted recording through
-    ``complete(recording, index)``, ``index`` being the emitting item's
-    trace position; look-ahead managers expand the recording there.
+    ``complete(recording, index)``, ``index`` being the trace position
+    the emission is due at; look-ahead managers expand the recording
+    there.
     """
 
     technique = "?"
-    wake = WAKE_ALL
 
-    def handle_new_instruction(self, last: Optional[TraceItem], current: TraceItem,
-                               kind: TransitionKind) -> Optional[RegionRecording]:
-        la = -1 if last is None else last[0]
-        return self._handle(la, current[0], current[1], kind)
-
-    def _handle(self, la: int, a: int, s: int, kind: int) -> Optional[RegionRecording]:
+    def scan(self, addrs: Sequence[int], sizes: Sequence[int], i: int, end: int,
+             la: int, kind: int, held: Container[int],
+             ) -> tuple[int, Optional[RegionRecording], bool]:
         raise NotImplementedError
+
+    # the benchmark harness still wraps this; nothing calls it
+    def _handle(self, *args) -> None: ...
 
     def attach(self, trace: Trace, start: int) -> None:
         pass
@@ -203,13 +188,12 @@ class NetManager(RegionManager):
     """
 
     technique = "net"
-    wake = WAKE_BRANCH
 
     def __init__(self, config: RFTConfig):
         self._threshold = config.threshold
         self._max_size = config.max_region_size
         self._hot: dict[int, int] = {}
-        self._recording = False
+        # the recording in flight; empty while profiling
         self._rec: list[tuple[int, int]] = []
 
     def _start(self, a: int, s: int) -> None:
@@ -218,30 +202,39 @@ class NetManager(RegionManager):
     def _append(self, a: int, s: int) -> None:
         self._rec.append((a, s))
 
-    def _stop(self, la: int, a: int, kind: int) -> bool:
-        return kind == 1 or a < la or len(self._rec) >= self._max_size
+    def _stops(self, la: int, a: int) -> bool:
+        return a < la or len(self._rec) >= self._max_size
 
-    def _handle(self, la, a, s, kind):
-        if self._recording:
-            if self._stop(la, a, kind):
-                self._recording = False
-                self.wake = WAKE_BRANCH
-                items = self._rec
-                self._rec = []
-                return RegionRecording(items)
-            self._append(a, s)
-            return None
-        if (kind == 0 and a < la) or kind == 2:
-            hot = self._hot
-            c = hot.get(a, 0) + 1
-            if c >= self._threshold:
-                hot[a] = 0
-                self._recording = True
-                self.wake = WAKE_ALL
-                self._start(a, s)
-            else:
-                hot[a] = c
-        return None
+    def scan(self, addrs, sizes, i, end, la, kind, held):
+        hot = self._hot
+        threshold = self._threshold
+        rec = self._rec
+        # a region-exit target is profiled whatever its address
+        prev = math.inf if kind == 2 else la
+        while True:
+            if i >= end:
+                return end, None, False
+            a = addrs[i]
+            if rec:
+                if self._stops(prev, a):
+                    self._rec = []
+                    return i, RegionRecording(rec), False
+                self._append(a, sizes[i])
+            elif a < prev:
+                c = hot.get(a, 0) + 1
+                if c < threshold:
+                    hot[a] = c
+                else:
+                    hot[a] = 0
+                    self._start(a, sizes[i])
+                    rec = self._rec
+            if a in held:
+                if rec and i + 1 < end:
+                    self._rec = []
+                    return i, RegionRecording(rec), True
+                return i, None, False
+            prev = a
+            i += 1
 
 
 class NetRManager(NetManager):
@@ -263,8 +256,11 @@ class NetRManager(NetManager):
         self._rec.append((a, s))
         self._rec_set.add(a)
 
-    def _stop(self, la, a, kind):
-        return a in self._rec_set or kind == 1 or len(self._rec) >= self._max_size
+    def _stops(self, la, a):
+        return a in self._rec_set or len(self._rec) >= self._max_size
+
+
+_IDLE, _REC1, _ARMED, _REC2 = range(4)
 
 
 class Mret2Manager(RegionManager):
@@ -277,119 +273,76 @@ class Mret2Manager(RegionManager):
     """
 
     technique = "mret2"
-    wake = WAKE_BRANCH
-
-    _IDLE, _REC1, _ARMED, _REC2 = range(4)
 
     def __init__(self, config: RFTConfig):
         self._threshold = config.threshold
         self._max_size = config.max_region_size
         self._hot: dict[int, int] = {}
-        self._state = self._IDLE
+        self._state = _IDLE
         self._rec: list[tuple[int, int]] = []
         self._pass1: list[tuple[int, int]] = []
         self._entry = -1
 
-    def _stop(self, la, a, kind):
-        return kind == 1 or a < la or len(self._rec) >= self._max_size
+    def _end_pass1(self) -> None:
+        self._pass1 = self._rec
+        self._rec = []
+        self._entry = self._pass1[0][0]
 
-    def _handle(self, la, a, s, kind):
+    def _emit(self) -> RegionRecording:
+        pass2 = RegionRecording(self._rec)
+        self._rec = []
+        self._state = _IDLE
+        return mret2_intersect(RegionRecording(self._pass1), pass2)
+
+    def scan(self, addrs, sizes, i, end, la, kind, held):
+        hot = self._hot
+        threshold = self._threshold
         st = self._state
-        if st == self._IDLE:
-            if (kind == 0 and a < la) or kind == 2:
-                hot = self._hot
-                c = hot.get(a, 0) + 1
-                if c >= self._threshold:
-                    hot[a] = 0
-                    self._state = self._REC1
-                    self._rec = [(a, s)]
-                    self.wake = WAKE_ALL
+        # a region-exit target is profiled whatever its address
+        prev = math.inf if kind == 2 else la
+        while True:
+            if i >= end:
+                self._state = st
+                return end, None, False
+            a = addrs[i]
+            if st == _IDLE:
+                if a < prev:
+                    c = hot.get(a, 0) + 1
+                    if c < threshold:
+                        hot[a] = c
+                    else:
+                        hot[a] = 0
+                        st = _REC1
+                        self._rec = [(a, sizes[i])]
+            elif st == _ARMED:
+                if a == self._entry:
+                    st = _REC2
+                    self._rec = [(a, sizes[i])]
+            elif a < prev or len(self._rec) >= self._max_size:
+                if st == _REC2:
+                    return i, self._emit(), False
+                self._end_pass1()
+                if a == self._entry:
+                    st = _REC2
+                    self._rec = [(a, sizes[i])]
                 else:
-                    hot[a] = c
-            return None
-        if st == self._REC1:
-            if self._stop(la, a, kind):
-                self._pass1 = self._rec
-                self._rec = []
-                self._entry = self._pass1[0][0]
-                if a == self._entry and (kind == 0 or kind == 2):
-                    self._state = self._REC2
-                    self._rec = [(a, s)]
-                else:
-                    self._state = self._ARMED
-                    self.wake = WAKE_INTERP
+                    st = _ARMED
             else:
-                self._rec.append((a, s))
-            return None
-        if st == self._ARMED:
-            if a == self._entry and (kind == 0 or kind == 2):
-                self._state = self._REC2
-                self._rec = [(a, s)]
-                self.wake = WAKE_ALL
-            return None
-        if self._stop(la, a, kind):
-            pass2 = RegionRecording(self._rec)
-            self._rec = []
-            self._state = self._IDLE
-            self.wake = WAKE_BRANCH
-            return mret2_intersect(RegionRecording(self._pass1), pass2)
-        self._rec.append((a, s))
-        return None
-
-
-class HistoryBuffer:
-    """Bounded history of addresses with O(1) most-recent-occurrence
-    lookup.  Positions are global (monotonically increasing over the whole
-    run), so callers can hold one across pushes."""
-
-    __slots__ = ("capacity", "_buf", "_pushed", "_last_pos")
-
-    def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
-        self._buf: deque[int] = deque()
-        self._pushed = 0
-        self._last_pos: dict[int, int] = {}
-
-    def __len__(self) -> int:
-        return len(self._buf)
-
-    def __contains__(self, address: int) -> bool:
-        return address in self._last_pos
-
-    def find(self, address: int) -> Optional[int]:
-        """Most recent buffered occurrence of ``address``, or None."""
-        return self._last_pos.get(address)
-
-    def observe(self, address: int) -> Optional[int]:
-        """Report the most recent buffered occurrence of ``address`` (or
-        None), then push it, evicting the oldest entry when full."""
-        prior = self._last_pos.get(address)
-        buf = self._buf
-        if len(buf) == self.capacity:
-            base = self._pushed - len(buf)
-            evicted = buf.popleft()
-            if self._last_pos.get(evicted) == base:
-                del self._last_pos[evicted]
-        buf.append(address)
-        self._last_pos[address] = self._pushed
-        self._pushed += 1
-        return prior
-
-    def slice_to_newest(self, position: int, include_newest: bool = False) -> list[int]:
-        """Buffered addresses from a global position (inclusive) up to the
-        newest entry (excluded by default)."""
-        base = self._pushed - len(self._buf)
-        if position < base:
-            raise ValueError("position already evicted")
-        items = list(self._buf)
-        end = len(items) if include_newest else len(items) - 1
-        return items[position - base:end]
-
-    def clear(self) -> None:
-        self._buf.clear()
-        self._last_pos.clear()
+                self._rec.append((a, sizes[i]))
+            if a in held:
+                if i + 1 < end:
+                    if st == _REC2:
+                        return i, self._emit(), True
+                    if st == _REC1:
+                        # the first pass stops on the next item, which
+                        # follows a region entry and so cannot start the
+                        # second pass
+                        self._end_pass1()
+                        st = _ARMED
+                self._state = st
+                return i, None, False
+            prev = a
+            i += 1
 
 
 def _dedup_keep_last(addresses: list[int]) -> list[int]:
@@ -400,47 +353,69 @@ def _dedup_keep_last(addresses: list[int]) -> list[int]:
 class LeiManager(RegionManager):
     """Last-executed-iteration regions from a history buffer.
 
-    Every interpreter-side instruction is pushed through the buffer; a
-    repeated address marks a cycle and bumps the cycle head's hotness.
-    Once hot, the slice covering the last iteration is emitted with inner
-    repetitions collapsed to their final occurrence, capped at the size
-    limit, and the buffer is cleared.
+    Every interpreter-side instruction is pushed through a history of the
+    last ``history_capacity`` pushes; a repeated address in it marks a
+    cycle and bumps the cycle head's hotness.  Once hot, the slice
+    covering the last iteration is emitted with inner repetitions
+    collapsed to their final occurrence, capped at the size limit, and
+    the history is cleared.
     """
 
     technique = "lei"
-    wake = WAKE_INTERP
 
     def __init__(self, config: RFTConfig):
         self._threshold = config.threshold
         self._max_size = config.max_region_size
-        self._hist = HistoryBuffer(config.history_capacity)
+        self._capacity = config.history_capacity
+        # the history: _hist[j] was pushed at global position _base + j.
+        # _last maps an address to its latest position, which is evicted
+        # lazily: it counts while it is among the last `capacity` pushes.
+        # _hist keeps at least those and is trimmed by slices.
+        self._hist: list[int] = []
+        self._base = 0
+        self._last: dict[int, int] = {}
         self._hot: dict[int, int] = {}
         self._sizes: dict[int, int] = {}
 
-    def _handle(self, la, a, s, kind):
-        if kind != 0 and kind != 2:
-            return None
-        self._sizes[a] = s
+    def scan(self, addrs, sizes, i, end, la, kind, held):
         hist = self._hist
-        prior = hist.find(a)
-        if prior is None:
-            hist.observe(a)
-            return None
+        last = self._last
         hot = self._hot
-        c = hot.get(a, 0) + 1
-        if c < self._threshold:
-            hot[a] = c
-            hist.observe(a)
-            return None
-        hot[a] = 0
-        # take the last-iteration window before pushing: a full buffer
-        # could evict the prior occurrence
-        window = hist.slice_to_newest(prior, include_newest=True)
-        hist.clear()
-        hist.observe(a)
-        kept = _dedup_keep_last(window)[: self._max_size]
-        sizes = self._sizes
-        return RegionRecording([(x, sizes[x]) for x in kept])
+        size_of = self._sizes
+        threshold = self._threshold
+        cap = self._capacity
+        base = self._base
+        pos = base + len(hist)
+        trim_at = base + 2 * cap
+        while True:
+            if i >= end:
+                self._base = base
+                return end, None, False
+            a = addrs[i]
+            size_of[a] = sizes[i]
+            prior = last.get(a)
+            if prior is not None and prior >= pos - cap:
+                c = hot.get(a, 0) + 1
+                if c >= threshold:
+                    hot[a] = 0
+                    window = hist[prior - base:]
+                    self._hist = [a]
+                    self._base = pos
+                    self._last = {a: pos}
+                    kept = _dedup_keep_last(window)[: self._max_size]
+                    return i, RegionRecording([(x, size_of[x]) for x in kept]), False
+                hot[a] = c
+            hist.append(a)
+            last[a] = pos
+            pos += 1
+            if pos >= trim_at:
+                del hist[:cap]
+                base += cap
+                trim_at += cap
+            if a in held:
+                self._base = base
+                return i, None, False
+            i += 1
 
 
 # --- look-ahead expansion ---------------------------------------------------

@@ -1,35 +1,40 @@
-"""Shared builders: randomized traces and a naive reference simulation.
+"""Shared builders: randomized traces, the engine's scan protocol with a
+given held set, and a naive reference simulation.
 
 The naive loop below is the behavioral oracle for the engine: it drives
-the public per-item APIs directly, with none of the engine's batching, so
-any divergence points at a fast-path bug.
+the per-item reference managers of ``reference.py`` and the automaton
+one item at a time, with none of the engine's batching, so any
+divergence points at a fast-path bug.
 """
 
 from __future__ import annotations
 
 import random
 
+from reference import SI, held_addresses, make_reference
 from rftsim import (Automaton, LoopSpec, ProgramSpec, RFTConfig, Trace,
-                    TraceItem, TransitionKind, generate_trace, make_rft)
+                    generate_trace, make_rft)
 from rftsim.engine import SimulationConfig
 
 
 def naive_run(trace: Trace, config: SimulationConfig) -> Automaton:
-    """Reference simulation: per-item manager call (previous transition),
-    the emit-time hook and append on emission, then the automaton step."""
+    """Reference simulation: per-item reference manager call (previous
+    transition), the library's emit-time hook and append on emission, then
+    the automaton step."""
     automaton = Automaton()
-    manager = make_rft(config.rft)
+    manager = make_reference(config.rft)
+    hooks = make_rft(config.rft)
     n = len(trace)
     start = min(config.skip, n)
     end = n if config.limit is None else min(n, start + config.limit)
-    manager.attach(trace, start)
-    kind = TransitionKind.STAYED_INTERP
+    hooks.attach(trace, start)
+    kind = SI
     last = None
     for i in range(start, end):
         item = trace[i]
-        formed = manager.handle_new_instruction(last, item, kind)
+        formed = manager.handle(last, item, kind)
         if formed is not None:
-            formed = manager.complete(formed, i)
+            formed = hooks.complete(formed, i)
             if formed.expansion is None:
                 automaton.append_region(formed.items)
             else:
@@ -38,6 +43,41 @@ def naive_run(trace: Trace, config: SimulationConfig) -> Automaton:
         kind = automaton.step_addr(item[0], item[1])
         last = item
     return automaton
+
+
+def scan_run(manager, addrs, sizes, held=()) -> list[tuple]:
+    """Drive ``manager.scan`` as the engine does over a window in which, as
+    in the automaton, an item runs natively exactly when its address is
+    held; each emission passes through the emit-time hook and is installed
+    (its addresses join ``held``) before the emitting item steps.
+
+    Returns ``(index, recording, entered)`` per emission, ``index`` being
+    the trace position the emission is due at."""
+    held = set(held)
+    end = len(addrs)
+    manager.attach(Trace(list(addrs), list(sizes)), 0)
+    out = []
+    i, la, kind = 0, -1, SI
+    while i < end:
+        k, rec, entered = manager.scan(addrs, sizes, i, end, la, kind, held)
+        if rec is not None:
+            index = k + 1 if entered else k
+            rec = manager.complete(rec, index)
+            out.append((index, rec, entered))
+            held.update(held_addresses(rec))
+        elif k == end:
+            break
+        # the kernel: item k alone if it stays interpreter-side, else the
+        # native run from it and the landing that ends that run
+        i, kind = k + 1, SI
+        if addrs[k] in held:
+            while i < end and addrs[i] in held:
+                i += 1
+            if i == end:
+                break
+            i, kind = i + 1, 2
+        la = addrs[i - 1]
+    return out
 
 
 def random_loop_spec(rng: random.Random, budget: int) -> ProgramSpec:

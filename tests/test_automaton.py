@@ -2,8 +2,7 @@ import random
 
 import pytest
 
-from rftsim.automaton import (WAKE_ALL, WAKE_BRANCH, WAKE_INTERP, Automaton,
-                              TransitionKind)
+from rftsim.automaton import Automaton, TransitionKind
 
 A, B, C = 0x100, 0x104, 0x108
 
@@ -16,10 +15,10 @@ def step(auto, addr, size=4):
 
 def test_new_automaton_has_only_interpreter_state():
     auto = Automaton()
-    assert auto.num_states == 1
+    assert auto.dump()["states"] == [{"id": 0, "address": None, "size": None,
+                                      "region": None, "executions": 0, "edges": []}]
     assert auto.num_regions == 0
     assert auto.total == 0
-    assert auto.cursor == 0
 
 
 def test_fresh_automaton_counters_zero():
@@ -98,7 +97,7 @@ def test_duplicate_address_resolves_to_earliest_region():
     auto = Automaton()
     auto.append_region([(A, 4), (B, 4)])
     auto.append_region([(A, 4), (C, 4)])
-    assert [auto.state_owner(s) for s in auto.states_at(A)] == [0, 1]
+    assert [s["region"] for s in auto.dump()["states"] if s["address"] == A] == [0, 1]
     step(auto, A)
     assert auto.region_stats(0).entries_from_interpreter == 1
     assert auto.region_stats(1).entries_from_interpreter == 0
@@ -147,7 +146,7 @@ def test_append_same_recording_twice_duplicates():
     auto = Automaton()
     auto.append_region([(A, 4), (B, 4), (C, 4)])
     auto.append_region([(A, 4), (B, 4), (C, 4)])
-    owners = [auto.state_owner(s) for s in auto.states_at(A)]
+    owners = [s["region"] for s in auto.dump()["states"] if s["address"] == A]
     assert owners == [0, 1]
 
 
@@ -218,7 +217,7 @@ def _check_invariants(auto):
             == auto.region_transitions)
     # address index holds every region state exactly once
     indexed = [sid for addr in {s["address"] for s in dump["states"][1:]}
-               for sid in auto.states_at(addr)]
+               for sid in auto.held[addr]]
     assert sorted(indexed) == [s["id"] for s in dump["states"][1:]]
 
 
@@ -368,18 +367,12 @@ class LiteralAutomaton:
                 "states": states, "regions": regions}
 
 
-def wakes(wake, prev_kind, prev_address, address):
-    """Whether an item is in a wake set, given the item before it."""
-    if wake == WAKE_ALL:
-        return True
-    if wake == WAKE_INTERP:
-        return prev_kind in (SI, N2I)
-    return prev_kind == N2I or (prev_kind == SI and address < prev_address)
-
-
 def test_kernel_matches_literal_model():
+    """The kernel credits the gap [i, h) to the interpreter, then steps from
+    item h and stops after it if it stays interpreter-side, else after the
+    landing that ends the native run, or at the end."""
     rng = random.Random(11)
-    for case in range(120):
+    for case in range(300):
         pool = [0x100 + 4 * k for k in range(rng.randint(3, 12))]
         seq = [rng.choice(pool) for _ in range(rng.randint(1, 400))]
         sizes = [4] * len(seq)
@@ -387,22 +380,29 @@ def test_kernel_matches_literal_model():
         cuts = sorted(rng.sample(range(len(seq) + 1), min(len(seq) + 1, 4)))
         recordings = [[(rng.choice(pool), 4) for _ in range(rng.randint(1, 5))]
                       for _ in cuts]
-        for wake in (WAKE_BRANCH, WAKE_INTERP, WAKE_ALL):
-            auto = Automaton()
-            model = LiteralAutomaton()
-            kinds = []
-            for lo, hi, recording in zip(cuts, cuts[1:] + [len(seq)], recordings):
-                if rng.random() < 0.8:
-                    auto.append_region(recording)
-                    model.append(recording)
-                i = lo
-                while i < hi:
-                    kinds.append(model.step(seq[i]))
-                    stop = i + 1
-                    while stop < hi and not wakes(wake, kinds[-1], seq[stop - 1], seq[stop]):
-                        kinds.append(model.step(seq[stop]))
-                        stop += 1
-                    assert auto.run_native_stretch(seq, sizes, i, hi, wake) == \
-                        (stop, kinds[-1]), (case, wake, i)
-                    i = stop
-            assert auto.dump() == model.dump(), (case, wake)
+        auto = Automaton()
+        model = LiteralAutomaton()
+        for lo, hi, recording in zip(cuts, cuts[1:] + [len(seq)], recordings):
+            if rng.random() < 0.8:
+                auto.append_region(recording)
+                model.append(recording)
+            i = lo
+            while i < hi:
+                # a gap is credited only from the interpreter state, and
+                # holds no address any region holds
+                gap = i
+                if model.cursor == 0:
+                    while gap < hi - 1 and seq[gap] not in model.address:
+                        gap += 1
+                h = rng.randint(i, gap)
+                for stop in range(i, h):
+                    assert model.step(seq[stop]) == SI
+                kind = model.step(seq[h])
+                stop = h + 1
+                while kind in (I2N, SN, N2N) and stop < hi:
+                    kind = model.step(seq[stop])
+                    stop += 1
+                assert auto.run_native_stretch(seq, sizes, i, hi, h) == (stop, kind), \
+                    (case, i, h)
+                i = stop
+        assert auto.dump() == model.dump(), case

@@ -8,7 +8,7 @@ from conftest import naive_run, random_rft_config, random_trace
 from rftsim import engine
 from rftsim.engine import SimulationConfig, run_simulation, run_sweep
 from rftsim.metrics import CostParams, compute_report, report_json_dict
-from rftsim.rft import RFTConfig, TECHNIQUES
+from rftsim.rft import RFTConfig, TECHNIQUES, make_rft
 from rftsim.trace_io import LoopSpec, ProgramSpec, Trace, generate_trace
 
 A1_SPEC = ProgramSpec((LoopSpec(base=0x100, body=3, iters=10, isize=4),))
@@ -104,6 +104,33 @@ def test_engine_equals_naive_loop_all_techniques():
         assert result.dump == reference.dump(), (case, tech)
         assert result.report == compute_report(
             reference, cold_threshold=config.rft.threshold), (case, tech)
+
+
+def test_scans_visit_each_item_at_most_once(monkeypatch):
+    """The scans of one run together visit no item twice: a scan stopping
+    at item k has visited items i..k, and the next one starts after k."""
+    visited = []
+
+    def counting_rft(config):
+        manager = make_rft(config)
+        scan = manager.scan
+
+        def counted(addrs, sizes, i, end, *rest):
+            k, formed, entered = scan(addrs, sizes, i, end, *rest)
+            visited.append(min(k + 1, end) - i)
+            return k, formed, entered
+        manager.scan = counted
+        return manager
+
+    monkeypatch.setattr(engine, "make_rft", counting_rft)
+    rng = random.Random(0x5CA9)
+    for case in range(60):
+        trace = random_trace(rng, max_items=1200)
+        config = SimulationConfig(rft=random_rft_config(rng, TECHNIQUES[case % 6]))
+        visited.clear()
+        result = run_simulation(trace, config)
+        assert visited or not len(trace)
+        assert sum(visited) <= result.items_consumed, case
 
 
 def test_sweep_results_match_standalone_runs():

@@ -4,43 +4,55 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rftsim.automaton import TransitionKind
-from rftsim.rft import (HistoryBuffer, LeiManager, Mret2Manager, NetManager,
-                        NetPlusManager, NetRManager, RFTConfig, RegionRecording,
-                        TECHNIQUES, make_rft, mret2_intersect, netplus_expand,
-                        netr_stop_condition, was_backward_branch)
-from rftsim.trace_io import Trace, TraceItem
-
-SI = int(TransitionKind.STAYED_INTERP)
-I2N = int(TransitionKind.INTERP_TO_NATIVE)
-N2I = int(TransitionKind.NATIVE_TO_INTERP)
-SN = int(TransitionKind.STAYED_NATIVE)
+from conftest import random_rft_config, random_trace, scan_run
+from reference import (SI, HistoryBuffer, make_reference, netr_stop_condition,
+                       reference_run, was_backward_branch)
+from rftsim.rft import (LeiManager, Mret2Manager, NetManager, NetPlusManager,
+                        NetRManager, RFTConfig, RegionRecording, TECHNIQUES,
+                        make_rft, mret2_intersect, netplus_expand)
+from rftsim.trace_io import TraceItem
 
 
 def cfg(technique="net", **kw):
     return RFTConfig(technique=technique, **kw)
 
 
-def feed(manager, seq):
-    """Drive a manager with (address, size, kind) triples, passing each
-    emission through the emit-time hook; returns emissions as (index,
-    recording) pairs."""
-    out = []
-    manager.attach(Trace([a for a, _, _ in seq], [s for _, s, _ in seq]), 0)
-    la = -1
-    for i, (a, s, kind) in enumerate(seq):
-        rec = manager._handle(la, a, s, kind)
-        if rec is not None:
-            out.append((i, manager.complete(rec, i)))
-        la = a
-    return out
+def feed(manager, seq, held=()):
+    """Drive a manager's scan over (address, size) pairs as the engine
+    does, the items whose address is in ``held`` (or in an emitted
+    region) running natively; returns emissions as (index, recording)
+    pairs."""
+    addrs = [a for a, _ in seq]
+    sizes = [s for _, s in seq]
+    return [(i, rec) for i, rec, _ in scan_run(manager, addrs, sizes, held)]
 
 
-def loop_feed(addrs, iters, size=4, kind=SI):
-    return [(a, size, kind) for _ in range(iters) for a in addrs]
+def loop_feed(addrs, iters, size=4):
+    return [(a, size) for _ in range(iters) for a in addrs]
 
 
-# --- was_backward_branch ------------------------------------------------------
+# --- scan against the per-item reference model --------------------------------
+
+def test_scan_matches_reference_managers():
+    """Every technique's scan emits what its per-item reference manager
+    emits, at the same index and with the same entry flag, over random
+    items and random held sets."""
+    rng = random.Random(0x5CA7)
+    for case in range(360):
+        tech = TECHNIQUES[case % len(TECHNIQUES)]
+        config = random_rft_config(rng, tech)
+        trace = random_trace(rng, max_items=600)
+        addrs, sizes = trace.addresses, trace.sizes
+        share = rng.choice((0.0, 0.05, 0.2, 0.5))
+        held = {a for a in set(addrs) if rng.random() < share}
+        got = scan_run(make_rft(config), addrs, sizes, held)
+        hooks = make_rft(config)
+        hooks.attach(trace, 0)
+        want = reference_run(make_reference(config), addrs, sizes, held, hooks.complete)
+        assert got == want, (case, tech)
+
+
+# --- the reference model's backward-branch test -------------------------------
 
 def test_backward_branch_target():
     assert was_backward_branch(TraceItem(0x108, 4), TraceItem(0x100, 4))
@@ -71,25 +83,24 @@ def test_net_single_loop_recording():
 
 def test_net_straight_line_never_records():
     mgr = NetManager(cfg(threshold=1))
-    seq = [(0x100 + 4 * i, 4, SI) for i in range(200)]
+    seq = [(0x100 + 4 * i, 4) for i in range(200)]
     assert feed(mgr, seq) == []
 
 
 def test_net_stops_on_entering_existing_region():
     mgr = NetManager(cfg(threshold=1))
-    # backward branch to X starts recording immediately (T=1)
-    assert mgr._handle(0x200, 0x100, 4, SI) is None
-    assert mgr._handle(0x100, 0x104, 4, SI) is None
-    # previous instruction entered an existing region: emit, truncated
-    # before the current instruction
-    rec = mgr._handle(0x104, 0x300, 4, I2N)
-    assert rec == RegionRecording([(0x100, 4), (0x104, 4)])
+    # the backward branch to 0x100 starts recording at once (T=1); 0x104
+    # enters an existing region, so the recording is emitted before the
+    # item after it, without that item
+    seq = [(0x200, 4), (0x100, 4), (0x104, 4), (0x300, 4)]
+    assert scan_run(mgr, [a for a, _ in seq], [s for _, s in seq], {0x104}) == \
+        [(3, RegionRecording([(0x100, 4), (0x104, 4)]), True)]
 
 
 def test_net_size_cap():
     mgr = NetManager(cfg(threshold=1, max_region_size=3))
-    seq = [(0x200, 4, SI), (0x100, 4, SI)]  # arm via backward branch
-    seq += [(0x104 + 4 * i, 4, SI) for i in range(10)]
+    seq = [(0x200, 4), (0x100, 4)]  # arm via backward branch
+    seq += [(0x104 + 4 * i, 4) for i in range(10)]
     emissions = feed(mgr, seq)
     assert len(emissions) == 1
     assert len(emissions[0][1].items) == 3
@@ -97,15 +108,18 @@ def test_net_size_cap():
 
 def test_net_profiles_exit_targets():
     mgr = NetManager(cfg(threshold=1))
-    # a native-to-interp transition profiles the following instruction
-    rec = mgr._handle(0x500, 0x600, 4, N2I)
-    assert rec is None and mgr._recording
+    # 0x500 leaves the region at 0x400, so the following 0x600 is profiled
+    # although reached by a forward branch; its recording stops at the
+    # backward branch to 0x5f0
+    seq = [(0x400, 4), (0x500, 4), (0x600, 4), (0x604, 4), (0x5F0, 4)]
+    assert feed(mgr, seq, held={0x400}) == \
+        [(4, RegionRecording([(0x600, 4), (0x604, 4)]))]
 
 
 def test_net_no_profiling_on_native_kinds():
     mgr = NetManager(cfg(threshold=1))
-    assert mgr._handle(0x200, 0x100, 4, SN) is None
-    assert not mgr._recording and mgr._hot == {}
+    assert feed(mgr, [(0x200, 4), (0x100, 4)], held={0x200, 0x100}) == []
+    assert mgr._hot == {}
 
 
 # --- mret2 ----------------------------------------------------------------------
@@ -148,7 +162,7 @@ def test_mret2_diverging_passes_keep_intersection():
     assert emissions[0][1].addresses() == [E, P, Q]
 
 
-# --- history buffer / lei -------------------------------------------------------
+# --- the reference history buffer / lei ----------------------------------------
 
 def test_history_buffer_membership():
     h = HistoryBuffer(8)
@@ -204,7 +218,7 @@ def test_lei_inner_loop_kept_once():
     mgr._hot[X] = 0  # X must get hot on its first cycle; inner must not
     mgr._hot[Y] = -10**6
     mgr._hot[Z] = -10**6
-    seq = [(a, 4, SI) for a in window + [X]]
+    seq = [(a, 4) for a in window + [X]]
     emissions = feed(mgr, seq)
     assert len(emissions) == 1
     assert emissions[0][1].addresses() == [X, A_, Y, Z, B_]
@@ -212,18 +226,19 @@ def test_lei_inner_loop_kept_once():
 
 def test_lei_ignores_native_side():
     mgr = LeiManager(cfg("lei", threshold=1))
-    assert feed(mgr, loop_feed([0x100, 0x104], 20, kind=SN)) == []
-    assert len(mgr._hist) == 0
+    assert feed(mgr, loop_feed([0x100, 0x104], 20), held={0x100, 0x104}) == []
+    # only the entry into the region was interpreter-side
+    assert mgr._hist == [0x100]
 
 
 def test_lei_respects_size_cap():
     mgr = LeiManager(cfg("lei", threshold=1, max_region_size=3))
     addrs = [0x100 + 4 * i for i in range(10)]
-    emissions = feed(mgr, [(a, 4, SI) for a in addrs + addrs])
+    emissions = feed(mgr, [(a, 4) for a in addrs + addrs])
     assert emissions and len(emissions[0][1].items) == 3
 
 
-# --- net-r ----------------------------------------------------------------------
+# --- net-r (the reference model's stop test) -----------------------------------
 
 def test_netr_stop_on_cycle():
     rec = [(1, 4), (2, 4), (3, 4)]
@@ -258,8 +273,9 @@ def test_netr_recordings_have_distinct_addresses(seed, threshold):
     rng = random.Random(seed)
     addrs = [0x100 + 4 * i for i in range(rng.randint(2, 12))]
     mgr = NetRManager(cfg("net-r", threshold=threshold, max_region_size=8))
-    seq = [(rng.choice(addrs), 4, rng.choice((SI, SI, SI, N2I))) for _ in range(400)]
-    for _, rec in feed(mgr, seq):
+    seq = [(rng.choice(addrs), 4) for _ in range(400)]
+    held = {a for a in addrs if rng.random() < 0.25}
+    for _, rec in feed(mgr, seq, held):
         assert len(set(rec.addresses())) == len(rec.addresses())
 
 
@@ -384,8 +400,8 @@ def test_netplus_manager_attaches_expansion():
     X0, X1, Y0, Y1 = 0x100, 0x104, 0x108, 0x10C
     seq = []
     for _ in range(4):
-        seq += [(X0, 4, SI), (X1, 4, SI)]
-        seq += [(Y0, 4, SI), (Y1, 4, SI)] * 4
+        seq += [(X0, 4), (X1, 4)]
+        seq += [(Y0, 4), (Y1, 4)] * 4
     emissions = feed(mgr, seq)
     assert emissions
     rec = emissions[0][1]
@@ -397,8 +413,8 @@ def test_netplus_superset_of_net_at_same_trigger():
     X0, X1, Y0, Y1 = 0x100, 0x104, 0x108, 0x10C
     seq = []
     for _ in range(4):
-        seq += [(X0, 4, SI), (X1, 4, SI)]
-        seq += [(Y0, 4, SI), (Y1, 4, SI)] * 4
+        seq += [(X0, 4), (X1, 4)]
+        seq += [(Y0, 4), (Y1, 4)] * 4
     net = feed(NetManager(cfg(threshold=5)), list(seq))
     plus = feed(NetPlusManager(cfg("netplus", threshold=5)), list(seq))
     assert net[0][0] == plus[0][0]
@@ -441,8 +457,9 @@ def test_all_recordings_respect_cap(seed, technique, cap):
     mgr = make_rft(cfg(technique, threshold=rng.choice((1, 2, 3)),
                        max_region_size=cap))
     addrs = [0x100 + 4 * i for i in range(rng.randint(2, 10))]
-    seq = [(rng.choice(addrs), 4, rng.choice((SI, SI, N2I))) for _ in range(300)]
-    for _, rec in feed(mgr, seq):
+    seq = [(rng.choice(addrs), 4) for _ in range(300)]
+    held = {a for a in addrs if rng.random() < 0.3}
+    for _, rec in feed(mgr, seq, held):
         assert len(rec.items) <= cap
 
 
