@@ -1,8 +1,8 @@
 """Trace-driven simulator for region formation in dynamic translators."""
 
 from .automaton import Automaton, Region, RegionStats, TransitionKind
-from .engine import (SimulationConfig, SimulationResult, SweepOutcome,
-                     run_simulation, run_sweep)
+from .engine import (InvariantError, SimulationConfig, SimulationResult,
+                     SweepOutcome, run_simulation, run_sweep)
 from .metrics import (CostBreakdown, CostParams, MetricsReport,
                       cold_region_fraction, completion_ratio, compute_report,
                       estimate_times, ninety_percent_cover_set)

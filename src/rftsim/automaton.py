@@ -24,6 +24,17 @@ Edges only key addresses that some region state holds, so an item runs
 natively exactly when its address is held (``Automaton.held``).  A run of
 interpreter-side items therefore ends at its first held address, and the
 kernel credits such a run without resolving it item by item.
+
+Counters are raw or derived.  The kernel counts only what nothing else
+determines: each edge's traversals, ``interp``, region entries, region
+transitions and completed traversals.  Every native item either follows
+an edge or creates one with count 1, and edges only target region
+states, so the edge counts give the rest at report time: a region
+state's executions are the sum of its incoming edge counts, a region's
+dynamic count sums them over its recorded and expansion states, its head
+and tail executions are those of its entry and core-tail states,
+``native`` is the sum of all edge counts, and ``total`` is
+``interp + native``.
 """
 
 from __future__ import annotations
@@ -51,7 +62,7 @@ _K = (TransitionKind.STAYED_INTERP, TransitionKind.INTERP_TO_NATIVE,
 
 
 class Region:
-    """A formed region: its states plus raw execution counters.
+    """A formed region: its states plus its raw counters.
 
     ``states`` lists the linearly recorded states in recording order;
     ``expansion_states`` holds states added by look-ahead expansion.  The
@@ -59,12 +70,15 @@ class Region:
     recorded state, expansion or not: a traversal starts when the head
     executes and completes when the core tail executes before control
     leaves the region.
+
+    Entries and completions are raw counters.  The dynamic count (the
+    executions of the recorded and expansion states) and the head and
+    tail executions are derived from edge counts (``Automaton.region_stats``).
     """
 
     __slots__ = ("rid", "entry_state", "states", "core_tail_state",
                  "expansion_states", "entry_address", "entries_interp",
-                 "entries_native", "dyn_count", "head_execs", "tail_execs",
-                 "completions", "in_traversal")
+                 "entries_native", "completions")
 
     def __init__(self, rid: int, entry_state: int, states: list[int],
                  core_tail_state: int, expansion_states: list[int],
@@ -77,11 +91,7 @@ class Region:
         self.entry_address = entry_address
         self.entries_interp = 0
         self.entries_native = 0
-        self.dyn_count = 0
-        self.head_execs = 0
-        self.tail_execs = 0
         self.completions = 0
-        self.in_traversal = False
 
     @property
     def static_size(self) -> int:
@@ -131,16 +141,17 @@ class Automaton:
         self._addr: list[int] = [0]
         self._size: list[int] = [0]
         self._owner: list[int] = [-1]
-        self._exec: list[int] = [0]
+        # 1 on a region's head, 2 on its core tail, 3 on a state that is both
+        self._mark: list[int] = [0]
         self._edges: list[dict[int, list[int]]] = [{}]
         self._addr_index: dict[int, list[int]] = {}
         self._regions: list[Region] = []
         self._cur = NTE_STATE
         self._cur_edges = self._edges[0]
         self._cur_owner = -1
-        self.total = 0
+        # a traversal of the current region is open; leaving the region ends it
+        self._traversing = False
         self.interp = 0
-        self.native = 0
         self.region_transitions = 0
 
     # -- introspection ------------------------------------------------
@@ -150,22 +161,29 @@ class Automaton:
         return len(self._regions)
 
     @property
-    def nte_executions(self) -> int:
-        return self._exec[0]
+    def native(self) -> int:
+        """Natively executed items: each followed or created one edge."""
+        return sum(c for edges in self._edges for _, c in edges.values())
+
+    @property
+    def total(self) -> int:
+        return self.interp + self.native
 
     def regions(self) -> Sequence[Region]:
         """Live region objects, creation order.  Treat as read-only."""
         return self._regions
 
-    def state_owner(self, sid: int) -> int:
-        """Region id owning a state, or -1 for the interpreter state."""
-        return self._owner[sid]
-
     def state_address(self, sid: int) -> int:
         return self._addr[sid]
 
-    def state_executions(self, sid: int) -> int:
-        return self._exec[sid]
+    def _executions(self) -> list[int]:
+        """Executions per state id, summed from the edges in one pass."""
+        ex = [0] * len(self._addr)
+        for edges in self._edges:
+            for t, c in edges.values():
+                ex[t] += c
+        ex[NTE_STATE] = self.interp
+        return ex
 
     @property
     def held(self) -> Mapping[int, list[int]]:
@@ -190,9 +208,7 @@ class Automaton:
         and no address in the gap is held by any region."""
         if self._cur != NTE_STATE:
             raise RuntimeError("bulk interpreter accounting requires the interpreter state")
-        self.total += count
         self.interp += count
-        self._exec[0] += count
 
     def run_native_stretch(self, addrs: Sequence[int], sizes: Sequence[int],
                            i: int, end: int, h: int) -> tuple[int, int]:
@@ -208,22 +224,24 @@ class Automaton:
         ``(next_i, kind)``, ``kind`` being the transition of the last
         consumed item.
 
+        Per native item it counts the edge traversal, region changes and
+        completions only; executions are derived from edge counts.
         ``sizes`` is unused: states keep the size they were recorded with.
         The name and the argument order predate the interpreter side; the
         benchmark harness still wraps the kernel under this name.
         """
-        interp = h - i
+        self.interp += h - i
         i = h
         edges_l = self._edges
-        exec_l = self._exec
         owner_l = self._owner
+        mark_l = self._mark
         regions = self._regions
         index = self._addr_index
         cur_edges = self._cur_edges
         cur_owner = self._cur_owner
         r = regions[cur_owner] if cur_owner >= 0 else None
+        traversing = self._traversing
         tid = self._cur
-        native = 0
         transitions = 0
         while True:
             a = addrs[i]
@@ -237,10 +255,10 @@ class Automaton:
                 cands = index.get(a)
                 if cands is None:
                     # rule 3: interpreter fallback, no edge materialised
-                    interp += 1
+                    self.interp += 1
                     kind = 0
                     if cur_owner >= 0:
-                        r.in_traversal = False
+                        traversing = False
                         tid = NTE_STATE
                         cur_edges = edges_l[0]
                         cur_owner = -1
@@ -249,9 +267,6 @@ class Automaton:
                 # rule 2: an edge to the earliest-created region's state
                 tid = cands[0]
                 cur_edges[a] = [tid, 1]
-            # edges only ever target region states
-            exec_l[tid] += 1
-            native += 1
             own = owner_l[tid]
             if own == cur_owner:
                 kind = 3
@@ -263,29 +278,24 @@ class Automaton:
                 else:
                     kind = 4
                     transitions += 1
-                    r.in_traversal = False
+                    traversing = False
                     r = regions[own]
                     r.entries_native += 1
                 cur_owner = own
-            r.dyn_count += 1
-            if tid == r.entry_state:
-                r.head_execs += 1
-                r.in_traversal = True
-            if tid == r.core_tail_state:
-                r.tail_execs += 1
-                if r.in_traversal:
+            m = mark_l[tid]
+            if m:
+                if m == 1:
+                    traversing = True
+                elif traversing or m == 3:
                     r.completions += 1
-                    r.in_traversal = False
+                    traversing = False
             cur_edges = edges_l[tid]
             if i >= end:
                 break
         self._cur = tid
         self._cur_edges = cur_edges
         self._cur_owner = cur_owner
-        self.total += interp + native
-        self.interp += interp
-        self._exec[0] += interp
-        self.native += native
+        self._traversing = traversing
         self.region_transitions += transitions
         return i, kind
 
@@ -315,7 +325,7 @@ class Automaton:
             addr_l.append(a)
             self._size.append(s)
             self._owner.append(rid)
-            self._exec.append(0)
+            self._mark.append(0)
             self._edges.append({})
             state_ids.append(sid)
             if a not in by_addr:
@@ -338,7 +348,7 @@ class Automaton:
                 addr_l.append(a)
                 self._size.append(s)
                 self._owner.append(rid)
-                self._exec.append(0)
+                self._mark.append(0)
                 self._edges.append({})
                 exp_ids.append(sid)
                 by_addr[a] = sid
@@ -357,6 +367,8 @@ class Automaton:
                         core_tail_state=state_ids[-1], expansion_states=exp_ids,
                         entry_address=recorded[0][0])
         self._regions.append(region)
+        self._mark[state_ids[0]] = 1
+        self._mark[state_ids[-1]] |= 2
         index = self._addr_index
         for sid in state_ids:
             index.setdefault(addr_l[sid], []).append(sid)
@@ -366,22 +378,26 @@ class Automaton:
 
     # -- reporting --------------------------------------------------------
 
-    def region_stats(self, rid: int) -> RegionStats:
-        if not 0 <= rid < len(self._regions):
-            raise KeyError(f"unknown region id {rid}")
-        r = self._regions[rid]
+    def _stats(self, r: Region, ex: list[int]) -> RegionStats:
         return RegionStats(
             rid=r.rid, entry_address=r.entry_address,
             static_size=r.static_size, recorded_size=len(r.states),
             expansion_size=len(r.expansion_states),
             entries_from_interpreter=r.entries_interp,
             entries_from_native=r.entries_native,
-            dynamic_instructions=r.dyn_count,
-            head_executions=r.head_execs, tail_executions=r.tail_execs,
+            dynamic_instructions=sum(ex[sid] for sid in r.states)
+            + sum(ex[sid] for sid in r.expansion_states),
+            head_executions=ex[r.entry_state], tail_executions=ex[r.core_tail_state],
             completed_traversals=r.completions)
 
+    def region_stats(self, rid: int) -> RegionStats:
+        if not 0 <= rid < len(self._regions):
+            raise KeyError(f"unknown region id {rid}")
+        return self._stats(self._regions[rid], self._executions())
+
     def all_region_stats(self) -> list[RegionStats]:
-        return [self.region_stats(rid) for rid in range(len(self._regions))]
+        ex = self._executions()
+        return [self._stats(r, ex) for r in self._regions]
 
     def dump(self) -> dict:
         """Deterministic structure of all states, owners, edges and counters.
@@ -389,6 +405,7 @@ class Automaton:
         Suitable for golden-file comparisons: state ids ascend, edges are
         sorted by key address.
         """
+        ex = self._executions()
         states = []
         for sid in range(len(self._addr)):
             edges = [[a, tc[0], tc[1]] for a, tc in sorted(self._edges[sid].items())]
@@ -397,11 +414,12 @@ class Automaton:
                 "address": None if sid == NTE_STATE else self._addr[sid],
                 "size": None if sid == NTE_STATE else self._size[sid],
                 "region": None if self._owner[sid] < 0 else self._owner[sid],
-                "executions": self._exec[sid],
+                "executions": ex[sid],
                 "edges": edges,
             })
         regions = []
         for r in self._regions:
+            st = self._stats(r, ex)
             regions.append({
                 "id": r.rid,
                 "entry_address": r.entry_address,
@@ -411,17 +429,16 @@ class Automaton:
                 "expansion_states": list(r.expansion_states),
                 "entries_from_interpreter": r.entries_interp,
                 "entries_from_native": r.entries_native,
-                "dynamic_instructions": r.dyn_count,
-                "head_executions": r.head_execs,
-                "tail_executions": r.tail_execs,
+                "dynamic_instructions": st.dynamic_instructions,
+                "head_executions": st.head_executions,
+                "tail_executions": st.tail_executions,
                 "completed_traversals": r.completions,
             })
         return {
-            "total_instructions": self.total,
+            "total_instructions": sum(ex),
             "interpreted_instructions": self.interp,
-            "native_instructions": self.native,
+            "native_instructions": sum(ex) - self.interp,
             "region_transitions": self.region_transitions,
             "states": states,
             "regions": regions,
         }
-

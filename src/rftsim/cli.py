@@ -13,7 +13,8 @@ config echo and per-region detail).  Identical invocations over identical
 traces produce byte-identical output.
 
 Exit codes: 0 success, 1 usage error, 2 I/O or data error, 3 internal
-invariant violation.
+invariant violation.  ``sweep`` and ``compare`` exit 3 when any config
+broke an invariant and 2 when configs failed otherwise.
 """
 
 from __future__ import annotations
@@ -306,7 +307,6 @@ def cmd_sweep(args) -> int:
     configs = _sweep_configs(args)
     trace = load_trace(args.trace, args.trace_format)
     outcomes = run_sweep(trace, configs, parallelism=args.parallelism)
-    failed = [o for o in outcomes if o.error is not None]
     with _open_out(args.out) as out:
         if args.format == "json":
             runs = []
@@ -319,8 +319,17 @@ def cmd_sweep(args) -> int:
         else:
             rows = [_report_row(o.result, args.costs) for o in outcomes if o.result is not None]
             _write_rows(out, _report_header(args.costs), rows)
+    return _report_failures(outcomes)
+
+
+def _report_failures(outcomes) -> int:
+    """Print each failed config's error; returns the exit code: 3 when a
+    config broke an invariant, 2 when configs failed otherwise, else 0."""
+    failed = [o for o in outcomes if o.error is not None]
     for o in failed:
         print(f"rftsim: {o.config.rft.technique}: {o.error}", file=sys.stderr)
+    if any(o.invariant_violated for o in failed):
+        return 3
     return 2 if failed else 0
 
 
@@ -338,10 +347,9 @@ def cmd_compare(args) -> int:
     configs = [SimulationConfig(rft=_rft_config(args, tech), skip=args.skip, limit=args.limit)
                for tech in techniques]
     outcomes = run_sweep(trace, configs, parallelism=args.parallelism)
-    for o in outcomes:
-        if o.error is not None:
-            print(f"rftsim: {o.config.rft.technique}: {o.error}", file=sys.stderr)
-            return 2
+    code = _report_failures(outcomes)
+    if code:
+        return code
     by_tech = {o.config.rft.technique: o.result for o in outcomes}
     base_report = by_tech[args.baseline].report
     header = ["technique"] + [f"{col}_vs_{args.baseline}" for col in REPORT_COLUMNS]

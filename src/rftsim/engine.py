@@ -17,7 +17,8 @@ Recording is purely observational: while a manager records, instructions
 keep being attributed to the states actually traversed.
 
 Identical inputs produce bit-identical results; an equivalence test pins
-the engine to a per-item reference loop.
+the engine to a per-item reference loop.  Each run ends by checking the
+automaton's invariants and raises ``InvariantError`` when one fails.
 """
 
 from __future__ import annotations
@@ -34,6 +35,11 @@ from .metrics import (CostBreakdown, CostParams, MetricsReport, compute_report,
                       estimate_times)
 from .rft import RFTConfig, make_rft
 from .trace_io import Trace
+
+
+class InvariantError(Exception):
+    """An end-of-run automaton invariant failed: a simulator defect, not
+    bad input, so deliberately not a ``ValueError``."""
 
 
 @dataclass(frozen=True)
@@ -71,6 +77,7 @@ class SweepOutcome:
     config: SimulationConfig
     result: Optional[SimulationResult] = None
     error: Optional[str] = None
+    invariant_violated: bool = False
 
 
 def _run_items(automaton: Automaton, manager, trace: Trace, start: int, end: int) -> None:
@@ -103,6 +110,16 @@ def _run_items(automaton: Automaton, manager, trace: Trace, start: int, end: int
         la = addrs[i - 1]
 
 
+def _check_invariants(report: MetricsReport, items: int) -> None:
+    if report.total_instructions != items:
+        raise InvariantError(f"interpreted plus native instructions are "
+                             f"{report.total_instructions}, items consumed {items}")
+    for r in report.regions:
+        if r.completed_traversals > r.head_executions:
+            raise InvariantError(f"region {r.rid} completed {r.completed_traversals} "
+                                 f"traversals in {r.head_executions} head executions")
+
+
 def run_simulation(trace: Trace, config: SimulationConfig) -> SimulationResult:
     """Replay one trace window through one technique; deterministic."""
     t0 = time.perf_counter()
@@ -116,6 +133,7 @@ def run_simulation(trace: Trace, config: SimulationConfig) -> SimulationResult:
     wall = time.perf_counter() - t0
     cold = config.cold_threshold if config.cold_threshold is not None else config.rft.threshold
     report = compute_report(automaton, cold_threshold=cold)
+    _check_invariants(report, end - start)
     cost = estimate_times(report, config.cost) if config.cost is not None else None
     dump = automaton.dump() if config.collect_dump else None
     return SimulationResult(config=config, report=report, cost=cost, dump=dump,
@@ -137,7 +155,8 @@ def _run_config(trace: Trace, config: SimulationConfig) -> SweepOutcome:
     try:
         return SweepOutcome(config=config, result=run_simulation(trace, config))
     except Exception as exc:  # noqa: BLE001 - reported per config
-        return SweepOutcome(config=config, error=f"{type(exc).__name__}: {exc}")
+        return SweepOutcome(config=config, error=f"{type(exc).__name__}: {exc}",
+                            invariant_violated=isinstance(exc, InvariantError))
 
 
 def _init_worker(trace: Trace, configs: Sequence[SimulationConfig]) -> None:

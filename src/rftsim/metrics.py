@@ -106,10 +106,11 @@ def cold_region_fraction(regions: Sequence[RegionStats], threshold: int) -> floa
 
 def compute_report(automaton: Automaton, cold_threshold: int = 1024) -> MetricsReport:
     """Assemble the run report purely from automaton counters."""
-    total = automaton.total
-    interp = automaton.interp
-    native = automaton.native
     stats = tuple(automaton.all_region_stats())
+    interp = automaton.interp
+    # every native item executes exactly one region state
+    native = sum(r.dynamic_instructions for r in stats)
+    total = interp + native
     num_regions = len(stats)
     hot_static = sum(r.static_size for r in stats)
     if num_regions:

@@ -543,9 +543,14 @@ class _ExpansionMixin:
         lo = self._covered
         while lo <= index:
             hi = min(index + 1, lo + _FLOW_CHUNK)
-            # reversed, so the chunk's first size of each address wins
-            for a, s in dict(zip(reversed(addrs[lo:hi]), reversed(sizes[lo:hi]))).items():
-                if a not in cfg:
+            chunk = addrs[lo:hi]
+            # only unseen addresses need their first size looked up
+            new = set(chunk).difference(cfg)
+            for a, s in zip(chunk, sizes[lo:hi]):
+                if not new:
+                    break
+                if a in new:
+                    new.remove(a)
                     cfg[a] = [s, set()]
             j = max(lo, self._base + 1)
             for u, v in set(zip(addrs[j - 1:hi - 1], addrs[j:hi])):

@@ -11,6 +11,10 @@ def step(auto, addr, size=4):
     return auto.step_addr(addr, size)
 
 
+def interp_state_executions(auto):
+    return auto.dump()["states"][0]["executions"]
+
+
 # --- creation ---------------------------------------------------------------
 
 def test_new_automaton_has_only_interpreter_state():
@@ -24,7 +28,7 @@ def test_new_automaton_has_only_interpreter_state():
 def test_fresh_automaton_counters_zero():
     auto = Automaton()
     assert (auto.interp, auto.native, auto.region_transitions) == (0, 0, 0)
-    assert auto.nte_executions == 0
+    assert interp_state_executions(auto) == 0
 
 
 # --- step resolution --------------------------------------------------------
@@ -33,7 +37,7 @@ def test_unknown_address_stays_interp():
     auto = Automaton()
     assert step(auto, 0xDEAD) is TransitionKind.STAYED_INTERP
     assert auto.interp == 1 and auto.native == 0
-    assert auto.nte_executions == 1
+    assert interp_state_executions(auto) == 1
 
 
 def test_entry_into_region_counts_interp_entry():
@@ -254,8 +258,8 @@ def test_bulk_interp_matches_steps():
     auto2 = Automaton()
     for i in range(5):
         step(auto2, 0x500 + 4 * i)
-    assert (auto1.total, auto1.interp, auto1.nte_executions) == \
-           (auto2.total, auto2.interp, auto2.nte_executions)
+    assert (auto1.total, auto1.interp, interp_state_executions(auto1)) == \
+           (auto2.total, auto2.interp, interp_state_executions(auto2))
 
 
 def test_bulk_interp_requires_interpreter_cursor():
@@ -287,22 +291,31 @@ class LiteralAutomaton:
         self.cursor = 0
         self.total = self.interp = self.native = self.transitions = 0
 
-    def append(self, recording):
+    def append(self, recording, expansion=(), successors=None):
+        """Recorded states, then expansion states; each successor edge
+        targets the region's first state at that address."""
         rid = len(self.regions)
         first = len(self.address)
-        for a, s in recording:
+        for a, s in list(recording) + list(expansion):
             self.address.append(a)
             self.size.append(s)
             self.region.append(rid)
             self.executions.append(0)
             self.edges.append({})
-        ids = list(range(first, len(self.address)))
+        ids = list(range(first, first + len(recording)))
+        exp_ids = list(range(first + len(recording), len(self.address)))
         for x, y in zip(ids, ids[1:]):
             self.edges[x].setdefault(self.address[y], [y, 0])
+        state_of = {}
+        for sid in ids + exp_ids:
+            state_of.setdefault(self.address[sid], sid)
+        for src, targets in (successors or {}).items():
+            for t in targets:
+                self.edges[state_of[src]].setdefault(t, [state_of[t], 0])
         self.regions.append({
             "id": rid, "entry_address": recording[0][0], "entry_state": ids[0],
             "core_tail_state": ids[-1], "recorded_states": ids,
-            "expansion_states": [], "entries_from_interpreter": 0,
+            "expansion_states": exp_ids, "entries_from_interpreter": 0,
             "entries_from_native": 0, "dynamic_instructions": 0,
             "head_executions": 0, "tail_executions": 0,
             "completed_traversals": 0, "in_traversal": False})
@@ -406,3 +419,49 @@ def test_kernel_matches_literal_model():
                     (case, i, h)
                 i = stop
         assert auto.dump() == model.dump(), case
+
+
+def test_kernel_matches_literal_model_with_expansions():
+    """As above, with some regions installed with look-ahead expansion
+    states, so the derived dynamic, head and tail counts over expansion
+    states are checked against per-item counting."""
+    rng = random.Random(12)
+    expanded = 0
+    for case in range(300):
+        pool = [0x100 + 4 * k for k in range(rng.randint(3, 12))]
+        seq = [rng.choice(pool) for _ in range(rng.randint(1, 400))]
+        sizes = [4] * len(seq)
+        auto = Automaton()
+        model = LiteralAutomaton()
+        cuts = sorted(rng.sample(range(len(seq) + 1), min(len(seq) + 1, 4)))
+        for lo, hi in zip(cuts, cuts[1:] + [len(seq)]):
+            recording = [(rng.choice(pool), 4) for _ in range(rng.randint(1, 5))]
+            rest = [a for a in pool if a not in {a for a, _ in recording}]
+            members = [(a, 4) for a in rng.sample(rest, rng.randint(0, min(3, len(rest))))]
+            inside = [a for a, _ in recording + members]
+            # the engine passes successors only along with expansion members
+            successors = {a: rng.choices(inside, k=rng.randint(1, 2))
+                          for a in inside if members and rng.random() < 0.6}
+            if rng.random() < 0.8:
+                auto.append_region(recording, members, successors)
+                model.append(recording, members, successors)
+                expanded += bool(members)
+            i = lo
+            while i < hi:
+                gap = i
+                if model.cursor == 0:
+                    while gap < hi - 1 and seq[gap] not in model.address:
+                        gap += 1
+                h = rng.randint(i, gap)
+                for stop in range(i, h):
+                    assert model.step(seq[stop]) == SI
+                kind = model.step(seq[h])
+                stop = h + 1
+                while kind in (I2N, SN, N2N) and stop < hi:
+                    kind = model.step(seq[stop])
+                    stop += 1
+                assert auto.run_native_stretch(seq, sizes, i, hi, h) == (stop, kind), \
+                    (case, i, h)
+                i = stop
+        assert auto.dump() == model.dump(), case
+    assert expanded > 300

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from rftsim.automaton import Automaton
 from rftsim.cli import main
 from rftsim.metrics import REPORT_COLUMNS
 from rftsim.trace_io import (LoopSpec, ProgramSpec, Trace, TraceItem,
@@ -309,3 +310,40 @@ def test_compare_json_format(capsys, tmp_path):
     assert rows["net"]["coverage"] == 1.0
     assert rows["mret2"]["avg_static_region_size"] == 0.75
     assert rows["mret2"]["num_transitions"] is None
+
+
+# --- end-of-run invariants ------------------------------------------------------
+
+@pytest.fixture
+def lossy_kernel(monkeypatch):
+    """A stepping kernel that drops one interpreter count per call."""
+    kernel = Automaton.run_native_stretch
+
+    def lossy(self, *args):
+        out = kernel(self, *args)
+        self.interp -= 1
+        return out
+    monkeypatch.setattr(Automaton, "run_native_stretch", lossy)
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--rft", "net"),
+    ("dump", "--rft", "net"),
+    ("sweep", "--rfts", "net,lei"),
+    ("compare", "--rfts", "net,lei"),
+])
+def test_invariant_violation_exits_3(capsys, loop_trace, lossy_kernel, argv):
+    code, _, err = run_cli(capsys, *argv, "--trace", str(loop_trace), "--threshold", "2")
+    assert code == 3
+    assert "InvariantError" in err and "items consumed 30" in err
+
+
+@pytest.mark.parametrize("command", ["sweep", "compare"])
+def test_other_config_error_exits_2(capsys, loop_trace, monkeypatch, command):
+    def broken(self, *args):
+        raise RuntimeError("kernel failed")
+    monkeypatch.setattr(Automaton, "run_native_stretch", broken)
+    code, _, err = run_cli(capsys, command, "--trace", str(loop_trace),
+                           "--rfts", "net,lei", "--threshold", "2")
+    assert code == 2
+    assert "RuntimeError: kernel failed" in err

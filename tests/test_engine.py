@@ -260,3 +260,20 @@ def test_cold_threshold_override():
     assert low.report.cold_region_fraction == 0.0   # entered once, bar is 1
     assert high.report.cold_region_fraction == 1.0
     assert low.report.cold_threshold == 1
+
+
+def test_completions_beyond_head_executions_raise_invariant_error(monkeypatch):
+    """A kernel that books one completion too many per call breaks the
+    completions <= head executions invariant, and nothing else."""
+    kernel = engine.Automaton.run_native_stretch
+
+    def overcounting(self, *args):
+        out = kernel(self, *args)
+        if self.regions():
+            self.regions()[0].completions += 1
+        return out
+    monkeypatch.setattr(engine.Automaton, "run_native_stretch", overcounting)
+    config = SimulationConfig(rft=RFTConfig(technique="net", threshold=2))
+    with pytest.raises(engine.InvariantError, match="region 0 completed"):
+        run_simulation(generate_trace(A1_SPEC), config)
+    assert not issubclass(engine.InvariantError, ValueError)
