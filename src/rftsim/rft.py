@@ -95,9 +95,6 @@ class RegionRecording:
     def entry_address(self) -> int:
         return self.items[0][0]
 
-    def addresses(self) -> list[int]:
-        return [a for a, _ in self.items]
-
     def __len__(self) -> int:
         return len(self.items)
 
@@ -345,11 +342,6 @@ class Mret2Manager(RegionManager):
             i += 1
 
 
-def _dedup_keep_last(addresses: list[int]) -> list[int]:
-    last = {a: i for i, a in enumerate(addresses)}
-    return [a for i, a in enumerate(addresses) if last[a] == i]
-
-
 class LeiManager(RegionManager):
     """Last-executed-iteration regions from a history buffer.
 
@@ -358,7 +350,19 @@ class LeiManager(RegionManager):
     cycle and bumps the cycle head's hotness.  Once hot, the slice
     covering the last iteration is emitted with inner repetitions
     collapsed to their final occurrence, capped at the size limit, and
-    the history is cleared.
+    the history restarts at the cycle head.
+
+    The history is not stored item by item.  Each push gets a global
+    position, and the pushes of one scan are consecutive trace items, so
+    the history is held as runs, one ``(first position, first trace
+    index)`` per scan; runs wholly before the last ``history_capacity``
+    pushes are trimmed now and then.  A restart only raises the floor: a
+    prior push counts when it is among the last ``history_capacity``
+    pushes and not below the floor.  Each address keeps one record, its
+    latest push position and its cycle count, so a push is one lookup.
+    An emission maps the window's positions back to trace indices
+    through the runs; each address takes its size from its last
+    occurrence there, and the cycle head from the emitting item.
     """
 
     technique = "lei"
@@ -367,55 +371,77 @@ class LeiManager(RegionManager):
         self._threshold = config.threshold
         self._max_size = config.max_region_size
         self._capacity = config.history_capacity
-        # the history: _hist[j] was pushed at global position _base + j.
-        # _last maps an address to its latest position, which is evicted
-        # lazily: it counts while it is among the last `capacity` pushes.
-        # _hist keeps at least those and is trimmed by slices.
-        self._hist: list[int] = []
-        self._base = 0
-        self._last: dict[int, int] = {}
-        self._hot: dict[int, int] = {}
-        self._sizes: dict[int, int] = {}
+        # address -> [latest push position, cycle count]
+        self._seen: dict[int, list[int]] = {}
+        # (first push position, first trace index) per scan, oldest first
+        self._runs: list[tuple[int, int]] = []
+        self._pos = 0  # position of the next push
+        self._floor = 0  # position of the latest restart
+        self._trim_at = 2 * config.history_capacity
 
     def scan(self, addrs, sizes, i, end, la, kind, held):
-        hist = self._hist
-        last = self._last
-        hot = self._hot
-        size_of = self._sizes
+        seen = self._seen
         threshold = self._threshold
         cap = self._capacity
-        base = self._base
-        pos = base + len(hist)
-        trim_at = base + 2 * cap
+        floor = self._floor
+        pos = self._pos
+        if pos >= self._trim_at:
+            self._trim(pos)
+        self._runs.append((pos, i))
         while True:
             if i >= end:
-                self._base = base
+                self._pos = pos
                 return end, None, False
             a = addrs[i]
-            size_of[a] = sizes[i]
-            prior = last.get(a)
-            if prior is not None and prior >= pos - cap:
-                c = hot.get(a, 0) + 1
-                if c >= threshold:
-                    hot[a] = 0
-                    window = hist[prior - base:]
-                    self._hist = [a]
-                    self._base = pos
-                    self._last = {a: pos}
-                    kept = _dedup_keep_last(window)[: self._max_size]
-                    return i, RegionRecording([(x, size_of[x]) for x in kept]), False
-                hot[a] = c
-            hist.append(a)
-            last[a] = pos
+            rec = seen.get(a)
+            if rec is None:
+                seen[a] = [pos, 0]
+            else:
+                prior = rec[0]
+                rec[0] = pos
+                if prior >= floor and pos - prior <= cap:
+                    c = rec[1] + 1
+                    if c >= threshold:
+                        rec[1] = 0
+                        self._floor = pos
+                        self._pos = pos + 1
+                        return i, self._emit(addrs, sizes, i, prior, pos), False
+                    rec[1] = c
             pos += 1
-            if pos >= trim_at:
-                del hist[:cap]
-                base += cap
-                trim_at += cap
             if a in held:
-                self._base = base
+                self._pos = pos
                 return i, None, False
             i += 1
+
+    def _trim(self, pos: int) -> None:
+        runs = self._runs
+        oldest = pos - self._capacity
+        j = 0
+        while j + 1 < len(runs) and runs[j + 1][0] <= oldest:
+            j += 1
+        del runs[:j]
+        self._trim_at = pos + self._capacity
+
+    def _emit(self, addrs, sizes, i, prior, pos) -> RegionRecording:
+        # walk the pushes at positions [prior, pos) newest first, keeping
+        # each address at its last occurrence
+        kept: list[tuple[int, int]] = []
+        done: set[int] = set()
+        stop = pos
+        for p, t in reversed(self._runs):
+            shift = t - p  # trace index minus push position in this run
+            for j in reversed(range(max(p, prior) + shift, stop + shift)):
+                x = addrs[j]
+                if x not in done:
+                    done.add(x)
+                    kept.append((x, sizes[j]))
+            if p <= prior:
+                break
+            stop = p
+        kept.reverse()
+        # the cycle head, pushed at prior, takes the emitting item's size
+        kept[0] = (kept[0][0], sizes[i])
+        return RegionRecording(kept[: self._max_size])
 
 
 # --- look-ahead expansion ---------------------------------------------------

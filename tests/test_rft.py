@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_rft_config, random_trace, scan_run
+from conftest import (random_graph_walk, random_noise, random_rft_config,
+                      random_trace, scan_run)
 from reference import (SI, HistoryBuffer, make_reference, netr_stop_condition,
                        reference_run, was_backward_branch)
 from rftsim.rft import (LeiManager, Mret2Manager, NetManager, NetPlusManager,
@@ -31,6 +32,27 @@ def loop_feed(addrs, iters, size=4):
     return [(a, size) for _ in range(iters) for a in addrs]
 
 
+def addresses(recording):
+    return [a for a, _ in recording.items]
+
+
+def lei_history(mgr, addrs):
+    """The addresses in a lei manager's history, oldest first: its pushes
+    from the later of the restart and the last ``history_capacity`` pushes
+    on, mapped to trace indices through its runs."""
+    oldest = max(mgr._floor, mgr._pos - mgr._capacity)
+    runs = mgr._runs + [(mgr._pos, None)]
+    return [addrs[t + q - p] for (p, t), (nxt, _) in zip(runs, runs[1:])
+            for q in range(max(p, oldest), nxt)]
+
+
+def seed_lei_cycle_counts(mgr, counts):
+    """Give a fresh lei manager's addresses cycle counts; their latest push
+    position, -1, lies below the history, so it marks no cycle."""
+    for a, c in counts.items():
+        mgr._seen[a] = [-1, c]
+
+
 # --- scan against the per-item reference model --------------------------------
 
 def test_scan_matches_reference_managers():
@@ -50,6 +72,23 @@ def test_scan_matches_reference_managers():
         hooks.attach(trace, 0)
         want = reference_run(make_reference(config), addrs, sizes, held, hooks.complete)
         assert got == want, (case, tech)
+
+
+def test_lei_scan_matches_reference_on_long_windows():
+    """lei over 4,000-item windows, long enough that its history is
+    trimmed many times between emissions, matches the reference."""
+    rng = random.Random(0x1E1)
+    for case in range(60):
+        make = random_graph_walk if case % 2 else random_noise
+        trace = make(rng, 4000)
+        config = RFTConfig(technique="lei", threshold=rng.choice((8, 16, 32, 64)),
+                           max_region_size=rng.choice((16, 64, 1024)),
+                           history_capacity=rng.choice((16, 32, 64, 128, 256)))
+        addrs, sizes = trace.addresses, trace.sizes
+        held = {a for a in set(addrs) if rng.random() < 0.3}
+        got = scan_run(make_rft(config), addrs, sizes, held)
+        want = reference_run(make_reference(config), addrs, sizes, held)
+        assert got == want, case
 
 
 # --- the reference model's backward-branch test -------------------------------
@@ -132,13 +171,13 @@ def test_mret2_intersect_identity():
 def test_mret2_intersect_keeps_pass1_order():
     p1 = RegionRecording([(10, 4), (11, 4), (12, 4), (13, 4)])
     p2 = RegionRecording([(10, 4), (12, 4), (13, 4), (14, 4)])
-    assert mret2_intersect(p1, p2).addresses() == [10, 12, 13]
+    assert addresses(mret2_intersect(p1, p2)) == [10, 12, 13]
 
 
 def test_mret2_intersect_entry_survives():
     p1 = RegionRecording([(10, 4), (11, 4)])
     p2 = RegionRecording([(10, 4)])
-    assert mret2_intersect(p1, p2).addresses() == [10]
+    assert addresses(mret2_intersect(p1, p2)) == [10]
 
 
 def test_mret2_intersect_rejects_different_entries():
@@ -159,7 +198,7 @@ def test_mret2_diverging_passes_keep_intersection():
     E, P, Q, R, S = 0x100, 0x104, 0x108, 0x10C, 0x110
     seq = loop_feed([E, P, Q, R], 2) + loop_feed([E, P, Q, S], 2)
     emissions = feed(mgr, seq)
-    assert emissions[0][1].addresses() == [E, P, Q]
+    assert addresses(emissions[0][1]) == [E, P, Q]
 
 
 # --- the reference history buffer / lei ----------------------------------------
@@ -205,8 +244,9 @@ def test_lei_single_loop_emits_last_iteration():
 
 def test_lei_cold_cycle_emits_nothing():
     mgr = LeiManager(cfg("lei", threshold=100))
-    assert feed(mgr, loop_feed([0x100, 0x104], 20)) == []
-    assert len(mgr._hist) > 0  # buffer intact
+    seq = loop_feed([0x100, 0x104], 20)
+    assert feed(mgr, seq) == []
+    assert len(lei_history(mgr, [a for a, _ in seq])) > 0  # buffer intact
 
 
 def test_lei_inner_loop_kept_once():
@@ -215,20 +255,36 @@ def test_lei_inner_loop_kept_once():
     mgr = LeiManager(cfg("lei", threshold=1))
     X, A_, Y, Z, B_ = 0x100, 0x104, 0x108, 0x10C, 0x110
     window = [X, A_] + [Y, Z] * 5 + [B_]
-    mgr._hot[X] = 0  # X must get hot on its first cycle; inner must not
-    mgr._hot[Y] = -10**6
-    mgr._hot[Z] = -10**6
+    # X must get hot on its first cycle; inner must not
+    seed_lei_cycle_counts(mgr, {X: 0, Y: -10**6, Z: -10**6})
     seq = [(a, 4) for a in window + [X]]
     emissions = feed(mgr, seq)
     assert len(emissions) == 1
-    assert emissions[0][1].addresses() == [X, A_, Y, Z, B_]
+    assert addresses(emissions[0][1]) == [X, A_, Y, Z, B_]
 
 
 def test_lei_ignores_native_side():
     mgr = LeiManager(cfg("lei", threshold=1))
-    assert feed(mgr, loop_feed([0x100, 0x104], 20), held={0x100, 0x104}) == []
+    seq = loop_feed([0x100, 0x104], 20)
+    assert feed(mgr, seq, held={0x100, 0x104}) == []
     # only the entry into the region was interpreter-side
-    assert mgr._hist == [0x100]
+    assert lei_history(mgr, [a for a, _ in seq]) == [0x100]
+
+
+def test_lei_window_spans_region_entry_and_native_run():
+    """Hand-worked: the history skips the items the kernel steps.  H and N
+    are held; H enters a region and is pushed (a scanned item is pushed
+    even when it enters a region), N runs natively and the landing C is
+    stepped by the kernel, so the scan after it starts at D.  X's second
+    cycle (threshold 2) sees the pushes X A B A H D since its previous
+    push; A is kept at its last occurrence with that occurrence's size,
+    and the head X takes the emitting item's size."""
+    X, A_, B_, H, N, C, D = 0x100, 0x104, 0x108, 0x200, 0x204, 0x10C, 0x110
+    seq = [(X, 4), (X, 4), (A_, 4), (B_, 4), (A_, 2), (H, 4), (N, 4), (C, 4),
+           (D, 4), (X, 6)]
+    mgr = LeiManager(cfg("lei", threshold=2))
+    assert feed(mgr, seq, held={H, N}) == [
+        (9, RegionRecording([(X, 6), (B_, 4), (A_, 2), (H, 4), (D, 4)]))]
 
 
 def test_lei_respects_size_cap():
@@ -262,9 +318,9 @@ def test_netr_records_across_backward_branch():
     seq = loop_feed([P, Q, R], 4)
     net = feed(NetManager(cfg(threshold=2)), list(seq))
     netr = feed(NetRManager(cfg("net-r", threshold=2)), list(seq))
-    assert net[0][1].addresses() == [Q, R]
-    assert netr[0][1].addresses() == [Q, R, P]
-    assert set(net[0][1].addresses()) < set(netr[0][1].addresses())
+    assert addresses(net[0][1]) == [Q, R]
+    assert addresses(netr[0][1]) == [Q, R, P]
+    assert set(addresses(net[0][1])) < set(addresses(netr[0][1]))
 
 
 @settings(max_examples=80, deadline=None)
@@ -276,7 +332,7 @@ def test_netr_recordings_have_distinct_addresses(seed, threshold):
     seq = [(rng.choice(addrs), 4) for _ in range(400)]
     held = {a for a in addrs if rng.random() < 0.25}
     for _, rec in feed(mgr, seq, held):
-        assert len(set(rec.addresses())) == len(rec.addresses())
+        assert len(set(addresses(rec))) == len(addresses(rec))
 
 
 # --- netplus expansion ----------------------------------------------------------
@@ -405,7 +461,7 @@ def test_netplus_manager_attaches_expansion():
     emissions = feed(mgr, seq)
     assert emissions
     rec = emissions[0][1]
-    assert rec.addresses() == [Y0, Y1]
+    assert addresses(rec) == [Y0, Y1]
     assert expansion_addresses(rec.expansion) == {X0, X1}
 
 
@@ -418,9 +474,9 @@ def test_netplus_superset_of_net_at_same_trigger():
     net = feed(NetManager(cfg(threshold=5)), list(seq))
     plus = feed(NetPlusManager(cfg("netplus", threshold=5)), list(seq))
     assert net[0][0] == plus[0][0]
-    net_addrs = set(net[0][1].addresses())
+    net_addrs = set(addresses(net[0][1]))
     plus_rec = plus[0][1]
-    plus_addrs = set(plus_rec.addresses()) | expansion_addresses(plus_rec.expansion)
+    plus_addrs = set(addresses(plus_rec)) | expansion_addresses(plus_rec.expansion)
     assert net_addrs <= plus_addrs
 
 
@@ -474,7 +530,7 @@ pair_lists = st.lists(st.tuples(st.integers(0, 200), st.integers(1, 8)),
 def test_mret2_subset_law(p1_items, p2_items):
     p2_items = [p1_items[0]] + p2_items  # shared entry
     result = mret2_intersect(RegionRecording(p1_items), RegionRecording(p2_items))
-    assert set(result.addresses()) <= {a for a, _ in p1_items}
+    assert set(addresses(result)) <= {a for a, _ in p1_items}
     # order is a subsequence of pass 1
     it = iter(p1_items)
     assert all(any(pair == cand for cand in it) for pair in result.items)
