@@ -33,32 +33,22 @@ states, so the edge counts give the rest at report time: a region
 state's executions are the sum of its incoming edge counts, a region's
 dynamic count sums them over its recorded and expansion states, its head
 and tail executions are those of its entry and core-tail states,
-``native`` is the sum of all edge counts, and ``total`` is
-``interp + native``.
+the native count is the sum of all edge counts, and the total is
+``interp`` plus that.
+
+Items are not classified by transition kind.  A kernel call ends on the
+first item that falls back to the interpreter, and it only tells the
+engine whether that item left a region (``kind`` 2) or stayed
+interpreter-side (0): a region manager profiles region-exit targets and
+backward branches taken interpreter-side, and reads nothing else.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import IntEnum
 from typing import Iterable, Mapping, Optional, Sequence
 
 NTE_STATE = 0
-
-
-class TransitionKind(IntEnum):
-    """Classification of one consumed instruction by source/target side."""
-
-    STAYED_INTERP = 0
-    INTERP_TO_NATIVE = 1
-    NATIVE_TO_INTERP = 2
-    STAYED_NATIVE = 3
-    NATIVE_TO_NATIVE = 4
-
-
-_K = (TransitionKind.STAYED_INTERP, TransitionKind.INTERP_TO_NATIVE,
-      TransitionKind.NATIVE_TO_INTERP, TransitionKind.STAYED_NATIVE,
-      TransitionKind.NATIVE_TO_NATIVE)
 
 
 class Region:
@@ -73,7 +63,7 @@ class Region:
 
     Entries and completions are raw counters.  The dynamic count (the
     executions of the recorded and expansion states) and the head and
-    tail executions are derived from edge counts (``Automaton.region_stats``).
+    tail executions are derived from edge counts (``Automaton.all_region_stats``).
     """
 
     __slots__ = ("rid", "entry_state", "states", "core_tail_state",
@@ -96,10 +86,6 @@ class Region:
     @property
     def static_size(self) -> int:
         return len(self.states) + len(self.expansion_states)
-
-    @property
-    def entries(self) -> int:
-        return self.entries_interp + self.entries_native
 
 
 @dataclass(frozen=True)
@@ -156,26 +142,6 @@ class Automaton:
 
     # -- introspection ------------------------------------------------
 
-    @property
-    def num_regions(self) -> int:
-        return len(self._regions)
-
-    @property
-    def native(self) -> int:
-        """Natively executed items: each followed or created one edge."""
-        return sum(c for edges in self._edges for _, c in edges.values())
-
-    @property
-    def total(self) -> int:
-        return self.interp + self.native
-
-    def regions(self) -> Sequence[Region]:
-        """Live region objects, creation order.  Treat as read-only."""
-        return self._regions
-
-    def state_address(self, sid: int) -> int:
-        return self._addr[sid]
-
     def _executions(self) -> list[int]:
         """Executions per state id, summed from the edges in one pass."""
         ex = [0] * len(self._addr)
@@ -198,9 +164,8 @@ class Automaton:
 
     # -- stepping -------------------------------------------------------
 
-    def step_addr(self, address: int, size: int) -> TransitionKind:
-        """Consume one instruction; returns the transition performed."""
-        return _K[self.run_native_stretch((address,), (size,), 0, 1, 0)[1]]
+    # the benchmark harness still wraps this; nothing calls it
+    def step_addr(self, *args) -> None: ...
 
     def bulk_interp(self, count: int) -> None:
         """Attribute ``count`` consecutive interpreter-side instructions at
@@ -219,10 +184,12 @@ class Automaton:
         state and no address in that gap may be held (see ``held``).  Then
         steps from item ``h`` and stops after the first item that falls
         back to the interpreter (rule 3 always ends a call): item ``h``
-        alone if it stays interpreter-side, else the NATIVE_TO_INTERP
-        landing that ends the native run, or at ``end``.  Returns
-        ``(next_i, kind)``, ``kind`` being the transition of the last
-        consumed item.
+        alone if it stays interpreter-side, else the landing that leaves
+        the region and ends the native run, or at ``end``.  Returns
+        ``(next_i, kind)``: ``kind`` is 2 when the call stopped at a landing
+        that left a region and 0 otherwise, which is all a manager's
+        ``scan`` reads.  Native items get no kind, so ``kind`` means
+        nothing when the call reached ``end`` on a native item.
 
         Per native item it counts the edge traversal, region changes and
         completions only; executions are derived from edge counts.
@@ -243,6 +210,7 @@ class Automaton:
         traversing = self._traversing
         tid = self._cur
         transitions = 0
+        kind = 0
         while True:
             a = addrs[i]
             i += 1
@@ -256,7 +224,6 @@ class Automaton:
                 if cands is None:
                     # rule 3: interpreter fallback, no edge materialised
                     self.interp += 1
-                    kind = 0
                     if cur_owner >= 0:
                         traversing = False
                         tid = NTE_STATE
@@ -268,18 +235,13 @@ class Automaton:
                 tid = cands[0]
                 cur_edges[a] = [tid, 1]
             own = owner_l[tid]
-            if own == cur_owner:
-                kind = 3
-            else:
+            if own != cur_owner:
+                r = regions[own]
                 if cur_owner < 0:
-                    kind = 1
-                    r = regions[own]
                     r.entries_interp += 1
                 else:
-                    kind = 4
                     transitions += 1
                     traversing = False
-                    r = regions[own]
                     r.entries_native += 1
                 cur_owner = own
             m = mark_l[tid]
@@ -389,11 +351,6 @@ class Automaton:
             + sum(ex[sid] for sid in r.expansion_states),
             head_executions=ex[r.entry_state], tail_executions=ex[r.core_tail_state],
             completed_traversals=r.completions)
-
-    def region_stats(self, rid: int) -> RegionStats:
-        if not 0 <= rid < len(self._regions):
-            raise KeyError(f"unknown region id {rid}")
-        return self._stats(self._regions[rid], self._executions())
 
     def all_region_stats(self) -> list[RegionStats]:
         ex = self._executions()

@@ -69,7 +69,10 @@ def _parse_int_list(text: str) -> list[int]:
         step = int(parts[2]) if len(parts) == 3 else 1
         if step < 1:
             raise ValueError("range step must be >= 1")
-        return list(range(start, stop + 1, step))
+        values = list(range(start, stop + 1, step))
+        if not values:
+            raise ValueError(f"empty range {text!r}")
+        return values
     values = [int(v) for v in text.split(",") if v.strip()]
     if not values:
         raise ValueError(f"empty list {text!r}")
@@ -187,15 +190,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _rft_config(args, technique: str, threshold=None, depth=None,
-                max_size=None, capacity=None) -> RFTConfig:
-    return RFTConfig(
-        technique=technique,
-        threshold=threshold if threshold is not None else args.threshold,
-        max_region_size=max_size if max_size is not None else args.max_region_size,
-        expansion_depth=depth if depth is not None else args.netplus_depth,
-        history_capacity=capacity if capacity is not None else args.history_capacity,
-    )
+def _rft_config(args, technique: str) -> RFTConfig:
+    return RFTConfig(technique=technique, threshold=args.threshold,
+                     max_region_size=args.max_region_size,
+                     expansion_depth=args.netplus_depth,
+                     history_capacity=args.history_capacity)
 
 
 def _cost_params(args) -> Optional[CostParams]:

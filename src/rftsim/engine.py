@@ -50,7 +50,6 @@ class SimulationConfig:
     skip: int = 0
     limit: Optional[int] = None
     cost: Optional[CostParams] = None
-    cold_threshold: Optional[int] = None
     collect_dump: bool = False
 
     def __post_init__(self):
@@ -131,8 +130,7 @@ def run_simulation(trace: Trace, config: SimulationConfig) -> SimulationResult:
     manager.attach(trace, start)
     _run_items(automaton, manager, trace, start, end)
     wall = time.perf_counter() - t0
-    cold = config.cold_threshold if config.cold_threshold is not None else config.rft.threshold
-    report = compute_report(automaton, cold_threshold=cold)
+    report = compute_report(automaton, cold_threshold=config.rft.threshold)
     _check_invariants(report, end - start)
     cost = estimate_times(report, config.cost) if config.cost is not None else None
     dump = automaton.dump() if config.collect_dump else None

@@ -123,9 +123,8 @@ def compute_report(automaton: Automaton, cold_threshold: int = 1024) -> MetricsR
         avg_dynamic = None
     heads = sum(r.head_executions for r in stats)
     completed = sum(r.completed_traversals for r in stats)
-    distinct = len({automaton.state_address(sid)
-                    for region in automaton.regions()
-                    for sid in region.states + region.expansion_states})
+    # the address index keys every address some region state holds
+    distinct = len(automaton.held)
     duplication = (hot_static - distinct) / hot_static if hot_static else 0.0
     return MetricsReport(
         total_instructions=total,

@@ -1,12 +1,12 @@
 """Region formation techniques.
 
 A region manager scans each interpreter-side run of the trace in one
-call.  It sees each item together with the transition the automaton
-performed for the *previous* item, keeps its own hotness counters and
-recording buffers, and occasionally emits a finished recording.  Items
-executed inside regions are never shown to it: every technique ignores
-native-side transitions except the entry into a region, which ends a
-recording, and the scan handles that entry where it sees it.  The engine
+call.  It sees each item together with whether the *previous* item
+left a region, keeps its own hotness counters and recording buffers,
+and occasionally emits a finished recording.  Items executed inside
+regions are never shown to it: every technique ignores native-side
+transitions except the entry into a region, which ends a recording, and
+the scan handles that entry where it sees it.  The engine
 installs emitted recordings into the automaton before performing the
 emitting item's transition, so a recording stopped by a loop-closing
 branch catches that very branch target as its first native execution.
@@ -79,34 +79,21 @@ class RegionExpansion:
     successors: Mapping[int, tuple[int, ...]]
 
 
+@dataclass
 class RegionRecording:
     """Ordered (address, size) pairs captured during one recording pass."""
 
-    __slots__ = ("items", "expansion")
+    items: list[tuple[int, int]]
+    expansion: Optional[RegionExpansion] = None
 
-    def __init__(self, items: Sequence[tuple[int, int]],
-                 expansion: Optional[RegionExpansion] = None):
-        if not items:
+    def __post_init__(self):
+        if not self.items:
             raise ValueError("empty recording")
-        self.items = list(items)
-        self.expansion = expansion
+        self.items = list(self.items)
 
     @property
     def entry_address(self) -> int:
         return self.items[0][0]
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def __iter__(self):
-        return iter(self.items)
-
-    def __eq__(self, other):
-        return (isinstance(other, RegionRecording)
-                and self.items == other.items and self.expansion == other.expansion)
-
-    def __repr__(self):
-        return f"RegionRecording({self.items!r}, expansion={self.expansion!r})"
 
 
 def mret2_intersect(pass1: RegionRecording, pass2: RegionRecording) -> RegionRecording:
@@ -131,11 +118,12 @@ class RegionManager:
 
     ``scan(addrs, sizes, i, end, la, kind, held)`` is called while the
     automaton's cursor sits on the interpreter state.  It visits items
-    from ``i`` in trace order: item ``i`` with ``kind``, the transition of
-    the item before it (STAYED_INTERP or NATIVE_TO_INTERP), whose address
-    is ``la`` (-1 before a window's first item), and every later item with
-    STAYED_INTERP.  It returns ``(k, recording, entered)`` and stops at
-    whichever comes first:
+    from ``i`` in trace order.  ``kind`` describes the item before item
+    ``i``, whose address is ``la`` (-1 before a window's first item): 2
+    when that item was a landing that left a region, so item ``i`` follows
+    a region exit, and 0 when it stayed interpreter-side.  Every later item
+    follows an interpreter-side item.  It returns ``(k, recording,
+    entered)`` and stops at whichever comes first:
 
     - an emission while seeing item ``k``: ``(k, recording, False)``;
     - the first item ``k`` whose address ``held`` (``Automaton.held``)

@@ -25,7 +25,7 @@ import json
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -36,13 +36,6 @@ _RECORD = struct.Struct("<QII")
 _RECORD_DTYPE = np.dtype([("address", "<u8"), ("size", "<u4"), ("flags", "<u4")])
 
 FORMATS = ("binary", "text")
-
-
-class TraceItem(NamedTuple):
-    """One executed guest instruction."""
-
-    address: int
-    size: int
 
 
 class TraceFormatError(ValueError):
@@ -72,13 +65,6 @@ class Trace:
 
     def __len__(self) -> int:
         return len(self.addresses)
-
-    def __getitem__(self, i: int) -> TraceItem:
-        return TraceItem(self.addresses[i], self.sizes[i])
-
-    def __iter__(self) -> Iterator[TraceItem]:
-        for a, s in zip(self.addresses, self.sizes):
-            yield TraceItem(a, s)
 
     # the benchmark harness still calls this
     def backward_indices(self) -> np.ndarray:
@@ -180,33 +166,37 @@ def load_trace(path: Union[str, Path], format: str = "binary") -> Trace:
     raise ValueError(f"unknown trace format {format!r}")
 
 
-def write_binary(path: Union[str, Path], items: Union[Trace, Iterable[TraceItem]]) -> None:
-    if isinstance(items, Trace):
-        n = len(items)
-        arr = np.empty(n, dtype=_RECORD_DTYPE)
-        arr["address"] = np.asarray(items.addresses, dtype=np.uint64)
-        arr["size"] = np.asarray(items.sizes, dtype=np.uint32)
-        arr["flags"] = 0
-    else:
-        rows = [(it[0], it[1], 0) for it in items]
-        arr = np.array(rows, dtype=_RECORD_DTYPE) if rows else np.empty(0, dtype=_RECORD_DTYPE)
+def _column(values: list[int], dtype, what: str, path) -> np.ndarray:
+    try:
+        return np.asarray(values, dtype=dtype)
+    except OverflowError:
+        bits = 8 * np.dtype(dtype).itemsize
+        j, v = next((j, v) for j, v in enumerate(values) if not 0 <= v < 1 << bits)
+        raise TraceFormatError(f"{path}: item {j}: {what} {v} does not fit "
+                               f"u{bits}") from None
+
+
+def write_binary(path: Union[str, Path], trace: Trace) -> None:
+    arr = np.empty(len(trace), dtype=_RECORD_DTYPE)
+    arr["address"] = _column(trace.addresses, np.uint64, "address", path)
+    arr["size"] = _column(trace.sizes, np.uint32, "instruction size", path)
+    arr["flags"] = 0
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, 0))
         fh.write(arr.tobytes())
 
 
-def write_text(path: Union[str, Path], items: Union[Trace, Iterable[TraceItem]]) -> None:
+def write_text(path: Union[str, Path], trace: Trace) -> None:
     with open(path, "w", encoding="ascii") as fh:
-        for it in items:
-            fh.write(f"{it[0]:x} {it[1]}\n")
+        for a, s in zip(trace.addresses, trace.sizes):
+            fh.write(f"{a:x} {s}\n")
 
 
-def write_trace(path: Union[str, Path], items: Union[Trace, Iterable[TraceItem]],
-                format: str = "binary") -> None:
+def write_trace(path: Union[str, Path], trace: Trace, format: str = "binary") -> None:
     if format == "binary":
-        write_binary(path, items)
+        write_binary(path, trace)
     elif format == "text":
-        write_text(path, items)
+        write_text(path, trace)
     else:
         raise ValueError(f"unknown trace format {format!r}")
 

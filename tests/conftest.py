@@ -1,27 +1,28 @@
 """Shared builders: randomized traces, the engine's scan protocol with a
-given held set, and a naive reference simulation.
+given held set, the stepping kernel driven item list by item list, and a
+naive reference simulation.
 
 The naive loop below is the behavioral oracle for the engine: it drives
-the per-item reference managers of ``reference.py`` and the automaton
-one item at a time, with none of the engine's batching, so any
-divergence points at a fast-path bug.
+the per-item reference managers and the literal automaton of
+``reference.py`` one item at a time, so it shares no stepping or counting
+code with the engine, and any divergence points at a fast-path bug.
 """
 
 from __future__ import annotations
 
 import random
 
-from reference import SI, held_addresses, make_reference
-from rftsim import (Automaton, LoopSpec, ProgramSpec, RFTConfig, Trace,
-                    generate_trace, make_rft)
+from reference import SI, LiteralAutomaton, held_addresses, make_reference
+from rftsim import (LoopSpec, ProgramSpec, RFTConfig, Trace, generate_trace,
+                    make_rft)
 from rftsim.engine import SimulationConfig
 
 
-def naive_run(trace: Trace, config: SimulationConfig) -> Automaton:
-    """Reference simulation: per-item reference manager call (previous
-    transition), the library's emit-time hook and append on emission, then
-    the automaton step."""
-    automaton = Automaton()
+def naive_run(trace: Trace, config: SimulationConfig) -> LiteralAutomaton:
+    """Reference simulation: per item, the reference manager call (with the
+    previous item and its transition kind), the library's emit-time hook
+    and an install on emission, then one literal automaton step."""
+    automaton = LiteralAutomaton()
     manager = make_reference(config.rft)
     hooks = make_rft(config.rft)
     n = len(trace)
@@ -31,18 +32,28 @@ def naive_run(trace: Trace, config: SimulationConfig) -> Automaton:
     kind = SI
     last = None
     for i in range(start, end):
-        item = trace[i]
+        item = (trace.addresses[i], trace.sizes[i])
         formed = manager.handle(last, item, kind)
         if formed is not None:
             formed = hooks.complete(formed, i)
             if formed.expansion is None:
-                automaton.append_region(formed.items)
+                automaton.append(formed.items)
             else:
-                automaton.append_region(formed.items, formed.expansion.members,
-                                        formed.expansion.successors)
-        kind = automaton.step_addr(item[0], item[1])
+                automaton.append(formed.items, formed.expansion.members,
+                                 formed.expansion.successors)
+        kind = automaton.step(item[0])
         last = item
     return automaton
+
+
+def drive(automaton, addrs) -> int:
+    """Step ``addrs`` (4-byte items) through the automaton's stepping
+    kernel, one call per stop; returns the ``kind`` of the last call."""
+    sizes = [4] * len(addrs)
+    i = kind = 0
+    while i < len(addrs):
+        i, kind = automaton.run_native_stretch(addrs, sizes, i, len(addrs), i)
+    return kind
 
 
 def scan_run(manager, addrs, sizes, held=()) -> list[tuple]:

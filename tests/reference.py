@@ -1,15 +1,19 @@
-"""Per-item reference model of the six region managers.
+"""Per-item reference model of the region automaton and the six region
+managers.
 
-Each manager here is called once for every consumed item, with the item
-before it and the transition the automaton performed for that item, and
-follows its technique's definition literally: the README table, NET after
-Dynamo (Bala, Duesterwald, Banerjia, PLDI 2000) and LEI after Hiniker,
-Hazelwood and Smith (MICRO 2005).  It shares no code with the library's
-managers, whose ``scan`` consumes a whole interpreter-side run in one
-call; the tests compare the two.  ``netplus`` and ``netplus-e-r`` record
-as ``net`` and ``net-r``: their look-ahead runs in the library's
-emit-time ``complete`` hook, which ``tests/test_flow_map.py`` and A5
-check on their own.
+``LiteralAutomaton`` steps one item at a time through the automaton's
+three resolution rules and keeps every counter as it happens, and
+classifies each item by one of the five transition kinds below.  Each
+manager here is called once for every consumed item, with the item
+before it and the kind of that item, and follows its technique's
+definition literally: the README table, NET after Dynamo (Bala,
+Duesterwald, Banerjia, PLDI 2000) and LEI after Hiniker, Hazelwood and
+Smith (MICRO 2005).  Items are ``(address, size)`` tuples.  Nothing here
+shares code with the library's kernel or with its managers, whose
+``scan`` consumes a whole interpreter-side run in one call; the tests
+compare the two.  ``netplus`` and ``netplus-e-r`` record as ``net`` and
+``net-r``: their look-ahead runs in the library's emit-time ``complete``
+hook, which ``tests/test_flow_map.py`` and A5 check on their own.
 """
 
 from __future__ import annotations
@@ -17,15 +21,121 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Optional, Sequence
 
-from rftsim import RegionRecording, RFTConfig, TraceItem, TransitionKind
+from rftsim import RegionRecording, RFTConfig
 
-SI = int(TransitionKind.STAYED_INTERP)
-I2N = int(TransitionKind.INTERP_TO_NATIVE)
-N2I = int(TransitionKind.NATIVE_TO_INTERP)
-SN = int(TransitionKind.STAYED_NATIVE)
+Item = tuple[int, int]
+
+# the transition kind of one consumed item, by source and target side;
+# the library's kernel reports SI and N2I with these values
+SI, I2N, N2I, SN, N2N = range(5)
 
 
-def was_backward_branch(last: Optional[TraceItem], current: TraceItem) -> bool:
+class LiteralAutomaton:
+    """The automaton's three resolution rules and counters, written out
+    one item at a time from their definitions.  State 0 is the
+    interpreter; region states are numbered in creation order, each
+    region's recording in order."""
+
+    def __init__(self):
+        self.address = [None]
+        self.size = [None]
+        self.region = [None]
+        self.executions = [0]
+        self.edges = [{}]          # state -> {address: [target, count]}
+        self.regions = []
+        self.cursor = 0
+        self.total = self.interp = self.native = self.transitions = 0
+
+    def append(self, recording, expansion=(), successors=None):
+        """Recorded states, then expansion states; each successor edge
+        targets the region's first state at that address."""
+        rid = len(self.regions)
+        first = len(self.address)
+        for a, s in list(recording) + list(expansion):
+            self.address.append(a)
+            self.size.append(s)
+            self.region.append(rid)
+            self.executions.append(0)
+            self.edges.append({})
+        ids = list(range(first, first + len(recording)))
+        exp_ids = list(range(first + len(recording), len(self.address)))
+        for x, y in zip(ids, ids[1:]):
+            self.edges[x].setdefault(self.address[y], [y, 0])
+        state_of = {}
+        for sid in ids + exp_ids:
+            state_of.setdefault(self.address[sid], sid)
+        for src, targets in (successors or {}).items():
+            for t in targets:
+                self.edges[state_of[src]].setdefault(t, [state_of[t], 0])
+        self.regions.append({
+            "id": rid, "entry_address": recording[0][0], "entry_state": ids[0],
+            "core_tail_state": ids[-1], "recorded_states": ids,
+            "expansion_states": exp_ids, "entries_from_interpreter": 0,
+            "entries_from_native": 0, "dynamic_instructions": 0,
+            "head_executions": 0, "tail_executions": 0,
+            "completed_traversals": 0, "in_traversal": False})
+
+    def step(self, a):
+        """Consume one item; returns its transition kind."""
+        src = self.cursor
+        edge = self.edges[src].get(a)
+        if edge is None:
+            holders = [(self.region[sid], sid) for sid in range(1, len(self.address))
+                       if self.address[sid] == a]
+            if holders:
+                # rule 2: the earliest-created region's (first) state
+                edge = self.edges[src][a] = [min(holders)[1], 0]
+        target = 0 if edge is None else edge[0]   # rule 3 when no edge
+        if edge is not None:
+            edge[1] += 1
+        self.total += 1
+        self.executions[target] += 1
+        self.cursor = target
+        left = None if self.region[src] is None else self.regions[self.region[src]]
+        if target == 0:
+            self.interp += 1
+            if left is None:
+                return SI
+            left["in_traversal"] = False
+            return N2I
+        self.native += 1
+        r = self.regions[self.region[target]]
+        r["dynamic_instructions"] += 1
+        if left is None:
+            kind = I2N
+            r["entries_from_interpreter"] += 1
+        elif left is r:
+            kind = SN
+        else:
+            kind = N2N
+            self.transitions += 1
+            r["entries_from_native"] += 1
+            left["in_traversal"] = False
+        if target == r["entry_state"]:
+            r["head_executions"] += 1
+            r["in_traversal"] = True
+        if target == r["core_tail_state"]:
+            r["tail_executions"] += 1
+            if r["in_traversal"]:
+                r["completed_traversals"] += 1
+                r["in_traversal"] = False
+        return kind
+
+    def dump(self):
+        states = [{"id": sid, "address": self.address[sid], "size": self.size[sid],
+                   "region": self.region[sid], "executions": self.executions[sid],
+                   "edges": [[a, t, c] for a, (t, c) in sorted(self.edges[sid].items())]}
+                  for sid in range(len(self.address))]
+        regions = [{k: v for k, v in r.items() if k != "in_traversal"}
+                   for r in self.regions]
+        return {"total_instructions": self.total,
+                "interpreted_instructions": self.interp,
+                "native_instructions": self.native,
+                "region_transitions": self.transitions,
+                "states": states, "regions": regions}
+
+
+def was_backward_branch(last: Optional[Item], current: Item) -> bool:
     """True iff flow from ``last`` to ``current`` is a taken backward branch.
 
     Backward means non-sequential (``current.address != last.address +
@@ -38,7 +148,7 @@ def was_backward_branch(last: Optional[TraceItem], current: TraceItem) -> bool:
     return current[0] != last[0] + last[1] and current[0] < last[0]
 
 
-def netr_stop_condition(recording: Sequence[tuple[int, int]], current: TraceItem,
+def netr_stop_condition(recording: Sequence[Item], current: Item,
                         kind: int, max_region_size: int) -> bool:
     """Relaxed stop test: a repeated address (cycle), the size cap, or
     entry into an existing region ends the recording; backward branches do
@@ -261,7 +371,7 @@ def reference_run(manager, addrs: Sequence[int], sizes: Sequence[int], held,
     kind = SI
     native = False
     for i, (a, s) in enumerate(zip(addrs, sizes)):
-        current = TraceItem(a, s)
+        current = (a, s)
         rec = manager.handle(last, current, kind)
         if rec is not None:
             if complete is not None:

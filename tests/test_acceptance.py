@@ -19,7 +19,7 @@ from rftsim.metrics import (CostParams, MetricsReport, estimate_times,
                             report_json_dict)
 from rftsim.rft import RFTConfig, TECHNIQUES, netplus_expand
 from rftsim.trace_io import (AlternatingPaths, LoopSpec, ProgramSpec, Trace,
-                             TraceItem, generate_trace)
+                             generate_trace)
 
 A1_SPEC = ProgramSpec((LoopSpec(base=0x100, body=3, iters=10, isize=4),))
 

@@ -11,8 +11,8 @@ import pytest
 from rftsim.automaton import Automaton
 from rftsim.cli import main
 from rftsim.metrics import REPORT_COLUMNS
-from rftsim.trace_io import (LoopSpec, ProgramSpec, Trace, TraceItem,
-                             generate_trace, load_trace, write_trace)
+from rftsim.trace_io import (LoopSpec, ProgramSpec, Trace, generate_trace,
+                             load_trace, write_trace)
 
 A1_SPEC = ProgramSpec((LoopSpec(base=0x100, body=3, iters=10, isize=4),))
 
@@ -142,6 +142,10 @@ def test_sweep_range_syntax(capsys, loop_trace):
     _, rows = parse_csv(out)
     assert len(rows) == 5
     assert [r[3] for r in rows] == ["4", "6", "8", "10", "12"]
+    code, _, err = run_cli(capsys, "sweep", "--trace", str(loop_trace),
+                           "--rfts", "net", "--thresholds", "4:2")
+    assert code == 1
+    assert "empty range '4:2'" in err
 
 
 def test_sweep_empty_rfts_usage_error(capsys, loop_trace):
@@ -185,13 +189,9 @@ def make_alternating_trace(tmp_path):
     # via r, three via s; with threshold 3 net keeps [e,p,q,r] while mret2's
     # second pass sees the s path and the intersection drops r
     e, p, q, r, s = 0x100, 0x104, 0x108, 0x10C, 0x110
-    items = []
-    for _ in range(4):
-        items += [TraceItem(e, 4), TraceItem(p, 4), TraceItem(q, 4), TraceItem(r, 4)]
-    for _ in range(3):
-        items += [TraceItem(e, 4), TraceItem(p, 4), TraceItem(q, 4), TraceItem(s, 4)]
+    addrs = [e, p, q, r] * 4 + [e, p, q, s] * 3
     path = tmp_path / "alt.rtr"
-    write_trace(path, items)
+    write_trace(path, Trace(addrs, [4] * len(addrs)))
     return path
 
 
@@ -256,6 +256,16 @@ def test_gen_trace_overlap_rejected(capsys, tmp_path):
                            "--out", str(tmp_path / "x.rtr"))
     assert code == 2
     assert "overlap" in err
+
+
+def test_gen_trace_size_beyond_u32_data_error(capsys, tmp_path):
+    spec_path = tmp_path / "prog.json"
+    spec_path.write_text('{"loops": [{"base": "0x100", "body": 2, "iters": 1,'
+                         ' "isize": 4294967297}]}')
+    code, _, err = run_cli(capsys, "gen-trace", "--spec", str(spec_path),
+                           "--out", str(tmp_path / "x.rtr"))
+    assert code == 2
+    assert "instruction size 4294967297 does not fit u32" in err
 
 
 def test_gen_trace_negative_base_rejected(capsys, tmp_path):

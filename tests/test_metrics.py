@@ -6,16 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import drive
 from rftsim.automaton import Automaton
 from rftsim.metrics import (CostParams, MetricsReport, cold_region_fraction,
                             completion_ratio, compute_report, estimate_times,
                             format_cell, ninety_percent_cover_set,
                             report_csv_row, report_json_dict)
-
-
-def drive(auto, addrs):
-    for a in addrs:
-        auto.step_addr(a, 4)
 
 
 # --- cover set ----------------------------------------------------------------

@@ -11,7 +11,6 @@ from reference import (SI, HistoryBuffer, make_reference, netr_stop_condition,
 from rftsim.rft import (LeiManager, Mret2Manager, NetManager, NetPlusManager,
                         NetRManager, RFTConfig, RegionRecording, TECHNIQUES,
                         make_rft, mret2_intersect, netplus_expand)
-from rftsim.trace_io import TraceItem
 
 
 def cfg(technique="net", **kw):
@@ -94,19 +93,19 @@ def test_lei_scan_matches_reference_on_long_windows():
 # --- the reference model's backward-branch test -------------------------------
 
 def test_backward_branch_target():
-    assert was_backward_branch(TraceItem(0x108, 4), TraceItem(0x100, 4))
+    assert was_backward_branch((0x108, 4), (0x100, 4))
 
 
 def test_sequential_not_backward():
-    assert not was_backward_branch(TraceItem(0x100, 4), TraceItem(0x104, 4))
+    assert not was_backward_branch((0x100, 4), (0x104, 4))
 
 
 def test_forward_branch_not_backward():
-    assert not was_backward_branch(TraceItem(0x100, 4), TraceItem(0x200, 4))
+    assert not was_backward_branch((0x100, 4), (0x200, 4))
 
 
 def test_no_last_not_backward():
-    assert not was_backward_branch(None, TraceItem(0x100, 4))
+    assert not was_backward_branch(None, (0x100, 4))
 
 
 # --- net ----------------------------------------------------------------------
@@ -298,17 +297,17 @@ def test_lei_respects_size_cap():
 
 def test_netr_stop_on_cycle():
     rec = [(1, 4), (2, 4), (3, 4)]
-    assert netr_stop_condition(rec, TraceItem(2, 4), SI, 1024)
+    assert netr_stop_condition(rec, (2, 4), SI, 1024)
 
 
 def test_netr_backward_branch_does_not_stop():
     rec = [(10, 4), (11, 4), (12, 4)]
-    assert not netr_stop_condition(rec, TraceItem(5, 4), SI, 1024)
+    assert not netr_stop_condition(rec, (5, 4), SI, 1024)
 
 
 def test_netr_stop_at_cap():
     rec = [(1, 4), (2, 4)]
-    assert netr_stop_condition(rec, TraceItem(9, 4), SI, 2)
+    assert netr_stop_condition(rec, (9, 4), SI, 2)
 
 
 def test_netr_records_across_backward_branch():
@@ -542,4 +541,4 @@ def test_mret2_subset_law(p1_items, p2_items):
 def test_backward_branch_is_address_decrease(la, ls, a, s):
     # with sizes >= 1 the two-clause definition collapses to an address
     # comparison, which the managers rely on
-    assert was_backward_branch(TraceItem(la, ls), TraceItem(a, s)) == (a < la)
+    assert was_backward_branch((la, ls), (a, s)) == (a < la)

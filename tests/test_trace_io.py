@@ -5,23 +5,31 @@ from hypothesis import strategies as st
 
 from rftsim import trace_io
 from rftsim.trace_io import (AlternatingPaths, LoopSpec, ProgramSpec, Trace,
-                             TraceFormatError, TraceItem, TraceSpecError,
-                             generate_trace, load_trace, parse_program_spec,
-                             validate_spec, write_trace)
+                             TraceFormatError, TraceSpecError, generate_trace,
+                             load_trace, parse_program_spec, validate_spec,
+                             write_trace)
 
-ITEMS3 = [TraceItem(0x100, 4), TraceItem(0x104, 2), TraceItem(0x200, 8)]
+ITEMS3 = [(0x100, 4), (0x104, 2), (0x200, 8)]
+
+
+def as_trace(pairs):
+    return Trace([a for a, _ in pairs], [s for _, s in pairs])
+
+
+def items(trace):
+    return list(zip(trace.addresses, trace.sizes))
 
 
 def write3(tmp_path, fmt="binary"):
     path = tmp_path / ("t.rtr" if fmt == "binary" else "t.txt")
-    write_trace(path, ITEMS3, fmt)
+    write_trace(path, as_trace(ITEMS3), fmt)
     return path
 
 
 # --- load -------------------------------------------------------------------
 
 def test_open_full_window(tmp_path):
-    assert list(load_trace(write3(tmp_path))) == ITEMS3
+    assert items(load_trace(write3(tmp_path))) == ITEMS3
 
 
 def test_corrupt_magic_rejected(tmp_path):
@@ -58,7 +66,7 @@ def test_missing_file():
 def test_text_decode(tmp_path):
     path = tmp_path / "t.txt"
     path.write_text("# header comment\n100 4\n\n104 2\n200 8\n")
-    assert list(load_trace(path, "text")) == ITEMS3
+    assert items(load_trace(path, "text")) == ITEMS3
 
 
 def test_text_bad_line(tmp_path):
@@ -97,21 +105,32 @@ items_strategy = st.lists(
 @settings(max_examples=60)
 @given(items_strategy)
 def test_binary_round_trip(tmp_path_factory, pairs):
-    items = [TraceItem(a, s) for a, s in pairs]
     path = tmp_path_factory.mktemp("rt") / "t.rtr"
-    write_trace(path, items, "binary")
-    assert list(load_trace(path, "binary")) == items
+    write_trace(path, as_trace(pairs), "binary")
+    assert items(load_trace(path, "binary")) == pairs
 
 
 @settings(max_examples=60)
 @given(items_strategy)
 def test_text_round_trip_matches_binary(tmp_path_factory, pairs):
-    items = [TraceItem(a, s) for a, s in pairs]
     root = tmp_path_factory.mktemp("rt")
-    write_trace(root / "t.rtr", items, "binary")
-    write_trace(root / "t.txt", items, "text")
-    assert (list(load_trace(root / "t.rtr", "binary"))
-            == list(load_trace(root / "t.txt", "text")) == items)
+    write_trace(root / "t.rtr", as_trace(pairs), "binary")
+    write_trace(root / "t.txt", as_trace(pairs), "text")
+    assert (items(load_trace(root / "t.rtr", "binary"))
+            == items(load_trace(root / "t.txt", "text")) == pairs)
+
+
+@pytest.mark.parametrize("pairs, message", [
+    ([(0x100, 4), (0x104, 2**32 + 1)], "item 1: instruction size 4294967297 does not fit u32"),
+    ([(0x100, -1)], "item 0: instruction size -1 does not fit u32"),
+    ([(0x100, 4), (2**64, 4)], f"item 1: address {2**64} does not fit u64"),
+    ([(-4, 4)], "item 0: address -4 does not fit u64"),
+])
+def test_binary_write_out_of_range_rejected(tmp_path, pairs, message):
+    path = tmp_path / "t.rtr"
+    with pytest.raises(TraceFormatError, match=message):
+        write_trace(path, as_trace(pairs), "binary")
+    assert not path.exists()
 
 
 def test_binary_load_interns_addresses_across_chunks(tmp_path, monkeypatch):
