@@ -25,16 +25,27 @@ natively exactly when its address is held (``Automaton.held``).  A run of
 interpreter-side items therefore ends at its first held address, and the
 kernel credits such a run without resolving it item by item.
 
+A region's recorded states have consecutive ids, and each one's chain
+edge to the next is keyed by the next recorded address and is never
+replaced.  So when the kernel lands on the head of a long enough region
+and the next items are the region's recorded addresses in order, rule 1
+would follow the chain edges one by one to the core tail: the kernel
+steps that whole traversal in one slice comparison instead.  The first
+landing that does not match demotes the head, and its region steps item
+by item for the rest of the run.
+
 Counters are raw or derived.  The kernel counts only what nothing else
 determines: each edge's traversals, ``interp``, region entries, region
-transitions and completed traversals.  Every native item either follows
-an edge or creates one with count 1, and edges only target region
-states, so the edge counts give the rest at report time: a region
-state's executions are the sum of its incoming edge counts, a region's
-dynamic count sums them over its recorded and expansion states, its head
-and tail executions are those of its entry and core-tail states,
-the native count is the sum of all edge counts, and the total is
-``interp`` plus that.
+transitions, completed traversals and each region's whole traversals
+(``Region.full``).  Every native item either follows an edge or creates
+one with count 1, edges only target region states, and a whole
+traversal follows each of its region's chain edges once, so a chain
+edge's count is its edge count plus ``full`` and the edge counts give
+the rest at report time: a region state's executions are the sum of its
+incoming edge counts, a region's dynamic count sums them over its
+recorded and expansion states, its head and tail executions are those of
+its entry and core-tail states, the native count is the sum of all edge
+counts, and the total is ``interp`` plus that.
 
 Items are not classified by transition kind.  A kernel call ends on the
 first item that falls back to the interpreter, and it only tells the
@@ -50,38 +61,55 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 NTE_STATE = 0
 
+# A region's head gets the chain-head mark when its path (the recorded
+# addresses after the head) has at least this many addresses.  Stepping a
+# whole traversal costs about what stepping three items one by one does
+# (a loop replayed through the kernel, Python 3.11 on a 2-core x86 host:
+# 850-865 ns per traversal against 290 ns per item), so a path of 1 costs
+# 1.46x the per-item time, 2 breaks even, 3 takes 0.75x and 4 takes 0.65x.
+# The margin keeps short regions, which hit often, off the slice path.
+CHAIN_MIN_PATH = 4
+
 
 class Region:
     """A formed region: its states plus its raw counters.
 
-    ``states`` lists the linearly recorded states in recording order;
-    ``expansion_states`` holds states added by look-ahead expansion.  The
+    ``states`` lists the linearly recorded states in recording order, with
+    consecutive ids; ``expansion_states`` holds states added by look-ahead
+    expansion.  ``path`` holds the recorded addresses after the head, so
+    a traversal that follows the recording steps exactly ``path``.  The
     head is the first recorded state and the core tail is the last
     recorded state, expansion or not: a traversal starts when the head
     executes and completes when the core tail executes before control
     leaves the region.
 
-    Entries and completions are raw counters.  The dynamic count (the
-    executions of the recorded and expansion states) and the head and
-    tail executions are derived from edge counts (``Automaton.all_region_stats``).
+    Entries, completions and ``full`` are raw counters.  ``full`` counts
+    the traversals the kernel stepped in one go along ``path``; each of
+    them followed every chain edge (a recorded state's edge to the next
+    recorded state) once without counting it there.  The dynamic count
+    (the executions of the recorded and expansion states) and the head and
+    tail executions are derived from edge counts plus ``full``
+    (``Automaton.all_region_stats``).
     """
 
     __slots__ = ("rid", "entry_state", "states", "core_tail_state",
-                 "expansion_states", "entry_address", "entries_interp",
-                 "entries_native", "completions")
+                 "expansion_states", "entry_address", "path", "entries_interp",
+                 "entries_native", "completions", "full")
 
     def __init__(self, rid: int, entry_state: int, states: list[int],
                  core_tail_state: int, expansion_states: list[int],
-                 entry_address: int):
+                 entry_address: int, path: list[int]):
         self.rid = rid
         self.entry_state = entry_state
         self.states = states
         self.core_tail_state = core_tail_state
         self.expansion_states = expansion_states
         self.entry_address = entry_address
+        self.path = path
         self.entries_interp = 0
         self.entries_native = 0
         self.completions = 0
+        self.full = 0
 
     @property
     def static_size(self) -> int:
@@ -127,7 +155,9 @@ class Automaton:
         self._addr: list[int] = [0]
         self._size: list[int] = [0]
         self._owner: list[int] = [-1]
-        # 1 on a region's head, 2 on its core tail, 3 on a state that is both
+        # 1 on a region's head, 2 on its core tail, 3 on a state that is both,
+        # 5 on a chain head: the head of a region whose path is long enough
+        # to try stepping a whole traversal at once (demoted to 1 on a miss)
         self._mark: list[int] = [0]
         self._edges: list[dict[int, list[int]]] = [{}]
         self._addr_index: dict[int, list[int]] = {}
@@ -143,11 +173,16 @@ class Automaton:
     # -- introspection ------------------------------------------------
 
     def _executions(self) -> list[int]:
-        """Executions per state id, summed from the edges in one pass."""
+        """Executions per state id, summed from the edges in one pass, plus
+        each region's whole traversals on the states after its head."""
         ex = [0] * len(self._addr)
         for edges in self._edges:
             for t, c in edges.values():
                 ex[t] += c
+        for r in self._regions:
+            if r.full:
+                for sid in r.states[1:]:
+                    ex[sid] += r.full
         ex[NTE_STATE] = self.interp
         return ex
 
@@ -192,7 +227,16 @@ class Automaton:
         nothing when the call reached ``end`` on a native item.
 
         Per native item it counts the edge traversal, region changes and
-        completions only; executions are derived from edge counts.
+        completions only; executions are derived from edge counts.  On
+        landing at a chain head (mark 5), it first tests that the path fits
+        before ``end`` and that the item where it would end holds the
+        path's last address, then compares the next items with the path in
+        one slice comparison.  On a hit it books the traversal as one
+        ``Region.full`` and one completion and moves to the core tail; on a
+        miss it demotes the head to a plain head (mark 1) for the rest of
+        the run and steps on item by item.  Both give the counts the rules
+        give per item.  ``addrs`` is a list, as ``Trace.addresses`` is: the
+        slice comparison tests list equality.
         ``sizes`` is unused: states keep the size they were recorded with.
         The name and the argument order predate the interpreter side; the
         benchmark harness still wraps the kernel under this name.
@@ -248,6 +292,21 @@ class Automaton:
             if m:
                 if m == 1:
                     traversing = True
+                elif m == 5:
+                    # a chain head opens a traversal too; when the next items
+                    # are its path, rule 1 follows the chain edges to the
+                    # core tail, which completes it
+                    traversing = True
+                    path = r.path
+                    j = i + len(path)
+                    if j <= end and addrs[j - 1] == path[-1] and addrs[i:j] == path:
+                        r.full += 1
+                        r.completions += 1
+                        traversing = False
+                        tid = r.core_tail_state
+                        i = j
+                    else:
+                        mark_l[tid] = 1
                 elif traversing or m == 3:
                     r.completions += 1
                     traversing = False
@@ -325,11 +384,12 @@ class Automaton:
                         raise ValueError(f"expansion successor target {t:#x} not in region")
                     if t not in edges:
                         edges[t] = [t_sid, 0]
+        path = [addr_l[sid] for sid in state_ids[1:]]
         region = Region(rid=rid, entry_state=state_ids[0], states=state_ids,
                         core_tail_state=state_ids[-1], expansion_states=exp_ids,
-                        entry_address=recorded[0][0])
+                        entry_address=recorded[0][0], path=path)
         self._regions.append(region)
-        self._mark[state_ids[0]] = 1
+        self._mark[state_ids[0]] = 5 if len(path) >= CHAIN_MIN_PATH else 1
         self._mark[state_ids[-1]] |= 2
         index = self._addr_index
         for sid in state_ids:
@@ -363,9 +423,16 @@ class Automaton:
         sorted by key address.
         """
         ex = self._executions()
+        # a chain edge runs from a recorded state to the next id; a state
+        # holds one address, so no other edge of its source targets it
+        full = [0] * len(self._addr)
+        for r in self._regions:
+            for sid in r.states[:-1]:
+                full[sid] = r.full
         states = []
         for sid in range(len(self._addr)):
-            edges = [[a, tc[0], tc[1]] for a, tc in sorted(self._edges[sid].items())]
+            edges = [[a, t, c + full[sid] if t == sid + 1 else c]
+                     for a, (t, c) in sorted(self._edges[sid].items())]
             states.append({
                 "id": sid,
                 "address": None if sid == NTE_STATE else self._addr[sid],

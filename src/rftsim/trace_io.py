@@ -25,7 +25,7 @@ import json
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Union
+from typing import NoReturn, Optional, Union
 
 import numpy as np
 
@@ -176,10 +176,19 @@ def _column(values: list[int], dtype, what: str, path) -> np.ndarray:
                                f"u{bits}") from None
 
 
+def _reject_size(path, sizes: list[int]) -> NoReturn:
+    """Both readers refuse an instruction size below 1, so the writers do
+    not write one; raises naming the first such item."""
+    j, v = next((j, v) for j, v in enumerate(sizes) if v < 1)
+    raise TraceFormatError(f"{path}: item {j}: instruction size {v} must be >= 1")
+
+
 def write_binary(path: Union[str, Path], trace: Trace) -> None:
     arr = np.empty(len(trace), dtype=_RECORD_DTYPE)
     arr["address"] = _column(trace.addresses, np.uint64, "address", path)
     arr["size"] = _column(trace.sizes, np.uint32, "instruction size", path)
+    if not arr["size"].all():
+        _reject_size(path, trace.sizes)
     arr["flags"] = 0
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, 0))
@@ -187,6 +196,8 @@ def write_binary(path: Union[str, Path], trace: Trace) -> None:
 
 
 def write_text(path: Union[str, Path], trace: Trace) -> None:
+    if trace.sizes and min(trace.sizes) < 1:
+        _reject_size(path, trace.sizes)
     with open(path, "w", encoding="ascii") as fh:
         for a, s in zip(trace.addresses, trace.sizes):
             fh.write(f"{a:x} {s}\n")

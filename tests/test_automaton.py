@@ -1,10 +1,14 @@
 import random
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (RuleBasedStateMachine, initialize, invariant, precondition,
+                                 rule, run_state_machine_as_test)
 
 from conftest import drive
 from reference import I2N, N2I, N2N, SI, SN, LiteralAutomaton
-from rftsim.automaton import Automaton
+from rftsim.automaton import CHAIN_MIN_PATH, Automaton
 
 A, B, C = 0x100, 0x104, 0x108
 
@@ -359,3 +363,182 @@ def test_kernel_matches_literal_model_with_expansions():
                 i = stop
         assert auto.dump() == model.dump(), case
     assert expanded > 300
+
+
+# --- whole-traversal steps along a region's recorded chain --------------------
+
+D, E, X = 0x10C, 0x110, 0x900
+CHAIN = [A, B, C, D, E]
+assert len(CHAIN) - 1 >= CHAIN_MIN_PATH   # the head is a chain head
+
+
+def run_both(recordings, seq, ends=(None,)):
+    """Step ``seq`` through the kernel and through the literal model with
+    the same regions installed, the kernel's calls also stopping at each
+    of ``ends``; checks the dumps agree and returns the kernel's regions."""
+    auto = Automaton()
+    model = LiteralAutomaton()
+    for rec in recordings:
+        auto.append_region([(a, 4) for a in rec])
+        model.append([(a, 4) for a in rec])
+    sizes = [4] * len(seq)
+    i = 0
+    for end in ends:
+        end = len(seq) if end is None else end
+        while i < end:
+            i, _ = auto.run_native_stretch(seq, sizes, i, end, i)
+    for a in seq:
+        model.step(a)
+    assert auto.dump() == model.dump()
+    return auto._regions
+
+
+def test_whole_traversal_closes_the_open_traversal():
+    # the hit completes the traversal the head opened; the side entry to D
+    # that runs on to the tail completes nothing
+    (r,) = run_both([CHAIN], [A, B, C, D, E, D, E])
+    assert (r.full, r.completions) == (1, 1)
+
+
+@pytest.mark.parametrize("seq, full", [
+    # the first traversal side-exits: the head is demoted, the rest step
+    # item by item
+    ([A, B, X] + CHAIN * 3, 0),
+    # two whole traversals, then a side exit demotes the head
+    (CHAIN * 2 + [A, B, X] + CHAIN * 2, 2),
+])
+def test_side_exit_demotes_chain_head(seq, full):
+    (r,) = run_both([CHAIN], seq)
+    assert (r.full, r.completions) == (full, seq.count(E))
+
+
+def test_window_ending_inside_a_traversal():
+    # the first call ends two items after the head, so the path cannot
+    # match inside it; the traversal completes in the next call
+    (r,) = run_both([CHAIN], CHAIN + CHAIN, ends=(3, None))
+    assert (r.full, r.completions) == (0, 2)
+    # the first traversal is a hit; the call ends inside the second
+    (r,) = run_both([CHAIN], CHAIN + CHAIN, ends=(7, None))
+    assert (r.full, r.completions) == (1, 2)
+
+
+@pytest.mark.parametrize("seq, full", [
+    ([A, B, A, C, D] * 3, 3),
+    # B after the repeated A leaves the chain for an edge back to B
+    ([A, B, A, B, A, C, D], 0),
+])
+def test_recording_with_repeated_address(seq, full):
+    (r,) = run_both([[A, B, A, C, D]], seq)
+    assert (r.full, r.completions) == (full, 3 if full else 1)
+
+
+def test_short_region_head_is_not_a_chain_head():
+    short = CHAIN[:CHAIN_MIN_PATH]
+    (r,) = run_both([short], short * 3)
+    assert (r.full, r.completions) == (0, 3)
+
+
+# --- the kernel against the literal model, stateful ---------------------------
+
+POOL = [0x100 + 4 * k for k in range(12)]
+
+
+class KernelMachine(RuleBasedStateMachine):
+    """Interleaves region installs with kernel calls over streams that
+    follow the installed recordings: whole, cut short, entered mid-chain,
+    or looping back to the head while a traversal is open."""
+
+    def __init__(self):
+        super().__init__()
+        self.auto = Automaton()
+        self.model = LiteralAutomaton()
+        self.recordings: list[list[int]] = []
+
+    @initialize(n=st.integers(1, 12), data=st.data())
+    def install_first(self, n, data):
+        self.install(n, data)
+
+    @precondition(lambda self: len(self.recordings) < 4)
+    @rule(n=st.integers(1, 12), data=st.data())
+    def install(self, n, data):
+        addrs = data.draw(st.lists(st.sampled_from(POOL), min_size=n, max_size=n))
+        recording = [(a, 4) for a in addrs]
+        rest = [a for a in POOL if a not in addrs]
+        members = data.draw(st.lists(st.sampled_from(rest), unique=True, max_size=3)
+                            if rest else st.just([]))
+        inside = addrs + members
+        # the engine passes successors only along with expansion members
+        successors = data.draw(st.dictionaries(
+            st.sampled_from(inside), st.lists(st.sampled_from(inside), min_size=1,
+                                              max_size=2))) if members else {}
+        expansion = [(a, 4) for a in members]
+        self.auto.append_region(recording, expansion, successors)
+        self.model.append(recording, expansion, successors)
+        self.recordings.append(addrs)
+
+    @rule(data=st.data())
+    def run(self, data):
+        seq = []
+        for _ in range(data.draw(st.integers(1, 4))):
+            rec = data.draw(st.sampled_from(self.recordings))
+            shape = data.draw(st.sampled_from(["whole"] * 3 + ["cut", "mid", "loop", "other"]))
+            k = data.draw(st.integers(1, len(rec)))
+            if shape == "whole":
+                seq += rec * data.draw(st.integers(1, 3))
+            elif shape == "cut":
+                seq += rec[:k]
+            elif shape == "mid":
+                seq += rec[k - 1:]
+            elif shape == "loop":
+                seq += rec[:k] + rec
+            else:
+                seq += data.draw(st.lists(st.sampled_from(POOL + [0x900]), min_size=1,
+                                          max_size=3))
+        # the kernel's calls sometimes stop at a window end inside the stream
+        cut = data.draw(st.one_of(st.just(len(seq)), st.integers(1, len(seq))))
+        sizes = [4] * len(seq)
+        i = 0
+        for end in (cut, len(seq)):
+            while i < end:
+                # a gap credited to the interpreter starts on the
+                # interpreter state and holds no held address
+                gap = i
+                if self.model.cursor == 0:
+                    while gap < end - 1 and seq[gap] not in self.model.address:
+                        gap += 1
+                h = data.draw(st.integers(i, gap))
+                for stop in range(i, h):
+                    assert self.model.step(seq[stop]) == SI
+                kind = self.model.step(seq[h])
+                stop = h + 1
+                while kind in (I2N, SN, N2N) and stop < end:
+                    kind = self.model.step(seq[stop])
+                    stop += 1
+                next_i, got = self.auto.run_native_stretch(seq, sizes, i, end, h)
+                assert next_i == stop
+                if stop < end:
+                    assert got == kind
+                i = stop
+
+    @invariant()
+    def dumps_agree(self):
+        assert self.auto.dump() == self.model.dump()
+
+    @invariant()
+    def completions_within_head_executions(self):
+        for r in self.auto.all_region_stats():
+            assert r.completed_traversals <= r.head_executions
+
+
+def test_kernel_stateful_matches_literal_model():
+    full = []
+
+    class Machine(KernelMachine):
+        def teardown(self):
+            full.append(sum(r.full for r in self.auto._regions))
+
+    run_state_machine_as_test(Machine, settings=settings(
+        max_examples=60, stateful_step_count=15, deadline=None, derandomize=True,
+        database=None))
+    # whole traversals were stepped in one go in many runs
+    assert sum(1 for f in full if f) >= 10

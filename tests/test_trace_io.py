@@ -133,6 +133,27 @@ def test_binary_write_out_of_range_rejected(tmp_path, pairs, message):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("fmt", ["binary", "text"])
+@pytest.mark.parametrize("pairs, message", [
+    ([(0x100, 0)], "item 0: instruction size 0 must be >= 1"),
+    ([(0x100, 4), (0x104, 4), (0x108, 0), (0x10C, 0)],
+     "item 2: instruction size 0 must be >= 1"),
+])
+def test_write_zero_size_rejected(tmp_path, fmt, pairs, message):
+    # both readers refuse a zero size, so neither writer writes one
+    path = tmp_path / "t.trace"
+    with pytest.raises(TraceFormatError, match=message):
+        write_trace(path, as_trace(pairs), fmt)
+    assert not path.exists()
+
+
+def test_text_write_negative_size_rejected(tmp_path):
+    path = tmp_path / "t.txt"
+    with pytest.raises(TraceFormatError, match="item 1: instruction size -1 must be >= 1"):
+        write_trace(path, as_trace([(0x100, 4), (0x104, -1)]), "text")
+    assert not path.exists()
+
+
 def test_binary_load_interns_addresses_across_chunks(tmp_path, monkeypatch):
     # a 5-instruction loop body read in 7-item chunks: every address
     # recurs in chunks that start at different offsets of the body
