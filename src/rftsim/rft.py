@@ -35,8 +35,11 @@ All hotness profiling happens on interpreter-side transitions only.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Container, Mapping, Optional, Sequence
+
+import numpy as np
 
 from .trace_io import Trace
 
@@ -46,8 +49,9 @@ DEFAULT_THRESHOLD = 1024
 DEFAULT_MAX_REGION_SIZE = 1024
 DEFAULT_EXPANSION_DEPTH = 10
 DEFAULT_HISTORY_CAPACITY = 8192
-# items per catch-up step of the lazy flow map, bounding its transient lists
-_FLOW_CHUNK = 1 << 12
+# items per catch-up step of the lazy flow map, bounding its transient
+# arrays to a few MB
+_FLOW_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -530,12 +534,38 @@ def netplus_expand(cfg: Mapping[int, Sequence], recording: Sequence[tuple[int, i
     return RegionExpansion(members, successors)
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The first element of each run of equal values in a sorted array."""
+    keep = np.empty(len(values), dtype=bool)
+    keep[:1] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
+
+
+def _address_column(addrs: Sequence[int], lo: int, hi: int) -> np.ndarray:
+    """``addrs[lo:hi]`` as u64; raises ValueError naming the first trace
+    index whose address lies outside ``[0, 2**64)``."""
+    try:
+        return np.frombuffer(array("Q", addrs[lo:hi]), dtype=np.uint64)
+    except OverflowError:
+        j, a = next((j, a) for j, a in enumerate(addrs[lo:hi], lo) if not 0 <= a < 1 << 64)
+        raise ValueError(f"trace item {j}: address {a} outside [0, 2**64)") from None
+
+
 class _ExpansionMixin:
     """Adds emit-time look-ahead to a linear recording manager.
 
     The flow map is caught up lazily to each emit index ``i``: it knows
     each address in ``trace[start:i + 1]`` with its first size, and each
     pair ``(addresses[j - 1], addresses[j])`` with ``start < j <= i``.
+
+    The catch-up reads the trace in chunks of ``_FLOW_CHUNK`` items, each
+    with the item before it so that the pair across the boundary is kept.
+    A chunk becomes a u64 array; a sort finds its distinct addresses,
+    which number each item, and a sort of the numbered pairs finds its
+    distinct pairs.  Only those distinct addresses and pairs reach the
+    map, so Python-level work grows with the flow's size, not the
+    trace's, and a catch-up holds only one chunk's arrays at a time.
     """
 
     extended = False
@@ -557,17 +587,20 @@ class _ExpansionMixin:
         lo = self._covered
         while lo <= index:
             hi = min(index + 1, lo + _FLOW_CHUNK)
-            chunk = addrs[lo:hi]
-            # only unseen addresses need their first size looked up
-            new = set(chunk).difference(cfg)
-            for a, s in zip(chunk, sizes[lo:hi]):
-                if not new:
-                    break
-                if a in new:
-                    new.remove(a)
-                    cfg[a] = [s, set()]
-            j = max(lo, self._base + 1)
-            for u, v in set(zip(addrs[j - 1:hi - 1], addrs[j:hi])):
+            j = lo - 1 if lo > self._base else lo
+            col = _address_column(addrs, j, hi)
+            keys = _distinct(np.sort(col))
+            ids = np.searchsorted(keys, col)
+            n, m = len(col), len(keys)
+            # each distinct address's first index in the chunk
+            first = np.full(m, n)
+            np.minimum.at(first, ids, np.arange(n))
+            for a, f in zip(keys.tolist(), first.tolist()):
+                if a not in cfg:
+                    cfg[a] = [sizes[j + f], set()]
+            # a pair of ids (u, v) is coded u * m + v, below 2**33
+            pairs = _distinct(np.sort(ids[:-1] * m + ids[1:]))
+            for u, v in zip(keys[pairs // m].tolist(), keys[pairs % m].tolist()):
                 cfg[u][1].add(v)
             lo = hi
         self._covered = lo

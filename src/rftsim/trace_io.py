@@ -52,6 +52,12 @@ class Trace:
     Addresses and sizes are kept as parallel lists of plain ints so the
     simulation loop pays no per-item conversion cost.  A loaded trace may
     be shared read-only between any number of simulations.
+
+    A trace built in code must also hold addresses in ``[0, 2**64)``, the
+    range both file formats carry.  Construction does not check them; the
+    writers refuse such an address, and the look-ahead techniques
+    (``netplus``, ``netplus-e-r``) raise ``ValueError`` naming the trace
+    index when their flow map reads one.
     """
 
     __slots__ = ("addresses", "sizes", "_backward")
@@ -196,6 +202,8 @@ def write_binary(path: Union[str, Path], trace: Trace) -> None:
 
 
 def write_text(path: Union[str, Path], trace: Trace) -> None:
+    # load_text refuses addresses outside [0, 2**64), as binary v1 does
+    _column(trace.addresses, np.uint64, "address", path)
     if trace.sizes and min(trace.sizes) < 1:
         _reject_size(path, trace.sizes)
     with open(path, "w", encoding="ascii") as fh:

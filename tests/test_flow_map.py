@@ -14,9 +14,10 @@ import random
 import pytest
 
 import rftsim.engine as engine
+import rftsim.rft as rft
 from conftest import random_graph_walk, random_rft_config, random_trace
 from rftsim import Trace
-from rftsim.engine import SimulationConfig, run_simulation
+from rftsim.engine import SimulationConfig, run_simulation, run_sweep
 from rftsim.rft import _FLOW_CHUNK, RFTConfig
 
 EXPANDING = ("netplus", "netplus-e-r")
@@ -74,7 +75,7 @@ def check_window(monkeypatch, trace, config):
     return lazy
 
 
-def test_lazy_flow_map_equals_literal_map_on_random_windows(monkeypatch):
+def check_random_windows(monkeypatch):
     rng = random.Random(0xF10)
     emissions = 0
     for case in range(120):
@@ -85,6 +86,18 @@ def test_lazy_flow_map_equals_literal_map_on_random_windows(monkeypatch):
                                       limit=rng.randrange(1, len(trace) + 1))
         emissions += len(check_window(monkeypatch, trace, config))
     assert emissions > 200
+
+
+def test_lazy_flow_map_equals_literal_map_on_random_windows(monkeypatch):
+    check_random_windows(monkeypatch)
+
+
+# small chunks put chunk boundaries, and so the pairs crossing them, all
+# over each window
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+def test_lazy_flow_map_equals_literal_map_at_small_chunks(monkeypatch, chunk):
+    monkeypatch.setattr(rft, "_FLOW_CHUNK", chunk)
+    check_random_windows(monkeypatch)
 
 
 @pytest.mark.parametrize("technique", EXPANDING)
@@ -100,3 +113,49 @@ def test_lazy_flow_map_catches_up_across_chunks(monkeypatch, technique):
     config = SimulationConfig(rft=RFTConfig(technique, threshold=threshold), skip=skip)
     lazy = check_window(monkeypatch, trace, config)
     assert lazy and lazy[0][0] - skip > _FLOW_CHUNK
+
+
+def high_walk(rng, length):
+    """A random walk over addresses on both sides of 2**63 up to
+    2**64 - 1, each item with its own size, so an address's first size
+    differs from its later ones."""
+    pool = ([(1 << 63) + 4 * k for k in range(-8, 8)]
+            + [(1 << 64) - 4 * k for k in range(2, 10)] + [(1 << 64) - 1])
+    nodes = rng.sample(pool, rng.randint(4, len(pool)))
+    succ = {a: [rng.choice(nodes) for _ in range(rng.randint(1, 3))] for a in nodes}
+    cur = nodes[0]
+    addrs = []
+    for _ in range(length):
+        addrs.append(cur)
+        cur = rng.choice(succ[cur])
+    return Trace(addrs, [rng.randint(1, 8) for _ in addrs])
+
+
+@pytest.mark.parametrize("chunk", [None, 3])
+def test_lazy_flow_map_equals_literal_map_on_high_addresses(monkeypatch, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(rft, "_FLOW_CHUNK", chunk)
+    rng = random.Random(0x263)
+    emissions = 0
+    for case in range(30):
+        trace = high_walk(rng, rng.randint(50, 800))
+        config = SimulationConfig(rft=random_rft_config(rng, EXPANDING[case % 2]),
+                                  skip=rng.randrange(10))
+        emissions += len(check_window(monkeypatch, trace, config))
+    assert emissions > 30
+
+
+@pytest.mark.parametrize("technique", EXPANDING)
+@pytest.mark.parametrize("bad", [-4, 1 << 64])
+def test_flow_map_rejects_address_outside_u64(technique, bad):
+    # a three-instruction loop through an out-of-range address; the
+    # catch-up of the first emission reads item 2
+    trace = Trace([0x100, 0x104, bad] * 20, [4] * 60)
+    config = SimulationConfig(rft=RFTConfig(technique, threshold=2))
+    with pytest.raises(ValueError, match=rf"^trace item 2: address {bad} outside \[0, 2\*\*64\)$"):
+        run_simulation(trace, config)
+    # a sweep reports it for the failing config only
+    outcomes = run_sweep(trace, [SimulationConfig(rft=RFTConfig("net", threshold=2)), config])
+    assert outcomes[0].error is None
+    assert outcomes[1].error == f"ValueError: trace item 2: address {bad} outside [0, 2**64)"
+    assert not outcomes[1].invariant_violated

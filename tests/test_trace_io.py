@@ -133,6 +133,18 @@ def test_binary_write_out_of_range_rejected(tmp_path, pairs, message):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("pairs, message", [
+    ([(0x100, 4), (2**64, 4)], f"item 1: address {2**64} does not fit u64"),
+    ([(0x100, 4), (0x104, 4), (-4, 4)], "item 2: address -4 does not fit u64"),
+])
+def test_text_write_address_outside_u64_rejected(tmp_path, pairs, message):
+    # load_text refuses such an address, so write_text does not write one
+    path = tmp_path / "t.txt"
+    with pytest.raises(TraceFormatError, match=message):
+        write_trace(path, as_trace(pairs), "text")
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("fmt", ["binary", "text"])
 @pytest.mark.parametrize("pairs, message", [
     ([(0x100, 0)], "item 0: instruction size 0 must be >= 1"),
