@@ -136,12 +136,6 @@ class RegionStats:
     def entries(self) -> int:
         return self.entries_from_interpreter + self.entries_from_native
 
-    @property
-    def completion_ratio(self) -> Optional[float]:
-        if self.head_executions == 0:
-            return None
-        return self.completed_traversals / self.head_executions
-
 
 class Automaton:
     """The region automaton plus its global execution counters.

@@ -6,12 +6,12 @@ transition and stops at an emission, at the first item that enters a
 region, or at the window's end.  The automaton's stepping kernel then
 credits the scanned items to the interpreter and steps from the item the
 scan stopped at through the native run that follows, up to the next
-region exit.  An emitted recording first passes through the manager's
-``complete`` hook with its trace index (look-ahead techniques read the
-window's flow up to it there) and is installed before the kernel steps
-the emitting item, so a recording stopped by the loop-closing branch
-lands its own stop instruction inside the fresh region.  Each item is
-scanned at most once, in trace order.
+region exit.  A scan that emits hands back the region to install, its
+look-ahead (if any) already run where the recording was emitted; the
+engine installs it before the kernel steps the item the scan stopped at,
+so a recording stopped by the loop-closing branch lands its own stop
+instruction inside the fresh region.  Each item is scanned at most once,
+in trace order.
 
 Recording is purely observational: while a manager records, instructions
 keep being attributed to the states actually traversed.
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -66,7 +65,6 @@ class SimulationResult:
     cost: Optional[CostBreakdown]
     dump: Optional[dict]
     items_consumed: int
-    wall_time_s: float
 
 
 @dataclass
@@ -83,7 +81,6 @@ def _run_items(automaton: Automaton, manager, trace: Trace, start: int, end: int
     addrs = trace.addresses
     sizes = trace.sizes
     scan = manager.scan
-    complete = manager.complete
     append = automaton.append_region
     advance = automaton.run_native_stretch
     held = automaton.held
@@ -91,17 +88,9 @@ def _run_items(automaton: Automaton, manager, trace: Trace, start: int, end: int
     la = -1
     i = start
     while i < end:
-        k, formed, entered = scan(addrs, sizes, i, end, la, kind, held)
-        if formed is not None:
-            # an emission on entering a region is due before item k + 1;
-            # item k's address is already held by an earlier region, so
-            # installing before stepping item k leaves its transition alone
-            formed = complete(formed, k + 1 if entered else k)
-            expansion = formed.expansion
-            if expansion is None:
-                append(formed.items)
-            else:
-                append(formed.items, expansion.members, expansion.successors)
+        k, region = scan(addrs, sizes, i, end, la, kind, held)
+        if region is not None:
+            append(*region)
         elif k == end:
             automaton.bulk_interp(end - i)
             return
@@ -121,7 +110,6 @@ def _check_invariants(report: MetricsReport, items: int) -> None:
 
 def run_simulation(trace: Trace, config: SimulationConfig) -> SimulationResult:
     """Replay one trace window through one technique; deterministic."""
-    t0 = time.perf_counter()
     automaton = Automaton()
     manager = make_rft(config.rft)
     n = len(trace)
@@ -129,13 +117,12 @@ def run_simulation(trace: Trace, config: SimulationConfig) -> SimulationResult:
     end = n if config.limit is None else min(n, start + config.limit)
     manager.attach(trace, start)
     _run_items(automaton, manager, trace, start, end)
-    wall = time.perf_counter() - t0
     report = compute_report(automaton, cold_threshold=config.rft.threshold)
     _check_invariants(report, end - start)
     cost = estimate_times(report, config.cost) if config.cost is not None else None
     dump = automaton.dump() if config.collect_dump else None
     return SimulationResult(config=config, report=report, cost=cost, dump=dump,
-                            items_consumed=end - start, wall_time_s=wall)
+                            items_consumed=end - start)
 
 
 # set by _init_worker in each forked sweep worker: (trace, configs)

@@ -239,7 +239,8 @@ def report_json_dict(report: MetricsReport) -> dict:
             "head_executions": r.head_executions,
             "tail_executions": r.tail_executions,
             "completed_traversals": r.completed_traversals,
-            "completion_ratio": r.completion_ratio,
+            "completion_ratio": completion_ratio(r.completed_traversals,
+                                                 r.head_executions),
         })
     return {
         "metrics": metrics,

@@ -3,13 +3,14 @@
 A region manager scans each interpreter-side run of the trace in one
 call.  It sees each item together with whether the *previous* item
 left a region, keeps its own hotness counters and recording buffers,
-and occasionally emits a finished recording.  Items executed inside
-regions are never shown to it: every technique ignores native-side
-transitions except the entry into a region, which ends a recording, and
-the scan handles that entry where it sees it.  The engine
-installs emitted recordings into the automaton before performing the
-emitting item's transition, so a recording stopped by a loop-closing
-branch catches that very branch target as its first native execution.
+and occasionally emits a finished recording as the region to install.
+Items executed inside regions are never shown to it: every technique
+ignores native-side transitions except the entry into a region, which
+ends a recording, and the scan handles that entry where it sees it.  The
+engine installs an emitted region into the automaton before performing
+the emitting item's transition, so a recording stopped by a
+loop-closing branch catches that very branch target as its first native
+execution.
 
 Six techniques are provided:
 
@@ -74,40 +75,15 @@ class RFTConfig:
                 raise ValueError(f"{name} must be >= 1")
 
 
-@dataclass(frozen=True)
-class RegionExpansion:
-    """Look-ahead result: extra (address, size) members plus the observed
-    successor relation used to wire them into the appended region."""
-
-    members: tuple[tuple[int, int], ...]
-    successors: Mapping[int, tuple[int, ...]]
-
-
-@dataclass
-class RegionRecording:
-    """Ordered (address, size) pairs captured during one recording pass."""
-
-    items: list[tuple[int, int]]
-    expansion: Optional[RegionExpansion] = None
-
-    def __post_init__(self):
-        if not self.items:
-            raise ValueError("empty recording")
-        self.items = list(self.items)
-
-    @property
-    def entry_address(self) -> int:
-        return self.items[0][0]
-
-
-def mret2_intersect(pass1: RegionRecording, pass2: RegionRecording) -> RegionRecording:
+def mret2_intersect(pass1: list[tuple[int, int]],
+                    pass2: list[tuple[int, int]]) -> list[tuple[int, int]]:
     """Elements of pass1, in pass1 order, whose addresses also occur in
     pass2.  Both passes must share the same entry address, so the entry
     always survives."""
-    if pass1.entry_address != pass2.entry_address:
+    if pass1[0][0] != pass2[0][0]:
         raise ValueError("recording passes have different entry addresses")
-    in_pass2 = {a for a, _ in pass2.items}
-    return RegionRecording([(a, s) for a, s in pass1.items if a in in_pass2])
+    in_pass2 = {a for a, _ in pass2}
+    return [(a, s) for a, s in pass1 if a in in_pass2]
 
 
 # --- managers --------------------------------------------------------------
@@ -126,33 +102,34 @@ class RegionManager:
     ``i``, whose address is ``la`` (-1 before a window's first item): 2
     when that item was a landing that left a region, so item ``i`` follows
     a region exit, and 0 when it stayed interpreter-side.  Every later item
-    follows an interpreter-side item.  It returns ``(k, recording,
-    entered)`` and stops at whichever comes first:
+    follows an interpreter-side item.  It returns ``(k, region)`` and
+    stops at whichever comes first:
 
-    - an emission while seeing item ``k``: ``(k, recording, False)``;
+    - an emission while seeing item ``k``, due at ``k``;
     - the first item ``k`` whose address ``held`` (``Automaton.held``)
       contains: that item enters a region.  A recording in flight would
       stop on the next item, seen after the entry, so when ``k + 1 < end``
-      the scan emits it at once as ``(k, recording, True)``, due before
-      item ``k + 1``; otherwise it returns ``(k, None, False)``;
-    - ``end``: ``(end, None, False)``.
+      the scan emits it at once, due at ``k + 1``; otherwise ``region`` is
+      None;
+    - ``end``: ``(end, None)``.
 
-    A scan never looks past the item it stops at, and a recording in
+    ``region`` is None or the positional arguments of
+    ``Automaton.append_region``, which the engine installs before it steps
+    item ``k``.  Installing an emission due at ``k + 1`` that early changes
+    nothing: item ``k``'s address is already held by an earlier region,
+    which keeps it.  A scan never looks past the item it stops at, and a recording in
     flight never outlives its scan unless that scan reached the window's
     end.
 
-    The engine calls ``attach(trace, start)`` before replaying
-    ``trace[start:]``, and passes each emitted recording through
-    ``complete(recording, index)``, ``index`` being the trace position
-    the emission is due at; look-ahead managers expand the recording
-    there.
+    Each emission passes its recorded ``(address, size)`` pairs through
+    ``complete(items, due)``, which returns the region.  The engine calls
+    ``attach(trace, start)`` before replaying ``trace[start:]``, so that
+    look-ahead managers can expand a recording by the window's flow up to
+    ``due``.
     """
 
-    technique = "?"
-
     def scan(self, addrs: Sequence[int], sizes: Sequence[int], i: int, end: int,
-             la: int, kind: int, held: Container[int],
-             ) -> tuple[int, Optional[RegionRecording], bool]:
+             la: int, kind: int, held: Container[int]) -> tuple[int, Optional[tuple]]:
         raise NotImplementedError
 
     # the benchmark harness still wraps this; nothing calls it
@@ -161,8 +138,8 @@ class RegionManager:
     def attach(self, trace: Trace, start: int) -> None:
         pass
 
-    def complete(self, recording: RegionRecording, index: int) -> RegionRecording:
-        return recording
+    def complete(self, items: list[tuple[int, int]], due: int) -> tuple:
+        return (items,)
 
 
 class NetManager(RegionManager):
@@ -175,8 +152,6 @@ class NetManager(RegionManager):
     existing region, or at the size cap; the stopping instruction is not
     appended.
     """
-
-    technique = "net"
 
     def __init__(self, config: RFTConfig):
         self._threshold = config.threshold
@@ -202,12 +177,12 @@ class NetManager(RegionManager):
         prev = math.inf if kind == 2 else la
         while True:
             if i >= end:
-                return end, None, False
+                return end, None
             a = addrs[i]
             if rec:
                 if self._stops(prev, a):
                     self._rec = []
-                    return i, RegionRecording(rec), False
+                    return i, self.complete(rec, i)
                 self._append(a, sizes[i])
             elif a < prev:
                 c = hot.get(a, 0) + 1
@@ -220,8 +195,8 @@ class NetManager(RegionManager):
             if a in held:
                 if rec and i + 1 < end:
                     self._rec = []
-                    return i, RegionRecording(rec), True
-                return i, None, False
+                    return i, self.complete(rec, i + 1)
+                return i, None
             prev = a
             i += 1
 
@@ -230,8 +205,6 @@ class NetRManager(NetManager):
     """Relaxed stop condition: a repeated recorded address ends the
     recording instead of a backward branch, so emitted recordings never
     contain duplicates."""
-
-    technique = "net-r"
 
     def __init__(self, config: RFTConfig):
         super().__init__(config)
@@ -261,8 +234,6 @@ class Mret2Manager(RegionManager):
     flight.
     """
 
-    technique = "mret2"
-
     def __init__(self, config: RFTConfig):
         self._threshold = config.threshold
         self._max_size = config.max_region_size
@@ -277,11 +248,11 @@ class Mret2Manager(RegionManager):
         self._rec = []
         self._entry = self._pass1[0][0]
 
-    def _emit(self) -> RegionRecording:
-        pass2 = RegionRecording(self._rec)
+    def _emit(self) -> list[tuple[int, int]]:
+        pass2 = self._rec
         self._rec = []
         self._state = _IDLE
-        return mret2_intersect(RegionRecording(self._pass1), pass2)
+        return mret2_intersect(self._pass1, pass2)
 
     def scan(self, addrs, sizes, i, end, la, kind, held):
         hot = self._hot
@@ -292,7 +263,7 @@ class Mret2Manager(RegionManager):
         while True:
             if i >= end:
                 self._state = st
-                return end, None, False
+                return end, None
             a = addrs[i]
             if st == _IDLE:
                 if a < prev:
@@ -309,7 +280,7 @@ class Mret2Manager(RegionManager):
                     self._rec = [(a, sizes[i])]
             elif a < prev or len(self._rec) >= self._max_size:
                 if st == _REC2:
-                    return i, self._emit(), False
+                    return i, self.complete(self._emit(), i)
                 self._end_pass1()
                 if a == self._entry:
                     st = _REC2
@@ -321,7 +292,7 @@ class Mret2Manager(RegionManager):
             if a in held:
                 if i + 1 < end:
                     if st == _REC2:
-                        return i, self._emit(), True
+                        return i, self.complete(self._emit(), i + 1)
                     if st == _REC1:
                         # the first pass stops on the next item, which
                         # follows a region entry and so cannot start the
@@ -329,7 +300,7 @@ class Mret2Manager(RegionManager):
                         self._end_pass1()
                         st = _ARMED
                 self._state = st
-                return i, None, False
+                return i, None
             prev = a
             i += 1
 
@@ -357,8 +328,6 @@ class LeiManager(RegionManager):
     occurrence there, and the cycle head from the emitting item.
     """
 
-    technique = "lei"
-
     def __init__(self, config: RFTConfig):
         self._threshold = config.threshold
         self._max_size = config.max_region_size
@@ -383,7 +352,7 @@ class LeiManager(RegionManager):
         while True:
             if i >= end:
                 self._pos = pos
-                return end, None, False
+                return end, None
             a = addrs[i]
             rec = seen.get(a)
             if rec is None:
@@ -397,12 +366,12 @@ class LeiManager(RegionManager):
                         rec[1] = 0
                         self._floor = pos
                         self._pos = pos + 1
-                        return i, self._emit(addrs, sizes, i, prior, pos), False
+                        return i, self.complete(self._emit(addrs, sizes, i, prior, pos), i)
                     rec[1] = c
             pos += 1
             if a in held:
                 self._pos = pos
-                return i, None, False
+                return i, None
             i += 1
 
     def _trim(self, pos: int) -> None:
@@ -414,7 +383,7 @@ class LeiManager(RegionManager):
         del runs[:j]
         self._trim_at = pos + self._capacity
 
-    def _emit(self, addrs, sizes, i, prior, pos) -> RegionRecording:
+    def _emit(self, addrs, sizes, i, prior, pos) -> list[tuple[int, int]]:
         # walk the pushes at positions [prior, pos) newest first, keeping
         # each address at its last occurrence
         kept: list[tuple[int, int]] = []
@@ -433,31 +402,32 @@ class LeiManager(RegionManager):
         kept.reverse()
         # the cycle head, pushed at prior, takes the emitting item's size
         kept[0] = (kept[0][0], sizes[i])
-        return RegionRecording(kept[: self._max_size])
+        return kept[: self._max_size]
 
 
 # --- look-ahead expansion ---------------------------------------------------
 
 
 def netplus_expand(cfg: Mapping[int, Sequence], recording: Sequence[tuple[int, int]],
-                   depth: int, extended: bool = False) -> RegionExpansion:
+                   depth: int, extended: bool = False,
+                   ) -> tuple[tuple[tuple[int, int], ...], dict[int, tuple[int, ...]]]:
     """Bounded look-ahead over the observed control flow.
 
     ``cfg`` maps address -> (size, successor address set), reflecting all
-    instruction pairs observed so far, in the trace window up to the emit
-    index.  Starting from every successor of a recorded address that
+    instruction pairs observed so far, in the trace window up to the
+    emission's due index.  Starting from every successor of a recorded address that
     leaves the recording, walks of at most ``depth`` outside addresses are
     explored; a walk is accepted when it re-reaches the recording's entry
-    (``extended=False``) or any recorded address (``extended=True``).  The
-    union of addresses on accepted walks is returned, wired with the
-    observed successor relation restricted to the accepted and recorded
-    addresses.
+    (``extended=False``) or any recorded address (``extended=True``).
+    Returns ``(members, successors)``, ``append_region``'s expansion
+    arguments: the addresses on accepted walks, in address order with
+    their sizes, and the observed successor relation restricted to the
+    accepted and recorded addresses.
 
     With sensible traces never-executed code cannot appear: the search
     knows only instructions that actually ran.
     """
-    rec_items = list(recording)
-    rec_addrs = [a for a, _ in rec_items]
+    rec_addrs = [a for a, _ in recording]
     region = set(rec_addrs)
     targets = region if extended else {rec_addrs[0]}
     # forward pass: fewest outside addresses needed to reach each node
@@ -485,7 +455,7 @@ def netplus_expand(cfg: Mapping[int, Sequence], recording: Sequence[tuple[int, i
         frontier = nxt
         d += 1
     if not reach:
-        return RegionExpansion((), {})
+        return (), {}
     # backward pass: fewest outside addresses from each node to acceptance
     rev: dict[int, list[int]] = {}
     ret: dict[int, int] = {}
@@ -512,7 +482,7 @@ def netplus_expand(cfg: Mapping[int, Sequence], recording: Sequence[tuple[int, i
         d += 1
     accepted = sorted(u for u, f in reach.items() if u in ret and f + ret[u] - 1 <= depth)
     if not accepted:
-        return RegionExpansion((), {})
+        return (), {}
     acc_set = set(accepted)
     successors: dict[int, tuple[int, ...]] = {}
     for u in accepted:
@@ -531,7 +501,7 @@ def netplus_expand(cfg: Mapping[int, Sequence], recording: Sequence[tuple[int, i
         if outs:
             successors[a] = tuple(outs)
     members = tuple((u, cfg[u][0]) for u in accepted)
-    return RegionExpansion(members, successors)
+    return members, successors
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:
@@ -555,9 +525,10 @@ def _address_column(addrs: Sequence[int], lo: int, hi: int) -> np.ndarray:
 class _ExpansionMixin:
     """Adds emit-time look-ahead to a linear recording manager.
 
-    The flow map is caught up lazily to each emit index ``i``: it knows
-    each address in ``trace[start:i + 1]`` with its first size, and each
-    pair ``(addresses[j - 1], addresses[j])`` with ``start < j <= i``.
+    The flow map is caught up lazily to each emission's due index ``i``:
+    it knows each address in ``trace[start:i + 1]`` with its first size,
+    and each pair ``(addresses[j - 1], addresses[j])`` with
+    ``start < j <= i``.
 
     The catch-up reads the trace in chunks of ``_FLOW_CHUNK`` items, each
     with the item before it so that the pair across the boundary is kept.
@@ -580,13 +551,13 @@ class _ExpansionMixin:
         self._base = self._covered = start
         self._cfg = {}
 
-    def complete(self, recording, index):
+    def complete(self, items, due):
         cfg = self._cfg
         addrs = self._trace.addresses
         sizes = self._trace.sizes
         lo = self._covered
-        while lo <= index:
-            hi = min(index + 1, lo + _FLOW_CHUNK)
+        while lo <= due:
+            hi = min(due + 1, lo + _FLOW_CHUNK)
             j = lo - 1 if lo > self._base else lo
             col = _address_column(addrs, j, hi)
             keys = _distinct(np.sort(col))
@@ -604,24 +575,17 @@ class _ExpansionMixin:
                 cfg[u][1].add(v)
             lo = hi
         self._covered = lo
-        expansion = netplus_expand(cfg, recording.items, self._depth, self.extended)
-        if expansion.members:
-            recording.expansion = expansion
-        return recording
+        return (items, *netplus_expand(cfg, items, self._depth, self.extended))
 
 
 class NetPlusManager(_ExpansionMixin, NetManager):
     """Linear recording as in net, expanded with return paths to the entry."""
-
-    technique = "netplus"
-    extended = False
 
 
 class NetPlusExtRManager(_ExpansionMixin, NetRManager):
     """Relaxed recording as in net-r, expanded with return paths to any
     recorded address."""
 
-    technique = "netplus-e-r"
     extended = True
 
 
@@ -637,8 +601,4 @@ _MANAGERS = {
 
 def make_rft(config: RFTConfig) -> RegionManager:
     """Instantiate the manager for the configured technique."""
-    cls = _MANAGERS.get(config.technique)
-    if cls is None:
-        raise ValueError(f"unknown technique {config.technique!r}; "
-                         f"expected one of {', '.join(TECHNIQUES)}")
-    return cls(config)
+    return _MANAGERS[config.technique](config)

@@ -4,43 +4,40 @@ naive reference simulation.
 
 The naive loop below is the behavioral oracle for the engine: it drives
 the per-item reference managers and the literal automaton of
-``reference.py`` one item at a time, so it shares no stepping or counting
-code with the engine, and any divergence points at a fast-path bug.
+``reference.py`` one item at a time, so it shares no stepping, counting
+or flow-map code with the engine, and any divergence points at a
+fast-path bug.
 """
 
 from __future__ import annotations
 
 import random
 
-from reference import SI, LiteralAutomaton, held_addresses, make_reference
-from rftsim import (LoopSpec, ProgramSpec, RFTConfig, Trace, generate_trace,
-                    make_rft)
+from reference import (SI, FlowMap, LiteralAutomaton, held_addresses,
+                       make_reference, region_of)
+from rftsim import LoopSpec, ProgramSpec, RFTConfig, Trace, generate_trace
 from rftsim.engine import SimulationConfig
 
 
 def naive_run(trace: Trace, config: SimulationConfig) -> LiteralAutomaton:
     """Reference simulation: per item, the reference manager call (with the
-    previous item and its transition kind), the library's emit-time hook
-    and an install on emission, then one literal automaton step."""
+    previous item and its transition kind) and, on emission, an install of
+    its region, expanded over the literal flow map up to that item; then
+    one literal automaton step."""
     automaton = LiteralAutomaton()
     manager = make_reference(config.rft)
-    hooks = make_rft(config.rft)
+    flow = FlowMap()
     n = len(trace)
     start = min(config.skip, n)
     end = n if config.limit is None else min(n, start + config.limit)
-    hooks.attach(trace, start)
     kind = SI
     last = None
     for i in range(start, end):
         item = (trace.addresses[i], trace.sizes[i])
+        flow.add(*item)
         formed = manager.handle(last, item, kind)
         if formed is not None:
-            formed = hooks.complete(formed, i)
-            if formed.expansion is None:
-                automaton.append(formed.items)
-            else:
-                automaton.append(formed.items, formed.expansion.members,
-                                 formed.expansion.successors)
+            automaton.append(*region_of(config.rft, formed, flow))
         kind = automaton.step(item[0])
         last = item
     return automaton
@@ -59,23 +56,29 @@ def drive(automaton, addrs) -> int:
 def scan_run(manager, addrs, sizes, held=()) -> list[tuple]:
     """Drive ``manager.scan`` as the engine does over a window in which, as
     in the automaton, an item runs natively exactly when its address is
-    held; each emission passes through the emit-time hook and is installed
-    (its addresses join ``held``) before the emitting item steps.
+    held; each emitted region is installed (its addresses join ``held``)
+    before the item the scan stopped at steps.
 
-    Returns ``(index, recording, entered)`` per emission, ``index`` being
-    the trace position the emission is due at."""
+    Returns ``(due, region)`` per emission, ``due`` being the trace index
+    the manager passed to its ``complete``: the emission is due there."""
     held = set(held)
     end = len(addrs)
     manager.attach(Trace(list(addrs), list(sizes)), 0)
+    dues = []
+    complete = manager.complete
+
+    def noted(items, due):
+        dues.append(due)
+        return complete(items, due)
+    manager.complete = noted
     out = []
     i, la, kind = 0, -1, SI
     while i < end:
-        k, rec, entered = manager.scan(addrs, sizes, i, end, la, kind, held)
-        if rec is not None:
-            index = k + 1 if entered else k
-            rec = manager.complete(rec, index)
-            out.append((index, rec, entered))
-            held.update(held_addresses(rec))
+        k, region = manager.scan(addrs, sizes, i, end, la, kind, held)
+        assert len(dues) == (region is not None)
+        if region is not None:
+            out.append((dues.pop(), region))
+            held.update(held_addresses(region))
         elif k == end:
             break
         # the kernel: item k alone if it stays interpreter-side, else the

@@ -12,16 +12,18 @@ Smith (MICRO 2005).  Items are ``(address, size)`` tuples.  Nothing here
 shares code with the library's kernel or with its managers, whose
 ``scan`` consumes a whole interpreter-side run in one call; the tests
 compare the two.  ``netplus`` and ``netplus-e-r`` record as ``net`` and
-``net-r``: their look-ahead runs in the library's emit-time ``complete``
-hook, which ``tests/test_flow_map.py`` and A5 check on their own.
+``net-r``, and ``FlowMap`` below builds their observed control flow one
+item at a time; their look-ahead search over it is the library's
+``netplus_expand``, which ``tests/test_rft.py`` and A5 check against a
+brute-force enumeration.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
-from rftsim import RegionRecording, RFTConfig
+from rftsim import RFTConfig, netplus_expand
 
 Item = tuple[int, int]
 
@@ -160,11 +162,10 @@ def netr_stop_condition(recording: Sequence[Item], current: Item,
     return any(a == current[0] for a, _ in recording)
 
 
-def intersect(pass1: Sequence[tuple[int, int]],
-              pass2: Sequence[tuple[int, int]]) -> RegionRecording:
+def intersect(pass1: Sequence[Item], pass2: Sequence[Item]) -> list[Item]:
     """Pass-1 elements, in pass-1 order, whose address pass 2 recorded."""
     kept = {a for a, _ in pass2}
-    return RegionRecording([(a, s) for a, s in pass1 if a in kept])
+    return [(a, s) for a, s in pass1 if a in kept]
 
 
 class HistoryBuffer:
@@ -236,11 +237,11 @@ class Net:
         return (kind == I2N or was_backward_branch(last, current)
                 or len(self.recording) >= self.config.max_region_size)
 
-    def handle(self, last, current, kind) -> Optional[RegionRecording]:
+    def handle(self, last, current, kind) -> Optional[list[Item]]:
         if self.recording is not None:
             if self.stops(last, current, kind):
                 done, self.recording = self.recording, None
-                return RegionRecording(done)
+                return done
             self.recording.append(tuple(current))
             return None
         if (kind == SI and was_backward_branch(last, current)) or kind == N2I:
@@ -276,7 +277,7 @@ class Mret2:
         return (kind == I2N or was_backward_branch(last, current)
                 or len(self.recording) >= self.config.max_region_size)
 
-    def handle(self, last, current, kind) -> Optional[RegionRecording]:
+    def handle(self, last, current, kind) -> Optional[list[Item]]:
         interp_side = kind in (SI, N2I)
         if self.state == "idle":
             if (kind == SI and was_backward_branch(last, current)) or kind == N2I:
@@ -321,7 +322,7 @@ class Lei:
         self.hot: dict[int, int] = {}
         self.size: dict[int, int] = {}
 
-    def handle(self, last, current, kind) -> Optional[RegionRecording]:
+    def handle(self, last, current, kind) -> Optional[list[Item]]:
         if kind not in (SI, N2I):
             return None
         a = current[0]
@@ -337,7 +338,7 @@ class Lei:
                 final = {x: j for j, x in enumerate(window)}
                 kept = [x for j, x in enumerate(window) if final[x] == j]
                 kept = kept[: self.config.max_region_size]
-                return RegionRecording([(x, self.size[x]) for x in kept])
+                return [(x, self.size[x]) for x in kept]
         self.hist.observe(a)
         return None
 
@@ -350,35 +351,71 @@ def make_reference(config: RFTConfig):
     return _REFERENCES[config.technique](config)
 
 
-def held_addresses(recording: RegionRecording) -> list[int]:
-    """Addresses an installed recording adds to the automaton."""
-    members = recording.expansion.members if recording.expansion else ()
-    return [a for a, _ in list(recording.items) + list(members)]
+class FlowMap:
+    """The observed control flow of a window, built one item at a time:
+    each item adds the edge from the item before it in the window, then
+    itself as a node with its first size.  ``cfg`` has the shape
+    ``netplus_expand`` reads, address -> [size, successor set]."""
+
+    def __init__(self):
+        self.cfg: dict[int, list] = {}
+        self.last: Optional[int] = None
+
+    def add(self, a: int, s: int) -> None:
+        if self.last is not None:
+            self.cfg[self.last][1].add(a)
+        if a not in self.cfg:
+            self.cfg[a] = [s, set()]
+        self.last = a
 
 
-def reference_run(manager, addrs: Sequence[int], sizes: Sequence[int], held,
-                  complete: Optional[Callable] = None) -> list[tuple]:
-    """Drive a per-item manager over a window in which, as in the
-    automaton, an item runs natively exactly when its address is held;
-    each emission, passed through ``complete`` if given, is installed
-    (its addresses join ``held``) before the emitting item steps.
+def frozen_flow(cfg: dict) -> dict:
+    """A comparable copy of a flow map: address -> (size, successor frozenset)."""
+    return {u: (size, frozenset(succ)) for u, (size, succ) in cfg.items()}
 
-    Returns ``(index, recording, entered)`` per emission, ``entered``
-    telling an emission on the item after a region entry."""
+
+# whether each look-ahead technique accepts paths back to any recorded
+# address rather than only to the entry
+_EXTENDED = {"netplus": False, "netplus-e-r": True}
+
+
+def region_of(config: RFTConfig, recording: list[Item], flow: FlowMap) -> tuple:
+    """The ``append_region`` arguments a recording installs: for
+    ``netplus`` and ``netplus-e-r`` it is expanded over the flow so far."""
+    if config.technique not in _EXTENDED:
+        return (recording,)
+    return (recording, *netplus_expand(flow.cfg, recording, config.expansion_depth,
+                                       _EXTENDED[config.technique]))
+
+
+def held_addresses(region: tuple) -> list[int]:
+    """Addresses an installed region adds to the automaton."""
+    return [a for part in region[:2] for a, _ in part]
+
+
+def reference_run(config: RFTConfig, addrs: Sequence[int], sizes: Sequence[int],
+                  held) -> list[tuple]:
+    """Drive the technique's per-item manager over a window in which, as
+    in the automaton, an item runs natively exactly when its address is
+    held; each emitted region is installed (its addresses join ``held``)
+    before the emitting item steps.
+
+    Returns ``(index, region)`` per emission."""
+    manager = make_reference(config)
+    flow = FlowMap()
     held = set(held)
     out = []
     last = None
     kind = SI
     native = False
-    for i, (a, s) in enumerate(zip(addrs, sizes)):
-        current = (a, s)
+    for i, current in enumerate(zip(addrs, sizes)):
+        flow.add(*current)
         rec = manager.handle(last, current, kind)
         if rec is not None:
-            if complete is not None:
-                rec = complete(rec, i)
-            out.append((i, rec, kind == I2N))
-            held.update(held_addresses(rec))
-        now = a in held
+            region = region_of(config, rec, flow)
+            out.append((i, region))
+            held.update(held_addresses(region))
+        now = current[0] in held
         kind = (SN if now else N2I) if native else (I2N if now else SI)
         native = now
         last = current

@@ -151,7 +151,7 @@ def test_A5_expansion_equals_brute_force_enumeration():
         rec = [(a, 4) for a in rng.sample(nodes, rng.randint(1, max(1, n // 3)))]
         depth = rng.randint(1, 4)
         for extended in (False, True):
-            got = {a for a, _ in netplus_expand(cfg_map, rec, depth, extended).members}
+            got = {a for a, _ in netplus_expand(cfg_map, rec, depth, extended)[0]}
             want = brute_force_expand(cfg_map, [a for a, _ in rec], depth, extended)
             assert got == want
             cases += 1

@@ -1,10 +1,10 @@
 """Independent oracle for the look-ahead managers' flow map.
 
 netplus and netplus-e-r build the observed control flow lazily, when a
-recording is emitted.  The oracle below builds it literally, one item at
-a time, as a per-item manager would: the previous item is the one at the
-previous trace position of the window, never an address sentinel.  The
-two maps must agree at every emit index.
+recording is emitted.  The oracle, ``reference.FlowMap``, builds it
+literally, one item at a time, as a per-item manager would: the previous
+item is the one at the previous trace position of the window, never an
+address sentinel.  The two maps must agree at every due index.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import pytest
 import rftsim.engine as engine
 import rftsim.rft as rft
 from conftest import random_graph_walk, random_rft_config, random_trace
+from reference import FlowMap, frozen_flow
 from rftsim import Trace
 from rftsim.engine import SimulationConfig, run_simulation, run_sweep
 from rftsim.rft import _FLOW_CHUNK, RFTConfig
@@ -24,7 +25,7 @@ EXPANDING = ("netplus", "netplus-e-r")
 
 
 def emitted_flow_maps(monkeypatch, trace, config):
-    """Run the engine and return (emit index, flow map) per emission."""
+    """Run the engine and return (due index, flow map) per emission."""
     seen = []
     make_rft = engine.make_rft
 
@@ -32,10 +33,9 @@ def emitted_flow_maps(monkeypatch, trace, config):
         manager = make_rft(rft_config)
         complete = manager.complete
 
-        def snapshot(recording, index):
-            out = complete(recording, index)
-            seen.append((index, {a: (s, frozenset(succ))
-                                 for a, (s, succ) in manager._cfg.items()}))
+        def snapshot(items, due):
+            out = complete(items, due)
+            seen.append((due, frozen_flow(manager._cfg)))
             return out
         manager.complete = snapshot
         return manager
@@ -47,24 +47,16 @@ def emitted_flow_maps(monkeypatch, trace, config):
 
 
 def literal_flow_maps(trace, start, indices):
-    """Per-item flow map of ``trace[start:i + 1]`` for each ``i`` in the
-    sorted ``indices``: every item adds the edge from the item before it
-    in the window, then itself as a node with its first size."""
+    """The literal flow map of ``trace[start:i + 1]`` for each ``i`` in
+    the sorted ``indices``."""
     out = []
-    cfg: dict[int, list] = {}
-    wanted = iter(indices)
-    nxt = next(wanted, None)
+    flow = FlowMap()
     i = start
-    while nxt is not None:
-        a, s = trace.addresses[i], trace.sizes[i]
-        if i > start:
-            cfg[trace.addresses[i - 1]][1].add(a)
-        if a not in cfg:
-            cfg[a] = [s, set()]
-        while nxt == i:
-            out.append((i, {u: (size, frozenset(succ)) for u, (size, succ) in cfg.items()}))
-            nxt = next(wanted, None)
-        i += 1
+    for due in indices:
+        while i <= due:
+            flow.add(trace.addresses[i], trace.sizes[i])
+            i += 1
+        out.append((due, frozen_flow(flow.cfg)))
     return out
 
 

@@ -6,11 +6,12 @@ from hypothesis import strategies as st
 
 from conftest import (random_graph_walk, random_noise, random_rft_config,
                       random_trace, scan_run)
-from reference import (SI, HistoryBuffer, make_reference, netr_stop_condition,
-                       reference_run, was_backward_branch)
-from rftsim.rft import (LeiManager, Mret2Manager, NetManager, NetPlusManager,
-                        NetRManager, RFTConfig, RegionRecording, TECHNIQUES,
-                        make_rft, mret2_intersect, netplus_expand)
+from reference import (SI, HistoryBuffer, netr_stop_condition, reference_run,
+                       was_backward_branch)
+from rftsim import Trace
+from rftsim.rft import (LeiManager, Mret2Manager, NetManager, NetPlusExtRManager,
+                        NetPlusManager, NetRManager, RFTConfig, TECHNIQUES, make_rft,
+                        mret2_intersect, netplus_expand)
 
 
 def cfg(technique="net", **kw):
@@ -20,19 +21,18 @@ def cfg(technique="net", **kw):
 def feed(manager, seq, held=()):
     """Drive a manager's scan over (address, size) pairs as the engine
     does, the items whose address is in ``held`` (or in an emitted
-    region) running natively; returns emissions as (index, recording)
+    region) running natively; returns emissions as (due index, region)
     pairs."""
-    addrs = [a for a, _ in seq]
-    sizes = [s for _, s in seq]
-    return [(i, rec) for i, rec, _ in scan_run(manager, addrs, sizes, held)]
+    return scan_run(manager, [a for a, _ in seq], [s for _, s in seq], held)
 
 
 def loop_feed(addrs, iters, size=4):
     return [(a, size) for _ in range(iters) for a in addrs]
 
 
-def addresses(recording):
-    return [a for a, _ in recording.items]
+def addresses(region):
+    """The recorded addresses of a region, in order."""
+    return [a for a, _ in region[0]]
 
 
 def lei_history(mgr, addrs):
@@ -55,9 +55,10 @@ def seed_lei_cycle_counts(mgr, counts):
 # --- scan against the per-item reference model --------------------------------
 
 def test_scan_matches_reference_managers():
-    """Every technique's scan emits what its per-item reference manager
-    emits, at the same index and with the same entry flag, over random
-    items and random held sets."""
+    """Every technique's scan emits the region its per-item reference
+    manager emits, due at the same index, over random items and random
+    held sets; the look-ahead techniques' regions are expanded over the
+    reference's literal flow map."""
     rng = random.Random(0x5CA7)
     for case in range(360):
         tech = TECHNIQUES[case % len(TECHNIQUES)]
@@ -67,10 +68,7 @@ def test_scan_matches_reference_managers():
         share = rng.choice((0.0, 0.05, 0.2, 0.5))
         held = {a for a in set(addrs) if rng.random() < share}
         got = scan_run(make_rft(config), addrs, sizes, held)
-        hooks = make_rft(config)
-        hooks.attach(trace, 0)
-        want = reference_run(make_reference(config), addrs, sizes, held, hooks.complete)
-        assert got == want, (case, tech)
+        assert got == reference_run(config, addrs, sizes, held), (case, tech)
 
 
 def test_lei_scan_matches_reference_on_long_windows():
@@ -86,8 +84,7 @@ def test_lei_scan_matches_reference_on_long_windows():
         addrs, sizes = trace.addresses, trace.sizes
         held = {a for a in set(addrs) if rng.random() < 0.3}
         got = scan_run(make_rft(config), addrs, sizes, held)
-        want = reference_run(make_reference(config), addrs, sizes, held)
-        assert got == want, case
+        assert got == reference_run(config, addrs, sizes, held), case
 
 
 # --- the reference model's backward-branch test -------------------------------
@@ -116,7 +113,7 @@ def test_net_single_loop_recording():
     mgr = NetManager(cfg(threshold=2))
     A, B, C = 0x100, 0x104, 0x108
     emissions = feed(mgr, loop_feed([A, B, C], 4))
-    assert emissions == [(9, RegionRecording([(A, 4), (B, 4), (C, 4)]))]
+    assert emissions == [(9, ([(A, 4), (B, 4), (C, 4)],))]
 
 
 def test_net_straight_line_never_records():
@@ -131,8 +128,7 @@ def test_net_stops_on_entering_existing_region():
     # enters an existing region, so the recording is emitted before the
     # item after it, without that item
     seq = [(0x200, 4), (0x100, 4), (0x104, 4), (0x300, 4)]
-    assert scan_run(mgr, [a for a, _ in seq], [s for _, s in seq], {0x104}) == \
-        [(3, RegionRecording([(0x100, 4), (0x104, 4)]), True)]
+    assert feed(mgr, seq, {0x104}) == [(3, ([(0x100, 4), (0x104, 4)],))]
 
 
 def test_net_size_cap():
@@ -141,7 +137,7 @@ def test_net_size_cap():
     seq += [(0x104 + 4 * i, 4) for i in range(10)]
     emissions = feed(mgr, seq)
     assert len(emissions) == 1
-    assert len(emissions[0][1].items) == 3
+    assert len(addresses(emissions[0][1])) == 3
 
 
 def test_net_profiles_exit_targets():
@@ -151,7 +147,7 @@ def test_net_profiles_exit_targets():
     # backward branch to 0x5f0
     seq = [(0x400, 4), (0x500, 4), (0x600, 4), (0x604, 4), (0x5F0, 4)]
     assert feed(mgr, seq, held={0x400}) == \
-        [(4, RegionRecording([(0x600, 4), (0x604, 4)]))]
+        [(4, ([(0x600, 4), (0x604, 4)],))]
 
 
 def test_net_no_profiling_on_native_kinds():
@@ -163,25 +159,23 @@ def test_net_no_profiling_on_native_kinds():
 # --- mret2 ----------------------------------------------------------------------
 
 def test_mret2_intersect_identity():
-    p = RegionRecording([(1, 4), (2, 4)])
+    p = [(1, 4), (2, 4)]
     assert mret2_intersect(p, p) == p
 
 
 def test_mret2_intersect_keeps_pass1_order():
-    p1 = RegionRecording([(10, 4), (11, 4), (12, 4), (13, 4)])
-    p2 = RegionRecording([(10, 4), (12, 4), (13, 4), (14, 4)])
-    assert addresses(mret2_intersect(p1, p2)) == [10, 12, 13]
+    p1 = [(10, 4), (11, 4), (12, 4), (13, 4)]
+    p2 = [(10, 4), (12, 4), (13, 4), (14, 4)]
+    assert mret2_intersect(p1, p2) == [(10, 4), (12, 4), (13, 4)]
 
 
 def test_mret2_intersect_entry_survives():
-    p1 = RegionRecording([(10, 4), (11, 4)])
-    p2 = RegionRecording([(10, 4)])
-    assert addresses(mret2_intersect(p1, p2)) == [10]
+    assert mret2_intersect([(10, 4), (11, 4)], [(10, 4)]) == [(10, 4)]
 
 
 def test_mret2_intersect_rejects_different_entries():
     with pytest.raises(ValueError, match="entry"):
-        mret2_intersect(RegionRecording([(1, 4)]), RegionRecording([(2, 4)]))
+        mret2_intersect([(1, 4)], [(2, 4)])
 
 
 def test_mret2_identical_passes_on_plain_loop():
@@ -189,7 +183,7 @@ def test_mret2_identical_passes_on_plain_loop():
     A, B, C = 0x100, 0x104, 0x108
     emissions = feed(mgr, loop_feed([A, B, C], 5))
     # one pass later than net, same content
-    assert emissions == [(12, RegionRecording([(A, 4), (B, 4), (C, 4)]))]
+    assert emissions == [(12, ([(A, 4), (B, 4), (C, 4)],))]
 
 
 def test_mret2_diverging_passes_keep_intersection():
@@ -238,7 +232,7 @@ def test_lei_single_loop_emits_last_iteration():
     mgr = LeiManager(cfg("lei", threshold=3))
     X, Y, Z = 0x100, 0x104, 0x108
     emissions = feed(mgr, loop_feed([X, Y, Z], 4))
-    assert emissions == [(9, RegionRecording([(X, 4), (Y, 4), (Z, 4)]))]
+    assert emissions == [(9, ([(X, 4), (Y, 4), (Z, 4)],))]
 
 
 def test_lei_cold_cycle_emits_nothing():
@@ -283,14 +277,14 @@ def test_lei_window_spans_region_entry_and_native_run():
            (D, 4), (X, 6)]
     mgr = LeiManager(cfg("lei", threshold=2))
     assert feed(mgr, seq, held={H, N}) == [
-        (9, RegionRecording([(X, 6), (B_, 4), (A_, 2), (H, 4), (D, 4)]))]
+        (9, ([(X, 6), (B_, 4), (A_, 2), (H, 4), (D, 4)],))]
 
 
 def test_lei_respects_size_cap():
     mgr = LeiManager(cfg("lei", threshold=1, max_region_size=3))
     addrs = [0x100 + 4 * i for i in range(10)]
     emissions = feed(mgr, [(a, 4) for a in addrs + addrs])
-    assert emissions and len(emissions[0][1].items) == 3
+    assert emissions and len(addresses(emissions[0][1])) == 3
 
 
 # --- net-r (the reference model's stop test) -----------------------------------
@@ -372,8 +366,9 @@ def brute_force_expand(cfg_map, rec_addrs, depth, extended):
     return accepted
 
 
-def expansion_addresses(result):
-    return {a for a, _ in result.members}
+def expansion_addresses(expansion):
+    """The member addresses of a ``(members, successors)`` expansion."""
+    return {a for a, _ in expansion[0]}
 
 
 def test_expand_single_reentrant_path():
@@ -403,9 +398,9 @@ def test_expand_extended_accepts_mid_region_return():
 
 def test_expand_successor_map_wires_region():
     g = mkcfg([(0x100, 0x104), (0x104, 0x108), (0x108, 0x100)])
-    res = netplus_expand(g, [(0x100, 4), (0x104, 4)], depth=2)
-    assert res.members == ((0x108, 4),)
-    assert res.successors == {0x108: (0x100,), 0x104: (0x108,)}
+    members, successors = netplus_expand(g, [(0x100, 4), (0x104, 4)], depth=2)
+    assert members == ((0x108, 4),)
+    assert successors == {0x108: (0x100,), 0x104: (0x108,)}
 
 
 def test_expand_empty_when_no_return():
@@ -459,9 +454,9 @@ def test_netplus_manager_attaches_expansion():
         seq += [(Y0, 4), (Y1, 4)] * 4
     emissions = feed(mgr, seq)
     assert emissions
-    rec = emissions[0][1]
-    assert addresses(rec) == [Y0, Y1]
-    assert expansion_addresses(rec.expansion) == {X0, X1}
+    region = emissions[0][1]
+    assert addresses(region) == [Y0, Y1]
+    assert expansion_addresses(region[1:]) == {X0, X1}
 
 
 def test_netplus_superset_of_net_at_same_trigger():
@@ -474,17 +469,36 @@ def test_netplus_superset_of_net_at_same_trigger():
     plus = feed(NetPlusManager(cfg("netplus", threshold=5)), list(seq))
     assert net[0][0] == plus[0][0]
     net_addrs = set(addresses(net[0][1]))
-    plus_rec = plus[0][1]
-    plus_addrs = set(addresses(plus_rec)) | expansion_addresses(plus_rec.expansion)
+    plus_region = plus[0][1]
+    plus_addrs = set(addresses(plus_region)) | expansion_addresses(plus_region[1:])
     assert net_addrs <= plus_addrs
+
+
+def test_netplus_emission_on_region_entry_sees_the_next_item():
+    """Hand-worked due index.  The backward branch X -> E starts a
+    recording at E (threshold 1); it takes A, then H, which enters a held
+    region, so the scan stops at item 3 and emits E A H due at item 4.  The
+    pair H -> X, first seen at item 4, opens the return path X -> E: the
+    flow up to item 4 expands the region by X, the flow up to item 3 by
+    nothing."""
+    E, A_, H, X = 0x100, 0x104, 0x200, 0x300
+    addrs = [X, E, A_, H, X]
+    sizes = [4] * len(addrs)
+    mgr = NetPlusManager(cfg("netplus", threshold=1))
+    mgr.attach(Trace(addrs, sizes), 0)
+    assert mgr.scan(addrs, sizes, 0, len(addrs), -1, SI, {H}) == \
+        (3, ([(E, 4), (A_, 4), (H, 4)], ((X, 4),), {H: (X,), X: (E,)}))
 
 
 # --- make_rft -------------------------------------------------------------------
 
 def test_make_rft_all_tags():
+    classes = {"net": NetManager, "mret2": Mret2Manager, "lei": LeiManager,
+               "netplus": NetPlusManager, "net-r": NetRManager,
+               "netplus-e-r": NetPlusExtRManager}
+    assert set(classes) == set(TECHNIQUES)
     for tag in TECHNIQUES:
-        mgr = make_rft(cfg(tag))
-        assert mgr.technique == tag
+        assert type(make_rft(cfg(tag))) is classes[tag], tag
 
 
 def test_make_rft_paper_point_defaults():
@@ -514,8 +528,8 @@ def test_all_recordings_respect_cap(seed, technique, cap):
     addrs = [0x100 + 4 * i for i in range(rng.randint(2, 10))]
     seq = [(rng.choice(addrs), 4) for _ in range(300)]
     held = {a for a in addrs if rng.random() < 0.3}
-    for _, rec in feed(mgr, seq, held):
-        assert len(rec.items) <= cap
+    for _, region in feed(mgr, seq, held):
+        assert len(addresses(region)) <= cap
 
 
 # --- invariant properties -------------------------------------------------------
@@ -528,11 +542,11 @@ pair_lists = st.lists(st.tuples(st.integers(0, 200), st.integers(1, 8)),
 @given(pair_lists, pair_lists)
 def test_mret2_subset_law(p1_items, p2_items):
     p2_items = [p1_items[0]] + p2_items  # shared entry
-    result = mret2_intersect(RegionRecording(p1_items), RegionRecording(p2_items))
-    assert set(addresses(result)) <= {a for a, _ in p1_items}
+    result = mret2_intersect(p1_items, p2_items)
+    assert {a for a, _ in result} <= {a for a, _ in p1_items}
     # order is a subsequence of pass 1
     it = iter(p1_items)
-    assert all(any(pair == cand for cand in it) for pair in result.items)
+    assert all(any(pair == cand for cand in it) for pair in result)
 
 
 @settings(max_examples=120)
