@@ -47,11 +47,16 @@ recorded and expansion states, its head and tail executions are those of
 its entry and core-tail states, the native count is the sum of all edge
 counts, and the total is ``interp`` plus that.
 
-Items are not classified by transition kind.  A kernel call ends on the
-first item that falls back to the interpreter, and it only tells the
-engine whether that item left a region (``kind`` 2) or stayed
-interpreter-side (0): a region manager profiles region-exit targets and
-backward branches taken interpreter-side, and reads nothing else.
+Items are not classified by transition kind.  A kernel call ends on an
+item that falls back to the interpreter, and it only tells the engine
+whether that item left a region (``kind`` 2) or stayed interpreter-side
+(0): a region manager profiles region-exit targets and backward branches
+taken interpreter-side, and reads nothing else.  That item need not be
+the call's first fallback: an idle manager may hand the kernel the dict
+in which it counts region-exit targets, and its threshold.  When the item
+after a landing that leaves a region is held, and so enters a region at
+once, the kernel then bumps its count and steps on, unless the count
+reaches the threshold.
 """
 
 from __future__ import annotations
@@ -205,20 +210,34 @@ class Automaton:
         self.interp += count
 
     def run_native_stretch(self, addrs: Sequence[int], sizes: Sequence[int],
-                           i: int, end: int, h: int) -> tuple[int, int]:
+                           i: int, end: int, h: int,
+                           exit_counts: Optional[dict[int, int]] = None,
+                           threshold: int = 1) -> tuple[int, int]:
         """The stepping kernel: the only code applying the resolution rules.
 
         Requires ``i <= h < end``.  Credits items ``[i, h)`` to the
         interpreter; when ``h > i`` the cursor must sit on the interpreter
         state and no address in that gap may be held (see ``held``).  Then
-        steps from item ``h`` and stops after the first item that falls
-        back to the interpreter (rule 3 always ends a call): item ``h``
-        alone if it stays interpreter-side, else the landing that leaves
-        the region and ends the native run, or at ``end``.  Returns
-        ``(next_i, kind)``: ``kind`` is 2 when the call stopped at a landing
-        that left a region and 0 otherwise, which is all a manager's
-        ``scan`` reads.  Native items get no kind, so ``kind`` means
-        nothing when the call reached ``end`` on a native item.
+        steps from item ``h`` and stops after an item that falls back to
+        the interpreter: item ``h`` alone if it stays interpreter-side,
+        else a landing that leaves a region and ends a native run (the
+        first one, unless ``exit_counts`` lets it step past some), or at
+        ``end``.  Returns ``(next_i, kind)``:
+        ``kind`` is 2 when the call stopped at a landing that left a
+        region and 0 otherwise, which is all a manager's ``scan`` reads.
+        Native items get no kind, so ``kind`` means nothing when the call
+        reached ``end`` on a native item.
+
+        ``exit_counts``, when not None, is the manager's hotness counter
+        dict for the items that follow region exits (``RegionManager``'s
+        ``exit_counts``), and ``threshold`` its threshold.  After a landing
+        that leaves a region, when the follower ``addrs[next_i]`` exists
+        before ``end`` and is held, the kernel bumps the follower's count:
+        below the threshold it stores the count and steps on from the
+        follower, which enters a region, in the same call; at the
+        threshold it stores nothing and returns at the follower with
+        ``kind`` 2, so that the scan makes that bump and starts a
+        recording.  Either way the counts are those the scan would keep.
 
         Per native item it counts the edge traversal, region changes and
         completions only; executions are derived from edge counts.  On
@@ -268,6 +287,15 @@ class Automaton:
                         cur_edges = edges_l[0]
                         cur_owner = -1
                         kind = 2
+                        # the follower enters a region at once: count it as
+                        # the manager's scan would, unless it gets hot
+                        if exit_counts is not None and i < end:
+                            b = addrs[i]
+                            if b in index:
+                                c = exit_counts.get(b, 0) + 1
+                                if c < threshold:
+                                    exit_counts[b] = c
+                                    continue
                     break
                 # rule 2: an edge to the earliest-created region's state
                 tid = cands[0]

@@ -5,8 +5,11 @@ an interpreter-side run: it sees each item with the previous item's
 transition and stops at an emission, at the first item that enters a
 region, or at the window's end.  The automaton's stepping kernel then
 credits the scanned items to the interpreter and steps from the item the
-scan stopped at through the native run that follows, up to the next
-region exit.  A scan that emits hands back the region to install, its
+scan stopped at through the native run that follows, up to a region
+exit.  The engine hands the kernel the manager's ``exit_counts`` and the
+threshold: while the manager is idle, the kernel counts an exit's
+follower that enters a region at once and steps on, with no scan in
+between.  A scan that emits hands back the region to install, its
 look-ahead (if any) already run where the recording was emitted; the
 engine installs it before the kernel steps the item the scan stopped at,
 so a recording stopped by the loop-closing branch lands its own stop
@@ -77,7 +80,8 @@ class SweepOutcome:
     invariant_violated: bool = False
 
 
-def _run_items(automaton: Automaton, manager, trace: Trace, start: int, end: int) -> None:
+def _run_items(automaton: Automaton, manager, trace: Trace, start: int, end: int,
+               threshold: int) -> None:
     addrs = trace.addresses
     sizes = trace.sizes
     scan = manager.scan
@@ -94,7 +98,7 @@ def _run_items(automaton: Automaton, manager, trace: Trace, start: int, end: int
         elif k == end:
             automaton.bulk_interp(end - i)
             return
-        i, kind = advance(addrs, sizes, i, end, k)
+        i, kind = advance(addrs, sizes, i, end, k, manager.exit_counts, threshold)
         la = addrs[i - 1]
 
 
@@ -116,7 +120,7 @@ def run_simulation(trace: Trace, config: SimulationConfig) -> SimulationResult:
     start = min(config.skip, n)
     end = n if config.limit is None else min(n, start + config.limit)
     manager.attach(trace, start)
-    _run_items(automaton, manager, trace, start, end)
+    _run_items(automaton, manager, trace, start, end, config.rft.threshold)
     report = compute_report(automaton, cold_threshold=config.rft.threshold)
     _check_invariants(report, end - start)
     cost = estimate_times(report, config.cost) if config.cost is not None else None

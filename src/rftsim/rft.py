@@ -6,11 +6,13 @@ left a region, keeps its own hotness counters and recording buffers,
 and occasionally emits a finished recording as the region to install.
 Items executed inside regions are never shown to it: every technique
 ignores native-side transitions except the entry into a region, which
-ends a recording, and the scan handles that entry where it sees it.  The
-engine installs an emitted region into the automaton before performing
-the emitting item's transition, so a recording stopped by a
-loop-closing branch catches that very branch target as its first native
-execution.
+ends a recording, and the scan handles that entry where it sees it.  An
+idle manager lends its region-exit counters to the automaton's stepping
+kernel, which counts the item after a region exit itself when that item
+enters a region at once.  The engine installs an emitted region into
+the automaton before performing the emitting item's transition, so a
+recording stopped by a loop-closing branch catches that very branch
+target as its first native execution.
 
 Six techniques are provided:
 
@@ -126,7 +128,21 @@ class RegionManager:
     ``attach(trace, start)`` before replaying ``trace[start:]``, so that
     look-ahead managers can expand a recording by the window's flow up to
     ``due``.
+
+    ``exit_counts`` is read after each scan.  It is None, or the dict in
+    which the manager counts a region-exit follower (the item after a
+    landing that left a region) when that follower is all it would do
+    with it: bump its count below the threshold and return at it, since
+    it enters a region.  The engine hands that dict and the threshold to
+    the kernel (``Automaton.run_native_stretch``), which then makes that
+    bump itself for a held follower and steps on.  So a scan with
+    ``kind`` 2 still sees the followers that are not held, those whose
+    bump reaches the threshold, and every follower while the dict is
+    None: while a formation is in flight, and always for ``lei``, whose
+    history takes every interpreter-side item.
     """
+
+    exit_counts: Optional[dict[int, int]] = None
 
     def scan(self, addrs: Sequence[int], sizes: Sequence[int], i: int, end: int,
              la: int, kind: int, held: Container[int]) -> tuple[int, Optional[tuple]]:
@@ -159,6 +175,11 @@ class NetManager(RegionManager):
         self._hot: dict[int, int] = {}
         # the recording in flight; empty while profiling
         self._rec: list[tuple[int, int]] = []
+
+    @property
+    def exit_counts(self) -> Optional[dict[int, int]]:
+        """The hotness counters while no recording is in flight."""
+        return None if self._rec else self._hot
 
     def _start(self, a: int, s: int) -> None:
         self._rec = [(a, s)]
@@ -242,6 +263,11 @@ class Mret2Manager(RegionManager):
         self._rec: list[tuple[int, int]] = []
         self._pass1: list[tuple[int, int]] = []
         self._entry = -1
+
+    @property
+    def exit_counts(self) -> Optional[dict[int, int]]:
+        """The hotness counters while no formation is in flight."""
+        return self._hot if self._state == _IDLE else None
 
     def _end_pass1(self) -> None:
         self._pass1 = self._rec

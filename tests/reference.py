@@ -14,8 +14,8 @@ shares code with the library's kernel or with its managers, whose
 compare the two.  ``netplus`` and ``netplus-e-r`` record as ``net`` and
 ``net-r``, and ``FlowMap`` below builds their observed control flow one
 item at a time; their look-ahead search over it is the library's
-``netplus_expand``, which ``tests/test_rft.py`` and A5 check against a
-brute-force enumeration.
+``netplus_expand``, which ``tests/test_rft.py`` and A5 check against
+``literal_expand``, an explicit enumeration of walks.
 """
 
 from __future__ import annotations
@@ -367,6 +367,43 @@ class FlowMap:
         if a not in self.cfg:
             self.cfg[a] = [s, set()]
         self.last = a
+
+
+def literal_expand(cfg: dict, recording: Sequence[Item], depth: int,
+                   extended: bool = False) -> tuple[tuple[Item, ...], dict]:
+    """The look-ahead by explicit enumeration of walks.
+
+    A walk is a sequence of 1 to ``depth`` addresses of the flow map
+    outside the recording, repeats allowed: the first a successor of a
+    recorded address, each next one a successor of the one before.  It is
+    accepted when its last address has a successor among the targets:
+    the recording's entry, or with ``extended`` any recorded address.
+    Members are the addresses on accepted walks, in address order with
+    their sizes; successors are the flow's edges from a member to a member
+    or a recorded address, and from a recorded address to a member, each
+    source's targets in address order.  Same shape as ``netplus_expand``'s
+    result."""
+    region = {a for a, _ in recording}
+    targets = region if extended else {recording[0][0]}
+
+    def outside(u):
+        return [v for v in cfg[u][1] if v in cfg and v not in region] if u in cfg else []
+
+    walks = [[v] for a in region for v in outside(a)]
+    accepted = set()
+    while walks:
+        walk = walks.pop()
+        if cfg[walk[-1]][1] & targets:
+            accepted.update(walk)
+        if len(walk) < depth:
+            walks.extend(walk + [v] for v in outside(walk[-1]))
+    successors = {}
+    for u in accepted | region:
+        inside = accepted | region if u in accepted else accepted
+        outs = tuple(sorted(v for v in cfg.get(u, (0, ()))[1] if v in inside))
+        if outs:
+            successors[u] = outs
+    return tuple((u, cfg[u][0]) for u in sorted(accepted)), successors
 
 
 def frozen_flow(cfg: dict) -> dict:

@@ -13,6 +13,7 @@ from itertools import accumulate
 import pytest
 
 from conftest import random_rft_config, random_trace
+from reference import literal_expand
 from rftsim.engine import SimulationConfig, run_simulation, run_sweep
 from rftsim.metrics import (CostParams, MetricsReport, estimate_times,
                             ninety_percent_cover_set, report_csv_row,
@@ -115,30 +116,6 @@ def test_A4_netplus_superset_and_depth_stabilization():
     print("\nA4 netplus superset and depth stabilization: PASS")
 
 
-def brute_force_expand(cfg_map, rec_addrs, depth, extended):
-    region = set(rec_addrs)
-    targets = region if extended else {rec_addrs[0]}
-    accepted = set()
-
-    def walks(node, path):
-        if any(v in targets for v in cfg_map[node][1]):
-            accepted.update(path)
-        if len(path) >= depth:
-            return
-        for v in cfg_map[node][1]:
-            if v not in region and v in cfg_map:
-                path.append(v)
-                walks(v, path)
-                path.pop()
-
-    for a in region:
-        if a in cfg_map:
-            for s in cfg_map[a][1]:
-                if s not in region and s in cfg_map:
-                    walks(s, [s])
-    return accepted
-
-
 def test_A5_expansion_equals_brute_force_enumeration():
     rng = random.Random(0xA5)
     cases = 0
@@ -151,9 +128,8 @@ def test_A5_expansion_equals_brute_force_enumeration():
         rec = [(a, 4) for a in rng.sample(nodes, rng.randint(1, max(1, n // 3)))]
         depth = rng.randint(1, 4)
         for extended in (False, True):
-            got = {a for a, _ in netplus_expand(cfg_map, rec, depth, extended)[0]}
-            want = brute_force_expand(cfg_map, [a for a, _ in rec], depth, extended)
-            assert got == want
+            got = netplus_expand(cfg_map, rec, depth, extended)
+            assert got == literal_expand(cfg_map, rec, depth, extended)
             cases += 1
     assert cases >= 500
     print(f"\nA5 expansion brute-force equality over {cases} cases: PASS")

@@ -7,7 +7,8 @@ from hypothesis.stateful import (RuleBasedStateMachine, initialize, invariant, p
                                  rule, run_state_machine_as_test)
 
 from conftest import drive
-from reference import I2N, N2I, N2N, SI, SN, LiteralAutomaton
+from reference import I2N, N2I, N2N, SI, SN, LiteralAutomaton, make_reference
+from rftsim import RFTConfig
 from rftsim.automaton import CHAIN_MIN_PATH, Automaton
 
 A, B, C = 0x100, 0x104, 0x108
@@ -438,6 +439,77 @@ def test_short_region_head_is_not_a_chain_head():
     assert (r.full, r.completions) == (0, 3)
 
 
+# --- region-exit followers counted in the kernel -----------------------------
+
+Y = 0x904
+
+
+def exit_call(seq, threshold, counts, end=None):
+    """One kernel call from item 0 of ``seq`` (the region [A, B] installed)
+    that hands the kernel ``counts`` and ``threshold``.  Checks the dump
+    against the literal model stepped over the items the call consumed,
+    and the counts against the reference net manager's hotness after those
+    items, starting from the same counts.  Returns ``(next_i, kind)``."""
+    end = len(seq) if end is None else end
+    auto = Automaton()
+    model = LiteralAutomaton()
+    auto.append_region([(A, 4), (B, 4)])
+    model.append([(A, 4), (B, 4)])
+    manager = make_reference(RFTConfig(technique="net", threshold=threshold))
+    manager.hot = dict(counts)
+    next_i, kind = auto.run_native_stretch(seq, [4] * len(seq), 0, end, 0,
+                                           counts, threshold)
+    last, ref_kind = None, SI
+    for a in seq[:next_i]:
+        assert manager.handle(last, (a, 4), ref_kind) is None
+        ref_kind = model.step(a)
+        last = (a, 4)
+    assert auto.dump() == model.dump()
+    assert manager.recording is None and counts == manager.hot
+    if next_i < end:
+        assert kind == ref_kind
+    return next_i, kind
+
+
+def test_held_follower_below_threshold_is_absorbed():
+    # each exit's follower A enters the region again; the call steps on
+    # into it and through the next exit, to the end
+    counts = {}
+    seq = [A, B, X] * 3 + [A, B]
+    assert exit_call(seq, 5, counts)[0] == len(seq)
+    assert counts == {A: 3}
+
+
+def test_follower_reaching_threshold_ends_the_call_unwritten():
+    # the third follower's bump reaches 3: the call returns at it with
+    # kind 2 and leaves its count for the scan to bump
+    counts = {}
+    assert exit_call([A, B, X] * 3 + [A, B], 3, counts) == (9, N2I)
+    assert counts == {A: 2}
+    counts = {A: 2}
+    assert exit_call([A, B, X, A, B], 3, counts) == (3, N2I)
+    assert counts == {A: 2}
+
+
+def test_threshold_one_never_absorbs():
+    counts = {}
+    assert exit_call([A, B, X, A, B], 1, counts) == (3, N2I)
+    assert counts == {}
+
+
+@pytest.mark.parametrize("seq, end", [
+    # the follower lies at the end of the window, or beyond it
+    ([A, B, X], None),
+    ([A, B, X, A, B], 3),
+    # the follower is not held: the scan sees it
+    ([A, B, X, Y, A], None),
+])
+def test_follower_at_end_or_not_held_ends_the_call(seq, end):
+    counts = {}
+    assert exit_call(seq, 5, counts, end) == (3, N2I)
+    assert counts == {}
+
+
 # --- the kernel against the literal model, stateful ---------------------------
 
 POOL = [0x100 + 4 * k for k in range(12)]
@@ -446,13 +518,18 @@ POOL = [0x100 + 4 * k for k in range(12)]
 class KernelMachine(RuleBasedStateMachine):
     """Interleaves region installs with kernel calls over streams that
     follow the installed recordings: whole, cut short, entered mid-chain,
-    or looping back to the head while a traversal is open."""
+    looping back to the head while a traversal is open, or leaving for the
+    interpreter for one item.  Some calls hand the kernel a counter dict
+    for region-exit followers and a threshold; the model counts each held
+    follower literally."""
 
     def __init__(self):
         super().__init__()
         self.auto = Automaton()
         self.model = LiteralAutomaton()
         self.recordings: list[list[int]] = []
+        self.counts: dict[int, int] = {}
+        self.model_counts: dict[int, int] = {}
 
     @initialize(n=st.integers(1, 12), data=st.data())
     def install_first(self, n, data):
@@ -478,10 +555,18 @@ class KernelMachine(RuleBasedStateMachine):
 
     @rule(data=st.data())
     def run(self, data):
+        self.stream(data, None, 1)
+
+    @rule(data=st.data(), threshold=st.integers(1, 4))
+    def run_counting(self, data, threshold):
+        self.stream(data, self.counts, threshold)
+
+    def stream(self, data, counts, threshold):
         seq = []
         for _ in range(data.draw(st.integers(1, 4))):
             rec = data.draw(st.sampled_from(self.recordings))
-            shape = data.draw(st.sampled_from(["whole"] * 3 + ["cut", "mid", "loop", "other"]))
+            shape = data.draw(st.sampled_from(["whole"] * 3 + ["cut", "mid", "loop", "exit",
+                                                                "other"]))
             k = data.draw(st.integers(1, len(rec)))
             if shape == "whole":
                 seq += rec * data.draw(st.integers(1, 3))
@@ -491,6 +576,9 @@ class KernelMachine(RuleBasedStateMachine):
                 seq += rec[k - 1:]
             elif shape == "loop":
                 seq += rec[:k] + rec
+            elif shape == "exit":
+                # leaves for the interpreter, then usually re-enters a region
+                seq += rec[:k] + [0x900]
             else:
                 seq += data.draw(st.lists(st.sampled_from(POOL + [0x900]), min_size=1,
                                           max_size=3))
@@ -511,10 +599,20 @@ class KernelMachine(RuleBasedStateMachine):
                     assert self.model.step(seq[stop]) == SI
                 kind = self.model.step(seq[h])
                 stop = h + 1
-                while kind in (I2N, SN, N2N) and stop < end:
+                while stop < end:
+                    if kind == N2I and counts is not None and seq[stop] in self.model.address:
+                        # a held follower of a region exit: counted, and
+                        # stepped in the same call below the threshold
+                        c = self.model_counts.get(seq[stop], 0) + 1
+                        if c >= threshold:
+                            break
+                        self.model_counts[seq[stop]] = c
+                    elif kind not in (I2N, SN, N2N):
+                        break
                     kind = self.model.step(seq[stop])
                     stop += 1
-                next_i, got = self.auto.run_native_stretch(seq, sizes, i, end, h)
+                next_i, got = self.auto.run_native_stretch(seq, sizes, i, end, h,
+                                                           counts, threshold)
                 assert next_i == stop
                 if stop < end:
                     assert got == kind
@@ -525,6 +623,10 @@ class KernelMachine(RuleBasedStateMachine):
         assert self.auto.dump() == self.model.dump()
 
     @invariant()
+    def counts_agree(self):
+        assert self.counts == self.model_counts
+
+    @invariant()
     def completions_within_head_executions(self):
         for r in self.auto.all_region_stats():
             assert r.completed_traversals <= r.head_executions
@@ -532,13 +634,17 @@ class KernelMachine(RuleBasedStateMachine):
 
 def test_kernel_stateful_matches_literal_model():
     full = []
+    counted = []
 
     class Machine(KernelMachine):
         def teardown(self):
             full.append(sum(r.full for r in self.auto._regions))
+            counted.append(sum(self.model_counts.values()))
 
     run_state_machine_as_test(Machine, settings=settings(
         max_examples=60, stateful_step_count=15, deadline=None, derandomize=True,
         database=None))
-    # whole traversals were stepped in one go in many runs
+    # whole traversals were stepped in one go in many runs, and the kernel
+    # counted and stepped past region-exit followers in many
     assert sum(1 for f in full if f) >= 10
+    assert sum(1 for c in counted if c) >= 10

@@ -8,7 +8,7 @@ from conftest import naive_run, random_rft_config, random_trace
 from rftsim import engine
 from rftsim.engine import SimulationConfig, run_simulation, run_sweep
 from rftsim.metrics import CostParams, report_json_dict
-from rftsim.rft import RFTConfig, TECHNIQUES, make_rft
+from rftsim.rft import _ARMED, _IDLE, _REC1, _REC2, RFTConfig, TECHNIQUES, make_rft
 from rftsim.trace_io import LoopSpec, ProgramSpec, Trace, generate_trace
 
 A1_SPEC = ProgramSpec((LoopSpec(base=0x100, body=3, iters=10, isize=4),))
@@ -130,6 +130,73 @@ def test_scans_visit_each_item_at_most_once(monkeypatch):
         result = run_simulation(trace, config)
         assert visited or not len(trace)
         assert sum(visited) <= result.items_consumed, case
+
+
+# a backward branch to 0x100 at item 1 triggers at threshold 1; the branch
+# back to 0x104 at item 4 ends net's and net-r's recording (0x104 repeats)
+# and mret2's first pass, whose second starts at the entry 0x100, item 6,
+# and ends at item 9
+EXIT_COUNTS_TRACE = [0x108, 0x100, 0x104, 0x10C, 0x104, 0x108, 0x100, 0x104, 0x10C,
+                     0x104]
+# after each item of EXIT_COUNTS_TRACE: True where the manager declares its
+# hotness dict, False where it declares None
+IDLE_AFTER = {
+    "net": [True, False, False, False, True, True, False, False, False, True],
+    "mret2": [True] + [False] * 8 + [True],
+    "lei": [False] * 10,
+}
+
+
+@pytest.mark.parametrize("technique", TECHNIQUES)
+def test_exit_counts_declared_only_while_idle(technique):
+    """Scanned one item at a time, net and net-r declare their hotness dict
+    except while a recording is in flight, mret2 only in its idle state
+    (not in either pass or while armed), and lei never."""
+    manager = make_rft(RFTConfig(technique=technique, threshold=1))
+    addrs = EXIT_COUNTS_TRACE
+    sizes = [4] * len(addrs)
+    manager.attach(Trace(addrs, sizes), 0)
+    declared, states = [], []
+    for i in range(len(addrs)):
+        manager.scan(addrs, sizes, i, i + 1, addrs[i - 1] if i else -1, 0, ())
+        counts = manager.exit_counts
+        assert counts is None or counts is manager._hot
+        declared.append(counts is not None)
+        states.append(getattr(manager, "_state", None))
+    base = {"net-r": "net", "netplus": "net", "netplus-e-r": "net"}.get(technique, technique)
+    assert declared == IDLE_AFTER[base]
+    if technique == "mret2":
+        assert states == [_IDLE] + [_REC1] * 3 + [_ARMED] * 2 + [_REC2] * 3 + [_IDLE]
+
+
+def test_no_scan_starts_at_a_follower_the_kernel_counts(monkeypatch):
+    """A scan never starts at a held region-exit follower that the kernel
+    could have counted: one whose manager declared its counter dict and
+    whose count plus one is below the threshold.  The scans that do start
+    at a held follower are those the kernel must leave: the threshold is
+    reached, the manager is busy, or it is ``lei``."""
+    fallbacks = []
+
+    def checked_rft(config):
+        manager = make_rft(config)
+        scan = manager.scan
+
+        def checked(addrs, sizes, i, end, la, kind, held):
+            if kind == 2 and i < end and addrs[i] in held:
+                counts = manager.exit_counts
+                assert (counts is None
+                        or counts.get(addrs[i], 0) + 1 >= config.threshold), config
+                fallbacks.append(config.technique)
+            return scan(addrs, sizes, i, end, la, kind, held)
+        manager.scan = checked
+        return manager
+
+    monkeypatch.setattr(engine, "make_rft", checked_rft)
+    rng = random.Random(0xF011)
+    for case in range(60):
+        trace = random_trace(rng, max_items=1200)
+        run_simulation(trace, SimulationConfig(rft=random_rft_config(rng, TECHNIQUES[case % 6])))
+    assert {"net", "mret2", "lei"} <= set(fallbacks)
 
 
 def test_sweep_results_match_standalone_runs():

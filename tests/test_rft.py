@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from conftest import (random_graph_walk, random_noise, random_rft_config,
                       random_trace, scan_run)
-from reference import (SI, HistoryBuffer, netr_stop_condition, reference_run,
-                       was_backward_branch)
+from reference import (SI, FlowMap, HistoryBuffer, literal_expand, netr_stop_condition,
+                       reference_run, was_backward_branch)
 from rftsim import Trace
 from rftsim.rft import (LeiManager, Mret2Manager, NetManager, NetPlusExtRManager,
                         NetPlusManager, NetRManager, RFTConfig, TECHNIQUES, make_rft,
@@ -339,33 +339,6 @@ def mkcfg(edges, sizes=None):
     return out
 
 
-def brute_force_expand(cfg_map, rec_addrs, depth, extended):
-    """Oracle: enumerate every walk of at most `depth` outside addresses
-    from every exit successor; accept walks whose last node links back to
-    the target set; union the nodes of accepted walks."""
-    region = set(rec_addrs)
-    targets = region if extended else {rec_addrs[0]}
-    accepted: set[int] = set()
-
-    def walks(node, path):
-        if any(v in targets for v in cfg_map[node][1]):
-            accepted.update(path)
-        if len(path) >= depth:
-            return
-        for v in cfg_map[node][1]:
-            if v not in region and v in cfg_map:
-                path.append(v)
-                walks(v, path)
-                path.pop()
-
-    for a in region:
-        if a in cfg_map:
-            for s in cfg_map[a][1]:
-                if s not in region and s in cfg_map:
-                    walks(s, [s])
-    return accepted
-
-
 def expansion_addresses(expansion):
     """The member addresses of a ``(members, successors)`` expansion."""
     return {a for a, _ in expansion[0]}
@@ -420,10 +393,30 @@ def test_expand_matches_brute_force(seed, extended, depth):
             edges.append((u, v))
     g = mkcfg(edges)
     rec_len = rng.randint(1, max(1, n // 2))
-    rec_addrs = rng.sample(nodes, rec_len)
-    rec = [(a, 4) for a in rec_addrs]
-    got = expansion_addresses(netplus_expand(g, rec, depth, extended))
-    assert got == brute_force_expand(g, rec_addrs, depth, extended)
+    rec = [(a, 4) for a in rng.sample(nodes, rec_len)]
+    assert netplus_expand(g, rec, depth, extended) == literal_expand(g, rec, depth, extended)
+
+
+@pytest.mark.parametrize("extended", [False, True])
+def test_expand_matches_literal_model_on_flow_maps(extended):
+    """On flow maps built from random walks, at every depth from 1 to 12,
+    the look-ahead equals the explicit enumeration of walks, members and
+    successors alike."""
+    rng = random.Random(0xE7 + extended)
+    expanded = 0
+    for _ in range(20):
+        trace = random_graph_walk(rng, rng.randint(10, 300))
+        flow = FlowMap()
+        for item in zip(trace.addresses, trace.sizes):
+            flow.add(*item)
+        # a recorded stretch of the walk, repeats and all
+        lo = rng.randrange(len(trace))
+        rec = list(zip(trace.addresses, trace.sizes))[lo:lo + rng.randint(1, 6)]
+        for depth in range(1, 13):
+            got = netplus_expand(flow.cfg, rec, depth, extended)
+            assert got == literal_expand(flow.cfg, rec, depth, extended), depth
+            expanded += bool(got[0])
+    assert expanded >= 80
 
 
 @settings(max_examples=30, deadline=None)
