@@ -25,27 +25,31 @@ natively exactly when its address is held (``Automaton.held``).  A run of
 interpreter-side items therefore ends at its first held address, and the
 kernel credits such a run without resolving it item by item.
 
-A region's recorded states have consecutive ids, and each one's chain
-edge to the next is keyed by the next recorded address and is never
-replaced.  So when the kernel lands on the head of a long enough region
-and the next items are the region's recorded addresses in order, rule 1
-would follow the chain edges one by one to the core tail: the kernel
-steps that whole traversal in one slice comparison instead.  The first
-landing that does not match demotes the head, and its region steps item
-by item for the rest of the run.
+A chain head (the head of a long enough region) keeps a memo of the
+last walk the kernel stepped from it item by item: the items after the
+landing, up to the next landing on that head or up to the item that
+leaves the region.  A walk inside a region only follows or creates edges
+inside it, and edges are never replaced, so when the next items after a
+landing are the memo's, rule 1 would follow the memo's edges to its end
+state: the kernel steps that walk in one slice comparison instead.  A
+walk shorter than ``CHAIN_MIN_PATH`` is not kept, so a landing is
+fruitless when it misses; a head with ``CHAIN_GIVE_UP`` fruitless
+landings in a row steps item by item for the rest of the run.
 
 Counters are raw or derived.  The kernel counts only what nothing else
 determines: each edge's traversals, ``interp``, region entries, region
-transitions, completed traversals and each region's whole traversals
-(``Region.full``).  Every native item either follows an edge or creates
-one with count 1, edges only target region states, and a whole
-traversal follows each of its region's chain edges once, so a chain
-edge's count is its edge count plus ``full`` and the edge counts give
-the rest at report time: a region state's executions are the sum of its
-incoming edge counts, a region's dynamic count sums them over its
-recorded and expansion states, its head and tail executions are those of
-its entry and core-tail states, the native count is the sum of all edge
-counts, and the total is ``interp`` plus that.
+transitions, completed traversals and each memo's hits
+(``Region.hits``).  A hit follows each of its walk's edges as often as
+the walk did, and completes a traversal when the walk passed the core
+tail, so flushing the hits into those edges and completions
+(``Region.flush``, before any report) completes both.  Every native item
+either follows an edge or creates one with count 1, and edges only
+target region states, so the edge counts give the rest at report time:
+a region state's executions are the sum of its incoming edge counts, a
+region's dynamic count sums them over its recorded and expansion states,
+its head and tail executions are those of its entry and core-tail
+states, the native count is the sum of all edge counts, and the total is
+``interp`` plus that.
 
 Items are not classified by transition kind.  A kernel call ends on an
 item that falls back to the interpreter, and it only tells the engine
@@ -66,55 +70,76 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 NTE_STATE = 0
 
-# A region's head gets the chain-head mark when its path (the recorded
-# addresses after the head) has at least this many addresses.  Stepping a
-# whole traversal costs about what stepping three items one by one does
-# (a loop replayed through the kernel, Python 3.11 on a 2-core x86 host:
-# 850-865 ns per traversal against 290 ns per item), so a path of 1 costs
-# 1.46x the per-item time, 2 breaks even, 3 takes 0.75x and 4 takes 0.65x.
-# The margin keeps short regions, which hit often, off the slice path.
+# A region's head gets the chain-head mark when the region has more than
+# this many recorded states, and a chain head keeps a walk as its memo
+# only when the walk has at least this many items.  Stepping a walk in
+# one slice costs about what stepping three items one by one does (a
+# loop replayed through the kernel, Python 3.11 on a 2-core x86 host:
+# 850-865 ns per walk against 290 ns per item), so a walk of 1 costs
+# 1.46x the per-item time, 2 breaks even, 3 takes 0.75x and 4 takes
+# 0.65x.  The margin keeps short walks, which hit often, off the slice
+# path.
 CHAIN_MIN_PATH = 4
+# fruitless landings in a row that give a chain head up; items a memo keeps
+CHAIN_GIVE_UP = 3
+WALK_CAP = 1024
 
 
 class Region:
-    """A formed region: its states plus its raw counters.
+    """A formed region: its states, its raw counters and its head's memo.
 
     ``states`` lists the linearly recorded states in recording order, with
     consecutive ids; ``expansion_states`` holds states added by look-ahead
-    expansion.  ``path`` holds the recorded addresses after the head, so
-    a traversal that follows the recording steps exactly ``path``.  The
-    head is the first recorded state and the core tail is the last
-    recorded state, expansion or not: a traversal starts when the head
-    executes and completes when the core tail executes before control
+    expansion.  The head is the first recorded state and the core tail is
+    the last recorded state, expansion or not: a traversal starts when the
+    head executes and completes when the core tail executes before control
     leaves the region.
 
-    Entries, completions and ``full`` are raw counters.  ``full`` counts
-    the traversals the kernel stepped in one go along ``path``; each of
-    them followed every chain edge (a recorded state's edge to the next
-    recorded state) once without counting it there.  The dynamic count
-    (the executions of the recorded and expansion states) and the head and
-    tail executions are derived from edge counts plus ``full``
-    (``Automaton.all_region_stats``).
+    Entries and completions are raw counters.  A chain head's memo is
+    ``walk``, the items of the last walk the kernel stepped from the head
+    item by item; ``walk_edges``, the edges it followed, in order;
+    ``walk_end``, the state it ended on; and ``walk_open``, whether the
+    traversal the landing opened is still open there (the walk did not
+    pass the core tail).  ``hits`` counts the walks stepped in one go along
+    the memo since the last ``flush``, and ``misses`` the head's fruitless
+    landings in a row.  Completions, the dynamic count (the executions of
+    the recorded and expansion states) and the head and tail executions
+    are complete once the hits are flushed (``Automaton.all_region_stats``).
     """
 
     __slots__ = ("rid", "entry_state", "states", "core_tail_state",
-                 "expansion_states", "entry_address", "path", "entries_interp",
-                 "entries_native", "completions", "full")
+                 "expansion_states", "entry_address", "entries_interp",
+                 "entries_native", "completions", "walk", "walk_edges",
+                 "walk_end", "walk_open", "hits", "misses")
 
     def __init__(self, rid: int, entry_state: int, states: list[int],
                  core_tail_state: int, expansion_states: list[int],
-                 entry_address: int, path: list[int]):
+                 entry_address: int):
         self.rid = rid
         self.entry_state = entry_state
         self.states = states
         self.core_tail_state = core_tail_state
         self.expansion_states = expansion_states
         self.entry_address = entry_address
-        self.path = path
         self.entries_interp = 0
         self.entries_native = 0
         self.completions = 0
-        self.full = 0
+        # no memo yet: a walk no item matches
+        self.walk: list = [None]
+        self.walk_edges: list[list[int]] = []
+        self.walk_end = entry_state
+        self.walk_open = True
+        self.hits = 0
+        self.misses = 0
+
+    def flush(self) -> None:
+        """Add the memo's hits to the edges its walk followed, and to the
+        completions if it passed the core tail; idempotent."""
+        for e in self.walk_edges:
+            e[1] += self.hits
+        if not self.walk_open:
+            self.completions += self.hits
+        self.hits = 0
 
     @property
     def static_size(self) -> int:
@@ -155,8 +180,8 @@ class Automaton:
         self._size: list[int] = [0]
         self._owner: list[int] = [-1]
         # 1 on a region's head, 2 on its core tail, 3 on a state that is both,
-        # 5 on a chain head: the head of a region whose path is long enough
-        # to try stepping a whole traversal at once (demoted to 1 on a miss)
+        # 5 on a chain head: the head of a region long enough to try stepping
+        # its memo's walk at once (1 once the head is given up)
         self._mark: list[int] = [0]
         self._edges: list[dict[int, list[int]]] = [{}]
         self._addr_index: dict[int, list[int]] = {}
@@ -172,16 +197,14 @@ class Automaton:
     # -- introspection ------------------------------------------------
 
     def _executions(self) -> list[int]:
-        """Executions per state id, summed from the edges in one pass, plus
-        each region's whole traversals on the states after its head."""
+        """Executions per state id, summed from the edges in one pass once
+        every memo's hits are flushed into them."""
+        for r in self._regions:
+            r.flush()
         ex = [0] * len(self._addr)
         for edges in self._edges:
             for t, c in edges.values():
                 ex[t] += c
-        for r in self._regions:
-            if r.full:
-                for sid in r.states[1:]:
-                    ex[sid] += r.full
         ex[NTE_STATE] = self.interp
         return ex
 
@@ -241,15 +264,18 @@ class Automaton:
 
         Per native item it counts the edge traversal, region changes and
         completions only; executions are derived from edge counts.  On
-        landing at a chain head (mark 5), it first tests that the path fits
-        before ``end`` and that the item where it would end holds the
-        path's last address, then compares the next items with the path in
-        one slice comparison.  On a hit it books the traversal as one
-        ``Region.full`` and one completion and moves to the core tail; on a
-        miss it demotes the head to a plain head (mark 1) for the rest of
-        the run and steps on item by item.  Both give the counts the rules
-        give per item.  ``addrs`` is a list, as ``Trace.addresses`` is: the
-        slice comparison tests list equality.
+        landing at a chain head (mark 5), it first tests that the memo's
+        walk fits before ``end`` and that the item where it would end holds
+        the walk's last address, then compares the next items with the walk
+        in one slice comparison.  On a hit it books one ``Region.hits`` and
+        moves to the walk's end state.  On a miss it notes where the walk
+        starts and steps on item by item; the next chain-head landing, or
+        the call's return, installs the walk as the head's memo
+        (``_keep``).  The ``CHAIN_GIVE_UP``-th fruitless landing in a row
+        gives the head up: it becomes a plain head (mark 1) for the rest of
+        the run.  Both paths give the counts the rules give per item.
+        ``addrs`` is a list, as ``Trace.addresses`` is: the slice
+        comparison tests list equality.
         ``sizes`` is unused: states keep the size they were recorded with.
         The name and the argument order predate the interpreter side; the
         benchmark harness still wraps the kernel under this name.
@@ -266,6 +292,10 @@ class Automaton:
         r = regions[cur_owner] if cur_owner >= 0 else None
         traversing = self._traversing
         tid = self._cur
+        # the start of a walk being stepped item by item from region wr's
+        # head, or -1
+        ws = -1
+        wr = None
         transitions = 0
         kind = 0
         while True:
@@ -315,32 +345,69 @@ class Automaton:
                 if m == 1:
                     traversing = True
                 elif m == 5:
-                    # a chain head opens a traversal too; when the next items
-                    # are its path, rule 1 follows the chain edges to the
-                    # core tail, which completes it
+                    # a chain head opens a traversal too, and ends the walk
+                    # from it; when the next items are its memo's walk, rule
+                    # 1 follows the walk's edges to its end state
                     traversing = True
-                    path = r.path
-                    j = i + len(path)
-                    if j <= end and addrs[j - 1] == path[-1] and addrs[i:j] == path:
-                        r.full += 1
-                        r.completions += 1
-                        traversing = False
-                        tid = r.core_tail_state
+                    if ws >= 0:
+                        self._keep(wr, addrs, ws, i - 1)
+                        ws = -1
+                    w = r.walk
+                    j = i + len(w)
+                    if j <= end and addrs[j - 1] == w[-1] and addrs[i:j] == w:
+                        r.hits += 1
+                        r.misses = 0
+                        traversing = r.walk_open
+                        tid = r.walk_end
                         i = j
                     else:
-                        mark_l[tid] = 1
+                        r.misses += 1
+                        if r.misses < CHAIN_GIVE_UP:
+                            ws = i
+                            wr = r
+                        else:
+                            mark_l[tid] = 1
                 elif traversing or m == 3:
                     r.completions += 1
                     traversing = False
             cur_edges = edges_l[tid]
             if i >= end:
                 break
+        if ws >= 0:
+            self._keep(wr, addrs, ws, i)
         self._cur = tid
         self._cur_edges = cur_edges
         self._cur_owner = cur_owner
         self._traversing = traversing
         self.region_transitions += transitions
         return i, kind
+
+    def _keep(self, r: Region, addrs: Sequence[int], ws: int, we: int) -> None:
+        """Install the walk from ``r``'s head that the kernel stepped item by
+        item from ``addrs[ws]``, cut to ``WALK_CAP`` items, as its memo,
+        unless it is shorter than ``CHAIN_MIN_PATH``.  The walk ended at the
+        item that left ``r`` or before ``addrs[we]``, a landing on a chain
+        head or the call's end.  Each step followed or created an edge
+        inside ``r`` that is never replaced, and the item that left ``r``
+        followed or created an edge out of it or, not being held, has none:
+        so rule 1 from the head finds the walk's edges and where it ended."""
+        edges_l = self._edges
+        owner_l = self._owner
+        sid = r.entry_state
+        followed = []
+        for k in range(ws, min(we, ws + WALK_CAP)):
+            e = edges_l[sid].get(addrs[k])
+            if e is None or owner_l[e[0]] != r.rid:
+                break
+            followed.append(e)
+            sid = e[0]
+        if len(followed) < CHAIN_MIN_PATH:
+            return
+        r.flush()
+        r.walk = addrs[ws:ws + len(followed)]
+        r.walk_edges = followed
+        r.walk_end = sid
+        r.walk_open = all(e[0] != r.core_tail_state for e in followed)
 
     # -- growth ---------------------------------------------------------
 
@@ -406,12 +473,11 @@ class Automaton:
                         raise ValueError(f"expansion successor target {t:#x} not in region")
                     if t not in edges:
                         edges[t] = [t_sid, 0]
-        path = [addr_l[sid] for sid in state_ids[1:]]
         region = Region(rid=rid, entry_state=state_ids[0], states=state_ids,
                         core_tail_state=state_ids[-1], expansion_states=exp_ids,
-                        entry_address=recorded[0][0], path=path)
+                        entry_address=recorded[0][0])
         self._regions.append(region)
-        self._mark[state_ids[0]] = 5 if len(path) >= CHAIN_MIN_PATH else 1
+        self._mark[state_ids[0]] = 5 if len(state_ids) > CHAIN_MIN_PATH else 1
         self._mark[state_ids[-1]] |= 2
         index = self._addr_index
         for sid in state_ids:
@@ -445,16 +511,9 @@ class Automaton:
         sorted by key address.
         """
         ex = self._executions()
-        # a chain edge runs from a recorded state to the next id; a state
-        # holds one address, so no other edge of its source targets it
-        full = [0] * len(self._addr)
-        for r in self._regions:
-            for sid in r.states[:-1]:
-                full[sid] = r.full
         states = []
         for sid in range(len(self._addr)):
-            edges = [[a, t, c + full[sid] if t == sid + 1 else c]
-                     for a, (t, c) in sorted(self._edges[sid].items())]
+            edges = [[a, t, c] for a, (t, c) in sorted(self._edges[sid].items())]
             states.append({
                 "id": sid,
                 "address": None if sid == NTE_STATE else self._addr[sid],

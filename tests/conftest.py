@@ -1,6 +1,7 @@
 """Shared builders: randomized traces, the engine's scan protocol with a
-given held set, the stepping kernel driven item list by item list, and a
-naive reference simulation.
+given held set, the stepping kernel driven item list by item list, an
+automaton that logs its chain heads' memos, and a naive reference
+simulation.
 
 The naive loop below is the behavioral oracle for the engine: it drives
 the per-item reference managers and the literal automaton of
@@ -16,6 +17,7 @@ import random
 from reference import (SI, FlowMap, LiteralAutomaton, held_addresses,
                        make_reference, region_of)
 from rftsim import LoopSpec, ProgramSpec, RFTConfig, Trace, generate_trace
+from rftsim.automaton import Automaton
 from rftsim.engine import SimulationConfig
 
 
@@ -41,6 +43,32 @@ def naive_run(trace: Trace, config: SimulationConfig) -> LiteralAutomaton:
         kind = automaton.step(item[0])
         last = item
     return automaton
+
+
+class MemoAutomaton(Automaton):
+    """The automaton, logging each walk its kernel installs as a chain
+    head's memo (``walks``) and counting every memo hit (``hits``), whether
+    flushed when its memo was replaced or when a report read the counts."""
+
+    def __init__(self):
+        super().__init__()
+        self.walks: list[list[int]] = []
+        self.flushed = 0
+
+    @property
+    def hits(self) -> int:
+        return self.flushed + sum(r.hits for r in self._regions)
+
+    def _keep(self, r, addrs, ws, we):
+        walk, hits = r.walk, r.hits
+        super()._keep(r, addrs, ws, we)
+        if r.walk is not walk:
+            self.walks.append(list(r.walk))
+            self.flushed += hits
+
+    def _executions(self):
+        self.flushed += sum(r.hits for r in self._regions)
+        return super()._executions()
 
 
 def drive(automaton, addrs) -> int:

@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, initialize, invariant, precondition,
                                  rule, run_state_machine_as_test)
 
-from conftest import drive
+from conftest import MemoAutomaton, drive
 from reference import I2N, N2I, N2N, SI, SN, LiteralAutomaton, make_reference
 from rftsim import RFTConfig
-from rftsim.automaton import CHAIN_MIN_PATH, Automaton
+from rftsim.automaton import CHAIN_MIN_PATH, WALK_CAP, Automaton
 
 A, B, C = 0x100, 0x104, 0x108
 
@@ -366,22 +366,27 @@ def test_kernel_matches_literal_model_with_expansions():
     assert expanded > 300
 
 
-# --- whole-traversal steps along a region's recorded chain --------------------
+# --- walks stepped in one go along a chain head's memo ------------------------
 
-D, E, X = 0x10C, 0x110, 0x900
+D, E, F, G, H, X = 0x10C, 0x110, 0x114, 0x118, 0x11C, 0x900
 CHAIN = [A, B, C, D, E]
-assert len(CHAIN) - 1 >= CHAIN_MIN_PATH   # the head is a chain head
+WALK = CHAIN[1:]
+assert len(CHAIN) > CHAIN_MIN_PATH   # the head is a chain head
 
 
 def run_both(recordings, seq, ends=(None,)):
     """Step ``seq`` through the kernel and through the literal model with
     the same regions installed, the kernel's calls also stopping at each
-    of ``ends``; checks the dumps agree and returns the kernel's regions."""
-    auto = Automaton()
+    of ``ends``; checks the dumps agree and returns the kernel's automaton.
+    A recording is a list of addresses, or a tuple of that list, the
+    expansion addresses and the expansion successors."""
+    auto = MemoAutomaton()
     model = LiteralAutomaton()
     for rec in recordings:
-        auto.append_region([(a, 4) for a in rec])
-        model.append([(a, 4) for a in rec])
+        rec, members, successors = rec if isinstance(rec, tuple) else (rec, (), None)
+        region = ([(a, 4) for a in rec], [(a, 4) for a in members], successors)
+        auto.append_region(*region)
+        model.append(*region)
     sizes = [4] * len(seq)
     i = 0
     for end in ends:
@@ -391,52 +396,151 @@ def run_both(recordings, seq, ends=(None,)):
     for a in seq:
         model.step(a)
     assert auto.dump() == model.dump()
-    return auto._regions
+    return auto
+
+
+def chain_head(auto, rid=0):
+    """Whether region ``rid``'s head is still a chain head."""
+    return auto._mark[auto._regions[rid].entry_state] == 5
 
 
 def test_whole_traversal_closes_the_open_traversal():
-    # the hit completes the traversal the head opened; the side entry to D
+    # the first landing has no memo and records the walk; the second one
+    # hits, completing the traversal the head opened; the loop back to D
     # that runs on to the tail completes nothing
-    (r,) = run_both([CHAIN], [A, B, C, D, E, D, E])
-    assert (r.full, r.completions) == (1, 1)
+    auto = run_both([CHAIN], CHAIN * 2 + [D, E])
+    assert (auto.hits, auto._regions[0].completions, auto.walks) == (1, 2, [WALK])
 
 
-@pytest.mark.parametrize("seq, full", [
-    # the first traversal side-exits: the head is demoted, the rest step
-    # item by item
-    ([A, B, X] + CHAIN * 3, 0),
-    # two whole traversals, then a side exit demotes the head
-    (CHAIN * 2 + [A, B, X] + CHAIN * 2, 2),
+@pytest.mark.parametrize("seq, hits", [
+    # the side exit ends a walk too short to keep; the next landing
+    # records the walk the rest hit
+    ([A, B, X] + CHAIN * 3, 2),
+    # the side exit misses the memo and keeps it: it hits again after
+    (CHAIN * 2 + [A, B, X] + CHAIN * 2, 3),
 ])
-def test_side_exit_demotes_chain_head(seq, full):
-    (r,) = run_both([CHAIN], seq)
-    assert (r.full, r.completions) == (full, seq.count(E))
+def test_side_exit_keeps_the_memo(seq, hits):
+    auto = run_both([CHAIN], seq)
+    assert (auto.hits, auto._regions[0].completions) == (hits, seq.count(E))
+    assert auto.walks == [WALK] and chain_head(auto)
 
 
 def test_window_ending_inside_a_traversal():
-    # the first call ends two items after the head, so the path cannot
-    # match inside it; the traversal completes in the next call
-    (r,) = run_both([CHAIN], CHAIN + CHAIN, ends=(3, None))
-    assert (r.full, r.completions) == (0, 2)
-    # the first traversal is a hit; the call ends inside the second
-    (r,) = run_both([CHAIN], CHAIN + CHAIN, ends=(7, None))
-    assert (r.full, r.completions) == (1, 2)
+    # the first call ends two items after the head, with a walk too short
+    # to keep; the second call records the walk the last landing hits
+    auto = run_both([CHAIN], CHAIN * 3, ends=(3, None))
+    assert (auto.hits, auto._regions[0].completions, auto.walks) == (1, 3, [WALK])
+    # the memo does not fit before the first call's end: a miss, whose
+    # walk the end cuts short; the second call's landings hit
+    auto = run_both([CHAIN], CHAIN * 4, ends=(7, None))
+    assert (auto.hits, auto._regions[0].completions, auto.walks) == (2, 4, [WALK])
 
 
-@pytest.mark.parametrize("seq, full", [
-    ([A, B, A, C, D] * 3, 3),
-    # B after the repeated A leaves the chain for an edge back to B
+@pytest.mark.parametrize("seq, hits", [
+    ([A, B, A, C, D] * 4, 3),
+    # B after the repeated A leaves the chain for an edge back to B, and
+    # the run ends before a second landing
     ([A, B, A, B, A, C, D], 0),
+    # the walk through that edge is recorded and hit
+    ([A, B, A, B, A, C, D] * 3, 2),
 ])
-def test_recording_with_repeated_address(seq, full):
-    (r,) = run_both([[A, B, A, C, D]], seq)
-    assert (r.full, r.completions) == (full, 3 if full else 1)
+def test_recording_with_repeated_address(seq, hits):
+    auto = run_both([[A, B, A, C, D]], seq)
+    assert (auto.hits, auto._regions[0].completions) == (hits, seq.count(D))
 
 
 def test_short_region_head_is_not_a_chain_head():
     short = CHAIN[:CHAIN_MIN_PATH]
-    (r,) = run_both([short], short * 3)
-    assert (r.full, r.completions) == (0, 3)
+    auto = run_both([short], short * 3)
+    assert (auto.hits, auto._regions[0].completions, auto.walks) == (0, 3, [])
+    assert not chain_head(auto)
+
+
+@pytest.mark.parametrize("walk, completions", [
+    (WALK, 3),
+    # a walk that never reaches the core tail completes nothing
+    ([B, C, D, C, D], 0),
+])
+def test_walk_ended_by_an_exit_is_kept_at_the_call_end(walk, completions):
+    # each call returns after the exit to X: the walk it ended is
+    # installed then, and the next call's landing hits it
+    auto = run_both([CHAIN], ([A] + walk + [X]) * 3)
+    assert (auto.hits, auto._regions[0].completions, auto.walks) == (2, completions, [walk])
+
+
+def test_walk_ends_where_it_leaves_the_region():
+    # C's successor G enters region 1 mid-way; the walk from A stops
+    # there, too short to keep, however far region 1 then runs
+    auto = run_both([CHAIN, [F, G, H]], [A, B, C, G, H] * 3)
+    assert (auto.hits, auto.walks) == (0, [])
+
+
+def test_walk_through_expansion_states():
+    # C leaves the recording for the expansion states F and G, which lead
+    # back to the core tail E: the memo replays the walk through them
+    region = (CHAIN, [F, G], {C: (F,), F: (G,), G: (E,)})
+    auto = run_both([region], [A, B, C, F, G, E] * 3)
+    assert (auto.hits, auto._regions[0].completions) == (2, 3)
+    assert auto.walks == [[B, C, F, G, E]]
+
+
+def test_walk_through_an_inner_loop():
+    # an inner loop over C and D runs three times per walk
+    walk = [B] + [C, D] * 3 + [E]
+    auto = run_both([CHAIN], ([A] + walk) * 3)
+    assert (auto.hits, auto._regions[0].completions, auto.walks) == (2, 3, [walk])
+
+
+def test_head_alternating_between_two_walks():
+    # each switch misses once and records the new walk, which then hits
+    other = [A, C, B, D, E]
+    auto = run_both([CHAIN], CHAIN * 3 + other * 3 + CHAIN * 3)
+    assert (auto.hits, auto._regions[0].completions) == (6, 9)
+    assert auto.walks == [WALK, other[1:], WALK] and chain_head(auto)
+
+
+@pytest.mark.parametrize("seq, hits, kept", [
+    # two fruitless landings, then a walk that hits
+    ([A, B, X] + CHAIN * 3, 2, True),
+    # the third fruitless landing in a row gives the head up: no walk is
+    # recorded or hit after it
+    ([A, B, X] * 2 + CHAIN * 3, 0, False),
+    # a memo that misses three times in a row
+    (CHAIN * 2 + [A, B, X] * 3 + CHAIN * 3, 1, False),
+])
+def test_head_given_up_after_fruitless_landings(seq, hits, kept):
+    auto = run_both([CHAIN], seq)
+    assert (auto.hits, chain_head(auto)) == (hits, kept)
+    assert auto._regions[0].completions == seq.count(E)
+
+
+def test_memo_keeps_a_prefix_of_a_long_walk():
+    # a walk of 1 + 1200 + 1 items is kept as its first WALK_CAP items,
+    # which end inside the inner loop and pass no core tail: a hit books
+    # no completion, and the rest of the walk steps item by item
+    walk = [B] + [C, D] * 600 + [E]
+    auto = run_both([CHAIN], ([A] + walk) * 3)
+    assert auto.walks == [walk[:WALK_CAP]] and walk[WALK_CAP - 1] == C
+    assert (auto.hits, auto._regions[0].completions) == (2, 3)
+
+
+def test_dump_mid_run_flushes_the_hits_once():
+    # each dump adds the hits so far to the memo's edges; a second dump
+    # adds nothing, and the hits after it are flushed by the last dump
+    seq = CHAIN * 4
+    auto = MemoAutomaton()
+    model = LiteralAutomaton()
+    auto.append_region([(a, 4) for a in CHAIN])
+    model.append([(a, 4) for a in CHAIN])
+    i = 0
+    for start, end in ((0, 12), (12, len(seq))):
+        while i < end:
+            i, _ = auto.run_native_stretch(seq, [4] * len(seq), i, end, i)
+        for a in seq[start:end]:
+            model.step(a)
+        assert auto.dump() == model.dump()
+        assert auto.dump() == model.dump()
+    assert auto.hits == 2
 
 
 # --- region-exit followers counted in the kernel -----------------------------
@@ -525,7 +629,7 @@ class KernelMachine(RuleBasedStateMachine):
 
     def __init__(self):
         super().__init__()
-        self.auto = Automaton()
+        self.auto = MemoAutomaton()
         self.model = LiteralAutomaton()
         self.recordings: list[list[int]] = []
         self.counts: dict[int, int] = {}
@@ -633,18 +737,18 @@ class KernelMachine(RuleBasedStateMachine):
 
 
 def test_kernel_stateful_matches_literal_model():
-    full = []
+    hits = []
     counted = []
 
     class Machine(KernelMachine):
         def teardown(self):
-            full.append(sum(r.full for r in self.auto._regions))
+            hits.append(self.auto.hits)
             counted.append(sum(self.model_counts.values()))
 
     run_state_machine_as_test(Machine, settings=settings(
         max_examples=60, stateful_step_count=15, deadline=None, derandomize=True,
         database=None))
-    # whole traversals were stepped in one go in many runs, and the kernel
-    # counted and stepped past region-exit followers in many
-    assert sum(1 for f in full if f) >= 10
+    # walks were stepped in one go along a memo in many runs, and the
+    # kernel counted and stepped past region-exit followers in many
+    assert sum(1 for h in hits if h) >= 10
     assert sum(1 for c in counted if c) >= 10

@@ -4,12 +4,12 @@ import random
 
 import pytest
 
-from conftest import naive_run, random_rft_config, random_trace
+from conftest import MemoAutomaton, naive_run, random_rft_config, random_trace
 from rftsim import engine
 from rftsim.engine import SimulationConfig, run_simulation, run_sweep
 from rftsim.metrics import CostParams, report_json_dict
 from rftsim.rft import _ARMED, _IDLE, _REC1, _REC2, RFTConfig, TECHNIQUES, make_rft
-from rftsim.trace_io import LoopSpec, ProgramSpec, Trace, generate_trace
+from rftsim.trace_io import AlternatingPaths, LoopSpec, ProgramSpec, Trace, generate_trace
 
 A1_SPEC = ProgramSpec((LoopSpec(base=0x100, body=3, iters=10, isize=4),))
 
@@ -103,6 +103,45 @@ def test_engine_equals_naive_loop_all_techniques():
         # the report is computed from counters the dump holds, so equal
         # dumps give equal reports
         assert result.dump == naive_run(trace, config).dump(), (case, tech)
+
+
+# loop-nest's shape, small: a loop with a nested child, and a phased loop
+# (two bodies sharing an entry) with a nested child
+PHASED_NEST = ProgramSpec((
+    LoopSpec(base=0x1000, body=12, iters=40, children=(LoopSpec(base=0x1400, body=6, iters=4),)),
+    LoopSpec(base=0x2000, body=19, iters=40,
+             phases=AlternatingPaths(body_a=10, body_b=8, period=16),
+             children=(LoopSpec(base=0x2400, body=5, iters=3),)),
+))
+
+
+@pytest.mark.parametrize("technique", TECHNIQUES)
+def test_engine_equals_naive_loop_on_a_phased_nest(monkeypatch, technique):
+    """Chain heads replay walks through expansion states and inner loops
+    here; each run's dump must still equal the per-item reference's."""
+    autos = []
+
+    class Logged(MemoAutomaton):
+        def __init__(self):
+            super().__init__()
+            autos.append(self)
+
+    monkeypatch.setattr(engine, "Automaton", Logged)
+    trace = generate_trace(PHASED_NEST)
+    config = SimulationConfig(rft=RFTConfig(technique=technique, threshold=4),
+                              collect_dump=True)
+    dump = run_simulation(trace, config).dump
+    assert dump == naive_run(trace, config).dump()
+    (auto,) = autos
+    if technique in ("lei", "netplus"):
+        assert auto.hits > 50
+    if technique == "netplus":
+        # some walks leave the recording for expansion states, and some
+        # run an inner loop more than once
+        expansion = {dump["states"][sid]["address"]
+                     for r in dump["regions"] for sid in r["expansion_states"]}
+        assert any(expansion & set(w) for w in auto.walks)
+        assert any(len(set(w)) < len(w) for w in auto.walks)
 
 
 def test_scans_visit_each_item_at_most_once(monkeypatch):
