@@ -16,6 +16,15 @@ so a recording stopped by the loop-closing branch lands its own stop
 instruction inside the fresh region.  Each item is scanned at most once,
 in trace order.
 
+A scan steps items one by one in Python.  Once an idle stretch of it (no
+recording in flight) has taken ``rft._HANDOFF`` items, the rest of the
+run goes to a numpy pass, in chunks that start at that length and double
+up to ``rft._FLOW_CHUNK``; the pass stops at the first item the scan must
+see itself, with everything before it applied.  So a long cold or
+noisy run costs a few numpy passes, not one Python step per item, while
+the short scans between region exits, most of them a handful of items,
+never pay numpy's per-call cost.
+
 Recording is purely observational: while a manager records, instructions
 keep being attributed to the states actually traversed.
 

@@ -40,7 +40,8 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from typing import Container, Mapping, Optional, Sequence
+from itertools import repeat
+from typing import Callable, Collection, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -52,9 +53,20 @@ DEFAULT_THRESHOLD = 1024
 DEFAULT_MAX_REGION_SIZE = 1024
 DEFAULT_EXPANSION_DEPTH = 10
 DEFAULT_HISTORY_CAPACITY = 8192
-# items per catch-up step of the lazy flow map, bounding its transient
-# arrays to a few MB
+# items per catch-up step of the lazy flow map, and the largest chunk of
+# a scan's numpy pass, bounding their transient arrays to a few MB
 _FLOW_CHUNK = 1 << 16
+# items an idle stretch of a scan steps one by one before it hands the
+# rest of its run to a numpy pass, and that pass's first chunk.  Measured
+# as one chunk against stepping the same items one by one, on warm
+# managers (Python 3.11, 2-core x86 host): for net a chunk of 512 items
+# breaks even on uniform noise over 16k addresses (1.02x the per-item
+# time; 0.44x at 65,536) and takes 0.66x on a 50-instruction loop, where
+# 256 items break even.  lei takes 0.72x at 512 items on the loop, but on
+# the noise, where a chunk holds almost as many addresses as items, it
+# breaks even only near 16k items (1.89x at 512, 0.86x at 16k, 0.42x at
+# 65,536), which the doubling chunks reach after about 16k items.
+_HANDOFF = 512
 
 
 @dataclass(frozen=True)
@@ -119,9 +131,26 @@ class RegionManager:
     ``Automaton.append_region``, which the engine installs before it steps
     item ``k``.  Installing an emission due at ``k + 1`` that early changes
     nothing: item ``k``'s address is already held by an earlier region,
-    which keeps it.  A scan never looks past the item it stops at, and a recording in
-    flight never outlives its scan unless that scan reached the window's
-    end.
+    which keeps it.  A scan never acts on an item past the one it stops
+    at, and a recording in flight never outlives its scan unless that scan
+    reached the window's end.
+
+    ``held`` is a collection of addresses: the engine passes
+    ``Automaton.held``, a dict, and ``tests/conftest.py::scan_run`` a set.
+    A scan tests it for membership and, in its numpy pass, for emptiness.
+
+    The built-in scans step each item in Python until an idle stretch (no
+    recording in flight, which for ``lei`` is always) has taken
+    ``_HANDOFF`` items; then they hand the rest of the run to a numpy pass
+    (``_profile`` for net, its variants and an idle mret2,
+    ``LeiManager._push`` for lei).  The pass reads the trace in chunks of
+    ``_HANDOFF`` items doubling up to ``_FLOW_CHUNK`` and returns the
+    first item that stops the scan, a held item or one whose bump or push
+    reaches the threshold, with every item before it applied; the scan
+    then steps that item itself.  Its chunk may read addresses past that
+    item, and it raises the flow map's ``ValueError`` for an address
+    outside ``[0, 2**64)``.  Scans shorter than ``_HANDOFF`` never hand
+    off: numpy's cost per call would outweigh what it saves on them.
 
     Each emission passes its recorded ``(address, size)`` pairs through
     ``complete(items, due)``, which returns the region.  The engine calls
@@ -145,7 +174,7 @@ class RegionManager:
     exit_counts: Optional[dict[int, int]] = None
 
     def scan(self, addrs: Sequence[int], sizes: Sequence[int], i: int, end: int,
-             la: int, kind: int, held: Container[int]) -> tuple[int, Optional[tuple]]:
+             la: int, kind: int, held: Collection[int]) -> tuple[int, Optional[tuple]]:
         raise NotImplementedError
 
     # the benchmark harness still wraps this; nothing calls it
@@ -196,9 +225,16 @@ class NetManager(RegionManager):
         rec = self._rec
         # a region-exit target is profiled whatever its address
         prev = math.inf if kind == 2 else la
+        stop = i + _HANDOFF if end - i > _HANDOFF and not rec else end
         while True:
-            if i >= end:
-                return end, None
+            if i >= stop:
+                if i < end:
+                    if not rec:
+                        i = _profile(hot, threshold, addrs, i, end, prev, held)
+                        prev = addrs[i - 1]
+                    stop = end
+                if i >= end:
+                    return end, None
             a = addrs[i]
             if rec:
                 if self._stops(prev, a):
@@ -286,10 +322,17 @@ class Mret2Manager(RegionManager):
         st = self._state
         # a region-exit target is profiled whatever its address
         prev = math.inf if kind == 2 else la
+        stop = i + _HANDOFF if end - i > _HANDOFF and st == _IDLE else end
         while True:
-            if i >= end:
-                self._state = st
-                return end, None
+            if i >= stop:
+                if i < end:
+                    if st == _IDLE:
+                        i = _profile(hot, threshold, addrs, i, end, prev, held)
+                        prev = addrs[i - 1]
+                    stop = end
+                if i >= end:
+                    self._state = st
+                    return end, None
             a = addrs[i]
             if st == _IDLE:
                 if a < prev:
@@ -348,7 +391,9 @@ class LeiManager(RegionManager):
     pushes are trimmed now and then.  A restart only raises the floor: a
     prior push counts when it is among the last ``history_capacity``
     pushes and not below the floor.  Each address keeps one record, its
-    latest push position and its cycle count, so a push is one lookup.
+    latest push position and its cycle count, in the slot of two lists
+    that a dict gives it, so a push is one lookup and the numpy pass
+    reads and writes a chunk's records once per distinct address.
     An emission maps the window's positions back to trace indices
     through the runs; each address takes its size from its last
     occurrence there, and the cycle head from the emitting item.
@@ -358,8 +403,11 @@ class LeiManager(RegionManager):
         self._threshold = config.threshold
         self._max_size = config.max_region_size
         self._capacity = config.history_capacity
-        # address -> [latest push position, cycle count]
-        self._seen: dict[int, list[int]] = {}
+        # address -> its record's slot in the two columns below
+        self._slot: dict[int, int] = {}
+        # per slot: the latest push position and the cycle count
+        self._last: list[int] = []
+        self._count: list[int] = []
         # (first push position, first trace index) per scan, oldest first
         self._runs: list[tuple[int, int]] = []
         self._pos = 0  # position of the next push
@@ -367,7 +415,9 @@ class LeiManager(RegionManager):
         self._trim_at = 2 * config.history_capacity
 
     def scan(self, addrs, sizes, i, end, la, kind, held):
-        seen = self._seen
+        slot = self._slot
+        last = self._last
+        count = self._count
         threshold = self._threshold
         cap = self._capacity
         floor = self._floor
@@ -375,30 +425,99 @@ class LeiManager(RegionManager):
         if pos >= self._trim_at:
             self._trim(pos)
         self._runs.append((pos, i))
+        stop = i + _HANDOFF if end - i > _HANDOFF else end
         while True:
-            if i >= end:
-                self._pos = pos
-                return end, None
+            if i >= stop:
+                if i < end:
+                    k = self._push_run(addrs, i, end, pos, held)
+                    pos += k - i
+                    i = k
+                    stop = end
+                if i >= end:
+                    self._pos = pos
+                    return end, None
             a = addrs[i]
-            rec = seen.get(a)
-            if rec is None:
-                seen[a] = [pos, 0]
+            r = slot.get(a)
+            if r is None:
+                slot[a] = len(last)
+                last.append(pos)
+                count.append(0)
             else:
-                prior = rec[0]
-                rec[0] = pos
+                prior = last[r]
+                last[r] = pos
                 if prior >= floor and pos - prior <= cap:
-                    c = rec[1] + 1
+                    c = count[r] + 1
                     if c >= threshold:
-                        rec[1] = 0
+                        count[r] = 0
                         self._floor = pos
                         self._pos = pos + 1
                         return i, self.complete(self._emit(addrs, sizes, i, prior, pos), i)
-                    rec[1] = c
+                    count[r] = c
             pos += 1
             if a in held:
                 self._pos = pos
                 return i, None
             i += 1
+
+    # kept out of scan, whose locals this closure would turn into cell
+    # variables, slower to read in its per-item loop
+    def _push_run(self, addrs, i, end, pos, held) -> int:
+        """Push items from ``i``, the first at position ``pos``, in numpy
+        chunks up to the first item that stops the scan (see ``_push``);
+        returns that item's index, or ``end``."""
+        shift = pos - i  # push position minus trace index
+        return _chunked(lambda lo, hi: self._push(addrs, lo, hi, lo + shift, held), i, end)
+
+    def _push(self, addrs, lo, hi, pos, held) -> int:
+        """Push items ``lo..hi-1``, the first at position ``pos``, as the
+        per-item loop would, unless one of them stops the scan: a held
+        item, or one whose push reaches the threshold.  Returns ``hi``, or
+        the index of the first such item with nothing pushed."""
+        col = _address_column(addrs, lo, hi)
+        n = hi - lo
+        keys, starts, lengths, items = _grouped(col)
+        klist = keys.tolist()
+        last = self._last
+        count = self._count
+        # each address's record, if it has one: its slot, its latest push
+        # (-1, below any floor, if none) and its cycle count
+        slots = np.fromiter(map(self._slot.get, klist, repeat(-1)),
+                            dtype=np.int64, count=len(klist))
+        known = slots >= 0
+        olds = slots[known].tolist()
+        latest = np.full(len(klist), -1, dtype=np.int64)
+        latest[known] = np.fromiter(map(last.__getitem__, olds), dtype=np.int64, count=len(olds))
+        base = np.zeros(len(klist), dtype=np.int64)
+        base[known] = np.fromiter(map(count.__getitem__, olds), dtype=np.int64, count=len(olds))
+        # each item's prior push: the previous item of its address in the
+        # chunk, or its address's latest push
+        at = items + pos
+        prior = np.empty(n, dtype=np.int64)
+        prior[1:] = at[:-1]
+        prior[starts] = latest
+        cyc = (prior >= self._floor) & (at - prior <= self._capacity)
+        # each address's running count of cycles, from its record's count
+        run = np.cumsum(cyc)
+        run += np.repeat(base - run[starts] + cyc[starts], lengths)
+        hot = items[cyc & (run >= self._threshold)]
+        k = _first_held(col, held) if held else n
+        if len(hot):
+            k = min(k, int(hot.min()))
+        if k < n:
+            return lo + k
+        ends = starts + lengths - 1
+        latest = at[ends]
+        cycles = run[ends]
+        for r, p, c in zip(olds, latest[known].tolist(), cycles[known].tolist()):
+            last[r] = p
+            count[r] = c
+        # the per-item loop's first push of an address adds its record
+        fresh = ~known
+        top = len(last)
+        self._slot.update(zip(keys[fresh].tolist(), range(top, top + len(klist) - len(olds))))
+        last.extend(latest[fresh].tolist())
+        count.extend(cycles[fresh].tolist())
+        return hi
 
     def _trim(self, pos: int) -> None:
         runs = self._runs
@@ -429,6 +548,121 @@ class LeiManager(RegionManager):
         # the cycle head, pushed at prior, takes the emitting item's size
         kept[0] = (kept[0][0], sizes[i])
         return kept[: self._max_size]
+
+
+# --- numpy passes over trace chunks -------------------------------------------
+
+def _runs(ordered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first index and the length of each run of equal values in a
+    sorted array."""
+    edge = np.empty(len(ordered) + 1, dtype=bool)
+    edge[0] = edge[-1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=edge[1:-1])
+    at = edge.nonzero()[0]
+    return at[:-1], at[1:] - at[:-1]
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The first element of each run of equal values in a sorted array."""
+    return values[_runs(values)[0]]
+
+
+def _address_column(addrs: Sequence[int], lo: int, hi: int) -> np.ndarray:
+    """``addrs[lo:hi]`` as u64; raises ValueError naming the first trace
+    index whose address lies outside ``[0, 2**64)``."""
+    try:
+        return np.frombuffer(array("Q", addrs[lo:hi]), dtype=np.uint64)
+    except OverflowError:
+        j, a = next((j, a) for j, a in enumerate(addrs[lo:hi], lo) if not 0 <= a < 1 << 64)
+        raise ValueError(f"trace item {j}: address {a} outside [0, 2**64)") from None
+
+
+def _grouped(col: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(keys, starts, lengths, items)``: ``items`` lists the indices of
+    ``col`` ordered by value, then by index; the group of ``keys[g]``, the
+    g-th smallest distinct value, is the ``lengths[g]`` items from
+    ``items[starts[g]]``.
+
+    When the values' span allows, one sort of the u64 codes
+    ``(value - smallest) * n + index`` orders them, several times faster
+    than a stable argsort, which orders wider spans."""
+    n = len(col)
+    low = int(col.min())
+    if (int(col.max()) - low + 1) * n <= 1 << 64:
+        code = np.sort((col - np.uint64(low)) * np.uint64(n) + np.arange(n, dtype=np.uint64))
+        ordered, items = np.divmod(code, np.uint64(n))
+        starts, lengths = _runs(ordered)
+        keys = ordered[starts] + np.uint64(low)
+    else:
+        items = np.argsort(col, kind="stable")
+        starts, lengths = _runs(col[items])
+        keys = col[items[starts]]
+    return keys, starts, lengths, items.astype(np.int64)
+
+
+def _first_held(col: np.ndarray, held: Collection[int]) -> int:
+    """The index of the first element of ``col`` that ``held`` contains,
+    or ``len(col)``."""
+    hit = [a for a in _distinct(np.sort(col)).tolist() if a in held]
+    if not hit:
+        return len(col)
+    return int(np.isin(col, np.array(hit, dtype=np.uint64)).argmax())
+
+
+def _chunked(step: Callable[[int, int], int], i: int, end: int) -> int:
+    """Run ``step(lo, hi)`` over ``[i, end)`` in chunks of ``_HANDOFF``
+    items doubling up to ``_FLOW_CHUNK``.  A step applies its chunk and
+    returns ``hi``, or returns the index of the chunk's first item that
+    stops the scan with nothing applied; the items before that one are
+    then applied as a shorter chunk, and that index is returned."""
+    size = min(_HANDOFF, _FLOW_CHUNK)
+    while i < end:
+        hi = min(end, i + size)
+        k = step(i, hi)
+        if k < hi:
+            if k > i:
+                step(i, k)
+            return k
+        i = hi
+        size = min(2 * size, _FLOW_CHUNK)
+    return end
+
+
+def _profile(hot: dict[int, int], threshold: int, addrs: Sequence[int], i: int,
+             end: int, prev: float, held: Collection[int]) -> int:
+    """Profile items ``i..end-1`` as an idle net or mret2 scan would, the
+    item before ``i`` having address ``prev``, and return the index of the
+    first item that stops the scan, with every item before it profiled:
+    the first held item, or the first whose bump reaches the threshold.
+    Returns ``end`` if none does."""
+    start = i
+
+    def step(lo, hi):
+        col = _address_column(addrs, lo, hi)
+        n = hi - lo
+        back = np.empty(n, dtype=bool)
+        back[0] = addrs[lo] < (prev if lo == start else addrs[lo - 1])
+        np.less(col[1:], col[:-1], out=back[1:])
+        k = _first_held(col, held) if held else n
+        at = back[:k].nonzero()[0]
+        targets = col[at]
+        ordered = np.sort(targets)
+        starts, bumps = _runs(ordered)
+        klist = ordered[starts].tolist()
+        base = np.fromiter(map(hot.get, klist, repeat(0)), dtype=np.int64, count=len(klist))
+        total = base + bumps
+        over = total >= threshold
+        if over.any():
+            # an address over the threshold crossed it at the bump that
+            # took its record's count to the threshold
+            _, starts, _, items = _grouped(targets)
+            k = int(at[items[(starts + threshold - base - 1)[over]]].min())
+        if k < n:
+            return lo + k
+        hot.update(zip(klist, total.tolist()))
+        return hi
+
+    return _chunked(step, i, end)
 
 
 # --- look-ahead expansion ---------------------------------------------------
@@ -528,24 +762,6 @@ def netplus_expand(cfg: Mapping[int, Sequence], recording: Sequence[tuple[int, i
             successors[a] = tuple(outs)
     members = tuple((u, cfg[u][0]) for u in accepted)
     return members, successors
-
-
-def _distinct(values: np.ndarray) -> np.ndarray:
-    """The first element of each run of equal values in a sorted array."""
-    keep = np.empty(len(values), dtype=bool)
-    keep[:1] = True
-    np.not_equal(values[1:], values[:-1], out=keep[1:])
-    return values[keep]
-
-
-def _address_column(addrs: Sequence[int], lo: int, hi: int) -> np.ndarray:
-    """``addrs[lo:hi]`` as u64; raises ValueError naming the first trace
-    index whose address lies outside ``[0, 2**64)``."""
-    try:
-        return np.frombuffer(array("Q", addrs[lo:hi]), dtype=np.uint64)
-    except OverflowError:
-        j, a = next((j, a) for j, a in enumerate(addrs[lo:hi], lo) if not 0 <= a < 1 << 64)
-        raise ValueError(f"trace item {j}: address {a} outside [0, 2**64)") from None
 
 
 class _ExpansionMixin:

@@ -55,9 +55,12 @@ class Trace:
 
     A trace built in code must also hold addresses in ``[0, 2**64)``, the
     range both file formats carry.  Construction does not check them; the
-    writers refuse such an address, and the look-ahead techniques
-    (``netplus``, ``netplus-e-r``) raise ``ValueError`` naming the trace
-    index when their flow map reads one.
+    writers refuse such an address, and the simulation raises
+    ``ValueError`` naming the trace index when it converts one to numpy:
+    every technique converts the chunks of a long interpreter-side run,
+    and the look-ahead techniques (``netplus``, ``netplus-e-r``) the
+    window up to each emission.  A short run past those steps such an
+    address unchecked.
     """
 
     __slots__ = ("addresses", "sizes", "_backward")

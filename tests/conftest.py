@@ -162,6 +162,23 @@ def random_noise(rng: random.Random, length: int) -> Trace:
     return Trace(addrs, sizes)
 
 
+def high_walk(rng, length, wide=True):
+    """A random walk over addresses on both sides of 2**63, and with
+    ``wide`` also up to 2**64 - 1, each item with its own size, so an
+    address's first size differs from its later ones."""
+    pool = [(1 << 63) + 4 * k for k in range(-8, 8)]
+    if wide:
+        pool += [(1 << 64) - 4 * k for k in range(2, 10)] + [(1 << 64) - 1]
+    nodes = rng.sample(pool, rng.randint(4, len(pool)))
+    succ = {a: [rng.choice(nodes) for _ in range(rng.randint(1, 3))] for a in nodes}
+    cur = nodes[0]
+    addrs = []
+    for _ in range(length):
+        addrs.append(cur)
+        cur = rng.choice(succ[cur])
+    return Trace(addrs, [rng.randint(1, 8) for _ in addrs])
+
+
 def random_trace(rng: random.Random, max_items: int = 2000) -> Trace:
     style = rng.random()
     if style < 0.45:

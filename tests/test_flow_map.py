@@ -15,7 +15,7 @@ import pytest
 
 import rftsim.engine as engine
 import rftsim.rft as rft
-from conftest import random_graph_walk, random_rft_config, random_trace
+from conftest import high_walk, random_graph_walk, random_rft_config, random_trace
 from reference import FlowMap, frozen_flow
 from rftsim import Trace
 from rftsim.engine import SimulationConfig, run_simulation, run_sweep
@@ -105,22 +105,6 @@ def test_lazy_flow_map_catches_up_across_chunks(monkeypatch, technique):
     config = SimulationConfig(rft=RFTConfig(technique, threshold=threshold), skip=skip)
     lazy = check_window(monkeypatch, trace, config)
     assert lazy and lazy[0][0] - skip > _FLOW_CHUNK
-
-
-def high_walk(rng, length):
-    """A random walk over addresses on both sides of 2**63 up to
-    2**64 - 1, each item with its own size, so an address's first size
-    differs from its later ones."""
-    pool = ([(1 << 63) + 4 * k for k in range(-8, 8)]
-            + [(1 << 64) - 4 * k for k in range(2, 10)] + [(1 << 64) - 1])
-    nodes = rng.sample(pool, rng.randint(4, len(pool)))
-    succ = {a: [rng.choice(nodes) for _ in range(rng.randint(1, 3))] for a in nodes}
-    cur = nodes[0]
-    addrs = []
-    for _ in range(length):
-        addrs.append(cur)
-        cur = rng.choice(succ[cur])
-    return Trace(addrs, [rng.randint(1, 8) for _ in addrs])
 
 
 @pytest.mark.parametrize("chunk", [None, 3])

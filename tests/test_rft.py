@@ -49,7 +49,9 @@ def seed_lei_cycle_counts(mgr, counts):
     """Give a fresh lei manager's addresses cycle counts; their latest push
     position, -1, lies below the history, so it marks no cycle."""
     for a, c in counts.items():
-        mgr._seen[a] = [-1, c]
+        mgr._slot[a] = len(mgr._last)
+        mgr._last.append(-1)
+        mgr._count.append(c)
 
 
 # --- scan against the per-item reference model --------------------------------
