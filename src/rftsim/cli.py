@@ -24,6 +24,7 @@ import csv
 import json
 import sys
 from contextlib import contextmanager
+from itertools import product
 from typing import Optional, Sequence
 
 from .engine import SimulationConfig, SimulationResult, run_simulation, run_sweep
@@ -215,22 +216,13 @@ def _open_out(path: str):
 
 
 def _config_cells(config: SimulationConfig) -> list[str]:
-    r = config.rft
-    return [r.technique, str(r.threshold), str(r.max_region_size),
-            str(r.expansion_depth), str(r.history_capacity)]
+    return [str(getattr(config.rft, col)) for col in CONFIG_COLUMNS]
 
 
 def _config_echo(config: SimulationConfig) -> dict:
-    r = config.rft
-    return {
-        "technique": r.technique,
-        "threshold": r.threshold,
-        "max_region_size": r.max_region_size,
-        "expansion_depth": r.expansion_depth,
-        "history_capacity": r.history_capacity,
-        "skip": config.skip,
-        "limit": config.limit,
-    }
+    echo = {col: getattr(config.rft, col) for col in CONFIG_COLUMNS}
+    echo.update(skip=config.skip, limit=config.limit)
+    return echo
 
 
 def _result_json(result: SimulationResult) -> dict:
@@ -283,23 +275,20 @@ def cmd_simulate(args) -> int:
 
 
 def _sweep_configs(args) -> list[SimulationConfig]:
-    techniques = _parse_techniques(args.rfts)
-    thresholds = _parse_int_list(args.thresholds) if args.thresholds else [args.threshold]
-    depths = _parse_int_list(args.depths) if args.depths else [args.netplus_depth]
-    sizes = _parse_int_list(args.max_region_sizes) if args.max_region_sizes else [args.max_region_size]
-    caps = _parse_int_list(args.history_capacities) if args.history_capacities else [args.history_capacity]
+    def values(text, default):
+        return _parse_int_list(text) if text else [default]
+    # RFTConfig field -> its values, in the sweep's nesting order, outermost first
+    axes = {
+        "technique": _parse_techniques(args.rfts),
+        "threshold": values(args.thresholds, args.threshold),
+        "expansion_depth": values(args.depths, args.netplus_depth),
+        "max_region_size": values(args.max_region_sizes, args.max_region_size),
+        "history_capacity": values(args.history_capacities, args.history_capacity),
+    }
     cost = _cost_params(args)
-    configs = []
-    for tech in techniques:
-        for t in thresholds:
-            for d in depths:
-                for m in sizes:
-                    for h in caps:
-                        configs.append(SimulationConfig(
-                            rft=RFTConfig(technique=tech, threshold=t, max_region_size=m,
-                                          expansion_depth=d, history_capacity=h),
-                            skip=args.skip, limit=args.limit, cost=cost))
-    return configs
+    return [SimulationConfig(rft=RFTConfig(**dict(zip(axes, point))),
+                             skip=args.skip, limit=args.limit, cost=cost)
+            for point in product(*axes.values())]
 
 
 def cmd_sweep(args) -> int:

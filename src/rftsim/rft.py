@@ -38,7 +38,6 @@ All hotness profiling happens on interpreter-side transitions only.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Callable, Collection, Mapping, Optional, Sequence
@@ -139,23 +138,23 @@ class RegionManager:
     ``Automaton.held``, a dict, and ``tests/conftest.py::scan_run`` a set.
     A scan tests it for membership and, in its numpy pass, for emptiness.
 
-    The built-in scans step each item in Python until an idle stretch (no
-    recording in flight, which for ``lei`` is always) has taken
-    ``_HANDOFF`` items; then they hand the rest of the run to a numpy pass
-    (``_profile`` for net, its variants and an idle mret2,
-    ``LeiManager._push`` for lei).  The pass reads the trace in chunks of
-    ``_HANDOFF`` items doubling up to ``_FLOW_CHUNK`` and returns the
-    first item that stops the scan, a held item or one whose bump or push
-    reaches the threshold, with every item before it applied; the scan
-    then steps that item itself.  Its chunk may read addresses past that
-    item, and it raises the flow map's ``ValueError`` for an address
-    outside ``[0, 2**64)``.  Scans shorter than ``_HANDOFF`` never hand
-    off: numpy's cost per call would outweigh what it saves on them.
+    The engine calls ``attach(trace, start)`` before replaying
+    ``trace[start:]``; the manager keeps the trace's u64 address column
+    (``Trace.column``), which its numpy passes slice.  The built-in scans
+    step each item in Python until an idle stretch (no recording in
+    flight, which for ``lei`` is always) has taken ``_HANDOFF`` items;
+    then they hand the rest of the run to a numpy pass (``_profile`` for
+    net, its variants and an idle mret2, ``LeiManager._push`` for lei).
+    The pass reads the column in chunks of ``_HANDOFF`` items doubling up
+    to ``_FLOW_CHUNK`` and returns the first item that stops the scan, a
+    held item or one whose bump or push reaches the threshold, with every
+    item before it applied; the scan then steps that item itself.  Scans
+    shorter than ``_HANDOFF`` never hand off: numpy's cost per call would
+    outweigh what it saves on them.
 
     Each emission passes its recorded ``(address, size)`` pairs through
-    ``complete(items, due)``, which returns the region.  The engine calls
-    ``attach(trace, start)`` before replaying ``trace[start:]``, so that
-    look-ahead managers can expand a recording by the window's flow up to
+    ``complete(items, due)``, which returns the region; look-ahead
+    managers expand the recording there by the window's flow up to
     ``due``.
 
     ``exit_counts`` is read after each scan.  It is None, or the dict in
@@ -181,7 +180,7 @@ class RegionManager:
     def _handle(self, *args) -> None: ...
 
     def attach(self, trace: Trace, start: int) -> None:
-        pass
+        self._col = trace.column
 
     def complete(self, items: list[tuple[int, int]], due: int) -> tuple:
         return (items,)
@@ -230,7 +229,7 @@ class NetManager(RegionManager):
             if i >= stop:
                 if i < end:
                     if not rec:
-                        i = _profile(hot, threshold, addrs, i, end, prev, held)
+                        i = _profile(hot, threshold, self._col, i, end, held)
                         prev = addrs[i - 1]
                     stop = end
                 if i >= end:
@@ -327,7 +326,7 @@ class Mret2Manager(RegionManager):
             if i >= stop:
                 if i < end:
                     if st == _IDLE:
-                        i = _profile(hot, threshold, addrs, i, end, prev, held)
+                        i = _profile(hot, threshold, self._col, i, end, held)
                         prev = addrs[i - 1]
                     stop = end
                 if i >= end:
@@ -429,7 +428,7 @@ class LeiManager(RegionManager):
         while True:
             if i >= stop:
                 if i < end:
-                    k = self._push_run(addrs, i, end, pos, held)
+                    k = self._push_run(i, end, pos, held)
                     pos += k - i
                     i = k
                     stop = end
@@ -461,19 +460,19 @@ class LeiManager(RegionManager):
 
     # kept out of scan, whose locals this closure would turn into cell
     # variables, slower to read in its per-item loop
-    def _push_run(self, addrs, i, end, pos, held) -> int:
+    def _push_run(self, i, end, pos, held) -> int:
         """Push items from ``i``, the first at position ``pos``, in numpy
         chunks up to the first item that stops the scan (see ``_push``);
         returns that item's index, or ``end``."""
         shift = pos - i  # push position minus trace index
-        return _chunked(lambda lo, hi: self._push(addrs, lo, hi, lo + shift, held), i, end)
+        return _chunked(lambda lo, hi: self._push(lo, hi, lo + shift, held), i, end)
 
-    def _push(self, addrs, lo, hi, pos, held) -> int:
+    def _push(self, lo, hi, pos, held) -> int:
         """Push items ``lo..hi-1``, the first at position ``pos``, as the
         per-item loop would, unless one of them stops the scan: a held
         item, or one whose push reaches the threshold.  Returns ``hi``, or
         the index of the first such item with nothing pushed."""
-        col = _address_column(addrs, lo, hi)
+        col = self._col[lo:hi]
         n = hi - lo
         keys, starts, lengths, items = _grouped(col)
         klist = keys.tolist()
@@ -567,16 +566,6 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     return values[_runs(values)[0]]
 
 
-def _address_column(addrs: Sequence[int], lo: int, hi: int) -> np.ndarray:
-    """``addrs[lo:hi]`` as u64; raises ValueError naming the first trace
-    index whose address lies outside ``[0, 2**64)``."""
-    try:
-        return np.frombuffer(array("Q", addrs[lo:hi]), dtype=np.uint64)
-    except OverflowError:
-        j, a = next((j, a) for j, a in enumerate(addrs[lo:hi], lo) if not 0 <= a < 1 << 64)
-        raise ValueError(f"trace item {j}: address {a} outside [0, 2**64)") from None
-
-
 def _grouped(col: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """``(keys, starts, lengths, items)``: ``items`` lists the indices of
     ``col`` ordered by value, then by index; the group of ``keys[g]``, the
@@ -628,21 +617,19 @@ def _chunked(step: Callable[[int, int], int], i: int, end: int) -> int:
     return end
 
 
-def _profile(hot: dict[int, int], threshold: int, addrs: Sequence[int], i: int,
-             end: int, prev: float, held: Collection[int]) -> int:
-    """Profile items ``i..end-1`` as an idle net or mret2 scan would, the
-    item before ``i`` having address ``prev``, and return the index of the
-    first item that stops the scan, with every item before it profiled:
-    the first held item, or the first whose bump reaches the threshold.
-    Returns ``end`` if none does."""
-    start = i
+def _profile(hot: dict[int, int], threshold: int, column: np.ndarray, i: int,
+             end: int, held: Collection[int]) -> int:
+    """Profile items ``i..end-1`` of the u64 address ``column`` as an idle
+    net or mret2 scan would after stepping item ``i - 1`` itself, so that
+    item ``i`` is bumped when it is a backward-branch target, and return
+    the index of the first item that stops the scan, with every item
+    before it profiled: the first held item, or the first whose bump
+    reaches the threshold.  Returns ``end`` if none does."""
 
     def step(lo, hi):
-        col = _address_column(addrs, lo, hi)
+        col = column[lo:hi]
         n = hi - lo
-        back = np.empty(n, dtype=bool)
-        back[0] = addrs[lo] < (prev if lo == start else addrs[lo - 1])
-        np.less(col[1:], col[:-1], out=back[1:])
+        back = col < column[lo - 1:hi - 1]
         k = _first_held(col, held) if held else n
         at = back[:k].nonzero()[0]
         targets = col[at]
@@ -692,16 +679,8 @@ def netplus_expand(cfg: Mapping[int, Sequence], recording: Sequence[tuple[int, i
     targets = region if extended else {rec_addrs[0]}
     # forward pass: fewest outside addresses needed to reach each node
     reach: dict[int, int] = {}
-    frontier: list[int] = []
-    for a in region:
-        ent = cfg.get(a)
-        if not ent:
-            continue
-        for v in ent[1]:
-            if v not in region and v not in reach and v in cfg:
-                reach[v] = 1
-                frontier.append(v)
-    d = 1
+    frontier = list(region)
+    d = 0
     while frontier and d < depth:
         nxt: list[int] = []
         for u in frontier:
@@ -772,9 +751,9 @@ class _ExpansionMixin:
     and each pair ``(addresses[j - 1], addresses[j])`` with
     ``start < j <= i``.
 
-    The catch-up reads the trace in chunks of ``_FLOW_CHUNK`` items, each
-    with the item before it so that the pair across the boundary is kept.
-    A chunk becomes a u64 array; a sort finds its distinct addresses,
+    The catch-up reads the trace's u64 address column in chunks of
+    ``_FLOW_CHUNK`` items, each with the item before it so that the pair
+    across the boundary is kept.  A sort finds a chunk's distinct addresses,
     which number each item, and a sort of the numbered pairs finds its
     distinct pairs.  Only those distinct addresses and pairs reach the
     map, so Python-level work grows with the flow's size, not the
@@ -789,19 +768,19 @@ class _ExpansionMixin:
         self._cfg: dict[int, list] = {}
 
     def attach(self, trace, start):
-        self._trace = trace
+        super().attach(trace, start)
+        self._sizes = trace.sizes
         self._base = self._covered = start
         self._cfg = {}
 
     def complete(self, items, due):
         cfg = self._cfg
-        addrs = self._trace.addresses
-        sizes = self._trace.sizes
+        sizes = self._sizes
         lo = self._covered
         while lo <= due:
             hi = min(due + 1, lo + _FLOW_CHUNK)
             j = lo - 1 if lo > self._base else lo
-            col = _address_column(addrs, j, hi)
+            col = self._col[j:hi]
             keys = _distinct(np.sort(col))
             ids = np.searchsorted(keys, col)
             n, m = len(col), len(keys)

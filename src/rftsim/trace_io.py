@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import struct
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NoReturn, Optional, Union
@@ -50,26 +51,30 @@ class Trace:
     """A fully loaded, immutable-by-convention instruction sequence.
 
     Addresses and sizes are kept as parallel lists of plain ints so the
-    simulation loop pays no per-item conversion cost.  A loaded trace may
-    be shared read-only between any number of simulations.
-
-    A trace built in code must also hold addresses in ``[0, 2**64)``, the
-    range both file formats carry.  Construction does not check them; the
-    writers refuse such an address, and the simulation raises
-    ``ValueError`` naming the trace index when it converts one to numpy:
-    every technique converts the chunks of a long interpreter-side run,
-    and the look-ahead techniques (``netplus``, ``netplus-e-r``) the
-    window up to each emission.  A short run past those steps such an
-    address unchecked.
+    per-item loops and the stepping kernel pay no per-item conversion
+    cost.  The addresses are also kept as ``column``, a read-only u64 numpy
+    array that every numpy pass slices.  Building it is where the address
+    range is checked: an address outside ``[0, 2**64)``, the range both
+    file formats carry, makes construction raise ``ValueError`` naming the
+    first such item, so every technique, writer and pass sees valid
+    addresses only.  A loaded trace may be shared read-only between any
+    number of simulations.
     """
 
-    __slots__ = ("addresses", "sizes", "_backward")
+    __slots__ = ("addresses", "sizes", "column", "_backward")
 
     def __init__(self, addresses: list[int], sizes: list[int]):
         if len(addresses) != len(sizes):
             raise ValueError("addresses and sizes must have equal length")
+        try:
+            column = np.frombuffer(array("Q", addresses), dtype=np.uint64)
+        except OverflowError:
+            j, a = next((j, a) for j, a in enumerate(addresses) if not 0 <= a < 1 << 64)
+            raise ValueError(f"trace item {j}: address {a} outside [0, 2**64)") from None
+        column.flags.writeable = False
         self.addresses = addresses
         self.sizes = sizes
+        self.column = column
         self._backward = None
 
     def __len__(self) -> int:
@@ -84,11 +89,8 @@ class Trace:
         address.  Cached after the first call.
         """
         if self._backward is None:
-            a = np.asarray(self.addresses, dtype=np.uint64)
-            if len(a) < 2:
-                self._backward = np.empty(0, dtype=np.int64)
-            else:
-                self._backward = (np.nonzero(a[1:] < a[:-1])[0] + 1).astype(np.int64)
+            a = self.column
+            self._backward = (np.nonzero(a[1:] < a[:-1])[0] + 1).astype(np.int64)
         return self._backward
 
 
@@ -139,7 +141,12 @@ def load_binary(path: Union[str, Path]) -> Trace:
         if len(bad):
             offset = _HEADER.size + int(bad[0]) * _RECORD.size
             raise TraceFormatError(f"{path}: zero instruction size at byte offset {offset}")
-    return Trace(_address_list(records["address"]), records["size"].tolist())
+    addresses = _address_list(records["address"])
+    sizes = records["size"].tolist()
+    # the trace's u64 column is built only after the file bytes are freed,
+    # so the two are never alive together
+    del raw, records
+    return Trace(addresses, sizes)
 
 
 def load_text(path: Union[str, Path]) -> Trace:
@@ -175,14 +182,13 @@ def load_trace(path: Union[str, Path], format: str = "binary") -> Trace:
     raise ValueError(f"unknown trace format {format!r}")
 
 
-def _column(values: list[int], dtype, what: str, path) -> np.ndarray:
+def _size_column(path, sizes: list[int]) -> np.ndarray:
     try:
-        return np.asarray(values, dtype=dtype)
+        return np.asarray(sizes, dtype=np.uint32)
     except OverflowError:
-        bits = 8 * np.dtype(dtype).itemsize
-        j, v = next((j, v) for j, v in enumerate(values) if not 0 <= v < 1 << bits)
-        raise TraceFormatError(f"{path}: item {j}: {what} {v} does not fit "
-                               f"u{bits}") from None
+        j, v = next((j, v) for j, v in enumerate(sizes) if not 0 <= v < 1 << 32)
+        raise TraceFormatError(f"{path}: item {j}: instruction size {v} does not fit "
+                               f"u32") from None
 
 
 def _reject_size(path, sizes: list[int]) -> NoReturn:
@@ -194,8 +200,8 @@ def _reject_size(path, sizes: list[int]) -> NoReturn:
 
 def write_binary(path: Union[str, Path], trace: Trace) -> None:
     arr = np.empty(len(trace), dtype=_RECORD_DTYPE)
-    arr["address"] = _column(trace.addresses, np.uint64, "address", path)
-    arr["size"] = _column(trace.sizes, np.uint32, "instruction size", path)
+    arr["address"] = trace.column
+    arr["size"] = _size_column(path, trace.sizes)
     if not arr["size"].all():
         _reject_size(path, trace.sizes)
     arr["flags"] = 0
@@ -205,8 +211,6 @@ def write_binary(path: Union[str, Path], trace: Trace) -> None:
 
 
 def write_text(path: Union[str, Path], trace: Trace) -> None:
-    # load_text refuses addresses outside [0, 2**64), as binary v1 does
-    _column(trace.addresses, np.uint64, "address", path)
     if trace.sizes and min(trace.sizes) < 1:
         _reject_size(path, trace.sizes)
     with open(path, "w", encoding="ascii") as fh:

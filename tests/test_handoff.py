@@ -21,7 +21,7 @@ from conftest import (high_walk, naive_run, random_graph_walk, random_noise,
                       random_rft_config, random_trace, scan_run)
 from reference import SI, make_reference, reference_run
 from rftsim import Trace
-from rftsim.engine import SimulationConfig, run_simulation, run_sweep
+from rftsim.engine import SimulationConfig, run_simulation
 from rftsim.rft import RFTConfig, TECHNIQUES, make_rft
 
 # (hand-off length, chunk cap); None leaves both at their defaults
@@ -178,6 +178,7 @@ def test_region_exit_target_is_the_first_item_only(monkeypatch, tech):
     set_sizes(monkeypatch, (1, 1))
     addrs = [0x200, 0x300, 0x250, 0x260, 0x100]
     manager = make_rft(RFTConfig(tech, threshold=100))
+    manager.attach(Trace(addrs, [4] * 5), 0)
     assert manager.scan(addrs, [4] * 5, 0, 5, 0x50, 2, ()) == (5, None)
     ref = make_reference(RFTConfig(tech, threshold=100))
     last, kind = (0x50, 4), 2
@@ -195,9 +196,9 @@ def test_lei_with_a_raised_floor_and_a_short_history(monkeypatch, sizes):
     pushed = []
     push = rft.LeiManager._push
 
-    def noted(self, addrs, lo, hi, pos, held):
+    def noted(self, lo, hi, pos, held):
         pushed.append((self._floor, hi - lo, self._capacity))
-        return push(self, addrs, lo, hi, pos, held)
+        return push(self, lo, hi, pos, held)
     monkeypatch.setattr(rft.LeiManager, "_push", noted)
     rng = random.Random(0x1E1F)
     for case in range(40):
@@ -213,15 +214,20 @@ def test_lei_with_a_raised_floor_and_a_short_history(monkeypatch, sizes):
 
 @pytest.mark.parametrize("technique", TECHNIQUES)
 @pytest.mark.parametrize("bad", [-4, 1 << 64])
-def test_long_run_rejects_address_outside_u64(technique, bad):
-    # a long interpreter-side run, handed to the numpy pass, that reaches
-    # an out-of-range address at item 1500; nothing turns hot before it
-    trace = random_noise(random.Random(5), 2000)
-    trace.addresses[1500] = bad
-    config = SimulationConfig(rft=RFTConfig(technique, threshold=1 << 20))
+def test_long_run_rejects_address_outside_u64(passes, technique, bad):
+    """A long interpreter-side run with out-of-range addresses at items
+    1500 and 1700 cannot be built as a trace, so no technique steps one;
+    construction names the first.  With the nearest u64 bound there
+    instead, the run, handed to the numpy pass, matches the naive loop."""
+    noise = random_noise(random.Random(5), 2000)
+    addrs = list(noise.addresses)
+    addrs[1500] = addrs[1700] = bad
     message = f"trace item 1500: address {bad} outside [0, 2**64)"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        run_simulation(trace, config)
-    (outcome,) = run_sweep(trace, [config])
-    assert outcome.error == f"ValueError: {message}"
-    assert not outcome.invariant_violated
+        Trace(addrs, noise.sizes)
+    addrs[1500] = addrs[1700] = 0 if bad < 0 else (1 << 64) - 1
+    trace = Trace(addrs, noise.sizes)
+    # nothing turns hot, so one pass takes the run from the hand-off on
+    config = SimulationConfig(rft=RFTConfig(technique, threshold=1 << 20), collect_dump=True)
+    assert run_simulation(trace, config).dump == naive_run(trace, config).dump()
+    assert passes == [(rft._HANDOFF, 2000, 2000)]

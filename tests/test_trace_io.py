@@ -1,8 +1,12 @@
+import random
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import high_walk
 from rftsim import trace_io
 from rftsim.trace_io import (AlternatingPaths, LoopSpec, ProgramSpec, Trace,
                              TraceFormatError, TraceSpecError, generate_trace,
@@ -123,24 +127,27 @@ def test_text_round_trip_matches_binary(tmp_path_factory, pairs):
 @pytest.mark.parametrize("pairs, message", [
     ([(0x100, 4), (0x104, 2**32 + 1)], "item 1: instruction size 4294967297 does not fit u32"),
     ([(0x100, -1)], "item 0: instruction size -1 does not fit u32"),
-    ([(0x100, 4), (2**64, 4)], f"item 1: address {2**64} does not fit u64"),
-    ([(-4, 4)], "item 0: address -4 does not fit u64"),
+    ([(0x100, 4), (2**64, 4)], f"item 1: address {2**64} outside"),
+    ([(-4, 4)], "item 0: address -4 outside"),
 ])
 def test_binary_write_out_of_range_rejected(tmp_path, pairs, message):
+    # the writer refuses a size; an address is refused when the trace is
+    # built, so a file is never begun for either
+    error = TraceFormatError if "size" in message else ValueError
     path = tmp_path / "t.rtr"
-    with pytest.raises(TraceFormatError, match=message):
+    with pytest.raises(error, match=message):
         write_trace(path, as_trace(pairs), "binary")
     assert not path.exists()
 
 
 @pytest.mark.parametrize("pairs, message", [
-    ([(0x100, 4), (2**64, 4)], f"item 1: address {2**64} does not fit u64"),
-    ([(0x100, 4), (0x104, 4), (-4, 4)], "item 2: address -4 does not fit u64"),
+    ([(0x100, 4), (2**64, 4)], f"item 1: address {2**64} outside"),
+    ([(0x100, 4), (0x104, 4), (-4, 4)], "item 2: address -4 outside"),
 ])
 def test_text_write_address_outside_u64_rejected(tmp_path, pairs, message):
-    # load_text refuses such an address, so write_text does not write one
+    # load_text refuses such an address, so a text file never holds one
     path = tmp_path / "t.txt"
-    with pytest.raises(TraceFormatError, match=message):
+    with pytest.raises(ValueError, match=message):
         write_trace(path, as_trace(pairs), "text")
     assert not path.exists()
 
@@ -188,6 +195,46 @@ def test_binary_load_interns_addresses_across_chunks(tmp_path, monkeypatch):
 def test_backward_indices():
     tr = Trace([0x100, 0x104, 0x100, 0x200, 0x0F0], [4, 4, 4, 4, 4])
     assert tr.backward_indices().tolist() == [2, 4]
+
+
+# --- the address column -----------------------------------------------------
+
+@pytest.mark.parametrize("addresses, j", [
+    ([0x100, 2**64], 1),
+    ([-4], 0),
+    ([0x100, 0x104, -4, 2**64], 2),
+    ([0, 2**64 - 1, 2**64 + 8, -4], 2),
+])
+def test_trace_rejects_address_outside_u64(addresses, j):
+    # neither file format carries such an address, so construction
+    # refuses it, naming the first, and no writer or technique meets one
+    message = f"trace item {j}: address {addresses[j]} outside [0, 2**64)"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Trace(addresses, [4] * len(addresses))
+
+
+@pytest.mark.parametrize("source", ["generate_trace", "load_binary", "load_binary_interned",
+                                    "load_text", "high_walk", "empty"])
+def test_column_equals_addresses_and_is_read_only(tmp_path, monkeypatch, source):
+    walk = high_walk(random.Random(3), 500)
+    if source == "generate_trace":
+        trace = generate_trace(ProgramSpec((LoopSpec(base=2**64 - 16, body=4, iters=3),)))
+    elif source == "high_walk":
+        trace = walk
+    elif source == "empty":
+        trace = Trace([], [])
+    else:
+        fmt = "text" if source == "load_text" else "binary"
+        if source == "load_binary_interned":
+            monkeypatch.setattr(trace_io, "_INTERN_THRESHOLD", 10)
+        path = tmp_path / "t.trace"
+        write_trace(path, walk, fmt)
+        trace = load_trace(path, fmt)
+        assert trace.addresses == walk.addresses
+    assert trace.column.dtype == np.uint64
+    assert trace.column.tolist() == trace.addresses
+    with pytest.raises(ValueError, match="read-only"):
+        trace.column[:1] = 1
 
 
 # --- synthetic generation ---------------------------------------------------
