@@ -44,7 +44,7 @@ from typing import Callable, Collection, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .trace_io import Trace
+from .trace_io import Trace, _distinct, _runs
 
 TECHNIQUES = ("net", "mret2", "lei", "netplus", "net-r", "netplus-e-r")
 
@@ -550,21 +550,6 @@ class LeiManager(RegionManager):
 
 
 # --- numpy passes over trace chunks -------------------------------------------
-
-def _runs(ordered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The first index and the length of each run of equal values in a
-    sorted array."""
-    edge = np.empty(len(ordered) + 1, dtype=bool)
-    edge[0] = edge[-1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=edge[1:-1])
-    at = edge.nonzero()[0]
-    return at[:-1], at[1:] - at[:-1]
-
-
-def _distinct(values: np.ndarray) -> np.ndarray:
-    """The first element of each run of equal values in a sorted array."""
-    return values[_runs(values)[0]]
-
 
 def _grouped(col: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """``(keys, starts, lengths, items)``: ``items`` lists the indices of

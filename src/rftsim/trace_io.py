@@ -22,6 +22,7 @@ a transfer to a lower address is always a backward branch.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from array import array
 from dataclasses import dataclass
@@ -57,8 +58,9 @@ class Trace:
     range is checked: an address outside ``[0, 2**64)``, the range both
     file formats carry, makes construction raise ``ValueError`` naming the
     first such item, so every technique, writer and pass sees valid
-    addresses only.  A loaded trace may be shared read-only between any
-    number of simulations.
+    addresses only.  A binary load's address list shares one int per distinct
+    address: about 24 bytes per item, 8 each for the column and both lists.
+    A loaded trace may be shared read-only between any number of simulations.
     """
 
     __slots__ = ("addresses", "sizes", "column", "_backward")
@@ -72,10 +74,12 @@ class Trace:
             j, a = next((j, a) for j, a in enumerate(addresses) if not 0 <= a < 1 << 64)
             raise ValueError(f"trace item {j}: address {a} outside [0, 2**64)") from None
         column.flags.writeable = False
-        self.addresses = addresses
-        self.sizes = sizes
-        self.column = column
-        self._backward = None
+        self._hold(addresses, sizes, column)
+
+    def _hold(self, addresses: list[int], sizes: list[int], column: np.ndarray) -> "Trace":
+        """Keeps ``column`` (read-only, checked, equal to ``addresses``) without a rebuild."""
+        self.addresses, self.sizes, self.column, self._backward = addresses, sizes, column, None
+        return self
 
     def __len__(self) -> int:
         return len(self.addresses)
@@ -94,59 +98,89 @@ class Trace:
         return self._backward
 
 
-# Binary loads of more than _INTERN_THRESHOLD items collapse equal
-# addresses to shared int objects; otherwise the trace holds one boxed int
-# per record, which dominates memory on large loop-heavy traces.  The
-# column is converted _INTERN_CHUNK items at a time, so only one chunk of
-# unshared ints is alive at once.  Smaller traces skip interning, whose
-# dict pass adds load time that their few boxed ints do not repay.
-_INTERN_THRESHOLD = 1_000_000
-_INTERN_CHUNK = 65_536
+def _runs(ordered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first index and the length of each run of equal values in a
+    sorted array."""
+    edge = np.empty(len(ordered) + 1, dtype=bool)
+    edge[0] = edge[-1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=edge[1:-1])
+    at = edge.nonzero()[0]
+    return at[:-1], at[1:] - at[:-1]
 
 
-def _address_list(column: np.ndarray) -> list[int]:
-    if len(column) <= _INTERN_THRESHOLD:
-        return column.tolist()
-    seen: dict[int, int] = {}
-    setdefault = seen.setdefault
-    addresses: list[int] = []
-    for lo in range(0, len(column), _INTERN_CHUNK):
-        values = column[lo:lo + _INTERN_CHUNK].tolist()
-        addresses.extend(map(setdefault, values, values))
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The first element of each run of equal values in a sorted array."""
+    return values[_runs(values)[0]]
+
+
+# Records per chunk of a binary load: a chunk's lists and index arrays, 64
+# KiB each, are under glibc's default 128 KiB mmap threshold, so they reuse
+# one place in the heap and leave no free holes there for sweep workers.
+_LOAD_CHUNK = 8_192
+
+
+def _interned(column: np.ndarray) -> list[int]:
+    """``column.tolist()``, but with one shared int per distinct address.
+    Where the addresses span at most the item count, marks over the span
+    find them and an offset table numbers them; otherwise each chunk's
+    sorted distinct values, merged, find them and a binary search numbers
+    them.  Each chunk then indexes an object array of the shared ints."""
+    n = len(column)
+    low, high = (int(column.min()), int(column.max())) if n else (0, -1)
+    if high - low < n:
+        seen = np.zeros(high - low + 1, dtype=bool)
+        for lo in range(0, n, _LOAD_CHUNK):
+            seen[column[lo:lo + _LOAD_CHUNK] - low] = True
+        shared = np.array((np.flatnonzero(seen).astype(np.uint64) + low).tolist(), dtype=object)
+        table = np.cumsum(seen, dtype=np.intp)
+        table -= 1
+    else:
+        keys = _distinct(np.sort(np.concatenate([_distinct(np.sort(column[lo:lo + _LOAD_CHUNK]))
+                                                 for lo in range(0, n, _LOAD_CHUNK)])))
+        shared = np.array(keys.tolist(), dtype=object)
+    addresses: list = [None] * n
+    for lo in range(0, n, _LOAD_CHUNK):
+        c = column[lo:lo + _LOAD_CHUNK]
+        if high - low < n:
+            ids = table[c - low]
+        else:  # searching for sorted needles is several times faster
+            order = np.argsort(c)
+            ids = np.empty(len(c), dtype=np.intp)
+            ids[order] = np.searchsorted(keys, c[order])
+        addresses[lo:lo + _LOAD_CHUNK] = shared[ids].tolist()
     return addresses
 
 
 def load_binary(path: Union[str, Path]) -> Trace:
-    raw = Path(path).read_bytes()
-    if len(raw) < _HEADER.size:
-        raise TraceFormatError(f"{path}: truncated header ({len(raw)} bytes)")
-    magic, version, reserved = _HEADER.unpack_from(raw, 0)
-    if magic != MAGIC:
-        raise TraceFormatError(f"{path}: bad magic {magic!r}")
-    if version != FORMAT_VERSION:
-        raise TraceFormatError(f"{path}: unsupported version {version}")
-    if reserved != 0:
-        raise TraceFormatError(f"{path}: nonzero reserved header field")
-    payload = len(raw) - _HEADER.size
-    if payload % _RECORD.size:
-        offset = _HEADER.size + (payload // _RECORD.size) * _RECORD.size
-        raise TraceFormatError(f"{path}: truncated record at byte offset {offset}")
-    records = np.frombuffer(raw, dtype=_RECORD_DTYPE, offset=_HEADER.size)
-    if len(records):
-        bad = np.nonzero(records["flags"])[0]
-        if len(bad):
-            offset = _HEADER.size + int(bad[0]) * _RECORD.size
-            raise TraceFormatError(f"{path}: nonzero flags at byte offset {offset}")
-        bad = np.nonzero(records["size"] == 0)[0]
-        if len(bad):
-            offset = _HEADER.size + int(bad[0]) * _RECORD.size
-            raise TraceFormatError(f"{path}: zero instruction size at byte offset {offset}")
-    addresses = _address_list(records["address"])
-    sizes = records["size"].tolist()
-    # the trace's u64 column is built only after the file bytes are freed,
-    # so the two are never alive together
-    del raw, records
-    return Trace(addresses, sizes)
+    with open(path, "rb") as fh:
+        header = fh.read(_HEADER.size)
+        if len(header) < _HEADER.size:
+            raise TraceFormatError(f"{path}: truncated header ({len(header)} bytes)")
+        magic, version, reserved = _HEADER.unpack(header)
+        if magic != MAGIC:
+            raise TraceFormatError(f"{path}: bad magic {magic!r}")
+        if version != FORMAT_VERSION:
+            raise TraceFormatError(f"{path}: unsupported version {version}")
+        if reserved != 0:
+            raise TraceFormatError(f"{path}: nonzero reserved header field")
+        # records the file's size promises, counting a trailing part of one
+        n = -(-(os.fstat(fh.fileno()).st_size - _HEADER.size) // _RECORD.size)
+        column = np.empty(n, dtype=np.uint64)
+        sizes = [0] * n
+        buffer = np.empty(min(n, _LOAD_CHUNK), dtype=_RECORD_DTYPE)
+        for lo in range(0, n, _LOAD_CHUNK):
+            records = buffer[:n - lo]
+            got = fh.readinto(records) // _RECORD.size
+            for bad, what in ((records["flags"][:got] != 0, "nonzero flags"),
+                              (records["size"][:got] == 0, "zero instruction size"),
+                              (np.arange(len(records)) >= got, "truncated record")):
+                if bad.any():
+                    offset = _HEADER.size + (lo + int(bad.argmax())) * _RECORD.size
+                    raise TraceFormatError(f"{path}: {what} at byte offset {offset}")
+            column[lo:lo + got] = records["address"]
+            sizes[lo:lo + got] = records["size"].tolist()
+    column.flags.writeable = False
+    return Trace.__new__(Trace)._hold(_interned(column), sizes, column)
 
 
 def load_text(path: Union[str, Path]) -> Trace:

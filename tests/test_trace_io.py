@@ -1,5 +1,8 @@
+import gc
 import random
 import re
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -180,8 +183,7 @@ def test_binary_load_interns_addresses_across_chunks(tmp_path, monkeypatch):
     addresses = [base + 4 * (k % 5) for k in range(40)] + [2**64 - 1, base]
     path = tmp_path / "t.rtr"
     write_trace(path, Trace(addresses, [4] * len(addresses)))
-    monkeypatch.setattr(trace_io, "_INTERN_THRESHOLD", 10)
-    monkeypatch.setattr(trace_io, "_INTERN_CHUNK", 7)
+    monkeypatch.setattr(trace_io, "_LOAD_CHUNK", 7)
     loaded = load_trace(path).addresses
     records = np.frombuffer(path.read_bytes(), dtype=trace_io._RECORD_DTYPE,
                             offset=trace_io._HEADER.size)
@@ -190,6 +192,128 @@ def test_binary_load_interns_addresses_across_chunks(tmp_path, monkeypatch):
     for a in loaded:
         assert first.setdefault(a, a) is a
     assert len(first) == 6
+
+
+def _loop(addresses, n):
+    return [addresses[k % len(addresses)] for k in range(n)]
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 65_536])
+@pytest.mark.parametrize("addresses, table", [
+    (_loop([0x100 + 4 * k for k in range(5)] + [0x100], 42), True),
+    (_loop([0, 4, 8, 12, 0, 16], 30), True),
+    (_loop([2**64 - 1, 2**64 - 9, 2**64 - 5, 2**64 - 1], 25), True),
+    (_loop([0, 4, 2**64 - 1, 8, 2**64 - 5], 33), False),
+    (_loop([0x100, 0x104, 0x4100, 0x104], 20), False),
+    ([2**63], True),
+])
+def test_binary_load_shares_one_int_per_address(tmp_path, monkeypatch, chunk, addresses, table):
+    # both ways of numbering the distinct addresses: an offset table when
+    # their span is at most the item count, a binary search otherwise
+    assert (max(addresses) - min(addresses) < len(addresses)) == table
+    path = tmp_path / "t.rtr"
+    write_trace(path, Trace(addresses, [4] * len(addresses)))
+    monkeypatch.setattr(trace_io, "_LOAD_CHUNK", chunk)
+    loaded = load_trace(path)
+    assert loaded.addresses == loaded.column.tolist() == addresses
+    first = {}
+    assert all(first.setdefault(a, a) is a for a in loaded.addresses)
+    assert len(first) == len(set(addresses))
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+@pytest.mark.parametrize("defect, message", [
+    ("flags", "nonzero flags at byte offset 176"),
+    ("size", "zero instruction size at byte offset 176"),
+    ("cut", "truncated record at byte offset 320"),
+    ("short", "truncated record at byte offset 336"),
+    ("flags+cut", "nonzero flags at byte offset 176"),
+])
+def test_binary_load_defect_in_later_chunk_reports_offset(tmp_path, monkeypatch, chunk,
+                                                          defect, message):
+    # 20 records, the defect past the first chunk at either chunk size:
+    # record 10's flags or size, a cut in record 19, or a record 20 that
+    # the file's size promised; of two defects, the first in the file
+    path = tmp_path / "t.rtr"
+    write_trace(path, Trace([0x100 + 4 * k for k in range(20)], [4] * 20))
+    raw = bytearray(path.read_bytes())
+    if defect.startswith("flags"):
+        raw[16 + 10 * 16 + 12] = 1
+    elif defect == "size":
+        raw[16 + 10 * 16 + 8:16 + 10 * 16 + 12] = bytes(4)
+    if defect.endswith("cut"):
+        del raw[-5:]
+    path.write_bytes(bytes(raw))
+    if defect == "short":
+        # the file ends before the size found when it was opened, as when
+        # it is cut while being read
+        real = trace_io.os.fstat
+        monkeypatch.setattr(trace_io.os, "fstat",
+                            lambda fd: SimpleNamespace(st_size=real(fd).st_size + 16))
+    monkeypatch.setattr(trace_io, "_LOAD_CHUNK", chunk)
+    with pytest.raises(TraceFormatError, match=re.escape(message)):
+        load_trace(path)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 65_536])
+@pytest.mark.parametrize("pairs", [[], [(2**64 - 1, 4)], [(0, 2**32 - 1)]])
+def test_binary_load_empty_and_one_record(tmp_path, monkeypatch, chunk, pairs):
+    path = tmp_path / "t.rtr"
+    write_trace(path, as_trace(pairs))
+    assert len(path.read_bytes()) == 16 + 16 * len(pairs)
+    monkeypatch.setattr(trace_io, "_LOAD_CHUNK", chunk)
+    trace = load_trace(path)
+    assert items(trace) == pairs
+    assert trace.column.tolist() == trace.addresses
+    assert not trace.column.flags.writeable
+
+
+def _loaded_bytes(path):
+    """Bytes ``load_trace(path)`` leaves allocated, and its peak above that."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        trace = load_trace(path)
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(trace) > 0
+    return after - before, peak - after
+
+
+def test_binary_load_memory_per_item(tmp_path):
+    # numpy reports its buffers to tracemalloc, so the traced sizes count
+    # the column, both lists and every temporary; a loop trace has a few
+    # distinct addresses, so each item costs the column's 8 bytes and one
+    # pointer in each list, and the peak above that is a few chunks of
+    # temporaries whatever the trace's length
+    measured = {}
+    for n in (100_000, 400_000):
+        path = tmp_path / f"loop{n}.rtr"
+        write_trace(path, generate_trace(ProgramSpec((LoopSpec(base=0x1000, body=10,
+                                                               iters=n // 10),))))
+        measured[n] = _loaded_bytes(path)
+    for n, (final, peak) in measured.items():
+        assert final <= 26 * n, (n, final / n)
+        assert peak <= 1 << 20, (n, peak)
+    # less than one byte per added item: a whole-file copy would add 16
+    assert measured[400_000][1] - measured[100_000][1] < 300_000, measured
+
+
+@pytest.mark.parametrize("isize", [1, 4])
+def test_binary_load_memory_with_every_address_distinct(tmp_path, isize):
+    # straight-line code: every address distinct, spanning the item count
+    # (offset table) or four times it (binary search).  Above its final
+    # size the load holds at most the table's 8 bytes and one mark per
+    # item, the array of shared ints (8 bytes per address) and a few
+    # chunks of temporaries
+    n = 200_000
+    path = tmp_path / "straight.rtr"
+    write_trace(path, Trace(list(range(0x1000, 0x1000 + isize * n, isize)), [isize] * n))
+    final, peak = _loaded_bytes(path)
+    assert final <= (24 + 32) * n, final / n
+    assert peak <= 17 * n + (1 << 20), peak / n
 
 
 def test_backward_indices():
@@ -226,7 +350,7 @@ def test_column_equals_addresses_and_is_read_only(tmp_path, monkeypatch, source)
     else:
         fmt = "text" if source == "load_text" else "binary"
         if source == "load_binary_interned":
-            monkeypatch.setattr(trace_io, "_INTERN_THRESHOLD", 10)
+            monkeypatch.setattr(trace_io, "_LOAD_CHUNK", 7)
         path = tmp_path / "t.trace"
         write_trace(path, walk, fmt)
         trace = load_trace(path, fmt)
