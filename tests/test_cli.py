@@ -122,6 +122,15 @@ def test_simulate_text_address_outside_u64_data_error(capsys, tmp_path, rft):
     assert ":2: address" in err
 
 
+def test_simulate_text_size_beyond_u32_data_error(capsys, tmp_path):
+    path = tmp_path / "t.txt"
+    path.write_text("100 4\n104 4294967295\n200 4294967296\n")
+    code, _, err = run_cli(capsys, "simulate", "--trace", str(path),
+                           "--trace-format", "text", "--rft", "net")
+    assert code == 2
+    assert ":3: instruction size 4294967296 outside [1, 2**32)" in err
+
+
 # --- sweep --------------------------------------------------------------------
 
 def test_sweep_cartesian_rows(capsys, loop_trace):
@@ -265,7 +274,7 @@ def test_gen_trace_size_beyond_u32_data_error(capsys, tmp_path):
     code, _, err = run_cli(capsys, "gen-trace", "--spec", str(spec_path),
                            "--out", str(tmp_path / "x.rtr"))
     assert code == 2
-    assert "instruction size 4294967297 does not fit u32" in err
+    assert "loops[0]: isize 4294967297 outside [1, 2**32)" in err
 
 
 def test_gen_trace_negative_base_rejected(capsys, tmp_path):

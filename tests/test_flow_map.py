@@ -100,7 +100,7 @@ def test_lazy_flow_map_catches_up_across_chunks(monkeypatch, technique):
     threshold = _FLOW_CHUNK // len(body) + 8
     cycle = body * (threshold + 2)
     walk = random_graph_walk(random.Random(7), 3000)
-    trace = Trace(cycle + walk.addresses, [4] * len(cycle) + walk.sizes)
+    trace = Trace(cycle + walk.addresses, [4] * len(cycle) + list(walk.sizes))
     skip = 5
     config = SimulationConfig(rft=RFTConfig(technique, threshold=threshold), skip=skip)
     lazy = check_window(monkeypatch, trace, config)

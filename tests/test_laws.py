@@ -15,6 +15,10 @@ Every trace, transformed or not, is written as binary v1 and loaded back.
 The loader numbers a trace's distinct addresses through an offset table
 when their span is at most the item count, and by binary search
 otherwise, so the cases below feed both to all six techniques.
+
+The performance knobs change how the work is cut up, never its result:
+patching each of them to 1 or to more than any trace's length leaves
+every technique's dump unchanged, on traces loaded from either format.
 """
 
 import importlib.util
@@ -24,23 +28,25 @@ from pathlib import Path
 
 import pytest
 
+import rftsim.automaton as automaton
+import rftsim.rft as rft
 from conftest import random_graph_walk, random_noise, random_rft_config, random_trace
+from rftsim import trace_io
 from rftsim.engine import SimulationConfig, run_simulation
 from rftsim.metrics import report_csv_row
 from rftsim.rft import TECHNIQUES, RFTConfig
 from rftsim.trace_io import Trace, load_trace, write_trace
 
 
-def _graph_walk_prefix(items: int) -> Trace:
-    """The first ``items`` items of the benchmark's graph-walk workload at
-    seed 1."""
+def _bench_prefix(workload: str, items: int) -> Trace:
+    """The first ``items`` items of a benchmark workload at seed 1."""
     path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("bench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     # its dataclasses look their module up while it executes
     sys.modules[spec.name] = workloads
     spec.loader.exec_module(workloads)
-    return workloads.graph_walk(1, items)
+    return workloads.WORKLOADS[workload].generate(1, items)
 
 
 def _cases():
@@ -52,7 +58,7 @@ def _cases():
         trace = (random_trace, random_graph_walk, random_noise, random_trace)[seed](rng, 2000)
         cases.append((f"conftest-{seed}", trace,
                       [random_rft_config(rng, tech) for tech in TECHNIQUES]))
-    cases.append(("graph-walk-20000", _graph_walk_prefix(20_000),
+    cases.append(("graph-walk-20000", _bench_prefix("graph-walk", 20_000),
                   [RFTConfig(technique=tech, threshold=64) for tech in TECHNIQUES]))
     return cases
 
@@ -101,3 +107,74 @@ def test_window_equals_sliced_trace(tmp_path, name, trace, configs):
     sliced = Trace(trace.addresses[skip:skip + limit], trace.sizes[skip:skip + limit])
     assert (_rows(tmp_path, trace, [(rft, skip, limit) for rft in configs])
             == _rows(tmp_path, sliced, [(rft, 0, None) for rft in configs], "s.rtr"))
+
+
+# the scans' hand-off to numpy passes and the passes' largest chunk, a
+# chain head's shortest kept memo, its fruitless landings before it is
+# given up and the longest memo, and the records a binary load reads at
+# a time; a memo needs at least one item, so CHAIN_MIN_PATH stays >= 1
+KNOBS = [(rft, "_HANDOFF"), (rft, "_FLOW_CHUNK"), (automaton, "CHAIN_MIN_PATH"),
+         (automaton, "CHAIN_GIVE_UP"), (automaton, "WALK_CAP"), (trace_io, "_LOAD_CHUNK")]
+HUGE = 1 << 40
+
+
+def _knob_sets() -> dict:
+    """Values for ``KNOBS`` by name, None keeping a default: all at 1, all
+    beyond any trace, alternating both ways, and each alone at 1."""
+    sets = {"all-1": (1,) * 6, "all-huge": (HUGE,) * 6,
+            "1-huge": (1, HUGE) * 3, "huge-1": (HUGE, 1) * 3}
+    for k, (_, name) in enumerate(KNOBS):
+        sets[f"{name}-1"] = (None,) * k + (1,) + (None,) * (5 - k)
+    return sets
+
+
+KNOB_SETS = _knob_sets()
+
+
+@pytest.fixture(scope="module")
+def knob_cases(tmp_path_factory):
+    """``(workload, trace, {format: path}, configs, dumps)`` for 2,000-item
+    benchmark prefixes at thresholds 8 and 64, the dumps taken at the
+    default knobs, where the prefixes run numpy passes and keep memos."""
+    root = tmp_path_factory.mktemp("knobs")
+    work = {"passes": 0, "memos": 0}
+    chunked, keep = rft._chunked, automaton.Automaton._keep
+
+    def counted_chunked(step, i, end):
+        work["passes"] += 1
+        return chunked(step, i, end)
+
+    def counted_keep(self, region, addrs, ws, we):
+        keep(self, region, addrs, ws, we)
+        work["memos"] += region.walk is not None
+
+    cases = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rft, "_chunked", counted_chunked)
+        mp.setattr(automaton.Automaton, "_keep", counted_keep)
+        for workload in ("loop-nest", "graph-walk", "interp-noise"):
+            trace = _bench_prefix(workload, 2_000)
+            paths = {fmt: root / f"{workload}.{fmt}" for fmt in ("binary", "text")}
+            for fmt, path in paths.items():
+                write_trace(path, trace, fmt)
+            configs = [SimulationConfig(rft=RFTConfig(tech, threshold=threshold),
+                                        collect_dump=True)
+                       for threshold in (8, 64) for tech in TECHNIQUES]
+            cases.append((workload, trace, paths, configs,
+                          [run_simulation(trace, config).dump for config in configs]))
+    assert work["passes"] > 0 and work["memos"] > 0, work
+    return cases
+
+
+@pytest.mark.parametrize("values", KNOB_SETS.values(), ids=KNOB_SETS.keys())
+def test_performance_knobs_keep_dumps(monkeypatch, knob_cases, values):
+    for (module, name), value in zip(KNOBS, values):
+        if value is not None:
+            monkeypatch.setattr(module, name, value)
+    for workload, trace, paths, configs, dumps in knob_cases:
+        for fmt, path in paths.items():
+            loaded = load_trace(path, fmt)
+            assert loaded.addresses == trace.addresses and loaded.sizes == trace.sizes
+            for config, dump in zip(configs, dumps):
+                assert run_simulation(loaded, config).dump == dump, \
+                    (workload, fmt, config.rft.technique, config.rft.threshold)

@@ -83,6 +83,14 @@ def test_text_bad_line(tmp_path):
         load_trace(path, "text")
 
 
+def test_text_size_beyond_u32_rejected(tmp_path):
+    path = tmp_path / "t.txt"
+    path.write_text("100 4\n104 4294967295\n108 4294967296\n")
+    message = ":3: instruction size 4294967296 outside [1, 2**32)"
+    with pytest.raises(TraceFormatError, match=re.escape(message)):
+        load_trace(path, "text")
+
+
 def test_text_zero_size_rejected(tmp_path):
     path = tmp_path / "t.txt"
     path.write_text("100 0\n")
@@ -128,17 +136,16 @@ def test_text_round_trip_matches_binary(tmp_path_factory, pairs):
 
 
 @pytest.mark.parametrize("pairs, message", [
-    ([(0x100, 4), (0x104, 2**32 + 1)], "item 1: instruction size 4294967297 does not fit u32"),
-    ([(0x100, -1)], "item 0: instruction size -1 does not fit u32"),
+    ([(0x100, 4), (0x104, 2**32 + 1)], "item 1: instruction size 4294967297 outside"),
+    ([(0x100, -1)], "item 0: instruction size -1 outside"),
     ([(0x100, 4), (2**64, 4)], f"item 1: address {2**64} outside"),
     ([(-4, 4)], "item 0: address -4 outside"),
 ])
 def test_binary_write_out_of_range_rejected(tmp_path, pairs, message):
-    # the writer refuses a size; an address is refused when the trace is
-    # built, so a file is never begun for either
-    error = TraceFormatError if "size" in message else ValueError
+    # an address or a size is refused when the trace is built, so a file
+    # is never begun
     path = tmp_path / "t.rtr"
-    with pytest.raises(error, match=message):
+    with pytest.raises(ValueError, match=message):
         write_trace(path, as_trace(pairs), "binary")
     assert not path.exists()
 
@@ -157,21 +164,21 @@ def test_text_write_address_outside_u64_rejected(tmp_path, pairs, message):
 
 @pytest.mark.parametrize("fmt", ["binary", "text"])
 @pytest.mark.parametrize("pairs, message", [
-    ([(0x100, 0)], "item 0: instruction size 0 must be >= 1"),
-    ([(0x100, 4), (0x104, 4), (0x108, 0), (0x10C, 0)],
-     "item 2: instruction size 0 must be >= 1"),
+    ([(0x100, 0)], "item 0: instruction size 0 outside"),
+    ([(0x100, 4), (0x104, 4), (0x108, 0), (0x10C, 0)], "item 2: instruction size 0 outside"),
 ])
 def test_write_zero_size_rejected(tmp_path, fmt, pairs, message):
-    # both readers refuse a zero size, so neither writer writes one
+    # both readers refuse a zero size, and so does construction, so
+    # neither writer is handed one
     path = tmp_path / "t.trace"
-    with pytest.raises(TraceFormatError, match=message):
+    with pytest.raises(ValueError, match=message):
         write_trace(path, as_trace(pairs), fmt)
     assert not path.exists()
 
 
 def test_text_write_negative_size_rejected(tmp_path):
     path = tmp_path / "t.txt"
-    with pytest.raises(TraceFormatError, match="item 1: instruction size -1 must be >= 1"):
+    with pytest.raises(ValueError, match=re.escape("item 1: instruction size -1 outside")):
         write_trace(path, as_trace([(0x100, 4), (0x104, -1)]), "text")
     assert not path.exists()
 
@@ -268,13 +275,14 @@ def test_binary_load_empty_and_one_record(tmp_path, monkeypatch, chunk, pairs):
     assert not trace.column.flags.writeable
 
 
-def _loaded_bytes(path):
-    """Bytes ``load_trace(path)`` leaves allocated, and its peak above that."""
+def _loaded_bytes(path, fmt="binary"):
+    """Bytes ``load_trace(path, fmt)`` leaves allocated, and its peak above
+    that."""
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        trace = load_trace(path)
+        trace = load_trace(path, fmt)
         after, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -282,23 +290,35 @@ def _loaded_bytes(path):
     return after - before, peak - after
 
 
-def test_binary_load_memory_per_item(tmp_path):
+def _check_loop_load_memory(tmp_path, fmt, lengths):
     # numpy reports its buffers to tracemalloc, so the traced sizes count
-    # the column, both lists and every temporary; a loop trace has a few
-    # distinct addresses, so each item costs the column's 8 bytes and one
-    # pointer in each list, and the peak above that is a few chunks of
-    # temporaries whatever the trace's length
+    # the column, the list, the sizes and every temporary; a loop trace has
+    # a few distinct addresses, so each item costs the column's 8 bytes,
+    # one pointer in the list and 4 bytes of sizes (a text load's arrays
+    # grow by appending, so they keep a little slack), and the peak above
+    # that is a few chunks of temporaries whatever the trace's length
     measured = {}
-    for n in (100_000, 400_000):
-        path = tmp_path / f"loop{n}.rtr"
+    for n in lengths:
+        path = tmp_path / f"loop{n}.trace"
         write_trace(path, generate_trace(ProgramSpec((LoopSpec(base=0x1000, body=10,
-                                                               iters=n // 10),))))
-        measured[n] = _loaded_bytes(path)
+                                                               iters=n // 10),))), fmt)
+        measured[n] = _loaded_bytes(path, fmt)
     for n, (final, peak) in measured.items():
-        assert final <= 26 * n, (n, final / n)
+        assert final <= 21 * n, (n, final / n)
         assert peak <= 1 << 20, (n, peak)
-    # less than one byte per added item: a whole-file copy would add 16
-    assert measured[400_000][1] - measured[100_000][1] < 300_000, measured
+    # less than one byte per added item: a whole-file copy, or lists
+    # converted at the end, would add 16 or more
+    short, long = lengths
+    assert measured[long][1] - measured[short][1] < long - short, measured
+
+
+def test_binary_load_memory_per_item(tmp_path):
+    _check_loop_load_memory(tmp_path, "binary", (100_000, 400_000))
+
+
+def test_text_load_memory_per_item(tmp_path):
+    # shorter: tracemalloc traces each line's temporaries
+    _check_loop_load_memory(tmp_path, "text", (25_000, 100_000))
 
 
 @pytest.mark.parametrize("isize", [1, 4])
@@ -312,7 +332,7 @@ def test_binary_load_memory_with_every_address_distinct(tmp_path, isize):
     path = tmp_path / "straight.rtr"
     write_trace(path, Trace(list(range(0x1000, 0x1000 + isize * n, isize)), [isize] * n))
     final, peak = _loaded_bytes(path)
-    assert final <= (24 + 32) * n, final / n
+    assert final <= (20 + 32) * n, final / n
     assert peak <= 17 * n + (1 << 20), peak / n
 
 
@@ -335,6 +355,28 @@ def test_trace_rejects_address_outside_u64(addresses, j):
     message = f"trace item {j}: address {addresses[j]} outside [0, 2**64)"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         Trace(addresses, [4] * len(addresses))
+
+
+@pytest.mark.parametrize("sizes, j", [
+    ([0], 0),
+    ([-1], 0),
+    ([2**32], 0),
+    ([4, 2**32 - 1, 0, 2**40], 2),
+    ([4, 2**40, 0], 1),
+    ([1, 2, -1, 0], 2),
+])
+def test_trace_rejects_size_outside_u32(sizes, j):
+    # both file formats carry a size in [1, 2**32), so construction
+    # refuses any other, naming the first
+    message = f"trace item {j}: instruction size {sizes[j]} outside [1, 2**32)"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Trace([0x100 + 4 * k for k in range(len(sizes))], sizes)
+
+
+def test_trace_holds_sizes_as_one_u32_buffer():
+    trace = Trace([0x100, 0x104, 0x108], [4, 2**32 - 1, 1])
+    assert trace.sizes.typecode == "I" and trace.sizes.itemsize == 4
+    assert trace.sizes.tolist() == [4, 2**32 - 1, 1]
 
 
 @pytest.mark.parametrize("source", ["generate_trace", "load_binary", "load_binary_interned",
@@ -428,6 +470,20 @@ def test_loop_span_outside_u64_rejected(base):
     spec = ProgramSpec((LoopSpec(base=base, body=4, iters=1),))
     with pytest.raises(TraceSpecError, match="outside"):
         validate_spec(spec)
+
+
+@pytest.mark.parametrize("isize", [0, -4, 2**32, 2**40])
+def test_loop_isize_outside_u32_rejected(isize):
+    spec = ProgramSpec((LoopSpec(base=0x100, body=2, iters=1, isize=isize),))
+    message = f"loops[0]: isize {isize} outside [1, 2**32)"
+    with pytest.raises(TraceSpecError, match=f"^{re.escape(message)}$"):
+        validate_spec(spec)
+
+
+def test_loop_isize_at_u32_limit_accepted():
+    trace = generate_trace(ProgramSpec((LoopSpec(base=0x100, body=2, iters=2, isize=2**32 - 1),)))
+    assert trace.sizes.tolist() == [2**32 - 1] * 4
+    assert trace.addresses == [0x100, 0x100 + 2**32 - 1] * 2
 
 
 def test_loop_span_ending_at_u64_limit_accepted():
