@@ -60,9 +60,11 @@ class Trace:
     outside ``[0, 2**64)`` or an instruction size outside ``[1, 2**32)``
     makes it raise ``ValueError`` naming the first such item, so every
     technique, writer and pass sees valid items only.  A loaded trace, in
-    either format, shares one int per distinct address in its list: about
-    20 bytes per item, 8 each for the column and the list and 4 for the
-    sizes.  A loaded trace may be shared read-only between any number of
+    either format, and a generated one share one int per distinct address
+    in their list: about 20 bytes per item, 8 each for the column and the
+    list and 4 for the sizes.  ``write_binary`` encodes the records 8,192
+    at a time into one reused buffer, so writing holds no whole-length
+    copy.  A loaded trace may be shared read-only between any number of
     simulations.
     """
 
@@ -123,9 +125,10 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     return values[_runs(values)[0]]
 
 
-# Records per chunk of a binary load: a chunk's lists and index arrays, 64
-# KiB each, are under glibc's default 128 KiB mmap threshold, so they reuse
-# one place in the heap and leave no free holes there for sweep workers.
+# Records per chunk of a binary load or write: a load's lists and index
+# arrays, 64 KiB each, are under glibc's default 128 KiB mmap threshold, so
+# they reuse one place in the heap and leave no free holes there for sweep
+# workers.
 _LOAD_CHUNK = 8_192
 
 
@@ -194,12 +197,15 @@ def load_binary(path: Union[str, Path]) -> Trace:
         for lo in range(0, n, _LOAD_CHUNK):
             records = buffer[:n - lo]
             got = fh.readinto(records) // _RECORD.size
-            for bad, what in ((records["flags"][:got] != 0, "nonzero flags"),
-                              (records["size"][:got] == 0, "zero instruction size"),
-                              (np.arange(len(records)) >= got, "truncated record")):
+            first, what = got, "truncated record"
+            for bad, why in ((records["flags"][:got] != 0, "nonzero flags"),
+                             (records["size"][:got] == 0, "zero instruction size")):
                 if bad.any():
-                    offset = _HEADER.size + (lo + int(bad.argmax())) * _RECORD.size
-                    raise TraceFormatError(f"{path}: {what} at byte offset {offset}")
+                    first, what = int(bad.argmax()), why
+                    break
+            if first < len(records):
+                offset = _HEADER.size + (lo + first) * _RECORD.size
+                raise TraceFormatError(f"{path}: {what} at byte offset {offset}")
             column[lo:lo + got] = records["address"]
             size_column[lo:lo + got] = records["size"]
     return _adopt(column, sizes)
@@ -239,13 +245,16 @@ def load_trace(path: Union[str, Path], format: str = "binary") -> Trace:
 
 
 def write_binary(path: Union[str, Path], trace: Trace) -> None:
-    arr = np.empty(len(trace), dtype=_RECORD_DTYPE)
-    arr["address"] = trace.column
-    arr["size"] = trace.sizes
-    arr["flags"] = 0
+    n = len(trace)
+    sizes = np.frombuffer(trace.sizes, dtype=np.uint32)
+    buffer = np.zeros(min(n, _LOAD_CHUNK), dtype=_RECORD_DTYPE)
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, 0))
-        fh.write(arr.tobytes())
+        for lo in range(0, n, _LOAD_CHUNK):
+            records = buffer[:n - lo]
+            records["address"] = trace.column[lo:lo + _LOAD_CHUNK]
+            records["size"] = sizes[lo:lo + _LOAD_CHUNK]
+            fh.write(records.data)
 
 
 def write_text(path: Union[str, Path], trace: Trace) -> None:
@@ -360,68 +369,95 @@ def validate_spec(spec: ProgramSpec) -> None:
                 f"address ranges [{s0:#x},{e0:#x}) and [{s1:#x},{e1:#x}) overlap")
 
 
-def _emit_loop(loop: LoopSpec, out_a: list[int], out_s: array) -> None:
-    isize = loop.isize
+def _in_order(loops: Sequence[LoopSpec]) -> tuple[list[int], array]:
+    """The addresses and sizes of ``loops`` run one after another."""
+    addrs: list[int] = []
+    sizes = array("I")
+    for lp in loops:
+        lp_a, lp_s = _unrolled(lp)
+        addrs += lp_a
+        sizes += lp_s
+    return addrs, sizes
+
+
+def _alternated(a, b, period: int, times: int):
+    """``a`` repeated ``period`` times, then ``b`` ``period`` times, and so
+    on, ``times`` repetitions in all."""
+    full, rest = divmod(times, 2 * period)
+    na = min(rest, period)
+    seq = (a * period + b * period) * full if full else a[:0]
+    seq += a * na
+    seq += b * (rest - na)
+    return seq
+
+
+def _unrolled(loop: LoopSpec) -> tuple[list[int], array]:
+    """The addresses and sizes ``loop`` executes, whole.  Each iteration
+    runs one of at most two fixed blocks (the entry and body, then every
+    child's whole sequence), so the sequence is built by repeating those
+    blocks rather than by walking the iterations: every item of one
+    address shares the int object its block made."""
+    if loop.iters == 0:
+        return [], array("I")
+    tail_a, tail_s = _in_order(loop.children)
+    isize, base = loop.isize, loop.base
     if loop.phases is None:
-        body_a = [loop.base + isize * k for k in range(loop.body)]
-        body_s = array("I", [isize]) * loop.body
-        for _ in range(loop.iters):
-            out_a.extend(body_a)
-            out_s.extend(body_s)
-            for ch in loop.children:
-                _emit_loop(ch, out_a, out_s)
-        return
+        block_a = [base + isize * k for k in range(loop.body)] + tail_a
+        block_s = array("I", [isize]) * loop.body + tail_s
+        return block_a * loop.iters, block_s * loop.iters
     ph = loop.phases
-    a_body = [loop.base + isize * (1 + k) for k in range(ph.body_a)]
-    b_body = [loop.base + isize * (1 + ph.body_a + k) for k in range(ph.body_b)]
-    a_sizes = array("I", [isize]) * (1 + ph.body_a)
-    b_sizes = array("I", [isize]) * (1 + ph.body_b)
-    for i in range(loop.iters):
-        if (i // ph.period) % 2 == 0:
-            out_a.append(loop.base)
-            out_a.extend(a_body)
-            out_s.extend(a_sizes)
-        else:
-            out_a.append(loop.base)
-            out_a.extend(b_body)
-            out_s.extend(b_sizes)
-        for ch in loop.children:
-            _emit_loop(ch, out_a, out_s)
+    a_a = [base] + [base + isize * (1 + k) for k in range(ph.body_a)] + tail_a
+    b_a = [base] + [base + isize * (1 + ph.body_a + k) for k in range(ph.body_b)] + tail_a
+    a_s = array("I", [isize]) * (1 + ph.body_a) + tail_s
+    b_s = array("I", [isize]) * (1 + ph.body_b) + tail_s
+    return (_alternated(a_a, b_a, ph.period, loop.iters),
+            _alternated(a_s, b_s, ph.period, loop.iters))
 
 
 def generate_trace(spec: ProgramSpec) -> Trace:
     """Deterministically unroll a loop-nest spec into its executed sequence."""
     validate_spec(spec)
-    addrs: list[int] = []
-    sizes = array("I")
-    for lp in spec.loops:
-        _emit_loop(lp, addrs, sizes)
-    return Trace(addrs, sizes)
+    return Trace(*_in_order(spec.loops))
 
 
 # --- JSON program-spec files (CLI surface) --------------------------------
 
 
+def _integer(d: dict, field: str, path: str) -> int:
+    """Field ``field`` of ``d``, which must be a JSON integer: a float, a
+    bool or a string would otherwise be truncated or read as a number
+    without notice."""
+    if type(d[field]) is not int:
+        raise TraceSpecError(f"{path}: {field} must be an integer, not {d[field]!r}")
+    return d[field]
+
+
 def _loop_from_dict(d: dict, path: str) -> LoopSpec:
     try:
-        base = d["base"]
+        base, phases = d["base"], None
         if isinstance(base, str):
-            base = int(base, 16)
-        phases = None
+            try:
+                base = int(base, 16)
+            except ValueError:
+                raise TraceSpecError(f"{path}: base {base!r} is not a hex string") from None
+        else:
+            base = _integer(d, "base", path)
         if "phases" in d and d["phases"] is not None:
-            p = d["phases"]
-            phases = AlternatingPaths(body_a=int(p["body_a"]), body_b=int(p["body_b"]),
-                                      period=int(p["period"]))
+            p, at = d["phases"], f"{path}.phases"
+            phases = AlternatingPaths(body_a=_integer(p, "body_a", at),
+                                      body_b=_integer(p, "body_b", at),
+                                      period=_integer(p, "period", at))
             body = 1 + phases.body_a + phases.body_b
         else:
-            body = int(d["body"])
+            body = _integer(d, "body", path)
         children = tuple(_loop_from_dict(c, f"{path}.children[{i}]")
                          for i, c in enumerate(d.get("children", ())))
-        return LoopSpec(base=int(base), body=body, iters=int(d["iters"]),
-                        isize=int(d.get("isize", 4)), children=children, phases=phases)
+        isize = _integer(d, "isize", path) if "isize" in d else 4
+        return LoopSpec(base=base, body=body, iters=_integer(d, "iters", path), isize=isize,
+                        children=children, phases=phases)
     except KeyError as exc:
         raise TraceSpecError(f"{path}: missing field {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except TypeError as exc:
         raise TraceSpecError(f"{path}: {exc}") from None
 
 
@@ -431,12 +467,15 @@ def parse_program_spec(text: str) -> ProgramSpec:
     Schema: ``{"loops": [{"base": int|hex-string, "body": int, "iters": int,
     "isize": int, "children": [...], "phases": {"body_a": int, "body_b": int,
     "period": int}}, ...]}``.  ``body`` is ignored when ``phases`` is given.
+    Each number must be a JSON integer, and ``base`` may also be a string,
+    which is always read as hex, with or without ``0x`` (``"256"`` is
+    0x256); anything else raises ``TraceSpecError`` naming the loop and field.
     """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise TraceSpecError(f"line {exc.lineno}: {exc.msg}") from None
-    if not isinstance(doc, dict) or "loops" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("loops"), list):
         raise TraceSpecError("top-level object must contain a 'loops' list")
     loops = tuple(_loop_from_dict(d, f"loops[{i}]") for i, d in enumerate(doc["loops"]))
     spec = ProgramSpec(loops)

@@ -277,6 +277,17 @@ def test_gen_trace_size_beyond_u32_data_error(capsys, tmp_path):
     assert "loops[0]: isize 4294967297 outside [1, 2**32)" in err
 
 
+@pytest.mark.parametrize("body, shown", [("2.5", "2.5"), ("true", "True"), ('"2"', "'2'")])
+def test_gen_trace_non_integer_number_data_error(capsys, tmp_path, body, shown):
+    spec_path = tmp_path / "prog.json"
+    spec_path.write_text(f'{{"loops": [{{"base": "0x100", "body": {body}, "iters": 1}}]}}')
+    out_path = tmp_path / "x.rtr"
+    code, _, err = run_cli(capsys, "gen-trace", "--spec", str(spec_path), "--out", str(out_path))
+    assert code == 2
+    assert f"loops[0]: body must be an integer, not {shown}" in err
+    assert not out_path.exists()
+
+
 def test_gen_trace_negative_base_rejected(capsys, tmp_path):
     spec_path = tmp_path / "prog.json"
     spec_path.write_text('{"loops": [{"base": "-0x10", "body": 4, "iters": 1}]}')

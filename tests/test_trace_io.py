@@ -1,6 +1,7 @@
 import gc
 import random
 import re
+import struct
 import tracemalloc
 from types import SimpleNamespace
 
@@ -181,6 +182,38 @@ def test_text_write_negative_size_rejected(tmp_path):
     with pytest.raises(ValueError, match=re.escape("item 1: instruction size -1 outside")):
         write_trace(path, as_trace([(0x100, 4), (0x104, -1)]), "text")
     assert not path.exists()
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 15])
+def test_binary_write_in_chunks_equals_one_shot_encoding(tmp_path, monkeypatch, chunk, n):
+    # lengths below, at, just past and short of twice a 7-record chunk
+    pairs = [((k * 0x9E3779B97F4A7C15) % 2**64, 1 + (k * 2654435761) % (2**32 - 1))
+             for k in range(n)]
+    monkeypatch.setattr(trace_io, "_LOAD_CHUNK", chunk)
+    path = tmp_path / "t.rtr"
+    write_trace(path, as_trace(pairs))
+    expected = struct.pack("<8sII", b"RAINTRC1", 1, 0) + b"".join(
+        struct.pack("<QII", a, s, 0) for a, s in pairs)
+    assert path.read_bytes() == expected
+
+
+def test_binary_write_memory_per_item(tmp_path):
+    # records are encoded a chunk at a time into one reused buffer, so the
+    # write's peak does not grow with the trace: a whole-length record
+    # array and its bytes would add 32 bytes per item
+    peaks = {}
+    for n in (100_000, 400_000):
+        trace = generate_trace(ProgramSpec((LoopSpec(base=0x1000, body=10, iters=n // 10),)))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            write_trace(tmp_path / f"loop{n}.rtr", trace)
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peaks[n] <= 1 << 20, (n, peaks[n])
+    assert peaks[400_000] - peaks[100_000] < 300_000, peaks
 
 
 def test_binary_load_interns_addresses_across_chunks(tmp_path, monkeypatch):
@@ -416,19 +449,19 @@ def test_zero_iters_empty():
 
 
 def _oracle_walk(loop):
-    """Independent recursive walker, generator style."""
+    """Independent recursive walker, generator style: (address, size)."""
     for i in range(loop.iters):
         if loop.phases is None:
             for k in range(loop.body):
-                yield loop.base + k * loop.isize
+                yield loop.base + k * loop.isize, loop.isize
         else:
-            yield loop.base
+            yield loop.base, loop.isize
             ph = loop.phases
             use_a = (i // ph.period) % 2 == 0
             count = ph.body_a if use_a else ph.body_b
             off = 1 if use_a else 1 + ph.body_a
             for k in range(count):
-                yield loop.base + (off + k) * loop.isize
+                yield loop.base + (off + k) * loop.isize, loop.isize
         for child in loop.children:
             yield from _oracle_walk(child)
 
@@ -437,13 +470,85 @@ def test_nested_loops_match_recursive_walker():
     inner = LoopSpec(base=0x140, body=2, iters=3, isize=4)
     outer = LoopSpec(base=0x100, body=3, iters=2, isize=4, children=(inner,))
     spec = ProgramSpec((outer,))
-    assert generate_trace(spec).addresses == list(_oracle_walk(outer))
+    assert items(generate_trace(spec)) == list(_oracle_walk(outer))
 
 
 def test_phases_match_recursive_walker():
     loop = LoopSpec(base=0x100, body=0, iters=7, isize=4,
                     phases=AlternatingPaths(body_a=2, body_b=3, period=2))
-    assert generate_trace(ProgramSpec((loop,))).addresses == list(_oracle_walk(loop))
+    assert items(generate_trace(ProgramSpec((loop,)))) == list(_oracle_walk(loop))
+
+
+@st.composite
+def _loop_at(draw, base, depth):
+    """A loop at ``base`` with children nested up to depth 3, each after
+    the previous subtree with a gap, and the address just past it."""
+    isize = draw(st.sampled_from([1, 4, 2**32 - 1]))
+    # a period past any loop's iterations means the loop never leaves path A
+    phases = draw(st.none() | st.builds(AlternatingPaths, st.integers(1, 3), st.integers(1, 3),
+                                        st.sampled_from([1, 2, 4, 2**40])))
+    body = draw(st.integers(1, 4)) if phases is None else 0
+    span = body if phases is None else 1 + phases.body_a + phases.body_b
+    end = base + span * isize
+    children = []
+    for _ in range(draw(st.integers(0, 2 if depth < 3 else 0))):
+        child, end = draw(_loop_at(end + draw(st.integers(0, 8)), depth + 1))
+        children.append(child)
+    iters = draw(st.integers(0, 9 if depth == 1 else 3))
+    return LoopSpec(base=base, body=body, iters=iters, isize=isize,
+                    children=tuple(children), phases=phases), end
+
+
+@st.composite
+def _programs(draw):
+    loops, end = [], draw(st.integers(0, 2**20))
+    for _ in range(draw(st.integers(1, 3))):
+        loop, end = draw(_loop_at(end, 1))
+        loops.append(loop)
+    return ProgramSpec(tuple(loops))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_programs())
+def test_generated_trace_matches_recursive_walker(spec):
+    expected = [pair for loop in spec.loops for pair in _oracle_walk(loop)]
+    trace = generate_trace(spec)
+    assert items(trace) == expected
+    assert trace.column.tolist() == [a for a, _ in expected]
+
+
+def test_phased_loop_with_huge_period_generates_only_its_iterations():
+    # three iterations of path A: no block of the never-reached switch is built
+    loop = LoopSpec(base=0x100, body=0, iters=3, isize=4,
+                    phases=AlternatingPaths(body_a=2, body_b=1, period=2**40))
+    trace = generate_trace(ProgramSpec((loop,)))
+    assert items(trace) == list(_oracle_walk(loop))
+    assert trace.addresses == [0x100, 0x104, 0x108] * 3
+
+
+def test_zero_iteration_loop_skips_huge_child():
+    # a child that would run 2**40 times is never built under a loop that
+    # runs zero times
+    child = LoopSpec(base=0x200, body=4, iters=2**40)
+    phased_child = LoopSpec(base=0x300, body=0, iters=2**40,
+                            phases=AlternatingPaths(body_a=1, body_b=1, period=3))
+    for parent in (LoopSpec(base=0x100, body=2, iters=0, children=(child, phased_child)),
+                   LoopSpec(base=0x100, body=0, iters=0, children=(child, phased_child),
+                            phases=AlternatingPaths(body_a=1, body_b=1, period=1))):
+        trace = generate_trace(ProgramSpec((parent,)))
+        assert items(trace) == list(_oracle_walk(parent)) == []
+
+
+def test_generated_trace_shares_one_int_per_address():
+    # a phased loop with a nested child, then a flat loop with its own:
+    # every item of one address is the same int object
+    inner = LoopSpec(base=0x2000, body=3, iters=4)
+    phased = LoopSpec(base=0x1000, body=0, iters=300, children=(inner,),
+                      phases=AlternatingPaths(body_a=5, body_b=4, period=7))
+    flat = LoopSpec(base=0x4000, body=6, iters=50,
+                    children=(LoopSpec(base=0x4100, body=2, iters=3),))
+    trace = generate_trace(ProgramSpec((phased, flat)))
+    assert len({id(a) for a in trace.addresses}) == len(set(trace.addresses)) == 21
 
 
 @settings(max_examples=60)
@@ -514,6 +619,42 @@ def test_parse_program_spec_bad_json_line():
 def test_parse_program_spec_missing_field():
     with pytest.raises(TraceSpecError, match="loops\\[0\\]"):
         parse_program_spec('{"loops": [{"base": 256}]}')
+
+
+@pytest.mark.parametrize("loop, message", [
+    ('{"base": 256.9, "body": 2, "iters": 1}', "loops[0]: base must be an integer, not 256.9"),
+    ('{"base": true, "body": 2, "iters": 1}', "loops[0]: base must be an integer, not True"),
+    ('{"base": "0x1.8", "body": 2, "iters": 1}', "loops[0]: base '0x1.8' is not a hex string"),
+    ('{"base": "0xzz", "body": 2, "iters": 1}', "loops[0]: base '0xzz' is not a hex string"),
+    ('{"base": 256, "body": 2.5, "iters": 1}', "loops[0]: body must be an integer, not 2.5"),
+    ('{"base": 256, "body": 2, "iters": true}', "loops[0]: iters must be an integer, not True"),
+    ('{"base": 256, "body": 2, "iters": "3"}', "loops[0]: iters must be an integer, not '3'"),
+    ('{"base": 256, "body": 2, "iters": 1, "isize": 4.99}',
+     "loops[0]: isize must be an integer, not 4.99"),
+    ('{"base": 256, "iters": 1, "phases": {"body_a": 2, "body_b": false, "period": 1}}',
+     "loops[0].phases: body_b must be an integer, not False"),
+    ('{"base": 256, "body": 2, "iters": 1,'
+     ' "children": [{"base": 512, "body": 1, "iters": 2.0}]}',
+     "loops[0].children[0]: iters must be an integer, not 2.0"),
+])
+def test_parse_program_spec_rejects_non_integer_numbers(loop, message):
+    # a float, a bool or a string would be truncated or read as a number;
+    # only base may be a string, and then it is always hex
+    with pytest.raises(TraceSpecError, match=f"^{re.escape(message)}$"):
+        parse_program_spec(f'{{"loops": [{loop}]}}')
+
+
+@pytest.mark.parametrize("text", ['[]', '{}', '{"loops": 5}', '{"loops": {"base": 256}}'])
+def test_parse_program_spec_without_loops_list_rejected(text):
+    with pytest.raises(TraceSpecError, match="^top-level object must contain a 'loops' list$"):
+        parse_program_spec(text)
+
+
+@pytest.mark.parametrize("base", ['"256"', '"0x256"', '"0X256"', "598"])
+def test_parse_program_spec_base_string_is_hex(base):
+    # a string base is read as hex with or without 0x; a JSON number is not
+    spec = parse_program_spec(f'{{"loops": [{{"base": {base}, "body": 2, "iters": 1}}]}}')
+    assert spec.loops[0].base == 0x256
 
 
 def test_unknown_format_rejected(tmp_path):
