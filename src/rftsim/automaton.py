@@ -52,20 +52,24 @@ states, the native count is the sum of all edge counts, and the total is
 ``interp`` plus that.
 
 Items are not classified by transition kind.  A kernel call ends on an
-item that falls back to the interpreter, and it only tells the engine
-whether that item left a region (``kind`` 2) or stayed interpreter-side
-(0): a region manager profiles region-exit targets and backward branches
-taken interpreter-side, and reads nothing else.  That item need not be
-the call's first fallback: an idle manager may hand the kernel the dict
-in which it counts region-exit targets, and its threshold.  When the item
-after a landing that leaves a region is held, and so enters a region at
-once, the kernel then bumps its count and steps on, unless the count
-reaches the threshold.
+item that falls back to the interpreter, and it returns the address the
+next item is compared with for a backward branch: that item's own, or
+``math.inf`` when it was a landing that left a region, so that a region
+manager, which profiles backward branches taken interpreter-side, also
+profiles every region-exit target whatever its address.  The kernel is
+the only place that encodes that rule.  The item need not be the call's
+first fallback: an idle manager may hand the kernel the dict in which it
+counts region-exit targets, and its threshold.  When the item after a
+landing that leaves a region is held, and so enters a region at once,
+the kernel then bumps its count and steps on, unless the count reaches
+the threshold.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Mapping, Optional, Sequence
 
 NTE_STATE = 0
@@ -235,7 +239,7 @@ class Automaton:
     def run_native_stretch(self, addrs: Sequence[int], sizes: Sequence[int],
                            i: int, end: int, h: int,
                            exit_counts: Optional[dict[int, int]] = None,
-                           threshold: int = 1) -> tuple[int, int]:
+                           threshold: int = 1) -> tuple[int, float]:
         """The stepping kernel: the only code applying the resolution rules.
 
         Requires ``i <= h < end``.  Credits items ``[i, h)`` to the
@@ -245,11 +249,11 @@ class Automaton:
         the interpreter: item ``h`` alone if it stays interpreter-side,
         else a landing that leaves a region and ends a native run (the
         first one, unless ``exit_counts`` lets it step past some), or at
-        ``end``.  Returns ``(next_i, kind)``:
-        ``kind`` is 2 when the call stopped at a landing that left a
-        region and 0 otherwise, which is all a manager's ``scan`` reads.
-        Native items get no kind, so ``kind`` means nothing when the call
-        reached ``end`` on a native item.
+        ``end``.  Returns ``(next_i, prev)``, ``prev`` being what the next
+        scan compares item ``next_i`` with for a backward branch:
+        ``math.inf`` when the call stopped at a landing that left a region,
+        whose follower is profiled whatever its address, and otherwise
+        ``addrs[next_i - 1]``, the last item the call consumed.
 
         ``exit_counts``, when not None, is the manager's hotness counter
         dict for the items that follow region exits (``RegionManager``'s
@@ -259,8 +263,8 @@ class Automaton:
         below the threshold it stores the count and steps on from the
         follower, which enters a region, in the same call; at the
         threshold it stores nothing and returns at the follower with
-        ``kind`` 2, so that the scan makes that bump and starts a
-        recording.  Either way the counts are those the scan would keep.
+        ``prev`` ``math.inf``, so that the scan makes that bump and starts
+        a recording.  Either way the counts are those the scan would keep.
 
         Per native item it counts the edge traversal, region changes and
         completions only; executions are derived from edge counts.  On
@@ -297,7 +301,7 @@ class Automaton:
         ws = -1
         wr = None
         transitions = 0
-        kind = 0
+        left = False
         while True:
             a = addrs[i]
             i += 1
@@ -316,7 +320,6 @@ class Automaton:
                         tid = NTE_STATE
                         cur_edges = edges_l[0]
                         cur_owner = -1
-                        kind = 2
                         # the follower enters a region at once: count it as
                         # the manager's scan would, unless it gets hot
                         if exit_counts is not None and i < end:
@@ -326,6 +329,7 @@ class Automaton:
                                 if c < threshold:
                                     exit_counts[b] = c
                                     continue
+                        left = True
                     break
                 # rule 2: an edge to the earliest-created region's state
                 tid = cands[0]
@@ -380,7 +384,7 @@ class Automaton:
         self._cur_owner = cur_owner
         self._traversing = traversing
         self.region_transitions += transitions
-        return i, kind
+        return i, math.inf if left else addrs[i - 1]
 
     def _keep(self, r: Region, addrs: Sequence[int], ws: int, we: int) -> None:
         """Install the walk from ``r``'s head that the kernel stepped item by
@@ -428,61 +432,48 @@ class Automaton:
             raise ValueError("empty recording")
         rid = len(self._regions)
         addr_l = self._addr
+        edges_l = self._edges
+        base = len(addr_l)
+        tail = base + len(recorded)  # the first expansion state's id
+        # each address's first state in the region
         by_addr: dict[int, int] = {}
-        state_ids: list[int] = []
-        for a, s in recorded:
+        for a, s in chain(recorded, expansion):
             sid = len(addr_l)
+            if a not in by_addr:
+                by_addr[a] = sid
+            elif sid >= tail:
+                raise ValueError(f"expansion address {a:#x} duplicates the recording"
+                                 if by_addr[a] < tail else f"duplicate expansion address {a:#x}")
             addr_l.append(a)
             self._size.append(s)
             self._owner.append(rid)
             self._mark.append(0)
-            self._edges.append({})
-            state_ids.append(sid)
-            if a not in by_addr:
-                by_addr[a] = sid
-        for i in range(len(state_ids) - 1):
-            nxt = state_ids[i + 1]
-            edges = self._edges[state_ids[i]]
-            key = addr_l[nxt]
-            if key not in edges:
-                edges[key] = [nxt, 0]
-        exp_ids: list[int] = []
-        if expansion:
-            rec_addrs = {a for a, _ in recorded}
-            for a, s in expansion:
-                if a in rec_addrs:
-                    raise ValueError(f"expansion address {a:#x} duplicates the recording")
-                if a in by_addr:
-                    raise ValueError(f"duplicate expansion address {a:#x}")
-                sid = len(addr_l)
-                addr_l.append(a)
-                self._size.append(s)
-                self._owner.append(rid)
-                self._mark.append(0)
-                self._edges.append({})
-                exp_ids.append(sid)
-                by_addr[a] = sid
-            for src_addr, targets in (expansion_successors or {}).items():
+            edges_l.append({})
+        for sid in range(base, tail - 1):
+            edges = edges_l[sid]
+            if addr_l[sid + 1] not in edges:
+                edges[addr_l[sid + 1]] = [sid + 1, 0]
+        if expansion and expansion_successors:
+            for src_addr, targets in expansion_successors.items():
                 src_sid = by_addr.get(src_addr)
                 if src_sid is None:
                     raise ValueError(f"expansion successor source {src_addr:#x} not in region")
-                edges = self._edges[src_sid]
+                edges = edges_l[src_sid]
                 for t in targets:
                     t_sid = by_addr.get(t)
                     if t_sid is None:
                         raise ValueError(f"expansion successor target {t:#x} not in region")
                     if t not in edges:
                         edges[t] = [t_sid, 0]
-        region = Region(rid=rid, entry_state=state_ids[0], states=state_ids,
-                        core_tail_state=state_ids[-1], expansion_states=exp_ids,
+        region = Region(rid=rid, entry_state=base, states=list(range(base, tail)),
+                        core_tail_state=tail - 1,
+                        expansion_states=list(range(tail, len(addr_l))),
                         entry_address=recorded[0][0])
         self._regions.append(region)
-        self._mark[state_ids[0]] = 5 if len(state_ids) > CHAIN_MIN_PATH else 1
-        self._mark[state_ids[-1]] |= 2
+        self._mark[base] = 5 if len(recorded) > CHAIN_MIN_PATH else 1
+        self._mark[tail - 1] |= 2
         index = self._addr_index
-        for sid in state_ids:
-            index.setdefault(addr_l[sid], []).append(sid)
-        for sid in exp_ids:
+        for sid in range(base, len(addr_l)):
             index.setdefault(addr_l[sid], []).append(sid)
         return rid
 

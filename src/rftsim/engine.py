@@ -1,12 +1,15 @@
 """Simulation driver.
 
-The engine alternates two calls.  The region manager's ``scan`` consumes
-an interpreter-side run: it sees each item with the previous item's
-transition and stops at an emission, at the first item that enters a
-region, or at the window's end.  The automaton's stepping kernel then
-credits the scanned items to the interpreter and steps from the item the
-scan stopped at through the native run that follows, up to a region
-exit.  The engine hands the kernel the manager's ``exit_counts`` and the
+The engine binds the trace and the automaton's held addresses to the
+region manager once (``attach``), then alternates two calls that hand
+each other an item index ``i`` and ``prev``, the address item ``i`` is
+compared with for a backward branch.  The manager's ``scan(i, end,
+prev)`` consumes an interpreter-side run and stops at an emission, at
+the first item that enters a region, or at the window's end.  The
+automaton's stepping kernel then credits the scanned items to the
+interpreter and steps from the item the scan stopped at through the
+native run that follows, up to a region exit, returning the next
+``(i, prev)``.  It also takes the manager's ``exit_counts`` and the
 threshold: while the manager is idle, the kernel counts an exit's
 follower that enters a region at once and steps on, with no scan in
 between.  A scan that emits hands back the region to install, its
@@ -19,8 +22,7 @@ in trace order.
 A scan steps items one by one in Python, reading the trace's address and
 size lists.  Once an idle stretch of it (no recording in flight) has
 taken ``rft._HANDOFF`` items, the rest of the run goes to a numpy pass
-over slices of the trace's u64 address column, which the engine hands
-the manager through ``attach`` before the replay.  The pass reads chunks
+over slices of the trace's u64 address column.  The pass reads chunks
 that start at that length and double up to ``rft._FLOW_CHUNK``, and
 stops at the first item the scan must see itself, with everything
 before it applied.  So a long cold or noisy run costs a few numpy
@@ -47,7 +49,7 @@ from typing import Optional, Sequence
 from .automaton import Automaton
 from .metrics import (CostBreakdown, CostParams, MetricsReport, compute_report,
                       estimate_times)
-from .rft import RFTConfig, make_rft
+from .rft import RFTConfig, _check_int, make_rft
 from .trace_io import Trace
 
 
@@ -67,9 +69,9 @@ class SimulationConfig:
     collect_dump: bool = False
 
     def __post_init__(self):
-        if self.skip < 0:
+        if _check_int("skip", self.skip) < 0:
             raise ValueError("skip must be >= 0")
-        if self.limit is not None and self.limit < 0:
+        if self.limit is not None and _check_int("limit", self.limit) < 0:
             raise ValueError("limit must be >= 0")
 
 
@@ -99,19 +101,17 @@ def _run_items(automaton: Automaton, manager, trace: Trace, start: int, end: int
     scan = manager.scan
     append = automaton.append_region
     advance = automaton.run_native_stretch
-    held = automaton.held
-    kind = 0
-    la = -1
+    manager.attach(trace, start, automaton.held)
+    prev = -1
     i = start
     while i < end:
-        k, region = scan(addrs, sizes, i, end, la, kind, held)
+        k, region = scan(i, end, prev)
         if region is not None:
             append(*region)
         elif k == end:
             automaton.bulk_interp(end - i)
             return
-        i, kind = advance(addrs, sizes, i, end, k, manager.exit_counts, threshold)
-        la = addrs[i - 1]
+        i, prev = advance(addrs, sizes, i, end, k, manager.exit_counts, threshold)
 
 
 def _check_invariants(report: MetricsReport, items: int) -> None:
@@ -131,7 +131,6 @@ def run_simulation(trace: Trace, config: SimulationConfig) -> SimulationResult:
     n = len(trace)
     start = min(config.skip, n)
     end = n if config.limit is None else min(n, start + config.limit)
-    manager.attach(trace, start)
     _run_items(automaton, manager, trace, start, end, config.rft.threshold)
     report = compute_report(automaton, cold_threshold=config.rft.threshold)
     _check_invariants(report, end - start)

@@ -1,8 +1,8 @@
 """Region formation techniques.
 
 A region manager scans each interpreter-side run of the trace in one
-call.  It sees each item together with whether the *previous* item
-left a region, keeps its own hotness counters and recording buffers,
+call.  It sees each item with the address it is compared with for a
+backward branch, keeps its own hotness counters and recording buffers,
 and occasionally emits a finished recording as the region to install.
 Items executed inside regions are never shown to it: every technique
 ignores native-side transitions except the entry into a region, which
@@ -37,7 +37,6 @@ All hotness profiling happens on interpreter-side transitions only.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Callable, Collection, Mapping, Optional, Sequence
@@ -84,8 +83,16 @@ class RFTConfig:
                              f"expected one of {', '.join(TECHNIQUES)}")
         for name in ("threshold", "max_region_size", "expansion_depth",
                      "history_capacity"):
-            if getattr(self, name) < 1:
+            if _check_int(name, getattr(self, name)) < 1:
                 raise ValueError(f"{name} must be >= 1")
+
+
+def _check_int(name: str, value):
+    """``value`` of config field ``name``, which must be an int: not a bool,
+    and not a float, which runs on a short trace and fails on a long one."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    return value
 
 
 def mret2_intersect(pass1: list[tuple[int, int]],
@@ -109,21 +116,26 @@ def mret2_intersect(pass1: list[tuple[int, int]],
 class RegionManager:
     """Base contract: ``scan`` consumes one interpreter-side run.
 
-    ``scan(addrs, sizes, i, end, la, kind, held)`` is called while the
-    automaton's cursor sits on the interpreter state.  It visits items
-    from ``i`` in trace order.  ``kind`` describes the item before item
-    ``i``, whose address is ``la`` (-1 before a window's first item): 2
-    when that item was a landing that left a region, so item ``i`` follows
-    a region exit, and 0 when it stayed interpreter-side.  Every later item
-    follows an interpreter-side item.  It returns ``(k, region)`` and
-    stops at whichever comes first:
+    The engine calls ``attach(trace, start, held)`` once, before replaying
+    ``trace[start:]``: the manager binds the trace's addresses, its sizes,
+    its u64 column (``Trace.column``) and ``held``, the addresses some
+    region holds (``Automaton.held``, which grows in place; the tests'
+    ``scan_run`` passes a set).  A scan tests ``held`` for membership and,
+    in its numpy pass, for emptiness.
+
+    ``scan(i, end, prev)`` is called while the automaton's cursor sits on
+    the interpreter state and visits items from ``i`` in trace order.
+    ``prev`` is what item ``i`` is compared with for a backward branch:
+    the previous item's address, -1 before a window's first item, or
+    infinity after a region exit (``Automaton.run_native_stretch`` returns
+    it), so that a region-exit target is profiled whatever its address.
+    It returns ``(k, region)`` and stops at whichever comes first:
 
     - an emission while seeing item ``k``, due at ``k``;
-    - the first item ``k`` whose address ``held`` (``Automaton.held``)
-      contains: that item enters a region.  A recording in flight would
-      stop on the next item, seen after the entry, so when ``k + 1 < end``
-      the scan emits it at once, due at ``k + 1``; otherwise ``region`` is
-      None;
+    - the first item ``k`` that ``held`` contains: that item enters a
+      region.  A recording in flight would stop on the next item, seen
+      after the entry, so when ``k + 1 < end`` the scan emits it at once,
+      due at ``k + 1``; otherwise ``region`` is None;
     - ``end``: ``(end, None)``.
 
     ``region`` is None or the positional arguments of
@@ -134,23 +146,16 @@ class RegionManager:
     at, and a recording in flight never outlives its scan unless that scan
     reached the window's end.
 
-    ``held`` is a collection of addresses: the engine passes
-    ``Automaton.held``, a dict, and ``tests/conftest.py::scan_run`` a set.
-    A scan tests it for membership and, in its numpy pass, for emptiness.
-
-    The engine calls ``attach(trace, start)`` before replaying
-    ``trace[start:]``; the manager keeps the trace's u64 address column
-    (``Trace.column``), which its numpy passes slice.  The built-in scans
-    step each item in Python until an idle stretch (no recording in
-    flight, which for ``lei`` is always) has taken ``_HANDOFF`` items;
-    then they hand the rest of the run to a numpy pass (``_profile`` for
-    net, its variants and an idle mret2, ``LeiManager._push`` for lei).
-    The pass reads the column in chunks of ``_HANDOFF`` items doubling up
-    to ``_FLOW_CHUNK`` and returns the first item that stops the scan, a
-    held item or one whose bump or push reaches the threshold, with every
-    item before it applied; the scan then steps that item itself.  Scans
-    shorter than ``_HANDOFF`` never hand off: numpy's cost per call would
-    outweigh what it saves on them.
+    The built-in scans step each item in Python until an idle stretch (no
+    recording in flight, which for ``lei`` is always) has taken
+    ``_HANDOFF`` items; then they hand the rest of the run to a numpy pass
+    over the column (``_profile`` for net, its variants and an idle mret2,
+    ``LeiManager._push`` for lei).  The pass reads the column in chunks of
+    ``_HANDOFF`` items doubling up to ``_FLOW_CHUNK`` and returns the first
+    item that stops the scan, a held item or one whose bump or push
+    reaches the threshold, with every item before it applied; the scan
+    then steps that item itself.  Scans shorter than ``_HANDOFF`` never
+    hand off: numpy's cost per call would outweigh what it saves on them.
 
     Each emission passes its recorded ``(address, size)`` pairs through
     ``complete(items, due)``, which returns the region; look-ahead
@@ -162,25 +167,24 @@ class RegionManager:
     landing that left a region) when that follower is all it would do
     with it: bump its count below the threshold and return at it, since
     it enters a region.  The engine hands that dict and the threshold to
-    the kernel (``Automaton.run_native_stretch``), which then makes that
-    bump itself for a held follower and steps on.  So a scan with
-    ``kind`` 2 still sees the followers that are not held, those whose
-    bump reaches the threshold, and every follower while the dict is
-    None: while a formation is in flight, and always for ``lei``, whose
-    history takes every interpreter-side item.
+    the kernel, which then makes that bump itself for a held follower and
+    steps on.  So a scan after a region exit still sees the followers
+    that are not held, those whose bump reaches the threshold, and every
+    follower while the dict is None: while a formation is in flight, and
+    always for ``lei``, whose history takes every interpreter-side item.
     """
 
     exit_counts: Optional[dict[int, int]] = None
 
-    def scan(self, addrs: Sequence[int], sizes: Sequence[int], i: int, end: int,
-             la: int, kind: int, held: Collection[int]) -> tuple[int, Optional[tuple]]:
+    def scan(self, i: int, end: int, prev: float) -> tuple[int, Optional[tuple]]:
         raise NotImplementedError
 
     # the benchmark harness still wraps this; nothing calls it
     def _handle(self, *args) -> None: ...
 
-    def attach(self, trace: Trace, start: int) -> None:
-        self._col = trace.column
+    def attach(self, trace: Trace, start: int, held: Collection[int]) -> None:
+        self._addrs, self._sizes, self._col = trace.addresses, trace.sizes, trace.column
+        self._held = held
 
     def complete(self, items: list[tuple[int, int]], due: int) -> tuple:
         return (items,)
@@ -215,15 +219,14 @@ class NetManager(RegionManager):
     def _append(self, a: int, s: int) -> None:
         self._rec.append((a, s))
 
-    def _stops(self, la: int, a: int) -> bool:
-        return a < la or len(self._rec) >= self._max_size
+    def _stops(self, prev: float, a: int) -> bool:
+        return a < prev or len(self._rec) >= self._max_size
 
-    def scan(self, addrs, sizes, i, end, la, kind, held):
+    def scan(self, i, end, prev):
+        addrs, held = self._addrs, self._held
         hot = self._hot
         threshold = self._threshold
         rec = self._rec
-        # a region-exit target is profiled whatever its address
-        prev = math.inf if kind == 2 else la
         stop = i + _HANDOFF if end - i > _HANDOFF and not rec else end
         while True:
             if i >= stop:
@@ -239,14 +242,14 @@ class NetManager(RegionManager):
                 if self._stops(prev, a):
                     self._rec = []
                     return i, self.complete(rec, i)
-                self._append(a, sizes[i])
+                self._append(a, self._sizes[i])
             elif a < prev:
                 c = hot.get(a, 0) + 1
                 if c < threshold:
                     hot[a] = c
                 else:
                     hot[a] = 0
-                    self._start(a, sizes[i])
+                    self._start(a, self._sizes[i])
                     rec = self._rec
             if a in held:
                 if rec and i + 1 < end:
@@ -274,7 +277,7 @@ class NetRManager(NetManager):
         self._rec.append((a, s))
         self._rec_set.add(a)
 
-    def _stops(self, la, a):
+    def _stops(self, prev, a):
         return a in self._rec_set or len(self._rec) >= self._max_size
 
 
@@ -315,12 +318,11 @@ class Mret2Manager(RegionManager):
         self._state = _IDLE
         return mret2_intersect(self._pass1, pass2)
 
-    def scan(self, addrs, sizes, i, end, la, kind, held):
+    def scan(self, i, end, prev):
+        addrs, sizes, held = self._addrs, self._sizes, self._held
         hot = self._hot
         threshold = self._threshold
         st = self._state
-        # a region-exit target is profiled whatever its address
-        prev = math.inf if kind == 2 else la
         stop = i + _HANDOFF if end - i > _HANDOFF and st == _IDLE else end
         while True:
             if i >= stop:
@@ -413,7 +415,8 @@ class LeiManager(RegionManager):
         self._floor = 0  # position of the latest restart
         self._trim_at = 2 * config.history_capacity
 
-    def scan(self, addrs, sizes, i, end, la, kind, held):
+    def scan(self, i, end, prev):
+        addrs, held = self._addrs, self._held
         slot = self._slot
         last = self._last
         count = self._count
@@ -428,7 +431,7 @@ class LeiManager(RegionManager):
         while True:
             if i >= stop:
                 if i < end:
-                    k = self._push_run(i, end, pos, held)
+                    k = self._push_run(i, end, pos)
                     pos += k - i
                     i = k
                     stop = end
@@ -450,7 +453,7 @@ class LeiManager(RegionManager):
                         count[r] = 0
                         self._floor = pos
                         self._pos = pos + 1
-                        return i, self.complete(self._emit(addrs, sizes, i, prior, pos), i)
+                        return i, self.complete(self._emit(i, prior, pos), i)
                     count[r] = c
             pos += 1
             if a in held:
@@ -460,14 +463,14 @@ class LeiManager(RegionManager):
 
     # kept out of scan, whose locals this closure would turn into cell
     # variables, slower to read in its per-item loop
-    def _push_run(self, i, end, pos, held) -> int:
+    def _push_run(self, i, end, pos) -> int:
         """Push items from ``i``, the first at position ``pos``, in numpy
         chunks up to the first item that stops the scan (see ``_push``);
         returns that item's index, or ``end``."""
         shift = pos - i  # push position minus trace index
-        return _chunked(lambda lo, hi: self._push(lo, hi, lo + shift, held), i, end)
+        return _chunked(lambda lo, hi: self._push(lo, hi, lo + shift), i, end)
 
-    def _push(self, lo, hi, pos, held) -> int:
+    def _push(self, lo, hi, pos) -> int:
         """Push items ``lo..hi-1``, the first at position ``pos``, as the
         per-item loop would, unless one of them stops the scan: a held
         item, or one whose push reaches the threshold.  Returns ``hi``, or
@@ -499,7 +502,7 @@ class LeiManager(RegionManager):
         run = np.cumsum(cyc)
         run += np.repeat(base - run[starts] + cyc[starts], lengths)
         hot = items[cyc & (run >= self._threshold)]
-        k = _first_held(col, held) if held else n
+        k = _first_held(col, self._held) if self._held else n
         if len(hot):
             k = min(k, int(hot.min()))
         if k < n:
@@ -527,7 +530,8 @@ class LeiManager(RegionManager):
         del runs[:j]
         self._trim_at = pos + self._capacity
 
-    def _emit(self, addrs, sizes, i, prior, pos) -> list[tuple[int, int]]:
+    def _emit(self, i, prior, pos) -> list[tuple[int, int]]:
+        addrs, sizes = self._addrs, self._sizes
         # walk the pushes at positions [prior, pos) newest first, keeping
         # each address at its last occurrence
         kept: list[tuple[int, int]] = []
@@ -750,13 +754,11 @@ class _ExpansionMixin:
     def __init__(self, config: RFTConfig):
         super().__init__(config)
         self._depth = config.expansion_depth
-        self._cfg: dict[int, list] = {}
 
-    def attach(self, trace, start):
-        super().attach(trace, start)
-        self._sizes = trace.sizes
+    def attach(self, trace, start, held):
+        super().attach(trace, start, held)
         self._base = self._covered = start
-        self._cfg = {}
+        self._cfg: dict[int, list] = {}
 
     def complete(self, items, due):
         cfg = self._cfg

@@ -51,8 +51,10 @@ class TraceSpecError(ValueError):
 class Trace:
     """A fully loaded, immutable-by-convention instruction sequence.
 
-    Addresses are kept as a list of plain ints so the per-item loops and
-    the stepping kernel pay no per-item conversion cost, and as ``column``,
+    Any two equal-length sequences of ints build a trace.  Addresses are
+    kept as a list of plain ints, so the per-item loops and the stepping
+    kernel pay no per-item conversion cost (a tuple, a ``range`` or a
+    numpy array is held as the column's ``tolist()``), and as ``column``,
     a read-only u64 numpy array that every numpy pass slices.  Sizes are
     kept once, as ``sizes``, an ``array("I")`` buffer of 4 bytes per item;
     the scans index it only while recording.  Construction is where both
@@ -70,7 +72,7 @@ class Trace:
 
     __slots__ = ("addresses", "sizes", "column", "_backward")
 
-    def __init__(self, addresses: list[int], sizes: Sequence[int]):
+    def __init__(self, addresses: Sequence[int], sizes: Sequence[int]):
         if len(addresses) != len(sizes):
             raise ValueError("addresses and sizes must have equal length")
         try:
@@ -86,6 +88,8 @@ class Trace:
             j, s = next((j, s) for j, s in enumerate(sizes) if not 1 <= s < 1 << 32)
             raise ValueError(f"trace item {j}: instruction size {s} outside [1, 2**32)")
         column.flags.writeable = False
+        if not isinstance(addresses, list):
+            addresses = column.tolist()
         self._hold(addresses, held, column)
 
     def _hold(self, addresses: list[int], sizes: array, column: np.ndarray) -> "Trace":

@@ -12,6 +12,7 @@ fast-path bug.
 
 from __future__ import annotations
 
+import math
 import random
 
 from reference import (SI, FlowMap, LiteralAutomaton, held_addresses,
@@ -71,14 +72,14 @@ class MemoAutomaton(Automaton):
         return super()._executions()
 
 
-def drive(automaton, addrs) -> int:
+def drive(automaton, addrs) -> float:
     """Step ``addrs`` (4-byte items) through the automaton's stepping
-    kernel, one call per stop; returns the ``kind`` of the last call."""
+    kernel, one call per stop; returns the ``prev`` of the last call."""
     sizes = [4] * len(addrs)
-    i = kind = 0
+    i, prev = 0, -1
     while i < len(addrs):
-        i, kind = automaton.run_native_stretch(addrs, sizes, i, len(addrs), i)
-    return kind
+        i, prev = automaton.run_native_stretch(addrs, sizes, i, len(addrs), i)
+    return prev
 
 
 def scan_run(manager, addrs, sizes, held=()) -> list[tuple]:
@@ -91,7 +92,7 @@ def scan_run(manager, addrs, sizes, held=()) -> list[tuple]:
     the manager passed to its ``complete``: the emission is due there."""
     held = set(held)
     end = len(addrs)
-    manager.attach(Trace(list(addrs), list(sizes)), 0)
+    manager.attach(Trace(list(addrs), list(sizes)), 0, held)
     dues = []
     complete = manager.complete
 
@@ -100,9 +101,9 @@ def scan_run(manager, addrs, sizes, held=()) -> list[tuple]:
         return complete(items, due)
     manager.complete = noted
     out = []
-    i, la, kind = 0, -1, SI
+    i, prev = 0, -1
     while i < end:
-        k, region = manager.scan(addrs, sizes, i, end, la, kind, held)
+        k, region = manager.scan(i, end, prev)
         assert len(dues) == (region is not None)
         if region is not None:
             out.append((dues.pop(), region))
@@ -110,15 +111,15 @@ def scan_run(manager, addrs, sizes, held=()) -> list[tuple]:
         elif k == end:
             break
         # the kernel: item k alone if it stays interpreter-side, else the
-        # native run from it and the landing that ends that run
-        i, kind = k + 1, SI
+        # native run from it and the landing that ends that run, whose
+        # follower is profiled whatever its address
+        i, prev = k + 1, addrs[k]
         if addrs[k] in held:
             while i < end and addrs[i] in held:
                 i += 1
             if i == end:
                 break
-            i, kind = i + 1, 2
-        la = addrs[i - 1]
+            i, prev = i + 1, math.inf
     return out
 
 

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -15,8 +16,15 @@ A, B, C = 0x100, 0x104, 0x108
 
 
 def step(auto, addr):
-    """Step one item; returns the kernel's ``kind``."""
+    """Step one item; returns the kernel's ``prev``."""
     return drive(auto, [addr])
+
+
+def model_prev(kind, seq, stop):
+    """The ``prev`` a kernel call that consumed ``seq[:stop]`` returns when
+    the literal model gave its last item ``kind``: infinity after a landing
+    that left a region (N2I), else that item's address."""
+    return math.inf if kind == N2I else seq[stop - 1]
 
 
 def stats(auto, rid):
@@ -48,7 +56,7 @@ def test_fresh_automaton_counters_zero():
 
 def test_unknown_address_stays_interp():
     auto = Automaton()
-    assert step(auto, 0xDEAD) == SI
+    assert step(auto, 0xDEAD) == 0xDEAD
     assert auto.interp == 1 and auto.dump()["native_instructions"] == 0
     assert interp_state_executions(auto) == 1
 
@@ -92,7 +100,7 @@ def test_region_exit_and_reentry():
     auto = Automaton()
     auto.append_region([(A, 4), (B, 4)])
     step(auto, A)
-    assert step(auto, 0x900) == N2I
+    assert step(auto, 0x900) == math.inf
     step(auto, A)
     assert stats(auto, 0).entries_from_interpreter == 2
 
@@ -190,6 +198,26 @@ def test_append_expansion_overlapping_recording_rejected():
     auto = Automaton()
     with pytest.raises(ValueError, match="duplicates"):
         auto.append_region([(A, 4)], expansion=[(A, 4)], expansion_successors={})
+
+
+def test_append_expansion_repeating_a_repeated_recorded_address_rejected():
+    with pytest.raises(ValueError, match="expansion address 0x100 duplicates the recording"):
+        Automaton().append_region([(A, 4), (B, 4), (A, 4)], expansion=[(C, 4), (A, 4)])
+
+
+def test_append_duplicate_expansion_address_rejected():
+    with pytest.raises(ValueError, match="duplicate expansion address 0x108"):
+        Automaton().append_region([(A, 4), (B, 4)], expansion=[(C, 4), (0x10C, 4), (C, 4)])
+
+
+@pytest.mark.parametrize("successors, message", [
+    ({0x200: (A,)}, "expansion successor source 0x200 not in region"),
+    ({C: (A, 0x200)}, "expansion successor target 0x200 not in region"),
+])
+def test_append_expansion_successor_outside_region_rejected(successors, message):
+    with pytest.raises(ValueError, match=message):
+        Automaton().append_region([(A, 4), (B, 4)], expansion=[(C, 4)],
+                                  expansion_successors=successors)
 
 
 def test_region_stats_fresh_region_zeroed():
@@ -308,10 +336,7 @@ def test_kernel_matches_literal_model():
                     stop += 1
                 next_i, got = auto.run_native_stretch(seq, sizes, i, hi, h)
                 assert next_i == stop, (case, i, h)
-                # a call that stopped before the end stopped at an item
-                # that fell back to the interpreter
-                if stop < hi:
-                    assert got == kind, (case, i, h)
+                assert got == model_prev(kind, seq, stop), (case, i, h)
                 i = stop
         assert auto.dump() == model.dump(), case
 
@@ -357,10 +382,7 @@ def test_kernel_matches_literal_model_with_expansions():
                     stop += 1
                 next_i, got = auto.run_native_stretch(seq, sizes, i, hi, h)
                 assert next_i == stop, (case, i, h)
-                # a call that stopped before the end stopped at an item
-                # that fell back to the interpreter
-                if stop < hi:
-                    assert got == kind, (case, i, h)
+                assert got == model_prev(kind, seq, stop), (case, i, h)
                 i = stop
         assert auto.dump() == model.dump(), case
     assert expanded > 300
@@ -553,7 +575,7 @@ def exit_call(seq, threshold, counts, end=None):
     that hands the kernel ``counts`` and ``threshold``.  Checks the dump
     against the literal model stepped over the items the call consumed,
     and the counts against the reference net manager's hotness after those
-    items, starting from the same counts.  Returns ``(next_i, kind)``."""
+    items, starting from the same counts.  Returns ``(next_i, prev)``."""
     end = len(seq) if end is None else end
     auto = Automaton()
     model = LiteralAutomaton()
@@ -561,7 +583,7 @@ def exit_call(seq, threshold, counts, end=None):
     model.append([(A, 4), (B, 4)])
     manager = make_reference(RFTConfig(technique="net", threshold=threshold))
     manager.hot = dict(counts)
-    next_i, kind = auto.run_native_stretch(seq, [4] * len(seq), 0, end, 0,
+    next_i, prev = auto.run_native_stretch(seq, [4] * len(seq), 0, end, 0,
                                            counts, threshold)
     last, ref_kind = None, SI
     for a in seq[:next_i]:
@@ -570,9 +592,8 @@ def exit_call(seq, threshold, counts, end=None):
         last = (a, 4)
     assert auto.dump() == model.dump()
     assert manager.recording is None and counts == manager.hot
-    if next_i < end:
-        assert kind == ref_kind
-    return next_i, kind
+    assert prev == model_prev(ref_kind, seq, next_i)
+    return next_i, prev
 
 
 def test_held_follower_below_threshold_is_absorbed():
@@ -586,18 +607,18 @@ def test_held_follower_below_threshold_is_absorbed():
 
 def test_follower_reaching_threshold_ends_the_call_unwritten():
     # the third follower's bump reaches 3: the call returns at it with
-    # kind 2 and leaves its count for the scan to bump
+    # prev infinity and leaves its count for the scan to bump
     counts = {}
-    assert exit_call([A, B, X] * 3 + [A, B], 3, counts) == (9, N2I)
+    assert exit_call([A, B, X] * 3 + [A, B], 3, counts) == (9, math.inf)
     assert counts == {A: 2}
     counts = {A: 2}
-    assert exit_call([A, B, X, A, B], 3, counts) == (3, N2I)
+    assert exit_call([A, B, X, A, B], 3, counts) == (3, math.inf)
     assert counts == {A: 2}
 
 
 def test_threshold_one_never_absorbs():
     counts = {}
-    assert exit_call([A, B, X, A, B], 1, counts) == (3, N2I)
+    assert exit_call([A, B, X, A, B], 1, counts) == (3, math.inf)
     assert counts == {}
 
 
@@ -610,7 +631,7 @@ def test_threshold_one_never_absorbs():
 ])
 def test_follower_at_end_or_not_held_ends_the_call(seq, end):
     counts = {}
-    assert exit_call(seq, 5, counts, end) == (3, N2I)
+    assert exit_call(seq, 5, counts, end) == (3, math.inf)
     assert counts == {}
 
 
@@ -718,8 +739,7 @@ class KernelMachine(RuleBasedStateMachine):
                 next_i, got = self.auto.run_native_stretch(seq, sizes, i, end, h,
                                                            counts, threshold)
                 assert next_i == stop
-                if stop < end:
-                    assert got == kind
+                assert got == model_prev(kind, seq, stop)
                 i = stop
 
     @invariant()

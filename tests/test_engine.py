@@ -1,7 +1,11 @@
+import inspect
 import json
+import math
 import multiprocessing
 import random
+import re
 
+import numpy as np
 import pytest
 
 from conftest import MemoAutomaton, naive_run, random_rft_config, random_trace
@@ -80,6 +84,39 @@ def test_skip_limit_window():
         assert result.report.total_instructions == consumed
 
 
+@pytest.mark.parametrize("field", ["skip", "limit"])
+@pytest.mark.parametrize("value", [2.0, 2.5, False, "2"])
+def test_window_fields_must_be_ints(field, value):
+    """A float skip failed in a slice and a float limit leaked into
+    ``items_consumed``, so every non-int, bools included, is rejected by
+    name at construction; a None limit still means the whole trace."""
+    message = f"{field} must be an integer, not {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        SimulationConfig(**{field: value})
+    assert SimulationConfig(limit=None).limit is None
+
+
+@pytest.mark.parametrize("technique", TECHNIQUES)
+def test_trace_from_any_int_sequence_runs_as_from_a_list(technique):
+    """A tuple, a ``range`` or a numpy array of addresses builds a trace
+    that every technique replays as it does the same addresses in a list;
+    an array once reached the kernel's slice comparison of a chain head's
+    memo and failed there."""
+    addrs = generate_trace(ProgramSpec((LoopSpec(base=0x100, body=8, iters=20),))).addresses
+    config = SimulationConfig(rft=RFTConfig(technique, threshold=2), collect_dump=True)
+    span = range(0x100, 0x100 + 4 * 40, 4)
+    for seq, shapes in ((addrs, (tuple(addrs), np.array(addrs),
+                                 np.array(addrs, dtype=np.uint64))),
+                        (list(span), (span,))):
+        sizes = [4] * len(seq)
+        want = run_simulation(Trace(seq, sizes), config).dump
+        for shape in shapes:
+            trace = Trace(shape, sizes)
+            assert type(trace.addresses) is list and trace.addresses == seq
+            assert run_simulation(trace, config).dump == want, type(shape)
+    assert run_simulation(Trace(addrs, [4] * len(addrs)), config).dump["regions"]
+
+
 def test_cost_attached_when_requested():
     trace = generate_trace(A1_SPEC)
     config = SimulationConfig(rft=RFTConfig(threshold=2),
@@ -153,8 +190,8 @@ def test_scans_visit_each_item_at_most_once(monkeypatch):
         manager = make_rft(config)
         scan = manager.scan
 
-        def counted(addrs, sizes, i, end, *rest):
-            k, region = scan(addrs, sizes, i, end, *rest)
+        def counted(i, end, prev):
+            k, region = scan(i, end, prev)
             visited.append(min(k + 1, end) - i)
             return k, region
         manager.scan = counted
@@ -194,10 +231,10 @@ def test_exit_counts_declared_only_while_idle(technique):
     manager = make_rft(RFTConfig(technique=technique, threshold=1))
     addrs = EXIT_COUNTS_TRACE
     sizes = [4] * len(addrs)
-    manager.attach(Trace(addrs, sizes), 0)
+    manager.attach(Trace(addrs, sizes), 0, ())
     declared, states = [], []
     for i in range(len(addrs)):
-        manager.scan(addrs, sizes, i, i + 1, addrs[i - 1] if i else -1, 0, ())
+        manager.scan(i, i + 1, addrs[i - 1] if i else -1)
         counts = manager.exit_counts
         assert counts is None or counts is manager._hot
         declared.append(counts is not None)
@@ -220,13 +257,14 @@ def test_no_scan_starts_at_a_follower_the_kernel_counts(monkeypatch):
         manager = make_rft(config)
         scan = manager.scan
 
-        def checked(addrs, sizes, i, end, la, kind, held):
-            if kind == 2 and i < end and addrs[i] in held:
+        def checked(i, end, prev):
+            addrs = manager._addrs
+            if prev == math.inf and i < end and addrs[i] in manager._held:
                 counts = manager.exit_counts
                 assert (counts is None
                         or counts.get(addrs[i], 0) + 1 >= config.threshold), config
                 fallbacks.append(config.technique)
-            return scan(addrs, sizes, i, end, la, kind, held)
+            return scan(i, end, prev)
         manager.scan = checked
         return manager
 
@@ -394,6 +432,14 @@ def test_benchmark_hooks_exist():
         assert callable(getattr(automaton, name)), name
     # positional kernel arguments and the consumed index in result[0]
     assert automaton.run_native_stretch([0x100, 0x104], [4, 4], 0, 2, 1)[0] == 2
+    # bench/layers.py books result[0] - args[2] items per kernel call, so i stays
+    # the third positional argument and the next index the result's first
+    params = list(inspect.signature(engine.Automaton.run_native_stretch).parameters)
+    assert params == ["self", "addrs", "sizes", "i", "end", "h", "exit_counts", "threshold"]
+    args = ([0x200, 0x204, 0x208, 0x20C], [4] * 4, 1, 4, 3)
+    interp = automaton.interp
+    result = automaton.run_native_stretch(*args)
+    assert result[0] == 4 and result[0] - args[2] == automaton.interp - interp == 3
     automaton.bulk_interp(1)
     assert automaton.append_region([(0x100, 4)]) == 0
     for tech in TECHNIQUES:

@@ -11,6 +11,7 @@ must not see a difference, at those sizes or at the defaults.
 
 from __future__ import annotations
 
+import math
 import random
 import re
 
@@ -171,15 +172,15 @@ def test_held_item_at_a_chunk_start(monkeypatch, passes, tech, at):
 
 @pytest.mark.parametrize("tech", ["net", "mret2", "net-r"])
 def test_region_exit_target_is_the_first_item_only(monkeypatch, tech):
-    """With ``kind`` 2 only the scan's first item is profiled whatever its
-    address; the pass, handed the run after it, seeds its first item
+    """After a region exit only the scan's first item is profiled whatever
+    its address; the pass, handed the run after it, seeds its first item
     from that item's address and carries each chunk's last address into
     the next chunk."""
     set_sizes(monkeypatch, (1, 1))
     addrs = [0x200, 0x300, 0x250, 0x260, 0x100]
     manager = make_rft(RFTConfig(tech, threshold=100))
-    manager.attach(Trace(addrs, [4] * 5), 0)
-    assert manager.scan(addrs, [4] * 5, 0, 5, 0x50, 2, ()) == (5, None)
+    manager.attach(Trace(addrs, [4] * 5), 0, ())
+    assert manager.scan(0, 5, math.inf) == (5, None)
     ref = make_reference(RFTConfig(tech, threshold=100))
     last, kind = (0x50, 4), 2
     for a in addrs:
@@ -196,9 +197,9 @@ def test_lei_with_a_raised_floor_and_a_short_history(monkeypatch, sizes):
     pushed = []
     push = rft.LeiManager._push
 
-    def noted(self, lo, hi, pos, held):
+    def noted(self, lo, hi, pos):
         pushed.append((self._floor, hi - lo, self._capacity))
-        return push(self, lo, hi, pos, held)
+        return push(self, lo, hi, pos)
     monkeypatch.setattr(rft.LeiManager, "_push", noted)
     rng = random.Random(0x1E1F)
     for case in range(40):

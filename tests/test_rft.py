@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -480,8 +481,8 @@ def test_netplus_emission_on_region_entry_sees_the_next_item():
     addrs = [X, E, A_, H, X]
     sizes = [4] * len(addrs)
     mgr = NetPlusManager(cfg("netplus", threshold=1))
-    mgr.attach(Trace(addrs, sizes), 0)
-    assert mgr.scan(addrs, sizes, 0, len(addrs), -1, SI, {H}) == \
+    mgr.attach(Trace(addrs, sizes), 0, {H})
+    assert mgr.scan(0, len(addrs), -1) == \
         (3, ([(E, 4), (A_, 4), (H, 4)], ((X, 4),), {H: (X,), X: (E,)}))
 
 
@@ -512,6 +513,17 @@ def test_unknown_technique_rejected():
 def test_config_validation():
     with pytest.raises(ValueError, match="threshold"):
         RFTConfig(threshold=0)
+
+
+@pytest.mark.parametrize("field", ["threshold", "max_region_size", "expansion_depth",
+                                   "history_capacity"])
+@pytest.mark.parametrize("value", [3.0, 2.5, True, "3", None])
+def test_config_fields_must_be_ints(field, value):
+    """A float field ran on short traces and failed on long ones, so every
+    non-int, bools included, is rejected by name at construction."""
+    message = f"{field} must be an integer, not {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        RFTConfig(**{field: value})
 
 
 @settings(max_examples=40, deadline=None)
