@@ -27,12 +27,16 @@ kernel credits such a run without resolving it item by item.
 
 A chain head (the head of a long enough region) keeps a memo of the
 last walk the kernel stepped from it item by item: the items after the
-landing, up to the next landing on that head or up to the item that
-leaves the region.  A walk inside a region only follows or creates edges
-inside it, and edges are never replaced, so when the next items after a
-landing are the memo's, rule 1 would follow the memo's edges to its end
-state: the kernel steps that walk in one slice comparison instead.  A
-walk shorter than ``CHAIN_MIN_PATH`` is not kept, so a landing is
+landing, up to and including the next landing on that head, or up to the
+item that leaves the region.  A walk inside a region only follows or
+creates edges inside it, and edges are never replaced, so when the next
+items after a landing are the memo's, rule 1 would follow the memo's
+edges to its end state: the kernel steps that walk in one slice
+comparison instead, and, when the walk came back to the head, compares
+again: a loop inside the region costs one comparison per iteration.  A
+walk back to the head that misses on that landing alone, as a loop's
+last iteration does, is stepped up to it in one go (a cut hit).
+A walk shorter than ``CHAIN_MIN_PATH`` is not kept, so a landing is
 fruitless when it misses; a head with ``CHAIN_GIVE_UP`` fruitless
 landings in a row steps item by item for the rest of the run.
 
@@ -42,8 +46,9 @@ transitions, completed traversals and each memo's hits
 (``Region.hits``).  A hit follows each of its walk's edges as often as
 the walk did, and completes a traversal when the walk passed the core
 tail, so flushing the hits into those edges and completions
-(``Region.flush``, before any report) completes both.  Every native item
-either follows an edge or creates one with count 1, and edges only
+(``Region.flush``, before any report) completes both; a cut hit counts
+as a hit and takes its last edge's traversal back at once.  Every native
+item either follows an edge or creates one with count 1, and edges only
 target region states, so the edge counts give the rest at report time:
 a region state's executions are the sum of its incoming edge counts, a
 region's dynamic count sums them over its recorded and expansion states,
@@ -102,19 +107,20 @@ class Region:
     Entries and completions are raw counters.  A chain head's memo is
     ``walk``, the items of the last walk the kernel stepped from the head
     item by item; ``walk_edges``, the edges it followed, in order;
-    ``walk_end``, the state it ended on; and ``walk_open``, whether the
-    traversal the landing opened is still open there (the walk did not
-    pass the core tail).  ``hits`` counts the walks stepped in one go along
-    the memo since the last ``flush``, and ``misses`` the head's fruitless
-    landings in a row.  Completions, the dynamic count (the executions of
-    the recorded and expansion states) and the head and tail executions
-    are complete once the hits are flushed (``Automaton.all_region_stats``).
+    ``walk_end``, the state it ended on (the head's, for a walk back to
+    it); and ``walk_closes``, whether it passed the core tail, closing the
+    traversal the landing opened.  ``hits`` counts the walks stepped in
+    one go along the memo since the last ``flush``, and ``misses`` the
+    head's fruitless landings in a row.  Completions, the dynamic count
+    (the executions of the recorded and expansion states) and the head
+    and tail executions are complete once the hits are flushed
+    (``Automaton.all_region_stats``).
     """
 
     __slots__ = ("rid", "entry_state", "states", "core_tail_state",
                  "expansion_states", "entry_address", "entries_interp",
                  "entries_native", "completions", "walk", "walk_edges",
-                 "walk_end", "walk_open", "hits", "misses")
+                 "walk_end", "walk_closes", "hits", "misses")
 
     def __init__(self, rid: int, entry_state: int, states: list[int],
                  core_tail_state: int, expansion_states: list[int],
@@ -131,8 +137,8 @@ class Region:
         # no memo yet: a walk no item matches
         self.walk: list = [None]
         self.walk_edges: list[list[int]] = []
-        self.walk_end = entry_state
-        self.walk_open = True
+        self.walk_end = -1
+        self.walk_closes = False
         self.hits = 0
         self.misses = 0
 
@@ -141,7 +147,7 @@ class Region:
         completions if it passed the core tail; idempotent."""
         for e in self.walk_edges:
             e[1] += self.hits
-        if not self.walk_open:
+        if self.walk_closes:
             self.completions += self.hits
         self.hits = 0
 
@@ -258,8 +264,8 @@ class Automaton:
         ``exit_counts``, when not None, is the manager's hotness counter
         dict for the items that follow region exits (``RegionManager``'s
         ``exit_counts``), and ``threshold`` its threshold.  After a landing
-        that leaves a region, when the follower ``addrs[next_i]`` exists
-        before ``end`` and is held, the kernel bumps the follower's count:
+        that leaves a region, when the follower exists before ``end`` and
+        is held, the kernel bumps the follower's count as it reads it:
         below the threshold it stores the count and steps on from the
         follower, which enters a region, in the same call; at the
         threshold it stores nothing and returns at the follower with
@@ -268,18 +274,20 @@ class Automaton:
 
         Per native item it counts the edge traversal, region changes and
         completions only; executions are derived from edge counts.  On
-        landing at a chain head (mark 5), it first tests that the memo's
-        walk fits before ``end`` and that the item where it would end holds
-        the walk's last address, then compares the next items with the walk
-        in one slice comparison.  On a hit it books one ``Region.hits`` and
-        moves to the walk's end state.  On a miss it notes where the walk
-        starts and steps on item by item; the next chain-head landing, or
-        the call's return, installs the walk as the head's memo
-        (``_keep``).  The ``CHAIN_GIVE_UP``-th fruitless landing in a row
-        gives the head up: it becomes a plain head (mark 1) for the rest of
-        the run.  Both paths give the counts the rules give per item.
-        ``addrs`` is a list, as ``Trace.addresses`` is: the slice
-        comparison tests list equality.
+        landing at a chain head (mark 5), when the memo's walk fits before
+        ``end``, it compares the next items with the walk in one slice
+        comparison.  On a hit it books one ``Region.hits`` and moves to the
+        walk's end state, comparing anew when that is the head.  A walk back
+        to the head that misses on that landing alone is a hit less the
+        traversal of its last edge, to the state before it.  On a miss it
+        notes where the walk starts and steps on item by item; the next
+        chain-head landing, or the call's return, installs the walk as the
+        head's memo (``_keep``).  The ``CHAIN_GIVE_UP``-th fruitless landing
+        in a row gives the head up: it becomes a plain head (mark 1) for the
+        rest of the run.  Both paths give the counts the rules give per item.
+        ``addrs`` is a list of ints or, from the engine, ``Trace._items``:
+        one iterator reads it, moved past each walk stepped in one go, and a
+        memo's walk is a slice of it, so like is compared with like.
         ``sizes`` is unused: states keep the size they were recorded with.
         The name and the argument order predate the interpreter side; the
         benchmark harness still wraps the kernel under this name.
@@ -302,9 +310,21 @@ class Automaton:
         wr = None
         transitions = 0
         left = False
-        while True:
-            a = addrs[i]
+        it = iter(addrs)
+        it.__setstate__(i)
+        for a in it:
+            if i >= end:
+                break
             i += 1
+            if left:
+                # an exit's follower entering a region at once: count it
+                # as the manager's scan would unless it gets hot, else stop
+                c = exit_counts.get(a, 0) + 1 if a in index else threshold
+                if c >= threshold:
+                    i -= 1
+                    break
+                exit_counts[a] = c
+                left = False
             # rule 1: the current state's edge
             e = cur_edges.get(a)
             if e is not None:
@@ -320,16 +340,9 @@ class Automaton:
                         tid = NTE_STATE
                         cur_edges = edges_l[0]
                         cur_owner = -1
-                        # the follower enters a region at once: count it as
-                        # the manager's scan would, unless it gets hot
-                        if exit_counts is not None and i < end:
-                            b = addrs[i]
-                            if b in index:
-                                c = exit_counts.get(b, 0) + 1
-                                if c < threshold:
-                                    exit_counts[b] = c
-                                    continue
                         left = True
+                        if exit_counts is not None:
+                            continue
                     break
                 # rule 2: an edge to the earliest-created region's state
                 tid = cands[0]
@@ -349,34 +362,46 @@ class Automaton:
                 if m == 1:
                     traversing = True
                 elif m == 5:
-                    # a chain head opens a traversal too, and ends the walk
-                    # from it; when the next items are its memo's walk, rule
-                    # 1 follows the walk's edges to its end state
+                    # a chain head opens a traversal too, and ends the
+                    # walk from it; while the next items are its memo's
+                    # walk, rule 1 follows the walk's edges to its end
                     traversing = True
                     if ws >= 0:
-                        self._keep(wr, addrs, ws, i - 1)
+                        self._keep(wr, addrs, ws, i)
                         ws = -1
                     w = r.walk
-                    j = i + len(w)
-                    if j <= end and addrs[j - 1] == w[-1] and addrs[i:j] == w:
-                        r.hits += 1
-                        r.misses = 0
-                        traversing = r.walk_open
-                        tid = r.walk_end
-                        i = j
-                    else:
-                        r.misses += 1
-                        if r.misses < CHAIN_GIVE_UP:
-                            ws = i
-                            wr = r
+                    at = i
+                    while True:
+                        j = i + len(w)
+                        if j <= end and addrs[i:j] == w:
+                            i = j
+                            r.hits += 1
+                            if r.walk_end == tid:
+                                continue  # back on the head: another landing
+                            tid = r.walk_end
+                        elif r.walk_end == tid and j <= end + 1 and addrs[i:j - 1] == w[:-1]:
+                            # the walk up to the landing that would close it
+                            i = j - 1
+                            r.hits += 1
+                            r.walk_edges[-1][1] -= 1
+                            tid = r.walk_edges[-2][0]
                         else:
-                            mark_l[tid] = 1
+                            r.misses = 1 if i > at else r.misses + 1
+                            if r.misses < CHAIN_GIVE_UP:
+                                ws = i
+                                wr = r
+                            else:
+                                mark_l[tid] = 1
+                            break
+                        r.misses = 0
+                        traversing = not r.walk_closes
+                        break
+                    if i > at:
+                        it.__setstate__(i)
                 elif traversing or m == 3:
                     r.completions += 1
                     traversing = False
             cur_edges = edges_l[tid]
-            if i >= end:
-                break
         if ws >= 0:
             self._keep(wr, addrs, ws, i)
         self._cur = tid
@@ -390,11 +415,12 @@ class Automaton:
         """Install the walk from ``r``'s head that the kernel stepped item by
         item from ``addrs[ws]``, cut to ``WALK_CAP`` items, as its memo,
         unless it is shorter than ``CHAIN_MIN_PATH``.  The walk ended at the
-        item that left ``r`` or before ``addrs[we]``, a landing on a chain
-        head or the call's end.  Each step followed or created an edge
-        inside ``r`` that is never replaced, and the item that left ``r``
-        followed or created an edge out of it or, not being held, has none:
-        so rule 1 from the head finds the walk's edges and where it ended."""
+        item that left ``r``, at a landing on a chain head, ``addrs[we - 1]``,
+        which it keeps when that head is ``r``'s, or at the call's end,
+        ``we``.  Each step followed or created an edge inside ``r`` that is
+        never replaced, and the item that left ``r`` followed or created an
+        edge out of it or, not being held, has none: so rule 1 from the head
+        finds the walk's edges and where it ended."""
         edges_l = self._edges
         owner_l = self._owner
         sid = r.entry_state
@@ -411,7 +437,7 @@ class Automaton:
         r.walk = addrs[ws:ws + len(followed)]
         r.walk_edges = followed
         r.walk_end = sid
-        r.walk_open = all(e[0] != r.core_tail_state for e in followed)
+        r.walk_closes = any(e[0] == r.core_tail_state for e in followed)
 
     # -- growth ---------------------------------------------------------
 
@@ -432,39 +458,35 @@ class Automaton:
             raise ValueError("empty recording")
         rid = len(self._regions)
         addr_l = self._addr
-        edges_l = self._edges
         base = len(addr_l)
         tail = base + len(recorded)  # the first expansion state's id
-        # each address's first state in the region
+        items = list(chain(recorded, expansion))
+        # each address's first state, and each new state's edges, all made
+        # before the automaton changes, so a rejected region leaves nothing
         by_addr: dict[int, int] = {}
-        for a, s in chain(recorded, expansion):
-            sid = len(addr_l)
+        for sid, (a, _) in enumerate(items, start=base):
             if a not in by_addr:
                 by_addr[a] = sid
             elif sid >= tail:
                 raise ValueError(f"expansion address {a:#x} duplicates the recording"
                                  if by_addr[a] < tail else f"duplicate expansion address {a:#x}")
-            addr_l.append(a)
-            self._size.append(s)
-            self._owner.append(rid)
-            self._mark.append(0)
-            edges_l.append({})
-        for sid in range(base, tail - 1):
-            edges = edges_l[sid]
-            if addr_l[sid + 1] not in edges:
-                edges[addr_l[sid + 1]] = [sid + 1, 0]
+        new_edges: list[dict[int, list[int]]] = [{} for _ in items]
+        for k in range(len(recorded) - 1):
+            new_edges[k].setdefault(items[k + 1][0], [base + k + 1, 0])
         if expansion and expansion_successors:
             for src_addr, targets in expansion_successors.items():
-                src_sid = by_addr.get(src_addr)
-                if src_sid is None:
+                if src_addr not in by_addr:
                     raise ValueError(f"expansion successor source {src_addr:#x} not in region")
-                edges = edges_l[src_sid]
+                edges = new_edges[by_addr[src_addr] - base]
                 for t in targets:
-                    t_sid = by_addr.get(t)
-                    if t_sid is None:
+                    if t not in by_addr:
                         raise ValueError(f"expansion successor target {t:#x} not in region")
-                    if t not in edges:
-                        edges[t] = [t_sid, 0]
+                    edges.setdefault(t, [by_addr[t], 0])
+        addr_l.extend(a for a, _ in items)
+        self._size.extend(s for _, s in items)
+        self._owner.extend([rid] * len(items))
+        self._mark.extend([0] * len(items))
+        self._edges.extend(new_edges)
         region = Region(rid=rid, entry_state=base, states=list(range(base, tail)),
                         core_tail_state=tail - 1,
                         expansion_states=list(range(tail, len(addr_l))),

@@ -117,11 +117,12 @@ class RegionManager:
     """Base contract: ``scan`` consumes one interpreter-side run.
 
     The engine calls ``attach(trace, start, held)`` once, before replaying
-    ``trace[start:]``: the manager binds the trace's addresses, its sizes,
-    its u64 column (``Trace.column``) and ``held``, the addresses some
-    region holds (``Automaton.held``, which grows in place; the tests'
-    ``scan_run`` passes a set).  A scan tests ``held`` for membership and,
-    in its numpy pass, for emptiness.
+    ``trace[start:]``: the manager binds the trace's read-only u64 address
+    column (``Trace.addresses``), which its numpy passes slice, the
+    ``array("Q")`` its per-item loop reads (``Trace._items``), the sizes
+    and ``held``, the addresses some region holds (``Automaton.held``,
+    which grows in place; the tests' ``scan_run`` passes a set).  A scan
+    tests ``held`` for membership and, in its numpy pass, for emptiness.
 
     ``scan(i, end, prev)`` is called while the automaton's cursor sits on
     the interpreter state and visits items from ``i`` in trace order.
@@ -183,7 +184,7 @@ class RegionManager:
     def _handle(self, *args) -> None: ...
 
     def attach(self, trace: Trace, start: int, held: Collection[int]) -> None:
-        self._addrs, self._sizes, self._col = trace.addresses, trace.sizes, trace.column
+        self._addrs, self._col, self._sizes = trace._items, trace.addresses, trace.sizes
         self._held = held
 
     def complete(self, items: list[tuple[int, int]], due: int) -> tuple:

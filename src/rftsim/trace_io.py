@@ -22,6 +22,7 @@ a transfer to a lower address is always a backward branch.
 from __future__ import annotations
 
 import json
+import operator
 import os
 import struct
 from array import array
@@ -49,52 +50,35 @@ class TraceSpecError(ValueError):
 
 
 class Trace:
-    """A fully loaded, immutable-by-convention instruction sequence.
+    """A fully loaded, immutable instruction sequence.
 
-    Any two equal-length sequences of ints build a trace.  Addresses are
-    kept as a list of plain ints, so the per-item loops and the stepping
-    kernel pay no per-item conversion cost (a tuple, a ``range`` or a
-    numpy array is held as the column's ``tolist()``), and as ``column``,
-    a read-only u64 numpy array that every numpy pass slices.  Sizes are
-    kept once, as ``sizes``, an ``array("I")`` buffer of 4 bytes per item;
-    the scans index it only while recording.  Construction is where both
-    are checked, against the ranges both file formats carry: an address
-    outside ``[0, 2**64)`` or an instruction size outside ``[1, 2**32)``
-    makes it raise ``ValueError`` naming the first such item, so every
-    technique, writer and pass sees valid items only.  A loaded trace, in
-    either format, and a generated one share one int per distinct address
-    in their list: about 20 bytes per item, 8 each for the column and the
-    list and 4 for the sizes.  ``write_binary`` encodes the records 8,192
-    at a time into one reused buffer, so writing holds no whole-length
-    copy.  A loaded trace may be shared read-only between any number of
-    simulations.
+    Any two equal-length sequences of ints build a trace, which holds them
+    once, 12 bytes per item: ``addresses``, a read-only u64 numpy array
+    that the numpy passes slice, viewing the buffer of ``_items``, an
+    ``array("Q")`` that the per-item loops read, and ``sizes``, an
+    ``array("I")`` that the scans index only while recording.  Building
+    one copies both, an integer numpy array in bulk, and raises
+    ``ValueError`` naming the first item that is not an int, or not in
+    the range both file formats carry: ``[0, 2**64)`` for an address,
+    ``[1, 2**32)`` for a size.  The loaders and ``generate_trace`` hold
+    what they read or built without a copy.  A trace may be shared
+    read-only between any number of simulations.
     """
 
-    __slots__ = ("addresses", "sizes", "column", "_backward")
+    __slots__ = ("addresses", "sizes", "_items", "_backward")
 
     def __init__(self, addresses: Sequence[int], sizes: Sequence[int]):
         if len(addresses) != len(sizes):
             raise ValueError("addresses and sizes must have equal length")
-        try:
-            column = np.frombuffer(array("Q", addresses), dtype=np.uint64)
-        except OverflowError:
-            j, a = next((j, a) for j, a in enumerate(addresses) if not 0 <= a < 1 << 64)
-            raise ValueError(f"trace item {j}: address {a} outside [0, 2**64)") from None
-        try:
-            held = array("I", sizes)
-        except OverflowError:
-            held = None
-        if held is None or not np.frombuffer(held, dtype=np.uint32).all():
-            j, s = next((j, s) for j, s in enumerate(sizes) if not 1 <= s < 1 << 32)
-            raise ValueError(f"trace item {j}: instruction size {s} outside [1, 2**32)")
-        column.flags.writeable = False
-        if not isinstance(addresses, list):
-            addresses = column.tolist()
-        self._hold(addresses, held, column)
+        self._hold(_checked(addresses, "Q", 0, "address"),
+                   _checked(sizes, "I", 1, "instruction size"))
 
-    def _hold(self, addresses: list[int], sizes: array, column: np.ndarray) -> "Trace":
-        """Holds checked ``sizes`` and a read-only ``column`` equal to ``addresses``."""
-        self.addresses, self.sizes, self.column, self._backward = addresses, sizes, column, None
+    def _hold(self, items: array, sizes: array) -> "Trace":
+        """Holds the checked ``items`` and ``sizes``, and a read-only u64
+        view of ``items`` as ``addresses``."""
+        self.addresses = np.frombuffer(items, dtype=np.uint64)
+        self.addresses.flags.writeable = False
+        self._items, self.sizes, self._backward = items, sizes, None
         return self
 
     def __len__(self) -> int:
@@ -109,9 +93,38 @@ class Trace:
         address.  Cached after the first call.
         """
         if self._backward is None:
-            a = self.column
+            a = self.addresses
             self._backward = (np.nonzero(a[1:] < a[:-1])[0] + 1).astype(np.int64)
         return self._backward
+
+
+def _checked(values: Sequence[int], code: str, low: int, what: str) -> array:
+    """``values`` copied into an ``array(code)``.  Raises ``ValueError``
+    naming the first item that is not an int in ``[low, 2**bits)``,
+    ``bits`` being the typecode's width.  An integer numpy array is checked
+    and copied in bulk: ``array`` would read it item by item, some 60 times
+    slower."""
+    bits = 8 * array(code).itemsize
+    if isinstance(values, np.ndarray):
+        if values.dtype.kind in "iu" and not (values < low).any() and not (
+                np.iinfo(values.dtype).max >> bits and (values >> bits).any()):
+            held = array(code)
+            held.frombytes(memoryview(np.ascontiguousarray(values, dtype=code)).cast("B"))
+            return held
+        values = values.tolist()
+    try:
+        held = array(code, values)
+        if not low or np.frombuffer(held, dtype=code).all():
+            return held
+    except (OverflowError, TypeError):
+        pass
+    for j, v in enumerate(values):
+        try:
+            v = operator.index(v)
+        except TypeError:
+            raise ValueError(f"trace item {j}: {what} {v!r} is not an int") from None
+        if not low <= v < 1 << bits:
+            raise ValueError(f"trace item {j}: {what} {v} outside [{low}, 2**{bits})")
 
 
 def _runs(ordered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -129,55 +142,15 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     return values[_runs(values)[0]]
 
 
-# Records per chunk of a binary load or write: a load's lists and index
-# arrays, 64 KiB each, are under glibc's default 128 KiB mmap threshold, so
-# they reuse one place in the heap and leave no free holes there for sweep
-# workers.
+# Records per chunk of a binary load or write: each chunk's record buffer,
+# 128 KiB, is reused, so reading or writing holds no whole-length copy.
 _LOAD_CHUNK = 8_192
 
 
-def _interned(column: np.ndarray) -> list[int]:
-    """``column.tolist()``, but with one shared int per distinct address.
-    Where the addresses span at most the item count, marks over the span
-    find them and an offset table numbers them; otherwise each chunk's
-    sorted distinct values, merged, find them and a binary search numbers
-    them.  Each chunk then indexes an object array of the shared ints.
-
-    The search alone would serve every trace, but the table is faster: by
-    the search alone a seed-1 load takes 93-98 ms against 63-66 on loop-nest,
-    46-50 against 26-28 on graph-walk and 45-47 against 20-21 on interp-noise
-    (2-core x86, Python 3.11), past interp-noise's set-up bound."""
-    n = len(column)
-    low, high = (int(column.min()), int(column.max())) if n else (0, -1)
-    if high - low < n:
-        seen = np.zeros(high - low + 1, dtype=bool)
-        for lo in range(0, n, _LOAD_CHUNK):
-            seen[column[lo:lo + _LOAD_CHUNK] - low] = True
-        shared = np.array((np.flatnonzero(seen).astype(np.uint64) + low).tolist(), dtype=object)
-        table = np.cumsum(seen, dtype=np.intp)
-        table -= 1
-    else:
-        keys = _distinct(np.sort(np.concatenate([_distinct(np.sort(column[lo:lo + _LOAD_CHUNK]))
-                                                 for lo in range(0, n, _LOAD_CHUNK)])))
-        shared = np.array(keys.tolist(), dtype=object)
-    addresses: list = [None] * n
-    for lo in range(0, n, _LOAD_CHUNK):
-        c = column[lo:lo + _LOAD_CHUNK]
-        if high - low < n:
-            ids = table[c - low]
-        else:  # searching for sorted needles is several times faster
-            order = np.argsort(c)
-            ids = np.empty(len(c), dtype=np.intp)
-            ids[order] = np.searchsorted(keys, c[order])
-        addresses[lo:lo + _LOAD_CHUNK] = shared[ids].tolist()
-    return addresses
-
-
-def _adopt(column: np.ndarray, sizes: array) -> Trace:
-    """The trace a loader read into ``column`` and ``sizes``, each checked
-    as it was read, held as ``Trace`` holds one it builds."""
-    column.flags.writeable = False
-    return Trace.__new__(Trace)._hold(_interned(column), sizes, column)
+def _adopt(items: array, sizes: array) -> Trace:
+    """The trace a loader or the generator made into ``items`` and
+    ``sizes``, each already checked, held without a copy."""
+    return Trace.__new__(Trace)._hold(items, sizes)
 
 
 def load_binary(path: Union[str, Path]) -> Trace:
@@ -194,8 +167,8 @@ def load_binary(path: Union[str, Path]) -> Trace:
             raise TraceFormatError(f"{path}: nonzero reserved header field")
         # records the file's size promises, counting a trailing part of one
         n = -(-(os.fstat(fh.fileno()).st_size - _HEADER.size) // _RECORD.size)
-        column = np.empty(n, dtype=np.uint64)
-        sizes = array("I", [0]) * n
+        items, sizes = array("Q", [0]) * n, array("I", [0]) * n
+        column = np.frombuffer(items, dtype=np.uint64)
         size_column = np.frombuffer(sizes, dtype=np.uint32)
         buffer = np.empty(min(n, _LOAD_CHUNK), dtype=_RECORD_DTYPE)
         for lo in range(0, n, _LOAD_CHUNK):
@@ -212,7 +185,7 @@ def load_binary(path: Union[str, Path]) -> Trace:
                 raise TraceFormatError(f"{path}: {what} at byte offset {offset}")
             column[lo:lo + got] = records["address"]
             size_column[lo:lo + got] = records["size"]
-    return _adopt(column, sizes)
+    return _adopt(items, sizes)
 
 
 def load_text(path: Union[str, Path]) -> Trace:
@@ -237,7 +210,7 @@ def load_text(path: Union[str, Path]) -> Trace:
                                        f"outside [1, 2**32)")
             addrs.append(addr)
             sizes.append(size)
-    return _adopt(np.frombuffer(addrs, dtype=np.uint64), sizes)
+    return _adopt(addrs, sizes)
 
 
 def load_trace(path: Union[str, Path], format: str = "binary") -> Trace:
@@ -256,15 +229,17 @@ def write_binary(path: Union[str, Path], trace: Trace) -> None:
         fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, 0))
         for lo in range(0, n, _LOAD_CHUNK):
             records = buffer[:n - lo]
-            records["address"] = trace.column[lo:lo + _LOAD_CHUNK]
+            records["address"] = trace.addresses[lo:lo + _LOAD_CHUNK]
             records["size"] = sizes[lo:lo + _LOAD_CHUNK]
             fh.write(records.data)
 
 
 def write_text(path: Union[str, Path], trace: Trace) -> None:
     with open(path, "w", encoding="ascii") as fh:
-        for a, s in zip(trace.addresses, trace.sizes):
-            fh.write(f"{a:x} {s}\n")
+        for lo in range(0, len(trace), _LOAD_CHUNK):
+            hi = lo + _LOAD_CHUNK
+            fh.writelines(f"{a:x} {s}\n" for a, s in zip(trace.addresses[lo:hi].tolist(),
+                                                          trace.sizes[lo:hi]))
 
 
 def write_trace(path: Union[str, Path], trace: Trace, format: str = "binary") -> None:
@@ -373,10 +348,9 @@ def validate_spec(spec: ProgramSpec) -> None:
                 f"address ranges [{s0:#x},{e0:#x}) and [{s1:#x},{e1:#x}) overlap")
 
 
-def _in_order(loops: Sequence[LoopSpec]) -> tuple[list[int], array]:
+def _in_order(loops: Sequence[LoopSpec]) -> tuple[array, array]:
     """The addresses and sizes of ``loops`` run one after another."""
-    addrs: list[int] = []
-    sizes = array("I")
+    addrs, sizes = array("Q"), array("I")
     for lp in loops:
         lp_a, lp_s = _unrolled(lp)
         addrs += lp_a
@@ -384,7 +358,7 @@ def _in_order(loops: Sequence[LoopSpec]) -> tuple[list[int], array]:
     return addrs, sizes
 
 
-def _alternated(a, b, period: int, times: int):
+def _alternated(a: array, b: array, period: int, times: int) -> array:
     """``a`` repeated ``period`` times, then ``b`` ``period`` times, and so
     on, ``times`` repetitions in all."""
     full, rest = divmod(times, 2 * period)
@@ -395,23 +369,23 @@ def _alternated(a, b, period: int, times: int):
     return seq
 
 
-def _unrolled(loop: LoopSpec) -> tuple[list[int], array]:
+def _unrolled(loop: LoopSpec) -> tuple[array, array]:
     """The addresses and sizes ``loop`` executes, whole.  Each iteration
     runs one of at most two fixed blocks (the entry and body, then every
     child's whole sequence), so the sequence is built by repeating those
-    blocks rather than by walking the iterations: every item of one
-    address shares the int object its block made."""
+    blocks rather than by walking the iterations."""
     if loop.iters == 0:
-        return [], array("I")
+        return array("Q"), array("I")
     tail_a, tail_s = _in_order(loop.children)
     isize, base = loop.isize, loop.base
     if loop.phases is None:
-        block_a = [base + isize * k for k in range(loop.body)] + tail_a
+        block_a = array("Q", range(base, base + isize * loop.body, isize)) + tail_a
         block_s = array("I", [isize]) * loop.body + tail_s
         return block_a * loop.iters, block_s * loop.iters
     ph = loop.phases
-    a_a = [base] + [base + isize * (1 + k) for k in range(ph.body_a)] + tail_a
-    b_a = [base] + [base + isize * (1 + ph.body_a + k) for k in range(ph.body_b)] + tail_a
+    b_base = base + isize * (1 + ph.body_a)
+    a_a = array("Q", range(base, b_base, isize)) + tail_a
+    b_a = array("Q", [base]) + array("Q", range(b_base, b_base + isize * ph.body_b, isize)) + tail_a
     a_s = array("I", [isize]) * (1 + ph.body_a) + tail_s
     b_s = array("I", [isize]) * (1 + ph.body_b) + tail_s
     return (_alternated(a_a, b_a, ph.period, loop.iters),
@@ -421,7 +395,8 @@ def _unrolled(loop: LoopSpec) -> tuple[list[int], array]:
 def generate_trace(spec: ProgramSpec) -> Trace:
     """Deterministically unroll a loop-nest spec into its executed sequence."""
     validate_spec(spec)
-    return Trace(*_in_order(spec.loops))
+    addrs, sizes = _in_order(spec.loops)
+    return _adopt(addrs, sizes)
 
 
 # --- JSON program-spec files (CLI surface) --------------------------------

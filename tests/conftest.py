@@ -35,8 +35,9 @@ def naive_run(trace: Trace, config: SimulationConfig) -> LiteralAutomaton:
     end = n if config.limit is None else min(n, start + config.limit)
     kind = SI
     last = None
+    addresses = trace.addresses.tolist()
     for i in range(start, end):
-        item = (trace.addresses[i], trace.sizes[i])
+        item = (addresses[i], trace.sizes[i])
         flow.add(*item)
         formed = manager.handle(last, item, kind)
         if formed is not None:

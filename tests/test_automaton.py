@@ -220,6 +220,22 @@ def test_append_expansion_successor_outside_region_rejected(successors, message)
                                   expansion_successors=successors)
 
 
+@pytest.mark.parametrize("expansion, successors", [
+    ([(0x108, 4), (0x108, 4)], None),
+    ([(0x108, 4)], {0x108: (0x200,)}),
+])
+def test_rejected_append_leaves_the_automaton_unchanged(expansion, successors):
+    # the expansion is checked before any state is added: a rejected
+    # region leaves no orphan state, and the next region gets id 0
+    auto = Automaton()
+    before = auto.dump()
+    with pytest.raises(ValueError):
+        auto.append_region([(0x100, 4), (0x104, 4)], expansion, successors)
+    assert auto.dump() == before
+    assert auto.append_region([(0x100, 4), (0x104, 4)]) == 0
+    assert [s["id"] for s in auto.dump()["states"]] == [0, 1, 2]
+
+
 def test_region_stats_fresh_region_zeroed():
     auto = Automaton()
     rid = auto.append_region([(A, 4)])
@@ -393,6 +409,8 @@ def test_kernel_matches_literal_model_with_expansions():
 D, E, F, G, H, X = 0x10C, 0x110, 0x114, 0x118, 0x11C, 0x900
 CHAIN = [A, B, C, D, E]
 WALK = CHAIN[1:]
+# the walk that comes back to the head ends with the landing on it
+LOOP = WALK + [A]
 assert len(CHAIN) > CHAIN_MIN_PATH   # the head is a chain head
 
 
@@ -427,11 +445,12 @@ def chain_head(auto, rid=0):
 
 
 def test_whole_traversal_closes_the_open_traversal():
-    # the first landing has no memo and records the walk; the second one
-    # hits, completing the traversal the head opened; the loop back to D
-    # that runs on to the tail completes nothing
+    # the first landing has no memo and records the walk back to the
+    # head; the second one hits the walk up to that landing, completing
+    # the traversal the head opened; the loop back to D that runs on to
+    # the tail completes nothing
     auto = run_both([CHAIN], CHAIN * 2 + [D, E])
-    assert (auto.hits, auto._regions[0].completions, auto.walks) == (1, 2, [WALK])
+    assert (auto.hits, auto._regions[0].completions, auto.walks) == (1, 2, [LOOP])
 
 
 @pytest.mark.parametrize("seq, hits", [
@@ -444,18 +463,18 @@ def test_whole_traversal_closes_the_open_traversal():
 def test_side_exit_keeps_the_memo(seq, hits):
     auto = run_both([CHAIN], seq)
     assert (auto.hits, auto._regions[0].completions) == (hits, seq.count(E))
-    assert auto.walks == [WALK] and chain_head(auto)
+    assert auto.walks == [LOOP] and chain_head(auto)
 
 
 def test_window_ending_inside_a_traversal():
     # the first call ends two items after the head, with a walk too short
     # to keep; the second call records the walk the last landing hits
     auto = run_both([CHAIN], CHAIN * 3, ends=(3, None))
-    assert (auto.hits, auto._regions[0].completions, auto.walks) == (1, 3, [WALK])
+    assert (auto.hits, auto._regions[0].completions, auto.walks) == (1, 3, [LOOP])
     # the memo does not fit before the first call's end: a miss, whose
     # walk the end cuts short; the second call's landings hit
     auto = run_both([CHAIN], CHAIN * 4, ends=(7, None))
-    assert (auto.hits, auto._regions[0].completions, auto.walks) == (2, 4, [WALK])
+    assert (auto.hits, auto._regions[0].completions, auto.walks) == (2, 4, [LOOP])
 
 
 @pytest.mark.parametrize("seq, hits", [
@@ -469,6 +488,15 @@ def test_window_ending_inside_a_traversal():
 def test_recording_with_repeated_address(seq, hits):
     auto = run_both([[A, B, A, C, D]], seq)
     assert (auto.hits, auto._regions[0].completions) == (hits, seq.count(D))
+
+
+def test_walk_back_to_the_head_hits_each_iteration_and_its_cut_the_last():
+    # the walk back to the head steps a whole iteration and its closing
+    # landing at once, so hits follow each other with no item stepped
+    # between them; the last iteration, which leaves for X, hits the walk
+    # up to that landing
+    auto = run_both([CHAIN], CHAIN * 5 + [X])
+    assert (auto.hits, auto._regions[0].completions, auto.walks) == (4, 5, [LOOP])
 
 
 def test_short_region_head_is_not_a_chain_head():
@@ -503,14 +531,14 @@ def test_walk_through_expansion_states():
     region = (CHAIN, [F, G], {C: (F,), F: (G,), G: (E,)})
     auto = run_both([region], [A, B, C, F, G, E] * 3)
     assert (auto.hits, auto._regions[0].completions) == (2, 3)
-    assert auto.walks == [[B, C, F, G, E]]
+    assert auto.walks == [[B, C, F, G, E, A]]
 
 
 def test_walk_through_an_inner_loop():
     # an inner loop over C and D runs three times per walk
     walk = [B] + [C, D] * 3 + [E]
     auto = run_both([CHAIN], ([A] + walk) * 3)
-    assert (auto.hits, auto._regions[0].completions, auto.walks) == (2, 3, [walk])
+    assert (auto.hits, auto._regions[0].completions, auto.walks) == (2, 3, [walk + [A]])
 
 
 def test_head_alternating_between_two_walks():
@@ -518,7 +546,7 @@ def test_head_alternating_between_two_walks():
     other = [A, C, B, D, E]
     auto = run_both([CHAIN], CHAIN * 3 + other * 3 + CHAIN * 3)
     assert (auto.hits, auto._regions[0].completions) == (6, 9)
-    assert auto.walks == [WALK, other[1:], WALK] and chain_head(auto)
+    assert auto.walks == [LOOP, other[1:] + [A], LOOP] and chain_head(auto)
 
 
 @pytest.mark.parametrize("seq, hits, kept", [

@@ -239,7 +239,7 @@ def test_gen_trace_roundtrip(capsys, tmp_path):
     assert "30 items" in err
     trace = load_trace(out_path)
     assert len(trace) == 30
-    assert trace.addresses[:3] == [0x100, 0x104, 0x108]
+    assert trace.addresses[:3].tolist() == [0x100, 0x104, 0x108]
 
 
 def test_gen_trace_nested_matches_library(capsys, tmp_path):
@@ -253,7 +253,7 @@ def test_gen_trace_nested_matches_library(capsys, tmp_path):
     inner = LoopSpec(base=0x200, body=2, iters=2)
     outer = LoopSpec(base=0x100, body=2, iters=3, children=(inner,))
     expected = generate_trace(ProgramSpec((outer,)))
-    assert load_trace(out_path).addresses == expected.addresses
+    assert load_trace(out_path).addresses.tolist() == expected.addresses.tolist()
 
 
 def test_gen_trace_overlap_rejected(capsys, tmp_path):

@@ -1,9 +1,11 @@
+import gc
 import inspect
 import json
 import math
 import multiprocessing
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -102,7 +104,8 @@ def test_trace_from_any_int_sequence_runs_as_from_a_list(technique):
     that every technique replays as it does the same addresses in a list;
     an array once reached the kernel's slice comparison of a chain head's
     memo and failed there."""
-    addrs = generate_trace(ProgramSpec((LoopSpec(base=0x100, body=8, iters=20),))).addresses
+    loop = generate_trace(ProgramSpec((LoopSpec(base=0x100, body=8, iters=20),)))
+    addrs = loop.addresses.tolist()
     config = SimulationConfig(rft=RFTConfig(technique, threshold=2), collect_dump=True)
     span = range(0x100, 0x100 + 4 * 40, 4)
     for seq, shapes in ((addrs, (tuple(addrs), np.array(addrs),
@@ -112,9 +115,29 @@ def test_trace_from_any_int_sequence_runs_as_from_a_list(technique):
         want = run_simulation(Trace(seq, sizes), config).dump
         for shape in shapes:
             trace = Trace(shape, sizes)
-            assert type(trace.addresses) is list and trace.addresses == seq
+            assert trace.addresses.dtype == np.uint64 and trace.addresses.tolist() == seq
             assert run_simulation(trace, config).dump == want, type(shape)
     assert run_simulation(Trace(addrs, [4] * len(addrs)), config).dump["regions"]
+
+
+def test_simulation_takes_no_whole_length_copy():
+    # the kernel and the scans read the trace's addresses in place, so a
+    # simulation's traced peak does not grow with the trace: a list of its
+    # addresses would add 8 bytes or more per item
+    peaks = {}
+    for n in (200_000, 800_000):
+        trace = generate_trace(ProgramSpec((LoopSpec(base=0x1000, body=10, iters=n // 10),)))
+        for technique in TECHNIQUES:
+            gc.collect()
+            tracemalloc.start()
+            try:
+                run_simulation(trace, SimulationConfig(rft=RFTConfig(technique)))
+                peaks[technique, n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+    for technique in TECHNIQUES:
+        grown = peaks[technique, 800_000] - peaks[technique, 200_000]
+        assert grown < 4 * 600_000, (technique, grown / 600_000)
 
 
 def test_cost_attached_when_requested():

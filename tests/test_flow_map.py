@@ -51,10 +51,11 @@ def literal_flow_maps(trace, start, indices):
     the sorted ``indices``."""
     out = []
     flow = FlowMap()
+    addresses = trace.addresses.tolist()
     i = start
     for due in indices:
         while i <= due:
-            flow.add(trace.addresses[i], trace.sizes[i])
+            flow.add(addresses[i], trace.sizes[i])
             i += 1
         out.append((due, frozen_flow(flow.cfg)))
     return out
@@ -100,7 +101,7 @@ def test_lazy_flow_map_catches_up_across_chunks(monkeypatch, technique):
     threshold = _FLOW_CHUNK // len(body) + 8
     cycle = body * (threshold + 2)
     walk = random_graph_walk(random.Random(7), 3000)
-    trace = Trace(cycle + walk.addresses, [4] * len(cycle) + list(walk.sizes))
+    trace = Trace(cycle + walk.addresses.tolist(), [4] * len(cycle) + list(walk.sizes))
     skip = 5
     config = SimulationConfig(rft=RFTConfig(technique, threshold=threshold), skip=skip)
     lazy = check_window(monkeypatch, trace, config)

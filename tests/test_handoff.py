@@ -78,7 +78,7 @@ def test_scan_matches_reference_across_the_hand_off(monkeypatch, passes, sizes):
             trace = (random_noise if case % 2 else random_graph_walk)(rng, 3000)
         else:
             trace = random_trace(rng, max_items=400)
-        addrs, sizes_ = trace.addresses, trace.sizes
+        addrs, sizes_ = trace.addresses.tolist(), trace.sizes
         share = rng.choice((0.0, 0.05, 0.2))
         held = {a for a in set(addrs) if rng.random() < share}
         got = scan_run(make_rft(config), addrs, sizes_, held)
@@ -126,8 +126,9 @@ def test_scan_matches_reference_on_high_addresses(monkeypatch, passes, sizes, wi
         config = random_rft_config(rng, tech)
         if sizes is None:
             config = RFTConfig(tech, threshold=rng.choice((64, 512)))
-        held = {a for a in set(trace.addresses) if rng.random() < 0.1}
-        check_scan(config, trace.addresses, trace.sizes, held)
+        addrs = trace.addresses.tolist()
+        held = {a for a in set(addrs) if rng.random() < 0.1}
+        check_scan(config, addrs, trace.sizes, held)
     assert len(passes) > (15 if sizes is None else 40)
 
 
@@ -206,8 +207,9 @@ def test_lei_with_a_raised_floor_and_a_short_history(monkeypatch, sizes):
         trace = (random_noise if case % 2 else random_graph_walk)(rng, 600)
         config = RFTConfig("lei", threshold=rng.choice((2, 3, 5)),
                            history_capacity=rng.choice((2, 3, 5)))
-        held = {a for a in set(trace.addresses) if rng.random() < 0.05}
-        check_scan(config, trace.addresses, trace.sizes, held)
+        addrs = trace.addresses.tolist()
+        held = {a for a in set(addrs) if rng.random() < 0.05}
+        check_scan(config, addrs, trace.sizes, held)
     assert any(floor > 0 and n > cap for floor, n, cap in pushed)
 
 
@@ -221,7 +223,7 @@ def test_long_run_rejects_address_outside_u64(passes, technique, bad):
     construction names the first.  With the nearest u64 bound there
     instead, the run, handed to the numpy pass, matches the naive loop."""
     noise = random_noise(random.Random(5), 2000)
-    addrs = list(noise.addresses)
+    addrs = noise.addresses.tolist()
     addrs[1500] = addrs[1700] = bad
     message = f"trace item 1500: address {bad} outside [0, 2**64)"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

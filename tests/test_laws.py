@@ -67,12 +67,13 @@ CASES = _cases()
 
 
 def _spans_at_most_items(trace: Trace) -> bool:
-    return max(trace.addresses) - min(trace.addresses) < len(trace)
+    return int(trace.addresses.max()) - int(trace.addresses.min()) < len(trace)
 
 
 def test_cases_feed_both_numberings():
     spans = {_spans_at_most_items(trace) for _, trace, _ in CASES}
-    shifted = {_spans_at_most_items(Trace([(a << 40) + 7 for a in trace.addresses], trace.sizes))
+    shifted = {_spans_at_most_items(Trace([(a << 40) + 7 for a in trace.addresses.tolist()],
+                                          trace.sizes))
                for _, trace, _ in CASES}
     assert spans | shifted == {True, False}
 
@@ -83,7 +84,7 @@ def _rows(tmp_path, trace, configs, name="t.rtr"):
     path = tmp_path / name
     write_trace(path, trace)
     loaded = load_trace(path)
-    assert loaded.addresses == trace.addresses and loaded.sizes == trace.sizes
+    assert loaded.addresses.tolist() == trace.addresses.tolist() and loaded.sizes == trace.sizes
     return [report_csv_row(run_simulation(loaded, SimulationConfig(rft=rft, skip=skip,
                                                                     limit=limit)).report)
             for rft, skip, limit in configs]
@@ -95,9 +96,9 @@ def _rows(tmp_path, trace, configs, name="t.rtr"):
 ])
 @pytest.mark.parametrize("name, trace, configs", CASES, ids=[c[0] for c in CASES])
 def test_order_preserving_relabelling_keeps_reports(tmp_path, relabel, name, trace, configs):
-    assert max(trace.addresses) < 2**24
+    assert trace.addresses.max() < 2**24
     windows = [(rft, 0, None) for rft in configs]
-    relabelled = Trace([relabel(a) for a in trace.addresses], trace.sizes)
+    relabelled = Trace([relabel(a) for a in trace.addresses.tolist()], trace.sizes)
     assert _rows(tmp_path, relabelled, windows, "r.rtr") == _rows(tmp_path, trace, windows)
 
 
@@ -174,7 +175,8 @@ def test_performance_knobs_keep_dumps(monkeypatch, knob_cases, values):
     for workload, trace, paths, configs, dumps in knob_cases:
         for fmt, path in paths.items():
             loaded = load_trace(path, fmt)
-            assert loaded.addresses == trace.addresses and loaded.sizes == trace.sizes
+            assert (loaded.addresses.tolist() == trace.addresses.tolist()
+                    and loaded.sizes == trace.sizes)
             for config, dump in zip(configs, dumps):
                 assert run_simulation(loaded, config).dump == dump, \
                     (workload, fmt, config.rft.technique, config.rft.threshold)

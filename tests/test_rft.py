@@ -67,7 +67,7 @@ def test_scan_matches_reference_managers():
         tech = TECHNIQUES[case % len(TECHNIQUES)]
         config = random_rft_config(rng, tech)
         trace = random_trace(rng, max_items=600)
-        addrs, sizes = trace.addresses, trace.sizes
+        addrs, sizes = trace.addresses.tolist(), trace.sizes
         share = rng.choice((0.0, 0.05, 0.2, 0.5))
         held = {a for a in set(addrs) if rng.random() < share}
         got = scan_run(make_rft(config), addrs, sizes, held)
@@ -84,7 +84,7 @@ def test_lei_scan_matches_reference_on_long_windows():
         config = RFTConfig(technique="lei", threshold=rng.choice((8, 16, 32, 64)),
                            max_region_size=rng.choice((16, 64, 1024)),
                            history_capacity=rng.choice((16, 32, 64, 128, 256)))
-        addrs, sizes = trace.addresses, trace.sizes
+        addrs, sizes = trace.addresses.tolist(), trace.sizes
         held = {a for a in set(addrs) if rng.random() < 0.3}
         got = scan_run(make_rft(config), addrs, sizes, held)
         assert got == reference_run(config, addrs, sizes, held), case
@@ -410,11 +410,12 @@ def test_expand_matches_literal_model_on_flow_maps(extended):
     for _ in range(20):
         trace = random_graph_walk(rng, rng.randint(10, 300))
         flow = FlowMap()
-        for item in zip(trace.addresses, trace.sizes):
+        items = list(zip(trace.addresses.tolist(), trace.sizes))
+        for item in items:
             flow.add(*item)
         # a recorded stretch of the walk, repeats and all
         lo = rng.randrange(len(trace))
-        rec = list(zip(trace.addresses, trace.sizes))[lo:lo + rng.randint(1, 6)]
+        rec = items[lo:lo + rng.randint(1, 6)]
         for depth in range(1, 13):
             got = netplus_expand(flow.cfg, rec, depth, extended)
             assert got == literal_expand(flow.cfg, rec, depth, extended), depth
