@@ -19,16 +19,18 @@ so a recording stopped by the loop-closing branch lands its own stop
 instruction inside the fresh region.  Each item is scanned at most once,
 in trace order.
 
-A scan steps items one by one in Python, reading the ``array("Q")``
-that holds the trace's addresses, as the kernel does.  Once an idle
-stretch of a scan (no recording in flight) has taken ``rft._HANDOFF``
-items, the rest of the run goes to a numpy pass over slices of the u64
-column.  The pass reads chunks that start at that length and double up
-to ``rft._FLOW_CHUNK``, and stops at the first item the scan must see
-itself, with everything before it applied.  So a long cold or noisy run
-costs a few numpy passes, not one Python step per item, while the short
-scans between region exits, most of them a handful of items, never pay
-numpy's per-call cost.
+Every technique's ``scan`` is one driver, ``RegionManager.scan``, which
+steps items one by one in Python, reading the ``array("Q")`` that holds
+the trace's addresses, as the kernel does, and leaves what a technique
+does with an item to its hooks.  Once a scan of an idle manager (no
+formation in flight; ``lei`` is always idle) has taken ``rft._HANDOFF``
+items, the rest of the run goes to the manager's numpy pass over slices
+of the u64 column.  The pass reads chunks that start at that length and
+double up to ``rft._FLOW_CHUNK``, and stops at the first item the scan
+must see itself, with everything before it applied.  So a long cold or
+noisy run costs a few numpy passes, not one Python step per item, while
+the short scans between region exits, most of them a handful of items,
+never pay numpy's per-call cost.
 
 Recording is purely observational: while a manager records, instructions
 keep being attributed to the states actually traversed.

@@ -1,18 +1,17 @@
 """Region formation techniques.
 
-A region manager scans each interpreter-side run of the trace in one
-call.  It sees each item with the address it is compared with for a
-backward branch, keeps its own hotness counters and recording buffers,
-and occasionally emits a finished recording as the region to install.
-Items executed inside regions are never shown to it: every technique
+One driver, ``RegionManager.scan``, consumes each interpreter-side run
+of the trace in one call, for all six techniques: it applies the
+backward-branch profiling rule five of them share, and each technique
+supplies its own rules and numpy pass through four hooks.  Items
+executed inside regions are never shown to a manager: every technique
 ignores native-side transitions except the entry into a region, which
-ends a recording, and the scan handles that entry where it sees it.  An
-idle manager lends its region-exit counters to the automaton's stepping
-kernel, which counts the item after a region exit itself when that item
-enters a region at once.  The engine installs an emitted region into
-the automaton before performing the emitting item's transition, so a
-recording stopped by a loop-closing branch catches that very branch
-target as its first native execution.
+ends a recording.  An idle manager lends its region-exit counters to the
+automaton's stepping kernel, which counts the item after a region exit
+itself when that item enters a region at once.  The engine installs an
+emitted region into the automaton before performing the emitting item's
+transition, so a recording stopped by a loop-closing branch catches that
+very branch target as its first native execution.
 
 Six techniques are provided:
 
@@ -108,13 +107,8 @@ def mret2_intersect(pass1: list[tuple[int, int]],
 
 # --- managers --------------------------------------------------------------
 
-# The scans loop with `while True`: CPython 3.11 specializes a function's
-# bytecode only after a warm-up that counts calls and unconditional
-# backward jumps, not the conditional jump closing a `while <condition>`
-# loop, and one scan call often covers a whole window.
-
 class RegionManager:
-    """Base contract: ``scan`` consumes one interpreter-side run.
+    """Base contract, and the one scan driver of all six techniques.
 
     The engine calls ``attach(trace, start, held)`` once, before replaying
     ``trace[start:]``: the manager binds the trace's read-only u64 address
@@ -147,16 +141,25 @@ class RegionManager:
     at, and a recording in flight never outlives its scan unless that scan
     reached the window's end.
 
-    The built-in scans step each item in Python until an idle stretch (no
-    recording in flight, which for ``lei`` is always) has taken
-    ``_HANDOFF`` items; then they hand the rest of the run to a numpy pass
-    over the column (``_profile`` for net, its variants and an idle mret2,
-    ``LeiManager._push`` for lei).  The pass reads the column in chunks of
-    ``_HANDOFF`` items doubling up to ``_FLOW_CHUNK`` and returns the first
-    item that stops the scan, a held item or one whose bump or push
-    reaches the threshold, with every item before it applied; the scan
-    then steps that item itself.  Scans shorter than ``_HANDOFF`` never
-    hand off: numpy's cost per call would outweigh what it saves on them.
+    ``scan`` owns the loop, and a technique supplies four hooks.  While
+    the manager profiles (``_profiling``), the scan itself applies the
+    rule that five techniques share: an item whose address is below
+    ``prev`` bumps that address's count in ``_hot``, and the bump that
+    reaches the threshold resets the count and calls ``_start(i, a)``.
+    Otherwise each item goes to ``_see(i, a, prev)``, which records, arms
+    or pushes it and returns a region to emit, or None.  A held item ends
+    the scan; unless the manager profiles, with nothing in flight, the
+    scan returns ``_entered(i, end)`` with it: the emission due at
+    ``i + 1``, or None.  An idle scan (``_idle``: profiling, and always
+    for ``lei``, whose history takes every item) steps ``_HANDOFF`` items
+    one by one and hands the rest of its run to ``_pass(i, end)``, a numpy
+    pass over the column (``_profile`` by default, ``LeiManager._push``
+    for lei).  The pass reads the column in chunks of ``_HANDOFF`` items
+    doubling up to ``_FLOW_CHUNK`` and returns the first item that stops
+    the scan, a held item or one whose bump or push reaches the
+    threshold, with every item before it applied; the scan then steps
+    that item itself.  Scans shorter than ``_HANDOFF`` never hand off:
+    numpy's cost per call would outweigh what it saves on them.
 
     Each emission passes its recorded ``(address, size)`` pairs through
     ``complete(items, due)``, which returns the region; look-ahead
@@ -172,13 +175,77 @@ class RegionManager:
     steps on.  So a scan after a region exit still sees the followers
     that are not held, those whose bump reaches the threshold, and every
     follower while the dict is None: while a formation is in flight, and
-    always for ``lei``, whose history takes every interpreter-side item.
+    always for ``lei``, which never profiles.
     """
 
-    exit_counts: Optional[dict[int, int]] = None
+    def __init__(self, config: RFTConfig):
+        self._threshold = config.threshold
+        self._max_size = config.max_region_size
+        # backward-branch and region-exit targets' counts
+        self._hot: dict[int, int] = {}
+        # the scan applies the backward-branch rule while this is set
+        self._profiling = True
 
+    @property
+    def exit_counts(self) -> Optional[dict[int, int]]:
+        """The hotness counters while the manager profiles."""
+        return self._hot if self._profiling else None
+
+    @property
+    def _idle(self) -> bool:
+        """No formation is in flight, so a long run may go to ``_pass``."""
+        return self._profiling
+
+    # The scan loops with `while True`: CPython 3.11 specializes a
+    # function's bytecode only after a warm-up that counts calls and
+    # unconditional backward jumps, not the conditional jump closing a
+    # `while <condition>` loop, and one scan call often covers a whole
+    # window.
     def scan(self, i: int, end: int, prev: float) -> tuple[int, Optional[tuple]]:
+        addrs, held, hot, threshold = self._addrs, self._held, self._hot, self._threshold
+        profiling = self._profiling
+        stop = i + _HANDOFF if end - i > _HANDOFF else end
+        while True:
+            if i >= stop:
+                if i < end:
+                    # a formation ends only with an emission, which ends
+                    # the scan, so a manager idle here was idle throughout
+                    if self._idle:
+                        i = self._pass(i, end)
+                        prev = addrs[i - 1]
+                    stop = end
+                if i >= end:
+                    return end, None
+            a = addrs[i]
+            if profiling:
+                if a < prev:
+                    c = hot.get(a, 0) + 1
+                    if c < threshold:
+                        hot[a] = c
+                    else:
+                        hot[a] = 0
+                        self._start(i, a)
+                        profiling = False
+            else:
+                region = self._see(i, a, prev)
+                if region is not None:
+                    return i, region
+            if a in held:
+                return i, None if profiling else self._entered(i, end)
+            prev = a
+            i += 1
+
+    def _start(self, i: int, a: int) -> None:
         raise NotImplementedError
+
+    def _see(self, i: int, a: int, prev: float) -> Optional[tuple]:
+        raise NotImplementedError
+
+    def _entered(self, i: int, end: int) -> Optional[tuple]:
+        return None
+
+    def _pass(self, i: int, end: int) -> int:
+        return _profile(self._hot, self._threshold, self._col, i, end, self._held)
 
     # the benchmark harness still wraps this; nothing calls it
     def _handle(self, *args) -> None: ...
@@ -203,62 +270,27 @@ class NetManager(RegionManager):
     """
 
     def __init__(self, config: RFTConfig):
-        self._threshold = config.threshold
-        self._max_size = config.max_region_size
-        self._hot: dict[int, int] = {}
+        super().__init__(config)
         # the recording in flight; empty while profiling
         self._rec: list[tuple[int, int]] = []
 
-    @property
-    def exit_counts(self) -> Optional[dict[int, int]]:
-        """The hotness counters while no recording is in flight."""
-        return None if self._rec else self._hot
+    def _start(self, i, a):
+        self._rec = [(a, self._sizes[i])]
+        self._profiling = False
 
-    def _start(self, a: int, s: int) -> None:
-        self._rec = [(a, s)]
+    def _see(self, i, a, prev):
+        if a < prev or len(self._rec) >= self._max_size:
+            return self._emit(i)
+        self._rec.append((a, self._sizes[i]))
+        return None
 
-    def _append(self, a: int, s: int) -> None:
-        self._rec.append((a, s))
+    def _entered(self, i, end):
+        return self._emit(i + 1) if i + 1 < end else None
 
-    def _stops(self, prev: float, a: int) -> bool:
-        return a < prev or len(self._rec) >= self._max_size
-
-    def scan(self, i, end, prev):
-        addrs, held = self._addrs, self._held
-        hot = self._hot
-        threshold = self._threshold
-        rec = self._rec
-        stop = i + _HANDOFF if end - i > _HANDOFF and not rec else end
-        while True:
-            if i >= stop:
-                if i < end:
-                    if not rec:
-                        i = _profile(hot, threshold, self._col, i, end, held)
-                        prev = addrs[i - 1]
-                    stop = end
-                if i >= end:
-                    return end, None
-            a = addrs[i]
-            if rec:
-                if self._stops(prev, a):
-                    self._rec = []
-                    return i, self.complete(rec, i)
-                self._append(a, self._sizes[i])
-            elif a < prev:
-                c = hot.get(a, 0) + 1
-                if c < threshold:
-                    hot[a] = c
-                else:
-                    hot[a] = 0
-                    self._start(a, self._sizes[i])
-                    rec = self._rec
-            if a in held:
-                if rec and i + 1 < end:
-                    self._rec = []
-                    return i, self.complete(rec, i + 1)
-                return i, None
-            prev = a
-            i += 1
+    def _emit(self, due: int) -> tuple:
+        rec, self._rec = self._rec, []
+        self._profiling = True
+        return self.complete(rec, due)
 
 
 class NetRManager(NetManager):
@@ -270,110 +302,74 @@ class NetRManager(NetManager):
         super().__init__(config)
         self._rec_set: set[int] = set()
 
-    def _start(self, a, s):
-        self._rec = [(a, s)]
+    def _start(self, i, a):
+        super()._start(i, a)
         self._rec_set = {a}
 
-    def _append(self, a, s):
-        self._rec.append((a, s))
+    def _see(self, i, a, prev):
+        if a in self._rec_set or len(self._rec) >= self._max_size:
+            return self._emit(i)
+        self._rec.append((a, self._sizes[i]))
         self._rec_set.add(a)
-
-    def _stops(self, prev, a):
-        return a in self._rec_set or len(self._rec) >= self._max_size
+        return None
 
 
 _IDLE, _REC1, _ARMED, _REC2 = range(4)
 
 
-class Mret2Manager(RegionManager):
+class Mret2Manager(NetManager):
     """Two recording passes from the same entry; emits their intersection.
 
     The second pass arms when the first stops and begins on the next
     interpreter-side execution of the entry address, with no second climb
     to the threshold.  Profiling is suspended while a formation is in
-    flight.
+    flight.  Each pass records and stops as in net.
     """
 
     def __init__(self, config: RFTConfig):
-        self._threshold = config.threshold
-        self._max_size = config.max_region_size
-        self._hot: dict[int, int] = {}
+        super().__init__(config)
         self._state = _IDLE
-        self._rec: list[tuple[int, int]] = []
         self._pass1: list[tuple[int, int]] = []
         self._entry = -1
 
-    @property
-    def exit_counts(self) -> Optional[dict[int, int]]:
-        """The hotness counters while no formation is in flight."""
-        return self._hot if self._state == _IDLE else None
+    def _start(self, i, a):
+        super()._start(i, a)
+        self._state = _REC1
+
+    def _see(self, i, a, prev):
+        if self._state != _ARMED:
+            if a < prev or len(self._rec) >= self._max_size:
+                if self._state == _REC2:
+                    return self._emit(i)
+                self._end_pass1()
+            else:
+                self._rec.append((a, self._sizes[i]))
+                return None
+        # armed: the entry starts the second pass
+        if a == self._entry:
+            self._state = _REC2
+            self._rec = [(a, self._sizes[i])]
+        return None
+
+    def _entered(self, i, end):
+        if i + 1 < end:
+            if self._state == _REC2:
+                return self._emit(i + 1)
+            if self._state == _REC1:
+                # the first pass stops on the next item, which follows a
+                # region entry and so cannot start the second pass
+                self._end_pass1()
+        return None
 
     def _end_pass1(self) -> None:
-        self._pass1 = self._rec
-        self._rec = []
+        self._pass1, self._rec = self._rec, []
         self._entry = self._pass1[0][0]
+        self._state = _ARMED
 
-    def _emit(self) -> list[tuple[int, int]]:
-        pass2 = self._rec
-        self._rec = []
+    def _emit(self, due):
+        self._rec = mret2_intersect(self._pass1, self._rec)
         self._state = _IDLE
-        return mret2_intersect(self._pass1, pass2)
-
-    def scan(self, i, end, prev):
-        addrs, sizes, held = self._addrs, self._sizes, self._held
-        hot = self._hot
-        threshold = self._threshold
-        st = self._state
-        stop = i + _HANDOFF if end - i > _HANDOFF and st == _IDLE else end
-        while True:
-            if i >= stop:
-                if i < end:
-                    if st == _IDLE:
-                        i = _profile(hot, threshold, self._col, i, end, held)
-                        prev = addrs[i - 1]
-                    stop = end
-                if i >= end:
-                    self._state = st
-                    return end, None
-            a = addrs[i]
-            if st == _IDLE:
-                if a < prev:
-                    c = hot.get(a, 0) + 1
-                    if c < threshold:
-                        hot[a] = c
-                    else:
-                        hot[a] = 0
-                        st = _REC1
-                        self._rec = [(a, sizes[i])]
-            elif st == _ARMED:
-                if a == self._entry:
-                    st = _REC2
-                    self._rec = [(a, sizes[i])]
-            elif a < prev or len(self._rec) >= self._max_size:
-                if st == _REC2:
-                    return i, self.complete(self._emit(), i)
-                self._end_pass1()
-                if a == self._entry:
-                    st = _REC2
-                    self._rec = [(a, sizes[i])]
-                else:
-                    st = _ARMED
-            else:
-                self._rec.append((a, sizes[i]))
-            if a in held:
-                if i + 1 < end:
-                    if st == _REC2:
-                        return i, self.complete(self._emit(), i + 1)
-                    if st == _REC1:
-                        # the first pass stops on the next item, which
-                        # follows a region entry and so cannot start the
-                        # second pass
-                        self._end_pass1()
-                        st = _ARMED
-                self._state = st
-                return i, None
-            prev = a
-            i += 1
+        return super()._emit(due)
 
 
 class LeiManager(RegionManager):
@@ -389,7 +385,8 @@ class LeiManager(RegionManager):
     The history is not stored item by item.  Each push gets a global
     position, and the pushes of one scan are consecutive trace items, so
     the history is held as runs, one ``(first position, first trace
-    index)`` per scan; runs wholly before the last ``history_capacity``
+    index)`` per scan, and an item's position is its index plus the
+    scan's ``_shift``; runs wholly before the last ``history_capacity``
     pushes are trimmed now and then.  A restart only raises the floor: a
     prior push counts when it is among the last ``history_capacity``
     pushes and not below the floor.  Each address keeps one record, its
@@ -401,9 +398,11 @@ class LeiManager(RegionManager):
     occurrence there, and the cycle head from the emitting item.
     """
 
+    _idle = True
+
     def __init__(self, config: RFTConfig):
-        self._threshold = config.threshold
-        self._max_size = config.max_region_size
+        super().__init__(config)
+        self._profiling = False
         self._capacity = config.history_capacity
         # address -> its record's slot in the two columns below
         self._slot: dict[int, int] = {}
@@ -413,62 +412,44 @@ class LeiManager(RegionManager):
         # (first push position, first trace index) per scan, oldest first
         self._runs: list[tuple[int, int]] = []
         self._pos = 0  # position of the next push
+        self._shift = 0  # push position minus trace index, in this scan
         self._floor = 0  # position of the latest restart
         self._trim_at = 2 * config.history_capacity
 
     def scan(self, i, end, prev):
-        addrs, held = self._addrs, self._held
-        slot = self._slot
-        last = self._last
-        count = self._count
-        threshold = self._threshold
-        cap = self._capacity
-        floor = self._floor
         pos = self._pos
         if pos >= self._trim_at:
             self._trim(pos)
         self._runs.append((pos, i))
-        stop = i + _HANDOFF if end - i > _HANDOFF else end
-        while True:
-            if i >= stop:
-                if i < end:
-                    k = self._push_run(i, end, pos)
-                    pos += k - i
-                    i = k
-                    stop = end
-                if i >= end:
-                    self._pos = pos
-                    return end, None
-            a = addrs[i]
-            r = slot.get(a)
-            if r is None:
-                slot[a] = len(last)
-                last.append(pos)
-                count.append(0)
-            else:
-                prior = last[r]
-                last[r] = pos
-                if prior >= floor and pos - prior <= cap:
-                    c = count[r] + 1
-                    if c >= threshold:
-                        count[r] = 0
-                        self._floor = pos
-                        self._pos = pos + 1
-                        return i, self.complete(self._emit(i, prior, pos), i)
-                    count[r] = c
-            pos += 1
-            if a in held:
-                self._pos = pos
-                return i, None
-            i += 1
+        self._shift = shift = pos - i
+        # not super(), whose lookup would cost each of lei's many short scans
+        k, region = RegionManager.scan(self, i, end, prev)
+        # the scan pushed every item it visited, item k included
+        self._pos = (k + 1 if k < end else end) + shift
+        return k, region
 
-    # kept out of scan, whose locals this closure would turn into cell
-    # variables, slower to read in its per-item loop
-    def _push_run(self, i, end, pos) -> int:
-        """Push items from ``i``, the first at position ``pos``, in numpy
-        chunks up to the first item that stops the scan (see ``_push``);
-        returns that item's index, or ``end``."""
-        shift = pos - i  # push position minus trace index
+    def _see(self, i, a, prev):
+        pos = i + self._shift
+        r = self._slot.get(a)
+        if r is None:
+            self._slot[a] = len(self._last)
+            self._last.append(pos)
+            self._count.append(0)
+            return None
+        prior = self._last[r]
+        self._last[r] = pos
+        if prior >= self._floor and pos - prior <= self._capacity:
+            c = self._count[r] + 1
+            if c < self._threshold:
+                self._count[r] = c
+            else:
+                self._count[r] = 0
+                self._floor = pos
+                return self.complete(self._emit(i, prior, pos), i)
+        return None
+
+    def _pass(self, i, end):
+        shift = self._shift
         return _chunked(lambda lo, hi: self._push(lo, hi, lo + shift), i, end)
 
     def _push(self, lo, hi, pos) -> int:

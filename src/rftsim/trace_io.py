@@ -349,12 +349,19 @@ def validate_spec(spec: ProgramSpec) -> None:
 
 
 def _in_order(loops: Sequence[LoopSpec]) -> tuple[array, array]:
-    """The addresses and sizes of ``loops`` run one after another."""
-    addrs, sizes = array("Q"), array("I")
+    """The addresses and sizes of ``loops`` run one after another: a lone
+    loop's own arrays, or arrays sized once and filled loop by loop."""
+    if len(loops) == 1:
+        return _unrolled(loops[0])
+    n = sum(lp.total_items() for lp in loops)
+    addrs, sizes = array("Q", [0]) * n, array("I", [0]) * n
+    at = 0
     for lp in loops:
         lp_a, lp_s = _unrolled(lp)
-        addrs += lp_a
-        sizes += lp_s
+        addrs[at:at + len(lp_a)] = lp_a
+        sizes[at:at + len(lp_s)] = lp_s
+        at += len(lp_a)
+        del lp_a, lp_s  # before the next loop's arrays are built
     return addrs, sizes
 
 

@@ -6,7 +6,8 @@ net variants, ``LeiManager._push`` for lei), in chunks that grow from
 ``_HANDOFF`` items up to ``_FLOW_CHUNK``.  Patching both to a few items
 puts the hand-off and the chunk boundaries all over short windows; the
 per-item reference managers and the naive engine loop of ``conftest``
-must not see a difference, at those sizes or at the defaults.
+must not see a difference, at those sizes or at the defaults.  Logged
+passes also pin when the scan driver hands off at all.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from conftest import (high_walk, naive_run, random_graph_walk, random_noise,
 from reference import SI, make_reference, reference_run
 from rftsim import Trace
 from rftsim.engine import SimulationConfig, run_simulation
-from rftsim.rft import RFTConfig, TECHNIQUES, make_rft
+from rftsim.rft import _ARMED, _REC1, _REC2, RFTConfig, TECHNIQUES, make_rft
 
 # (hand-off length, chunk cap); None leaves both at their defaults
 SIZES = [(1, 1), (2, 2), (3, 3), (7, 7), (1, 3), (7, 2), None]
@@ -130,6 +131,80 @@ def test_scan_matches_reference_on_high_addresses(monkeypatch, passes, sizes, wi
         held = {a for a in set(addrs) if rng.random() < 0.1}
         check_scan(config, addrs, trace.sizes, held)
     assert len(passes) > (15 if sizes is None else 40)
+
+
+# --- the scan's hand-off rule -----------------------------------------------------
+
+def rising(n):
+    """``n`` straight-line items: no backward branch, no repeated address."""
+    return [0x1000 + 4 * k for k in range(n)]
+
+
+@pytest.mark.parametrize("sizes", [(4, 4), None], ids=size_id)
+@pytest.mark.parametrize("tech", TECHNIQUES)
+def test_idle_scan_hands_off_after_exactly_handoff_items(monkeypatch, passes, sizes, tech):
+    """An idle scan of more than ``_HANDOFF`` items hands the rest of its
+    run to a numpy pass at its ``_HANDOFF``-th item; a shorter scan, or one
+    of exactly ``_HANDOFF`` items, steps every item itself."""
+    set_sizes(monkeypatch, sizes)
+    h = rft._HANDOFF
+    addrs = rising(3 * h)
+    manager = make_rft(RFTConfig(tech, threshold=1 << 20))
+    manager.attach(Trace(addrs, [4] * len(addrs)), 0, ())
+    for i, end in [(0, h), (h, 2 * h + 1), (2 * h + 1, 3 * h)]:
+        assert manager.scan(i, end, addrs[i - 1] if i else -1) == (end, None)
+    assert passes == [(2 * h, 2 * h + 1, 2 * h + 1)]
+
+
+# a prefix after which, at threshold 1, a formation is in flight; the
+# rising run after it, with no size cap, keeps it in flight to the end
+IN_FLIGHT = [
+    # the backward branch to 0x100 starts a recording (mret2: its first pass)
+    ("net", [0x200, 0x100], None),
+    ("net-r", [0x200, 0x100], None),
+    ("netplus", [0x200, 0x100], None),
+    ("mret2", [0x200, 0x100], _REC1),
+    # the branch back to 0xF0 ends the first pass away from the entry
+    ("mret2", [0x200, 0x100, 0x104, 0xF0], _ARMED),
+    # the branch back to the entry ends the first pass and starts the second
+    ("mret2", [0x200, 0x100, 0x104, 0x100], _REC2),
+]
+
+
+@pytest.mark.parametrize("sizes", [(4, 4), None], ids=size_id)
+@pytest.mark.parametrize("tech, prefix, state", IN_FLIGHT)
+def test_no_hand_off_with_a_formation_in_flight(monkeypatch, passes, sizes, tech, prefix,
+                                                state):
+    """A scan that starts with a formation in flight, or that starts one
+    before its ``_HANDOFF``-th item, steps its whole run itself.  lei has
+    no formation in flight, and over the same items it hands off after
+    ``_HANDOFF`` items either way."""
+    set_sizes(monkeypatch, sizes)
+    addrs = prefix + rising(3 * rft._HANDOFF)
+    n, end = len(prefix), len(addrs)
+    trace = Trace(addrs, [4] * end)
+
+    def attached(technique, threshold):
+        manager = make_rft(RFTConfig(technique, threshold=threshold, max_region_size=1 << 20))
+        manager.attach(trace, 0, ())
+        return manager
+
+    # the scan starts idle and starts the formation
+    continues = attached(tech, 1)
+    assert continues.scan(0, end, -1) == (end, None)
+    # the formation is in flight when the scan starts
+    starts = attached(tech, 1)
+    assert starts.scan(0, n, -1) == (n, None)
+    assert starts.exit_counts is None and getattr(starts, "_state", None) == state
+    assert starts.scan(n, end, addrs[n - 1]) == (end, None)
+    assert passes == []
+    for manager in (continues, starts):
+        assert manager.exit_counts is None and getattr(manager, "_state", None) == state
+    lei = attached("lei", 1 << 20)
+    assert lei.scan(0, n, -1) == (n, None)
+    assert lei.scan(n, end, addrs[n - 1]) == (end, None)
+    assert attached("lei", 1 << 20).scan(0, end, -1) == (end, None)
+    assert passes == [(n + rft._HANDOFF, end, end), (rft._HANDOFF, end, end)]
 
 
 # --- hand-worked cases ------------------------------------------------------------

@@ -19,6 +19,10 @@ otherwise, so the cases below feed both to all six techniques.
 The performance knobs change how the work is cut up, never its result:
 patching each of them to 1 or to more than any trace's length leaves
 every technique's dump unchanged, on traces loaded from either format.
+
+At benchmark scale, ``experiments/oracle_scale.py`` compares the engine's
+dump with the naive loop's on 36 configs; it runs here on 5,000-item
+prefixes, so that it does not rot.
 """
 
 import importlib.util
@@ -180,3 +184,37 @@ def test_performance_knobs_keep_dumps(monkeypatch, knob_cases, values):
             for config, dump in zip(configs, dumps):
                 assert run_simulation(loaded, config).dump == dump, \
                     (workload, fmt, config.rft.technique, config.rft.threshold)
+
+
+@pytest.fixture
+def oracle_scale(monkeypatch):
+    """``experiments/oracle_scale.py`` as a module; the search path it
+    extends is restored afterwards."""
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    path = Path(__file__).resolve().parent.parent / "experiments" / "oracle_scale.py"
+    spec = importlib.util.spec_from_file_location("oracle_scale", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_oracle_scale_on_bench_prefixes(oracle_scale, capsys):
+    assert oracle_scale.main(["--items", "5000"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 37 and lines[-1] == "0 of 36 dumps differ", lines
+    assert all(line.endswith("5000 items: same") for line in lines[:-1])
+
+
+def test_oracle_scale_fails_on_a_differing_dump(oracle_scale, monkeypatch, capsys):
+    naive = oracle_scale.naive_run
+
+    class Empty:
+        def dump(self):
+            return {}
+
+    monkeypatch.setattr(oracle_scale, "naive_run", lambda trace, config: (
+        Empty() if config.rft.technique == "lei" else naive(trace, config)))
+    assert oracle_scale.main(["--items", "200"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "6 of 36 dumps differ"
+    assert sum(line.endswith("DIFFERS") for line in lines) == 6

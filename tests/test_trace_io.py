@@ -216,6 +216,27 @@ def test_binary_write_memory_per_item(tmp_path):
     assert peaks[400_000] - peaks[100_000] < 300_000, peaks
 
 
+@pytest.mark.parametrize("loops", [1, 3])
+def test_generate_memory_per_item(loops):
+    # the trace holds 12 bytes per item, and a lone loop's arrays are the
+    # trace's; several loops fill arrays sized once from the spec's length,
+    # so the peak adds one loop's arrays, not a second copy of the trace
+    n = 120_000
+    spec = ProgramSpec(tuple(LoopSpec(base=0x1000 * (k + 1), body=10, iters=n // 10 // loops)
+                             for k in range(loops)))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        trace = generate_trace(spec)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(trace) == n
+    assert held <= 12 * n + 4096, held / n
+    largest = 0 if loops == 1 else 12 * n // loops
+    assert peak <= 12 * n + largest + 4096, peak / n
+
+
 def test_binary_load_reads_addresses_across_chunks(tmp_path, monkeypatch):
     # a 5-instruction loop body read in 7-item chunks: every address
     # recurs in chunks that start at different offsets of the body
