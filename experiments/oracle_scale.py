@@ -32,13 +32,12 @@ THRESHOLDS = (64, 1024)
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     parser.add_argument("--items", type=int, default=None,
                         help="compare on each trace's first ITEMS items")
     args = parser.parse_args(argv)
     differing = 0
     for name, workload in WORKLOADS.items():
-        trace = workload.generate(args.seed, workload.items)
+        trace = workload.generate(DEFAULT_SEED, workload.items)
         if args.items is not None:
             trace = Trace(trace.addresses[:args.items], trace.sizes[:args.items])
         for threshold in THRESHOLDS:

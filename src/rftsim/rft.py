@@ -150,16 +150,16 @@ class RegionManager:
     or pushes it and returns a region to emit, or None.  A held item ends
     the scan; unless the manager profiles, with nothing in flight, the
     scan returns ``_entered(i, end)`` with it: the emission due at
-    ``i + 1``, or None.  An idle scan (``_idle``: profiling, and always
-    for ``lei``, whose history takes every item) steps ``_HANDOFF`` items
-    one by one and hands the rest of its run to ``_pass(i, end)``, a numpy
-    pass over the column (``_profile`` by default, ``LeiManager._push``
-    for lei).  The pass reads the column in chunks of ``_HANDOFF`` items
-    doubling up to ``_FLOW_CHUNK`` and returns the first item that stops
-    the scan, a held item or one whose bump or push reaches the
-    threshold, with every item before it applied; the scan then steps
-    that item itself.  Scans shorter than ``_HANDOFF`` never hand off:
-    numpy's cost per call would outweigh what it saves on them.
+    ``i + 1``, or None.  A scan steps ``_HANDOFF`` items one by one and
+    offers the rest of its run to ``_pass(i, end)``, a numpy pass over the
+    column: ``_profile`` while the manager profiles, ``LeiManager._push``
+    always for lei, whose history takes every item, and no pass at all
+    while a formation is in flight.  The pass reads the column in chunks
+    of ``_HANDOFF`` items doubling up to ``_FLOW_CHUNK`` and returns the
+    first item that stops the scan, a held item or one whose bump or push
+    reaches the threshold, with every item before it applied; the scan
+    then steps that item itself.  Scans shorter than ``_HANDOFF`` never
+    hand off: numpy's cost per call would outweigh what it saves on them.
 
     Each emission passes its recorded ``(address, size)`` pairs through
     ``complete(items, due)``, which returns the region; look-ahead
@@ -191,11 +191,6 @@ class RegionManager:
         """The hotness counters while the manager profiles."""
         return self._hot if self._profiling else None
 
-    @property
-    def _idle(self) -> bool:
-        """No formation is in flight, so a long run may go to ``_pass``."""
-        return self._profiling
-
     # The scan loops with `while True`: CPython 3.11 specializes a
     # function's bytecode only after a warm-up that counts calls and
     # unconditional backward jumps, not the conditional jump closing a
@@ -208,11 +203,8 @@ class RegionManager:
         while True:
             if i >= stop:
                 if i < end:
-                    # a formation ends only with an emission, which ends
-                    # the scan, so a manager idle here was idle throughout
-                    if self._idle:
-                        i = self._pass(i, end)
-                        prev = addrs[i - 1]
+                    i = self._pass(i, end)
+                    prev = addrs[i - 1]
                     stop = end
                 if i >= end:
                     return end, None
@@ -245,6 +237,10 @@ class RegionManager:
         return None
 
     def _pass(self, i: int, end: int) -> int:
+        # a formation ends only with an emission, which ends the scan, so
+        # a manager profiling here profiled throughout
+        if not self._profiling:
+            return i
         return _profile(self._hot, self._threshold, self._col, i, end, self._held)
 
     # the benchmark harness still wraps this; nothing calls it
@@ -279,10 +275,15 @@ class NetManager(RegionManager):
         self._profiling = False
 
     def _see(self, i, a, prev):
+        return self._emit(i) if self._record(i, a, prev) else None
+
+    def _record(self, i: int, a: int, prev: float) -> bool:
+        """Append item ``i`` to the recording, or return True if it stops
+        the recording instead."""
         if a < prev or len(self._rec) >= self._max_size:
-            return self._emit(i)
+            return True
         self._rec.append((a, self._sizes[i]))
-        return None
+        return False
 
     def _entered(self, i, end):
         return self._emit(i + 1) if i + 1 < end else None
@@ -306,12 +307,12 @@ class NetRManager(NetManager):
         super()._start(i, a)
         self._rec_set = {a}
 
-    def _see(self, i, a, prev):
+    def _record(self, i, a, prev):
         if a in self._rec_set or len(self._rec) >= self._max_size:
-            return self._emit(i)
+            return True
         self._rec.append((a, self._sizes[i]))
         self._rec_set.add(a)
-        return None
+        return False
 
 
 _IDLE, _REC1, _ARMED, _REC2 = range(4)
@@ -338,13 +339,11 @@ class Mret2Manager(NetManager):
 
     def _see(self, i, a, prev):
         if self._state != _ARMED:
-            if a < prev or len(self._rec) >= self._max_size:
-                if self._state == _REC2:
-                    return self._emit(i)
-                self._end_pass1()
-            else:
-                self._rec.append((a, self._sizes[i]))
+            if not self._record(i, a, prev):
                 return None
+            if self._state == _REC2:
+                return self._emit(i)
+            self._end_pass1()
         # armed: the entry starts the second pass
         if a == self._entry:
             self._state = _REC2
@@ -397,8 +396,6 @@ class LeiManager(RegionManager):
     through the runs; each address takes its size from its last
     occurrence there, and the cycle head from the emitting item.
     """
-
-    _idle = True
 
     def __init__(self, config: RFTConfig):
         super().__init__(config)
