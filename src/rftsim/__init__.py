@@ -8,7 +8,7 @@ from .metrics import (CostBreakdown, CostParams, MetricsReport,
                       estimate_times, ninety_percent_cover_set)
 from .rft import (RFTConfig, RegionManager, TECHNIQUES, make_rft,
                   mret2_intersect, netplus_expand)
-from .trace_io import (AlternatingPaths, LoopSpec, ProgramSpec, Trace,
+from .trace_io import (AlternatingPaths, LoopSpec, ProgramSpec, Trace, TraceFile,
                        TraceFormatError, TraceSpecError, generate_trace,
                        load_trace, parse_program_spec, write_trace)
 

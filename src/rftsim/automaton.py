@@ -229,6 +229,12 @@ class Automaton:
         """
         return self._addr_index
 
+    @property
+    def in_region(self) -> bool:
+        """The cursor sits on a region state: the last kernel call stopped
+        at its ``end`` within a native run, which the next item continues."""
+        return self._cur_owner >= 0
+
     # -- stepping -------------------------------------------------------
 
     # the benchmark harness still wraps this; nothing calls it
@@ -285,9 +291,14 @@ class Automaton:
         head's memo (``_keep``).  The ``CHAIN_GIVE_UP``-th fruitless landing
         in a row gives the head up: it becomes a plain head (mark 1) for the
         rest of the run.  Both paths give the counts the rules give per item.
-        ``addrs`` is a list of ints or, from the engine, ``Trace._items``:
-        one iterator reads it, moved past each walk stepped in one go, and a
-        memo's walk is a slice of it, so like is compared with like.
+        A walk that would run past ``end`` is neither a hit nor a miss: the
+        call steps on item by item, and a walk it steps from a head up to
+        ``end`` without leaving the region is not kept, so a chunk's end
+        cuts no memo short.
+        ``addrs`` is a list of ints or, from the engine, a chunk's
+        ``Trace._items``: one iterator reads it, moved past each walk stepped
+        in one go, and a memo's walk is a slice of it, so like is compared
+        with like.
         ``sizes`` is unused: states keep the size they were recorded with.
         The name and the argument order predate the interpreter side; the
         benchmark harness still wraps the kernel under this name.
@@ -385,6 +396,8 @@ class Automaton:
                             r.hits += 1
                             r.walk_edges[-1][1] -= 1
                             tid = r.walk_edges[-2][0]
+                        elif j > end:
+                            break  # the walk runs past the call's end: no verdict
                         else:
                             r.misses = 1 if i > at else r.misses + 1
                             if r.misses < CHAIN_GIVE_UP:
@@ -402,7 +415,8 @@ class Automaton:
                     r.completions += 1
                     traversing = False
             cur_edges = edges_l[tid]
-        if ws >= 0:
+        if ws >= 0 and cur_owner != wr.rid:
+            # a walk still inside its region was cut by the call's end
             self._keep(wr, addrs, ws, i)
         self._cur = tid
         self._cur_edges = cur_edges
@@ -415,9 +429,9 @@ class Automaton:
         """Install the walk from ``r``'s head that the kernel stepped item by
         item from ``addrs[ws]``, cut to ``WALK_CAP`` items, as its memo,
         unless it is shorter than ``CHAIN_MIN_PATH``.  The walk ended at the
-        item that left ``r``, at a landing on a chain head, ``addrs[we - 1]``,
-        which it keeps when that head is ``r``'s, or at the call's end,
-        ``we``.  Each step followed or created an edge inside ``r`` that is
+        item that left ``r``, or at a landing on a chain head,
+        ``addrs[we - 1]``, which it keeps when that head is ``r``'s; or it
+        left ``r`` before the call's end, ``we``.  Each step followed or created an edge inside ``r`` that is
         never replaced, and the item that left ``r`` followed or created an
         edge out of it or, not being held, has none: so rule 1 from the head
         finds the walk's edges and where it ended."""

@@ -32,8 +32,8 @@ from .metrics import (COST_COLUMNS, REPORT_COLUMNS, CostParams, cost_json_dict,
                       format_cell, report_csv_row, report_json_dict)
 from .rft import (DEFAULT_EXPANSION_DEPTH, DEFAULT_HISTORY_CAPACITY,
                   DEFAULT_MAX_REGION_SIZE, DEFAULT_THRESHOLD, TECHNIQUES, RFTConfig)
-from .trace_io import (FORMATS, TraceFormatError, TraceSpecError, generate_trace,
-                       load_trace, parse_program_spec, write_trace)
+from .trace_io import (FORMATS, TraceFile, TraceFormatError, TraceSpecError,
+                       generate_trace, load_text, parse_program_spec, write_trace)
 
 CONFIG_COLUMNS = ("technique", "threshold", "max_region_size",
                   "expansion_depth", "history_capacity")
@@ -261,11 +261,23 @@ def _report_row(result: SimulationResult, with_costs: bool) -> list[str]:
     return row
 
 
+@contextmanager
+def _replayed(args):
+    """The trace to replay: a binary file, checked whole before any config
+    runs and then read in chunks, or a text file, loaded whole."""
+    if args.trace_format == "text":
+        yield load_text(args.trace)
+        return
+    with TraceFile(args.trace) as source:
+        source.validate()
+        yield source
+
+
 def cmd_simulate(args) -> int:
-    trace = load_trace(args.trace, args.trace_format)
-    config = SimulationConfig(rft=_rft_config(args, args.rft), skip=args.skip,
-                              limit=args.limit, cost=_cost_params(args))
-    result = run_simulation(trace, config)
+    with _replayed(args) as trace:
+        config = SimulationConfig(rft=_rft_config(args, args.rft), skip=args.skip,
+                                  limit=args.limit, cost=_cost_params(args))
+        result = run_simulation(trace, config)
     with _open_out(args.out) as out:
         if args.format == "json":
             _write_json(out, _result_json(result))
@@ -293,8 +305,8 @@ def _sweep_configs(args) -> list[SimulationConfig]:
 
 def cmd_sweep(args) -> int:
     configs = _sweep_configs(args)
-    trace = load_trace(args.trace, args.trace_format)
-    outcomes = run_sweep(trace, configs, parallelism=args.parallelism)
+    with _replayed(args) as trace:
+        outcomes = run_sweep(trace, configs, parallelism=args.parallelism)
     with _open_out(args.out) as out:
         if args.format == "json":
             runs = []
@@ -331,10 +343,11 @@ def cmd_compare(args) -> int:
     techniques = _parse_techniques(args.rfts)
     if args.baseline not in techniques:
         raise ValueError(f"baseline {args.baseline!r} is not in the run set")
-    trace = load_trace(args.trace, args.trace_format)
-    configs = [SimulationConfig(rft=_rft_config(args, tech), skip=args.skip, limit=args.limit)
-               for tech in techniques]
-    outcomes = run_sweep(trace, configs, parallelism=args.parallelism)
+    with _replayed(args) as trace:
+        configs = [SimulationConfig(rft=_rft_config(args, tech), skip=args.skip,
+                                    limit=args.limit)
+                   for tech in techniques]
+        outcomes = run_sweep(trace, configs, parallelism=args.parallelism)
     code = _report_failures(outcomes)
     if code:
         return code
@@ -367,10 +380,10 @@ def cmd_gen_trace(args) -> int:
 
 
 def cmd_dump(args) -> int:
-    trace = load_trace(args.trace, args.trace_format)
-    config = SimulationConfig(rft=_rft_config(args, args.rft), skip=args.skip,
-                              limit=args.limit, collect_dump=True)
-    result = run_simulation(trace, config)
+    with _replayed(args) as trace:
+        config = SimulationConfig(rft=_rft_config(args, args.rft), skip=args.skip,
+                                  limit=args.limit, collect_dump=True)
+        result = run_simulation(trace, config)
     with _open_out(args.out) as out:
         _write_json(out, result.dump)
     return 0

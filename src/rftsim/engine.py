@@ -1,11 +1,18 @@
 """Simulation driver.
 
-The engine binds the trace and the automaton's held addresses to the
-region manager once (``attach``), then alternates two calls that hand
-each other an item index ``i`` and ``prev``, the address item ``i`` is
-compared with for a backward branch.  The manager's ``scan(i, end,
-prev)`` consumes an interpreter-side run and stops at an emission, at
-the first item that enters a region, or at the window's end.  The
+The engine binds the trace window and the automaton's held addresses to
+the region manager once (``begin``), then replays the window chunk by
+chunk.  A ``Trace`` in memory is one chunk, replayed in place; a binary
+``TraceFile`` is read ``trace_io._REPLAY_CHUNK`` items at a time, so a
+run holds one chunk of it, never the whole trace.  Each chunk re-binds
+the manager (``attach``), and within it the engine alternates two calls
+that hand each other a chunk index ``i`` and ``prev``, the address item
+``i`` is compared with for a backward branch; both carry over into the
+next chunk, as does the automaton's cursor: a native run the chunk's end
+cut short is continued by the kernel before the next scan.  The
+manager's ``scan(i, end, prev)`` consumes an interpreter-side run and
+stops at an emission, at the first item that enters a region, or at the
+chunk's end.  The
 automaton's stepping kernel then credits the scanned items to the
 interpreter and steps from the item the scan stopped at through the
 native run that follows, up to a region exit, returning the next
@@ -17,7 +24,10 @@ look-ahead (if any) already run where the recording was emitted; the
 engine installs it before the kernel steps the item the scan stopped at,
 so a recording stopped by the loop-closing branch lands its own stop
 instruction inside the fresh region.  Each item is scanned at most once,
-in trace order.
+in trace order.  Chunk boundaries change only how the work is cut up,
+never the counts: a scan or a numpy pass that reaches a chunk's end stops
+there, and a chain head's memo walk that would run past it is stepped
+item by item.
 
 Every technique's ``scan`` is one driver, ``RegionManager.scan``, which
 steps items one by one in Python, reading the ``array("Q")`` that holds
@@ -42,6 +52,7 @@ automaton's invariants and raises ``InvariantError`` when one fails.
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -52,7 +63,7 @@ from .automaton import Automaton
 from .metrics import (CostBreakdown, CostParams, MetricsReport, compute_report,
                       estimate_times)
 from .rft import RFTConfig, _check_int, make_rft
-from .trace_io import Trace
+from .trace_io import Trace, TraceFile
 
 
 class InvariantError(Exception):
@@ -96,24 +107,33 @@ class SweepOutcome:
     invariant_violated: bool = False
 
 
-def _run_items(automaton: Automaton, manager, trace: Trace, start: int, end: int,
-               threshold: int) -> None:
-    addrs = trace._items
-    sizes = trace.sizes
+def _run_items(automaton: Automaton, manager, source: Trace | TraceFile, start: int,
+               end: int, threshold: int) -> None:
     scan = manager.scan
     append = automaton.append_region
     advance = automaton.run_native_stretch
-    manager.attach(trace, start, automaton.held)
-    prev = -1
-    i = start
-    while i < end:
-        k, region = scan(i, end, prev)
-        if region is not None:
-            append(*region)
-        elif k == end:
-            automaton.bulk_interp(end - i)
-            return
-        i, prev = advance(addrs, sizes, i, end, k, manager.exit_counts, threshold)
+    manager.begin(source, start, end, automaton.held)
+    i, prev = start, -1
+    for base, chunk in source.chunks(start, end):
+        manager.attach(chunk, base)
+        addrs, sizes = chunk._items, chunk.sizes
+        i -= base
+        stop = min(len(chunk), end - base)
+        if i < stop and automaton.in_region:
+            i, prev = advance(addrs, sizes, i, stop, i, manager.exit_counts, threshold)
+        while i < stop:
+            k, region = scan(i, stop, prev)
+            if region is not None:
+                append(*region)
+            elif k == stop:
+                automaton.bulk_interp(stop - i)
+                i, prev = stop, addrs[stop - 1]
+                break
+            i, prev = advance(addrs, sizes, i, stop, k, manager.exit_counts, threshold)
+        i += base
+        # let go of this chunk before the next one is read
+        del chunk, addrs, sizes
+        manager.detach()
 
 
 def _check_invariants(report: MetricsReport, items: int) -> None:
@@ -126,8 +146,10 @@ def _check_invariants(report: MetricsReport, items: int) -> None:
                                  f"traversals in {r.head_executions} head executions")
 
 
-def run_simulation(trace: Trace, config: SimulationConfig) -> SimulationResult:
-    """Replay one trace window through one technique; deterministic."""
+def run_simulation(trace: Trace | TraceFile, config: SimulationConfig) -> SimulationResult:
+    """Replay one trace window through one technique; deterministic.  A
+    ``TraceFile`` is read in chunks, and raises ``TraceFormatError`` at
+    the first bad record the window reaches."""
     automaton = Automaton()
     manager = make_rft(config.rft)
     n = len(trace)
@@ -143,7 +165,7 @@ def run_simulation(trace: Trace, config: SimulationConfig) -> SimulationResult:
 
 
 # set by _init_worker in each forked sweep worker: (trace, configs)
-_worker_sweep: Optional[tuple[Trace, Sequence[SimulationConfig]]] = None
+_worker_sweep: Optional[tuple[Trace | TraceFile, Sequence[SimulationConfig]]] = None
 
 
 def _usable_cpus() -> int:
@@ -153,7 +175,7 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _run_config(trace: Trace, config: SimulationConfig) -> SweepOutcome:
+def _run_config(trace: Trace | TraceFile, config: SimulationConfig) -> SweepOutcome:
     try:
         return SweepOutcome(config=config, result=run_simulation(trace, config))
     except Exception as exc:  # noqa: BLE001 - reported per config
@@ -161,7 +183,7 @@ def _run_config(trace: Trace, config: SimulationConfig) -> SweepOutcome:
                             invariant_violated=isinstance(exc, InvariantError))
 
 
-def _init_worker(trace: Trace, configs: Sequence[SimulationConfig]) -> None:
+def _init_worker(trace: Trace | TraceFile, configs: Sequence[SimulationConfig]) -> None:
     global _worker_sweep
     _worker_sweep = (trace, configs)
 
@@ -171,18 +193,19 @@ def _run_indexed(index: int) -> SweepOutcome:
     return _run_config(trace, configs[index])
 
 
-def run_sweep(trace: Trace, configs: Sequence[SimulationConfig],
+def run_sweep(trace: Trace | TraceFile, configs: Sequence[SimulationConfig],
               parallelism: int = 1) -> list[SweepOutcome]:
     """Run several configurations over one shared trace.
 
-    The trace is loaded once; each configuration gets a private automaton
-    and manager, so results are identical at any ``parallelism`` and
-    independent of sibling configs.  A failing config reports its error
-    without aborting the others; outcomes keep config order.
+    Each configuration gets a private automaton and manager, so results
+    are identical at any ``parallelism`` and independent of sibling
+    configs.  A failing config reports its error without aborting the
+    others; outcomes keep config order.
 
     Configs run in ``min(parallelism, len(configs), usable CPUs)`` worker
-    processes started with ``fork``.  Each worker inherits the loaded
-    trace copy-on-write, so it is never pickled; only config indices go
+    processes started with ``fork``.  Each worker inherits a loaded trace
+    copy-on-write, or an open ``TraceFile``, whose chunks it reads itself
+    by position, so the trace is never pickled; only config indices go
     to the workers and only ``SweepOutcome``s come back.  With one worker,
     or where ``fork`` is unavailable, configs run in this process.  Fork
     copies only the calling thread, so call this with more than one worker
@@ -196,8 +219,14 @@ def run_sweep(trace: Trace, configs: Sequence[SimulationConfig],
     workers = min(parallelism, len(configs), _usable_cpus())
     if workers == 1 or "fork" not in multiprocessing.get_all_start_methods():
         return [_run_config(trace, c) for c in configs]
-    with ProcessPoolExecutor(max_workers=workers,
-                             mp_context=multiprocessing.get_context("fork"),
-                             initializer=_init_worker,
-                             initargs=(trace, configs)) as pool:
-        return list(pool.map(_run_indexed, range(len(configs))))
+    # the workers' collections then leave this process's objects alone, so
+    # they copy none of its pages that only their collector would write
+    gc.freeze()
+    try:
+        with ProcessPoolExecutor(max_workers=workers,
+                                 mp_context=multiprocessing.get_context("fork"),
+                                 initializer=_init_worker,
+                                 initargs=(trace, configs)) as pool:
+            return list(pool.map(_run_indexed, range(len(configs))))
+    finally:
+        gc.unfreeze()

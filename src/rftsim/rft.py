@@ -42,7 +42,7 @@ from typing import Callable, Collection, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .trace_io import Trace, _distinct, _runs
+from .trace_io import Trace, TraceFile, _distinct, _runs
 
 TECHNIQUES = ("net", "mret2", "lei", "netplus", "net-r", "netplus-e-r")
 
@@ -110,16 +110,28 @@ def mret2_intersect(pass1: list[tuple[int, int]],
 class RegionManager:
     """Base contract, and the one scan driver of all six techniques.
 
-    The engine calls ``attach(trace, start, held)`` once, before replaying
-    ``trace[start:]``: the manager binds the trace's read-only u64 address
-    column (``Trace.addresses``), which its numpy passes slice, the
-    ``array("Q")`` its per-item loop reads (``Trace._items``), the sizes
-    and ``held``, the addresses some region holds (``Automaton.held``,
+    The engine calls ``begin(source, start, end, held)`` once, to replay
+    items ``start..end-1`` of ``source``, a ``Trace`` or a ``TraceFile``;
+    ``held`` holds the addresses some region holds (``Automaton.held``,
     which grows in place; the tests' ``scan_run`` passes a set).  A scan
     tests ``held`` for membership and, in its numpy pass, for emptiness.
+    The engine then feeds the window in chunks, each a ``Trace`` of the
+    source's items from ``base`` on: a trace in memory is one chunk at
+    base 0, and a file is read ``trace_io._REPLAY_CHUNK`` items at a time.
+    ``attach(chunk, base)`` binds the chunk's read-only u64 address column
+    (``Trace.addresses``), which the numpy passes slice, the
+    ``array("Q")`` the per-item loop reads (``Trace._items``) and its
+    sizes, and ``detach()`` lets go of them before the next chunk is read.
+
+    Scans, hooks and passes work in chunk indices.  An index leaves the
+    chunk only as an emission's due index, which ``complete`` gets as a
+    trace index, and where LEI's emission and the look-ahead's flow map
+    read items back (``_span``): from the chunk when it holds them, else
+    from the source, so neither holds more of the trace than it reads.
 
     ``scan(i, end, prev)`` is called while the automaton's cursor sits on
-    the interpreter state and visits items from ``i`` in trace order.
+    the interpreter state and visits items from ``i`` in trace order;
+    ``end`` is the chunk's end or the window's, whichever comes first.
     ``prev`` is what item ``i`` is compared with for a backward branch:
     the previous item's address, -1 before a window's first item, or
     infinity after a region exit (``Automaton.run_native_stretch`` returns
@@ -129,8 +141,9 @@ class RegionManager:
     - an emission while seeing item ``k``, due at ``k``;
     - the first item ``k`` that ``held`` contains: that item enters a
       region.  A recording in flight would stop on the next item, seen
-      after the entry, so when ``k + 1 < end`` the scan emits it at once,
-      due at ``k + 1``; otherwise ``region`` is None;
+      after the entry, so when item ``k + 1`` lies in the window, in this
+      chunk or a later one, the scan emits it at once, due at ``k + 1``;
+      otherwise ``region`` is None;
     - ``end``: ``(end, None)``.
 
     ``region`` is None or the positional arguments of
@@ -139,7 +152,7 @@ class RegionManager:
     nothing: item ``k``'s address is already held by an earlier region,
     which keeps it.  A scan never acts on an item past the one it stops
     at, and a recording in flight never outlives its scan unless that scan
-    reached the window's end.
+    reached its ``end``: the next chunk's first scan carries it on.
 
     ``scan`` owns the loop, and a technique supplies four hooks.  While
     the manager profiles (``_profiling``), the scan itself applies the
@@ -149,7 +162,7 @@ class RegionManager:
     Otherwise each item goes to ``_see(i, a, prev)``, which records, arms
     or pushes it and returns a region to emit, or None.  A held item ends
     the scan; unless the manager profiles, with nothing in flight, the
-    scan returns ``_entered(i, end)`` with it: the emission due at
+    scan returns ``_entered(i)`` with it: the emission due at
     ``i + 1``, or None.  A scan steps ``_HANDOFF`` items one by one and
     offers the rest of its run to ``_pass(i, end)``, a numpy pass over the
     column: ``_profile`` while the manager profiles, ``LeiManager._push``
@@ -223,7 +236,7 @@ class RegionManager:
                 if region is not None:
                     return i, region
             if a in held:
-                return i, None if profiling else self._entered(i, end)
+                return i, None if profiling else self._entered(i)
             prev = a
             i += 1
 
@@ -233,7 +246,7 @@ class RegionManager:
     def _see(self, i: int, a: int, prev: float) -> Optional[tuple]:
         raise NotImplementedError
 
-    def _entered(self, i: int, end: int) -> Optional[tuple]:
+    def _entered(self, i: int) -> Optional[tuple]:
         return None
 
     def _pass(self, i: int, end: int) -> int:
@@ -246,9 +259,28 @@ class RegionManager:
     # the benchmark harness still wraps this; nothing calls it
     def _handle(self, *args) -> None: ...
 
-    def attach(self, trace: Trace, start: int, held: Collection[int]) -> None:
-        self._addrs, self._col, self._sizes = trace._items, trace.addresses, trace.sizes
-        self._held = held
+    def begin(self, source: Trace | TraceFile, start: int, end: int,
+              held: Collection[int]) -> None:
+        self._source, self._window_end, self._held = source, end, held
+
+    def attach(self, chunk: Trace, base: int) -> None:
+        self._addrs, self._col, self._sizes = chunk._items, chunk.addresses, chunk.sizes
+        self._base = base
+        # the window's end, in the chunk's indices
+        self._end = self._window_end - base
+
+    def detach(self) -> None:
+        self._addrs = self._col = self._sizes = None
+
+    def _span(self, lo: int, hi: int) -> tuple[np.ndarray, Sequence[int]]:
+        """The u64 addresses and the sizes of trace items ``lo..hi-1``,
+        each indexed from 0: views of the chunk when it holds them all,
+        else read from the source."""
+        base = self._base
+        if lo >= base and hi - base <= len(self._sizes):
+            return self._col[lo - base:hi - base], memoryview(self._sizes)[lo - base:hi - base]
+        part = self._source.read(lo, hi)
+        return part.addresses, part.sizes
 
     def complete(self, items: list[tuple[int, int]], due: int) -> tuple:
         return (items,)
@@ -285,13 +317,13 @@ class NetManager(RegionManager):
         self._rec.append((a, self._sizes[i]))
         return False
 
-    def _entered(self, i, end):
-        return self._emit(i + 1) if i + 1 < end else None
+    def _entered(self, i):
+        return self._emit(i + 1) if i + 1 < self._end else None
 
     def _emit(self, due: int) -> tuple:
         rec, self._rec = self._rec, []
         self._profiling = True
-        return self.complete(rec, due)
+        return self.complete(rec, self._base + due)
 
 
 class NetRManager(NetManager):
@@ -350,8 +382,8 @@ class Mret2Manager(NetManager):
             self._rec = [(a, self._sizes[i])]
         return None
 
-    def _entered(self, i, end):
-        if i + 1 < end:
+    def _entered(self, i):
+        if i + 1 < self._end:
             if self._state == _REC2:
                 return self._emit(i + 1)
             if self._state == _REC1:
@@ -417,7 +449,7 @@ class LeiManager(RegionManager):
         pos = self._pos
         if pos >= self._trim_at:
             self._trim(pos)
-        self._runs.append((pos, i))
+        self._runs.append((pos, self._base + i))
         self._shift = shift = pos - i
         # not super(), whose lookup would cost each of lei's many short scans
         k, region = RegionManager.scan(self, i, end, prev)
@@ -442,7 +474,7 @@ class LeiManager(RegionManager):
             else:
                 self._count[r] = 0
                 self._floor = pos
-                return self.complete(self._emit(i, prior, pos), i)
+                return self.complete(self._emit(i, prior, pos), self._base + i)
         return None
 
     def _pass(self, i, end):
@@ -510,7 +542,6 @@ class LeiManager(RegionManager):
         self._trim_at = pos + self._capacity
 
     def _emit(self, i, prior, pos) -> list[tuple[int, int]]:
-        addrs, sizes = self._addrs, self._sizes
         # walk the pushes at positions [prior, pos) newest first, keeping
         # each address at its last occurrence
         kept: list[tuple[int, int]] = []
@@ -518,17 +549,17 @@ class LeiManager(RegionManager):
         stop = pos
         for p, t in reversed(self._runs):
             shift = t - p  # trace index minus push position in this run
-            for j in reversed(range(max(p, prior) + shift, stop + shift)):
-                x = addrs[j]
+            addrs, sizes = self._span(max(p, prior) + shift, stop + shift)
+            for x, s in zip(reversed(addrs.tolist()), reversed(sizes)):
                 if x not in done:
                     done.add(x)
-                    kept.append((x, sizes[j]))
+                    kept.append((x, s))
             if p <= prior:
                 break
             stop = p
         kept.reverse()
         # the cycle head, pushed at prior, takes the emitting item's size
-        kept[0] = (kept[0][0], sizes[i])
+        kept[0] = (kept[0][0], self._sizes[i])
         return kept[: self._max_size]
 
 
@@ -734,19 +765,17 @@ class _ExpansionMixin:
         super().__init__(config)
         self._depth = config.expansion_depth
 
-    def attach(self, trace, start, held):
-        super().attach(trace, start, held)
-        self._base = self._covered = start
+    def begin(self, source, start, end, held):
+        super().begin(source, start, end, held)
+        self._first = self._covered = start
         self._cfg: dict[int, list] = {}
 
     def complete(self, items, due):
         cfg = self._cfg
-        sizes = self._sizes
         lo = self._covered
         while lo <= due:
             hi = min(due + 1, lo + _FLOW_CHUNK)
-            j = lo - 1 if lo > self._base else lo
-            col = self._col[j:hi]
+            col, sizes = self._span(lo - 1 if lo > self._first else lo, hi)
             keys = _distinct(np.sort(col))
             ids = np.searchsorted(keys, col)
             n, m = len(col), len(keys)
@@ -755,7 +784,7 @@ class _ExpansionMixin:
             np.minimum.at(first, ids, np.arange(n))
             for a, f in zip(keys.tolist(), first.tolist()):
                 if a not in cfg:
-                    cfg[a] = [sizes[j + f], set()]
+                    cfg[a] = [sizes[f], set()]
             # a pair of ids (u, v) is coded u * m + v, below 2**33
             pairs = _distinct(np.sort(ids[:-1] * m + ids[1:]))
             for u, v in zip(keys[pairs // m].tolist(), keys[pairs % m].tolist()):

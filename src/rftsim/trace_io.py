@@ -14,6 +14,10 @@ text v1
     starting with ``#`` and blank lines are ignored.  Meant for
     hand-written fixtures.
 
+``load_trace`` reads a file whole into a ``Trace``; ``TraceFile`` keeps a
+binary file open and reads it by position, a checked chunk at a time, so
+a replay through it never holds the whole trace.
+
 Control flow is never encoded.  A discontinuity exists wherever
 ``next.address != current.address + current.size``; since sizes are >= 1,
 a transfer to a lower address is always a backward branch.
@@ -84,6 +88,12 @@ class Trace:
     def __len__(self) -> int:
         return len(self.addresses)
 
+    def chunks(self, start: int, end: int):
+        """The whole trace as one chunk at index 0, where ``TraceFile.chunks``
+        reads a file's window a chunk at a time: a trace in memory replays
+        in place."""
+        yield 0, self
+
     # the benchmark harness still calls this
     def backward_indices(self) -> np.ndarray:
         """Sorted indices j >= 1 where item j is a backward branch target.
@@ -142,9 +152,16 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     return values[_runs(values)[0]]
 
 
-# Records per chunk of a binary load or write: each chunk's record buffer,
+# Records per chunk of a binary read or write: each chunk's record buffer,
 # 128 KiB, is reused, so reading or writing holds no whole-length copy.
 _LOAD_CHUNK = 8_192
+# Items per chunk of a streamed replay (``TraceFile.chunks``): 3 MiB held
+# as a trace.  Each chunk restarts the scans' hand-off to numpy passes,
+# whose chunks double up to 65,536 items.  On the benchmark's 300,000-item
+# noise workload, streamed in chunks of 65,536 items, the six techniques
+# took 1.43-1.75x their in-memory time, and 1.21-1.33x in chunks of this
+# size, most of the rest being the reads (Python 3.11, 2-core x86 host).
+_REPLAY_CHUNK = 1 << 18
 
 
 def _adopt(items: array, sizes: array) -> Trace:
@@ -153,39 +170,111 @@ def _adopt(items: array, sizes: array) -> Trace:
     return Trace.__new__(Trace)._hold(items, sizes)
 
 
-def load_binary(path: Union[str, Path]) -> Trace:
-    with open(path, "rb") as fh:
-        header = fh.read(_HEADER.size)
-        if len(header) < _HEADER.size:
-            raise TraceFormatError(f"{path}: truncated header ({len(header)} bytes)")
-        magic, version, reserved = _HEADER.unpack(header)
-        if magic != MAGIC:
-            raise TraceFormatError(f"{path}: bad magic {magic!r}")
-        if version != FORMAT_VERSION:
-            raise TraceFormatError(f"{path}: unsupported version {version}")
-        if reserved != 0:
-            raise TraceFormatError(f"{path}: nonzero reserved header field")
-        # records the file's size promises, counting a trailing part of one
-        n = -(-(os.fstat(fh.fileno()).st_size - _HEADER.size) // _RECORD.size)
-        items, sizes = array("Q", [0]) * n, array("I", [0]) * n
+class TraceFile:
+    """An open binary v1 trace file, read by position in checked chunks.
+
+    Opening checks the header and takes the record count the file's size
+    promises, a trailing part of a record counting as one.  ``read(lo,
+    hi)`` returns records ``lo..hi-1`` as a ``Trace``: it reads them
+    ``_LOAD_CHUNK`` at a time with ``os.preadv`` into one reused record
+    buffer, checks each chunk's flags and sizes, and raises
+    ``TraceFormatError`` naming the byte offset of the first bad or
+    missing record.  ``validate()`` reads the whole file that way and
+    keeps nothing.
+
+    Positional reads share no file offset, so processes forked while the
+    file is open read from it independently.  Reading into a buffer, not
+    through ``np.memmap``, keeps each process's resident memory to the
+    chunks it holds: mapped pages of the file would count in it.
+    """
+
+    def __init__(self, path: Union[str, Path]):
+        self.path = path
+        self._fd = os.open(path, os.O_RDONLY)
+        try:
+            header = os.pread(self._fd, _HEADER.size, 0)
+            if len(header) < _HEADER.size:
+                raise TraceFormatError(f"{path}: truncated header ({len(header)} bytes)")
+            magic, version, reserved = _HEADER.unpack(header)
+            if magic != MAGIC:
+                raise TraceFormatError(f"{path}: bad magic {magic!r}")
+            if version != FORMAT_VERSION:
+                raise TraceFormatError(f"{path}: unsupported version {version}")
+            if reserved != 0:
+                raise TraceFormatError(f"{path}: nonzero reserved header field")
+            self._n = -(-(os.fstat(self._fd).st_size - _HEADER.size) // _RECORD.size)
+        except BaseException:
+            os.close(self._fd)
+            raise
+        self._buffer = np.empty(max(1, min(self._n, _LOAD_CHUNK)), dtype=_RECORD_DTYPE)
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __enter__(self) -> "TraceFile":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def close(self) -> None:
+        if self._fd >= 0:
+            os.close(self._fd)
+            self._fd = -1
+
+    def _records(self, lo: int, hi: int) -> np.ndarray:
+        """Records ``lo..hi-1``, at most a buffer's worth, read into the
+        buffer and checked."""
+        records = self._buffer[:hi - lo]
+        raw, offset, got = records.view(np.uint8), _HEADER.size + lo * _RECORD.size, 0
+        while got < len(raw):
+            more = os.preadv(self._fd, [raw[got:]], offset + got)
+            if not more:
+                break
+            got += more
+        got //= _RECORD.size
+        first, what = got, "truncated record"
+        for bad, why in ((records["flags"][:got] != 0, "nonzero flags"),
+                         (records["size"][:got] == 0, "zero instruction size")):
+            if bad.any():
+                first, what = int(bad.argmax()), why
+                break
+        if first < len(records):
+            offset = _HEADER.size + (lo + first) * _RECORD.size
+            raise TraceFormatError(f"{self.path}: {what} at byte offset {offset}")
+        return records
+
+    def read(self, lo: int, hi: int) -> Trace:
+        """Records ``lo..hi-1`` as a trace; ``0 <= lo <= hi <= len(self)``."""
+        items, sizes = array("Q", [0]) * (hi - lo), array("I", [0]) * (hi - lo)
         column = np.frombuffer(items, dtype=np.uint64)
         size_column = np.frombuffer(sizes, dtype=np.uint32)
-        buffer = np.empty(min(n, _LOAD_CHUNK), dtype=_RECORD_DTYPE)
-        for lo in range(0, n, _LOAD_CHUNK):
-            records = buffer[:n - lo]
-            got = fh.readinto(records) // _RECORD.size
-            first, what = got, "truncated record"
-            for bad, why in ((records["flags"][:got] != 0, "nonzero flags"),
-                             (records["size"][:got] == 0, "zero instruction size")):
-                if bad.any():
-                    first, what = int(bad.argmax()), why
-                    break
-            if first < len(records):
-                offset = _HEADER.size + (lo + first) * _RECORD.size
-                raise TraceFormatError(f"{path}: {what} at byte offset {offset}")
-            column[lo:lo + got] = records["address"]
-            size_column[lo:lo + got] = records["size"]
-    return _adopt(items, sizes)
+        step = len(self._buffer)
+        for at in range(lo, hi, step):
+            records = self._records(at, min(hi, at + step))
+            column[at - lo:at - lo + len(records)] = records["address"]
+            size_column[at - lo:at - lo + len(records)] = records["size"]
+        return _adopt(items, sizes)
+
+    def validate(self) -> None:
+        """Check every record, keeping none."""
+        step = len(self._buffer)
+        for at in range(0, self._n, step):
+            self._records(at, min(self._n, at + step))
+
+    def chunks(self, start: int, end: int):
+        """``(lo, records lo..hi-1 as a trace)`` for each chunk of the file's
+        consecutive ``_REPLAY_CHUNK`` records, cut to ``[start, end)``."""
+        lo = start
+        while lo < end:
+            hi = min(end, lo - lo % _REPLAY_CHUNK + _REPLAY_CHUNK)
+            yield lo, self.read(lo, hi)
+            lo = hi
+
+
+def load_binary(path: Union[str, Path]) -> Trace:
+    with TraceFile(path) as fh:
+        return fh.read(0, len(fh))
 
 
 def load_text(path: Union[str, Path]) -> Trace:

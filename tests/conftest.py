@@ -1,7 +1,7 @@
-"""Shared builders: randomized traces, the engine's scan protocol with a
-given held set, the stepping kernel driven item list by item list, an
-automaton that logs its chain heads' memos, and a naive reference
-simulation.
+"""Shared builders: randomized traces, the benchmark's traces, the
+engine's scan protocol with a given held set, the stepping kernel driven
+item list by item list, an automaton that logs its chain heads' memos,
+and a naive reference simulation.
 
 The naive loop below is the behavioral oracle for the engine: it drives
 the per-item reference managers and the literal automaton of
@@ -12,8 +12,12 @@ fast-path bug.
 
 from __future__ import annotations
 
+import functools
+import importlib.util
 import math
 import random
+import sys
+from pathlib import Path
 
 from reference import (SI, FlowMap, LiteralAutomaton, held_addresses,
                        make_reference, region_of)
@@ -83,6 +87,13 @@ def drive(automaton, addrs) -> float:
     return prev
 
 
+def bind(manager, trace: Trace, held=()) -> None:
+    """Bind ``manager`` to the whole of ``trace`` as the engine binds it to
+    a window replayed as one chunk."""
+    manager.begin(trace, 0, len(trace), held)
+    manager.attach(trace, 0)
+
+
 def scan_run(manager, addrs, sizes, held=()) -> list[tuple]:
     """Drive ``manager.scan`` as the engine does over a window in which, as
     in the automaton, an item runs natively exactly when its address is
@@ -93,7 +104,7 @@ def scan_run(manager, addrs, sizes, held=()) -> list[tuple]:
     the manager passed to its ``complete``: the emission is due there."""
     held = set(held)
     end = len(addrs)
-    manager.attach(Trace(list(addrs), list(sizes)), 0, held)
+    bind(manager, Trace(list(addrs), list(sizes)), held)
     dues = []
     complete = manager.complete
 
@@ -122,6 +133,36 @@ def scan_run(manager, addrs, sizes, held=()) -> list[tuple]:
                 break
             i, prev = i + 1, math.inf
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def _bench_workloads():
+    """``bench/workloads.py``, loaded once."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up while it executes
+    sys.modules[spec.name] = workloads
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+def bench_render(workload: str, items: int) -> Trace:
+    """A benchmark workload rendered at seed 1 for ``items`` items.  For
+    graph-walk and interp-noise that is the first ``items`` items of the
+    full-size workload; loop-nest sizes its loops for ``items``, so it
+    renders a scaled-down nest: at 2,000 items it visits the 54 addresses
+    of all three loops, where the full-size workload's first 2,000 items
+    visit the nested loop's 18 (see ``bench_prefix``)."""
+    return _bench_workloads().WORKLOADS[workload].generate(1, items)
+
+
+def bench_prefix(workload: str, items: int) -> Trace:
+    """The first ``items`` items of a benchmark workload rendered at seed 1
+    and full size."""
+    full = _bench_workloads().WORKLOADS[workload]
+    trace = full.generate(1, full.items)
+    return Trace(trace.addresses[:items], trace.sizes[:items])
 
 
 def random_loop_spec(rng: random.Random, budget: int) -> ProgramSpec:

@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import MemoAutomaton, naive_run, random_rft_config, random_trace
+from conftest import MemoAutomaton, bind, naive_run, random_rft_config, random_trace
 from rftsim import engine
 from rftsim.engine import SimulationConfig, run_simulation, run_sweep
 from rftsim.metrics import CostParams, report_json_dict
@@ -254,7 +254,7 @@ def test_exit_counts_declared_only_while_idle(technique):
     manager = make_rft(RFTConfig(technique=technique, threshold=1))
     addrs = EXIT_COUNTS_TRACE
     sizes = [4] * len(addrs)
-    manager.attach(Trace(addrs, sizes), 0, ())
+    bind(manager, Trace(addrs, sizes))
     declared, states = [], []
     for i in range(len(addrs)):
         manager.scan(i, i + 1, addrs[i - 1] if i else -1)

@@ -19,7 +19,7 @@ import re
 import pytest
 
 import rftsim.rft as rft
-from conftest import (high_walk, naive_run, random_graph_walk, random_noise,
+from conftest import (bind, high_walk, naive_run, random_graph_walk, random_noise,
                       random_rft_config, random_trace, scan_run)
 from reference import SI, make_reference, reference_run
 from rftsim import Trace
@@ -150,7 +150,7 @@ def test_idle_scan_hands_off_after_exactly_handoff_items(monkeypatch, passes, si
     h = rft._HANDOFF
     addrs = rising(3 * h)
     manager = make_rft(RFTConfig(tech, threshold=1 << 20))
-    manager.attach(Trace(addrs, [4] * len(addrs)), 0, ())
+    bind(manager, Trace(addrs, [4] * len(addrs)))
     for i, end in [(0, h), (h, 2 * h + 1), (2 * h + 1, 3 * h)]:
         assert manager.scan(i, end, addrs[i - 1] if i else -1) == (end, None)
     assert passes == [(2 * h, 2 * h + 1, 2 * h + 1)]
@@ -186,7 +186,7 @@ def test_no_hand_off_with_a_formation_in_flight(monkeypatch, passes, sizes, tech
 
     def attached(technique, threshold):
         manager = make_rft(RFTConfig(technique, threshold=threshold, max_region_size=1 << 20))
-        manager.attach(trace, 0, ())
+        bind(manager, trace)
         return manager
 
     # the scan starts idle and starts the formation
@@ -255,7 +255,7 @@ def test_region_exit_target_is_the_first_item_only(monkeypatch, tech):
     set_sizes(monkeypatch, (1, 1))
     addrs = [0x200, 0x300, 0x250, 0x260, 0x100]
     manager = make_rft(RFTConfig(tech, threshold=100))
-    manager.attach(Trace(addrs, [4] * 5), 0, ())
+    bind(manager, Trace(addrs, [4] * 5))
     assert manager.scan(0, 5, math.inf) == (5, None)
     ref = make_reference(RFTConfig(tech, threshold=100))
     last, kind = (0x50, 4), 2

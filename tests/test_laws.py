@@ -34,23 +34,13 @@ import pytest
 
 import rftsim.automaton as automaton
 import rftsim.rft as rft
-from conftest import random_graph_walk, random_noise, random_rft_config, random_trace
+from conftest import (bench_prefix, bench_render, random_graph_walk, random_noise,
+                      random_rft_config, random_trace)
 from rftsim import trace_io
 from rftsim.engine import SimulationConfig, run_simulation
 from rftsim.metrics import report_csv_row
 from rftsim.rft import TECHNIQUES, RFTConfig
 from rftsim.trace_io import Trace, load_trace, write_trace
-
-
-def _bench_prefix(workload: str, items: int) -> Trace:
-    """The first ``items`` items of a benchmark workload at seed 1."""
-    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    # its dataclasses look their module up while it executes
-    sys.modules[spec.name] = workloads
-    spec.loader.exec_module(workloads)
-    return workloads.WORKLOADS[workload].generate(1, items)
 
 
 def _cases():
@@ -62,7 +52,7 @@ def _cases():
         trace = (random_trace, random_graph_walk, random_noise, random_trace)[seed](rng, 2000)
         cases.append((f"conftest-{seed}", trace,
                       [random_rft_config(rng, tech) for tech in TECHNIQUES]))
-    cases.append(("graph-walk-20000", _bench_prefix("graph-walk", 20_000),
+    cases.append(("graph-walk-20000", bench_render("graph-walk", 20_000),
                   [RFTConfig(technique=tech, threshold=64) for tech in TECHNIQUES]))
     return cases
 
@@ -138,9 +128,11 @@ KNOB_SETS = _knob_sets()
 
 @pytest.fixture(scope="module")
 def knob_cases(tmp_path_factory):
-    """``(workload, trace, {format: path}, configs, dumps)`` for 2,000-item
-    benchmark prefixes at thresholds 8 and 64, the dumps taken at the
-    default knobs, where the prefixes run numpy passes and keep memos."""
+    """``(workload, trace, {format: path}, configs, dumps)`` for each
+    benchmark workload rendered for 2,000 items, and for the first 2,000
+    items of full-size loop-nest, at thresholds 8 and 64, the dumps taken
+    at the default knobs, where these traces run numpy passes and keep
+    memos."""
     root = tmp_path_factory.mktemp("knobs")
     work = {"passes": 0, "memos": 0}
     chunked, keep = rft._chunked, automaton.Automaton._keep
@@ -157,8 +149,9 @@ def knob_cases(tmp_path_factory):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rft, "_chunked", counted_chunked)
         mp.setattr(automaton.Automaton, "_keep", counted_keep)
-        for workload in ("loop-nest", "graph-walk", "interp-noise"):
-            trace = _bench_prefix(workload, 2_000)
+        for workload, trace in [(w, bench_render(w, 2_000))
+                                for w in ("loop-nest", "graph-walk", "interp-noise")] + [
+                                    ("loop-nest-prefix", bench_prefix("loop-nest", 2_000))]:
             paths = {fmt: root / f"{workload}.{fmt}" for fmt in ("binary", "text")}
             for fmt, path in paths.items():
                 write_trace(path, trace, fmt)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (random_graph_walk, random_noise, random_rft_config,
+from conftest import (bind, random_graph_walk, random_noise, random_rft_config,
                       random_trace, scan_run)
 from reference import (SI, FlowMap, HistoryBuffer, literal_expand, netr_stop_condition,
                        reference_run, was_backward_branch)
@@ -482,7 +482,7 @@ def test_netplus_emission_on_region_entry_sees_the_next_item():
     addrs = [X, E, A_, H, X]
     sizes = [4] * len(addrs)
     mgr = NetPlusManager(cfg("netplus", threshold=1))
-    mgr.attach(Trace(addrs, sizes), 0, {H})
+    bind(mgr, Trace(addrs, sizes), {H})
     assert mgr.scan(0, len(addrs), -1) == \
         (3, ([(E, 4), (A_, 4), (H, 4)], ((X, 4),), {H: (X,), X: (E,)}))
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import high_walk
 from rftsim import trace_io
-from rftsim.trace_io import (AlternatingPaths, LoopSpec, ProgramSpec, Trace,
+from rftsim.trace_io import (AlternatingPaths, LoopSpec, ProgramSpec, Trace, TraceFile,
                              TraceFormatError, TraceSpecError, generate_trace,
                              load_trace, parse_program_spec, validate_spec,
                              write_trace)
@@ -309,6 +309,29 @@ def test_binary_load_defect_in_later_chunk_reports_offset(tmp_path, monkeypatch,
     monkeypatch.setattr(trace_io, "_LOAD_CHUNK", chunk)
     with pytest.raises(TraceFormatError, match=re.escape(message)):
         load_trace(path)
+    # the same check, keeping nothing, and a read of the records before
+    # the defect
+    with TraceFile(path) as source:
+        with pytest.raises(TraceFormatError, match=re.escape(message)):
+            source.validate()
+        assert source.read(2, 9).addresses.tolist() == [0x100 + 4 * k for k in range(2, 9)]
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 7, 64])
+@pytest.mark.parametrize("start, end", [(0, 20), (5, 17), (6, 7), (4, 4)])
+def test_trace_file_chunks_are_aligned_to_the_file(tmp_path, monkeypatch, chunk, start, end):
+    addresses = [0x100 + 4 * (k % 6) for k in range(20)]
+    path = tmp_path / "t.rtr"
+    write_trace(path, Trace(addresses, list(range(1, 21))))
+    monkeypatch.setattr(trace_io, "_REPLAY_CHUNK", chunk)
+    with TraceFile(path) as source:
+        assert len(source) == 20
+        chunks = list(source.chunks(start, end))
+    firsts = sorted({start} | set(range(start - start % chunk + chunk, end, chunk)))
+    assert [lo for lo, _ in chunks] == (firsts if start < end else [])
+    assert all((lo + len(part)) % chunk == 0 or lo + len(part) == end for lo, part in chunks)
+    assert [a for _, part in chunks for a in part.addresses.tolist()] == addresses[start:end]
+    assert [s for _, part in chunks for s in part.sizes] == list(range(start + 1, end + 1))
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 65_536])
