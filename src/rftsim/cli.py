@@ -237,7 +237,8 @@ def _result_json(result: SimulationResult) -> dict:
 
 
 def _write_json(out, doc) -> None:
-    out.write(json.dumps(doc, indent=2, sort_keys=True))
+    # dump writes the text piece by piece, so a long report is never held whole
+    json.dump(doc, out, indent=2, sort_keys=True)
     out.write("\n")
 
 

@@ -12,6 +12,7 @@ downstream tooling never has to guess it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -56,8 +57,10 @@ class CostParams:
     def __post_init__(self):
         for name in ("interp_cost", "native_cost", "gen_cost",
                      "compiler_init_cost", "transition_cost"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            value = getattr(self, name)
+            # an int is always finite, and math.isfinite overflows on one past a float's range
+            if value < 0 or isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -654,6 +654,26 @@ def _profile(hot: dict[int, int], threshold: int, column: np.ndarray, i: int,
 # --- look-ahead expansion ---------------------------------------------------
 
 
+def _levels(sources: Collection, step: Callable, limit: int) -> dict:
+    """Breadth-first search: each node reached from ``sources`` in at most
+    ``limit`` steps, sources excluded, mapped to its fewest steps, where
+    ``step(node)`` gives a node's neighbours.  Stops early once a step
+    reaches no new node."""
+    levels: dict = {}
+    frontier = list(sources)
+    d = 0
+    while frontier and d < limit:
+        d += 1
+        nxt = []
+        for u in frontier:
+            for v in step(u):
+                if v not in levels and v not in sources:
+                    levels[v] = d
+                    nxt.append(v)
+        frontier = nxt
+    return levels
+
+
 def netplus_expand(cfg: Mapping[int, Sequence], recording: Sequence[tuple[int, int]],
                    depth: int, extended: bool = False,
                    ) -> tuple[tuple[tuple[int, int], ...], dict[int, tuple[int, ...]]]:
@@ -670,72 +690,36 @@ def netplus_expand(cfg: Mapping[int, Sequence], recording: Sequence[tuple[int, i
     their sizes, and the observed successor relation restricted to the
     accepted and recorded addresses.
 
+    The look-ahead is two breadth-first searches through ``_levels``.  The
+    forward one, from the recording over known successors, gives each
+    outside address the fewest outside addresses on a walk to it; the
+    backward one, from the accepting addresses over predecessors among
+    those reached, gives the fewest on a walk from it back.  An address
+    is accepted when the two, less the address they share, sum to at
+    most ``depth``.
+
     With sensible traces never-executed code cannot appear: the search
     knows only instructions that actually ran.
     """
-    rec_addrs = [a for a, _ in recording]
-    region = set(rec_addrs)
-    targets = region if extended else {rec_addrs[0]}
-    # forward pass: fewest outside addresses needed to reach each node
-    reach: dict[int, int] = {}
-    frontier = list(region)
-    d = 0
-    while frontier and d < depth:
-        nxt: list[int] = []
-        for u in frontier:
-            ent = cfg.get(u)
-            if not ent:
-                continue
-            for v in ent[1]:
-                if v not in region and v not in reach and v in cfg:
-                    reach[v] = d + 1
-                    nxt.append(v)
-        frontier = nxt
-        d += 1
-    if not reach:
-        return (), {}
-    # backward pass: fewest outside addresses from each node to acceptance
-    rev: dict[int, list[int]] = {}
-    ret: dict[int, int] = {}
-    frontier = []
+    # the recorded addresses, once each in first-occurrence order
+    region = dict.fromkeys(a for a, _ in recording)
+    targets = region if extended else {recording[0][0]}
+    reach = _levels(region, lambda u: [v for v in cfg[u][1] if v in cfg] if u in cfg else (),
+                    depth)
+    pred: dict[int, list[int]] = {}
     for u in reach:
-        accepts = False
         for v in cfg[u][1]:
-            if v in targets:
-                accepts = True
-            elif v in reach:
-                rev.setdefault(v, []).append(u)
-        if accepts:
-            ret[u] = 1
-            frontier.append(u)
-    d = 1
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for u in rev.get(v, ()):
-                if u not in ret:
-                    ret[u] = d + 1
-                    nxt.append(u)
-        frontier = nxt
-        d += 1
+            pred.setdefault(v, []).append(u)
+    ret = _levels(targets, lambda v: pred.get(v, ()), depth)
     accepted = sorted(u for u, f in reach.items() if u in ret and f + ret[u] - 1 <= depth)
-    if not accepted:
-        return (), {}
     acc_set = set(accepted)
     successors: dict[int, tuple[int, ...]] = {}
     for u in accepted:
         outs = sorted(v for v in cfg[u][1] if v in acc_set or v in region)
         if outs:
             successors[u] = tuple(outs)
-    seen_rec: set[int] = set()
-    for a in rec_addrs:
-        if a in seen_rec:
-            continue
-        seen_rec.add(a)
-        ent = cfg.get(a)
-        if not ent:
-            continue
-        outs = sorted(v for v in ent[1] if v in acc_set)
+    for a in region:
+        outs = sorted(v for v in cfg[a][1] if v in acc_set) if a in cfg else ()
         if outs:
             successors[a] = tuple(outs)
     members = tuple((u, cfg[u][0]) for u in accepted)

@@ -165,6 +165,17 @@ def bench_prefix(workload: str, items: int) -> Trace:
     return Trace(trace.addresses[:items], trace.sizes[:items])
 
 
+def detour_trace(rounds: int = 30, detour: int = 20) -> Trace:
+    """A three-instruction loop at 0x100 that, after every three
+    iterations, leaves through a forward branch for a ``detour``-item
+    straight path at 0x2000 that branches back to the loop's head.  At
+    threshold 3, net and net-r record the loop alone, and the look-ahead
+    finds the detour only at a depth of at least ``detour``."""
+    loop = [0x100, 0x104, 0x108]
+    addrs = (loop * 3 + [0x2000 + 4 * k for k in range(detour)]) * rounds
+    return Trace(addrs, [4] * len(addrs))
+
+
 def random_loop_spec(rng: random.Random, budget: int) -> ProgramSpec:
     loops = []
     base = 0x1000

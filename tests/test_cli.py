@@ -4,12 +4,14 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
+from conftest import detour_trace
 from rftsim.automaton import Automaton
-from rftsim.cli import main
+from rftsim.cli import _write_json, main
 from rftsim.metrics import REPORT_COLUMNS
 from rftsim.trace_io import (LoopSpec, ProgramSpec, Trace, generate_trace,
                              load_trace, write_trace)
@@ -84,6 +86,18 @@ def test_simulate_costs_columns(capsys, loop_trace):
     row = dict(zip(header, rows[0]))
     assert row["total_time"] == "226.0"
     assert row["profitable"] == "true"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("flag", ["--interp-cost", "--native-cost", "--gen-cost",
+                                  "--compiler-init-cost", "--transition-cost"])
+def test_simulate_rejects_non_finite_cost(capsys, loop_trace, flag, value):
+    # NaN would reach the JSON report as a bare NaN, which is not JSON
+    code, out, err = run_cli(capsys, "simulate", "--trace", str(loop_trace), "--rft", "net",
+                             "--costs", "--format", "json", f"{flag}={value}")
+    assert code == 1
+    assert out == ""
+    assert f"{flag[2:].replace('-', '_')} must be finite" in err
 
 
 def test_simulate_deterministic_bytes(capsys, loop_trace):
@@ -189,6 +203,26 @@ def test_sweep_cli_forked_workers_identical_output(loop_trace):
         assert run.returncode == 0, run.stderr.decode()
     assert runs[0].stdout == runs[1].stdout
     assert json.loads(runs[0].stdout)["runs"][0]["report"]["metrics"]["num_regions"] == 1
+
+
+def test_write_json_streams_a_long_document(tmp_path):
+    # a sweep's document grows with the regions its reports list; writing
+    # it must not build its text whole
+    regions = [{"id": k, "entry": f"0x{k:x}", "static_size": k % 97, "entries": 3 * k,
+                "completions": k // 2, "coverage": k / 12_000} for k in range(12_000)]
+    doc = {"runs": [{"config": {"technique": "net"}, "report": {"regions": regions}}]}
+    expected = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert len(expected) > 2_000_000
+    path = tmp_path / "report.json"
+    with open(path, "w") as out:
+        tracemalloc.start()
+        try:
+            _write_json(out, doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 1_000_000
+    assert path.read_text() == expected
 
 
 # --- compare --------------------------------------------------------------------
@@ -308,6 +342,20 @@ def test_dump_structure(capsys, loop_trace):
     assert len(doc["regions"]) == 1
     assert doc["states"][0]["region"] is None
     assert doc["regions"][0]["dynamic_instructions"] == 21
+
+
+@pytest.mark.parametrize("rft", ["netplus", "netplus-e-r"])
+def test_dump_lookahead_depth_2_pow_40(capsys, tmp_path, rft):
+    # 23 distinct addresses bound every walk; the detour needs depth 20
+    path = tmp_path / "detour.rtr"
+    write_trace(path, detour_trace())
+    dumps = {}
+    for depth in ("1099511627776", "23"):
+        code, dumps[depth], _ = run_cli(capsys, "dump", "--trace", str(path), "--rft", rft,
+                                        "--threshold", "3", "--netplus-depth", depth)
+        assert code == 0
+    assert dumps["1099511627776"] == dumps["23"]
+    assert [len(r["expansion_states"]) for r in json.loads(dumps["23"])["regions"]] == [20]
 
 
 def test_sweep_depth_scan_monotone_static_size(capsys, tmp_path):

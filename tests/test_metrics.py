@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import accumulate
@@ -156,6 +157,17 @@ def test_cost_linearity_in_each_param():
 def test_negative_cost_rejected():
     with pytest.raises(ValueError):
         CostParams(interp_cost=-1)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_cost_rejected(value):
+    with pytest.raises(ValueError, match="gen_cost must be finite"):
+        CostParams(gen_cost=value)
+
+
+def test_huge_int_cost_accepted():
+    # an int is always finite, and math.isfinite(10**400) would overflow
+    assert CostParams(transition_cost=10**400).transition_cost == 10**400
 
 
 # --- compute_report ---------------------------------------------------------------

@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (bind, random_graph_walk, random_noise, random_rft_config,
+from conftest import (bind, detour_trace, random_graph_walk, random_noise, random_rft_config,
                       random_trace, scan_run)
 from reference import (SI, FlowMap, HistoryBuffer, literal_expand, netr_stop_condition,
                        reference_run, was_backward_branch)
-from rftsim import Trace
+from rftsim import SimulationConfig, Trace, run_simulation
 from rftsim.rft import (LeiManager, Mret2Manager, NetManager, NetPlusExtRManager,
                         NetPlusManager, NetRManager, RFTConfig, TECHNIQUES, make_rft,
-                        mret2_intersect, netplus_expand)
+                        _levels, mret2_intersect, netplus_expand)
 
 
 def cfg(technique="net", **kw):
@@ -421,6 +421,46 @@ def test_expand_matches_literal_model_on_flow_maps(extended):
             assert got == literal_expand(flow.cfg, rec, depth, extended), depth
             expanded += bool(got[0])
     assert expanded >= 80
+
+
+def test_levels_fewest_steps_within_limit():
+    graph = {"s": ["a", "c"], "a": ["b", "s"], "b": ["c"], "c": ["d"], "d": ["e"],
+             "t": ["s"]}
+    expanded = []
+
+    def step(u):
+        expanded.append(u)
+        return graph.get(u, ())
+
+    # the sources are never reached, though a and t lead back to s
+    assert _levels({"s", "t"}, step, 2) == {"a": 1, "c": 1, "b": 2, "d": 2}
+    assert _levels({"s", "t"}, step, 10) == {"a": 1, "c": 1, "b": 2, "d": 2, "e": 3}
+    assert _levels({"s"}, step, 0) == {}
+    # past the last new node the search stops: each node is expanded once
+    expanded.clear()
+    assert _levels({"s", "t"}, step, 2**40) == {"a": 1, "c": 1, "b": 2, "d": 2, "e": 3}
+    assert sorted(expanded) == ["a", "b", "c", "d", "e", "s", "t"]
+
+
+@pytest.mark.parametrize("technique", ["netplus", "netplus-e-r"])
+def test_lookahead_above_any_walk_length(technique):
+    """A depth of 2**40 gives the run at a depth of the number of distinct
+    addresses, which no walk of distinct outside addresses can exceed."""
+
+    def dump(trace, depth):
+        config = SimulationConfig(rft=cfg(technique, threshold=3, expansion_depth=depth),
+                                  collect_dump=True)
+        return run_simulation(trace, config).dump
+
+    rng = random.Random(0x5EED)
+    for trace in [random_graph_walk(rng, 3000) for _ in range(4)]:
+        assert dump(trace, 2**40) == dump(trace, len(set(trace.addresses.tolist())))
+    # the loop's one way back outside it is the 20-item detour
+    trace = detour_trace()
+    deep = dump(trace, 2**40)
+    assert deep == dump(trace, 23) == dump(trace, 20)
+    assert [len(r["expansion_states"]) for r in deep["regions"]] == [20]
+    assert dump(trace, 19)["regions"][0]["expansion_states"] == []
 
 
 @settings(max_examples=30, deadline=None)
