@@ -40,21 +40,30 @@ A walk shorter than ``CHAIN_MIN_PATH`` is not kept, so a landing is
 fruitless when it misses; a head with ``CHAIN_GIVE_UP`` fruitless
 landings in a row steps item by item for the rest of the run.
 
-Counters are raw or derived.  The kernel counts only what nothing else
-determines: each edge's traversals, ``interp``, region entries, region
-transitions, completed traversals and each memo's hits
-(``Region.hits``).  A hit follows each of its walk's edges as often as
-the walk did, and completes a traversal when the walk passed the core
+Counters are raw or derived.  The kernel counts only what the edges
+cannot give: each edge's traversals, ``interp``, the completed
+traversals of regions with two or more recorded states, and each memo's
+hits (``Region.hits``).  A hit follows each of its walk's edges as often
+as the walk did, and completes a traversal when the walk passed the core
 tail, so flushing the hits into those edges and completions
 (``Region.flush``, before any report) completes both; a cut hit counts
 as a hit and takes its last edge's traversal back at once.  Every native
 item either follows an edge or creates one with count 1, and edges only
-target region states, so the edge counts give the rest at report time:
-a region state's executions are the sum of its incoming edge counts, a
-region's dynamic count sums them over its recorded and expansion states,
-its head and tail executions are those of its entry and core-tail
-states, the native count is the sum of all edge counts, and the total is
-``interp`` plus that.
+target region states, so one pass over the edge counts gives the rest
+at report time (``Automaton._executions``):
+
+- a region state's executions are the sum of its incoming edge counts;
+  a region's dynamic count sums them over its recorded and expansion
+  states, and its head and tail executions are those of its entry and
+  core-tail states;
+- a region's entries from the interpreter are the counts of the
+  interpreter state's edges into it, and its entries from native code
+  the counts of edges into it from another region's states; the region
+  transitions are the sum of the latter;
+- a region with one recorded state completes a traversal at every
+  execution of that state, so its completions are its head executions;
+- the native count is the sum of all edge counts, and the total is
+  ``interp`` plus that.
 
 Items are not classified by transition kind.  A kernel call ends on an
 item that falls back to the interpreter, and it returns the address the
@@ -95,7 +104,7 @@ WALK_CAP = 1024
 
 
 class Region:
-    """A formed region: its states, its raw counters and its head's memo.
+    """A formed region: its states, its completions and its head's memo.
 
     ``states`` lists the linearly recorded states in recording order, with
     consecutive ids; ``expansion_states`` holds states added by look-ahead
@@ -104,23 +113,23 @@ class Region:
     head executes and completes when the core tail executes before control
     leaves the region.
 
-    Entries and completions are raw counters.  A chain head's memo is
-    ``walk``, the items of the last walk the kernel stepped from the head
-    item by item; ``walk_edges``, the edges it followed, in order;
-    ``walk_end``, the state it ended on (the head's, for a walk back to
-    it); and ``walk_closes``, whether it passed the core tail, closing the
-    traversal the landing opened.  ``hits`` counts the walks stepped in
-    one go along the memo since the last ``flush``, and ``misses`` the
-    head's fruitless landings in a row.  Completions, the dynamic count
-    (the executions of the recorded and expansion states) and the head
-    and tail executions are complete once the hits are flushed
-    (``Automaton.all_region_stats``).
+    ``completions`` is a raw counter, kept only when the region has two or
+    more recorded states: one state completes at each execution of it.  A
+    chain head's memo is ``walk``, the items of the last walk the kernel
+    stepped from the head item by item; ``walk_edges``, the edges it
+    followed, in order; ``walk_end``, the state it ended on (the head's,
+    for a walk back to it); and ``walk_closes``, whether it passed the core
+    tail, closing the traversal the landing opened.  ``hits`` counts the
+    walks stepped in one go along the memo since the last ``flush``, and
+    ``misses`` the head's fruitless landings in a row.  Completions, the
+    dynamic count (the executions of the recorded and expansion states)
+    and the head and tail executions are complete once the hits are
+    flushed (``Automaton.all_region_stats``).
     """
 
     __slots__ = ("rid", "entry_state", "states", "core_tail_state",
-                 "expansion_states", "entry_address", "entries_interp",
-                 "entries_native", "completions", "walk", "walk_edges",
-                 "walk_end", "walk_closes", "hits", "misses")
+                 "expansion_states", "entry_address", "completions", "walk",
+                 "walk_edges", "walk_end", "walk_closes", "hits", "misses")
 
     def __init__(self, rid: int, entry_state: int, states: list[int],
                  core_tail_state: int, expansion_states: list[int],
@@ -131,8 +140,6 @@ class Region:
         self.core_tail_state = core_tail_state
         self.expansion_states = expansion_states
         self.entry_address = entry_address
-        self.entries_interp = 0
-        self.entries_native = 0
         self.completions = 0
         # no memo yet: a walk no item matches
         self.walk: list = [None]
@@ -189,9 +196,10 @@ class Automaton:
         self._addr: list[int] = [0]
         self._size: list[int] = [0]
         self._owner: list[int] = [-1]
-        # 1 on a region's head, 2 on its core tail, 3 on a state that is both,
-        # 5 on a chain head: the head of a region long enough to try stepping
-        # its memo's walk at once (1 once the head is given up)
+        # 1 on a region's head, 2 on its core tail, 5 on a chain head: the
+        # head of a region long enough to try stepping its memo's walk at
+        # once (1 once the head is given up); none in a region with one
+        # recorded state, whose completions are its head executions
         self._mark: list[int] = [0]
         self._edges: list[dict[int, list[int]]] = [{}]
         self._addr_index: dict[int, list[int]] = {}
@@ -202,21 +210,32 @@ class Automaton:
         # a traversal of the current region is open; leaving the region ends it
         self._traversing = False
         self.interp = 0
-        self.region_transitions = 0
 
     # -- introspection ------------------------------------------------
 
-    def _executions(self) -> list[int]:
-        """Executions per state id, summed from the edges in one pass once
-        every memo's hits are flushed into them."""
+    def _executions(self) -> tuple[list[int], list[int], list[int]]:
+        """Executions per state id, and each region's entries from the
+        interpreter and from native code, summed from the edges in one pass
+        once every memo's hits are flushed into them."""
         for r in self._regions:
             r.flush()
-        ex = [0] * len(self._addr)
-        for edges in self._edges:
+        owner = self._owner
+        ex = [0] * len(owner)
+        from_interp = [0] * len(self._regions)
+        from_native = [0] * len(self._regions)
+        for o, edges in zip(owner, self._edges):
             for t, c in edges.values():
                 ex[t] += c
+                if owner[t] != o:
+                    (from_native if o >= 0 else from_interp)[owner[t]] += c
         ex[NTE_STATE] = self.interp
-        return ex
+        return ex, from_interp, from_native
+
+    @property
+    def region_transitions(self) -> int:
+        """Items that moved from one region's state to another region's: the
+        region entries from native code."""
+        return sum(self._executions()[2])
 
     @property
     def held(self) -> Mapping[int, list[int]]:
@@ -278,8 +297,9 @@ class Automaton:
         ``prev`` ``math.inf``, so that the scan makes that bump and starts
         a recording.  Either way the counts are those the scan would keep.
 
-        Per native item it counts the edge traversal, region changes and
-        completions only; executions are derived from edge counts.  On
+        Per native item it counts only the edge traversal and, in a region
+        with two or more recorded states, a completion; executions, entries
+        and transitions are derived from edge counts.  On
         landing at a chain head (mark 5), when the memo's walk fits before
         ``end``, it compares the next items with the walk in one slice
         comparison.  On a hit it books one ``Region.hits`` and moves to the
@@ -303,7 +323,7 @@ class Automaton:
         The name and the argument order predate the interpreter side; the
         benchmark harness still wraps the kernel under this name.
         """
-        self.interp += h - i
+        interp = self.interp + h - i
         i = h
         edges_l = self._edges
         owner_l = self._owner
@@ -319,7 +339,6 @@ class Automaton:
         # head, or -1
         ws = -1
         wr = None
-        transitions = 0
         left = False
         it = iter(addrs)
         it.__setstate__(i)
@@ -345,9 +364,8 @@ class Automaton:
                 cands = index.get(a)
                 if cands is None:
                     # rule 3: interpreter fallback, no edge materialised
-                    self.interp += 1
+                    interp += 1
                     if cur_owner >= 0:
-                        traversing = False
                         tid = NTE_STATE
                         cur_edges = edges_l[0]
                         cur_owner = -1
@@ -361,13 +379,8 @@ class Automaton:
             own = owner_l[tid]
             if own != cur_owner:
                 r = regions[own]
-                if cur_owner < 0:
-                    r.entries_interp += 1
-                else:
-                    transitions += 1
-                    traversing = False
-                    r.entries_native += 1
                 cur_owner = own
+                traversing = False
             m = mark_l[tid]
             if m:
                 if m == 1:
@@ -411,7 +424,7 @@ class Automaton:
                         break
                     if i > at:
                         it.__setstate__(i)
-                elif traversing or m == 3:
+                elif traversing:
                     r.completions += 1
                     traversing = False
             cur_edges = edges_l[tid]
@@ -422,7 +435,7 @@ class Automaton:
         self._cur_edges = cur_edges
         self._cur_owner = cur_owner
         self._traversing = traversing
-        self.region_transitions += transitions
+        self.interp = interp
         return i, math.inf if left else addrs[i - 1]
 
     def _keep(self, r: Region, addrs: Sequence[int], ws: int, we: int) -> None:
@@ -500,14 +513,15 @@ class Automaton:
         self._size.extend(s for _, s in items)
         self._owner.extend([rid] * len(items))
         self._mark.extend([0] * len(items))
+        if len(recorded) > 1:
+            self._mark[base] = 5 if len(recorded) > CHAIN_MIN_PATH else 1
+            self._mark[tail - 1] = 2
         self._edges.extend(new_edges)
         region = Region(rid=rid, entry_state=base, states=list(range(base, tail)),
                         core_tail_state=tail - 1,
                         expansion_states=list(range(tail, len(addr_l))),
                         entry_address=recorded[0][0])
         self._regions.append(region)
-        self._mark[base] = 5 if len(recorded) > CHAIN_MIN_PATH else 1
-        self._mark[tail - 1] |= 2
         index = self._addr_index
         for sid in range(base, len(addr_l)):
             index.setdefault(addr_l[sid], []).append(sid)
@@ -515,21 +529,23 @@ class Automaton:
 
     # -- reporting --------------------------------------------------------
 
-    def _stats(self, r: Region, ex: list[int]) -> RegionStats:
+    def _stats(self, r: Region, ex: list[int], from_interp: list[int],
+               from_native: list[int]) -> RegionStats:
+        head = ex[r.entry_state]
         return RegionStats(
             rid=r.rid, entry_address=r.entry_address,
             static_size=r.static_size, recorded_size=len(r.states),
             expansion_size=len(r.expansion_states),
-            entries_from_interpreter=r.entries_interp,
-            entries_from_native=r.entries_native,
+            entries_from_interpreter=from_interp[r.rid],
+            entries_from_native=from_native[r.rid],
             dynamic_instructions=sum(ex[sid] for sid in r.states)
             + sum(ex[sid] for sid in r.expansion_states),
-            head_executions=ex[r.entry_state], tail_executions=ex[r.core_tail_state],
-            completed_traversals=r.completions)
+            head_executions=head, tail_executions=ex[r.core_tail_state],
+            completed_traversals=head if len(r.states) == 1 else r.completions)
 
     def all_region_stats(self) -> list[RegionStats]:
-        ex = self._executions()
-        return [self._stats(r, ex) for r in self._regions]
+        tally = self._executions()
+        return [self._stats(r, *tally) for r in self._regions]
 
     def dump(self) -> dict:
         """Deterministic structure of all states, owners, edges and counters.
@@ -537,7 +553,8 @@ class Automaton:
         Suitable for golden-file comparisons: state ids ascend, edges are
         sorted by key address.
         """
-        ex = self._executions()
+        tally = self._executions()
+        ex = tally[0]
         states = []
         for sid in range(len(self._addr)):
             edges = [[a, t, c] for a, (t, c) in sorted(self._edges[sid].items())]
@@ -551,7 +568,7 @@ class Automaton:
             })
         regions = []
         for r in self._regions:
-            st = self._stats(r, ex)
+            st = self._stats(r, *tally)
             regions.append({
                 "id": r.rid,
                 "entry_address": r.entry_address,
@@ -559,18 +576,18 @@ class Automaton:
                 "core_tail_state": r.core_tail_state,
                 "recorded_states": list(r.states),
                 "expansion_states": list(r.expansion_states),
-                "entries_from_interpreter": r.entries_interp,
-                "entries_from_native": r.entries_native,
+                "entries_from_interpreter": st.entries_from_interpreter,
+                "entries_from_native": st.entries_from_native,
                 "dynamic_instructions": st.dynamic_instructions,
                 "head_executions": st.head_executions,
                 "tail_executions": st.tail_executions,
-                "completed_traversals": r.completions,
+                "completed_traversals": st.completed_traversals,
             })
         return {
             "total_instructions": sum(ex),
             "interpreted_instructions": self.interp,
             "native_instructions": sum(ex) - self.interp,
-            "region_transitions": self.region_transitions,
+            "region_transitions": sum(tally[2]),
             "states": states,
             "regions": regions,
         }

@@ -33,7 +33,7 @@ from .metrics import (COST_COLUMNS, REPORT_COLUMNS, CostParams, cost_json_dict,
 from .rft import (DEFAULT_EXPANSION_DEPTH, DEFAULT_HISTORY_CAPACITY,
                   DEFAULT_MAX_REGION_SIZE, DEFAULT_THRESHOLD, TECHNIQUES, RFTConfig)
 from .trace_io import (FORMATS, TraceFile, TraceFormatError, TraceSpecError,
-                       generate_trace, load_text, parse_program_spec, write_trace)
+                       generate_trace, load_program_spec, load_text, write_trace)
 
 CONFIG_COLUMNS = ("technique", "threshold", "max_region_size",
                   "expansion_depth", "history_capacity")
@@ -372,9 +372,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_gen_trace(args) -> int:
-    with open(args.spec, "r", encoding="utf-8") as fh:
-        spec = parse_program_spec(fh.read())
-    trace = generate_trace(spec)
+    trace = generate_trace(load_program_spec(args.spec))
     write_trace(args.out, trace, args.trace_format)
     print(f"rftsim: wrote {len(trace)} items to {args.out}", file=sys.stderr)
     return 0

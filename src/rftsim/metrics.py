@@ -135,7 +135,7 @@ def compute_report(automaton: Automaton, cold_threshold: int = 1024) -> MetricsR
         native_instructions=native,
         num_regions=num_regions,
         coverage=(native / total) if total else 0.0,
-        num_transitions=automaton.region_transitions,
+        num_transitions=sum(r.entries_from_native for r in stats),
         hot_static_size=hot_static,
         avg_static_region_size=avg_static,
         avg_dynamic_region_size=avg_dynamic,

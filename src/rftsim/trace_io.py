@@ -279,8 +279,14 @@ def load_binary(path: Union[str, Path]) -> Trace:
 
 def load_text(path: Union[str, Path]) -> Trace:
     addrs, sizes = array("Q"), array("I")
-    with open(path, "r", encoding="ascii") as fh:
+    # each byte above 0x7f reads as one lone surrogate, so a line that is
+    # not ASCII is refused with its number rather than by the decoder
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
+            if not line.isascii():
+                col, ch = next((k, ch) for k, ch in enumerate(line, start=1) if not ch.isascii())
+                raise TraceFormatError(f"{path}:{lineno}: byte {ord(ch) - 0xDC00:#04x} "
+                                       f"at column {col} is not ASCII")
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
@@ -534,6 +540,18 @@ def _loop_from_dict(d: dict, path: str) -> LoopSpec:
         raise TraceSpecError(f"{path}: missing field {exc}") from None
     except TypeError as exc:
         raise TraceSpecError(f"{path}: {exc}") from None
+
+
+def load_program_spec(path: Union[str, Path]) -> ProgramSpec:
+    """Read a JSON program-spec file and parse it (``parse_program_spec``);
+    a file that is not UTF-8 text raises ``TraceSpecError`` naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise TraceSpecError(f"{path}: byte {exc.object[exc.start]:#04x} at offset "
+                             f"{exc.start} is not UTF-8 text") from None
+    return parse_program_spec(text)
 
 
 def parse_program_spec(text: str) -> ProgramSpec:

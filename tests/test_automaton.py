@@ -246,7 +246,10 @@ def test_region_stats_fresh_region_zeroed():
 
 # --- invariants -------------------------------------------------------------
 
-def _check_invariants(auto):
+def _check_invariants(auto, recordings, seq):
+    """Check ``auto``'s dump after ``seq`` was stepped through it with
+    ``recordings`` installed: its own identities, and equality with the
+    literal model, which counts entries and transitions as they happen."""
     dump = auto.dump()
     native = dump["native_instructions"]
     assert auto.interp + native == dump["total_instructions"]
@@ -270,17 +273,72 @@ def _check_invariants(auto):
     indexed = [sid for addr in {s["address"] for s in dump["states"][1:]}
                for sid in auto.held[addr]]
     assert sorted(indexed) == [s["id"] for s in dump["states"][1:]]
+    model = LiteralAutomaton()
+    for recording in recordings:
+        model.append(recording)
+    for a in seq:
+        model.step(a)
+    assert dump == model.dump()
+    assert auto.region_transitions == model.transitions
 
 
 def test_invariants_after_random_walk():
     rng = random.Random(7)
     auto = Automaton()
     addrs = [0x100 + 4 * i for i in range(12)]
-    auto.append_region([(addrs[0], 4), (addrs[1], 4)])
-    auto.append_region([(addrs[2], 4), (addrs[3], 4), (addrs[4], 4)])
-    auto.append_region([(addrs[1], 4)])
-    drive(auto, [rng.choice(addrs + [0x900, 0x904]) for _ in range(3000)])
-    _check_invariants(auto)
+    recordings = [[(addrs[0], 4), (addrs[1], 4)],
+                  [(addrs[2], 4), (addrs[3], 4), (addrs[4], 4)],
+                  [(addrs[1], 4)]]
+    for recording in recordings:
+        auto.append_region(recording)
+    seq = [rng.choice(addrs + [0x900, 0x904]) for _ in range(3000)]
+    drive(auto, seq)
+    _check_invariants(auto, recordings, seq)
+
+
+def test_entries_transitions_and_completions_by_hand():
+    """Each way of entering a region and each kind of completion, counted
+    by hand.  The automaton derives entries, transitions and the
+    completions of a one-state region from its edge counts; the literal
+    model counts them as they happen."""
+    P, Q, R, S, T, U, V, W, Z = (0x500 + 4 * k for k in range(9))
+    recordings = [([P, Q, R], [], None),            # region 0: three states
+                  ([S, T], [], None),               # region 1: two states
+                  ([U], [], None),                  # region 2: one state
+                  ([V], [W], {V: [W], W: [V]})]     # region 3: one state, one expansion state
+    seq = [Z,          # the interpreter
+           P, Q,       # an entry into 0 from the interpreter; the first window ends here
+           R,          # ... and 0's tail completes the traversal the window cut
+           S, T,       # a native move from 0 to 1, completing 1
+           Z,          # back to the interpreter
+           Q, R,       # an entry into the middle of 0: its tail, but no traversal
+           U, U,       # a move from 0 to 2, which completes at each execution of U
+           V, W, V,    # a move from 2 to 3, which completes at each execution of V
+           Z, V,       # an entry into 3 from the interpreter
+           P, Q]       # a move from 3 to 0; the run ends inside that traversal
+    auto, model = Automaton(), LiteralAutomaton()
+    for rec, members, successors in recordings:
+        region = ([(a, 4) for a in rec], [(a, 4) for a in members], successors)
+        auto.append_region(*region)
+        model.append(*region)
+
+    def counts():
+        """Per region (entries from the interpreter, entries from native
+        code, completions, head executions), and the transitions."""
+        return ([(r.entries_from_interpreter, r.entries_from_native,
+                  r.completed_traversals, r.head_executions)
+                 for r in auto.all_region_stats()], auto.region_transitions)
+
+    expected = [([(1, 0, 0, 1), (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0)], 0),
+                ([(2, 1, 1, 2), (0, 1, 1, 1), (0, 1, 2, 2), (1, 1, 3, 3)], 4)]
+    for window, hand in zip((seq[:3], seq[3:]), expected):
+        drive(auto, window)
+        for a in window:
+            model.step(a)
+        assert counts() == hand
+        assert auto.dump() == model.dump()
+    # region 0's head and tail are marked; the one-state regions' states are not
+    assert [auto._mark[sid] for sid in (1, 3, 6, 7)] == [1, 2, 0, 0]
 
 
 def test_replay_deterministic():

@@ -145,6 +145,15 @@ def test_simulate_text_size_beyond_u32_data_error(capsys, tmp_path):
     assert ":3: instruction size 4294967296 outside [1, 2**32)" in err
 
 
+def test_simulate_binary_trace_read_as_text_data_error(capsys, tmp_path):
+    path = tmp_path / "t.rtr"
+    write_trace(path, Trace([0xF0], [4]))
+    code, _, err = run_cli(capsys, "simulate", "--trace", str(path),
+                           "--trace-format", "text", "--rft", "net")
+    assert code == 2
+    assert f"{path}:1: byte 0xf0 at column 17 is not ASCII" in err
+
+
 # --- sweep --------------------------------------------------------------------
 
 def test_sweep_cartesian_rows(capsys, loop_trace):
@@ -329,6 +338,16 @@ def test_gen_trace_negative_base_rejected(capsys, tmp_path):
                            "--out", str(tmp_path / "x.rtr"))
     assert code == 2
     assert "outside" in err
+
+
+def test_gen_trace_spec_not_utf8_data_error(capsys, tmp_path):
+    spec_path = tmp_path / "prog.json"
+    spec_path.write_bytes(b'{"loops": [{"base": "0x100", "body": 2, "iters": 1}]}\xf0')
+    out_path = tmp_path / "x.rtr"
+    code, _, err = run_cli(capsys, "gen-trace", "--spec", str(spec_path), "--out", str(out_path))
+    assert code == 2
+    assert f"{spec_path}: byte 0xf0 at offset 53 is not UTF-8 text" in err
+    assert not out_path.exists()
 
 
 # --- dump --------------------------------------------------------------------------

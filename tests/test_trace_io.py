@@ -84,6 +84,24 @@ def test_text_bad_line(tmp_path):
         load_trace(path, "text")
 
 
+def test_text_non_ascii_byte_rejected_with_its_line(tmp_path):
+    # a comment line is refused too: a text trace is ASCII throughout
+    path = tmp_path / "t.txt"
+    path.write_bytes(b"100 4\n# caf\xc3\xa9\n104 4\n")
+    message = f"{path}:2: byte 0xc3 at column 6 is not ASCII"
+    with pytest.raises(TraceFormatError, match=f"^{re.escape(message)}$"):
+        load_trace(path, "text")
+
+
+def test_binary_trace_read_as_text_is_a_format_error(tmp_path):
+    path = tmp_path / "t.rtr"
+    write_trace(path, as_trace([(0xF0, 4)]))
+    # the header holds no newline, so the record's first byte is column 17
+    message = f"{path}:1: byte 0xf0 at column 17 is not ASCII"
+    with pytest.raises(TraceFormatError, match=f"^{re.escape(message)}$"):
+        load_trace(path, "text")
+
+
 def test_text_size_beyond_u32_rejected(tmp_path):
     path = tmp_path / "t.txt"
     path.write_text("100 4\n104 4294967295\n108 4294967296\n")
@@ -714,6 +732,21 @@ def test_parse_program_spec_rejects_non_integer_numbers(loop, message):
 def test_parse_program_spec_without_loops_list_rejected(text):
     with pytest.raises(TraceSpecError, match="^top-level object must contain a 'loops' list$"):
         parse_program_spec(text)
+
+
+def test_load_program_spec_reads_a_file(tmp_path):
+    path = tmp_path / "prog.json"
+    path.write_text('{"loops": [{"base": "0x100", "body": 2, "iters": 1}]}', encoding="utf-8")
+    spec = ProgramSpec((LoopSpec(base=0x100, body=2, iters=1),))
+    assert trace_io.load_program_spec(path) == spec
+
+
+def test_load_program_spec_not_utf8_rejected(tmp_path):
+    path = tmp_path / "prog.json"
+    path.write_bytes(b'{"loops": [{"base": "0x100", "body": 2, "iters": 1}]} \xff\n')
+    message = f"{path}: byte 0xff at offset 54 is not UTF-8 text"
+    with pytest.raises(TraceSpecError, match=f"^{re.escape(message)}$"):
+        trace_io.load_program_spec(path)
 
 
 @pytest.mark.parametrize("base", ['"256"', '"0x256"', '"0X256"', "598"])
