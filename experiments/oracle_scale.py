@@ -1,10 +1,15 @@
 """The engine against the naive per-item reference loop at benchmark scale.
 
-For each of the benchmark's three workloads (``bench/workloads.py``),
-each of the six techniques and thresholds 64 and 1024, this runs the
-engine and ``naive_run`` of ``tests/conftest.py`` over the same trace and
-compares their automaton dumps: 36 configs.  It prints one line per
-config and exits 1 if any dump differs.
+For each of the benchmark's three workloads (``bench/workloads.py``) and
+two traces derived from graph-walk, each of the six techniques and
+thresholds 64 and 1024, this runs the engine and ``naive_run`` of
+``tests/conftest.py`` over the same trace and compares their automaton
+dumps: 60 configs.  The derived traces take the engine's other address
+ids: ``many-addresses`` runs 70,000 fresh addresses once each below
+graph-walk's, so its ids are u32 and graph-walk's above 65,535, and
+``wide-span`` moves each address ``a`` to ``a << 24``, a span wider than
+the dense lookup's, so its ids come from the binary search.  It prints
+one line per config and exits 1 if any dump differs.
 
     python experiments/oracle_scale.py               # full size, seed 1
     python experiments/oracle_scale.py --items 5000  # each trace's prefix
@@ -19,6 +24,8 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "bench")]
 
@@ -28,6 +35,8 @@ from rftsim.rft import TECHNIQUES  # noqa: E402
 from workloads import DEFAULT_SEED, WORKLOADS  # noqa: E402
 
 THRESHOLDS = (64, 1024)
+# addresses run once each before graph-walk's in the many-addresses trace
+FRESH = 70_000
 
 
 def main(argv=None) -> int:
@@ -36,10 +45,18 @@ def main(argv=None) -> int:
                         help="compare on each trace's first ITEMS items")
     args = parser.parse_args(argv)
     differing = 0
+    traces = {}
     for name, workload in WORKLOADS.items():
         trace = workload.generate(DEFAULT_SEED, workload.items)
         if args.items is not None:
             trace = Trace(trace.addresses[:args.items], trace.sizes[:args.items])
+        traces[name] = trace
+    walk = traces["graph-walk"]
+    fresh = np.arange(0, 4 * FRESH, 4, dtype=np.uint64)
+    traces["many-addresses"] = Trace(np.concatenate([fresh, walk.addresses + np.uint64(4 * FRESH)]),
+                                     np.concatenate([np.full(FRESH, 4), walk.sizes]))
+    traces["wide-span"] = Trace(walk.addresses << np.uint64(24), walk.sizes)
+    for name, trace in traces.items():
         for threshold in THRESHOLDS:
             for technique in TECHNIQUES:
                 config = SimulationConfig(rft=RFTConfig(technique, threshold=threshold),
@@ -48,7 +65,7 @@ def main(argv=None) -> int:
                 differing += not same
                 print(f"{name} {technique} threshold {threshold} {len(trace)} items: "
                       f"{'same' if same else 'DIFFERS'}", flush=True)
-    print(f"{differing} of {len(WORKLOADS) * len(THRESHOLDS) * len(TECHNIQUES)} dumps differ")
+    print(f"{differing} of {len(traces) * len(THRESHOLDS) * len(TECHNIQUES)} dumps differ")
     return 1 if differing else 0
 
 

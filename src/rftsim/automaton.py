@@ -20,6 +20,13 @@ The same guest address may be materialised in several regions (code
 duplication); rule 2 always prefers the earliest-created region,
 mirroring an address map that keeps its first translation.
 
+The automaton works on address ids, not on addresses: ``bind(table)``
+gives it the sorted table of the trace's distinct addresses, and an id is
+an address's index in it (``Trace.table()``).  Ids keep the addresses'
+order, so comparing ids decides backward branches as comparing addresses
+would, and the address index is an array by id.  Addresses come back only
+in ``RegionStats.entry_address``, in ``dump()`` and in error messages.
+
 Edges only key addresses that some region state holds, so an item runs
 natively exactly when its address is held (``Automaton.held``).  A run of
 interpreter-side items therefore ends at its first held address, and the
@@ -66,14 +73,14 @@ at report time (``Automaton._executions``):
   ``interp`` plus that.
 
 Items are not classified by transition kind.  A kernel call ends on an
-item that falls back to the interpreter, and it returns the address the
-next item is compared with for a backward branch: that item's own, or
+item that falls back to the interpreter, and it returns the id the next
+item is compared with for a backward branch: that item's own, or
 ``math.inf`` when it was a landing that left a region, so that a region
 manager, which profiles backward branches taken interpreter-side, also
 profiles every region-exit target whatever its address.  The kernel is
 the only place that encodes that rule.  The item need not be the call's
-first fallback: an idle manager may hand the kernel the dict in which it
-counts region-exit targets, and its threshold.  When the item after a
+first fallback: an idle manager may hand the kernel the array in which
+it counts region-exit targets, and its threshold.  When the item after a
 landing that leaves a region is held, and so enters a region at once,
 the kernel then bumps its count and steps on, unless the count reaches
 the threshold.
@@ -83,6 +90,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from array import array
 from itertools import chain
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -187,12 +195,14 @@ class RegionStats:
 class Automaton:
     """The region automaton plus its global execution counters.
 
-    Mutated by exactly one simulation; never shared while running.
+    Mutated by exactly one simulation; never shared while running.  A new
+    automaton has an empty table: the engine binds it to its trace's table
+    (``bind``) before it steps an item or installs a region.
     """
 
     def __init__(self):
-        # State id 0 is the interpreter (no-region) state; its address and
-        # size slots are unused.
+        # State id 0 is the interpreter (no-region) state; its address id
+        # and size slots are unused.
         self._addr: list[int] = [0]
         self._size: list[int] = [0]
         self._owner: list[int] = [-1]
@@ -202,14 +212,21 @@ class Automaton:
         # recorded state, whose completions are its head executions
         self._mark: list[int] = [0]
         self._edges: list[dict[int, list[int]]] = [{}]
-        self._addr_index: dict[int, list[int]] = {}
         self._regions: list[Region] = []
+        self.bind(())
         self._cur = NTE_STATE
         self._cur_edges = self._edges[0]
         self._cur_owner = -1
         # a traversal of the current region is open; leaving the region ends it
         self._traversing = False
         self.interp = 0
+
+    def bind(self, table: Sequence[int]) -> None:
+        """Number addresses by ``table``, the sorted distinct addresses of
+        the trace to replay (``Trace.table()``): an id is an index into it.
+        Call it before the first region is appended."""
+        self._table = table
+        self._first = array("I", [0]) * len(table)
 
     # -- introspection ------------------------------------------------
 
@@ -238,15 +255,16 @@ class Automaton:
         return sum(self._executions()[2])
 
     @property
-    def held(self) -> Mapping[int, list[int]]:
-        """The address index: each address some region state holds, mapped
-        to those state ids in owning-region creation order.  Read-only.
+    def held(self) -> array:
+        """The address index: per id, the first state of the earliest-created
+        region that holds it, or 0 (the interpreter state) if no region
+        does.  Read-only; numpy reads it in place.
 
         An item whose address is not held falls back to the interpreter
         (rule 3), so a region manager scanning an interpreter-side run
         stops at the first held address: that item enters a region.
         """
-        return self._addr_index
+        return self._first
 
     @property
     def in_region(self) -> bool:
@@ -284,11 +302,13 @@ class Automaton:
         scan compares item ``next_i`` with for a backward branch:
         ``math.inf`` when the call stopped at a landing that left a region,
         whose follower is profiled whatever its address, and otherwise
-        ``addrs[next_i - 1]``, the last item the call consumed.
+        ``addrs[next_i - 1]``, the id of the last item the call consumed;
+        ``math.inf`` exceeds every id, as it did every address.
 
         ``exit_counts``, when not None, is the manager's hotness counter
-        dict for the items that follow region exits (``RegionManager``'s
-        ``exit_counts``), and ``threshold`` its threshold.  After a landing
+        array, by id, for the items that follow region exits
+        (``RegionManager``'s ``exit_counts``), and ``threshold`` its
+        threshold.  After a landing
         that leaves a region, when the follower exists before ``end`` and
         is held, the kernel bumps the follower's count as it reads it:
         below the threshold it stores the count and steps on from the
@@ -315,10 +335,10 @@ class Automaton:
         call steps on item by item, and a walk it steps from a head up to
         ``end`` without leaving the region is not kept, so a chunk's end
         cuts no memo short.
-        ``addrs`` is a list of ints or, from the engine, a chunk's
-        ``Trace._items``: one iterator reads it, moved past each walk stepped
-        in one go, and a memo's walk is a slice of it, so like is compared
-        with like.
+        ``addrs`` holds the items' ids: a list of ints or, from the engine,
+        a chunk's ``Trace._ids``, an ``array`` of u8, u16 or u32: one
+        iterator reads it, moved past each walk stepped in one go, and a
+        memo's walk is a slice of it, so like is compared with like.
         ``sizes`` is unused: states keep the size they were recorded with.
         The name and the argument order predate the interpreter side; the
         benchmark harness still wraps the kernel under this name.
@@ -329,7 +349,7 @@ class Automaton:
         owner_l = self._owner
         mark_l = self._mark
         regions = self._regions
-        index = self._addr_index
+        first = self._first
         cur_edges = self._cur_edges
         cur_owner = self._cur_owner
         r = regions[cur_owner] if cur_owner >= 0 else None
@@ -349,7 +369,7 @@ class Automaton:
             if left:
                 # an exit's follower entering a region at once: count it
                 # as the manager's scan would unless it gets hot, else stop
-                c = exit_counts.get(a, 0) + 1 if a in index else threshold
+                c = exit_counts[a] + 1 if first[a] else threshold
                 if c >= threshold:
                     i -= 1
                     break
@@ -361,12 +381,11 @@ class Automaton:
                 e[1] += 1
                 tid = e[0]
             else:
-                cands = index.get(a)
-                if cands is None:
+                tid = first[a]
+                if not tid:
                     # rule 3: interpreter fallback, no edge materialised
                     interp += 1
                     if cur_owner >= 0:
-                        tid = NTE_STATE
                         cur_edges = edges_l[0]
                         cur_owner = -1
                         left = True
@@ -374,7 +393,6 @@ class Automaton:
                             continue
                     break
                 # rule 2: an edge to the earliest-created region's state
-                tid = cands[0]
                 cur_edges[a] = [tid, 1]
             own = owner_l[tid]
             if own != cur_owner:
@@ -474,17 +492,17 @@ class Automaton:
                       ) -> int:
         """Install a finished recording as a new region; returns its id.
 
-        ``recorded`` is the linear recording, in order, as (address, size)
-        pairs; consecutive recorded states are wired with fresh edges.
-        ``expansion`` lists additional (address, size) pairs, disjoint from
-        the recorded addresses, wired according to ``expansion_successors``
-        (address -> successor addresses, all within this region).  The
-        cursor does not move.
+        ``recorded`` is the linear recording, in order, as (address id,
+        size) pairs; consecutive recorded states are wired with fresh
+        edges.  ``expansion`` lists additional (id, size) pairs, disjoint
+        from the recorded ids, wired according to ``expansion_successors``
+        (id -> successor ids, all within this region).  The cursor does not
+        move.  A rejected region raises ``ValueError`` naming the address.
         """
         if not recorded:
             raise ValueError("empty recording")
         rid = len(self._regions)
-        addr_l = self._addr
+        addr_l, table = self._addr, self._table
         base = len(addr_l)
         tail = base + len(recorded)  # the first expansion state's id
         items = list(chain(recorded, expansion))
@@ -495,19 +513,21 @@ class Automaton:
             if a not in by_addr:
                 by_addr[a] = sid
             elif sid >= tail:
-                raise ValueError(f"expansion address {a:#x} duplicates the recording"
-                                 if by_addr[a] < tail else f"duplicate expansion address {a:#x}")
+                raise ValueError(f"expansion address {table[a]:#x} duplicates the recording"
+                                 if by_addr[a] < tail else
+                                 f"duplicate expansion address {table[a]:#x}")
         new_edges: list[dict[int, list[int]]] = [{} for _ in items]
         for k in range(len(recorded) - 1):
             new_edges[k].setdefault(items[k + 1][0], [base + k + 1, 0])
         if expansion and expansion_successors:
-            for src_addr, targets in expansion_successors.items():
-                if src_addr not in by_addr:
-                    raise ValueError(f"expansion successor source {src_addr:#x} not in region")
-                edges = new_edges[by_addr[src_addr] - base]
+            for u, targets in expansion_successors.items():
+                if u not in by_addr:
+                    raise ValueError(f"expansion successor source {table[u]:#x} not in region")
+                edges = new_edges[by_addr[u] - base]
                 for t in targets:
                     if t not in by_addr:
-                        raise ValueError(f"expansion successor target {t:#x} not in region")
+                        raise ValueError(f"expansion successor target {table[t]:#x} "
+                                         "not in region")
                     edges.setdefault(t, [by_addr[t], 0])
         addr_l.extend(a for a, _ in items)
         self._size.extend(s for _, s in items)
@@ -520,11 +540,11 @@ class Automaton:
         region = Region(rid=rid, entry_state=base, states=list(range(base, tail)),
                         core_tail_state=tail - 1,
                         expansion_states=list(range(tail, len(addr_l))),
-                        entry_address=recorded[0][0])
+                        entry_address=int(table[recorded[0][0]]))
         self._regions.append(region)
-        index = self._addr_index
+        first = self._first
         for sid in range(base, len(addr_l)):
-            index.setdefault(addr_l[sid], []).append(sid)
+            first[addr_l[sid]] = first[addr_l[sid]] or sid
         return rid
 
     # -- reporting --------------------------------------------------------
@@ -551,16 +571,17 @@ class Automaton:
         """Deterministic structure of all states, owners, edges and counters.
 
         Suitable for golden-file comparisons: state ids ascend, edges are
-        sorted by key address.
+        sorted by key address, each id mapped back to its address.
         """
         tally = self._executions()
         ex = tally[0]
+        table = self._table
         states = []
         for sid in range(len(self._addr)):
-            edges = [[a, t, c] for a, (t, c) in sorted(self._edges[sid].items())]
+            edges = [[int(table[a]), t, c] for a, (t, c) in sorted(self._edges[sid].items())]
             states.append({
                 "id": sid,
-                "address": None if sid == NTE_STATE else self._addr[sid],
+                "address": None if sid == NTE_STATE else int(table[self._addr[sid]]),
                 "size": None if sid == NTE_STATE else self._size[sid],
                 "region": None if self._owner[sid] < 0 else self._owner[sid],
                 "executions": ex[sid],

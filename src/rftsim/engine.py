@@ -29,13 +29,20 @@ never the counts: a scan or a numpy pass that reaches a chunk's end stops
 there, and a chain head's memo walk that would run past it is stepped
 item by item.
 
+The engine, the managers and the automaton work on address ids, not on
+addresses: before the first item, the engine binds the automaton to the
+source's sorted table of distinct addresses (``table()``), which a trace
+in memory builds at its first simulation, with its id column, and a
+``TraceFile`` at ``validate()``, mapping each chunk it reads.  An id is
+an address's rank in the table, so ids keep the addresses' order.
+
 Every technique's ``scan`` is one driver, ``RegionManager.scan``, which
-steps items one by one in Python, reading the ``array("Q")`` that holds
-the trace's addresses, as the kernel does, and leaves what a technique
-does with an item to its hooks.  Once a scan of an idle manager (no
-formation in flight; ``lei`` is always idle) has taken ``rft._HANDOFF``
-items, the rest of the run goes to the manager's numpy pass over slices
-of the u64 column.  The pass reads chunks that start at that length and
+steps items one by one in Python, reading the ``array`` that holds the
+chunk's ids, as the kernel does, and leaves what a technique does with
+an item to its hooks.  Once a scan of an idle manager (no formation in
+flight; ``lei`` is always idle) has taken ``rft._HANDOFF`` items, the
+rest of the run goes to the manager's numpy pass over slices of the id
+column.  The pass reads chunks that start at that length and
 double up to ``rft._FLOW_CHUNK``, and stops at the first item the scan
 must see itself, with everything before it applied.  So a long cold or
 noisy run costs a few numpy passes, not one Python step per item, while
@@ -112,11 +119,12 @@ def _run_items(automaton: Automaton, manager, source: Trace | TraceFile, start: 
     scan = manager.scan
     append = automaton.append_region
     advance = automaton.run_native_stretch
+    automaton.bind(source.table())
     manager.begin(source, start, end, automaton.held)
     i, prev = start, -1
     for base, chunk in source.chunks(start, end):
         manager.attach(chunk, base)
-        addrs, sizes = chunk._items, chunk.sizes
+        addrs, sizes = chunk._ids, chunk.sizes
         i -= base
         stop = min(len(chunk), end - base)
         if i < stop and automaton.in_region:
@@ -148,8 +156,8 @@ def _check_invariants(report: MetricsReport, items: int) -> None:
 
 def run_simulation(trace: Trace | TraceFile, config: SimulationConfig) -> SimulationResult:
     """Replay one trace window through one technique; deterministic.  A
-    ``TraceFile`` is read in chunks, and raises ``TraceFormatError`` at
-    the first bad record the window reaches."""
+    ``TraceFile`` is read in chunks; one not yet validated is validated
+    first, whole, and raises ``TraceFormatError`` at its first bad record."""
     automaton = Automaton()
     manager = make_rft(config.rft)
     n = len(trace)

@@ -13,8 +13,10 @@ downstream tooling never has to guess it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence, Union
+
+import numpy as np
 
 from .automaton import Automaton, RegionStats
 
@@ -116,18 +118,14 @@ def compute_report(automaton: Automaton, cold_threshold: int = 1024) -> MetricsR
     total = interp + native
     num_regions = len(stats)
     hot_static = sum(r.static_size for r in stats)
-    if num_regions:
-        avg_static: Optional[float] = hot_static / num_regions
-        avg_dynamic: Optional[float] = sum(
-            (r.dynamic_instructions / r.entries) if r.entries else 0.0
-            for r in stats) / num_regions
-    else:
-        avg_static = None
-        avg_dynamic = None
+    avg_static = hot_static / num_regions if num_regions else None
+    # a region never entered adds 0.0 to the sum, which changes no bit of it
+    avg_dynamic = (sum(r.dynamic_instructions / r.entries for r in stats if r.entries)
+                   / num_regions if num_regions else None)
     heads = sum(r.head_executions for r in stats)
     completed = sum(r.completed_traversals for r in stats)
-    # the address index keys every address some region state holds
-    distinct = len(automaton.held)
+    # the address index maps each id some region state holds to a state
+    distinct = int(np.count_nonzero(automaton.held))
     duplication = (hot_static - distinct) / hot_static if hot_static else 0.0
     return MetricsReport(
         total_instructions=total,
@@ -228,23 +226,10 @@ def report_csv_row(report: MetricsReport) -> list[str]:
 def report_json_dict(report: MetricsReport) -> dict:
     """Structured report: metric fields plus a per-region table."""
     metrics = {col: getattr(report, col) for col in REPORT_COLUMNS}
-    regions = []
-    for r in report.regions:
-        regions.append({
-            "id": r.rid,
-            "entry_address": r.entry_address,
-            "static_size": r.static_size,
-            "recorded_size": r.recorded_size,
-            "expansion_size": r.expansion_size,
-            "entries_from_interpreter": r.entries_from_interpreter,
-            "entries_from_native": r.entries_from_native,
-            "dynamic_instructions": r.dynamic_instructions,
-            "head_executions": r.head_executions,
-            "tail_executions": r.tail_executions,
-            "completed_traversals": r.completed_traversals,
-            "completion_ratio": completion_ratio(r.completed_traversals,
-                                                 r.head_executions),
-        })
+    # each region's counters, ``rid`` named ``id``, and its completion ratio
+    regions = [{"id": r.rid, **{f.name: getattr(r, f.name) for f in fields(r)[1:]},
+                "completion_ratio": completion_ratio(r.completed_traversals, r.head_executions)}
+               for r in report.regions]
     return {
         "metrics": metrics,
         "cold_threshold": report.cold_threshold,

@@ -36,13 +36,13 @@ All hotness profiling happens on interpreter-side transitions only.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Callable, Collection, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .trace_io import Trace, TraceFile, _distinct, _runs
+from .trace_io import Trace, TraceFile, _runs
 
 TECHNIQUES = ("net", "mret2", "lei", "netplus", "net-r", "netplus-e-r")
 
@@ -110,18 +110,21 @@ def mret2_intersect(pass1: list[tuple[int, int]],
 class RegionManager:
     """Base contract, and the one scan driver of all six techniques.
 
-    The engine calls ``begin(source, start, end, held)`` once, to replay
-    items ``start..end-1`` of ``source``, a ``Trace`` or a ``TraceFile``;
-    ``held`` holds the addresses some region holds (``Automaton.held``,
-    which grows in place; the tests' ``scan_run`` passes a set).  A scan
-    tests ``held`` for membership and, in its numpy pass, for emptiness.
-    The engine then feeds the window in chunks, each a ``Trace`` of the
-    source's items from ``base`` on: a trace in memory is one chunk at
-    base 0, and a file is read ``trace_io._REPLAY_CHUNK`` items at a time.
-    ``attach(chunk, base)`` binds the chunk's read-only u64 address column
-    (``Trace.addresses``), which the numpy passes slice, the
-    ``array("Q")`` the per-item loop reads (``Trace._items``) and its
-    sizes, and ``detach()`` lets go of them before the next chunk is read.
+    Managers work on address ids (``Trace.table()``), which keep the
+    addresses' order; the regions they emit hold ids too.  The engine
+    calls ``begin(source, start, end, held)`` once, to replay items
+    ``start..end-1`` of ``source``, a ``Trace`` or a ``TraceFile``;
+    ``held`` is nonzero at each id some region holds (``Automaton.held``,
+    which grows in place), one entry per id, so the per-id counters are
+    arrays of that length.  A scan indexes ``held``, and its numpy pass
+    indexes a numpy view of it.  The engine then feeds the window in
+    chunks, each a ``Trace`` of the source's items from ``base`` on: a
+    trace in memory is one chunk at base 0, and a file is read
+    ``trace_io._REPLAY_CHUNK`` items at a time.  ``attach(chunk, base)``
+    binds the chunk's id column, the ``array`` the per-item loop reads
+    (``Trace._ids``) and a numpy view of it, which the numpy passes slice,
+    and its sizes, and ``detach()`` lets go of them before the next chunk
+    is read.
 
     Scans, hooks and passes work in chunk indices.  An index leaves the
     chunk only as an emission's due index, which ``complete`` gets as a
@@ -133,13 +136,13 @@ class RegionManager:
     the interpreter state and visits items from ``i`` in trace order;
     ``end`` is the chunk's end or the window's, whichever comes first.
     ``prev`` is what item ``i`` is compared with for a backward branch:
-    the previous item's address, -1 before a window's first item, or
+    the previous item's id, -1 before a window's first item, or
     infinity after a region exit (``Automaton.run_native_stretch`` returns
     it), so that a region-exit target is profiled whatever its address.
     It returns ``(k, region)`` and stops at whichever comes first:
 
     - an emission while seeing item ``k``, due at ``k``;
-    - the first item ``k`` that ``held`` contains: that item enters a
+    - the first item ``k`` whose id is held: that item enters a
       region.  A recording in flight would stop on the next item, seen
       after the entry, so when item ``k + 1`` lies in the window, in this
       chunk or a later one, the scan emits it at once, due at ``k + 1``;
@@ -156,8 +159,8 @@ class RegionManager:
 
     ``scan`` owns the loop, and a technique supplies four hooks.  While
     the manager profiles (``_profiling``), the scan itself applies the
-    rule that five techniques share: an item whose address is below
-    ``prev`` bumps that address's count in ``_hot``, and the bump that
+    rule that five techniques share: an item whose id is below ``prev``
+    bumps that id's count in ``_hot``, and the bump that
     reaches the threshold resets the count and calls ``_start(i, a)``.
     Otherwise each item goes to ``_see(i, a, prev)``, which records, arms
     or pushes it and returns a region to emit, or None.  A held item ends
@@ -174,33 +177,34 @@ class RegionManager:
     then steps that item itself.  Scans shorter than ``_HANDOFF`` never
     hand off: numpy's cost per call would outweigh what it saves on them.
 
-    Each emission passes its recorded ``(address, size)`` pairs through
+    Each emission passes its recorded ``(id, size)`` pairs through
     ``complete(items, due)``, which returns the region; look-ahead
     managers expand the recording there by the window's flow up to
     ``due``.
 
-    ``exit_counts`` is read after each scan.  It is None, or the dict in
+    ``exit_counts`` is read after each scan.  It is None, or the array in
     which the manager counts a region-exit follower (the item after a
     landing that left a region) when that follower is all it would do
     with it: bump its count below the threshold and return at it, since
-    it enters a region.  The engine hands that dict and the threshold to
+    it enters a region.  The engine hands that array and the threshold to
     the kernel, which then makes that bump itself for a held follower and
     steps on.  So a scan after a region exit still sees the followers
     that are not held, those whose bump reaches the threshold, and every
-    follower while the dict is None: while a formation is in flight, and
+    follower while it is None: while a formation is in flight, and
     always for ``lei``, which never profiles.
     """
 
     def __init__(self, config: RFTConfig):
         self._threshold = config.threshold
         self._max_size = config.max_region_size
-        # backward-branch and region-exit targets' counts
-        self._hot: dict[int, int] = {}
+        # each id's hotness: the count of its bumps as a backward-branch or
+        # region-exit target, or for lei of the cycles it heads
+        self._hot = array("q")
         # the scan applies the backward-branch rule while this is set
         self._profiling = True
 
     @property
-    def exit_counts(self) -> Optional[dict[int, int]]:
+    def exit_counts(self) -> Optional[array]:
         """The hotness counters while the manager profiles."""
         return self._hot if self._profiling else None
 
@@ -224,7 +228,7 @@ class RegionManager:
             a = addrs[i]
             if profiling:
                 if a < prev:
-                    c = hot.get(a, 0) + 1
+                    c = hot[a] + 1
                     if c < threshold:
                         hot[a] = c
                     else:
@@ -235,7 +239,7 @@ class RegionManager:
                 region = self._see(i, a, prev)
                 if region is not None:
                     return i, region
-            if a in held:
+            if held[a]:
                 return i, None if profiling else self._entered(i)
             prev = a
             i += 1
@@ -260,11 +264,12 @@ class RegionManager:
     def _handle(self, *args) -> None: ...
 
     def begin(self, source: Trace | TraceFile, start: int, end: int,
-              held: Collection[int]) -> None:
+              held: Sequence[int]) -> None:
         self._source, self._window_end, self._held = source, end, held
+        self._hot = array("q", [0]) * len(held)
 
     def attach(self, chunk: Trace, base: int) -> None:
-        self._addrs, self._col, self._sizes = chunk._items, chunk.addresses, chunk.sizes
+        self._addrs, self._col, self._sizes = chunk._ids, np.asarray(chunk._ids), chunk.sizes
         self._base = base
         # the window's end, in the chunk's indices
         self._end = self._window_end - base
@@ -273,14 +278,14 @@ class RegionManager:
         self._addrs = self._col = self._sizes = None
 
     def _span(self, lo: int, hi: int) -> tuple[np.ndarray, Sequence[int]]:
-        """The u64 addresses and the sizes of trace items ``lo..hi-1``,
-        each indexed from 0: views of the chunk when it holds them all,
-        else read from the source."""
+        """The ids and the sizes of trace items ``lo..hi-1``, each indexed
+        from 0: views of the chunk when it holds them all, else read from
+        the source."""
         base = self._base
         if lo >= base and hi - base <= len(self._sizes):
             return self._col[lo - base:hi - base], memoryview(self._sizes)[lo - base:hi - base]
         part = self._source.read(lo, hi)
-        return part.addresses, part.sizes
+        return np.asarray(part._ids), part.sizes
 
     def complete(self, items: list[tuple[int, int]], due: int) -> tuple:
         return (items,)
@@ -420,10 +425,11 @@ class LeiManager(RegionManager):
     scan's ``_shift``; runs wholly before the last ``history_capacity``
     pushes are trimmed now and then.  A restart only raises the floor: a
     prior push counts when it is among the last ``history_capacity``
-    pushes and not below the floor.  Each address keeps one record, its
-    latest push position and its cycle count, in the slot of two lists
-    that a dict gives it, so a push is one lookup and the numpy pass
-    reads and writes a chunk's records once per distinct address.
+    pushes and not below the floor.  Each address keeps one record at its
+    id: its latest push position (-1, below any floor, before its first
+    push) in ``_last``, and its cycle count, its hotness, in ``_hot``, so
+    the numpy pass reads and writes a chunk's records once per distinct
+    address.
     An emission maps the window's positions back to trace indices
     through the runs; each address takes its size from its last
     occurrence there, and the cycle head from the emitting item.
@@ -433,17 +439,17 @@ class LeiManager(RegionManager):
         super().__init__(config)
         self._profiling = False
         self._capacity = config.history_capacity
-        # address -> its record's slot in the two columns below
-        self._slot: dict[int, int] = {}
-        # per slot: the latest push position and the cycle count
-        self._last: list[int] = []
-        self._count: list[int] = []
         # (first push position, first trace index) per scan, oldest first
         self._runs: list[tuple[int, int]] = []
         self._pos = 0  # position of the next push
         self._shift = 0  # push position minus trace index, in this scan
         self._floor = 0  # position of the latest restart
         self._trim_at = 2 * config.history_capacity
+
+    def begin(self, source, start, end, held):
+        super().begin(source, start, end, held)
+        # each id's latest push position; its cycle count is its hotness
+        self._last = array("q", [-1]) * len(held)
 
     def scan(self, i, end, prev):
         pos = self._pos
@@ -459,20 +465,14 @@ class LeiManager(RegionManager):
 
     def _see(self, i, a, prev):
         pos = i + self._shift
-        r = self._slot.get(a)
-        if r is None:
-            self._slot[a] = len(self._last)
-            self._last.append(pos)
-            self._count.append(0)
-            return None
-        prior = self._last[r]
-        self._last[r] = pos
+        prior = self._last[a]
+        self._last[a] = pos
         if prior >= self._floor and pos - prior <= self._capacity:
-            c = self._count[r] + 1
+            c = self._hot[a] + 1
             if c < self._threshold:
-                self._count[r] = c
+                self._hot[a] = c
             else:
-                self._count[r] = 0
+                self._hot[a] = 0
                 self._floor = pos
                 return self.complete(self._emit(i, prior, pos), self._base + i)
         return None
@@ -489,47 +489,27 @@ class LeiManager(RegionManager):
         col = self._col[lo:hi]
         n = hi - lo
         keys, starts, lengths, items = _grouped(col)
-        klist = keys.tolist()
-        last = self._last
-        count = self._count
-        # each address's record, if it has one: its slot, its latest push
-        # (-1, below any floor, if none) and its cycle count
-        slots = np.fromiter(map(self._slot.get, klist, repeat(-1)),
-                            dtype=np.int64, count=len(klist))
-        known = slots >= 0
-        olds = slots[known].tolist()
-        latest = np.full(len(klist), -1, dtype=np.int64)
-        latest[known] = np.fromiter(map(last.__getitem__, olds), dtype=np.int64, count=len(olds))
-        base = np.zeros(len(klist), dtype=np.int64)
-        base[known] = np.fromiter(map(count.__getitem__, olds), dtype=np.int64, count=len(olds))
+        # each address's record, read and written in place
+        last, count = np.asarray(self._last), np.asarray(self._hot)
         # each item's prior push: the previous item of its address in the
         # chunk, or its address's latest push
         at = items + pos
         prior = np.empty(n, dtype=np.int64)
         prior[1:] = at[:-1]
-        prior[starts] = latest
+        prior[starts] = last[keys]
         cyc = (prior >= self._floor) & (at - prior <= self._capacity)
         # each address's running count of cycles, from its record's count
         run = np.cumsum(cyc)
-        run += np.repeat(base - run[starts] + cyc[starts], lengths)
+        run += np.repeat(count[keys] - run[starts] + cyc[starts], lengths)
         hot = items[cyc & (run >= self._threshold)]
-        k = _first_held(col, self._held) if self._held else n
+        k = _first_held(col, self._held)
         if len(hot):
             k = min(k, int(hot.min()))
         if k < n:
             return lo + k
         ends = starts + lengths - 1
-        latest = at[ends]
-        cycles = run[ends]
-        for r, p, c in zip(olds, latest[known].tolist(), cycles[known].tolist()):
-            last[r] = p
-            count[r] = c
-        # the per-item loop's first push of an address adds its record
-        fresh = ~known
-        top = len(last)
-        self._slot.update(zip(keys[fresh].tolist(), range(top, top + len(klist) - len(olds))))
-        last.extend(latest[fresh].tolist())
-        count.extend(cycles[fresh].tolist())
+        last[keys] = at[ends]
+        count[keys] = run[ends]
         return hi
 
     def _trim(self, pos: int) -> None:
@@ -567,34 +547,23 @@ class LeiManager(RegionManager):
 
 def _grouped(col: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """``(keys, starts, lengths, items)``: ``items`` lists the indices of
-    ``col`` ordered by value, then by index; the group of ``keys[g]``, the
-    g-th smallest distinct value, is the ``lengths[g]`` items from
-    ``items[starts[g]]``.
-
-    When the values' span allows, one sort of the u64 codes
-    ``(value - smallest) * n + index`` orders them, several times faster
-    than a stable argsort, which orders wider spans."""
+    the ids ``col`` ordered by value, then by index; the group of
+    ``keys[g]``, the g-th smallest distinct value, is the ``lengths[g]``
+    items from ``items[starts[g]]``.  One sort of the u64 codes
+    ``value * n + index`` orders them, several times faster than a stable
+    argsort: an id is below 2**32, and ``n`` at most ``_FLOW_CHUNK``."""
     n = len(col)
-    low = int(col.min())
-    if (int(col.max()) - low + 1) * n <= 1 << 64:
-        code = np.sort((col - np.uint64(low)) * np.uint64(n) + np.arange(n, dtype=np.uint64))
-        ordered, items = np.divmod(code, np.uint64(n))
-        starts, lengths = _runs(ordered)
-        keys = ordered[starts] + np.uint64(low)
-    else:
-        items = np.argsort(col, kind="stable")
-        starts, lengths = _runs(col[items])
-        keys = col[items[starts]]
-    return keys, starts, lengths, items.astype(np.int64)
+    code = np.sort(col.astype(np.uint64) * np.uint64(n) + np.arange(n, dtype=np.uint64))
+    ordered, items = np.divmod(code, np.uint64(n))
+    starts, lengths = _runs(ordered)
+    return ordered[starts], starts, lengths, items.astype(np.int64)
 
 
-def _first_held(col: np.ndarray, held: Collection[int]) -> int:
-    """The index of the first element of ``col`` that ``held`` contains,
-    or ``len(col)``."""
-    hit = [a for a in _distinct(np.sort(col)).tolist() if a in held]
-    if not hit:
-        return len(col)
-    return int(np.isin(col, np.array(hit, dtype=np.uint64)).argmax())
+def _first_held(col: np.ndarray, held: Sequence[int]) -> int:
+    """The index of the first id of ``col`` that ``held`` (``Automaton.held``)
+    maps to a state, or ``len(col)``."""
+    hit = np.asarray(held)[col].nonzero()[0]
+    return int(hit[0]) if len(hit) else len(col)
 
 
 def _chunked(step: Callable[[int, int], int], i: int, end: int) -> int:
@@ -616,9 +585,9 @@ def _chunked(step: Callable[[int, int], int], i: int, end: int) -> int:
     return end
 
 
-def _profile(hot: dict[int, int], threshold: int, column: np.ndarray, i: int,
-             end: int, held: Collection[int]) -> int:
-    """Profile items ``i..end-1`` of the u64 address ``column`` as an idle
+def _profile(hot: array, threshold: int, column: np.ndarray, i: int,
+             end: int, held: Sequence[int]) -> int:
+    """Profile items ``i..end-1`` of the id ``column`` as an idle
     net or mret2 scan would after stepping item ``i - 1`` itself, so that
     item ``i`` is bumped when it is a backward-branch target, and return
     the index of the first item that stops the scan, with every item
@@ -629,13 +598,13 @@ def _profile(hot: dict[int, int], threshold: int, column: np.ndarray, i: int,
         col = column[lo:hi]
         n = hi - lo
         back = col < column[lo - 1:hi - 1]
-        k = _first_held(col, held) if held else n
+        k = _first_held(col, held)
         at = back[:k].nonzero()[0]
         targets = col[at]
         ordered = np.sort(targets)
         starts, bumps = _runs(ordered)
-        klist = ordered[starts].tolist()
-        base = np.fromiter(map(hot.get, klist, repeat(0)), dtype=np.int64, count=len(klist))
+        keys = ordered[starts]
+        base = np.asarray(hot)[keys]
         total = base + bumps
         over = total >= threshold
         if over.any():
@@ -645,7 +614,7 @@ def _profile(hot: dict[int, int], threshold: int, column: np.ndarray, i: int,
             k = int(at[items[(starts + threshold - base - 1)[over]]].min())
         if k < n:
             return lo + k
-        hot.update(zip(klist, total.tolist()))
+        np.asarray(hot)[keys] = total
         return hi
 
     return _chunked(step, i, end)
@@ -730,17 +699,17 @@ class _ExpansionMixin:
     """Adds emit-time look-ahead to a linear recording manager.
 
     The flow map is caught up lazily to each emission's due index ``i``:
-    it knows each address in ``trace[start:i + 1]`` with its first size,
-    and each pair ``(addresses[j - 1], addresses[j])`` with
-    ``start < j <= i``.
+    it knows each id in ``trace[start:i + 1]`` with its first size, and
+    each pair ``(ids[j - 1], ids[j])`` with ``start < j <= i``.
 
-    The catch-up reads the trace's u64 address column in chunks of
-    ``_FLOW_CHUNK`` items, each with the item before it so that the pair
-    across the boundary is kept.  A sort finds a chunk's distinct addresses,
-    which number each item, and a sort of the numbered pairs finds its
-    distinct pairs.  Only those distinct addresses and pairs reach the
-    map, so Python-level work grows with the flow's size, not the
-    trace's, and a catch-up holds only one chunk's arrays at a time.
+    The catch-up reads the trace's id column in chunks of ``_FLOW_CHUNK``
+    items, each with the item before it so that the pair across the
+    boundary is kept.  A sort finds a chunk's distinct ids, with the first
+    index of each, and a sort of its pairs, each coded ``u * m + v`` for a
+    table of ``m`` addresses, its distinct pairs.  Only those distinct ids
+    and pairs reach the map, so Python-level work grows with the flow's
+    size, not the trace's, and a catch-up holds only one chunk's arrays at
+    a time.
     """
 
     extended = False
@@ -756,22 +725,20 @@ class _ExpansionMixin:
 
     def complete(self, items, due):
         cfg = self._cfg
+        m = np.uint64(len(self._held))
         lo = self._covered
         while lo <= due:
             hi = min(due + 1, lo + _FLOW_CHUNK)
             col, sizes = self._span(lo - 1 if lo > self._first else lo, hi)
-            keys = _distinct(np.sort(col))
-            ids = np.searchsorted(keys, col)
-            n, m = len(col), len(keys)
-            # each distinct address's first index in the chunk
-            first = np.full(m, n)
-            np.minimum.at(first, ids, np.arange(n))
+            keys, first = np.unique(col, return_index=True)
             for a, f in zip(keys.tolist(), first.tolist()):
                 if a not in cfg:
                     cfg[a] = [sizes[f], set()]
-            # a pair of ids (u, v) is coded u * m + v, below 2**33
-            pairs = _distinct(np.sort(ids[:-1] * m + ids[1:]))
-            for u, v in zip(keys[pairs // m].tolist(), keys[pairs % m].tolist()):
+            ids = col.astype(np.uint64)
+            # np.sort and a mask, several times faster than np.unique here
+            pairs = np.sort(ids[:-1] * m + ids[1:])
+            pairs = pairs[_runs(pairs)[0]]
+            for u, v in zip((pairs // m).tolist(), (pairs % m).tolist()):
                 cfg[u][1].add(v)
             lo = hi
         self._covered = lo

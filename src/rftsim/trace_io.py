@@ -21,6 +21,11 @@ a replay through it never holds the whole trace.
 Control flow is never encoded.  A discontinuity exists wherever
 ``next.address != current.address + current.size``; since sizes are >= 1,
 a transfer to a lower address is always a backward branch.
+
+A simulation runs on address ids, not on addresses: each trace numbers its
+distinct addresses by their rank in its sorted table of them, once, at its
+first simulation (``Trace.table``, ``TraceFile.validate``).  Ids keep the
+addresses' order, so a smaller id is still a backward branch.
 """
 
 from __future__ import annotations
@@ -31,8 +36,9 @@ import os
 import struct
 from array import array
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -57,19 +63,24 @@ class Trace:
     """A fully loaded, immutable instruction sequence.
 
     Any two equal-length sequences of ints build a trace, which holds them
-    once, 12 bytes per item: ``addresses``, a read-only u64 numpy array
-    that the numpy passes slice, viewing the buffer of ``_items``, an
-    ``array("Q")`` that the per-item loops read, and ``sizes``, an
-    ``array("I")`` that the scans index only while recording.  Building
-    one copies both, an integer numpy array in bulk, and raises
-    ``ValueError`` naming the first item that is not an int, or not in
-    the range both file formats carry: ``[0, 2**64)`` for an address,
-    ``[1, 2**32)`` for a size.  The loaders and ``generate_trace`` hold
-    what they read or built without a copy.  A trace may be shared
-    read-only between any number of simulations.
+    once, 12 bytes per item: ``addresses``, a read-only u64 numpy array,
+    and ``sizes``, an ``array("I")`` that the scans index only while
+    recording.  Building one copies both, an integer numpy array in bulk,
+    and raises ``ValueError`` naming the first item that is not an int,
+    or not in the range both file formats carry: ``[0, 2**64)`` for an
+    address, ``[1, 2**32)`` for a size.  The loaders and
+    ``generate_trace`` hold what they read or built without a copy.
+
+    The first simulation numbers the addresses (``table()``): it builds
+    the sorted table of the distinct addresses and ``_ids``, each item's
+    id, its address's rank in the table, an ``array`` of u8, u16 or u32 by
+    the table's size, so 1, 2 or 4 bytes more per item.  The engine, the
+    managers and the automaton work on ids, which keep the addresses'
+    order.  A trace may be shared read-only between any number of
+    simulations.
     """
 
-    __slots__ = ("addresses", "sizes", "_items", "_backward")
+    __slots__ = ("addresses", "sizes", "_backward", "_table", "_ids")
 
     def __init__(self, addresses: Sequence[int], sizes: Sequence[int]):
         if len(addresses) != len(sizes):
@@ -78,15 +89,26 @@ class Trace:
                    _checked(sizes, "I", 1, "instruction size"))
 
     def _hold(self, items: array, sizes: array) -> "Trace":
-        """Holds the checked ``items`` and ``sizes``, and a read-only u64
-        view of ``items`` as ``addresses``."""
+        """Holds a read-only u64 view of the checked ``items`` as
+        ``addresses``, and the checked ``sizes``."""
         self.addresses = np.frombuffer(items, dtype=np.uint64)
         self.addresses.flags.writeable = False
-        self._items, self.sizes, self._backward = items, sizes, None
+        self.sizes, self._backward, self._table = sizes, None, None
         return self
 
     def __len__(self) -> int:
         return len(self.addresses)
+
+    def table(self) -> np.ndarray:
+        """The sorted distinct addresses, an id's address being its entry;
+        the first call builds it and the id column."""
+        if self._table is None:
+            # read in pieces, so that no temporary grows with the trace
+            col = self.addresses
+            numbering = _Numbering(lambda: (col[lo:lo + _LOAD_CHUNK]
+                                            for lo in range(0, len(col), _LOAD_CHUNK)))
+            self._table, self._ids = numbering.table, numbering.ids(col)
+        return self._table
 
     def chunks(self, start: int, end: int):
         """The whole trace as one chunk at index 0, where ``TraceFile.chunks``
@@ -147,9 +169,53 @@ def _runs(ordered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return at[:-1], at[1:] - at[:-1]
 
 
-def _distinct(values: np.ndarray) -> np.ndarray:
-    """The first element of each run of equal values in a sorted array."""
-    return values[_runs(values)[0]]
+# An address span of at most this many addresses is numbered through a
+# dense lookup, an id per address in the span (4 MiB at most): a benchmark
+# trace in memory is numbered in 0.9-4.6 ms, where np.unique alone takes
+# 6.0-16 ms (Python 3.11, numpy 2.4, 2-core x86 host).  A wider span is
+# numbered through a set of each piece's np.unique and a binary search.
+_DENSE_SPAN = 1 << 20
+
+
+class _Numbering:
+    """The sorted distinct addresses of the address columns that
+    ``columns()`` yields (``table``), and ``ids(col)``, the rank in it of
+    each address of ``col``, which it must hold: an ``array`` of u8, u16
+    or u32 ids (typecode ``code``) by the table's size.  ``columns()`` is
+    read twice: for the addresses' span, then for the table.  The lookup
+    is built at the first ``ids``, so a process that maps no column, as
+    the CLI's parent of forked workers, never holds it."""
+
+    def __init__(self, columns: Callable[[], Iterable[np.ndarray]]):
+        lows, highs = zip(*[(col.min(), col.max()) for col in columns() if len(col)] or [(0, 0)])
+        self._low, span = np.uint64(min(lows)), int(max(highs)) - int(min(lows)) + 1
+        # the dense lookup's size, or 0 for a binary search
+        self._span, self._rank = span if span <= _DENSE_SPAN else 0, None
+        if self._span:
+            seen = np.zeros(span, dtype=bool)
+            for col in columns():
+                seen[(col - self._low).view(np.int64)] = True
+            self.table = np.flatnonzero(seen).view(np.uint64)
+            self.table += self._low
+        else:
+            distinct = set()
+            for col in columns():
+                distinct.update(np.unique(col).tolist())
+            self.table = np.sort(np.fromiter(distinct, dtype=np.uint64, count=len(distinct)))
+        self.code = "BHI"[(len(self.table) > 1 << 8) + (len(self.table) > 1 << 16)]
+
+    def ids(self, col: np.ndarray) -> array:
+        if self._rank is None:
+            self._rank = partial(np.searchsorted, self.table)
+            if self._span:
+                lookup = np.zeros(self._span, dtype=self.code)
+                lookup[self.table - self._low] = np.arange(len(self.table), dtype=self.code)
+                self._rank = lambda piece: lookup[piece - self._low]
+        ids = array(self.code, [0]) * len(col)
+        for lo in range(0, len(col), _LOAD_CHUNK):
+            piece = col[lo:lo + _LOAD_CHUNK]
+            np.asarray(ids)[lo:lo + len(piece)] = self._rank(piece)
+        return ids
 
 
 # Records per chunk of a binary read or write: each chunk's record buffer,
@@ -179,8 +245,11 @@ class TraceFile:
     ``_LOAD_CHUNK`` at a time with ``os.preadv`` into one reused record
     buffer, checks each chunk's flags and sizes, and raises
     ``TraceFormatError`` naming the byte offset of the first bad or
-    missing record.  ``validate()`` reads the whole file that way and
-    keeps nothing.
+    missing record.  ``validate()`` (or ``table()``, the same call) reads
+    the whole file that way, then again to number its addresses, and
+    keeps only their sorted table, 8 bytes per distinct address; each
+    trace ``read`` returns from then on holds its ids by that table.  A
+    simulation validates a file that is not yet validated.
 
     Positional reads share no file offset, so processes forked while the
     file is open read from it independently.  Reading into a buffer, not
@@ -207,6 +276,7 @@ class TraceFile:
             os.close(self._fd)
             raise
         self._buffer = np.empty(max(1, min(self._n, _LOAD_CHUNK)), dtype=_RECORD_DTYPE)
+        self._numbering: Optional[_Numbering] = None
 
     def __len__(self) -> int:
         return self._n
@@ -245,22 +315,34 @@ class TraceFile:
         return records
 
     def read(self, lo: int, hi: int) -> Trace:
-        """Records ``lo..hi-1`` as a trace; ``0 <= lo <= hi <= len(self)``."""
+        """Records ``lo..hi-1`` as a trace, numbered by the file's table
+        once ``validate()`` has built it; ``0 <= lo <= hi <= len(self)``."""
         items, sizes = array("Q", [0]) * (hi - lo), array("I", [0]) * (hi - lo)
-        column = np.frombuffer(items, dtype=np.uint64)
-        size_column = np.frombuffer(sizes, dtype=np.uint32)
-        step = len(self._buffer)
-        for at in range(lo, hi, step):
-            records = self._records(at, min(hi, at + step))
-            column[at - lo:at - lo + len(records)] = records["address"]
-            size_column[at - lo:at - lo + len(records)] = records["size"]
-        return _adopt(items, sizes)
+        for at, records in self._pieces(lo, hi):
+            np.asarray(items)[at - lo:at - lo + len(records)] = records["address"]
+            np.asarray(sizes)[at - lo:at - lo + len(records)] = records["size"]
+        trace = _adopt(items, sizes)
+        if self._numbering is not None:
+            trace._table = self._numbering.table
+            trace._ids = self._numbering.ids(trace.addresses)
+        return trace
 
-    def validate(self) -> None:
-        """Check every record, keeping none."""
-        step = len(self._buffer)
-        for at in range(0, self._n, step):
-            self._records(at, min(self._n, at + step))
+    def _pieces(self, lo: int, hi: int):
+        """``(at, records at..)`` for each ``_LOAD_CHUNK`` records of
+        ``lo..hi-1``, checked, in one reused buffer."""
+        for at in range(lo, hi, len(self._buffer)):
+            yield at, self._records(at, min(hi, at + len(self._buffer)))
+
+    def table(self) -> np.ndarray:
+        """Check every record, then read them again to number the file's
+        addresses, keeping only their sorted table, which it returns.  Later
+        calls return it at once."""
+        if self._numbering is None:
+            self._numbering = _Numbering(
+                lambda: (records["address"] for _, records in self._pieces(0, self._n)))
+        return self._numbering.table
+
+    validate = table
 
     def chunks(self, start: int, end: int):
         """``(lo, records lo..hi-1 as a trace)`` for each chunk of the file's

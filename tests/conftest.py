@@ -17,7 +17,10 @@ import importlib.util
 import math
 import random
 import sys
+from array import array
 from pathlib import Path
+
+import numpy as np
 
 from reference import (SI, FlowMap, LiteralAutomaton, held_addresses,
                        make_reference, region_of)
@@ -87,11 +90,43 @@ def drive(automaton, addrs) -> float:
     return prev
 
 
-def bind(manager, trace: Trace, held=()) -> None:
+IDENTITY = 1 << 16
+
+
+def identity_automaton(cls=Automaton) -> Automaton:
+    """An automaton numbering addresses by themselves: bound to the table
+    of the addresses below ``IDENTITY``, so the ids of the hand-made items
+    the automaton tests step are their addresses."""
+    automaton = cls()
+    automaton.bind(range(IDENTITY))
+    return automaton
+
+
+def addressed(region: tuple, table) -> tuple:
+    """An emitted region, ``append_region``'s positional arguments in
+    ids, with each id replaced by its address in ``table``."""
+    out = ([(table[a], s) for a, s in region[0]],)
+    if len(region) > 1:
+        members, successors = region[1:]
+        out += (tuple((table[a], s) for a, s in members),
+                {table[u]: tuple(table[v] for v in vs) for u, vs in successors.items()})
+    return out
+
+
+def bind(manager, trace: Trace, held=()) -> array:
     """Bind ``manager`` to the whole of ``trace`` as the engine binds it to
-    a window replayed as one chunk."""
-    manager.begin(trace, 0, len(trace), held)
+    a window replayed as one chunk, with the addresses of ``held`` held by
+    a region.  Returns the held mask the manager reads, by id: nonzero for
+    a held id, as in ``Automaton.held``."""
+    table = trace.table()
+    mask = array("I", [0]) * len(table)
+    for a in held:
+        k = int(np.searchsorted(table, np.uint64(a)))
+        if k < len(table) and table[k] == a:
+            mask[k] = 1
+    manager.begin(trace, 0, len(trace), mask)
     manager.attach(trace, 0)
+    return mask
 
 
 def scan_run(manager, addrs, sizes, held=()) -> list[tuple]:
@@ -101,10 +136,13 @@ def scan_run(manager, addrs, sizes, held=()) -> list[tuple]:
     before the item the scan stopped at steps.
 
     Returns ``(due, region)`` per emission, ``due`` being the trace index
-    the manager passed to its ``complete``: the emission is due there."""
-    held = set(held)
+    the manager passed to its ``complete``: the emission is due there, and
+    ``region`` its ids mapped back to addresses."""
     end = len(addrs)
-    bind(manager, Trace(list(addrs), list(sizes)), held)
+    trace = Trace(list(addrs), list(sizes))
+    mask = bind(manager, trace, held)
+    table, ids = trace.table().tolist(), trace._ids
+    rank = {a: k for k, a in enumerate(table)}
     dues = []
     complete = manager.complete
 
@@ -118,16 +156,18 @@ def scan_run(manager, addrs, sizes, held=()) -> list[tuple]:
         k, region = manager.scan(i, end, prev)
         assert len(dues) == (region is not None)
         if region is not None:
+            region = addressed(region, table)
             out.append((dues.pop(), region))
-            held.update(held_addresses(region))
+            for a in held_addresses(region):
+                mask[rank[a]] = 1
         elif k == end:
             break
         # the kernel: item k alone if it stays interpreter-side, else the
         # native run from it and the landing that ends that run, whose
         # follower is profiled whatever its address
-        i, prev = k + 1, addrs[k]
-        if addrs[k] in held:
-            while i < end and addrs[i] in held:
+        i, prev = k + 1, ids[k]
+        if mask[ids[k]]:
+            while i < end and mask[ids[i]]:
                 i += 1
             if i == end:
                 break

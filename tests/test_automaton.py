@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import settings
@@ -7,10 +8,10 @@ from hypothesis import strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, initialize, invariant, precondition,
                                  rule, run_state_machine_as_test)
 
-from conftest import MemoAutomaton, drive
+from conftest import MemoAutomaton, drive, identity_automaton
 from reference import I2N, N2I, N2N, SI, SN, LiteralAutomaton, make_reference
 from rftsim import RFTConfig
-from rftsim.automaton import CHAIN_MIN_PATH, WALK_CAP, Automaton
+from rftsim.automaton import CHAIN_MIN_PATH, WALK_CAP
 
 A, B, C = 0x100, 0x104, 0x108
 
@@ -38,7 +39,7 @@ def interp_state_executions(auto):
 # --- creation ---------------------------------------------------------------
 
 def test_new_automaton_has_only_interpreter_state():
-    auto = Automaton()
+    auto = identity_automaton()
     assert auto.dump()["states"] == [{"id": 0, "address": None, "size": None,
                                       "region": None, "executions": 0, "edges": []}]
     assert auto.dump()["regions"] == []
@@ -46,7 +47,7 @@ def test_new_automaton_has_only_interpreter_state():
 
 
 def test_fresh_automaton_counters_zero():
-    auto = Automaton()
+    auto = identity_automaton()
     assert (auto.interp, auto.dump()["native_instructions"],
             auto.region_transitions) == (0, 0, 0)
     assert interp_state_executions(auto) == 0
@@ -55,14 +56,14 @@ def test_fresh_automaton_counters_zero():
 # --- step resolution --------------------------------------------------------
 
 def test_unknown_address_stays_interp():
-    auto = Automaton()
+    auto = identity_automaton()
     assert step(auto, 0xDEAD) == 0xDEAD
     assert auto.interp == 1 and auto.dump()["native_instructions"] == 0
     assert interp_state_executions(auto) == 1
 
 
 def test_entry_into_region_counts_interp_entry():
-    auto = Automaton()
+    auto = identity_automaton()
     rid = auto.append_region([(A, 4), (B, 4), (C, 4)])
     step(auto, A)
     st = stats(auto, rid)
@@ -71,7 +72,7 @@ def test_entry_into_region_counts_interp_entry():
 
 
 def test_side_entry_counts_entry_but_not_head():
-    auto = Automaton()
+    auto = identity_automaton()
     rid = auto.append_region([(A, 4), (B, 4), (C, 4)])
     step(auto, B)
     st = stats(auto, rid)
@@ -85,7 +86,7 @@ def test_side_entry_counts_entry_but_not_head():
 
 
 def test_internal_back_edge_is_stayed_native():
-    auto = Automaton()
+    auto = identity_automaton()
     rid = auto.append_region([(A, 4), (B, 4), (C, 4)])
     # the back edge to the head is created lazily and stays in the region
     drive(auto, [A, B, C, A])
@@ -97,7 +98,7 @@ def test_internal_back_edge_is_stayed_native():
 
 
 def test_region_exit_and_reentry():
-    auto = Automaton()
+    auto = identity_automaton()
     auto.append_region([(A, 4), (B, 4)])
     step(auto, A)
     assert step(auto, 0x900) == math.inf
@@ -106,7 +107,7 @@ def test_region_exit_and_reentry():
 
 
 def test_region_to_region_transition():
-    auto = Automaton()
+    auto = identity_automaton()
     auto.append_region([(A, 4), (B, 4)])
     auto.append_region([(C, 4)])
     drive(auto, [A, B, C])
@@ -115,7 +116,7 @@ def test_region_to_region_transition():
 
 
 def test_duplicate_address_resolves_to_earliest_region():
-    auto = Automaton()
+    auto = identity_automaton()
     auto.append_region([(A, 4), (B, 4)])
     auto.append_region([(A, 4), (C, 4)])
     assert [s["region"] for s in auto.dump()["states"] if s["address"] == A] == [0, 1]
@@ -125,7 +126,7 @@ def test_duplicate_address_resolves_to_earliest_region():
 
 
 def test_interrupted_traversal_not_completed():
-    auto = Automaton()
+    auto = identity_automaton()
     rid = auto.append_region([(A, 4), (B, 4), (C, 4)])
     # leaves before the tail, then re-enters at the tail without a head
     # execution
@@ -137,7 +138,7 @@ def test_interrupted_traversal_not_completed():
 
 
 def test_single_state_region_completes_every_landing():
-    auto = Automaton()
+    auto = identity_automaton()
     rid = auto.append_region([(A, 4)])
     drive(auto, [A, A])
     st = stats(auto, rid)
@@ -148,7 +149,7 @@ def test_single_state_region_completes_every_landing():
 # --- append_region ----------------------------------------------------------
 
 def test_append_shape():
-    auto = Automaton()
+    auto = identity_automaton()
     rid = auto.append_region([(A, 4), (B, 4), (C, 4)])
     dump = auto.dump()
     region = dump["regions"][rid]
@@ -162,7 +163,7 @@ def test_append_shape():
 
 
 def test_append_same_recording_twice_duplicates():
-    auto = Automaton()
+    auto = identity_automaton()
     auto.append_region([(A, 4), (B, 4), (C, 4)])
     auto.append_region([(A, 4), (B, 4), (C, 4)])
     owners = [s["region"] for s in auto.dump()["states"] if s["address"] == A]
@@ -170,7 +171,7 @@ def test_append_same_recording_twice_duplicates():
 
 
 def test_append_with_expansion_matches_manual_graph():
-    auto = Automaton()
+    auto = identity_automaton()
     rid = auto.append_region([(A, 4), (B, 4), (C, 4)],
                              expansion=[(0x10C, 4), (0x110, 4)],
                              expansion_successors={0x110: (A,), C: (0x10C,),
@@ -191,23 +192,23 @@ def test_append_with_expansion_matches_manual_graph():
 
 def test_append_empty_recording_rejected():
     with pytest.raises(ValueError, match="empty"):
-        Automaton().append_region([])
+        identity_automaton().append_region([])
 
 
 def test_append_expansion_overlapping_recording_rejected():
-    auto = Automaton()
+    auto = identity_automaton()
     with pytest.raises(ValueError, match="duplicates"):
         auto.append_region([(A, 4)], expansion=[(A, 4)], expansion_successors={})
 
 
 def test_append_expansion_repeating_a_repeated_recorded_address_rejected():
     with pytest.raises(ValueError, match="expansion address 0x100 duplicates the recording"):
-        Automaton().append_region([(A, 4), (B, 4), (A, 4)], expansion=[(C, 4), (A, 4)])
+        identity_automaton().append_region([(A, 4), (B, 4), (A, 4)], expansion=[(C, 4), (A, 4)])
 
 
 def test_append_duplicate_expansion_address_rejected():
     with pytest.raises(ValueError, match="duplicate expansion address 0x108"):
-        Automaton().append_region([(A, 4), (B, 4)], expansion=[(C, 4), (0x10C, 4), (C, 4)])
+        identity_automaton().append_region([(A, 4), (B, 4)], expansion=[(C, 4), (0x10C, 4), (C, 4)])
 
 
 @pytest.mark.parametrize("successors, message", [
@@ -216,7 +217,7 @@ def test_append_duplicate_expansion_address_rejected():
 ])
 def test_append_expansion_successor_outside_region_rejected(successors, message):
     with pytest.raises(ValueError, match=message):
-        Automaton().append_region([(A, 4), (B, 4)], expansion=[(C, 4)],
+        identity_automaton().append_region([(A, 4), (B, 4)], expansion=[(C, 4)],
                                   expansion_successors=successors)
 
 
@@ -227,7 +228,7 @@ def test_append_expansion_successor_outside_region_rejected(successors, message)
 def test_rejected_append_leaves_the_automaton_unchanged(expansion, successors):
     # the expansion is checked before any state is added: a rejected
     # region leaves no orphan state, and the next region gets id 0
-    auto = Automaton()
+    auto = identity_automaton()
     before = auto.dump()
     with pytest.raises(ValueError):
         auto.append_region([(0x100, 4), (0x104, 4)], expansion, successors)
@@ -237,7 +238,7 @@ def test_rejected_append_leaves_the_automaton_unchanged(expansion, successors):
 
 
 def test_region_stats_fresh_region_zeroed():
-    auto = Automaton()
+    auto = identity_automaton()
     rid = auto.append_region([(A, 4)])
     st = stats(auto, rid)
     assert (st.entries, st.dynamic_instructions, st.head_executions,
@@ -269,10 +270,12 @@ def _check_invariants(auto, recordings, seq):
     assert sum(r["dynamic_instructions"] for r in dump["regions"]) == native
     assert (sum(r["entries_from_native"] for r in dump["regions"])
             == auto.region_transitions)
-    # address index holds every region state exactly once
-    indexed = [sid for addr in {s["address"] for s in dump["states"][1:]}
-               for sid in auto.held[addr]]
-    assert sorted(indexed) == [s["id"] for s in dump["states"][1:]]
+    # the address index maps each held address, and no other, to its
+    # first state (ids are addresses here)
+    first = {}
+    for s in dump["states"][1:]:
+        first.setdefault(s["address"], s["id"])
+    assert {a: sid for a, sid in enumerate(auto.held) if sid} == first
     model = LiteralAutomaton()
     for recording in recordings:
         model.append(recording)
@@ -284,7 +287,7 @@ def _check_invariants(auto, recordings, seq):
 
 def test_invariants_after_random_walk():
     rng = random.Random(7)
-    auto = Automaton()
+    auto = identity_automaton()
     addrs = [0x100 + 4 * i for i in range(12)]
     recordings = [[(addrs[0], 4), (addrs[1], 4)],
                   [(addrs[2], 4), (addrs[3], 4), (addrs[4], 4)],
@@ -316,7 +319,7 @@ def test_entries_transitions_and_completions_by_hand():
            V, W, V,    # a move from 2 to 3, which completes at each execution of V
            Z, V,       # an entry into 3 from the interpreter
            P, Q]       # a move from 3 to 0; the run ends inside that traversal
-    auto, model = Automaton(), LiteralAutomaton()
+    auto, model = identity_automaton(), LiteralAutomaton()
     for rec, members, successors in recordings:
         region = ([(a, 4) for a in rec], [(a, 4) for a in members], successors)
         auto.append_region(*region)
@@ -346,7 +349,7 @@ def test_replay_deterministic():
     seq = [rng.choice([A, B, C, 0x200, 0x204]) for _ in range(500)]
 
     def run():
-        auto = Automaton()
+        auto = identity_automaton()
         auto.append_region([(A, 4), (B, 4)])
         auto.append_region([(C, 4), (0x200, 4)])
         drive(auto, seq)
@@ -356,15 +359,15 @@ def test_replay_deterministic():
 
 
 def test_bulk_interp_matches_steps():
-    auto1 = Automaton()
+    auto1 = identity_automaton()
     auto1.bulk_interp(5)
-    auto2 = Automaton()
+    auto2 = identity_automaton()
     drive(auto2, [0x500 + 4 * i for i in range(5)])
     assert (auto1.dump(), auto1.interp) == (auto2.dump(), auto2.interp)
 
 
 def test_bulk_interp_requires_interpreter_cursor():
-    auto = Automaton()
+    auto = identity_automaton()
     auto.append_region([(A, 4)])
     step(auto, A)
     with pytest.raises(RuntimeError):
@@ -386,7 +389,7 @@ def test_kernel_matches_literal_model():
         cuts = sorted(rng.sample(range(len(seq) + 1), min(len(seq) + 1, 4)))
         recordings = [[(rng.choice(pool), 4) for _ in range(rng.randint(1, 5))]
                       for _ in cuts]
-        auto = Automaton()
+        auto = identity_automaton()
         model = LiteralAutomaton()
         for lo, hi, recording in zip(cuts, cuts[1:] + [len(seq)], recordings):
             if rng.random() < 0.8:
@@ -425,7 +428,7 @@ def test_kernel_matches_literal_model_with_expansions():
         pool = [0x100 + 4 * k for k in range(rng.randint(3, 12))]
         seq = [rng.choice(pool) for _ in range(rng.randint(1, 400))]
         sizes = [4] * len(seq)
-        auto = Automaton()
+        auto = identity_automaton()
         model = LiteralAutomaton()
         cuts = sorted(rng.sample(range(len(seq) + 1), min(len(seq) + 1, 4)))
         for lo, hi in zip(cuts, cuts[1:] + [len(seq)]):
@@ -478,7 +481,7 @@ def run_both(recordings, seq, ends=(None,)):
     of ``ends``; checks the dumps agree and returns the kernel's automaton.
     A recording is a list of addresses, or a tuple of that list, the
     expansion addresses and the expansion successors."""
-    auto = MemoAutomaton()
+    auto = identity_automaton(MemoAutomaton)
     model = LiteralAutomaton()
     for rec in recordings:
         rec, members, successors = rec if isinstance(rec, tuple) else (rec, (), None)
@@ -636,7 +639,7 @@ def test_dump_mid_run_flushes_the_hits_once():
     # each dump adds the hits so far to the memo's edges; a second dump
     # adds nothing, and the hits after it are flushed by the last dump
     seq = CHAIN * 4
-    auto = MemoAutomaton()
+    auto = identity_automaton(MemoAutomaton)
     model = LiteralAutomaton()
     auto.append_region([(a, 4) for a in CHAIN])
     model.append([(a, 4) for a in CHAIN])
@@ -658,12 +661,12 @@ Y = 0x904
 
 def exit_call(seq, threshold, counts, end=None):
     """One kernel call from item 0 of ``seq`` (the region [A, B] installed)
-    that hands the kernel ``counts`` and ``threshold``.  Checks the dump
+    that hands the kernel ``counts``, a ``Counter`` by id, and ``threshold``.  Checks the dump
     against the literal model stepped over the items the call consumed,
     and the counts against the reference net manager's hotness after those
     items, starting from the same counts.  Returns ``(next_i, prev)``."""
     end = len(seq) if end is None else end
-    auto = Automaton()
+    auto = identity_automaton()
     model = LiteralAutomaton()
     auto.append_region([(A, 4), (B, 4)])
     model.append([(A, 4), (B, 4)])
@@ -685,7 +688,7 @@ def exit_call(seq, threshold, counts, end=None):
 def test_held_follower_below_threshold_is_absorbed():
     # each exit's follower A enters the region again; the call steps on
     # into it and through the next exit, to the end
-    counts = {}
+    counts = Counter()
     seq = [A, B, X] * 3 + [A, B]
     assert exit_call(seq, 5, counts)[0] == len(seq)
     assert counts == {A: 3}
@@ -694,16 +697,16 @@ def test_held_follower_below_threshold_is_absorbed():
 def test_follower_reaching_threshold_ends_the_call_unwritten():
     # the third follower's bump reaches 3: the call returns at it with
     # prev infinity and leaves its count for the scan to bump
-    counts = {}
+    counts = Counter()
     assert exit_call([A, B, X] * 3 + [A, B], 3, counts) == (9, math.inf)
     assert counts == {A: 2}
-    counts = {A: 2}
+    counts = Counter({A: 2})
     assert exit_call([A, B, X, A, B], 3, counts) == (3, math.inf)
     assert counts == {A: 2}
 
 
 def test_threshold_one_never_absorbs():
-    counts = {}
+    counts = Counter()
     assert exit_call([A, B, X, A, B], 1, counts) == (3, math.inf)
     assert counts == {}
 
@@ -716,7 +719,7 @@ def test_threshold_one_never_absorbs():
     ([A, B, X, Y, A], None),
 ])
 def test_follower_at_end_or_not_held_ends_the_call(seq, end):
-    counts = {}
+    counts = Counter()
     assert exit_call(seq, 5, counts, end) == (3, math.inf)
     assert counts == {}
 
@@ -736,10 +739,11 @@ class KernelMachine(RuleBasedStateMachine):
 
     def __init__(self):
         super().__init__()
-        self.auto = MemoAutomaton()
+        self.auto = identity_automaton(MemoAutomaton)
         self.model = LiteralAutomaton()
         self.recordings: list[list[int]] = []
-        self.counts: dict[int, int] = {}
+        # the kernel's counts by id, an id's count 0 until written
+        self.counts: Counter = Counter()
         self.model_counts: dict[int, int] = {}
 
     @initialize(n=st.integers(1, 12), data=st.data())

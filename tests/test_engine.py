@@ -200,7 +200,8 @@ def test_engine_equals_naive_loop_on_a_phased_nest(monkeypatch, technique):
         # run an inner loop more than once
         expansion = {dump["states"][sid]["address"]
                      for r in dump["regions"] for sid in r["expansion_states"]}
-        assert any(expansion & set(w) for w in auto.walks)
+        # a walk holds ids, each its address's index in the table
+        assert any(expansion & set(auto._table[w].tolist()) for w in auto.walks)
         assert any(len(set(w)) < len(w) for w in auto.walks)
 
 
@@ -254,10 +255,12 @@ def test_exit_counts_declared_only_while_idle(technique):
     manager = make_rft(RFTConfig(technique=technique, threshold=1))
     addrs = EXIT_COUNTS_TRACE
     sizes = [4] * len(addrs)
-    bind(manager, Trace(addrs, sizes))
+    trace = Trace(addrs, sizes)
+    bind(manager, trace)
+    ids = trace._ids
     declared, states = [], []
     for i in range(len(addrs)):
-        manager.scan(i, i + 1, addrs[i - 1] if i else -1)
+        manager.scan(i, i + 1, ids[i - 1] if i else -1)
         counts = manager.exit_counts
         assert counts is None or counts is manager._hot
         declared.append(counts is not None)
@@ -282,10 +285,9 @@ def test_no_scan_starts_at_a_follower_the_kernel_counts(monkeypatch):
 
         def checked(i, end, prev):
             addrs = manager._addrs
-            if prev == math.inf and i < end and addrs[i] in manager._held:
+            if prev == math.inf and i < end and manager._held[addrs[i]]:
                 counts = manager.exit_counts
-                assert (counts is None
-                        or counts.get(addrs[i], 0) + 1 >= config.threshold), config
+                assert counts is None or counts[addrs[i]] + 1 >= config.threshold, config
                 fallbacks.append(config.technique)
             return scan(i, end, prev)
         manager.scan = checked
@@ -453,6 +455,8 @@ def test_benchmark_hooks_exist():
     automaton = engine.Automaton()
     for name in ("step_addr", "run_native_stretch", "bulk_interp", "append_region"):
         assert callable(getattr(automaton, name)), name
+    # the engine binds each automaton to its trace's table; here ids are addresses
+    automaton.bind(range(0x300))
     # positional kernel arguments and the consumed index in result[0]
     assert automaton.run_native_stretch([0x100, 0x104], [4, 4], 0, 2, 1)[0] == 2
     # bench/layers.py books result[0] - args[2] items per kernel call, so i stays

@@ -25,7 +25,8 @@ EXPANDING = ("netplus", "netplus-e-r")
 
 
 def emitted_flow_maps(monkeypatch, trace, config):
-    """Run the engine and return (due index, flow map) per emission."""
+    """Run the engine and return (due index, flow map) per emission, the
+    map's ids mapped back to addresses."""
     seen = []
     make_rft = engine.make_rft
 
@@ -35,7 +36,9 @@ def emitted_flow_maps(monkeypatch, trace, config):
 
         def snapshot(items, due):
             out = complete(items, due)
-            seen.append((due, frozen_flow(manager._cfg)))
+            table = trace.table().tolist()
+            seen.append((due, frozen_flow({table[u]: (size, [table[v] for v in succ])
+                                           for u, (size, succ) in manager._cfg.items()})))
             return out
         manager.complete = snapshot
         return manager

@@ -150,9 +150,10 @@ def test_idle_scan_hands_off_after_exactly_handoff_items(monkeypatch, passes, si
     h = rft._HANDOFF
     addrs = rising(3 * h)
     manager = make_rft(RFTConfig(tech, threshold=1 << 20))
-    bind(manager, Trace(addrs, [4] * len(addrs)))
+    trace = Trace(addrs, [4] * len(addrs))
+    bind(manager, trace)
     for i, end in [(0, h), (h, 2 * h + 1), (2 * h + 1, 3 * h)]:
-        assert manager.scan(i, end, addrs[i - 1] if i else -1) == (end, None)
+        assert manager.scan(i, end, trace._ids[i - 1] if i else -1) == (end, None)
     assert passes == [(2 * h, 2 * h + 1, 2 * h + 1)]
 
 
@@ -196,13 +197,14 @@ def test_no_hand_off_with_a_formation_in_flight(monkeypatch, passes, sizes, tech
     starts = attached(tech, 1)
     assert starts.scan(0, n, -1) == (n, None)
     assert starts.exit_counts is None and getattr(starts, "_state", None) == state
-    assert starts.scan(n, end, addrs[n - 1]) == (end, None)
+    ids = trace._ids
+    assert starts.scan(n, end, ids[n - 1]) == (end, None)
     assert passes == []
     for manager in (continues, starts):
         assert manager.exit_counts is None and getattr(manager, "_state", None) == state
     lei = attached("lei", 1 << 20)
     assert lei.scan(0, n, -1) == (n, None)
-    assert lei.scan(n, end, addrs[n - 1]) == (end, None)
+    assert lei.scan(n, end, ids[n - 1]) == (end, None)
     assert attached("lei", 1 << 20).scan(0, end, -1) == (end, None)
     assert passes == [(n + rft._HANDOFF, end, end), (rft._HANDOFF, end, end)]
 
@@ -255,14 +257,17 @@ def test_region_exit_target_is_the_first_item_only(monkeypatch, tech):
     set_sizes(monkeypatch, (1, 1))
     addrs = [0x200, 0x300, 0x250, 0x260, 0x100]
     manager = make_rft(RFTConfig(tech, threshold=100))
-    bind(manager, Trace(addrs, [4] * 5))
+    trace = Trace(addrs, [4] * 5)
+    bind(manager, trace)
     assert manager.scan(0, 5, math.inf) == (5, None)
     ref = make_reference(RFTConfig(tech, threshold=100))
     last, kind = (0x50, 4), 2
     for a in addrs:
         ref.handle(last, (a, 4), kind)
         last, kind = (a, 4), SI
-    assert manager._hot == ref.hot == {0x200: 1, 0x250: 1, 0x100: 1}
+    table = trace.table().tolist()
+    hot = {table[k]: c for k, c in enumerate(manager._hot) if c}
+    assert hot == ref.hot == {0x200: 1, 0x250: 1, 0x100: 1}
 
 
 @pytest.mark.parametrize("sizes", [(1, 4), (2, 5), (7, 7)], ids=size_id)

@@ -12,8 +12,8 @@ And a trace window is the trace it covers: ``skip`` and ``limit`` give the
 report of the sliced ``Trace``.
 
 Every trace, transformed or not, is written as binary v1 and loaded back.
-The loader numbers a trace's distinct addresses through an offset table
-when their span is at most the item count, and by binary search
+Its first simulation numbers its distinct addresses through a dense lookup
+when their span is at most ``trace_io._DENSE_SPAN``, and by binary search
 otherwise, so the cases below feed both to all six techniques.
 
 The performance knobs change how the work is cut up, never its result:
@@ -21,7 +21,7 @@ patching each of them to 1 or to more than any trace's length leaves
 every technique's dump unchanged, on traces loaded from either format.
 
 At benchmark scale, ``experiments/oracle_scale.py`` compares the engine's
-dump with the naive loop's on 36 configs; it runs here on 5,000-item
+dump with the naive loop's on 60 configs; it runs here on 5,000-item
 prefixes, so that it does not rot.
 """
 
@@ -60,14 +60,13 @@ def _cases():
 CASES = _cases()
 
 
-def _spans_at_most_items(trace: Trace) -> bool:
-    return int(trace.addresses.max()) - int(trace.addresses.min()) < len(trace)
+def _dense(trace: Trace) -> bool:
+    return int(trace.addresses.max()) - int(trace.addresses.min()) < trace_io._DENSE_SPAN
 
 
 def test_cases_feed_both_numberings():
-    spans = {_spans_at_most_items(trace) for _, trace, _ in CASES}
-    shifted = {_spans_at_most_items(Trace([(a << 40) + 7 for a in trace.addresses.tolist()],
-                                          trace.sizes))
+    spans = {_dense(trace) for _, trace, _ in CASES}
+    shifted = {_dense(Trace([(a << 40) + 7 for a in trace.addresses.tolist()], trace.sizes))
                for _, trace, _ in CASES}
     assert spans | shifted == {True, False}
 
@@ -194,8 +193,10 @@ def oracle_scale(monkeypatch):
 def test_oracle_scale_on_bench_prefixes(oracle_scale, capsys):
     assert oracle_scale.main(["--items", "5000"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 37 and lines[-1] == "0 of 36 dumps differ", lines
-    assert all(line.endswith("5000 items: same") for line in lines[:-1])
+    assert len(lines) == 61 and lines[-1] == "0 of 60 dumps differ", lines
+    # the many-addresses trace runs 70,000 fresh addresses before its prefix
+    assert all(line.endswith(f"{75_000 if 'many' in line else 5000} items: same")
+               for line in lines[:-1])
 
 
 def test_oracle_scale_fails_on_a_differing_dump(oracle_scale, monkeypatch, capsys):
@@ -209,5 +210,5 @@ def test_oracle_scale_fails_on_a_differing_dump(oracle_scale, monkeypatch, capsy
         Empty() if config.rft.technique == "lei" else naive(trace, config)))
     assert oracle_scale.main(["--items", "200"]) == 1
     lines = capsys.readouterr().out.splitlines()
-    assert lines[-1] == "6 of 36 dumps differ"
-    assert sum(line.endswith("DIFFERS") for line in lines) == 6
+    assert lines[-1] == "10 of 60 dumps differ"
+    assert sum(line.endswith("DIFFERS") for line in lines) == 10

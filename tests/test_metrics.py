@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import drive
-from rftsim.automaton import Automaton
+from conftest import drive, identity_automaton
 from rftsim.metrics import (CostParams, MetricsReport, cold_region_fraction,
                             completion_ratio, compute_report, estimate_times,
                             format_cell, ninety_percent_cover_set,
@@ -173,7 +172,7 @@ def test_huge_int_cost_accepted():
 # --- compute_report ---------------------------------------------------------------
 
 def test_report_zero_regions_na_markers():
-    auto = Automaton()
+    auto = identity_automaton()
     drive(auto, [0x100, 0x104, 0x108])
     report = compute_report(auto)
     assert report.num_regions == 0
@@ -185,7 +184,7 @@ def test_report_zero_regions_na_markers():
 
 
 def test_report_empty_run_all_zero():
-    report = compute_report(Automaton())
+    report = compute_report(identity_automaton())
     assert report.total_instructions == 0
     assert report.coverage == 0.0
     assert report.ninety_percent_cover_set == 0
@@ -193,7 +192,7 @@ def test_report_empty_run_all_zero():
 
 def test_report_transition_chain():
     # R1's exit always enters R2, crossing k times
-    auto = Automaton()
+    auto = identity_automaton()
     auto.append_region([(0x100, 4), (0x104, 4)])
     auto.append_region([(0x200, 4), (0x204, 4)])
     k = 5
@@ -205,7 +204,7 @@ def test_report_transition_chain():
 
 
 def test_report_duplication_ratio():
-    auto = Automaton()
+    auto = identity_automaton()
     auto.append_region([(0x100, 4), (0x104, 4)])
     auto.append_region([(0x104, 4), (0x108, 4)])
     report = compute_report(auto)
@@ -214,7 +213,7 @@ def test_report_duplication_ratio():
 
 
 def test_report_invariants_restate_conservation():
-    auto = Automaton()
+    auto = identity_automaton()
     auto.append_region([(0x100, 4), (0x104, 4)])
     drive(auto, [0x100, 0x104, 0x900, 0x100, 0x104])
     r = compute_report(auto)
@@ -226,7 +225,7 @@ def test_report_invariants_restate_conservation():
 # --- serialisation ----------------------------------------------------------------
 
 def test_csv_row_na_and_unreachable_markers():
-    auto = Automaton()
+    auto = identity_automaton()
     drive(auto, [0x100])
     row = report_csv_row(compute_report(auto))
     assert "unreachable" in row
@@ -234,7 +233,7 @@ def test_csv_row_na_and_unreachable_markers():
 
 
 def test_json_report_carries_region_table():
-    auto = Automaton()
+    auto = identity_automaton()
     auto.append_region([(0x100, 4)])
     drive(auto, [0x100, 0x100])
     doc = report_json_dict(compute_report(auto))
@@ -251,7 +250,7 @@ def test_format_cell():
 
 def test_avg_static_times_count_recovers_hot_static():
     import math
-    auto = Automaton()
+    auto = identity_automaton()
     auto.append_region([(0x100, 4), (0x104, 4), (0x108, 4), (0x10C, 4)])
     auto.append_region([(0x200, 4), (0x204, 4), (0x208, 4)])
     auto.append_region([(0x300, 4), (0x304, 4), (0x308, 4)])

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (bind, detour_trace, random_graph_walk, random_noise, random_rft_config,
-                      random_trace, scan_run)
+from conftest import (addressed, bind, detour_trace, random_graph_walk, random_noise,
+                      random_rft_config, random_trace, scan_run)
 from reference import (SI, FlowMap, HistoryBuffer, literal_expand, netr_stop_condition,
                        reference_run, was_backward_branch)
 from rftsim import SimulationConfig, Trace, run_simulation
@@ -47,12 +47,17 @@ def lei_history(mgr, addrs):
 
 
 def seed_lei_cycle_counts(mgr, counts):
-    """Give a fresh lei manager's addresses cycle counts; their latest push
-    position, -1, lies below the history, so it marks no cycle."""
-    for a, c in counts.items():
-        mgr._slot[a] = len(mgr._last)
-        mgr._last.append(-1)
-        mgr._count.append(c)
+    """Give a fresh lei manager's addresses cycle counts as it is bound to
+    a trace; their latest push position, -1, lies below the history, so it
+    marks no cycle."""
+    begin = mgr.begin
+
+    def seeded(source, start, end, held):
+        begin(source, start, end, held)
+        table = source.table().tolist()
+        for a, c in counts.items():
+            mgr._hot[table.index(a)] = c
+    mgr.begin = seeded
 
 
 # --- scan against the per-item reference model --------------------------------
@@ -156,7 +161,7 @@ def test_net_profiles_exit_targets():
 def test_net_no_profiling_on_native_kinds():
     mgr = NetManager(cfg(threshold=1))
     assert feed(mgr, [(0x200, 4), (0x100, 4)], held={0x200, 0x100}) == []
-    assert mgr._hot == {}
+    assert not any(mgr._hot)
 
 
 # --- mret2 ----------------------------------------------------------------------
@@ -522,8 +527,10 @@ def test_netplus_emission_on_region_entry_sees_the_next_item():
     addrs = [X, E, A_, H, X]
     sizes = [4] * len(addrs)
     mgr = NetPlusManager(cfg("netplus", threshold=1))
-    bind(mgr, Trace(addrs, sizes), {H})
-    assert mgr.scan(0, len(addrs), -1) == \
+    trace = Trace(addrs, sizes)
+    bind(mgr, trace, {H})
+    k, region = mgr.scan(0, len(addrs), -1)
+    assert (k, addressed(region, trace.table().tolist())) == \
         (3, ([(E, 4), (A_, 4), (H, 4)], ((X, 4),), {H: (X,), X: (E,)}))
 
 

@@ -128,6 +128,75 @@ def test_streamed_sweep_forks_equal_in_process(monkeypatch, cases, two_cpus):
     assert [o.result.dump for o in forked] == [o.result.dump for o in serial] == dumps
 
 
+# a straight-line prefix, then a four-instruction loop whose last iteration
+# runs X, then A, B and Y, an address first seen in the file's last item
+# and so in its last chunk, whatever the chunk's size; Y lies between A and
+# B, so a numbering of the earlier chunks alone would rank B differently
+A, B, C, D, X, Y = 0x100, 0x108, 0x110, 0x118, 0x10C, 0x104
+LAST_SEEN = [0x10 + 4 * k for k in range(6)] + [A, B, C, D] * 8 + [A, B, X, D] + [A, B, Y]
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+def test_address_first_seen_in_the_last_chunk(tmp_path, monkeypatch, chunk):
+    """lei emits the iteration through X at the tenth landing on A, item
+    42, and netplus's recording from that A stops at Y, the last item; both
+    read the file back (``_span``), and the streamed dumps equal the
+    in-memory engine's and the per-item reference's."""
+    trace = Trace(LAST_SEEN, [4] * len(LAST_SEEN))
+    path = tmp_path / "last.rtr"
+    write_trace(path, trace)
+    monkeypatch.setattr(trace_io, "_REPLAY_CHUNK", chunk)
+    dues, reached = {}, set()
+    make_rft, span = engine.make_rft, rft.RegionManager._span
+
+    def logged_rft(config):
+        manager = make_rft(config)
+        complete = manager.complete
+
+        def noted(items, due):
+            dues.setdefault(type(manager).__name__, []).append(due)
+            return complete(items, due)
+        manager.complete = noted
+        return manager
+
+    def logged_span(self, lo, hi):
+        if lo < self._base:
+            reached.add(type(self).__name__)
+        return span(self, lo, hi)
+    monkeypatch.setattr(engine, "make_rft", logged_rft)
+    monkeypatch.setattr(rft.RegionManager, "_span", logged_span)
+    for technique in ("lei", "netplus"):
+        config = SimulationConfig(rft=RFTConfig(technique, threshold=9), collect_dump=True)
+        dump = run_simulation(trace, config).dump
+        assert dump == naive_run(trace, config).dump()
+        with TraceFile(path) as source:
+            assert run_simulation(source, config).dump == dump, technique
+        recorded = [dump["states"][sid]["address"] for sid in dump["regions"][0]["recorded_states"]]
+        assert recorded == ([A, B, X, D] if technique == "lei" else [A, B])
+    n = len(LAST_SEEN)
+    assert LAST_SEEN.index(Y) == n - 1
+    assert dues == {"LeiManager": [n - 3] * 2, "NetPlusManager": [n - 1] * 2}
+    assert reached == {"LeiManager", "NetPlusManager"}
+
+
+def test_cli_sweep_in_forked_workers_equals_in_process(tmp_path, monkeypatch, cases, two_cpus):
+    """``rftsim sweep --parallelism 2`` over a binary file, numbered once by
+    the parent before its workers fork, writes what the in-process sweep
+    writes; the file's addresses lie on both sides of 2**63, so they are
+    numbered through the binary search."""
+    monkeypatch.setattr(trace_io, "_REPLAY_CHUNK", 7)
+    name, path, _, _ = cases[3]
+    assert name == "high"
+    written = []
+    for parallelism in ("1", "2"):
+        out = tmp_path / f"sweep-{parallelism}.json"
+        assert main(["sweep", "--trace", str(path), "--rfts", ",".join(TECHNIQUES),
+                     "--thresholds", "2,64", "--parallelism", parallelism, "--format", "json",
+                     "--out", str(out)]) == 0
+        written.append(out.read_text())
+    assert written[0] == written[1]
+
+
 @pytest.fixture(scope="module")
 def loop_files(tmp_path_factory):
     """Binary files of a 10-instruction loop at 400,000 and 1,600,000 items."""
