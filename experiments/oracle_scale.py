@@ -9,7 +9,9 @@ ids: ``many-addresses`` runs 70,000 fresh addresses once each below
 graph-walk's, so its ids are u32 and graph-walk's above 65,535, and
 ``wide-span`` moves each address ``a`` to ``a << 24``, a span wider than
 the dense lookup's, so its ids come from the binary search.  It prints
-one line per config and exits 1 if any dump differs.
+one line per config, with the items the stepping kernel's numpy pass
+stepped, and exits 1 if any dump differs, or if the pass stepped no item
+on loop-nest or on graph-walk, whose long native runs it exists for.
 
     python experiments/oracle_scale.py               # full size, seed 1
     python experiments/oracle_scale.py --items 5000  # each trace's prefix
@@ -31,12 +33,15 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "bench")]
 
 from conftest import naive_run  # noqa: E402
 from rftsim import RFTConfig, SimulationConfig, Trace, run_simulation  # noqa: E402
+from rftsim.automaton import Automaton  # noqa: E402
 from rftsim.rft import TECHNIQUES  # noqa: E402
 from workloads import DEFAULT_SEED, WORKLOADS  # noqa: E402
 
 THRESHOLDS = (64, 1024)
 # addresses run once each before graph-walk's in the many-addresses trace
 FRESH = 70_000
+# the workloads on which the kernel's numpy pass must step some items
+PASSED = ("loop-nest", "graph-walk")
 
 
 def main(argv=None) -> int:
@@ -56,17 +61,37 @@ def main(argv=None) -> int:
     traces["many-addresses"] = Trace(np.concatenate([fresh, walk.addresses + np.uint64(4 * FRESH)]),
                                      np.concatenate([np.full(FRESH, 4), walk.sizes]))
     traces["wide-span"] = Trace(walk.addresses << np.uint64(24), walk.sizes)
-    for name, trace in traces.items():
-        for threshold in THRESHOLDS:
-            for technique in TECHNIQUES:
-                config = SimulationConfig(rft=RFTConfig(technique, threshold=threshold),
-                                          collect_dump=True)
-                same = run_simulation(trace, config).dump == naive_run(trace, config).dump()
-                differing += not same
-                print(f"{name} {technique} threshold {threshold} {len(trace)} items: "
-                      f"{'same' if same else 'DIFFERS'}", flush=True)
+    # the items the kernel's numpy pass steps, in the current config and
+    # per trace
+    stepped = [0]
+    passed = dict.fromkeys(traces, 0)
+    step = Automaton._pass
+
+    def counted(self, addrs, i, end, exit_counts, threshold):
+        k, prev = step(self, addrs, i, end, exit_counts, threshold)
+        stepped[0] += k - i
+        return k, prev
+    Automaton._pass = counted
+    try:
+        for name, trace in traces.items():
+            for threshold in THRESHOLDS:
+                for technique in TECHNIQUES:
+                    config = SimulationConfig(rft=RFTConfig(technique, threshold=threshold),
+                                              collect_dump=True)
+                    stepped[0] = 0
+                    same = run_simulation(trace, config).dump == naive_run(trace, config).dump()
+                    differing += not same
+                    passed[name] += stepped[0]
+                    print(f"{name} {technique} threshold {threshold} ({stepped[0]} in the "
+                          f"pass) {len(trace)} items: {'same' if same else 'DIFFERS'}",
+                          flush=True)
+    finally:
+        Automaton._pass = step
+    unused = [name for name in PASSED if not passed[name]]
+    for name in unused:
+        print(f"the kernel's numpy pass stepped no item on {name}", file=sys.stderr)
     print(f"{differing} of {len(traces) * len(THRESHOLDS) * len(TECHNIQUES)} dumps differ")
-    return 1 if differing else 0
+    return 1 if differing or unused else 0
 
 
 if __name__ == "__main__":

@@ -47,6 +47,24 @@ A walk shorter than ``CHAIN_MIN_PATH`` is not kept, so a landing is
 fruitless when it misses; a head with ``CHAIN_GIVE_UP`` fruitless
 landings in a row steps item by item for the rest of the run.
 
+A kernel call that has stepped ``_NATIVE_HANDOFF`` items, one by one or
+in walks, hands the rest of its run to a numpy pass (``Automaton._pass``),
+which reads the chunk's id column in windows that double in size.  No
+region is installed during a call, so the address index and every
+edge's target stay fixed while it runs: an item's state is its id's held
+state, unless the item follows an exceptional edge, one that
+``append_region`` made to a state that is not its id's held state (the
+second state of a recording's repeated address, or a look-ahead
+expansion's copy of an address an earlier region holds).  Such an edge
+runs within one region, from a state that holds the previous item's id,
+so only an item whose pair of previous id and id keys one can follow
+one; a running flag decides which do when each pair keys one edge, and
+the runs of each region's edges decide otherwise (``_resolve``).  Where
+the call stops depends on the held states alone: after the first
+landing, or at a region-exit follower that is not held or whose count
+reaches the threshold, which the grouped running counts of the held
+followers find.
+
 Counters are raw or derived.  The kernel counts only what the edges
 cannot give: each edge's traversals, ``interp``, the completed
 traversals of regions with two or more recorded states, and each memo's
@@ -54,7 +72,13 @@ hits (``Region.hits``).  A hit follows each of its walk's edges as often
 as the walk did, and completes a traversal when the walk passed the core
 tail, so flushing the hits into those edges and completions
 (``Region.flush``, before any report) completes both; a cut hit counts
-as a hit and takes its last edge's traversal back at once.  Every native
+as a hit and takes its last edge's traversal back at once.  The numpy
+pass notes each native item's ``(previous state, state)`` code, which
+names the edge it followed or rule 2 made, and adds the notes to the
+edges every ``_PASS_CHUNK`` items and before any report
+(``_count_traversed``); it counts completions from the heads, core tails
+and changes of owner among its items, with the open traversal carried
+from one window to the next and into the next call.  Every native
 item either follows an edge or creates one with count 1, and edges only
 target region states, so one pass over the edge counts gives the rest
 at report time (``Automaton._executions``):
@@ -94,6 +118,10 @@ from array import array
 from itertools import chain
 from typing import Iterable, Mapping, Optional, Sequence
 
+import numpy as np
+
+from .trace_io import _grouped, _runs
+
 NTE_STATE = 0
 
 # A region's head gets the chain-head mark when the region has more than
@@ -109,6 +137,38 @@ CHAIN_MIN_PATH = 4
 # fruitless landings in a row that give a chain head up; items a memo keeps
 CHAIN_GIVE_UP = 3
 WALK_CAP = 1024
+# Items a kernel call steps, one by one or in memo walks, before it hands
+# the rest of its run to the numpy pass, and the pass's first window.
+# Measured as the time of kernel calls of n items with the hand-off at
+# 1024, 2048 and 4096 over their time with no hand-off (Python 3.11,
+# numpy 2.4, 2-core x86 host), on a loop through another region's copies,
+# which takes exceptional edges and no memo walk (79-83 ns per item with
+# no hand-off), on a 20-instruction loop whose exits are counted, whose
+# iterations the memo steps (18-19 ns), and on a 50-instruction loop the
+# memo steps whole, so that only the items after its last walk reach the
+# pass (2-4 ns):
+#
+#     n        copies             exits              memo loop
+#            1024 2048 4096     1024 2048 4096     1024 2048 4096
+#     2048   0.82 1.00 1.22     1.44 1.06 0.99     1.67 1.01 1.00
+#     4096   0.56 0.71 0.98     1.05 1.02 1.00     1.43 1.43 0.99
+#     8192   0.40 0.48 0.66     0.79 0.77 0.84     1.26 1.25 1.25
+#     16384  0.36 0.41 0.50     0.63 0.60 0.63     1.16 1.16 1.15
+#
+# On the benchmark's workloads 2048 was as fast as 1024 on loop-nest and
+# slowed graph-walk's net, mret2 and net-r less (1-2% against 2-6%, median
+# of five alternating runs); 4096 was 7% slower on loop-nest.
+_NATIVE_HANDOFF = 2048
+# the pass's largest window and step, bounding its transient arrays to a
+# few MB
+_PASS_CHUNK = 1 << 16
+
+
+def _first_true(mask: np.ndarray) -> int:
+    """The index of the first true entry of a non-empty ``mask``, or its
+    length."""
+    k = int(mask.argmax())
+    return k if mask[k] else len(mask)
 
 
 class Region:
@@ -211,8 +271,20 @@ class Automaton:
         # once (1 once the head is given up); none in a region with one
         # recorded state, whose completions are its head executions
         self._mark: list[int] = [0]
+        # both again as arrays, which the numpy pass reads in place: the
+        # per-item loop reads lists faster
+        self._owner_col = array("i", self._owner)
+        self._mark_col = array("b", self._mark)
         self._edges: list[dict[int, list[int]]] = [{}]
         self._regions: list[Region] = []
+        # the exceptional edges, ``state * m + id`` -> target state for a
+        # table of m addresses, and the numpy pass's sorted copy of them
+        self._exceptional: dict[int, int] = {}
+        self._exceptional_table: Optional[tuple] = None
+        # the edge traversals the numpy pass noted, as arrays of codes, and
+        # their items; ``_count_traversed`` adds them to the edges
+        self._traversed: list[np.ndarray] = []
+        self._traversed_items = 0
         self.bind(())
         self._cur = NTE_STATE
         self._cur_edges = self._edges[0]
@@ -233,7 +305,9 @@ class Automaton:
     def _executions(self) -> tuple[list[int], list[int], list[int]]:
         """Executions per state id, and each region's entries from the
         interpreter and from native code, summed from the edges in one pass
-        once every memo's hits are flushed into them."""
+        once the numpy pass's notes and every memo's hits are added to
+        them."""
+        self._count_traversed()
         for r in self._regions:
             r.flush()
         owner = self._owner
@@ -287,7 +361,7 @@ class Automaton:
 
     def run_native_stretch(self, addrs: Sequence[int], sizes: Sequence[int],
                            i: int, end: int, h: int,
-                           exit_counts: Optional[dict[int, int]] = None,
+                           exit_counts: Optional[array] = None,
                            threshold: int = 1) -> tuple[int, float]:
         """The stepping kernel: the only code applying the resolution rules.
 
@@ -335,10 +409,15 @@ class Automaton:
         call steps on item by item, and a walk it steps from a head up to
         ``end`` without leaving the region is not kept, so a chunk's end
         cuts no memo short.
+        A call that has stepped ``_NATIVE_HANDOFF`` items, one by one or in
+        walks, hands the rest of its run to a numpy pass (``_pass``), which
+        stops where this loop would and returns what it would; a walk it
+        cuts short is not kept.
         ``addrs`` holds the items' ids: a list of ints or, from the engine,
         a chunk's ``Trace._ids``, an ``array`` of u8, u16 or u32: one
-        iterator reads it, moved past each walk stepped in one go, and a
-        memo's walk is a slice of it, so like is compared with like.
+        iterator reads it, moved past each walk stepped in one go, a
+        memo's walk is a slice of it, so like is compared with like, and
+        the pass views it in place.
         ``sizes`` is unused: states keep the size they were recorded with.
         The name and the argument order predate the interpreter side; the
         benchmark harness still wraps the kernel under this name.
@@ -359,11 +438,13 @@ class Automaton:
         # head, or -1
         ws = -1
         wr = None
-        left = False
+        left = handoff = False
+        stop = i + _NATIVE_HANDOFF if end - i > _NATIVE_HANDOFF else end
         it = iter(addrs)
         it.__setstate__(i)
         for a in it:
-            if i >= end:
+            if i >= stop:
+                handoff = i < end
                 break
             i += 1
             if left:
@@ -454,6 +535,8 @@ class Automaton:
         self._cur_owner = cur_owner
         self._traversing = traversing
         self.interp = interp
+        if handoff:
+            return self._pass(addrs, i, end, exit_counts, threshold)
         return i, math.inf if left else addrs[i - 1]
 
     def _keep(self, r: Region, addrs: Sequence[int], ws: int, we: int) -> None:
@@ -483,6 +566,244 @@ class Automaton:
         r.walk_edges = followed
         r.walk_end = sid
         r.walk_closes = any(e[0] == r.core_tail_state for e in followed)
+
+    def _pass(self, addrs: Sequence[int], i: int, end: int, exit_counts: Optional[array],
+              threshold: int) -> tuple[int, float]:
+        """Step items ``i..end-1`` from the cursor as the kernel's loop would,
+        in numpy, and return what the kernel returns.
+
+        No region is installed during a call, so each item's state is that
+        of its id in ``held``, unless the item follows an exceptional edge
+        (see ``_resolve``), and the cursor sits on the interpreter state
+        only after a landing.  So where the call stops depends on ``held``
+        alone: after its first landing or, with ``exit_counts``, at a
+        follower that is not held or whose bump reaches the threshold.  The
+        pass finds that stop in windows of ``addrs`` of ``_NATIVE_HANDOFF``
+        items doubling in size, bumping the counts of the followers before
+        it, and steps the items up to it, or up to ``_PASS_CHUNK`` of them,
+        at once: each native item's ``(previous state, state)`` code joins
+        ``_traversed``, which ``_count_traversed`` turns into edge counts,
+        and completions are counted from the heads, core tails and owner
+        changes among them."""
+        column = np.asarray(addrs)
+        held, owner, mark = (np.asarray(a) for a in (self._first, self._owner_col, self._mark_col))
+        counts = None if exit_counts is None else np.asarray(exit_counts)
+        regions = self._regions
+        tid, traversing, interp = self._cur, self._traversing, self.interp
+        size = _NATIVE_HANDOFF
+        stopped = False
+        while i < end and not stopped:
+            stop = i
+            landed = tid == NTE_STATE
+            while stop < end and stop - i < _PASS_CHUNK:
+                ids = column[stop:stop + min(size, end - stop, _PASS_CHUNK - (stop - i))]
+                land = held[ids] == NTE_STATE
+                n = _first_true(land)
+                if counts is None:
+                    # the run ends with its first landing
+                    stopped = n < len(ids)
+                    n += stopped
+                elif n < len(ids) or landed:
+                    # a follower is the item after a landing; the scan sees
+                    # one that is not held
+                    follows = np.empty(len(ids), dtype=bool)
+                    follows[0] = landed
+                    follows[1:] = land[:-1]
+                    n = _first_true(follows & land)
+                    bumped = (follows[:n] & ~land[:n]).nonzero()[0]
+                    if len(bumped):
+                        # each held follower's running count, grouped by
+                        # id: the bump that reaches the threshold stops
+                        keys, starts, lengths, items = _grouped(ids[bumped])
+                        was = counts[keys]
+                        over = was + lengths >= threshold
+                        if over.any():
+                            n = min(n, int(bumped[items[(starts + threshold - was - 1)[over]]].min()))
+                            bumped = bumped[bumped < n]
+                        np.add.at(counts, ids[bumped], 1)
+                    stopped = n < len(ids)
+                stop += n
+                if n:
+                    landed = bool(land[n - 1])
+                if stopped:
+                    break
+                size = min(2 * size, _PASS_CHUNK)
+            n = stop - i
+            if not n:
+                break
+            ids = column[i:stop]
+            st = held[ids].astype(np.int64)
+            if self._exceptional:
+                self._resolve(st, ids, tid)
+            pred = np.empty(n, dtype=np.int64)
+            pred[0] = tid
+            pred[1:] = st[:-1]
+            native = st != NTE_STATE
+            interp += n - int(np.count_nonzero(native))
+            self._traversed.append(((pred << 32) | st)[native])
+            self._traversed_items += n
+            if self._traversed_items >= _PASS_CHUNK:
+                self._count_traversed()
+            # a head opens a traversal; a core tail reached inside the
+            # region closes it, and a change of owner ends it
+            own = owner[st]
+            moved = np.empty(n, dtype=bool)
+            moved[0] = own[0] != owner[tid]
+            np.not_equal(own[1:], own[:-1], out=moved[1:])
+            marks = mark[st]
+            at = ((marks != 0) | moved).nonzero()[0]
+            if len(at):
+                heads = (marks[at] & 1).astype(bool)
+                opened = np.empty(len(at), dtype=bool)
+                opened[0] = traversing
+                opened[1:] = heads[:-1]
+                closed = at[(marks[at] == 2) & opened & ~moved[at]]
+                if len(closed):
+                    done = np.bincount(own[closed])
+                    for rid in done.nonzero()[0].tolist():
+                        regions[rid].completions += int(done[rid])
+                traversing = bool(heads[-1])
+            tid = int(st[-1])
+            i = stop
+        self._cur = tid
+        self._cur_edges = self._edges[tid]
+        self._cur_owner = int(owner[tid])
+        self._traversing = traversing
+        self.interp = interp
+        return i, math.inf if tid == NTE_STATE else addrs[i - 1]
+
+    def _count_traversed(self) -> None:
+        """Add the edge traversals the numpy pass noted to the edges, making
+        the edges rule 2 would have made.  Each note is a ``(previous state
+        << 32) | state`` code: a state holds one id, so it names the edge,
+        and an edge the notes name but the automaton lacks is one rule 2
+        makes, to the state of its id in ``held``."""
+        if not self._traversed:
+            return
+        codes = np.sort(np.concatenate(self._traversed))
+        self._traversed, self._traversed_items = [], 0
+        starts, times = _runs(codes)
+        edges_l, addr_l = self._edges, self._addr
+        for code, c in zip(codes[starts].tolist(), times.tolist()):
+            p, t = code >> 32, code & 0xFFFFFFFF
+            e = edges_l[p].get(addr_l[t])
+            if e is None:
+                edges_l[p][addr_l[t]] = [t, c]
+            else:
+                e[1] += c
+
+    def _resolve(self, st: np.ndarray, ids: np.ndarray, tid: int) -> None:
+        """Give each item of ``ids`` in ``st``, which holds the state of
+        its id in ``held``, the target of the exceptional edge it follows,
+        if any, from state ``tid`` before the first item.
+
+        An exceptional edge is one ``append_region`` made whose target is
+        not the state of its id in ``held``.  Only these take rule 1 where
+        rule 2 would not, each from a state that holds the previous item's
+        id to another state of its region: its source is that id's held
+        state or a copy, a state no other edge reaches.  So an item can
+        follow one only when the pair of its previous id and its id keys
+        one, and it does exactly when the previous item's state is the
+        edge's source: that item's held state, or the target of the edge
+        it followed, in the same region.
+
+        When each such pair keys one edge, a running flag over these items
+        decides which follow theirs: an item whose edge's source is the
+        previous item's held state and not the target of the previous
+        item's edge sets the flag if the previous item has no edge and
+        flips it otherwise, one whose source is that target and not the
+        held state keeps it, one whose source is both sets it, and one
+        whose source is neither clears it.  Otherwise their edges, ordered
+        by region, then by item, form runs in which each edge's source is
+        the previous edge's target at the previous item.  A walk of copies
+        starts at an edge from the previous item's held state, unless the
+        item before is still on a walk, and follows the run to its end;
+        taking the starts in item order decides which are walks.  A region
+        with two edges at one item, from a recording that repeats an
+        address, has these items stepped one by one instead."""
+        m = len(self._first)
+        if self._exceptional_table is None:
+            self._exceptional_table = self._tabulate(m)
+        pairs, firsts, counts, sources, targets, regions, keyed = self._exceptional_table
+        exceptional = self._exceptional
+        st[0] = exceptional.get(tid * m + int(ids[0]), int(st[0]))
+        at = keyed[ids[1:]].nonzero()[0] + 1
+        code = ids[at - 1].astype(np.int64) * m + ids[at]
+        j = np.minimum(np.searchsorted(pairs, code), len(pairs) - 1)
+        hit = pairs[j] == code
+        at, j = at[hit], j[hit]
+        if not len(at):
+            return
+        many = counts[j]
+        if many.max() == 1:
+            source, end = sources[firsts[j]], targets[firsts[j]]
+            via_held = source == st[at - 1]
+            chained = np.zeros(len(at), dtype=bool)
+            chained[1:] = at[1:] == at[:-1] + 1
+            via_chain = np.zeros(len(at), dtype=bool)
+            via_chain[1:] = chained[1:] & (end[:-1] == source[1:])
+            last = np.arange(len(at))
+            last[chained & (via_held != via_chain)] = 0
+            last = np.maximum.accumulate(last)
+            flips = np.cumsum(via_held & ~via_chain)
+            taken = via_held[last] ^ ((flips - flips[last]) & 1).astype(bool)
+            st[at[taken]] = end[taken]
+            return
+        # each edge of each item, by region, then by item
+        edge_at = np.repeat(at, many)
+        row = np.arange(len(edge_at)) + np.repeat(firsts[j] - np.cumsum(many) + many, many)
+        # one sort of the codes (region * n + item) * rows + row orders them
+        rows = np.int64(len(regions))
+        key = np.sort((regions[row] * len(st) + edge_at) * rows + row)
+        edge_at, row = (key // rows) % len(st), key % rows
+        same = regions[row[1:]] == regions[row[:-1]]
+        if not (same & (edge_at[1:] == edge_at[:-1])).any():
+            source, end = sources[row], targets[row]
+            linked = np.zeros(len(row), dtype=bool)
+            linked[1:] = same & (edge_at[1:] == edge_at[:-1] + 1) & (end[:-1] == source[1:])
+            # the index of the last edge of each edge's run
+            run_end = np.where(np.append(~linked[1:], True), np.arange(len(row)), len(row))
+            run_end = np.minimum.accumulate(run_end[::-1])[::-1]
+            starts = np.flatnonzero(source == st[edge_at - 1])
+            starts = starts[np.argsort(edge_at[starts], kind="stable")]
+            walks, reach = [], -2
+            for e, k, f in zip(starts.tolist(), edge_at[starts].tolist(),
+                               edge_at[run_end[starts]].tolist()):
+                if k >= reach + 2:
+                    walks.append(e)
+                    reach = f
+            depth = np.zeros(len(row) + 1, dtype=np.int64)
+            depth[walks] += 1
+            depth[run_end[walks] + 1] -= 1
+            taken = np.cumsum(depth[:-1]) > 0
+            st[edge_at[taken]] = end[taken]
+            return
+        states = []
+        k0, t = -1, 0
+        for k, a, h, p in zip(at.tolist(), ids[at].tolist(), st[at].tolist(),
+                              st[at - 1].tolist()):
+            t = exceptional.get((t if k == k0 + 1 else p) * m + a, h)
+            states.append(t)
+            k0 = k
+        st[at] = states
+
+    def _tabulate(self, m: int) -> tuple:
+        """``_resolve``'s tables of the exceptional edges: the sorted
+        distinct codes ``previous id * m + id`` of the pairs of ids they
+        key, each with the first row and the number of rows of its edges,
+        whose sources, targets and regions the next three give; and by id,
+        whether it keys one."""
+        exceptional = self._exceptional
+        codes = np.array(sorted(exceptional), dtype=np.int64)
+        source, key = np.divmod(codes, m)
+        pair = np.array(self._addr)[source] * m + key
+        order = np.argsort(pair, kind="stable")
+        pairs, firsts, counts = np.unique(pair[order], return_index=True, return_counts=True)
+        keyed = np.zeros(m, dtype=bool)
+        keyed[key] = True
+        targets = np.array([exceptional[c] for c in codes[order].tolist()], dtype=np.int64)
+        return (pairs, firsts, counts, source[order], targets,
+                np.asarray(self._owner_col)[source[order]].astype(np.int64), keyed)
 
     # -- growth ---------------------------------------------------------
 
@@ -536,6 +857,8 @@ class Automaton:
         if len(recorded) > 1:
             self._mark[base] = 5 if len(recorded) > CHAIN_MIN_PATH else 1
             self._mark[tail - 1] = 2
+        self._owner_col.extend(self._owner[base:])
+        self._mark_col.extend(self._mark[base:])
         self._edges.extend(new_edges)
         region = Region(rid=rid, entry_state=base, states=list(range(base, tail)),
                         core_tail_state=tail - 1,
@@ -545,6 +868,12 @@ class Automaton:
         first = self._first
         for sid in range(base, len(addr_l)):
             first[addr_l[sid]] = first[addr_l[sid]] or sid
+        m = len(first)
+        for sid, edges in enumerate(new_edges, start=base):
+            for a, (t, _) in edges.items():
+                if first[a] != t:
+                    self._exceptional[sid * m + a] = t
+                    self._exceptional_table = None
         return rid
 
     # -- reporting --------------------------------------------------------

@@ -47,7 +47,9 @@ double up to ``rft._FLOW_CHUNK``, and stops at the first item the scan
 must see itself, with everything before it applied.  So a long cold or
 noisy run costs a few numpy passes, not one Python step per item, while
 the short scans between region exits, most of them a handful of items,
-never pay numpy's per-call cost.
+never pay numpy's per-call cost.  The kernel does the same on the native
+side: a call that has stepped ``automaton._NATIVE_HANDOFF`` items gives
+the rest of its run to its own numpy pass over the id column.
 
 Recording is purely observational: while a manager records, instructions
 keep being attributed to the states actually traversed.

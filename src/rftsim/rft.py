@@ -42,7 +42,7 @@ from typing import Callable, Collection, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .trace_io import Trace, TraceFile, _runs
+from .trace_io import Trace, TraceFile, _grouped, _runs
 
 TECHNIQUES = ("net", "mret2", "lei", "netplus", "net-r", "netplus-e-r")
 
@@ -544,20 +544,6 @@ class LeiManager(RegionManager):
 
 
 # --- numpy passes over trace chunks -------------------------------------------
-
-def _grouped(col: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``(keys, starts, lengths, items)``: ``items`` lists the indices of
-    the ids ``col`` ordered by value, then by index; the group of
-    ``keys[g]``, the g-th smallest distinct value, is the ``lengths[g]``
-    items from ``items[starts[g]]``.  One sort of the u64 codes
-    ``value * n + index`` orders them, several times faster than a stable
-    argsort: an id is below 2**32, and ``n`` at most ``_FLOW_CHUNK``."""
-    n = len(col)
-    code = np.sort(col.astype(np.uint64) * np.uint64(n) + np.arange(n, dtype=np.uint64))
-    ordered, items = np.divmod(code, np.uint64(n))
-    starts, lengths = _runs(ordered)
-    return ordered[starts], starts, lengths, items.astype(np.int64)
-
 
 def _first_held(col: np.ndarray, held: Sequence[int]) -> int:
     """The index of the first id of ``col`` that ``held`` (``Automaton.held``)

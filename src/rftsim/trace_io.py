@@ -105,8 +105,8 @@ class Trace:
         if self._table is None:
             # read in pieces, so that no temporary grows with the trace
             col = self.addresses
-            numbering = _Numbering(lambda: (col[lo:lo + _LOAD_CHUNK]
-                                            for lo in range(0, len(col), _LOAD_CHUNK)))
+            numbering = _Numbering(col[lo:lo + _LOAD_CHUNK]
+                                   for lo in range(0, len(col), _LOAD_CHUNK))
             self._table, self._ids = numbering.table, numbering.ids(col)
         return self._table
 
@@ -169,6 +169,20 @@ def _runs(ordered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return at[:-1], at[1:] - at[:-1]
 
 
+def _grouped(col: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(keys, starts, lengths, items)``: ``items`` lists the indices of
+    the ids ``col`` ordered by value, then by index; the group of
+    ``keys[g]``, the g-th smallest distinct value, is the ``lengths[g]``
+    items from ``items[starts[g]]``.  One sort of the u64 codes
+    ``value * n + index`` orders them, several times faster than a stable
+    argsort: an id is below 2**32, and ``n`` is a chunk's length."""
+    n = len(col)
+    code = np.sort(col.astype(np.uint64) * np.uint64(n) + np.arange(n, dtype=np.uint64))
+    ordered, items = np.divmod(code, np.uint64(n))
+    starts, lengths = _runs(ordered)
+    return ordered[starts], starts, lengths, items.astype(np.int64)
+
+
 # An address span of at most this many addresses is numbered through a
 # dense lookup, an id per address in the span (4 MiB at most): a benchmark
 # trace in memory is numbered in 0.9-4.6 ms, where np.unique alone takes
@@ -178,30 +192,52 @@ _DENSE_SPAN = 1 << 20
 
 
 class _Numbering:
-    """The sorted distinct addresses of the address columns that
-    ``columns()`` yields (``table``), and ``ids(col)``, the rank in it of
-    each address of ``col``, which it must hold: an ``array`` of u8, u16
-    or u32 ids (typecode ``code``) by the table's size.  ``columns()`` is
-    read twice: for the addresses' span, then for the table.  The lookup
-    is built at the first ``ids``, so a process that maps no column, as
-    the CLI's parent of forked workers, never holds it."""
+    """The sorted distinct addresses of the address columns ``columns``
+    yields (``table``), and ``ids(col)``, the rank in it of each address
+    of ``col``, which it must hold: an ``array`` of u8, u16 or u32 ids
+    (typecode ``code``) by the table's size.  ``columns`` is read once:
+    each column's addresses are marked in a bool array over a span that
+    grows, at least doubling, as lower or higher addresses arrive, until
+    the addresses' span passes ``_DENSE_SPAN``; from then on, and for the
+    marks so far, a set takes each column's ``np.unique``.  The lookup is
+    built at the first ``ids``, so a process that maps no column, as the
+    CLI's parent of forked workers, never holds it."""
 
-    def __init__(self, columns: Callable[[], Iterable[np.ndarray]]):
-        lows, highs = zip(*[(col.min(), col.max()) for col in columns() if len(col)] or [(0, 0)])
-        self._low, span = np.uint64(min(lows)), int(max(highs)) - int(min(lows)) + 1
+    def __init__(self, columns: Iterable[np.ndarray]):
+        # the marks, over addresses base..base + len(seen) - 1, and the set
+        # that replaces them once the span is too wide
+        base, seen, distinct = 0, np.zeros(0, dtype=bool), None
+        for col in columns:
+            if not len(col):
+                continue
+            if distinct is None:
+                low, high = int(col.min()), int(col.max())
+                if len(seen):
+                    low, high = min(low, base), max(high, base + len(seen) - 1)
+                if high - low >= _DENSE_SPAN:
+                    distinct = set((np.flatnonzero(seen).astype(np.uint64)
+                                    + np.uint64(base)).tolist())
+                elif not len(seen) or low < base or high >= base + len(seen):
+                    size = min(_DENSE_SPAN, max(high - low + 1, 2 * len(seen)))
+                    # the room to spare goes on the side that grew
+                    start = low if not len(seen) or low < base else high - size + 1
+                    start = min(max(start, 0), (1 << 64) - size)
+                    grown = np.zeros(size, dtype=bool)
+                    grown[base - start:base - start + len(seen)] = seen
+                    base, seen = start, grown
+            if distinct is None:
+                seen[(col - np.uint64(base)).view(np.int64)] = True
+            else:
+                distinct.update(np.unique(col).tolist())
+        if distinct is None:
+            self.table = np.flatnonzero(seen).view(np.uint64)
+            self.table += np.uint64(base)
+        else:
+            self.table = np.sort(np.fromiter(distinct, dtype=np.uint64, count=len(distinct)))
+        span = int(self.table[-1]) - int(self.table[0]) + 1 if len(self.table) else 1
+        self._low = self.table[0] if len(self.table) else np.uint64(0)
         # the dense lookup's size, or 0 for a binary search
         self._span, self._rank = span if span <= _DENSE_SPAN else 0, None
-        if self._span:
-            seen = np.zeros(span, dtype=bool)
-            for col in columns():
-                seen[(col - self._low).view(np.int64)] = True
-            self.table = np.flatnonzero(seen).view(np.uint64)
-            self.table += self._low
-        else:
-            distinct = set()
-            for col in columns():
-                distinct.update(np.unique(col).tolist())
-            self.table = np.sort(np.fromiter(distinct, dtype=np.uint64, count=len(distinct)))
         self.code = "BHI"[(len(self.table) > 1 << 8) + (len(self.table) > 1 << 16)]
 
     def ids(self, col: np.ndarray) -> array:
@@ -246,7 +282,7 @@ class TraceFile:
     buffer, checks each chunk's flags and sizes, and raises
     ``TraceFormatError`` naming the byte offset of the first bad or
     missing record.  ``validate()`` (or ``table()``, the same call) reads
-    the whole file that way, then again to number its addresses, and
+    the whole file that way once, numbering its addresses as it goes, and
     keeps only their sorted table, 8 bytes per distinct address; each
     trace ``read`` returns from then on holds its ids by that table.  A
     simulation validates a file that is not yet validated.
@@ -334,12 +370,12 @@ class TraceFile:
             yield at, self._records(at, min(hi, at + len(self._buffer)))
 
     def table(self) -> np.ndarray:
-        """Check every record, then read them again to number the file's
-        addresses, keeping only their sorted table, which it returns.  Later
-        calls return it at once."""
+        """Check every record and number the file's addresses in one read,
+        keeping only their sorted table, which it returns.  Later calls
+        return it at once."""
         if self._numbering is None:
             self._numbering = _Numbering(
-                lambda: (records["address"] for _, records in self._pieces(0, self._n)))
+                records["address"] for _, records in self._pieces(0, self._n))
         return self._numbering.table
 
     validate = table

@@ -1,7 +1,8 @@
 """Shared builders: randomized traces, the benchmark's traces, the
 engine's scan protocol with a given held set, the stepping kernel driven
-item list by item list, an automaton that logs its chain heads' memos,
-and a naive reference simulation.
+item list by item list, automata that count the items their kernel steps
+in the numpy pass and log their chain heads' memos, and a naive reference
+simulation.
 
 The naive loop below is the behavioral oracle for the engine: it drives
 the per-item reference managers and the literal automaton of
@@ -54,10 +55,25 @@ def naive_run(trace: Trace, config: SimulationConfig) -> LiteralAutomaton:
     return automaton
 
 
-class MemoAutomaton(Automaton):
+class PassAutomaton(Automaton):
+    """The automaton, counting the items its kernel steps in the numpy pass
+    (``passed``)."""
+
+    def __init__(self):
+        super().__init__()
+        self.passed = 0
+
+    def _pass(self, addrs, i, end, exit_counts, threshold):
+        k, prev = super()._pass(addrs, i, end, exit_counts, threshold)
+        self.passed += k - i
+        return k, prev
+
+
+class MemoAutomaton(PassAutomaton):
     """The automaton, logging each walk its kernel installs as a chain
     head's memo (``walks``) and counting every memo hit (``hits``), whether
-    flushed when its memo was replaced or when a report read the counts."""
+    flushed when its memo was replaced or when a report read the counts,
+    and the items its numpy pass steps."""
 
     def __init__(self):
         super().__init__()

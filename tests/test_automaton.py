@@ -1,17 +1,21 @@
 import math
 import random
-from collections import Counter
+from array import array
 
+import numpy as np
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, initialize, invariant, precondition,
                                  rule, run_state_machine_as_test)
 
-from conftest import MemoAutomaton, drive, identity_automaton
+from conftest import (IDENTITY, MemoAutomaton, PassAutomaton, drive, identity_automaton,
+                      naive_run)
 from reference import I2N, N2I, N2N, SI, SN, LiteralAutomaton, make_reference
-from rftsim import RFTConfig
+from rftsim import RFTConfig, automaton, trace_io
 from rftsim.automaton import CHAIN_MIN_PATH, WALK_CAP
+from rftsim.engine import SimulationConfig, run_simulation
+from rftsim.trace_io import LoopSpec, ProgramSpec, TraceFile, generate_trace, write_trace
 
 A, B, C = 0x100, 0x104, 0x108
 
@@ -479,25 +483,34 @@ def run_both(recordings, seq, ends=(None,)):
     """Step ``seq`` through the kernel and through the literal model with
     the same regions installed, the kernel's calls also stopping at each
     of ``ends``; checks the dumps agree and returns the kernel's automaton.
+    The kernel steps ``seq`` again with its hand-off at 1, so that its
+    numpy pass steps all but each call's first item, which must agree too.
     A recording is a list of addresses, or a tuple of that list, the
     expansion addresses and the expansion successors."""
-    auto = identity_automaton(MemoAutomaton)
     model = LiteralAutomaton()
+    regions = []
     for rec in recordings:
         rec, members, successors = rec if isinstance(rec, tuple) else (rec, (), None)
-        region = ([(a, 4) for a in rec], [(a, 4) for a in members], successors)
-        auto.append_region(*region)
-        model.append(*region)
-    sizes = [4] * len(seq)
-    i = 0
-    for end in ends:
-        end = len(seq) if end is None else end
-        while i < end:
-            i, _ = auto.run_native_stretch(seq, sizes, i, end, i)
+        regions.append(([(a, 4) for a in rec], [(a, 4) for a in members], successors))
+        model.append(*regions[-1])
     for a in seq:
         model.step(a)
-    assert auto.dump() == model.dump()
-    return auto
+    sizes = [4] * len(seq)
+    autos = []
+    for handoff in (automaton._NATIVE_HANDOFF, 1):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(automaton, "_NATIVE_HANDOFF", handoff)
+            auto = identity_automaton(MemoAutomaton)
+            for region in regions:
+                auto.append_region(*region)
+            i = 0
+            for end in ends:
+                end = len(seq) if end is None else end
+                while i < end:
+                    i, _ = auto.run_native_stretch(seq, sizes, i, end, i)
+        assert auto.dump() == model.dump(), handoff
+        autos.append(auto)
+    return autos[0]
 
 
 def chain_head(auto, rid=0):
@@ -625,10 +638,13 @@ def test_head_given_up_after_fruitless_landings(seq, hits, kept):
     assert auto._regions[0].completions == seq.count(E)
 
 
-def test_memo_keeps_a_prefix_of_a_long_walk():
+def test_memo_keeps_a_prefix_of_a_long_walk(monkeypatch):
     # a walk of 1 + 1200 + 1 items is kept as its first WALK_CAP items,
     # which end inside the inner loop and pass no core tail: a hit books
-    # no completion, and the rest of the walk steps item by item
+    # no completion, and the rest of the walk steps item by item; the
+    # calls run as long as the walks, so the hand-off to the numpy pass is
+    # moved out of their way
+    monkeypatch.setattr(automaton, "_NATIVE_HANDOFF", 1 << 40)
     walk = [B] + [C, D] * 600 + [E]
     auto = run_both([CHAIN], ([A] + walk) * 3)
     assert auto.walks == [walk[:WALK_CAP]] and walk[WALK_CAP - 1] == C
@@ -654,33 +670,233 @@ def test_dump_mid_run_flushes_the_hits_once():
     assert auto.hits == 2
 
 
+# --- the numpy pass, by hand ------------------------------------------------------
+
+def pass_call(recordings, seq, end=None, counts=None, threshold=1, handoff=1):
+    """One kernel call from item 0 of ``seq``, the regions of
+    ``recordings`` installed as ``append_region``'s arguments, with the
+    hand-off at ``handoff``; checks the dump and ``prev`` against the
+    literal model stepped over the items the call consumed.  Returns
+    ``(next_i, prev, automaton)``."""
+    end = len(seq) if end is None else end
+    model = LiteralAutomaton()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(automaton, "_NATIVE_HANDOFF", handoff)
+        auto = identity_automaton(PassAutomaton)
+        for region in recordings:
+            auto.append_region(*region)
+            model.append(*region)
+        next_i, prev = auto.run_native_stretch(seq, [4] * len(seq), 0, end, 0,
+                                               counts, threshold)
+    kind = SI
+    for a in seq[:next_i]:
+        kind = model.step(a)
+    assert auto.dump() == model.dump()
+    assert prev == model_prev(kind, seq, next_i)
+    return next_i, prev, auto
+
+
+def rec(addrs, expansion=(), successors=None):
+    return [(a, 4) for a in addrs], [(a, 4) for a in expansion], successors
+
+
+def test_expansion_duplicating_an_earlier_region_inside_a_long_run():
+    # region 1's expansion holds copies of region 0's inner loop C, D, E:
+    # entered from region 1's F, the loop runs on its copies, through
+    # exceptional edges, until its exit to G, back in region 1
+    inner = [C, D, E]
+    regions = [rec([A, B] + inner), rec([F, G, H], inner, {F: (C,), C: (D,), D: (E,),
+                                                           E: (C, G)})]
+    seq = [F] + inner * 40 + [G, H] + ([F] + inner * 7 + [G, H]) * 30 + [A, B] + inner * 5
+    i, prev, auto = pass_call(regions, seq)
+    assert (i, prev) == (len(seq), E)
+    assert auto.passed == len(seq) - 1
+    dump = auto.dump()
+    copies = dump["regions"][1]["expansion_states"]
+    assert [dump["states"][s]["executions"] for s in copies] == [250] * 3
+    # two exceptional chains of 4 items per iteration are exact
+    assert set(auto._exceptional.values()) >= set(copies)
+
+
+def test_edge_from_a_held_state_after_a_copy():
+    # region 0 repeats Z, so its edge from Y to its second Z is
+    # exceptional; region 1 runs X into its own copy of Y, from which Z
+    # takes rule 2 to region 0's first Z, not that edge, while Z after
+    # region 0's Y takes it
+    X, Y, Z = 0x200, 0x204, 0x208
+    seq = [Z, Y, Z] + [X, Y, Z, Y, Z] * 30
+    i, prev, auto = pass_call([rec([Z, Y, Z]), rec([X, Y])], seq)
+    assert (i, prev) == (len(seq), Z) and auto.passed == len(seq) - 1
+    assert [s["executions"] for s in auto.dump()["states"][1:]] == [31, 31, 31, 30, 30]
+
+
+def test_two_regions_copying_one_loop():
+    # regions 1 and 2 each hold a copy of region 0's inner loop, so the
+    # pair (E, C) keys an exceptional edge in each: the copy a run takes
+    # is that of the region it entered the loop from.  Region 2 also
+    # copies region 1's F, so on its walk the pair (F, C) keys both its
+    # own edge and region 1's edge from F itself, which only a run at
+    # region 1's F takes; region 1's copies would then lead on to its copy
+    # of P, where region 2's walk leaves for region 0's P
+    inner = [C, D, E]
+    J, K, P = 0x120, 0x124, 0x128
+    regions = [rec([A, B] + inner + [P]),
+               rec([F, G], inner + [P], {F: (C,), C: (D,), D: (E,), E: (C, P), P: (G,)}),
+               rec([J, K], [F] + inner, {J: (F,), F: (C,), C: (D,), D: (E,), E: (C, K)})]
+    seq = ([F] + inner * 6 + [P, G] + [J, F] + inner * 4 + [P, A, B] + inner + [K]) * 20
+    i, prev, auto = pass_call(regions, seq)
+    assert (i, prev) == (len(seq), K) and auto.passed == len(seq) - 1
+    dump = auto.dump()
+    assert [[dump["states"][s]["executions"] for s in r["expansion_states"]]
+             for r in dump["regions"][1:]] == [[120] * 3 + [20], [20] + [80] * 3]
+
+
+def test_landing_at_the_end_returns_infinity():
+    # the call's last item leaves the region: prev is infinity, and the
+    # cursor sits on the interpreter state
+    seq = CHAIN * 3 + [X]
+    i, prev, auto = pass_call([rec(CHAIN)], seq)
+    assert (i, prev) == (len(seq), math.inf) and not auto.in_region
+    # with counts, the follower lies past the end: the same
+    counts = array("q", [0]) * IDENTITY
+    i, prev, auto = pass_call([rec(CHAIN)], seq, counts=counts, threshold=5)
+    assert (i, prev) == (len(seq), math.inf) and not counts.count(1)
+
+
+def test_follower_reaching_threshold_in_the_middle_of_a_pass_chunk():
+    # the exits to X are followed by A, held: its bumps 1..3 step on, and
+    # the fourth, at the threshold, stops the call at that A, unwritten
+    seq = (CHAIN + [X]) * 6
+    counts = array("q", [0]) * IDENTITY
+    i, prev, _ = pass_call([rec(CHAIN)], seq, counts=counts, threshold=4, handoff=2)
+    assert (i, prev) == (24, math.inf) and counts[A] == 3
+    # from a count of 2, the second follower stops it
+    counts[A] = 2
+    i, prev, _ = pass_call([rec(CHAIN)], seq, counts=counts, threshold=4, handoff=2)
+    assert (i, prev) == (12, math.inf) and counts[A] == 3
+
+
+def test_follower_not_held_stops_the_pass():
+    seq = CHAIN * 3 + [X, A, B, X, X, A]
+    counts = array("q", [0]) * IDENTITY
+    i, prev, _ = pass_call([rec(CHAIN)], seq, counts=counts, threshold=9)
+    assert (i, prev) == (19, math.inf) and counts[A] == 1
+
+
+def test_traversal_open_across_a_replay_chunk_boundary(tmp_path, monkeypatch):
+    # a 40-item loop in one region, streamed in 64-item chunks: each
+    # chunk's kernel call continues the traversal the last one left open
+    monkeypatch.setattr(trace_io, "_REPLAY_CHUNK", 64)
+    monkeypatch.setattr(automaton, "_NATIVE_HANDOFF", 3)
+    spec = ProgramSpec((LoopSpec(base=0x1000, body=40, iters=20),))
+    path = tmp_path / "loop.rtr"
+    write_trace(path, generate_trace(spec))
+    config = SimulationConfig(rft=RFTConfig(threshold=2), collect_dump=True)
+    with TraceFile(path) as source:
+        dump = run_simulation(source, config).dump
+    assert dump == naive_run(generate_trace(spec), config).dump()
+    (region,) = dump["regions"]
+    assert region["completed_traversals"] == 17
+
+
+# --- the kernel's hand-off rule ---------------------------------------------------
+
+@pytest.fixture
+def kernel_passes(monkeypatch):
+    """Logs ``(start, stop)`` per numpy pass of the kernel: the item it
+    began at and the index it returned."""
+    log = []
+    step = automaton.Automaton._pass
+
+    def logged(self, addrs, i, end, exit_counts, threshold):
+        k, prev = step(self, addrs, i, end, exit_counts, threshold)
+        log.append((i, k))
+        return k, prev
+    monkeypatch.setattr(automaton.Automaton, "_pass", logged)
+    return log
+
+
+@pytest.mark.parametrize("handoff", [1, 4, None])
+def test_kernel_hands_off_after_exactly_handoff_items(monkeypatch, kernel_passes, handoff):
+    """A call of more than ``_NATIVE_HANDOFF`` items hands the rest of its
+    run to the pass at its ``_NATIVE_HANDOFF``-th item; a call of at most
+    that many items steps every item itself.  The region's four recorded
+    states are too few for a chain head, so the call steps no walk at
+    once."""
+    if handoff is not None:
+        monkeypatch.setattr(automaton, "_NATIVE_HANDOFF", handoff)
+    h = automaton._NATIVE_HANDOFF
+    loop = CHAIN[:CHAIN_MIN_PATH]
+    for n in (h - 1, h, h + 1, 3 * h + 7):
+        if n < 1:
+            continue
+        seq = (loop * (n // len(loop) + 1))[:n]
+        kernel_passes.clear()
+        auto = identity_automaton()
+        auto.append_region([(a, 4) for a in loop])
+        assert auto.run_native_stretch(seq, [4] * n, 0, n, 0)[0] == n
+        assert kernel_passes == ([(h, n)] if n > h else []), n
+    # a gap credited to the interpreter does not count
+    seq = [X] * 5 + loop * h
+    kernel_passes.clear()
+    auto = identity_automaton()
+    auto.append_region([(a, 4) for a in loop])
+    assert auto.run_native_stretch(seq, [4] * len(seq), 0, len(seq), 5)[0] == len(seq)
+    assert kernel_passes == [(5 + h, len(seq))]
+
+
 # --- region-exit followers counted in the kernel -----------------------------
 
 Y = 0x904
 
 
+def id_counts(start=()):
+    """Region-exit counts by id, as a manager lends them to the kernel,
+    starting from the ``{id: count}`` pairs of ``start``."""
+    counts = array("q", [0]) * IDENTITY
+    for a, c in dict(start).items():
+        counts[a] = c
+    return counts
+
+
+def nonzero(counts) -> dict:
+    """The nonzero counts of ``counts`` by id."""
+    return {int(a): int(counts[a]) for a in np.flatnonzero(counts)}
+
+
 def exit_call(seq, threshold, counts, end=None):
     """One kernel call from item 0 of ``seq`` (the region [A, B] installed)
-    that hands the kernel ``counts``, a ``Counter`` by id, and ``threshold``.  Checks the dump
-    against the literal model stepped over the items the call consumed,
-    and the counts against the reference net manager's hotness after those
-    items, starting from the same counts.  Returns ``(next_i, prev)``."""
+    that hands the kernel ``counts`` (``id_counts``) and ``threshold``.
+    Checks the dump against the literal model stepped over the items the
+    call consumed, and the counts against the reference net manager's
+    hotness after those items, starting from the same counts.  The call
+    runs again from a copy of the counts with the kernel's hand-off at 1,
+    so that its numpy pass steps all but the first item, and must agree.
+    Returns ``(next_i, prev)``."""
     end = len(seq) if end is None else end
-    auto = identity_automaton()
+    start = nonzero(counts)
+    results = []
+    for handoff, given in ((1, array("q", counts)), (automaton._NATIVE_HANDOFF, counts)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(automaton, "_NATIVE_HANDOFF", handoff)
+            auto = identity_automaton()
+            auto.append_region([(A, 4), (B, 4)])
+            result = auto.run_native_stretch(seq, [4] * len(seq), 0, end, 0, given, threshold)
+        results.append((result, auto.dump(), nonzero(given)))
+    assert results[0] == results[1]
+    next_i, prev = results[1][0]
     model = LiteralAutomaton()
-    auto.append_region([(A, 4), (B, 4)])
     model.append([(A, 4), (B, 4)])
     manager = make_reference(RFTConfig(technique="net", threshold=threshold))
-    manager.hot = dict(counts)
-    next_i, prev = auto.run_native_stretch(seq, [4] * len(seq), 0, end, 0,
-                                           counts, threshold)
+    manager.hot = start
     last, ref_kind = None, SI
     for a in seq[:next_i]:
         assert manager.handle(last, (a, 4), ref_kind) is None
         ref_kind = model.step(a)
         last = (a, 4)
-    assert auto.dump() == model.dump()
-    assert manager.recording is None and counts == manager.hot
+    assert results[1][1] == model.dump()
+    assert manager.recording is None
+    assert nonzero(counts) == {a: c for a, c in manager.hot.items() if c}
     assert prev == model_prev(ref_kind, seq, next_i)
     return next_i, prev
 
@@ -688,27 +904,27 @@ def exit_call(seq, threshold, counts, end=None):
 def test_held_follower_below_threshold_is_absorbed():
     # each exit's follower A enters the region again; the call steps on
     # into it and through the next exit, to the end
-    counts = Counter()
+    counts = id_counts()
     seq = [A, B, X] * 3 + [A, B]
     assert exit_call(seq, 5, counts)[0] == len(seq)
-    assert counts == {A: 3}
+    assert nonzero(counts) == {A: 3}
 
 
 def test_follower_reaching_threshold_ends_the_call_unwritten():
     # the third follower's bump reaches 3: the call returns at it with
     # prev infinity and leaves its count for the scan to bump
-    counts = Counter()
+    counts = id_counts()
     assert exit_call([A, B, X] * 3 + [A, B], 3, counts) == (9, math.inf)
-    assert counts == {A: 2}
-    counts = Counter({A: 2})
+    assert nonzero(counts) == {A: 2}
+    counts = id_counts({A: 2})
     assert exit_call([A, B, X, A, B], 3, counts) == (3, math.inf)
-    assert counts == {A: 2}
+    assert nonzero(counts) == {A: 2}
 
 
 def test_threshold_one_never_absorbs():
-    counts = Counter()
+    counts = id_counts()
     assert exit_call([A, B, X, A, B], 1, counts) == (3, math.inf)
-    assert counts == {}
+    assert nonzero(counts) == {}
 
 
 @pytest.mark.parametrize("seq, end", [
@@ -719,9 +935,9 @@ def test_threshold_one_never_absorbs():
     ([A, B, X, Y, A], None),
 ])
 def test_follower_at_end_or_not_held_ends_the_call(seq, end):
-    counts = Counter()
+    counts = id_counts()
     assert exit_call(seq, 5, counts, end) == (3, math.inf)
-    assert counts == {}
+    assert nonzero(counts) == {}
 
 
 # --- the kernel against the literal model, stateful ---------------------------
@@ -733,9 +949,11 @@ class KernelMachine(RuleBasedStateMachine):
     """Interleaves region installs with kernel calls over streams that
     follow the installed recordings: whole, cut short, entered mid-chain,
     looping back to the head while a traversal is open, or leaving for the
-    interpreter for one item.  Some calls hand the kernel a counter dict
-    for region-exit followers and a threshold; the model counts each held
-    follower literally."""
+    interpreter for one item.  Some calls hand the kernel counts for
+    region-exit followers and a threshold; the model counts each held
+    follower literally.  The calls over a stream whose length is a
+    multiple of 3 hand off to the numpy pass after 1 or 2 items, the
+    others after the default number."""
 
     def __init__(self):
         super().__init__()
@@ -743,7 +961,7 @@ class KernelMachine(RuleBasedStateMachine):
         self.model = LiteralAutomaton()
         self.recordings: list[list[int]] = []
         # the kernel's counts by id, an id's count 0 until written
-        self.counts: Counter = Counter()
+        self.counts = id_counts()
         self.model_counts: dict[int, int] = {}
 
     @initialize(n=st.integers(1, 12), data=st.data())
@@ -800,6 +1018,7 @@ class KernelMachine(RuleBasedStateMachine):
         # the kernel's calls sometimes stop at a window end inside the stream
         cut = data.draw(st.one_of(st.just(len(seq)), st.integers(1, len(seq))))
         sizes = [4] * len(seq)
+        handoff = 1 + len(seq) % 2 if len(seq) % 3 == 0 else automaton._NATIVE_HANDOFF
         i = 0
         for end in (cut, len(seq)):
             while i < end:
@@ -826,8 +1045,10 @@ class KernelMachine(RuleBasedStateMachine):
                         break
                     kind = self.model.step(seq[stop])
                     stop += 1
-                next_i, got = self.auto.run_native_stretch(seq, sizes, i, end, h,
-                                                           counts, threshold)
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(automaton, "_NATIVE_HANDOFF", handoff)
+                    next_i, got = self.auto.run_native_stretch(seq, sizes, i, end, h,
+                                                               counts, threshold)
                 assert next_i == stop
                 assert got == model_prev(kind, seq, stop)
                 i = stop
@@ -838,7 +1059,7 @@ class KernelMachine(RuleBasedStateMachine):
 
     @invariant()
     def counts_agree(self):
-        assert self.counts == self.model_counts
+        assert nonzero(self.counts) == self.model_counts
 
     @invariant()
     def completions_within_head_executions(self):
@@ -848,17 +1069,21 @@ class KernelMachine(RuleBasedStateMachine):
 
 def test_kernel_stateful_matches_literal_model():
     hits = []
+    passed = []
     counted = []
 
     class Machine(KernelMachine):
         def teardown(self):
             hits.append(self.auto.hits)
+            passed.append(self.auto.passed)
             counted.append(sum(self.model_counts.values()))
 
     run_state_machine_as_test(Machine, settings=settings(
         max_examples=60, stateful_step_count=15, deadline=None, derandomize=True,
         database=None))
-    # walks were stepped in one go along a memo in many runs, and the
-    # kernel counted and stepped past region-exit followers in many
+    # walks were stepped in one go along a memo in many runs, the numpy
+    # pass stepped items in many, and the kernel counted and stepped past
+    # region-exit followers in many
     assert sum(1 for h in hits if h) >= 10
+    assert sum(1 for p in passed if p) >= 10
     assert sum(1 for c in counted if c) >= 10

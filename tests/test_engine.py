@@ -10,8 +10,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import MemoAutomaton, bind, naive_run, random_rft_config, random_trace
-from rftsim import engine
+from conftest import MemoAutomaton, PassAutomaton, bind, naive_run, random_rft_config, random_trace
+from rftsim import automaton, engine
 from rftsim.engine import SimulationConfig, run_simulation, run_sweep
 from rftsim.metrics import CostParams, report_json_dict
 from rftsim.rft import _ARMED, _IDLE, _REC1, _REC2, RFTConfig, TECHNIQUES, make_rft
@@ -203,6 +203,34 @@ def test_engine_equals_naive_loop_on_a_phased_nest(monkeypatch, technique):
         # a walk holds ids, each its address's index in the table
         assert any(expansion & set(auto._table[w].tolist()) for w in auto.walks)
         assert any(len(set(w)) < len(w) for w in auto.walks)
+
+
+@pytest.mark.parametrize("technique", TECHNIQUES)
+def test_engine_equals_naive_loop_with_the_kernel_pass_on_a_phased_nest(monkeypatch,
+                                                                         technique):
+    """With the kernel's hand-off at 8 items, its numpy pass steps most of
+    this nest's native items, through expansion states and inner loops;
+    each run's dump must still equal the per-item reference's."""
+    autos = []
+
+    class Logged(PassAutomaton):
+        def __init__(self):
+            super().__init__()
+            autos.append(self)
+
+    monkeypatch.setattr(engine, "Automaton", Logged)
+    monkeypatch.setattr(automaton, "_NATIVE_HANDOFF", 8)
+    trace = generate_trace(PHASED_NEST)
+    config = SimulationConfig(rft=RFTConfig(technique=technique, threshold=4),
+                              collect_dump=True)
+    dump = run_simulation(trace, config).dump
+    assert dump == naive_run(trace, config).dump()
+    (auto,) = autos
+    assert 2 * auto.passed > dump["native_instructions"], auto.passed
+    if technique == "netplus":
+        # some native items run in expansion states
+        assert any(dump["states"][sid]["executions"]
+                   for r in dump["regions"] for sid in r["expansion_states"])
 
 
 def test_scans_visit_each_item_at_most_once(monkeypatch):

@@ -17,7 +17,10 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import rftsim.automaton as automaton
 import rftsim.rft as rft
 from conftest import (bind, high_walk, naive_run, random_graph_walk, random_noise,
                       random_rft_config, random_trace, scan_run)
@@ -314,3 +317,38 @@ def test_long_run_rejects_address_outside_u64(passes, technique, bad):
     config = SimulationConfig(rft=RFTConfig(technique, threshold=1 << 20), collect_dump=True)
     assert run_simulation(trace, config).dump == naive_run(trace, config).dump()
     assert passes == [(rft._HANDOFF, 2000, 2000)]
+
+
+# --- the kernel's numpy pass against the naive loop ---------------------------------
+
+@st.composite
+def small_traces(draw):
+    """A trace of loops over a few small address ranges, some nested in
+    others' iterations, with stray items between them."""
+    addrs = []
+    for _ in range(draw(st.integers(1, 8))):
+        base = 0x100 + 0x40 * draw(st.integers(0, 5))
+        body = [base + 4 * k for k in range(draw(st.integers(1, 8)))]
+        inner = draw(st.integers(0, len(body) - 1))
+        reps = draw(st.integers(1, 4))
+        # some iterations run an inner loop over the body's tail
+        tail = body[inner:] * reps if draw(st.booleans()) else []
+        addrs += (body + tail) * draw(st.integers(1, 25))
+        addrs += draw(st.lists(st.sampled_from(range(0x100, 0x280, 4)), max_size=3))
+    return Trace(addrs, [4] * len(addrs))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(trace=small_traces(), technique=st.sampled_from(TECHNIQUES),
+       threshold=st.integers(1, 6), depth=st.integers(1, 4))
+def test_engine_with_every_kernel_run_in_the_pass_matches_naive_loop(trace, technique,
+                                                                     threshold, depth):
+    """With the kernel's hand-off at 1 item, its numpy pass steps every
+    native run but each call's first item: exceptional edges, landings,
+    followers and completions all go through it."""
+    config = SimulationConfig(rft=RFTConfig(technique, threshold=threshold,
+                                            expansion_depth=depth), collect_dump=True)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(automaton, "_NATIVE_HANDOFF", 1)
+        dump = run_simulation(trace, config).dump
+    assert dump == naive_run(trace, config).dump()

@@ -118,6 +118,37 @@ def test_fallback_numbering_equals_the_dense_lookup(monkeypatch, tmp_path):
             assert source._numbering._span == 0
 
 
+@pytest.mark.parametrize("dense_span", [None, 1 << 12])
+def test_validate_reads_each_record_once(monkeypatch, tmp_path, dense_span):
+    """``validate()`` checks and numbers a file in one read, one
+    ``_records`` call per ``_LOAD_CHUNK`` records, while its addresses
+    reach lower and higher in turn, and, with ``_DENSE_SPAN`` patched
+    down, pass it midway; the table and the ids are the trace's."""
+    monkeypatch.setattr(trace_io, "_LOAD_CHUNK", 100)
+    if dense_span is not None:
+        monkeypatch.setattr(trace_io, "_DENSE_SPAN", dense_span)
+    rng = random.Random(0x0AE)
+    addresses = []
+    for centre in (0x8000, 0x7000, 0x9000, 0x2000, 0x8800, 0x10000):
+        addresses += [centre + 4 * rng.randrange(200) for _ in range(rng.randint(150, 400))]
+    trace = Trace(addresses, [4] * len(addresses))
+    path = tmp_path / "t.rtr"
+    write_trace(path, trace)
+    reads = []
+    records = TraceFile._records
+
+    def counted(self, lo, hi):
+        reads.append(hi - lo)
+        return records(self, lo, hi)
+    monkeypatch.setattr(TraceFile, "_records", counted)
+    with TraceFile(path) as source:
+        assert source.validate().tolist() == sorted(set(addresses))
+        assert len(reads) == -(-len(addresses) // 100) and sum(reads) == len(addresses)
+        assert (source._numbering._span == 0) == (dense_span is not None)
+        trace.table()
+        assert list(source.read(0, len(trace))._ids) == list(trace._ids)
+
+
 @pytest.mark.parametrize("skip, limit", [(0, 0), (700, 0), (1500, None), (1499, None),
                                          (0, 1), (611, 1)])
 def test_empty_and_one_item_windows(tmp_path, skip, limit):

@@ -105,20 +105,24 @@ def test_window_equals_sliced_trace(tmp_path, name, trace, configs):
 
 # the scans' hand-off to numpy passes and the passes' largest chunk, a
 # chain head's shortest kept memo, its fruitless landings before it is
-# given up and the longest memo, and the records a binary load reads at
-# a time; a memo needs at least one item, so CHAIN_MIN_PATH stays >= 1
+# given up and the longest memo, the records a binary load reads at a
+# time, and the kernel's hand-off to its numpy pass and that pass's
+# largest window; a memo needs at least one item, so CHAIN_MIN_PATH stays
+# >= 1
 KNOBS = [(rft, "_HANDOFF"), (rft, "_FLOW_CHUNK"), (automaton, "CHAIN_MIN_PATH"),
-         (automaton, "CHAIN_GIVE_UP"), (automaton, "WALK_CAP"), (trace_io, "_LOAD_CHUNK")]
+         (automaton, "CHAIN_GIVE_UP"), (automaton, "WALK_CAP"), (trace_io, "_LOAD_CHUNK"),
+         (automaton, "_NATIVE_HANDOFF"), (automaton, "_PASS_CHUNK")]
 HUGE = 1 << 40
 
 
 def _knob_sets() -> dict:
     """Values for ``KNOBS`` by name, None keeping a default: all at 1, all
     beyond any trace, alternating both ways, and each alone at 1."""
-    sets = {"all-1": (1,) * 6, "all-huge": (HUGE,) * 6,
-            "1-huge": (1, HUGE) * 3, "huge-1": (HUGE, 1) * 3}
+    n = len(KNOBS)
+    sets = {"all-1": (1,) * n, "all-huge": (HUGE,) * n,
+            "1-huge": (1, HUGE) * (n // 2), "huge-1": (HUGE, 1) * (n // 2)}
     for k, (_, name) in enumerate(KNOBS):
-        sets[f"{name}-1"] = (None,) * k + (1,) + (None,) * (5 - k)
+        sets[f"{name}-1"] = (None,) * k + (1,) + (None,) * (n - 1 - k)
     return sets
 
 
@@ -130,8 +134,9 @@ def knob_cases(tmp_path_factory):
     """``(workload, trace, {format: path}, configs, dumps)`` for each
     benchmark workload rendered for 2,000 items, and for the first 2,000
     items of full-size loop-nest, at thresholds 8 and 64, the dumps taken
-    at the default knobs, where these traces run numpy passes and keep
-    memos."""
+    at the default knobs, where these traces run the scans' numpy passes
+    and keep memos; the kernel's numpy pass runs on them when its
+    hand-off is patched down."""
     root = tmp_path_factory.mktemp("knobs")
     work = {"passes": 0, "memos": 0}
     chunked, keep = rft._chunked, automaton.Automaton._keep
