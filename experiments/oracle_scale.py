@@ -10,8 +10,11 @@ graph-walk's, so its ids are u32 and graph-walk's above 65,535, and
 ``wide-span`` moves each address ``a`` to ``a << 24``, a span wider than
 the dense lookup's, so its ids come from the binary search.  It prints
 one line per config, with the items the stepping kernel's numpy pass
-stepped, and exits 1 if any dump differs, or if the pass stepped no item
-on loop-nest or on graph-walk, whose long native runs it exists for.
+stepped and the interpreter-side items the kernel profiled for an idle
+manager, in its per-item loop and in its pass.  It exits 1 if any dump
+differs, if the pass stepped no item on loop-nest or on graph-walk,
+whose long native runs it exists for, or if the pass profiled no item
+for ``net`` on graph-walk, whose idle stretches it exists for.
 
     python experiments/oracle_scale.py               # full size, seed 1
     python experiments/oracle_scale.py --items 5000  # each trace's prefix
@@ -42,6 +45,8 @@ THRESHOLDS = (64, 1024)
 FRESH = 70_000
 # the workloads on which the kernel's numpy pass must step some items
 PASSED = ("loop-nest", "graph-walk")
+# the config whose interpreter-side items the pass must profile some of
+PROFILED = ("graph-walk", "net")
 
 
 def main(argv=None) -> int:
@@ -61,37 +66,56 @@ def main(argv=None) -> int:
     traces["many-addresses"] = Trace(np.concatenate([fresh, walk.addresses + np.uint64(4 * FRESH)]),
                                      np.concatenate([np.full(FRESH, 4), walk.sizes]))
     traces["wide-span"] = Trace(walk.addresses << np.uint64(24), walk.sizes)
-    # the items the kernel's numpy pass steps, in the current config and
-    # per trace
-    stepped = [0]
+    # the items the kernel's numpy pass steps, and the interpreter-side
+    # items the kernel profiles in its loop and in its pass, in the current
+    # config, and the items the pass steps per trace
+    stepped = [0, 0, 0]
     passed = dict.fromkeys(traces, 0)
-    step = Automaton._pass
+    kernel, step = Automaton.run_native_stretch, Automaton._pass
 
-    def counted(self, addrs, i, end, exit_counts, threshold):
-        k, prev = step(self, addrs, i, end, exit_counts, threshold)
+    def counted_call(self, addrs, sizes, i, end, h, exit_counts=None, threshold=1):
+        before = self.interp + h - i
+        result = kernel(self, addrs, sizes, i, end, h, exit_counts, threshold)
+        if exit_counts is not None:
+            stepped[1] += self.interp - before
+        return result
+
+    def counted(self, addrs, i, end, landed, exit_counts, threshold):
+        before = self.interp
+        k, prev = step(self, addrs, i, end, landed, exit_counts, threshold)
         stepped[0] += k - i
+        if exit_counts is not None:
+            stepped[1] -= self.interp - before
+            stepped[2] += self.interp - before
         return k, prev
-    Automaton._pass = counted
+    Automaton.run_native_stretch, Automaton._pass = counted_call, counted
+    profiled = 0
     try:
         for name, trace in traces.items():
             for threshold in THRESHOLDS:
                 for technique in TECHNIQUES:
                     config = SimulationConfig(rft=RFTConfig(technique, threshold=threshold),
                                               collect_dump=True)
-                    stepped[0] = 0
+                    stepped[:] = [0, 0, 0]
                     same = run_simulation(trace, config).dump == naive_run(trace, config).dump()
                     differing += not same
                     passed[name] += stepped[0]
+                    if (name, technique) == PROFILED:
+                        profiled += stepped[2]
                     print(f"{name} {technique} threshold {threshold} ({stepped[0]} in the "
+                          f"pass; profiled {stepped[1]} in the loop, {stepped[2]} in the "
                           f"pass) {len(trace)} items: {'same' if same else 'DIFFERS'}",
                           flush=True)
     finally:
-        Automaton._pass = step
+        Automaton.run_native_stretch, Automaton._pass = kernel, step
     unused = [name for name in PASSED if not passed[name]]
     for name in unused:
         print(f"the kernel's numpy pass stepped no item on {name}", file=sys.stderr)
+    if not profiled:
+        print("the kernel's numpy pass profiled no item for {1} on {0}".format(*PROFILED),
+              file=sys.stderr)
     print(f"{differing} of {len(traces) * len(THRESHOLDS) * len(TECHNIQUES)} dumps differ")
-    return 1 if differing or unused else 0
+    return 1 if differing or unused or not profiled else 0
 
 
 if __name__ == "__main__":

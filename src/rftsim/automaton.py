@@ -59,11 +59,12 @@ expansion's copy of an address an earlier region holds).  Such an edge
 runs within one region, from a state that holds the previous item's id,
 so only an item whose pair of previous id and id keys one can follow
 one; a running flag decides which do when each pair keys one edge, and
-the runs of each region's edges decide otherwise (``_resolve``).  Where
-the call stops depends on the held states alone: after the first
-landing, or at a region-exit follower that is not held or whose count
-reaches the threshold, which the grouped running counts of the held
-followers find.
+the runs of each region's edges decide otherwise (``_resolve``).  An
+item is interpreter-side exactly when its id is not held, so where the
+call stops depends on the held states alone: after the first landing,
+or, for an idle manager, at the first bump that reaches the threshold,
+which the grouped running counts of the bumped ids find (``_profile``).
+A window of interpreter-side items alone only adds to ``interp``.
 
 Counters are raw or derived.  The kernel counts only what the edges
 cannot give: each edge's traversals, ``interp``, the completed
@@ -96,18 +97,20 @@ at report time (``Automaton._executions``):
 - the native count is the sum of all edge counts, and the total is
   ``interp`` plus that.
 
-Items are not classified by transition kind.  A kernel call ends on an
-item that falls back to the interpreter, and it returns the id the next
-item is compared with for a backward branch: that item's own, or
-``math.inf`` when it was a landing that left a region, so that a region
-manager, which profiles backward branches taken interpreter-side, also
-profiles every region-exit target whatever its address.  The kernel is
-the only place that encodes that rule.  The item need not be the call's
-first fallback: an idle manager may hand the kernel the array in which
-it counts region-exit targets, and its threshold.  When the item after a
-landing that leaves a region is held, and so enters a region at once,
-the kernel then bumps its count and steps on, unless the count reaches
-the threshold.
+Items are not classified by transition kind.  A kernel call returns the
+id the next item is compared with for a backward branch: the last
+consumed item's own, or ``math.inf`` when it was a landing that left a
+region, so that a region manager, which profiles backward branches taken
+interpreter-side, also profiles every region-exit target whatever its
+address.  The kernel is the only place that encodes that rule.  Without
+a manager's counts, a call ends on the first item that falls back to
+the interpreter.  An idle manager (one with no formation in flight)
+lends the kernel its hotness counters and threshold instead, and the
+kernel then profiles the interpreter-side runs itself, as the manager's
+scan would: the item after a landing is bumped whatever its id, the item
+after any other interpreter-side item when its id is below that item's,
+held or not.  Such a call stops only at its ``end`` or at the bump that
+reaches the threshold, which it leaves unwritten for the scan to make.
 """
 
 from __future__ import annotations
@@ -155,10 +158,19 @@ WALK_CAP = 1024
 #     8192   0.40 0.48 0.66     0.79 0.77 0.84     1.26 1.25 1.25
 #     16384  0.36 0.41 0.50     0.63 0.60 0.63     1.16 1.16 1.15
 #
-# On the benchmark's workloads 2048 was as fast as 1024 on loop-nest and
-# slowed graph-walk's net, mret2 and net-r less (1-2% against 2-6%, median
-# of five alternating runs); 4096 was 7% slower on loop-nest.
-_NATIVE_HANDOFF = 2048
+# Since the kernel also profiles an idle manager's interpreter-side runs,
+# an idle stretch is one long call, and the six techniques' summed time on
+# the benchmark's workloads at seed 1 (in-process, minimum of five runs,
+# same host) falls with the hand-off:
+#
+#                   256    512   1024   2048   ms
+#     loop-nest    175.5  178.1  183.0  182.9
+#     graph-walk   285.5  295.6  299.0  321.1
+#     interp-noise  11.5   11.8   11.9   12.5
+#
+# 512 is within the noise of 256, and the table above shows what the pass
+# costs a call that hands it only a short rest.
+_NATIVE_HANDOFF = 512
 # the pass's largest window and step, bounding its transient arrays to a
 # few MB
 _PASS_CHUNK = 1 << 16
@@ -169,6 +181,65 @@ def _first_true(mask: np.ndarray) -> int:
     length."""
     k = int(mask.argmax())
     return k if mask[k] else len(mask)
+
+
+def _profile(ids: np.ndarray, off: np.ndarray, alone: bool, p: int, above: int,
+             counts: np.ndarray, threshold: int) -> tuple[int, int]:
+    """Profile a window of ids as the scan would, with ``counts`` (by id)
+    and ``threshold``: the item after a landing is bumped whatever its id,
+    the item after any other interpreter-side item when its id is below
+    that item's.  ``off`` marks the window's interpreter-side items,
+    ``alone`` tells whether they are all its items, and ``p`` is what its
+    first item is compared with: the previous interpreter-side id,
+    ``above`` (above every id) after a landing, -1 after a native item.
+    Returns ``(n, p)``: the number of items profiled, which is the
+    window's length unless the bump of item ``n`` reaches the threshold,
+    unwritten, and what item ``n`` is compared with.  The bump that gets
+    hot is found from the running counts of each bumped id, and the work
+    grows with the interpreter-side items."""
+    # the positions of the bumped items
+    if alone:
+        # no native item, so only the first can be a landing
+        after = ids[1:] < ids[:-1]
+        after[:1] |= p < 0
+        bump = after.nonzero()[0]
+        bump += 1
+    else:
+        # an interpreter-side item is a landing when the item before it
+        # is native
+        at = off.nonzero()[0]
+        landing = np.empty(len(at), dtype=bool)
+        if len(at):
+            landing[0] = at[0] > 0 or p < 0
+            np.not_equal(at[1:], at[:-1] + 1, out=landing[1:])
+        k = at[:-1] if len(at) and at[-1] == len(ids) - 1 else at
+        bump = k[landing[:len(k)] | (ids.take(k + 1) < ids.take(k))] + 1
+    if int(ids[0]) < p:
+        bump = np.concatenate(([0], bump))
+    targets = ids.take(bump)
+    n = len(ids)
+    if len(targets):
+        ordered = np.sort(targets)
+        starts, lengths = _runs(ordered)
+        keys = ordered[starts]
+        was = counts.take(keys)
+        over = was + lengths >= threshold
+        if over.any():
+            # each id's running count: the bump that takes it to the
+            # threshold stops the window, the first one if its count is
+            # there already
+            keys, starts, lengths, items = _grouped(targets)
+            n = int(bump[items[(starts + np.maximum(threshold - was - 1, 0))[over]]].min())
+            np.add.at(counts, targets[:np.searchsorted(bump, n)], 1)
+        else:
+            counts[keys] = was + lengths
+    if not n:
+        return 0, p
+    j = n - 1
+    if not off[j]:
+        return n, -1
+    landed = not off[j - 1] if j else p < 0
+    return n, above if landed else int(ids[j])
 
 
 class Region:
@@ -368,28 +439,29 @@ class Automaton:
         Requires ``i <= h < end``.  Credits items ``[i, h)`` to the
         interpreter; when ``h > i`` the cursor must sit on the interpreter
         state and no address in that gap may be held (see ``held``).  Then
-        steps from item ``h`` and stops after an item that falls back to
-        the interpreter: item ``h`` alone if it stays interpreter-side,
-        else a landing that leaves a region and ends a native run (the
-        first one, unless ``exit_counts`` lets it step past some), or at
-        ``end``.  Returns ``(next_i, prev)``, ``prev`` being what the next
-        scan compares item ``next_i`` with for a backward branch:
-        ``math.inf`` when the call stopped at a landing that left a region,
-        whose follower is profiled whatever its address, and otherwise
-        ``addrs[next_i - 1]``, the id of the last item the call consumed;
-        ``math.inf`` exceeds every id, as it did every address.
+        steps from item ``h``.  With ``exit_counts`` None it stops after
+        the first item that falls back to the interpreter: item ``h`` alone
+        if it stays interpreter-side, else a landing that leaves a region
+        and ends a native run, or at ``end``.  Returns ``(next_i, prev)``,
+        ``prev`` being what the next scan compares item ``next_i`` with for
+        a backward branch: ``math.inf`` when the call stopped after a
+        landing that left a region, whose follower is profiled whatever its
+        address, and otherwise ``addrs[next_i - 1]``, the id of the last
+        item the call consumed; ``math.inf`` exceeds every id, as it did
+        every address.
 
-        ``exit_counts``, when not None, is the manager's hotness counter
-        array, by id, for the items that follow region exits
-        (``RegionManager``'s ``exit_counts``), and ``threshold`` its
-        threshold.  After a landing
-        that leaves a region, when the follower exists before ``end`` and
-        is held, the kernel bumps the follower's count as it reads it:
-        below the threshold it stores the count and steps on from the
-        follower, which enters a region, in the same call; at the
-        threshold it stores nothing and returns at the follower with
-        ``prev`` ``math.inf``, so that the scan makes that bump and starts
-        a recording.  Either way the counts are those the scan would keep.
+        ``exit_counts``, when not None, is an idle manager's hotness
+        counter array, by id (``RegionManager``'s ``exit_counts``), and
+        ``threshold`` its threshold.  The kernel then profiles every item
+        after ``h`` as the manager's scan would, bumping its count as it
+        reads it: the item after a landing whatever its id, the item after
+        any other interpreter-side item when its id is below that item's,
+        held or not, and no item after a native one.  Below the threshold
+        it stores the count and steps on; at the threshold it stores
+        nothing and returns at that item, with ``prev`` as above, so that
+        the scan makes that bump and starts a recording.  So the call
+        stops only there or at ``end``, and the counts are those the scan
+        would keep.  Item ``h`` is never bumped: the scan has seen it.
 
         Per native item it counts only the edge traversal and, in a region
         with two or more recorded states, a completion; executions, entries
@@ -411,8 +483,8 @@ class Automaton:
         cuts no memo short.
         A call that has stepped ``_NATIVE_HANDOFF`` items, one by one or in
         walks, hands the rest of its run to a numpy pass (``_pass``), which
-        stops where this loop would and returns what it would; a walk it
-        cuts short is not kept.
+        profiles and stops where this loop would and returns what it would;
+        a walk it cuts short is not kept.
         ``addrs`` holds the items' ids: a list of ints or, from the engine,
         a chunk's ``Trace._ids``, an ``array`` of u8, u16 or u32: one
         iterator reads it, moved past each walk stepped in one go, a
@@ -434,11 +506,17 @@ class Automaton:
         r = regions[cur_owner] if cur_owner >= 0 else None
         traversing = self._traversing
         tid = self._cur
+        # what the next item is compared with for a backward branch, as the
+        # scan's ``prev``: the previous interpreter-side id, ``above`` (an
+        # int above every id) after a landing, -1 after a native item or
+        # before item h, which the kernel never bumps
+        above = len(first)
+        p = -1
         # the start of a walk being stepped item by item from region wr's
         # head, or -1
         ws = -1
         wr = None
-        left = handoff = False
+        handoff = False
         stop = i + _NATIVE_HANDOFF if end - i > _NATIVE_HANDOFF else end
         it = iter(addrs)
         it.__setstate__(i)
@@ -446,16 +524,14 @@ class Automaton:
             if i >= stop:
                 handoff = i < end
                 break
-            i += 1
-            if left:
-                # an exit's follower entering a region at once: count it
-                # as the manager's scan would unless it gets hot, else stop
-                c = exit_counts[a] + 1 if first[a] else threshold
+            if a < p:
+                # the manager's profiling rule, applied for it: stop at the
+                # bump that gets hot, unwritten, so the scan makes it
+                c = exit_counts[a] + 1
                 if c >= threshold:
-                    i -= 1
                     break
                 exit_counts[a] = c
-                left = False
+            i += 1
             # rule 1: the current state's edge
             e = cur_edges.get(a)
             if e is not None:
@@ -469,10 +545,12 @@ class Automaton:
                     if cur_owner >= 0:
                         cur_edges = edges_l[0]
                         cur_owner = -1
-                        left = True
-                        if exit_counts is not None:
-                            continue
-                    break
+                        p = above
+                    else:
+                        p = a
+                    if exit_counts is None:
+                        break
+                    continue
                 # rule 2: an edge to the earliest-created region's state
                 cur_edges[a] = [tid, 1]
             own = owner_l[tid]
@@ -480,6 +558,7 @@ class Automaton:
                 r = regions[own]
                 cur_owner = own
                 traversing = False
+                p = -1
             m = mark_l[tid]
             if m:
                 if m == 1:
@@ -536,8 +615,8 @@ class Automaton:
         self._traversing = traversing
         self.interp = interp
         if handoff:
-            return self._pass(addrs, i, end, exit_counts, threshold)
-        return i, math.inf if left else addrs[i - 1]
+            return self._pass(addrs, i, end, p == above, exit_counts, threshold)
+        return i, math.inf if p == above else addrs[i - 1]
 
     def _keep(self, r: Region, addrs: Sequence[int], ws: int, we: int) -> None:
         """Install the walk from ``r``'s head that the kernel stepped item by
@@ -567,72 +646,68 @@ class Automaton:
         r.walk_end = sid
         r.walk_closes = any(e[0] == r.core_tail_state for e in followed)
 
-    def _pass(self, addrs: Sequence[int], i: int, end: int, exit_counts: Optional[array],
-              threshold: int) -> tuple[int, float]:
+    def _pass(self, addrs: Sequence[int], i: int, end: int, landed: bool,
+              exit_counts: Optional[array], threshold: int) -> tuple[int, float]:
         """Step items ``i..end-1`` from the cursor as the kernel's loop would,
-        in numpy, and return what the kernel returns.
+        in numpy, and return what the kernel returns; ``landed`` tells
+        whether item ``i - 1`` was a landing.
 
         No region is installed during a call, so each item's state is that
         of its id in ``held``, unless the item follows an exceptional edge
-        (see ``_resolve``), and the cursor sits on the interpreter state
-        only after a landing.  So where the call stops depends on ``held``
-        alone: after its first landing or, with ``exit_counts``, at a
-        follower that is not held or whose bump reaches the threshold.  The
-        pass finds that stop in windows of ``addrs`` of ``_NATIVE_HANDOFF``
-        items doubling in size, bumping the counts of the followers before
-        it, and steps the items up to it, or up to ``_PASS_CHUNK`` of them,
-        at once: each native item's ``(previous state, state)`` code joins
-        ``_traversed``, which ``_count_traversed`` turns into edge counts,
-        and completions are counted from the heads, core tails and owner
-        changes among them."""
+        (see ``_resolve``), and an item is interpreter-side exactly when
+        its id is not held.  So where the call stops depends on ``held``
+        alone: after its first landing or, with ``exit_counts``, at the
+        first bump that reaches the threshold (``_profile``).  The pass
+        finds that stop in windows of ``addrs`` of ``_NATIVE_HANDOFF`` items
+        doubling in size, bumping the counts before it, and steps the items
+        up to it, or up to ``_PASS_CHUNK`` of them, at once: each native
+        item's ``(previous state, state)`` code joins ``_traversed``, which
+        ``_count_traversed`` turns into edge counts, and completions are
+        counted from the heads, core tails and owner changes among them.
+        A stretch of interpreter-side items alone only adds to
+        ``interp``."""
         column = np.asarray(addrs)
         held, owner, mark = (np.asarray(a) for a in (self._first, self._owner_col, self._mark_col))
         counts = None if exit_counts is None else np.asarray(exit_counts)
         regions = self._regions
         tid, traversing, interp = self._cur, self._traversing, self.interp
+        # what the next item is compared with for a backward branch, as in
+        # the kernel's loop
+        above = len(held)
+        p = -1 if tid != NTE_STATE else above if landed else int(column[i - 1])
         size = _NATIVE_HANDOFF
         stopped = False
         while i < end and not stopped:
             stop = i
-            landed = tid == NTE_STATE
+            native = False
             while stop < end and stop - i < _PASS_CHUNK:
                 ids = column[stop:stop + min(size, end - stop, _PASS_CHUNK - (stop - i))]
-                land = held[ids] == NTE_STATE
-                n = _first_true(land)
+                off = held.take(ids) == NTE_STATE
+                alone = bool(off.all())
                 if counts is None:
                     # the run ends with its first landing
+                    n = _first_true(off)
                     stopped = n < len(ids)
                     n += stopped
-                elif n < len(ids) or landed:
-                    # a follower is the item after a landing; the scan sees
-                    # one that is not held
-                    follows = np.empty(len(ids), dtype=bool)
-                    follows[0] = landed
-                    follows[1:] = land[:-1]
-                    n = _first_true(follows & land)
-                    bumped = (follows[:n] & ~land[:n]).nonzero()[0]
-                    if len(bumped):
-                        # each held follower's running count, grouped by
-                        # id: the bump that reaches the threshold stops
-                        keys, starts, lengths, items = _grouped(ids[bumped])
-                        was = counts[keys]
-                        over = was + lengths >= threshold
-                        if over.any():
-                            n = min(n, int(bumped[items[(starts + threshold - was - 1)[over]]].min()))
-                            bumped = bumped[bumped < n]
-                        np.add.at(counts, ids[bumped], 1)
+                    p = above if stopped else -1
+                else:
+                    n, p = _profile(ids, off, alone, p, above, counts, threshold)
                     stopped = n < len(ids)
+                native = native or not alone
                 stop += n
-                if n:
-                    landed = bool(land[n - 1])
                 if stopped:
                     break
                 size = min(2 * size, _PASS_CHUNK)
             n = stop - i
             if not n:
                 break
+            if not native:
+                interp += n
+                tid, traversing = NTE_STATE, False
+                i = stop
+                continue
             ids = column[i:stop]
-            st = held[ids].astype(np.int64)
+            st = held.take(ids).astype(np.int64)
             if self._exceptional:
                 self._resolve(st, ids, tid)
             pred = np.empty(n, dtype=np.int64)
@@ -646,11 +721,11 @@ class Automaton:
                 self._count_traversed()
             # a head opens a traversal; a core tail reached inside the
             # region closes it, and a change of owner ends it
-            own = owner[st]
+            own = owner.take(st)
             moved = np.empty(n, dtype=bool)
             moved[0] = own[0] != owner[tid]
             np.not_equal(own[1:], own[:-1], out=moved[1:])
-            marks = mark[st]
+            marks = mark.take(st)
             at = ((marks != 0) | moved).nonzero()[0]
             if len(at):
                 heads = (marks[at] & 1).astype(bool)
@@ -670,7 +745,7 @@ class Automaton:
         self._cur_owner = int(owner[tid])
         self._traversing = traversing
         self.interp = interp
-        return i, math.inf if tid == NTE_STATE else addrs[i - 1]
+        return i, math.inf if p == above else addrs[i - 1]
 
     def _count_traversed(self) -> None:
         """Add the edge traversals the numpy pass noted to the edges, making
@@ -727,17 +802,18 @@ class Automaton:
         pairs, firsts, counts, sources, targets, regions, keyed = self._exceptional_table
         exceptional = self._exceptional
         st[0] = exceptional.get(tid * m + int(ids[0]), int(st[0]))
-        at = keyed[ids[1:]].nonzero()[0] + 1
-        code = ids[at - 1].astype(np.int64) * m + ids[at]
+        at = keyed.take(ids[1:]).nonzero()[0] + 1
+        code = ids.take(at - 1).astype(np.int64) * m + ids.take(at)
         j = np.minimum(np.searchsorted(pairs, code), len(pairs) - 1)
-        hit = pairs[j] == code
+        hit = pairs.take(j) == code
         at, j = at[hit], j[hit]
         if not len(at):
             return
-        many = counts[j]
+        many = counts.take(j)
         if many.max() == 1:
-            source, end = sources[firsts[j]], targets[firsts[j]]
-            via_held = source == st[at - 1]
+            first = firsts.take(j)
+            source, end = sources.take(first), targets.take(first)
+            via_held = source == st.take(at - 1)
             chained = np.zeros(len(at), dtype=bool)
             chained[1:] = at[1:] == at[:-1] + 1
             via_chain = np.zeros(len(at), dtype=bool)
@@ -751,27 +827,33 @@ class Automaton:
             return
         # each edge of each item, by region, then by item
         edge_at = np.repeat(at, many)
-        row = np.arange(len(edge_at)) + np.repeat(firsts[j] - np.cumsum(many) + many, many)
-        # one sort of the codes (region * n + item) * rows + row orders them
-        rows = np.int64(len(regions))
-        key = np.sort((regions[row] * len(st) + edge_at) * rows + row)
-        edge_at, row = (key // rows) % len(st), key % rows
-        same = regions[row[1:]] == regions[row[:-1]]
+        row = np.arange(len(edge_at)) + np.repeat(firsts.take(j) - np.cumsum(many) + many, many)
+        # they come by item, then by row: a stable sort by region, a radix
+        # sort of the narrowest type, orders them
+        region = regions.take(row)
+        order = np.argsort(region.astype(np.min_scalar_type(len(self._regions))), kind="stable")
+        edge_at, row, region = edge_at.take(order), row.take(order), region.take(order)
+        same = region[1:] == region[:-1]
         if not (same & (edge_at[1:] == edge_at[:-1])).any():
-            source, end = sources[row], targets[row]
+            source, end = sources.take(row), targets.take(row)
             linked = np.zeros(len(row), dtype=bool)
             linked[1:] = same & (edge_at[1:] == edge_at[:-1] + 1) & (end[:-1] == source[1:])
             # the index of the last edge of each edge's run
             run_end = np.where(np.append(~linked[1:], True), np.arange(len(row)), len(row))
             run_end = np.minimum.accumulate(run_end[::-1])[::-1]
-            starts = np.flatnonzero(source == st[edge_at - 1])
+            starts = np.flatnonzero(source == st.take(edge_at - 1))
             starts = starts[np.argsort(edge_at[starts], kind="stable")]
-            walks, reach = [], -2
-            for e, k, f in zip(starts.tolist(), edge_at[starts].tolist(),
-                               edge_at[run_end[starts]].tolist()):
-                if k >= reach + 2:
-                    walks.append(e)
-                    reach = f
+            # the walk after a walk is the first start at least two items
+            # past its end, so the walks are the chain of those from the
+            # first start, which doubling the jumps marks in log rounds
+            jump = np.append(np.searchsorted(edge_at[starts], edge_at[run_end[starts]] + 2),
+                             len(starts))
+            on = np.zeros(len(starts) + 1, dtype=bool)
+            on[0] = True
+            while jump[0] < len(starts):
+                on[jump[on]] = True
+                jump = jump[jump]
+            walks = starts[on[:-1]]
             depth = np.zeros(len(row) + 1, dtype=np.int64)
             depth[walks] += 1
             depth[run_end[walks] + 1] -= 1

@@ -12,14 +12,19 @@ next chunk, as does the automaton's cursor: a native run the chunk's end
 cut short is continued by the kernel before the next scan.  The
 manager's ``scan(i, end, prev)`` consumes an interpreter-side run and
 stops at an emission, at the first item that enters a region, or at the
-chunk's end.  The
-automaton's stepping kernel then credits the scanned items to the
-interpreter and steps from the item the scan stopped at through the
-native run that follows, up to a region exit, returning the next
-``(i, prev)``.  It also takes the manager's ``exit_counts`` and the
-threshold: while the manager is idle, the kernel counts an exit's
-follower that enters a region at once and steps on, with no scan in
-between.  A scan that emits hands back the region to install, its
+chunk's end; a scan of an idle manager (one that profiles, with no
+formation in flight) sees item ``i`` alone.  The automaton's stepping
+kernel then credits the scanned items to the interpreter and steps from
+the item the scan stopped at, returning the next ``(i, prev)``.  It also
+takes the manager's ``exit_counts`` and the threshold.  While the
+manager is busy, or for ``lei``, these are None, and the kernel steps
+the native run that follows, up to a region exit.  While the manager is
+idle, the kernel profiles the interpreter-side runs itself, by the rule
+the scan applies, and steps on through native and interpreter-side
+items alike: it stops only at the chunk's end or at a bump that reaches
+the threshold, where the scan makes that bump and starts a recording.
+So an idle stretch costs one kernel call, not a scan and a call per
+region exit.  A scan that emits hands back the region to install, its
 look-ahead (if any) already run where the recording was emitted; the
 engine installs it before the kernel steps the item the scan stopped at,
 so a recording stopped by the loop-closing branch lands its own stop
@@ -39,17 +44,16 @@ an address's rank in the table, so ids keep the addresses' order.
 Every technique's ``scan`` is one driver, ``RegionManager.scan``, which
 steps items one by one in Python, reading the ``array`` that holds the
 chunk's ids, as the kernel does, and leaves what a technique does with
-an item to its hooks.  Once a scan of an idle manager (no formation in
-flight; ``lei`` is always idle) has taken ``rft._HANDOFF`` items, the
-rest of the run goes to the manager's numpy pass over slices of the id
-column.  The pass reads chunks that start at that length and
-double up to ``rft._FLOW_CHUNK``, and stops at the first item the scan
-must see itself, with everything before it applied.  So a long cold or
-noisy run costs a few numpy passes, not one Python step per item, while
-the short scans between region exits, most of them a handful of items,
-never pay numpy's per-call cost.  The kernel does the same on the native
-side: a call that has stepped ``automaton._NATIVE_HANDOFF`` items gives
-the rest of its run to its own numpy pass over the id column.
+an item to its hooks.  Once a scan of ``lei`` has taken ``rft._HANDOFF``
+items, the rest of the run goes to its numpy pass over slices of the id
+column, which reads chunks that start at that length and double up to
+``rft._FLOW_CHUNK`` and stops at the first item the scan must see
+itself, with everything before it applied.  The kernel does the same: a
+call that has stepped ``automaton._NATIVE_HANDOFF`` items gives the rest
+of its run to its own numpy pass over the id column, which also profiles
+an idle manager's interpreter-side items.  So a long cold, noisy or
+native run costs a few numpy passes, not one Python step per item, while
+the short calls and scans never pay numpy's per-call cost.
 
 Recording is purely observational: while a manager records, instructions
 keep being attributed to the states actually traversed.

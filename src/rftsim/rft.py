@@ -1,17 +1,19 @@
 """Region formation techniques.
 
-One driver, ``RegionManager.scan``, consumes each interpreter-side run
-of the trace in one call, for all six techniques: it applies the
-backward-branch profiling rule five of them share, and each technique
-supplies its own rules and numpy pass through four hooks.  Items
-executed inside regions are never shown to a manager: every technique
-ignores native-side transitions except the entry into a region, which
-ends a recording.  An idle manager lends its region-exit counters to the
-automaton's stepping kernel, which counts the item after a region exit
-itself when that item enters a region at once.  The engine installs an
-emitted region into the automaton before performing the emitting item's
-transition, so a recording stopped by a loop-closing branch catches that
-very branch target as its first native execution.
+One driver, ``RegionManager.scan``, consumes interpreter-side runs of
+the trace for all six techniques, and each technique supplies its own
+rules and numpy pass through four hooks.  Items executed inside regions
+are never shown to a manager: every technique ignores native-side
+transitions except the entry into a region, which ends a recording.  An
+idle manager (five techniques profile while no formation is in flight)
+lends its hotness counters to the automaton's stepping kernel, which
+applies the backward-branch profiling rule those five share to the
+interpreter-side runs itself and stops at the bump that gets hot; the
+scan makes that bump and records.  So a scan runs while a formation is
+in flight, at such a stop, and always for ``lei``.  The engine installs
+an emitted region into the automaton before performing the emitting
+item's transition, so a recording stopped by a loop-closing branch
+catches that very branch target as its first native execution.
 
 Six techniques are provided:
 
@@ -53,16 +55,16 @@ DEFAULT_HISTORY_CAPACITY = 8192
 # items per catch-up step of the lazy flow map, and the largest chunk of
 # a scan's numpy pass, bounding their transient arrays to a few MB
 _FLOW_CHUNK = 1 << 16
-# items an idle stretch of a scan steps one by one before it hands the
-# rest of its run to a numpy pass, and that pass's first chunk.  Measured
-# as one chunk against stepping the same items one by one, on warm
-# managers (Python 3.11, 2-core x86 host): for net a chunk of 512 items
-# breaks even on uniform noise over 16k addresses (1.02x the per-item
-# time; 0.44x at 65,536) and takes 0.66x on a 50-instruction loop, where
-# 256 items break even.  lei takes 0.72x at 512 items on the loop, but on
-# the noise, where a chunk holds almost as many addresses as items, it
-# breaks even only near 16k items (1.89x at 512, 0.86x at 16k, 0.42x at
-# 65,536), which the doubling chunks reach after about 16k items.
+# items a scan of lei steps one by one before it hands the rest of its
+# run to its numpy pass, and that pass's first chunk.  Measured as one
+# chunk against stepping the same items one by one, on warm managers
+# (Python 3.11, 2-core x86 host): lei takes 0.72x at 512 items on a
+# 50-instruction loop, but on uniform noise over 16k addresses, where a
+# chunk holds almost as many addresses as items, it breaks even only near
+# 16k items (1.89x at 512, 0.86x at 16k, 0.42x at 65,536), which the
+# doubling chunks reach after about 16k items.  Since its pass reads and
+# writes its records in place, it runs 0.88-1.11x the per-item time at
+# 1,000 items of the benchmark's noise and 0.43-0.50x at 4,000.
 _HANDOFF = 512
 
 
@@ -141,6 +143,9 @@ class RegionManager:
     it), so that a region-exit target is profiled whatever its address.
     It returns ``(k, region)`` and stops at whichever comes first:
 
+    - item ``i`` itself, ``(i, None)``, when the manager profiles and
+      item ``i``'s bump, if any, stays below the threshold: the kernel
+      profiles the run from there;
     - an emission while seeing item ``k``, due at ``k``;
     - the first item ``k`` whose id is held: that item enters a
       region.  A recording in flight would stop on the next item, seen
@@ -158,40 +163,40 @@ class RegionManager:
     reached its ``end``: the next chunk's first scan carries it on.
 
     ``scan`` owns the loop, and a technique supplies four hooks.  While
-    the manager profiles (``_profiling``), the scan itself applies the
-    rule that five techniques share: an item whose id is below ``prev``
-    bumps that id's count in ``_hot``, and the bump that
-    reaches the threshold resets the count and calls ``_start(i, a)``.
-    Otherwise each item goes to ``_see(i, a, prev)``, which records, arms
-    or pushes it and returns a region to emit, or None.  A held item ends
-    the scan; unless the manager profiles, with nothing in flight, the
-    scan returns ``_entered(i)`` with it: the emission due at
-    ``i + 1``, or None.  A scan steps ``_HANDOFF`` items one by one and
-    offers the rest of its run to ``_pass(i, end)``, a numpy pass over the
-    column: ``_profile`` while the manager profiles, ``LeiManager._push``
-    always for lei, whose history takes every item, and no pass at all
-    while a formation is in flight.  The pass reads the column in chunks
-    of ``_HANDOFF`` items doubling up to ``_FLOW_CHUNK`` and returns the
-    first item that stops the scan, a held item or one whose bump or push
-    reaches the threshold, with every item before it applied; the scan
-    then steps that item itself.  Scans shorter than ``_HANDOFF`` never
-    hand off: numpy's cost per call would outweigh what it saves on them.
+    the manager profiles (``_profiling``), the scan applies the rule that
+    five techniques share to item ``i`` alone: an item whose id is below
+    ``prev`` bumps that id's count in ``_hot``, and the bump that reaches
+    the threshold resets the count and calls ``_start(i, a)``.  If none
+    does, the scan returns ``(i, None)``: the kernel, lent the counts,
+    steps item ``i`` and profiles the rest of the run.  Otherwise, and
+    for every item while a formation is in flight, each item goes to
+    ``_see(i, a, prev)``, which records, arms or pushes it and returns a
+    region to emit, or None, and a held item ends the scan, which returns
+    ``_entered(i)`` with it: the emission due at ``i + 1``, or None.  A
+    scan steps ``_HANDOFF`` items one by one and offers the rest of its
+    run to ``_pass(i, end)``, a numpy pass over the column:
+    ``LeiManager._push`` for lei, whose history takes every item, and no
+    pass at all while a formation is in flight.  The pass reads the
+    column in chunks of ``_HANDOFF`` items doubling up to ``_FLOW_CHUNK``
+    and returns the first item that stops the scan, a held item or one
+    whose push reaches the threshold, with every item before it applied;
+    the scan then steps that item itself.  Scans shorter than
+    ``_HANDOFF`` never hand off: numpy's cost per call would outweigh
+    what it saves on them.
 
     Each emission passes its recorded ``(id, size)`` pairs through
     ``complete(items, due)``, which returns the region; look-ahead
     managers expand the recording there by the window's flow up to
     ``due``.
 
-    ``exit_counts`` is read after each scan.  It is None, or the array in
-    which the manager counts a region-exit follower (the item after a
-    landing that left a region) when that follower is all it would do
-    with it: bump its count below the threshold and return at it, since
-    it enters a region.  The engine hands that array and the threshold to
-    the kernel, which then makes that bump itself for a held follower and
-    steps on.  So a scan after a region exit still sees the followers
-    that are not held, those whose bump reaches the threshold, and every
-    follower while it is None: while a formation is in flight, and
-    always for ``lei``, which never profiles.
+    ``exit_counts`` is read after each scan.  It is None while a
+    formation is in flight, and always for ``lei``, which profiles no
+    backward branches; otherwise it is ``_hot``, which the engine lends
+    the kernel with the threshold.  The kernel then bumps the counts as
+    the scan would, both for region-exit followers and for backward
+    branches taken interpreter-side, and returns unwritten at the bump
+    that reaches the threshold, so that the scan, called there with
+    ``prev``, makes it and starts the recording.
     """
 
     def __init__(self, config: RFTConfig):
@@ -200,7 +205,8 @@ class RegionManager:
         # each id's hotness: the count of its bumps as a backward-branch or
         # region-exit target, or for lei of the cycles it heads
         self._hot = array("q")
-        # the scan applies the backward-branch rule while this is set
+        # the manager profiles, with no formation in flight, while this
+        # is set
         self._profiling = True
 
     @property
@@ -211,11 +217,24 @@ class RegionManager:
     # The scan loops with `while True`: CPython 3.11 specializes a
     # function's bytecode only after a warm-up that counts calls and
     # unconditional backward jumps, not the conditional jump closing a
-    # `while <condition>` loop, and one scan call often covers a whole
-    # window.
+    # `while <condition>` loop, and one scan call often covers a long run.
     def scan(self, i: int, end: int, prev: float) -> tuple[int, Optional[tuple]]:
-        addrs, held, hot, threshold = self._addrs, self._held, self._hot, self._threshold
-        profiling = self._profiling
+        addrs, held = self._addrs, self._held
+        if self._profiling:
+            # the first item's bump; the kernel profiles the rest of the run
+            a = addrs[i]
+            if a >= prev:
+                return i, None
+            c = self._hot[a] + 1
+            if c < self._threshold:
+                self._hot[a] = c
+                return i, None
+            self._hot[a] = 0
+            self._start(i, a)
+            if held[a]:
+                return i, self._entered(i)
+            prev = a
+            i += 1
         stop = i + _HANDOFF if end - i > _HANDOFF else end
         while True:
             if i >= stop:
@@ -226,21 +245,11 @@ class RegionManager:
                 if i >= end:
                     return end, None
             a = addrs[i]
-            if profiling:
-                if a < prev:
-                    c = hot[a] + 1
-                    if c < threshold:
-                        hot[a] = c
-                    else:
-                        hot[a] = 0
-                        self._start(i, a)
-                        profiling = False
-            else:
-                region = self._see(i, a, prev)
-                if region is not None:
-                    return i, region
+            region = self._see(i, a, prev)
+            if region is not None:
+                return i, region
             if held[a]:
-                return i, None if profiling else self._entered(i)
+                return i, self._entered(i)
             prev = a
             i += 1
 
@@ -254,11 +263,8 @@ class RegionManager:
         return None
 
     def _pass(self, i: int, end: int) -> int:
-        # a formation ends only with an emission, which ends the scan, so
-        # a manager profiling here profiled throughout
-        if not self._profiling:
-            return i
-        return _profile(self._hot, self._threshold, self._col, i, end, self._held)
+        # a formation in flight steps item by item
+        return i
 
     # the benchmark harness still wraps this; nothing calls it
     def _handle(self, *args) -> None: ...
@@ -569,41 +575,6 @@ def _chunked(step: Callable[[int, int], int], i: int, end: int) -> int:
         i = hi
         size = min(2 * size, _FLOW_CHUNK)
     return end
-
-
-def _profile(hot: array, threshold: int, column: np.ndarray, i: int,
-             end: int, held: Sequence[int]) -> int:
-    """Profile items ``i..end-1`` of the id ``column`` as an idle
-    net or mret2 scan would after stepping item ``i - 1`` itself, so that
-    item ``i`` is bumped when it is a backward-branch target, and return
-    the index of the first item that stops the scan, with every item
-    before it profiled: the first held item, or the first whose bump
-    reaches the threshold.  Returns ``end`` if none does."""
-
-    def step(lo, hi):
-        col = column[lo:hi]
-        n = hi - lo
-        back = col < column[lo - 1:hi - 1]
-        k = _first_held(col, held)
-        at = back[:k].nonzero()[0]
-        targets = col[at]
-        ordered = np.sort(targets)
-        starts, bumps = _runs(ordered)
-        keys = ordered[starts]
-        base = np.asarray(hot)[keys]
-        total = base + bumps
-        over = total >= threshold
-        if over.any():
-            # an address over the threshold crossed it at the bump that
-            # took its record's count to the threshold
-            _, starts, _, items = _grouped(targets)
-            k = int(at[items[(starts + threshold - base - 1)[over]]].min())
-        if k < n:
-            return lo + k
-        np.asarray(hot)[keys] = total
-        return hi
-
-    return _chunked(step, i, end)
 
 
 # --- look-ahead expansion ---------------------------------------------------

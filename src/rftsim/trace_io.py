@@ -77,7 +77,8 @@ class Trace:
     the table's size, so 1, 2 or 4 bytes more per item.  The engine, the
     managers and the automaton work on ids, which keep the addresses'
     order.  A trace may be shared read-only between any number of
-    simulations.
+    simulations.  A chunk that a validated ``TraceFile`` reads holds only
+    its ids and sizes: its ``addresses`` are None.
     """
 
     __slots__ = ("addresses", "sizes", "_backward", "_table", "_ids")
@@ -97,7 +98,7 @@ class Trace:
         return self
 
     def __len__(self) -> int:
-        return len(self.addresses)
+        return len(self.sizes)
 
     def table(self) -> np.ndarray:
         """The sorted distinct addresses, an id's address being its entry;
@@ -240,26 +241,30 @@ class _Numbering:
         self._span, self._rank = span if span <= _DENSE_SPAN else 0, None
         self.code = "BHI"[(len(self.table) > 1 << 8) + (len(self.table) > 1 << 16)]
 
-    def ids(self, col: np.ndarray) -> array:
+    def rank(self, piece: np.ndarray) -> np.ndarray:
+        """The ids of the addresses of ``piece``, which the table holds."""
         if self._rank is None:
             self._rank = partial(np.searchsorted, self.table)
             if self._span:
                 lookup = np.zeros(self._span, dtype=self.code)
                 lookup[self.table - self._low] = np.arange(len(self.table), dtype=self.code)
                 self._rank = lambda piece: lookup[piece - self._low]
+        return self._rank(piece)
+
+    def ids(self, col: np.ndarray) -> array:
         ids = array(self.code, [0]) * len(col)
         for lo in range(0, len(col), _LOAD_CHUNK):
             piece = col[lo:lo + _LOAD_CHUNK]
-            np.asarray(ids)[lo:lo + len(piece)] = self._rank(piece)
+            np.asarray(ids)[lo:lo + len(piece)] = self.rank(piece)
         return ids
 
 
 # Records per chunk of a binary read or write: each chunk's record buffer,
 # 128 KiB, is reused, so reading or writing holds no whole-length copy.
 _LOAD_CHUNK = 8_192
-# Items per chunk of a streamed replay (``TraceFile.chunks``): 3 MiB held
-# as a trace.  Each chunk restarts the scans' hand-off to numpy passes,
-# whose chunks double up to 65,536 items.  On the benchmark's 300,000-item
+# Items per chunk of a streamed replay (``TraceFile.chunks``): 1.25-2 MiB
+# of ids and sizes held as a trace.  Each chunk restarts the hand-offs to
+# numpy passes, whose windows double up to 65,536 items.  On the benchmark's 300,000-item
 # noise workload, streamed in chunks of 65,536 items, the six techniques
 # took 1.43-1.75x their in-memory time, and 1.21-1.33x in chunks of this
 # size, most of the rest being the reads (Python 3.11, 2-core x86 host).
@@ -351,16 +356,24 @@ class TraceFile:
         return records
 
     def read(self, lo: int, hi: int) -> Trace:
-        """Records ``lo..hi-1`` as a trace, numbered by the file's table
-        once ``validate()`` has built it; ``0 <= lo <= hi <= len(self)``."""
-        items, sizes = array("Q", [0]) * (hi - lo), array("I", [0]) * (hi - lo)
+        """Records ``lo..hi-1`` as a trace; ``0 <= lo <= hi <= len(self)``.
+        Once ``validate()`` has built the file's table, the trace holds
+        only each record's id by that table, numbered piece by piece as
+        it is read, and its size: its ``addresses`` are None.  Before, it
+        holds the addresses and sizes."""
+        numbering = self._numbering
+        column = array("Q" if numbering is None else numbering.code, [0]) * (hi - lo)
+        sizes = array("I", [0]) * (hi - lo)
         for at, records in self._pieces(lo, hi):
-            np.asarray(items)[at - lo:at - lo + len(records)] = records["address"]
+            piece = records["address"]
+            np.asarray(column)[at - lo:at - lo + len(records)] = (
+                piece if numbering is None else numbering.rank(piece))
             np.asarray(sizes)[at - lo:at - lo + len(records)] = records["size"]
-        trace = _adopt(items, sizes)
-        if self._numbering is not None:
-            trace._table = self._numbering.table
-            trace._ids = self._numbering.ids(trace.addresses)
+        if numbering is None:
+            return _adopt(column, sizes)
+        trace = Trace.__new__(Trace)
+        trace.addresses, trace.sizes, trace._backward = None, sizes, None
+        trace._table, trace._ids = numbering.table, column
         return trace
 
     def _pieces(self, lo: int, hi: int):

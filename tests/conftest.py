@@ -1,5 +1,5 @@
 """Shared builders: randomized traces, the benchmark's traces, the
-engine's scan protocol with a given held set, the stepping kernel driven
+engine's scan and kernel protocol with a given held set, the stepping kernel driven
 item list by item list, automata that count the items their kernel steps
 in the numpy pass and log their chain heads' memos, and a naive reference
 simulation.
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import functools
 import importlib.util
-import math
 import random
 import sys
 from array import array
@@ -23,8 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from reference import (SI, FlowMap, LiteralAutomaton, held_addresses,
-                       make_reference, region_of)
+from reference import SI, FlowMap, LiteralAutomaton, make_reference, region_of
 from rftsim import LoopSpec, ProgramSpec, RFTConfig, Trace, generate_trace
 from rftsim.automaton import Automaton
 from rftsim.engine import SimulationConfig
@@ -63,8 +61,8 @@ class PassAutomaton(Automaton):
         super().__init__()
         self.passed = 0
 
-    def _pass(self, addrs, i, end, exit_counts, threshold):
-        k, prev = super()._pass(addrs, i, end, exit_counts, threshold)
+    def _pass(self, addrs, i, end, *args):
+        k, prev = super()._pass(addrs, i, end, *args)
         self.passed += k - i
         return k, prev
 
@@ -146,19 +144,27 @@ def bind(manager, trace: Trace, held=()) -> array:
 
 
 def scan_run(manager, addrs, sizes, held=()) -> list[tuple]:
-    """Drive ``manager.scan`` as the engine does over a window in which, as
-    in the automaton, an item runs natively exactly when its address is
-    held; each emitted region is installed (its addresses join ``held``)
-    before the item the scan stopped at steps.
+    """Drive ``manager.scan`` and the stepping kernel as the engine does
+    over a window in which the addresses of ``held`` are each held by a
+    one-state region, so that an item runs natively exactly when its
+    address is held; each emitted region is installed before the item the
+    scan stopped at steps, and the kernel profiles an idle manager's runs
+    with its lent counts.
 
     Returns ``(due, region)`` per emission, ``due`` being the trace index
     the manager passed to its ``complete``: the emission is due there, and
     ``region`` its ids mapped back to addresses."""
     end = len(addrs)
     trace = Trace(list(addrs), list(sizes))
-    mask = bind(manager, trace, held)
     table, ids = trace.table().tolist(), trace._ids
     rank = {a: k for k, a in enumerate(table)}
+    automaton = Automaton()
+    automaton.bind(trace.table())
+    for a in sorted(held):
+        if a in rank:
+            automaton.append_region([(rank[a], 4)])
+    manager.begin(trace, 0, end, automaton.held)
+    manager.attach(trace, 0)
     dues = []
     complete = manager.complete
 
@@ -172,22 +178,12 @@ def scan_run(manager, addrs, sizes, held=()) -> list[tuple]:
         k, region = manager.scan(i, end, prev)
         assert len(dues) == (region is not None)
         if region is not None:
-            region = addressed(region, table)
-            out.append((dues.pop(), region))
-            for a in held_addresses(region):
-                mask[rank[a]] = 1
+            automaton.append_region(*region)
+            out.append((dues.pop(), addressed(region, table)))
         elif k == end:
             break
-        # the kernel: item k alone if it stays interpreter-side, else the
-        # native run from it and the landing that ends that run, whose
-        # follower is profiled whatever its address
-        i, prev = k + 1, ids[k]
-        if mask[ids[k]]:
-            while i < end and mask[ids[i]]:
-                i += 1
-            if i == end:
-                break
-            i, prev = i + 1, math.inf
+        i, prev = automaton.run_native_stretch(ids, sizes, i, end, k, manager.exit_counts,
+                                               manager._threshold)
     return out
 
 

@@ -12,9 +12,10 @@ from hypothesis.stateful import (RuleBasedStateMachine, initialize, invariant, p
 from conftest import (IDENTITY, MemoAutomaton, PassAutomaton, drive, identity_automaton,
                       naive_run)
 from reference import I2N, N2I, N2N, SI, SN, LiteralAutomaton, make_reference
-from rftsim import RFTConfig, automaton, trace_io
-from rftsim.automaton import CHAIN_MIN_PATH, WALK_CAP
+from rftsim import RFTConfig, Trace, automaton, trace_io
+from rftsim.automaton import CHAIN_MIN_PATH, WALK_CAP, Automaton
 from rftsim.engine import SimulationConfig, run_simulation
+from rftsim.rft import make_rft
 from rftsim.trace_io import LoopSpec, ProgramSpec, TraceFile, generate_trace, write_trace
 
 A, B, C = 0x100, 0x104, 0x108
@@ -776,11 +777,15 @@ def test_follower_reaching_threshold_in_the_middle_of_a_pass_chunk():
     assert (i, prev) == (12, math.inf) and counts[A] == 3
 
 
-def test_follower_not_held_stops_the_pass():
+def test_follower_not_held_is_profiled_by_the_pass():
+    # the landings at items 15 and 18 are followed by A, held, and by X,
+    # not held: the pass bumps both and steps on; A after X, a backward
+    # branch from an interpreter-side item, is bumped too
     seq = CHAIN * 3 + [X, A, B, X, X, A]
     counts = array("q", [0]) * IDENTITY
-    i, prev, _ = pass_call([rec(CHAIN)], seq, counts=counts, threshold=9)
-    assert (i, prev) == (19, math.inf) and counts[A] == 1
+    i, prev, auto = pass_call([rec(CHAIN)], seq, counts=counts, threshold=9)
+    assert (i, prev) == (21, A) and nonzero(counts) == {A: 2, X: 1}
+    assert auto.passed == 20
 
 
 def test_traversal_open_across_a_replay_chunk_boundary(tmp_path, monkeypatch):
@@ -808,8 +813,8 @@ def kernel_passes(monkeypatch):
     log = []
     step = automaton.Automaton._pass
 
-    def logged(self, addrs, i, end, exit_counts, threshold):
-        k, prev = step(self, addrs, i, end, exit_counts, threshold)
+    def logged(self, addrs, i, end, *args):
+        k, prev = step(self, addrs, i, end, *args)
         log.append((i, k))
         return k, prev
     monkeypatch.setattr(automaton.Automaton, "_pass", logged)
@@ -845,9 +850,11 @@ def test_kernel_hands_off_after_exactly_handoff_items(monkeypatch, kernel_passes
     assert kernel_passes == [(5 + h, len(seq))]
 
 
-# --- region-exit followers counted in the kernel -----------------------------
+# --- interpreter-side items profiled in the kernel -----------------------------
 
 Y = 0x904
+# a hand-off no call here reaches
+HUGE = 1 << 40
 
 
 def id_counts(start=()):
@@ -870,13 +877,14 @@ def exit_call(seq, threshold, counts, end=None):
     Checks the dump against the literal model stepped over the items the
     call consumed, and the counts against the reference net manager's
     hotness after those items, starting from the same counts.  The call
-    runs again from a copy of the counts with the kernel's hand-off at 1,
-    so that its numpy pass steps all but the first item, and must agree.
+    runs with the kernel's hand-off out of reach, and again from a copy of
+    the counts with the hand-off at 1, so that its numpy pass steps all
+    but the first item, and must agree.
     Returns ``(next_i, prev)``."""
     end = len(seq) if end is None else end
     start = nonzero(counts)
     results = []
-    for handoff, given in ((1, array("q", counts)), (automaton._NATIVE_HANDOFF, counts)):
+    for handoff, given in ((1, array("q", counts)), (HUGE, counts)):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(automaton, "_NATIVE_HANDOFF", handoff)
             auto = identity_automaton()
@@ -919,6 +927,11 @@ def test_follower_reaching_threshold_ends_the_call_unwritten():
     counts = id_counts({A: 2})
     assert exit_call([A, B, X, A, B], 3, counts) == (3, math.inf)
     assert nonzero(counts) == {A: 2}
+    # a count already past the threshold, as counts lent at a higher one
+    # leave it: the first bump stops the call
+    counts = id_counts({A: 4, X: 1})
+    assert exit_call([A, B, X, A, B, X, A, B], 3, counts) == (3, math.inf)
+    assert nonzero(counts) == {A: 4, X: 1}
 
 
 def test_threshold_one_never_absorbs():
@@ -931,13 +944,101 @@ def test_threshold_one_never_absorbs():
     # the follower lies at the end of the window, or beyond it
     ([A, B, X], None),
     ([A, B, X, A, B], 3),
-    # the follower is not held: the scan sees it
-    ([A, B, X, Y, A], None),
 ])
-def test_follower_at_end_or_not_held_ends_the_call(seq, end):
+def test_follower_at_the_end_ends_the_call(seq, end):
     counts = id_counts()
     assert exit_call(seq, 5, counts, end) == (3, math.inf)
     assert nonzero(counts) == {}
+
+
+def test_follower_not_held_is_profiled_and_stepped_past():
+    # Y, not held, follows the exit and is bumped whatever its id; A, a
+    # backward branch from Y, is bumped and enters the region
+    counts = id_counts()
+    assert exit_call([A, B, X, Y, A], 5, counts) == (5, A)
+    assert nonzero(counts) == {Y: 1, A: 1}
+
+
+# the landing X at items 2 and 5; A, held, follows the first (item 3) and
+# Y, not held, the second (item 6); W runs on interpreter-side, and V
+# branches back from it (item 8); A, held, from V (item 9)
+V, W = 0x90C, 0x910
+PROFILED = [A, B, X, A, B, X, Y, W, V, A, B]
+
+
+@pytest.mark.parametrize("handoff", [1, HUGE], ids=["handoff-1", "handoff-huge"])
+@pytest.mark.parametrize("threshold, start, stop, prev, hot", [
+    # the first bump gets hot: the held follower
+    (1, {}, 3, math.inf, {}),
+    # the follower that is not held
+    (3, {Y: 2}, 6, math.inf, {A: 1, Y: 2}),
+    # the backward branch inside an interpreter-side run
+    (3, {V: 2}, 8, W, {A: 1, Y: 1, V: 2}),
+    # the held entry reached by a backward branch, A's second bump
+    (3, {A: 1}, 9, V, {A: 2, Y: 1, V: 1}),
+    # none: the call runs to the end
+    (9, {}, 11, B, {A: 2, Y: 1, V: 1}),
+], ids=["held-follower", "follower-not-held", "interpreter-branch", "held-entry", "none"])
+def test_kernel_profiles_each_kind_of_bumped_item(handoff, threshold, start, stop, prev, hot):
+    """One kernel call over ``PROFILED``, region [A, B] installed, lent a
+    net manager's counts.  It bumps four items: a held follower of a
+    landing, a follower that is not held, an interpreter-side backward
+    branch target and a held entry reached by a backward branch.  It
+    stops unwritten at the bump that reaches the threshold, with ``prev``
+    infinity after a landing and the previous id otherwise; the dump is
+    the literal model's over the items consumed, the counts are the
+    reference net manager's, and the manager's scan, handed the stop,
+    makes the bump and starts a recording."""
+    trace = Trace(PROFILED, [4] * len(PROFILED))
+    table, ids = trace.table().tolist(), trace._ids
+    rank = {a: k for k, a in enumerate(table)}
+    auto = Automaton()
+    auto.bind(trace.table())
+    auto.append_region([(rank[A], 4), (rank[B], 4)])
+    manager = make_rft(RFTConfig("net", threshold=threshold))
+    manager.begin(trace, 0, len(PROFILED), auto.held)
+    manager.attach(trace, 0)
+    for a, c in start.items():
+        manager._hot[rank[a]] = c
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(automaton, "_NATIVE_HANDOFF", handoff)
+        i, got = auto.run_native_stretch(ids, trace.sizes, 0, len(PROFILED), 0,
+                                         manager.exit_counts, threshold)
+    assert (i, got if got == math.inf else table[got]) == (stop, prev)
+    assert {table[k]: c for k, c in enumerate(manager._hot) if c} == hot
+    model = LiteralAutomaton()
+    model.append([(A, 4), (B, 4)])
+    reference = make_reference(RFTConfig("net", threshold=threshold))
+    reference.hot = dict(start)
+    last, kind = None, SI
+    for a in PROFILED[:i]:
+        assert reference.handle(last, (a, 4), kind) is None
+        kind = model.step(a)
+        last = (a, 4)
+    assert auto.dump() == model.dump()
+    assert {a: c for a, c in reference.hot.items() if c} == hot
+    if i < len(PROFILED):
+        # net records from the item that got hot: a held one enters a
+        # region, so the recording is emitted at once
+        k, region = manager.scan(i, len(PROFILED), got)
+        assert manager._hot[ids[i]] == 0 and table[region[0][0][0]] == PROFILED[i]
+        assert k == i if PROFILED[i] == A else k > i
+
+
+def test_kernel_profiling_matches_naive_loop_on_the_hand_worked_items():
+    """The engine over a warm-up that forms region [A, B], then
+    ``PROFILED`` three times, against the naive loop, with the kernel's
+    hand-off at 1 and out of reach, at thresholds that get each kind of
+    bumped item hot first."""
+    trace = Trace([A, B] * 5 + PROFILED * 3, [4] * (10 + 3 * len(PROFILED)))
+    for handoff in (1, HUGE):
+        for threshold in range(1, 6):
+            config = SimulationConfig(rft=RFTConfig("net", threshold=threshold),
+                                      collect_dump=True)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(automaton, "_NATIVE_HANDOFF", handoff)
+                dump = run_simulation(trace, config).dump
+            assert dump == naive_run(trace, config).dump(), (handoff, threshold)
 
 
 # --- the kernel against the literal model, stateful ---------------------------
@@ -949,9 +1050,9 @@ class KernelMachine(RuleBasedStateMachine):
     """Interleaves region installs with kernel calls over streams that
     follow the installed recordings: whole, cut short, entered mid-chain,
     looping back to the head while a traversal is open, or leaving for the
-    interpreter for one item.  Some calls hand the kernel counts for
-    region-exit followers and a threshold; the model counts each held
-    follower literally.  The calls over a stream whose length is a
+    interpreter for one item.  Some calls hand the kernel a manager's
+    counts and a threshold; the model counts each region-exit follower
+    and each backward branch taken interpreter-side literally.  The calls over a stream whose length is a
     multiple of 3 hand off to the numpy pass after 1 or 2 items, the
     others after the default number."""
 
@@ -1034,15 +1135,17 @@ class KernelMachine(RuleBasedStateMachine):
                 kind = self.model.step(seq[h])
                 stop = h + 1
                 while stop < end:
-                    if kind == N2I and counts is not None and seq[stop] in self.model.address:
-                        # a held follower of a region exit: counted, and
-                        # stepped in the same call below the threshold
+                    if counts is None:
+                        if kind not in (I2N, SN, N2N):
+                            break
+                    elif kind == N2I or (kind == SI and seq[stop] < seq[stop - 1]):
+                        # a region exit's follower, or a backward branch
+                        # taken interpreter-side: counted, and stepped in
+                        # the same call below the threshold
                         c = self.model_counts.get(seq[stop], 0) + 1
                         if c >= threshold:
                             break
                         self.model_counts[seq[stop]] = c
-                    elif kind not in (I2N, SN, N2N):
-                        break
                     kind = self.model.step(seq[stop])
                     stop += 1
                 with pytest.MonkeyPatch.context() as mp:

@@ -300,12 +300,17 @@ def test_exit_counts_declared_only_while_idle(technique):
 
 
 def test_no_scan_starts_at_a_follower_the_kernel_counts(monkeypatch):
-    """A scan never starts at a held region-exit follower that the kernel
-    could have counted: one whose manager declared its counter dict and
-    whose count plus one is below the threshold.  The scans that do start
-    at a held follower are those the kernel must leave: the threshold is
-    reached, the manager is busy, or it is ``lei``."""
+    """A scan never starts at an item that the kernel, lent an idle
+    manager's counts, could have profiled and stepped past.  Such a
+    kernel call stops only at the end of the window or at a bump that
+    reaches the threshold, so an idle manager's scan after the window's
+    first item starts at a bumped item, a region-exit follower or a
+    backward-branch target, whose count plus one reaches the threshold.
+    The scans that start at a held region-exit follower are those the
+    kernel must leave: the threshold is reached, the manager is busy, or
+    it is ``lei``."""
     fallbacks = []
+    hot = []
 
     def checked_rft(config):
         manager = make_rft(config)
@@ -313,8 +318,11 @@ def test_no_scan_starts_at_a_follower_the_kernel_counts(monkeypatch):
 
         def checked(i, end, prev):
             addrs = manager._addrs
+            counts = manager.exit_counts
+            if counts is not None and i:
+                assert addrs[i] < prev and counts[addrs[i]] + 1 >= config.threshold, config
+                hot.append(config.technique)
             if prev == math.inf and i < end and manager._held[addrs[i]]:
-                counts = manager.exit_counts
                 assert counts is None or counts[addrs[i]] + 1 >= config.threshold, config
                 fallbacks.append(config.technique)
             return scan(i, end, prev)
@@ -327,6 +335,7 @@ def test_no_scan_starts_at_a_follower_the_kernel_counts(monkeypatch):
         trace = random_trace(rng, max_items=1200)
         run_simulation(trace, SimulationConfig(rft=random_rft_config(rng, TECHNIQUES[case % 6])))
     assert {"net", "mret2", "lei"} <= set(fallbacks)
+    assert set(hot) == set(TECHNIQUES) - {"lei"}
 
 
 def test_sweep_results_match_standalone_runs():

@@ -1,13 +1,16 @@
-"""The scans' numpy passes against the per-item models.
+"""The numpy passes that profile idle runs against the per-item models.
 
-An idle stretch of a scan steps ``_HANDOFF`` items one by one and hands
-the rest of its run to a numpy pass (``_profile`` for net, mret2 and the
-net variants, ``LeiManager._push`` for lei), in chunks that grow from
-``_HANDOFF`` items up to ``_FLOW_CHUNK``.  Patching both to a few items
-puts the hand-off and the chunk boundaries all over short windows; the
-per-item reference managers and the naive engine loop of ``conftest``
-must not see a difference, at those sizes or at the defaults.  Logged
-passes also pin when the scan driver hands off at all.
+lei's scan steps ``_HANDOFF`` items one by one and hands the rest of its
+run to its numpy pass (``LeiManager._push``), in chunks that grow from
+``_HANDOFF`` items up to ``_FLOW_CHUNK``.  The other techniques' idle
+scan sees its first item only: the stepping kernel, lent the manager's
+counts, profiles the rest of the run, and after ``_NATIVE_HANDOFF``
+items hands it to its own pass (``Automaton._pass``), in windows that
+grow up to ``_PASS_CHUNK``.  Patching the four to a few items puts the
+hand-offs and the window boundaries all over short windows; the per-item
+reference managers and the naive engine loop of ``conftest`` must not
+see a difference, at those sizes or at the defaults.  Logged passes also
+pin when each hands off at all.
 """
 
 from __future__ import annotations
@@ -24,8 +27,9 @@ import rftsim.automaton as automaton
 import rftsim.rft as rft
 from conftest import (bind, high_walk, naive_run, random_graph_walk, random_noise,
                       random_rft_config, random_trace, scan_run)
-from reference import SI, make_reference, reference_run
+from reference import N2I, SI, make_reference, reference_run
 from rftsim import Trace
+from rftsim.automaton import Automaton
 from rftsim.engine import SimulationConfig, run_simulation
 from rftsim.rft import _ARMED, _REC1, _REC2, RFTConfig, TECHNIQUES, make_rft
 
@@ -39,23 +43,36 @@ def size_id(sizes):
 
 @pytest.fixture
 def passes(monkeypatch):
-    """Logs ``(start, stop, end)`` per numpy pass: the item it began at,
-    the index it returned and the end of its scan."""
+    """Logs ``(start, stop, end)`` per numpy pass that profiles: lei's
+    scan's, and the kernel's when lent a manager's counts; the item it
+    began at, the index it returned and the end of its scan or call."""
     log = []
     chunked = rft._chunked
+    step = automaton.Automaton._pass
 
-    def logged(step, i, end):
-        k = chunked(step, i, end)
+    def logged(push, i, end):
+        k = chunked(push, i, end)
         log.append((i, k, end))
         return k
+
+    def profiled(self, addrs, i, end, landed, exit_counts, threshold):
+        k, prev = step(self, addrs, i, end, landed, exit_counts, threshold)
+        if exit_counts is not None:
+            log.append((i, k, end))
+        return k, prev
     monkeypatch.setattr(rft, "_chunked", logged)
+    monkeypatch.setattr(automaton.Automaton, "_pass", profiled)
     return log
 
 
 def set_sizes(monkeypatch, sizes):
+    """Both hand-offs at ``sizes[0]`` items, and lei's chunks and the
+    kernel's windows capped at ``sizes[1]``."""
     if sizes is not None:
         monkeypatch.setattr(rft, "_HANDOFF", sizes[0])
         monkeypatch.setattr(rft, "_FLOW_CHUNK", sizes[1])
+        monkeypatch.setattr(automaton, "_NATIVE_HANDOFF", sizes[0])
+        monkeypatch.setattr(automaton, "_PASS_CHUNK", sizes[1])
 
 
 def check_scan(config, addrs, sizes, held=()):
@@ -75,11 +92,12 @@ def test_scan_matches_reference_across_the_hand_off(monkeypatch, passes, sizes):
         tech = TECHNIQUES[case % len(TECHNIQUES)]
         config = random_rft_config(rng, tech)
         if long:
-            # runs past the default hand-off need rare emissions
+            # runs past the default hand-offs need rare emissions, and idle
+            # stretches long enough for the kernel's pass to stop in some
             config = RFTConfig(tech, threshold=rng.choice((16, 64, 256)),
                                max_region_size=config.max_region_size,
                                history_capacity=rng.choice((16, 256, 8192)))
-            trace = (random_noise if case % 2 else random_graph_walk)(rng, 3000)
+            trace = (random_noise if case % 2 else random_graph_walk)(rng, 5000)
         else:
             trace = random_trace(rng, max_items=400)
         addrs, sizes_ = trace.addresses.tolist(), trace.sizes
@@ -146,17 +164,30 @@ def rising(n):
 @pytest.mark.parametrize("sizes", [(4, 4), None], ids=size_id)
 @pytest.mark.parametrize("tech", TECHNIQUES)
 def test_idle_scan_hands_off_after_exactly_handoff_items(monkeypatch, passes, sizes, tech):
-    """An idle scan of more than ``_HANDOFF`` items hands the rest of its
-    run to a numpy pass at its ``_HANDOFF``-th item; a shorter scan, or one
-    of exactly ``_HANDOFF`` items, steps every item itself."""
+    """An idle run of more than a hand-off's length goes to a numpy pass at
+    the hand-off's item; a shorter run, or one of exactly that length, is
+    stepped item by item.  lei's scan steps ``_HANDOFF`` items itself.  The
+    other techniques' idle scan returns at its first item, which it has
+    profiled, and the kernel, lent the counts, profiles the run and
+    steps ``_NATIVE_HANDOFF`` items itself."""
     set_sizes(monkeypatch, sizes)
-    h = rft._HANDOFF
+    lei = tech == "lei"
+    h = rft._HANDOFF if lei else automaton._NATIVE_HANDOFF
     addrs = rising(3 * h)
     manager = make_rft(RFTConfig(tech, threshold=1 << 20))
     trace = Trace(addrs, [4] * len(addrs))
     bind(manager, trace)
+    auto = Automaton()
+    auto.bind(trace.table())
+    ids = trace._ids
     for i, end in [(0, h), (h, 2 * h + 1), (2 * h + 1, 3 * h)]:
-        assert manager.scan(i, end, trace._ids[i - 1] if i else -1) == (end, None)
+        prev = ids[i - 1] if i else -1
+        if lei:
+            assert manager.scan(i, end, prev) == (end, None)
+            continue
+        assert manager.scan(i, end, prev) == (i, None)
+        assert auto.run_native_stretch(ids, trace.sizes, i, end, i, manager.exit_counts,
+                                       1 << 20) == (end, ids[end - 1])
     assert passes == [(2 * h, 2 * h + 1, 2 * h + 1)]
 
 
@@ -180,9 +211,9 @@ IN_FLIGHT = [
 def test_no_hand_off_with_a_formation_in_flight(monkeypatch, passes, sizes, tech, prefix,
                                                 state):
     """A scan that starts with a formation in flight, or that starts one
-    before its ``_HANDOFF``-th item, steps its whole run itself.  lei has
-    no formation in flight, and over the same items it hands off after
-    ``_HANDOFF`` items either way."""
+    at its first item, the only item an idle scan profiles, steps its
+    whole run itself.  lei has no formation in flight, and over the same
+    items it hands off after ``_HANDOFF`` items either way."""
     set_sizes(monkeypatch, sizes)
     addrs = prefix + rising(3 * rft._HANDOFF)
     n, end = len(prefix), len(addrs)
@@ -193,14 +224,15 @@ def test_no_hand_off_with_a_formation_in_flight(monkeypatch, passes, sizes, tech
         bind(manager, trace)
         return manager
 
-    # the scan starts idle and starts the formation
+    # the scan starts idle and starts the formation at the backward
+    # branch of item 1
     continues = attached(tech, 1)
-    assert continues.scan(0, end, -1) == (end, None)
+    ids = trace._ids
+    assert continues.scan(1, end, ids[0]) == (end, None)
     # the formation is in flight when the scan starts
     starts = attached(tech, 1)
-    assert starts.scan(0, n, -1) == (n, None)
+    assert starts.scan(1, n, ids[0]) == (n, None)
     assert starts.exit_counts is None and getattr(starts, "_state", None) == state
-    ids = trace._ids
     assert starts.scan(n, end, ids[n - 1]) == (end, None)
     assert passes == []
     for manager in (continues, starts):
@@ -239,38 +271,50 @@ def test_threshold_reached_on_a_chunks_first_and_last_item(monkeypatch, passes, 
 @pytest.mark.parametrize("tech", TECHNIQUES)
 @pytest.mark.parametrize("at", [8, 9, 12])
 def test_held_item_at_a_chunk_start(monkeypatch, passes, tech, at):
-    """A held item stops the pass unvisited; the scan then visits it, so
-    a backward branch into it is still profiled.  Items 8 and 12 start
-    chunks, item 9 does not."""
+    """A held item stops lei's pass unvisited; the scan then visits it,
+    so a backward branch into it is still profiled.  The kernel's pass,
+    profiling for the other techniques, bumps that branch and steps on
+    into the region, unless the bump reaches the threshold (threshold
+    1): then it stops there, unwritten, and the scan makes the bump.
+    Items 8 and 12 start chunks, item 9 does not."""
     set_sizes(monkeypatch, (4, 4))
     addrs = [0x2000 + 4 * k for k in range(20)]
     addrs[at] = 0x100  # a backward branch into a region
     for threshold in (1, 2):
         passes.clear()
         check_scan(RFTConfig(tech, threshold=threshold), addrs, [4] * 20, {0x100})
-        assert passes[0][:2] == (4, at)
+        assert passes[0][:2] == (4, at if tech == "lei" or threshold == 1 else 20)
 
 
 @pytest.mark.parametrize("tech", ["net", "mret2", "net-r"])
 def test_region_exit_target_is_the_first_item_only(monkeypatch, tech):
-    """After a region exit only the scan's first item is profiled whatever
-    its address; the pass, handed the run after it, seeds its first item
-    from that item's address and carries each chunk's last address into
-    the next chunk."""
-    set_sizes(monkeypatch, (1, 1))
+    """After a region exit only the landing's follower is profiled
+    whatever its address.  The kernel's pass, handed the run at the
+    landing, at its follower or after it, seeds its first item from the
+    item before it, and carries each window's last address into the
+    next window."""
     addrs = [0x200, 0x300, 0x250, 0x260, 0x100]
-    manager = make_rft(RFTConfig(tech, threshold=100))
-    trace = Trace(addrs, [4] * 5)
-    bind(manager, trace)
-    assert manager.scan(0, 5, math.inf) == (5, None)
+    # a native item, then the landing at 0x50
+    seq = [0x40, 0x50] + addrs
     ref = make_reference(RFTConfig(tech, threshold=100))
-    last, kind = (0x50, 4), 2
+    last, kind = (0x50, 4), N2I
     for a in addrs:
         ref.handle(last, (a, 4), kind)
         last, kind = (a, 4), SI
-    table = trace.table().tolist()
-    hot = {table[k]: c for k, c in enumerate(manager._hot) if c}
-    assert hot == ref.hot == {0x200: 1, 0x250: 1, 0x100: 1}
+    trace = Trace(seq, [4] * len(seq))
+    table, ids = trace.table().tolist(), trace._ids
+    for handoff in (1, 2, 3):
+        monkeypatch.setattr(automaton, "_NATIVE_HANDOFF", handoff)
+        monkeypatch.setattr(automaton, "_PASS_CHUNK", 1)
+        manager = make_rft(RFTConfig(tech, threshold=100))
+        bind(manager, trace)
+        auto = Automaton()
+        auto.bind(trace.table())
+        auto.append_region([(table.index(0x40), 4)])
+        assert auto.run_native_stretch(ids, trace.sizes, 0, len(seq), 0, manager.exit_counts,
+                                       100) == (len(seq), ids[-1])
+        hot = {table[k]: c for k, c in enumerate(manager._hot) if c}
+        assert hot == ref.hot == {0x200: 1, 0x250: 1, 0x100: 1}
 
 
 @pytest.mark.parametrize("sizes", [(1, 4), (2, 5), (7, 7)], ids=size_id)
@@ -300,11 +344,13 @@ def test_lei_with_a_raised_floor_and_a_short_history(monkeypatch, sizes):
 
 @pytest.mark.parametrize("technique", TECHNIQUES)
 @pytest.mark.parametrize("bad", [-4, 1 << 64])
-def test_long_run_rejects_address_outside_u64(passes, technique, bad):
+def test_long_run_rejects_address_outside_u64(monkeypatch, passes, technique, bad):
     """A long interpreter-side run with out-of-range addresses at items
     1500 and 1700 cannot be built as a trace, so no technique steps one;
     construction names the first.  With the nearest u64 bound there
-    instead, the run, handed to the numpy pass, matches the naive loop."""
+    instead, the run, handed to a numpy pass, matches the naive loop: to
+    lei's scan's pass, or to the kernel's, its hand-off moved to lei's."""
+    monkeypatch.setattr(automaton, "_NATIVE_HANDOFF", rft._HANDOFF)
     noise = random_noise(random.Random(5), 2000)
     addrs = noise.addresses.tolist()
     addrs[1500] = addrs[1700] = bad
@@ -352,3 +398,51 @@ def test_engine_with_every_kernel_run_in_the_pass_matches_naive_loop(trace, tech
         mp.setattr(automaton, "_NATIVE_HANDOFF", 1)
         dump = run_simulation(trace, config).dump
     assert dump == naive_run(trace, config).dump()
+
+
+@st.composite
+def loops_and_noise(draw):
+    """Loops over a few small address ranges interleaved with runs of
+    noise over the same ranges, so that regions form, and their exits and
+    the noise's backward branches feed idle managers' counts."""
+    addrs = []
+    for _ in range(draw(st.integers(2, 10))):
+        if draw(st.booleans()):
+            base = 0x100 + 0x40 * draw(st.integers(0, 5))
+            body = [base + 4 * k for k in range(draw(st.integers(1, 8)))]
+            addrs += body * draw(st.integers(1, 30))
+        else:
+            addrs += draw(st.lists(st.sampled_from(range(0x100, 0x280, 4)), min_size=1,
+                                   max_size=40))
+    return Trace(addrs, [4] * len(addrs))
+
+
+def test_engine_with_idle_runs_profiled_in_the_pass_matches_naive_loop():
+    """With the kernel's hand-off at 1 to 4 items and its windows at 1 to
+    8, its numpy pass profiles idle managers' runs, and at thresholds 2
+    to 8 bumps reach the threshold inside pass windows: the engine must
+    match the naive loop, and passes must stop at such bumps."""
+    stops = []
+    step = automaton.Automaton._pass
+
+    def logged(self, addrs, i, end, landed, exit_counts, threshold):
+        k, prev = step(self, addrs, i, end, landed, exit_counts, threshold)
+        if exit_counts is not None:
+            stops.append(k < end)
+        return k, prev
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(trace=loops_and_noise(), technique=st.sampled_from(TECHNIQUES),
+           threshold=st.integers(2, 8), handoff=st.integers(1, 4), window=st.integers(1, 8))
+    def check(trace, technique, threshold, handoff, window):
+        config = SimulationConfig(rft=RFTConfig(technique, threshold=threshold),
+                                  collect_dump=True)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(automaton, "_NATIVE_HANDOFF", handoff)
+            mp.setattr(automaton, "_PASS_CHUNK", window)
+            mp.setattr(automaton.Automaton, "_pass", logged)
+            dump = run_simulation(trace, config).dump
+        assert dump == naive_run(trace, config).dump()
+
+    check()
+    assert sum(stops) >= 50 and len(stops) - sum(stops) >= 50

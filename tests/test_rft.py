@@ -522,14 +522,15 @@ def test_netplus_emission_on_region_entry_sees_the_next_item():
     region, so the scan stops at item 3 and emits E A H due at item 4.  The
     pair H -> X, first seen at item 4, opens the return path X -> E: the
     flow up to item 4 expands the region by X, the flow up to item 3 by
-    nothing."""
+    nothing.  The idle scan starts at E, as after a kernel call that
+    stepped X and stopped at the bump of E that reaches the threshold."""
     E, A_, H, X = 0x100, 0x104, 0x200, 0x300
     addrs = [X, E, A_, H, X]
     sizes = [4] * len(addrs)
     mgr = NetPlusManager(cfg("netplus", threshold=1))
     trace = Trace(addrs, sizes)
     bind(mgr, trace, {H})
-    k, region = mgr.scan(0, len(addrs), -1)
+    k, region = mgr.scan(1, len(addrs), trace._ids[0])
     assert (k, addressed(region, trace.table().tolist())) == \
         (3, ([(E, 4), (A_, 4), (H, 4)], ((X, 4),), {H: (X,), X: (E,)}))
 
