@@ -158,8 +158,8 @@ WALK_CAP = 1024
 #     8192   0.40 0.48 0.66     0.79 0.77 0.84     1.26 1.25 1.25
 #     16384  0.36 0.41 0.50     0.63 0.60 0.63     1.16 1.16 1.15
 #
-# Since the kernel also profiles an idle manager's interpreter-side runs,
-# an idle stretch is one long call, and the six techniques' summed time on
+# The kernel also profiles an idle manager's interpreter-side runs, so an
+# idle stretch is one long call, and the six techniques' summed time on
 # the benchmark's workloads at seed 1 (in-process, minimum of five runs,
 # same host) falls with the hand-off:
 #

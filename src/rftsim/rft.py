@@ -62,9 +62,9 @@ _FLOW_CHUNK = 1 << 16
 # 50-instruction loop, but on uniform noise over 16k addresses, where a
 # chunk holds almost as many addresses as items, it breaks even only near
 # 16k items (1.89x at 512, 0.86x at 16k, 0.42x at 65,536), which the
-# doubling chunks reach after about 16k items.  Since its pass reads and
-# writes its records in place, it runs 0.88-1.11x the per-item time at
-# 1,000 items of the benchmark's noise and 0.43-0.50x at 4,000.
+# doubling chunks reach after about 16k items.  Its pass reads and writes
+# its records in place, and runs 0.88-1.11x the per-item time at 1,000
+# items of the benchmark's noise and 0.43-0.50x at 4,000.
 _HANDOFF = 512
 
 

@@ -289,8 +289,9 @@ class TraceFile:
     missing record.  ``validate()`` (or ``table()``, the same call) reads
     the whole file that way once, numbering its addresses as it goes, and
     keeps only their sorted table, 8 bytes per distinct address; each
-    trace ``read`` returns from then on holds its ids by that table.  A
-    simulation validates a file that is not yet validated.
+    trace ``read`` returns from then on holds its ids by that table and
+    its sizes, and no addresses.  A simulation validates a file that is
+    not yet validated.
 
     Positional reads share no file offset, so processes forked while the
     file is open read from it independently.  Reading into a buffer, not
