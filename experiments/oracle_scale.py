@@ -10,11 +10,13 @@ graph-walk's, so its ids are u32 and graph-walk's above 65,535, and
 ``wide-span`` moves each address ``a`` to ``a << 24``, a span wider than
 the dense lookup's, so its ids come from the binary search.  It prints
 one line per config, with the items the stepping kernel's numpy pass
-stepped and the interpreter-side items the kernel profiled for an idle
-manager, in its per-item loop and in its pass.  It exits 1 if any dump
+stepped, the interpreter-side items the kernel profiled for an idle
+manager, in its per-item loop and in its pass, and the walks it stepped
+in one go along a chain head's memo (memo hits).  It exits 1 if any dump
 differs, if the pass stepped no item on loop-nest or on graph-walk,
-whose long native runs it exists for, or if the pass profiled no item
-for ``net`` on graph-walk, whose idle stretches it exists for.
+whose long native runs it exists for, if the pass profiled no item for
+``net`` on graph-walk, whose idle stretches it exists for, or if no
+loop-nest config hit a memo, whose inner loops the memo exists for.
 
     python experiments/oracle_scale.py               # full size, seed 1
     python experiments/oracle_scale.py --items 5000  # each trace's prefix
@@ -36,7 +38,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "bench")]
 
 from conftest import naive_run  # noqa: E402
 from rftsim import RFTConfig, SimulationConfig, Trace, run_simulation  # noqa: E402
-from rftsim.automaton import Automaton  # noqa: E402
+from rftsim.automaton import Automaton, Region  # noqa: E402
 from rftsim.rft import TECHNIQUES  # noqa: E402
 from workloads import DEFAULT_SEED, WORKLOADS  # noqa: E402
 
@@ -66,12 +68,12 @@ def main(argv=None) -> int:
     traces["many-addresses"] = Trace(np.concatenate([fresh, walk.addresses + np.uint64(4 * FRESH)]),
                                      np.concatenate([np.full(FRESH, 4), walk.sizes]))
     traces["wide-span"] = Trace(walk.addresses << np.uint64(24), walk.sizes)
-    # the items the kernel's numpy pass steps, and the interpreter-side
-    # items the kernel profiles in its loop and in its pass, in the current
-    # config, and the items the pass steps per trace
-    stepped = [0, 0, 0]
+    # the items the kernel's numpy pass steps, the interpreter-side items
+    # the kernel profiles in its loop and in its pass, and the memo hits,
+    # in the current config, and the items the pass steps per trace
+    stepped = [0, 0, 0, 0]
     passed = dict.fromkeys(traces, 0)
-    kernel, step = Automaton.run_native_stretch, Automaton._pass
+    kernel, step, flush = Automaton.run_native_stretch, Automaton._pass, Region.flush
 
     def counted_call(self, addrs, sizes, i, end, h, exit_counts=None, threshold=1):
         before = self.interp + h - i
@@ -88,34 +90,44 @@ def main(argv=None) -> int:
             stepped[1] -= self.interp - before
             stepped[2] += self.interp - before
         return k, prev
-    Automaton.run_native_stretch, Automaton._pass = counted_call, counted
-    profiled = 0
+
+    def flushed(self):
+        # every hit is flushed once, at the latest when a report is built
+        stepped[3] += self.hits
+        flush(self)
+    Automaton.run_native_stretch, Automaton._pass, Region.flush = counted_call, counted, flushed
+    profiled = hits = 0
     try:
         for name, trace in traces.items():
             for threshold in THRESHOLDS:
                 for technique in TECHNIQUES:
                     config = SimulationConfig(rft=RFTConfig(technique, threshold=threshold),
                                               collect_dump=True)
-                    stepped[:] = [0, 0, 0]
+                    stepped[:] = [0, 0, 0, 0]
                     same = run_simulation(trace, config).dump == naive_run(trace, config).dump()
                     differing += not same
                     passed[name] += stepped[0]
+                    if name == "loop-nest":
+                        hits += stepped[3]
                     if (name, technique) == PROFILED:
                         profiled += stepped[2]
                     print(f"{name} {technique} threshold {threshold} ({stepped[0]} in the "
                           f"pass; profiled {stepped[1]} in the loop, {stepped[2]} in the "
-                          f"pass) {len(trace)} items: {'same' if same else 'DIFFERS'}",
+                          f"pass; {stepped[3]} memo hits) {len(trace)} items: "
+                          f"{'same' if same else 'DIFFERS'}",
                           flush=True)
     finally:
-        Automaton.run_native_stretch, Automaton._pass = kernel, step
+        Automaton.run_native_stretch, Automaton._pass, Region.flush = kernel, step, flush
     unused = [name for name in PASSED if not passed[name]]
     for name in unused:
         print(f"the kernel's numpy pass stepped no item on {name}", file=sys.stderr)
     if not profiled:
         print("the kernel's numpy pass profiled no item for {1} on {0}".format(*PROFILED),
               file=sys.stderr)
+    if not hits:
+        print("no config hit a chain head's memo on loop-nest", file=sys.stderr)
     print(f"{differing} of {len(traces) * len(THRESHOLDS) * len(TECHNIQUES)} dumps differ")
-    return 1 if differing or unused or not profiled else 0
+    return 1 if differing or unused or not profiled or not hits else 0
 
 
 if __name__ == "__main__":

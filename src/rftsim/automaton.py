@@ -40,14 +40,14 @@ creates edges inside it, and edges are never replaced, so when the next
 items after a landing are the memo's, rule 1 would follow the memo's
 edges to its end state: the kernel steps that walk in one slice
 comparison instead, and, when the walk came back to the head, compares
-again: a loop inside the region costs one comparison per iteration.  A
-walk back to the head that misses on that landing alone, as a loop's
-last iteration does, is stepped up to it in one go (a cut hit).
+again: a loop inside the region costs one comparison per iteration, and
+its last iteration, which leaves the region, misses and is stepped item
+by item.
 A walk shorter than ``CHAIN_MIN_PATH`` is not kept, so a landing is
 fruitless when it misses; a head with ``CHAIN_GIVE_UP`` fruitless
 landings in a row steps item by item for the rest of the run.
 
-A kernel call that has stepped ``_NATIVE_HANDOFF`` items, one by one or
+A kernel call that has stepped ``_HANDOFF`` items, one by one or
 in walks, hands the rest of its run to a numpy pass (``Automaton._pass``),
 which reads the chunk's id column in windows that double in size.  No
 region is installed during a call, so the address index and every
@@ -72,8 +72,7 @@ traversals of regions with two or more recorded states, and each memo's
 hits (``Region.hits``).  A hit follows each of its walk's edges as often
 as the walk did, and completes a traversal when the walk passed the core
 tail, so flushing the hits into those edges and completions
-(``Region.flush``, before any report) completes both; a cut hit counts
-as a hit and takes its last edge's traversal back at once.  The numpy
+(``Region.flush``, before any report) completes both.  The numpy
 pass notes each native item's ``(previous state, state)`` code, which
 names the edge it followed or rule 2 made, and adds the notes to the
 edges every ``_PASS_CHUNK`` items and before any report
@@ -140,16 +139,20 @@ CHAIN_MIN_PATH = 4
 # fruitless landings in a row that give a chain head up; items a memo keeps
 CHAIN_GIVE_UP = 3
 WALK_CAP = 1024
-# Items a kernel call steps, one by one or in memo walks, before it hands
-# the rest of its run to the numpy pass, and the pass's first window.
-# Measured as the time of kernel calls of n items with the hand-off at
-# 1024, 2048 and 4096 over their time with no hand-off (Python 3.11,
-# numpy 2.4, 2-core x86 host), on a loop through another region's copies,
-# which takes exceptional edges and no memo walk (79-83 ns per item with
-# no hand-off), on a 20-instruction loop whose exits are counted, whose
-# iterations the memo steps (18-19 ns), and on a 50-instruction loop the
-# memo steps whole, so that only the items after its last walk reach the
-# pass (2-4 ns):
+# The hand-off policy of both numpy passes, the kernel's (``_pass``) and
+# lei's scan's (``rft.LeiManager._push``).  ``_HANDOFF`` is the items a
+# kernel call or a scan steps one by one, or the kernel in memo walks,
+# before it hands the rest of its run to its pass, and the pass's first
+# window or chunk; these double up to ``_PASS_CHUNK``.
+#
+# For the kernel, measured as the time of kernel calls of n items with
+# the hand-off at 1024, 2048 and 4096 over their time with no hand-off
+# (Python 3.11, numpy 2.4, 2-core x86 host), on a loop through another
+# region's copies, which takes exceptional edges and no memo walk (79-83
+# ns per item with no hand-off), on a 20-instruction loop whose exits are
+# counted, whose iterations the memo steps (18-19 ns), and on a
+# 50-instruction loop the memo steps whole, so that only the items after
+# its last walk reach the pass (2-4 ns):
 #
 #     n        copies             exits              memo loop
 #            1024 2048 4096     1024 2048 4096     1024 2048 4096
@@ -170,9 +173,20 @@ WALK_CAP = 1024
 #
 # 512 is within the noise of 256, and the table above shows what the pass
 # costs a call that hands it only a short rest.
-_NATIVE_HANDOFF = 512
-# the pass's largest window and step, bounding its transient arrays to a
-# few MB
+#
+# For lei's scan, measured as one window against stepping the same items
+# one by one, on warm managers (Python 3.11, 2-core x86 host): lei takes
+# 0.72x at 512 items on a 50-instruction loop, but on uniform noise over
+# 16k addresses, where a window holds almost as many addresses as items,
+# it breaks even only near 16k items (1.89x at 512, 0.86x at 16k, 0.42x
+# at 65,536), which the doubling windows reach after about 16k items.
+# Its pass reads and writes its records in place, and runs 0.88-1.11x the
+# per-item time at 1,000 items of the benchmark's noise and 0.43-0.50x at
+# 4,000.
+_HANDOFF = 512
+# the passes' largest window or chunk, the kernel's pass's step between
+# adding its notes to the edges, and the lazy flow map's catch-up step
+# (``rft._ExpansionMixin``), bounding their transient arrays to a few MB
 _PASS_CHUNK = 1 << 16
 
 
@@ -394,12 +408,6 @@ class Automaton:
         return ex, from_interp, from_native
 
     @property
-    def region_transitions(self) -> int:
-        """Items that moved from one region's state to another region's: the
-        region entries from native code."""
-        return sum(self._executions()[2])
-
-    @property
     def held(self) -> array:
         """The address index: per id, the first state of the earliest-created
         region that holds it, or 0 (the interpreter state) if no region
@@ -469,9 +477,7 @@ class Automaton:
         landing at a chain head (mark 5), when the memo's walk fits before
         ``end``, it compares the next items with the walk in one slice
         comparison.  On a hit it books one ``Region.hits`` and moves to the
-        walk's end state, comparing anew when that is the head.  A walk back
-        to the head that misses on that landing alone is a hit less the
-        traversal of its last edge, to the state before it.  On a miss it
+        walk's end state, comparing anew when that is the head.  On a miss it
         notes where the walk starts and steps on item by item; the next
         chain-head landing, or the call's return, installs the walk as the
         head's memo (``_keep``).  The ``CHAIN_GIVE_UP``-th fruitless landing
@@ -481,7 +487,7 @@ class Automaton:
         call steps on item by item, and a walk it steps from a head up to
         ``end`` without leaving the region is not kept, so a chunk's end
         cuts no memo short.
-        A call that has stepped ``_NATIVE_HANDOFF`` items, one by one or in
+        A call that has stepped ``_HANDOFF`` items, one by one or in
         walks, hands the rest of its run to a numpy pass (``_pass``), which
         profiles and stops where this loop would and returns what it would;
         a walk it cuts short is not kept.
@@ -517,7 +523,7 @@ class Automaton:
         ws = -1
         wr = None
         handoff = False
-        stop = i + _NATIVE_HANDOFF if end - i > _NATIVE_HANDOFF else end
+        stop = i + _HANDOFF if end - i > _HANDOFF else end
         it = iter(addrs)
         it.__setstate__(i)
         for a in it:
@@ -581,12 +587,6 @@ class Automaton:
                             if r.walk_end == tid:
                                 continue  # back on the head: another landing
                             tid = r.walk_end
-                        elif r.walk_end == tid and j <= end + 1 and addrs[i:j - 1] == w[:-1]:
-                            # the walk up to the landing that would close it
-                            i = j - 1
-                            r.hits += 1
-                            r.walk_edges[-1][1] -= 1
-                            tid = r.walk_edges[-2][0]
                         elif j > end:
                             break  # the walk runs past the call's end: no verdict
                         else:
@@ -595,7 +595,7 @@ class Automaton:
                                 ws = i
                                 wr = r
                             else:
-                                mark_l[tid] = 1
+                                mark_l[tid] = self._mark_col[tid] = 1
                             break
                         r.misses = 0
                         traversing = not r.walk_closes
@@ -624,10 +624,11 @@ class Automaton:
         unless it is shorter than ``CHAIN_MIN_PATH``.  The walk ended at the
         item that left ``r``, or at a landing on a chain head,
         ``addrs[we - 1]``, which it keeps when that head is ``r``'s; or it
-        left ``r`` before the call's end, ``we``.  Each step followed or created an edge inside ``r`` that is
-        never replaced, and the item that left ``r`` followed or created an
-        edge out of it or, not being held, has none: so rule 1 from the head
-        finds the walk's edges and where it ended."""
+        left ``r`` before the call's end, ``we``.  Each step followed or
+        created an edge inside ``r`` that is never replaced, and the item
+        that left ``r`` followed or created an edge out of it or, not being
+        held, has none: so rule 1 from the head finds the walk's edges and
+        where it ended."""
         edges_l = self._edges
         owner_l = self._owner
         sid = r.entry_state
@@ -658,7 +659,7 @@ class Automaton:
         its id is not held.  So where the call stops depends on ``held``
         alone: after its first landing or, with ``exit_counts``, at the
         first bump that reaches the threshold (``_profile``).  The pass
-        finds that stop in windows of ``addrs`` of ``_NATIVE_HANDOFF`` items
+        finds that stop in windows of ``addrs`` of ``_HANDOFF`` items
         doubling in size, bumping the counts before it, and steps the items
         up to it, or up to ``_PASS_CHUNK`` of them, at once: each native
         item's ``(previous state, state)`` code joins ``_traversed``, which
@@ -675,7 +676,7 @@ class Automaton:
         # the kernel's loop
         above = len(held)
         p = -1 if tid != NTE_STATE else above if landed else int(column[i - 1])
-        size = _NATIVE_HANDOFF
+        size = _HANDOFF
         stopped = False
         while i < end and not stopped:
             stop = i

@@ -44,16 +44,18 @@ an address's rank in the table, so ids keep the addresses' order.
 Every technique's ``scan`` is one driver, ``RegionManager.scan``, which
 steps items one by one in Python, reading the ``array`` that holds the
 chunk's ids, as the kernel does, and leaves what a technique does with
-an item to its hooks.  Once a scan of ``lei`` has taken ``rft._HANDOFF``
-items, the rest of the run goes to its numpy pass over slices of the id
-column, which reads chunks that start at that length and double up to
-``rft._FLOW_CHUNK`` and stops at the first item the scan must see
-itself, with everything before it applied.  The kernel does the same: a
-call that has stepped ``automaton._NATIVE_HANDOFF`` items gives the rest
-of its run to its own numpy pass over the id column, which also profiles
-an idle manager's interpreter-side items.  So a long cold, noisy or
-native run costs a few numpy passes, not one Python step per item, while
-the short calls and scans never pay numpy's per-call cost.
+an item to its hooks.  Once a scan of ``lei`` has taken
+``automaton._HANDOFF`` items, the rest of the run goes to its numpy pass
+over slices of the id column, which reads chunks that start at that
+length and double up to ``automaton._PASS_CHUNK`` and stops at the
+first item the scan must see itself, with everything before it
+applied.  The
+kernel does the same, by the same two constants: a call that has
+stepped ``_HANDOFF`` items gives the rest of its run to its own numpy
+pass over the id column, which also profiles an idle manager's
+interpreter-side items.  So a long cold, noisy or native run costs a few
+numpy passes, not one Python step per item, while the short calls and
+scans never pay numpy's per-call cost.
 
 Recording is purely observational: while a manager records, instructions
 keep being attributed to the states actually traversed.

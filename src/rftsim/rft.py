@@ -44,6 +44,7 @@ from typing import Callable, Collection, Mapping, Optional, Sequence
 
 import numpy as np
 
+from . import automaton
 from .trace_io import Trace, TraceFile, _grouped, _runs
 
 TECHNIQUES = ("net", "mret2", "lei", "netplus", "net-r", "netplus-e-r")
@@ -52,20 +53,6 @@ DEFAULT_THRESHOLD = 1024
 DEFAULT_MAX_REGION_SIZE = 1024
 DEFAULT_EXPANSION_DEPTH = 10
 DEFAULT_HISTORY_CAPACITY = 8192
-# items per catch-up step of the lazy flow map, and the largest chunk of
-# a scan's numpy pass, bounding their transient arrays to a few MB
-_FLOW_CHUNK = 1 << 16
-# items a scan of lei steps one by one before it hands the rest of its
-# run to its numpy pass, and that pass's first chunk.  Measured as one
-# chunk against stepping the same items one by one, on warm managers
-# (Python 3.11, 2-core x86 host): lei takes 0.72x at 512 items on a
-# 50-instruction loop, but on uniform noise over 16k addresses, where a
-# chunk holds almost as many addresses as items, it breaks even only near
-# 16k items (1.89x at 512, 0.86x at 16k, 0.42x at 65,536), which the
-# doubling chunks reach after about 16k items.  Its pass reads and writes
-# its records in place, and runs 0.88-1.11x the per-item time at 1,000
-# items of the benchmark's noise and 0.43-0.50x at 4,000.
-_HANDOFF = 512
 
 
 @dataclass(frozen=True)
@@ -173,16 +160,16 @@ class RegionManager:
     ``_see(i, a, prev)``, which records, arms or pushes it and returns a
     region to emit, or None, and a held item ends the scan, which returns
     ``_entered(i)`` with it: the emission due at ``i + 1``, or None.  A
-    scan steps ``_HANDOFF`` items one by one and offers the rest of its
-    run to ``_pass(i, end)``, a numpy pass over the column:
-    ``LeiManager._push`` for lei, whose history takes every item, and no
-    pass at all while a formation is in flight.  The pass reads the
-    column in chunks of ``_HANDOFF`` items doubling up to ``_FLOW_CHUNK``
-    and returns the first item that stops the scan, a held item or one
-    whose push reaches the threshold, with every item before it applied;
-    the scan then steps that item itself.  Scans shorter than
-    ``_HANDOFF`` never hand off: numpy's cost per call would outweigh
-    what it saves on them.
+    scan steps ``automaton._HANDOFF`` items one by one, as a kernel call
+    does, and offers the rest of its run to ``_pass(i, end)``, a numpy
+    pass over the column: ``LeiManager._push`` for lei, whose history
+    takes every item, and no pass at all while a formation is in flight.
+    The pass reads the column in chunks of ``_HANDOFF`` items doubling up
+    to ``automaton._PASS_CHUNK`` and returns the first item that stops
+    the scan, a held item or one whose push reaches the threshold, with
+    every item before it applied; the scan then steps that item itself.
+    Scans shorter than ``_HANDOFF`` never hand off: numpy's cost per call
+    would outweigh what it saves on them.
 
     Each emission passes its recorded ``(id, size)`` pairs through
     ``complete(items, due)``, which returns the region; look-ahead
@@ -235,7 +222,7 @@ class RegionManager:
                 return i, self._entered(i)
             prev = a
             i += 1
-        stop = i + _HANDOFF if end - i > _HANDOFF else end
+        stop = i + automaton._HANDOFF if end - i > automaton._HANDOFF else end
         while True:
             if i >= stop:
                 if i < end:
@@ -508,7 +495,7 @@ class LeiManager(RegionManager):
         run = np.cumsum(cyc)
         run += np.repeat(count[keys] - run[starts] + cyc[starts], lengths)
         hot = items[cyc & (run >= self._threshold)]
-        k = _first_held(col, self._held)
+        k = automaton._first_true(np.asarray(self._held).take(col) != 0)
         if len(hot):
             k = min(k, int(hot.min()))
         if k < n:
@@ -551,20 +538,14 @@ class LeiManager(RegionManager):
 
 # --- numpy passes over trace chunks -------------------------------------------
 
-def _first_held(col: np.ndarray, held: Sequence[int]) -> int:
-    """The index of the first id of ``col`` that ``held`` (``Automaton.held``)
-    maps to a state, or ``len(col)``."""
-    hit = np.asarray(held)[col].nonzero()[0]
-    return int(hit[0]) if len(hit) else len(col)
-
-
 def _chunked(step: Callable[[int, int], int], i: int, end: int) -> int:
-    """Run ``step(lo, hi)`` over ``[i, end)`` in chunks of ``_HANDOFF``
-    items doubling up to ``_FLOW_CHUNK``.  A step applies its chunk and
-    returns ``hi``, or returns the index of the chunk's first item that
-    stops the scan with nothing applied; the items before that one are
-    then applied as a shorter chunk, and that index is returned."""
-    size = min(_HANDOFF, _FLOW_CHUNK)
+    """Run ``step(lo, hi)`` over ``[i, end)`` in chunks of
+    ``automaton._HANDOFF`` items doubling up to
+    ``automaton._PASS_CHUNK``.  A step applies its chunk and returns
+    ``hi``, or returns the index of the chunk's first item that stops the
+    scan with nothing applied; the items before that one are then applied
+    as a shorter chunk, and that index is returned."""
+    size = min(automaton._HANDOFF, automaton._PASS_CHUNK)
     while i < end:
         hi = min(end, i + size)
         k = step(i, hi)
@@ -573,7 +554,7 @@ def _chunked(step: Callable[[int, int], int], i: int, end: int) -> int:
                 step(i, k)
             return k
         i = hi
-        size = min(2 * size, _FLOW_CHUNK)
+        size = min(2 * size, automaton._PASS_CHUNK)
     return end
 
 
@@ -659,14 +640,14 @@ class _ExpansionMixin:
     it knows each id in ``trace[start:i + 1]`` with its first size, and
     each pair ``(ids[j - 1], ids[j])`` with ``start < j <= i``.
 
-    The catch-up reads the trace's id column in chunks of ``_FLOW_CHUNK``
-    items, each with the item before it so that the pair across the
-    boundary is kept.  A sort finds a chunk's distinct ids, with the first
-    index of each, and a sort of its pairs, each coded ``u * m + v`` for a
-    table of ``m`` addresses, its distinct pairs.  Only those distinct ids
-    and pairs reach the map, so Python-level work grows with the flow's
-    size, not the trace's, and a catch-up holds only one chunk's arrays at
-    a time.
+    The catch-up reads the trace's id column in chunks of
+    ``automaton._PASS_CHUNK`` items, each with the item before it so that
+    the pair across the boundary is kept.  A sort finds a chunk's distinct
+    ids, with the first index of each, and a sort of its pairs, each coded
+    ``u * m + v`` for a table of ``m`` addresses, its distinct pairs.
+    Only those distinct ids and pairs reach the map, so Python-level work
+    grows with the flow's size, not the trace's, and a catch-up holds only
+    one chunk's arrays at a time.
     """
 
     extended = False
@@ -685,7 +666,7 @@ class _ExpansionMixin:
         m = np.uint64(len(self._held))
         lo = self._covered
         while lo <= due:
-            hi = min(due + 1, lo + _FLOW_CHUNK)
+            hi = min(due + 1, lo + automaton._PASS_CHUNK)
             col, sizes = self._span(lo - 1 if lo > self._first else lo, hi)
             keys, first = np.unique(col, return_index=True)
             for a, f in zip(keys.tolist(), first.tolist()):

@@ -13,7 +13,7 @@ from conftest import (IDENTITY, MemoAutomaton, PassAutomaton, drive, identity_au
                       naive_run)
 from reference import I2N, N2I, N2N, SI, SN, LiteralAutomaton, make_reference
 from rftsim import RFTConfig, Trace, automaton, trace_io
-from rftsim.automaton import CHAIN_MIN_PATH, WALK_CAP, Automaton
+from rftsim.automaton import CHAIN_GIVE_UP, CHAIN_MIN_PATH, WALK_CAP, Automaton
 from rftsim.engine import SimulationConfig, run_simulation
 from rftsim.rft import make_rft
 from rftsim.trace_io import LoopSpec, ProgramSpec, TraceFile, generate_trace, write_trace
@@ -54,7 +54,7 @@ def test_new_automaton_has_only_interpreter_state():
 def test_fresh_automaton_counters_zero():
     auto = identity_automaton()
     assert (auto.interp, auto.dump()["native_instructions"],
-            auto.region_transitions) == (0, 0, 0)
+            auto.dump()["region_transitions"]) == (0, 0, 0)
     assert interp_state_executions(auto) == 0
 
 
@@ -99,7 +99,7 @@ def test_internal_back_edge_is_stayed_native():
     assert st.head_executions == 2
     assert st.entries_from_interpreter == 1
     assert st.completed_traversals == 1
-    assert auto.region_transitions == 0
+    assert auto.dump()["region_transitions"] == 0
 
 
 def test_region_exit_and_reentry():
@@ -116,7 +116,7 @@ def test_region_to_region_transition():
     auto.append_region([(A, 4), (B, 4)])
     auto.append_region([(C, 4)])
     drive(auto, [A, B, C])
-    assert auto.region_transitions == 1
+    assert auto.dump()["region_transitions"] == 1
     assert stats(auto, 1).entries_from_native == 1
 
 
@@ -273,8 +273,8 @@ def _check_invariants(auto, recordings, seq):
                   for sid in r["recorded_states"] + r["expansion_states"])
         assert dyn == r["dynamic_instructions"]
     assert sum(r["dynamic_instructions"] for r in dump["regions"]) == native
-    assert (sum(r["entries_from_native"] for r in dump["regions"])
-            == auto.region_transitions)
+    assert (sum(r.entries_from_native for r in auto.all_region_stats())
+            == dump["region_transitions"])
     # the address index maps each held address, and no other, to its
     # first state (ids are addresses here)
     first = {}
@@ -287,7 +287,7 @@ def _check_invariants(auto, recordings, seq):
     for a in seq:
         model.step(a)
     assert dump == model.dump()
-    assert auto.region_transitions == model.transitions
+    assert dump["region_transitions"] == model.transitions
 
 
 def test_invariants_after_random_walk():
@@ -335,7 +335,7 @@ def test_entries_transitions_and_completions_by_hand():
         code, completions, head executions), and the transitions."""
         return ([(r.entries_from_interpreter, r.entries_from_native,
                   r.completed_traversals, r.head_executions)
-                 for r in auto.all_region_stats()], auto.region_transitions)
+                 for r in auto.all_region_stats()], auto.dump()["region_transitions"])
 
     expected = [([(1, 0, 0, 1), (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0)], 0),
                 ([(2, 1, 1, 2), (0, 1, 1, 1), (0, 1, 2, 2), (1, 1, 3, 3)], 4)]
@@ -498,9 +498,9 @@ def run_both(recordings, seq, ends=(None,)):
         model.step(a)
     sizes = [4] * len(seq)
     autos = []
-    for handoff in (automaton._NATIVE_HANDOFF, 1):
+    for handoff in (automaton._HANDOFF, 1):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(automaton, "_NATIVE_HANDOFF", handoff)
+            mp.setattr(automaton, "_HANDOFF", handoff)
             auto = identity_automaton(MemoAutomaton)
             for region in regions:
                 auto.append_region(*region)
@@ -521,19 +521,21 @@ def chain_head(auto, rid=0):
 
 def test_whole_traversal_closes_the_open_traversal():
     # the first landing has no memo and records the walk back to the
-    # head; the second one hits the walk up to that landing, completing
-    # the traversal the head opened; the loop back to D that runs on to
-    # the tail completes nothing
+    # head; the second one misses it, as the loop back to D leaves the
+    # walk, and steps item by item, completing the traversal the head
+    # opened; the loop back to D that runs on to the tail completes
+    # nothing, and the run's end cuts that walk short, unkept
     auto = run_both([CHAIN], CHAIN * 2 + [D, E])
-    assert (auto.hits, auto._regions[0].completions, auto.walks) == (1, 2, [LOOP])
+    assert (auto.hits, auto._regions[0].completions, auto.walks) == (0, 2, [LOOP])
 
 
 @pytest.mark.parametrize("seq, hits", [
     # the side exit ends a walk too short to keep; the next landing
-    # records the walk the rest hit
-    ([A, B, X] + CHAIN * 3, 2),
+    # records the walk the second hits, and the last landing's walk
+    # would run past the end: no verdict
+    ([A, B, X] + CHAIN * 3, 1),
     # the side exit misses the memo and keeps it: it hits again after
-    (CHAIN * 2 + [A, B, X] + CHAIN * 2, 3),
+    (CHAIN * 2 + [A, B, X] + CHAIN * 2, 2),
 ])
 def test_side_exit_keeps_the_memo(seq, hits):
     auto = run_both([CHAIN], seq)
@@ -543,35 +545,38 @@ def test_side_exit_keeps_the_memo(seq, hits):
 
 def test_window_ending_inside_a_traversal():
     # the first call ends two items after the head, with a walk too short
-    # to keep; the second call records the walk the last landing hits
+    # to keep; the second call records the walk back to the head, which
+    # would run past the end at the last landing: no verdict
     auto = run_both([CHAIN], CHAIN * 3, ends=(3, None))
-    assert (auto.hits, auto._regions[0].completions, auto.walks) == (1, 3, [LOOP])
-    # the memo does not fit before the first call's end: a miss, whose
-    # walk the end cuts short; the second call's landings hit
+    assert (auto.hits, auto._regions[0].completions, auto.walks) == (0, 3, [LOOP])
+    # the memo does not fit before the first call's end: no verdict, and
+    # the end cuts the walk short; the second call's first landing hits,
+    # and its last has no verdict
     auto = run_both([CHAIN], CHAIN * 4, ends=(7, None))
-    assert (auto.hits, auto._regions[0].completions, auto.walks) == (2, 4, [LOOP])
+    assert (auto.hits, auto._regions[0].completions, auto.walks) == (1, 4, [LOOP])
 
 
 @pytest.mark.parametrize("seq, hits", [
-    ([A, B, A, C, D] * 4, 3),
+    ([A, B, A, C, D] * 4, 2),
     # B after the repeated A leaves the chain for an edge back to B, and
     # the run ends before a second landing
     ([A, B, A, B, A, C, D], 0),
     # the walk through that edge is recorded and hit
-    ([A, B, A, B, A, C, D] * 3, 2),
+    ([A, B, A, B, A, C, D] * 3, 1),
 ])
 def test_recording_with_repeated_address(seq, hits):
     auto = run_both([[A, B, A, C, D]], seq)
     assert (auto.hits, auto._regions[0].completions) == (hits, seq.count(D))
 
 
-def test_walk_back_to_the_head_hits_each_iteration_and_its_cut_the_last():
+def test_walk_back_to_the_head_hits_each_iteration_and_steps_the_last():
     # the walk back to the head steps a whole iteration and its closing
     # landing at once, so hits follow each other with no item stepped
-    # between them; the last iteration, which leaves for X, hits the walk
-    # up to that landing
+    # between them; the last iteration, which leaves for X, misses and is
+    # stepped item by item, and its walk, ended by that exit, becomes the
+    # memo; the counts are those the literal model gives
     auto = run_both([CHAIN], CHAIN * 5 + [X])
-    assert (auto.hits, auto._regions[0].completions, auto.walks) == (4, 5, [LOOP])
+    assert (auto.hits, auto._regions[0].completions, auto.walks) == (3, 5, [LOOP, WALK])
 
 
 def test_short_region_head_is_not_a_chain_head():
@@ -605,7 +610,7 @@ def test_walk_through_expansion_states():
     # back to the core tail E: the memo replays the walk through them
     region = (CHAIN, [F, G], {C: (F,), F: (G,), G: (E,)})
     auto = run_both([region], [A, B, C, F, G, E] * 3)
-    assert (auto.hits, auto._regions[0].completions) == (2, 3)
+    assert (auto.hits, auto._regions[0].completions) == (1, 3)
     assert auto.walks == [[B, C, F, G, E, A]]
 
 
@@ -613,20 +618,20 @@ def test_walk_through_an_inner_loop():
     # an inner loop over C and D runs three times per walk
     walk = [B] + [C, D] * 3 + [E]
     auto = run_both([CHAIN], ([A] + walk) * 3)
-    assert (auto.hits, auto._regions[0].completions, auto.walks) == (2, 3, [walk + [A]])
+    assert (auto.hits, auto._regions[0].completions, auto.walks) == (1, 3, [walk + [A]])
 
 
 def test_head_alternating_between_two_walks():
     # each switch misses once and records the new walk, which then hits
     other = [A, C, B, D, E]
     auto = run_both([CHAIN], CHAIN * 3 + other * 3 + CHAIN * 3)
-    assert (auto.hits, auto._regions[0].completions) == (6, 9)
+    assert (auto.hits, auto._regions[0].completions) == (5, 9)
     assert auto.walks == [LOOP, other[1:] + [A], LOOP] and chain_head(auto)
 
 
 @pytest.mark.parametrize("seq, hits, kept", [
     # two fruitless landings, then a walk that hits
-    ([A, B, X] + CHAIN * 3, 2, True),
+    ([A, B, X] + CHAIN * 3, 1, True),
     # the third fruitless landing in a row gives the head up: no walk is
     # recorded or hit after it
     ([A, B, X] * 2 + CHAIN * 3, 0, False),
@@ -639,13 +644,34 @@ def test_head_given_up_after_fruitless_landings(seq, hits, kept):
     assert auto._regions[0].completions == seq.count(E)
 
 
+def test_give_up_writes_both_copies_of_the_marks(monkeypatch):
+    # the kernel's loop gives the head up at its third fruitless landing;
+    # the numpy pass reads the marks' array copy, which must say so too,
+    # and then steps the loop as the literal model does
+    auto = identity_automaton(PassAutomaton)
+    model = LiteralAutomaton()
+    auto.append_region([(a, 4) for a in CHAIN])
+    model.append([(a, 4) for a in CHAIN])
+    given_up = [A, B, X] * CHAIN_GIVE_UP
+    drive(auto, given_up)
+    assert not chain_head(auto)
+    assert list(auto._mark_col) == auto._mark
+    monkeypatch.setattr(automaton, "_HANDOFF", 1)
+    loop = CHAIN * 3 + [X]
+    drive(auto, loop)
+    assert auto.passed == len(loop) - 1
+    for a in given_up + loop:
+        model.step(a)
+    assert auto.dump() == model.dump()
+
+
 def test_memo_keeps_a_prefix_of_a_long_walk(monkeypatch):
     # a walk of 1 + 1200 + 1 items is kept as its first WALK_CAP items,
     # which end inside the inner loop and pass no core tail: a hit books
     # no completion, and the rest of the walk steps item by item; the
     # calls run as long as the walks, so the hand-off to the numpy pass is
     # moved out of their way
-    monkeypatch.setattr(automaton, "_NATIVE_HANDOFF", 1 << 40)
+    monkeypatch.setattr(automaton, "_HANDOFF", 1 << 40)
     walk = [B] + [C, D] * 600 + [E]
     auto = run_both([CHAIN], ([A] + walk) * 3)
     assert auto.walks == [walk[:WALK_CAP]] and walk[WALK_CAP - 1] == C
@@ -653,8 +679,9 @@ def test_memo_keeps_a_prefix_of_a_long_walk(monkeypatch):
 
 
 def test_dump_mid_run_flushes_the_hits_once():
-    # each dump adds the hits so far to the memo's edges; a second dump
-    # adds nothing, and the hits after it are flushed by the last dump
+    # each dump adds the hits so far to the memo's edges, and a second
+    # dump adds nothing; the one hit is the first window's, since the
+    # last landing of each window has its walk run past the window's end
     seq = CHAIN * 4
     auto = identity_automaton(MemoAutomaton)
     model = LiteralAutomaton()
@@ -668,7 +695,7 @@ def test_dump_mid_run_flushes_the_hits_once():
             model.step(a)
         assert auto.dump() == model.dump()
         assert auto.dump() == model.dump()
-    assert auto.hits == 2
+    assert auto.hits == 1
 
 
 # --- the numpy pass, by hand ------------------------------------------------------
@@ -682,7 +709,7 @@ def pass_call(recordings, seq, end=None, counts=None, threshold=1, handoff=1):
     end = len(seq) if end is None else end
     model = LiteralAutomaton()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(automaton, "_NATIVE_HANDOFF", handoff)
+        mp.setattr(automaton, "_HANDOFF", handoff)
         auto = identity_automaton(PassAutomaton)
         for region in recordings:
             auto.append_region(*region)
@@ -792,7 +819,7 @@ def test_traversal_open_across_a_replay_chunk_boundary(tmp_path, monkeypatch):
     # a 40-item loop in one region, streamed in 64-item chunks: each
     # chunk's kernel call continues the traversal the last one left open
     monkeypatch.setattr(trace_io, "_REPLAY_CHUNK", 64)
-    monkeypatch.setattr(automaton, "_NATIVE_HANDOFF", 3)
+    monkeypatch.setattr(automaton, "_HANDOFF", 3)
     spec = ProgramSpec((LoopSpec(base=0x1000, body=40, iters=20),))
     path = tmp_path / "loop.rtr"
     write_trace(path, generate_trace(spec))
@@ -823,14 +850,14 @@ def kernel_passes(monkeypatch):
 
 @pytest.mark.parametrize("handoff", [1, 4, None])
 def test_kernel_hands_off_after_exactly_handoff_items(monkeypatch, kernel_passes, handoff):
-    """A call of more than ``_NATIVE_HANDOFF`` items hands the rest of its
-    run to the pass at its ``_NATIVE_HANDOFF``-th item; a call of at most
+    """A call of more than ``_HANDOFF`` items hands the rest of its run to
+    the pass at its ``_HANDOFF``-th item; a call of at most
     that many items steps every item itself.  The region's four recorded
     states are too few for a chain head, so the call steps no walk at
     once."""
     if handoff is not None:
-        monkeypatch.setattr(automaton, "_NATIVE_HANDOFF", handoff)
-    h = automaton._NATIVE_HANDOFF
+        monkeypatch.setattr(automaton, "_HANDOFF", handoff)
+    h = automaton._HANDOFF
     loop = CHAIN[:CHAIN_MIN_PATH]
     for n in (h - 1, h, h + 1, 3 * h + 7):
         if n < 1:
@@ -886,7 +913,7 @@ def exit_call(seq, threshold, counts, end=None):
     results = []
     for handoff, given in ((1, array("q", counts)), (HUGE, counts)):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(automaton, "_NATIVE_HANDOFF", handoff)
+            mp.setattr(automaton, "_HANDOFF", handoff)
             auto = identity_automaton()
             auto.append_region([(A, 4), (B, 4)])
             result = auto.run_native_stretch(seq, [4] * len(seq), 0, end, 0, given, threshold)
@@ -951,6 +978,26 @@ def test_follower_at_the_end_ends_the_call(seq, end):
     assert nonzero(counts) == {}
 
 
+# ids that no recording holds, disjoint from ``POOL`` below
+COLD = [0x600 + 4 * k for k in range(6)]
+
+
+@pytest.mark.parametrize("threshold, stop, prev, hot", [
+    # none gets hot: the call runs to the end
+    (5, 10, B, {COLD[0]: 2, COLD[1]: 1, A: 1}),
+    # the second bump of COLD[0], a backward branch from COLD[1]
+    (2, 5, COLD[1], {COLD[0]: 1}),
+])
+def test_exit_to_a_cold_run_is_profiled(threshold, stop, prev, hot):
+    # the exit to COLD[2] is a landing, so its follower COLD[0] is bumped;
+    # then each backward branch in the cold run is, and A, reached by
+    # one, enters the region again
+    counts = id_counts()
+    seq = [A, B, COLD[2], COLD[0], COLD[1], COLD[0], COLD[2], COLD[1], A, B]
+    assert exit_call(seq, threshold, counts) == (stop, prev)
+    assert nonzero(counts) == hot
+
+
 def test_follower_not_held_is_profiled_and_stepped_past():
     # Y, not held, follows the exit and is bumped whatever its id; A, a
     # backward branch from Y, is bumped and enters the region
@@ -1001,7 +1048,7 @@ def test_kernel_profiles_each_kind_of_bumped_item(handoff, threshold, start, sto
     for a, c in start.items():
         manager._hot[rank[a]] = c
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(automaton, "_NATIVE_HANDOFF", handoff)
+        mp.setattr(automaton, "_HANDOFF", handoff)
         i, got = auto.run_native_stretch(ids, trace.sizes, 0, len(PROFILED), 0,
                                          manager.exit_counts, threshold)
     assert (i, got if got == math.inf else table[got]) == (stop, prev)
@@ -1036,7 +1083,7 @@ def test_kernel_profiling_matches_naive_loop_on_the_hand_worked_items():
             config = SimulationConfig(rft=RFTConfig("net", threshold=threshold),
                                       collect_dump=True)
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(automaton, "_NATIVE_HANDOFF", handoff)
+                mp.setattr(automaton, "_HANDOFF", handoff)
                 dump = run_simulation(trace, config).dump
             assert dump == naive_run(trace, config).dump(), (handoff, threshold)
 
@@ -1049,12 +1096,13 @@ POOL = [0x100 + 4 * k for k in range(12)]
 class KernelMachine(RuleBasedStateMachine):
     """Interleaves region installs with kernel calls over streams that
     follow the installed recordings: whole, cut short, entered mid-chain,
-    looping back to the head while a traversal is open, or leaving for the
-    interpreter for one item.  Some calls hand the kernel a manager's
-    counts and a threshold; the model counts each region-exit follower
-    and each backward branch taken interpreter-side literally.  The calls over a stream whose length is a
-    multiple of 3 hand off to the numpy pass after 1 or 2 items, the
-    others after the default number."""
+    looping back to the head while a traversal is open, leaving for the
+    interpreter for one item, or leaving for a run of ``COLD`` ids, which
+    no region holds.  Some calls hand the kernel a manager's counts and a
+    threshold; the model counts each region-exit follower and each
+    backward branch taken interpreter-side literally.  The calls over a
+    stream whose length is a multiple of 3 hand off to the numpy pass
+    after 1 or 2 items, the others after the default number."""
 
     def __init__(self):
         super().__init__()
@@ -1100,7 +1148,7 @@ class KernelMachine(RuleBasedStateMachine):
         for _ in range(data.draw(st.integers(1, 4))):
             rec = data.draw(st.sampled_from(self.recordings))
             shape = data.draw(st.sampled_from(["whole"] * 3 + ["cut", "mid", "loop", "exit",
-                                                                "other"]))
+                                                                "cold", "other"]))
             k = data.draw(st.integers(1, len(rec)))
             if shape == "whole":
                 seq += rec * data.draw(st.integers(1, 3))
@@ -1113,13 +1161,17 @@ class KernelMachine(RuleBasedStateMachine):
             elif shape == "exit":
                 # leaves for the interpreter, then usually re-enters a region
                 seq += rec[:k] + [0x900]
+            elif shape == "cold":
+                # a run the kernel profiles, item by item or in its pass
+                seq += rec[:k] + data.draw(st.lists(st.sampled_from(COLD), min_size=2,
+                                                    max_size=6))
             else:
                 seq += data.draw(st.lists(st.sampled_from(POOL + [0x900]), min_size=1,
                                           max_size=3))
         # the kernel's calls sometimes stop at a window end inside the stream
         cut = data.draw(st.one_of(st.just(len(seq)), st.integers(1, len(seq))))
         sizes = [4] * len(seq)
-        handoff = 1 + len(seq) % 2 if len(seq) % 3 == 0 else automaton._NATIVE_HANDOFF
+        handoff = 1 + len(seq) % 2 if len(seq) % 3 == 0 else automaton._HANDOFF
         i = 0
         for end in (cut, len(seq)):
             while i < end:
@@ -1149,7 +1201,7 @@ class KernelMachine(RuleBasedStateMachine):
                     kind = self.model.step(seq[stop])
                     stop += 1
                 with pytest.MonkeyPatch.context() as mp:
-                    mp.setattr(automaton, "_NATIVE_HANDOFF", handoff)
+                    mp.setattr(automaton, "_HANDOFF", handoff)
                     next_i, got = self.auto.run_native_stretch(seq, sizes, i, end, h,
                                                                counts, threshold)
                 assert next_i == stop
@@ -1170,23 +1222,39 @@ class KernelMachine(RuleBasedStateMachine):
             assert r.completed_traversals <= r.head_executions
 
 
-def test_kernel_stateful_matches_literal_model():
+def test_kernel_stateful_matches_literal_model(monkeypatch):
     hits = []
     passed = []
     counted = []
+    # per run, the bumps of COLD ids, and those the numpy pass made
+    cold = []
+    cold_in_pass = [0]
+    profile = automaton._profile
+
+    def logged(ids, off, alone, p, above, counts, threshold):
+        before = int(counts[COLD].sum())
+        result = profile(ids, off, alone, p, above, counts, threshold)
+        cold_in_pass[0] += int(counts[COLD].sum()) - before
+        return result
+    monkeypatch.setattr(automaton, "_profile", logged)
 
     class Machine(KernelMachine):
         def teardown(self):
             hits.append(self.auto.hits)
             passed.append(self.auto.passed)
             counted.append(sum(self.model_counts.values()))
+            cold.append((sum(self.model_counts.get(a, 0) for a in COLD), cold_in_pass[0]))
+            cold_in_pass[0] = 0
 
     run_state_machine_as_test(Machine, settings=settings(
-        max_examples=60, stateful_step_count=15, deadline=None, derandomize=True,
+        max_examples=80, stateful_step_count=15, deadline=None, derandomize=True,
         database=None))
     # walks were stepped in one go along a memo in many runs, the numpy
     # pass stepped items in many, and the kernel counted and stepped past
-    # region-exit followers in many
+    # region-exit followers in many; ids no region holds were bumped by
+    # the kernel's per-item loop in many runs and by its pass in many
     assert sum(1 for h in hits if h) >= 10
     assert sum(1 for p in passed if p) >= 10
     assert sum(1 for c in counted if c) >= 10
+    assert sum(1 for c, q in cold if c > q) >= 10
+    assert sum(1 for _, q in cold if q) >= 10

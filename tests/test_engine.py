@@ -219,7 +219,7 @@ def test_engine_equals_naive_loop_with_the_kernel_pass_on_a_phased_nest(monkeypa
             autos.append(self)
 
     monkeypatch.setattr(engine, "Automaton", Logged)
-    monkeypatch.setattr(automaton, "_NATIVE_HANDOFF", 8)
+    monkeypatch.setattr(automaton, "_HANDOFF", 8)
     trace = generate_trace(PHASED_NEST)
     config = SimulationConfig(rft=RFTConfig(technique=technique, threshold=4),
                               collect_dump=True)

@@ -13,13 +13,14 @@ import random
 
 import pytest
 
+import rftsim.automaton as automaton
 import rftsim.engine as engine
-import rftsim.rft as rft
 from conftest import high_walk, random_graph_walk, random_rft_config, random_trace
 from reference import FlowMap, frozen_flow
 from rftsim import Trace
 from rftsim.engine import SimulationConfig, run_simulation
-from rftsim.rft import _FLOW_CHUNK, RFTConfig
+from rftsim.automaton import _PASS_CHUNK
+from rftsim.rft import RFTConfig
 
 EXPANDING = ("netplus", "netplus-e-r")
 
@@ -92,7 +93,7 @@ def test_lazy_flow_map_equals_literal_map_on_random_windows(monkeypatch):
 # over each window
 @pytest.mark.parametrize("chunk", [1, 2, 3, 7])
 def test_lazy_flow_map_equals_literal_map_at_small_chunks(monkeypatch, chunk):
-    monkeypatch.setattr(rft, "_FLOW_CHUNK", chunk)
+    monkeypatch.setattr(automaton, "_PASS_CHUNK", chunk)
     check_random_windows(monkeypatch)
 
 
@@ -101,20 +102,20 @@ def test_lazy_flow_map_catches_up_across_chunks(monkeypatch, technique):
     # a 64-instruction cycle whose entry turns hot only after more than
     # one catch-up chunk of items, followed by a random walk elsewhere
     body = [0x10000 + 4 * k for k in range(64)]
-    threshold = _FLOW_CHUNK // len(body) + 8
+    threshold = _PASS_CHUNK // len(body) + 8
     cycle = body * (threshold + 2)
     walk = random_graph_walk(random.Random(7), 3000)
     trace = Trace(cycle + walk.addresses.tolist(), [4] * len(cycle) + list(walk.sizes))
     skip = 5
     config = SimulationConfig(rft=RFTConfig(technique, threshold=threshold), skip=skip)
     lazy = check_window(monkeypatch, trace, config)
-    assert lazy and lazy[0][0] - skip > _FLOW_CHUNK
+    assert lazy and lazy[0][0] - skip > _PASS_CHUNK
 
 
 @pytest.mark.parametrize("chunk", [None, 3])
 def test_lazy_flow_map_equals_literal_map_on_high_addresses(monkeypatch, chunk):
     if chunk is not None:
-        monkeypatch.setattr(rft, "_FLOW_CHUNK", chunk)
+        monkeypatch.setattr(automaton, "_PASS_CHUNK", chunk)
     rng = random.Random(0x263)
     emissions = 0
     for case in range(30):

@@ -1,15 +1,16 @@
 """The numpy passes that profile idle runs against the per-item models.
 
-lei's scan steps ``_HANDOFF`` items one by one and hands the rest of its
-run to its numpy pass (``LeiManager._push``), in chunks that grow from
-``_HANDOFF`` items up to ``_FLOW_CHUNK``.  The other techniques' idle
-scan sees its first item only: the stepping kernel, lent the manager's
-counts, profiles the rest of the run, and after ``_NATIVE_HANDOFF``
-items hands it to its own pass (``Automaton._pass``), in windows that
-grow up to ``_PASS_CHUNK``.  Patching the four to a few items puts the
-hand-offs and the window boundaries all over short windows; the per-item
-reference managers and the naive engine loop of ``conftest`` must not
-see a difference, at those sizes or at the defaults.  Logged passes also
+lei's scan steps ``automaton._HANDOFF`` items one by one and hands the
+rest of its run to its numpy pass (``LeiManager._push``), in chunks that
+grow from ``_HANDOFF`` items up to ``automaton._PASS_CHUNK``.  The other
+techniques' idle scan sees its first item only: the stepping kernel,
+lent the manager's counts, profiles the rest of the run, and after
+``_HANDOFF`` items hands it to its own pass (``Automaton._pass``), in
+windows that grow up to ``_PASS_CHUNK``.  Patching the two to a few
+items puts the hand-offs and the window boundaries all over short
+windows; the per-item reference managers and the naive engine loop of
+``conftest`` must not see a difference, at those sizes or at the
+defaults.  Logged passes also
 pin when each hands off at all.
 """
 
@@ -66,12 +67,10 @@ def passes(monkeypatch):
 
 
 def set_sizes(monkeypatch, sizes):
-    """Both hand-offs at ``sizes[0]`` items, and lei's chunks and the
+    """The hand-off at ``sizes[0]`` items, and lei's chunks and the
     kernel's windows capped at ``sizes[1]``."""
     if sizes is not None:
-        monkeypatch.setattr(rft, "_HANDOFF", sizes[0])
-        monkeypatch.setattr(rft, "_FLOW_CHUNK", sizes[1])
-        monkeypatch.setattr(automaton, "_NATIVE_HANDOFF", sizes[0])
+        monkeypatch.setattr(automaton, "_HANDOFF", sizes[0])
         monkeypatch.setattr(automaton, "_PASS_CHUNK", sizes[1])
 
 
@@ -169,10 +168,10 @@ def test_idle_scan_hands_off_after_exactly_handoff_items(monkeypatch, passes, si
     stepped item by item.  lei's scan steps ``_HANDOFF`` items itself.  The
     other techniques' idle scan returns at its first item, which it has
     profiled, and the kernel, lent the counts, profiles the run and
-    steps ``_NATIVE_HANDOFF`` items itself."""
+    steps as many items itself."""
     set_sizes(monkeypatch, sizes)
     lei = tech == "lei"
-    h = rft._HANDOFF if lei else automaton._NATIVE_HANDOFF
+    h = automaton._HANDOFF
     addrs = rising(3 * h)
     manager = make_rft(RFTConfig(tech, threshold=1 << 20))
     trace = Trace(addrs, [4] * len(addrs))
@@ -215,7 +214,7 @@ def test_no_hand_off_with_a_formation_in_flight(monkeypatch, passes, sizes, tech
     whole run itself.  lei has no formation in flight, and over the same
     items it hands off after ``_HANDOFF`` items either way."""
     set_sizes(monkeypatch, sizes)
-    addrs = prefix + rising(3 * rft._HANDOFF)
+    addrs = prefix + rising(3 * automaton._HANDOFF)
     n, end = len(prefix), len(addrs)
     trace = Trace(addrs, [4] * end)
 
@@ -241,7 +240,7 @@ def test_no_hand_off_with_a_formation_in_flight(monkeypatch, passes, sizes, tech
     assert lei.scan(0, n, -1) == (n, None)
     assert lei.scan(n, end, ids[n - 1]) == (end, None)
     assert attached("lei", 1 << 20).scan(0, end, -1) == (end, None)
-    assert passes == [(n + rft._HANDOFF, end, end), (rft._HANDOFF, end, end)]
+    assert passes == [(n + automaton._HANDOFF, end, end), (automaton._HANDOFF, end, end)]
 
 
 # --- hand-worked cases ------------------------------------------------------------
@@ -304,7 +303,7 @@ def test_region_exit_target_is_the_first_item_only(monkeypatch, tech):
     trace = Trace(seq, [4] * len(seq))
     table, ids = trace.table().tolist(), trace._ids
     for handoff in (1, 2, 3):
-        monkeypatch.setattr(automaton, "_NATIVE_HANDOFF", handoff)
+        monkeypatch.setattr(automaton, "_HANDOFF", handoff)
         monkeypatch.setattr(automaton, "_PASS_CHUNK", 1)
         manager = make_rft(RFTConfig(tech, threshold=100))
         bind(manager, trace)
@@ -349,8 +348,7 @@ def test_long_run_rejects_address_outside_u64(monkeypatch, passes, technique, ba
     1500 and 1700 cannot be built as a trace, so no technique steps one;
     construction names the first.  With the nearest u64 bound there
     instead, the run, handed to a numpy pass, matches the naive loop: to
-    lei's scan's pass, or to the kernel's, its hand-off moved to lei's."""
-    monkeypatch.setattr(automaton, "_NATIVE_HANDOFF", rft._HANDOFF)
+    lei's scan's pass, or to the kernel's, at the same hand-off."""
     noise = random_noise(random.Random(5), 2000)
     addrs = noise.addresses.tolist()
     addrs[1500] = addrs[1700] = bad
@@ -362,7 +360,7 @@ def test_long_run_rejects_address_outside_u64(monkeypatch, passes, technique, ba
     # nothing turns hot, so one pass takes the run from the hand-off on
     config = SimulationConfig(rft=RFTConfig(technique, threshold=1 << 20), collect_dump=True)
     assert run_simulation(trace, config).dump == naive_run(trace, config).dump()
-    assert passes == [(rft._HANDOFF, 2000, 2000)]
+    assert passes == [(automaton._HANDOFF, 2000, 2000)]
 
 
 # --- the kernel's numpy pass against the naive loop ---------------------------------
@@ -395,7 +393,7 @@ def test_engine_with_every_kernel_run_in_the_pass_matches_naive_loop(trace, tech
     config = SimulationConfig(rft=RFTConfig(technique, threshold=threshold,
                                             expansion_depth=depth), collect_dump=True)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(automaton, "_NATIVE_HANDOFF", 1)
+        mp.setattr(automaton, "_HANDOFF", 1)
         dump = run_simulation(trace, config).dump
     assert dump == naive_run(trace, config).dump()
 
@@ -438,7 +436,7 @@ def test_engine_with_idle_runs_profiled_in_the_pass_matches_naive_loop():
         config = SimulationConfig(rft=RFTConfig(technique, threshold=threshold),
                                   collect_dump=True)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(automaton, "_NATIVE_HANDOFF", handoff)
+            mp.setattr(automaton, "_HANDOFF", handoff)
             mp.setattr(automaton, "_PASS_CHUNK", window)
             mp.setattr(automaton.Automaton, "_pass", logged)
             dump = run_simulation(trace, config).dump

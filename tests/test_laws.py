@@ -103,15 +103,13 @@ def test_window_equals_sliced_trace(tmp_path, name, trace, configs):
             == _rows(tmp_path, sliced, [(rft, 0, None) for rft in configs], "s.rtr"))
 
 
-# the scans' hand-off to numpy passes and the passes' largest chunk, a
-# chain head's shortest kept memo, its fruitless landings before it is
-# given up and the longest memo, the records a binary load reads at a
-# time, and the kernel's hand-off to its numpy pass and that pass's
-# largest window; a memo needs at least one item, so CHAIN_MIN_PATH stays
-# >= 1
-KNOBS = [(rft, "_HANDOFF"), (rft, "_FLOW_CHUNK"), (automaton, "CHAIN_MIN_PATH"),
-         (automaton, "CHAIN_GIVE_UP"), (automaton, "WALK_CAP"), (trace_io, "_LOAD_CHUNK"),
-         (automaton, "_NATIVE_HANDOFF"), (automaton, "_PASS_CHUNK")]
+# the kernel's and lei's scan's hand-off to their numpy passes and the
+# passes' largest chunk, a chain head's shortest kept memo, its fruitless
+# landings before it is given up and the longest memo, and the records a
+# binary load reads at a time; a memo needs at least one item, so
+# CHAIN_MIN_PATH stays >= 1
+KNOBS = [(automaton, "_HANDOFF"), (automaton, "_PASS_CHUNK"), (automaton, "CHAIN_MIN_PATH"),
+         (automaton, "CHAIN_GIVE_UP"), (automaton, "WALK_CAP"), (trace_io, "_LOAD_CHUNK")]
 HUGE = 1 << 40
 
 
@@ -217,3 +215,13 @@ def test_oracle_scale_fails_on_a_differing_dump(oracle_scale, monkeypatch, capsy
     lines = capsys.readouterr().out.splitlines()
     assert lines[-1] == "10 of 60 dumps differ"
     assert sum(line.endswith("DIFFERS") for line in lines) == 10
+
+
+def test_oracle_scale_fails_when_no_memo_hits(oracle_scale, monkeypatch, capsys):
+    # with no region long enough for a chain head, the dumps agree, but
+    # the memo path goes unused on loop-nest
+    monkeypatch.setattr(automaton, "CHAIN_MIN_PATH", HUGE)
+    assert oracle_scale.main(["--items", "5000"]) == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines()[-1] == "0 of 60 dumps differ"
+    assert err == "no config hit a chain head's memo on loop-nest\n"
