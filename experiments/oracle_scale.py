@@ -11,12 +11,14 @@ graph-walk's, so its ids are u32 and graph-walk's above 65,535, and
 the dense lookup's, so its ids come from the binary search.  It prints
 one line per config, with the items the stepping kernel's numpy pass
 stepped, the interpreter-side items the kernel profiled for an idle
-manager, in its per-item loop and in its pass, and the walks it stepped
-in one go along a chain head's memo (memo hits).  It exits 1 if any dump
-differs, if the pass stepped no item on loop-nest or on graph-walk,
-whose long native runs it exists for, if the pass profiled no item for
-``net`` on graph-walk, whose idle stretches it exists for, or if no
-loop-nest config hit a memo, whose inner loops the memo exists for.
+manager and the items it pushed through ``lei``'s history, each in its
+per-item loop and in its pass, and the walks it stepped in one go along
+a chain head's memo (memo hits).  It exits 1 if any dump differs, if
+the pass stepped no item on loop-nest or on graph-walk, whose long
+native runs it exists for, if the pass profiled no item for ``net`` or
+pushed none for ``lei`` on graph-walk, whose idle stretches it exists
+for, or if no loop-nest config hit a memo, whose inner loops the memo
+exists for.
 
     python experiments/oracle_scale.py               # full size, seed 1
     python experiments/oracle_scale.py --items 5000  # each trace's prefix
@@ -38,7 +40,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "bench")]
 
 from conftest import naive_run  # noqa: E402
 from rftsim import RFTConfig, SimulationConfig, Trace, run_simulation  # noqa: E402
-from rftsim.automaton import Automaton, Region  # noqa: E402
+from rftsim.automaton import Automaton, History, Region  # noqa: E402
 from rftsim.rft import TECHNIQUES  # noqa: E402
 from workloads import DEFAULT_SEED, WORKLOADS  # noqa: E402
 
@@ -47,8 +49,10 @@ THRESHOLDS = (64, 1024)
 FRESH = 70_000
 # the workloads on which the kernel's numpy pass must step some items
 PASSED = ("loop-nest", "graph-walk")
-# the config whose interpreter-side items the pass must profile some of
+# the configs whose interpreter-side items the pass must profile some of,
+# and push some of
 PROFILED = ("graph-walk", "net")
+PUSHED = ("graph-walk", "lei")
 
 
 def main(argv=None) -> int:
@@ -69,51 +73,63 @@ def main(argv=None) -> int:
                                      np.concatenate([np.full(FRESH, 4), walk.sizes]))
     traces["wide-span"] = Trace(walk.addresses << np.uint64(24), walk.sizes)
     # the items the kernel's numpy pass steps, the interpreter-side items
-    # the kernel profiles in its loop and in its pass, and the memo hits,
-    # in the current config, and the items the pass steps per trace
-    stepped = [0, 0, 0, 0]
+    # the kernel profiles in its loop and in its pass, the items it pushes
+    # through lei's history in its loop and in its pass, and the memo
+    # hits, in the current config, and the items the pass steps per trace
+    stepped = [0, 0, 0, 0, 0, 0]
     passed = dict.fromkeys(traces, 0)
     kernel, step, flush = Automaton.run_native_stretch, Automaton._pass, Region.flush
 
+    def work(exit_counts, interp):
+        """What a kernel call or pass lent ``exit_counts`` has profiled or
+        pushed, as ``(index into stepped, count)``."""
+        if isinstance(exit_counts, History):
+            return 3, exit_counts.pos
+        return 1, interp
+
     def counted_call(self, addrs, sizes, i, end, h, exit_counts=None, threshold=1):
-        before = self.interp + h - i
+        k, before = work(exit_counts, self.interp + h - i)
         result = kernel(self, addrs, sizes, i, end, h, exit_counts, threshold)
         if exit_counts is not None:
-            stepped[1] += self.interp - before
+            stepped[k] += work(exit_counts, self.interp)[1] - before
         return result
 
     def counted(self, addrs, i, end, landed, exit_counts, threshold):
-        before = self.interp
-        k, prev = step(self, addrs, i, end, landed, exit_counts, threshold)
-        stepped[0] += k - i
+        k, before = work(exit_counts, self.interp)
+        result = step(self, addrs, i, end, landed, exit_counts, threshold)
+        stepped[0] += result[0] - i
         if exit_counts is not None:
-            stepped[1] -= self.interp - before
-            stepped[2] += self.interp - before
-        return k, prev
+            done = work(exit_counts, self.interp)[1] - before
+            stepped[k] -= done
+            stepped[k + 1] += done
+        return result
 
     def flushed(self):
         # every hit is flushed once, at the latest when a report is built
-        stepped[3] += self.hits
+        stepped[5] += self.hits
         flush(self)
     Automaton.run_native_stretch, Automaton._pass, Region.flush = counted_call, counted, flushed
-    profiled = hits = 0
+    profiled = pushed = hits = 0
     try:
         for name, trace in traces.items():
             for threshold in THRESHOLDS:
                 for technique in TECHNIQUES:
                     config = SimulationConfig(rft=RFTConfig(technique, threshold=threshold),
                                               collect_dump=True)
-                    stepped[:] = [0, 0, 0, 0]
+                    stepped[:] = [0] * 6
                     same = run_simulation(trace, config).dump == naive_run(trace, config).dump()
                     differing += not same
                     passed[name] += stepped[0]
                     if name == "loop-nest":
-                        hits += stepped[3]
+                        hits += stepped[5]
                     if (name, technique) == PROFILED:
                         profiled += stepped[2]
+                    if (name, technique) == PUSHED:
+                        pushed += stepped[4]
                     print(f"{name} {technique} threshold {threshold} ({stepped[0]} in the "
                           f"pass; profiled {stepped[1]} in the loop, {stepped[2]} in the "
-                          f"pass; {stepped[3]} memo hits) {len(trace)} items: "
+                          f"pass; pushed {stepped[3]} in the loop, {stepped[4]} in the "
+                          f"pass; {stepped[5]} memo hits) {len(trace)} items: "
                           f"{'same' if same else 'DIFFERS'}",
                           flush=True)
     finally:
@@ -124,10 +140,13 @@ def main(argv=None) -> int:
     if not profiled:
         print("the kernel's numpy pass profiled no item for {1} on {0}".format(*PROFILED),
               file=sys.stderr)
+    if not pushed:
+        print("the kernel's numpy pass pushed no item for {1} on {0}".format(*PUSHED),
+              file=sys.stderr)
     if not hits:
         print("no config hit a chain head's memo on loop-nest", file=sys.stderr)
     print(f"{differing} of {len(traces) * len(THRESHOLDS) * len(TECHNIQUES)} dumps differ")
-    return 1 if differing or unused or not profiled or not hits else 0
+    return 1 if differing or unused or not profiled or not pushed or not hits else 0
 
 
 if __name__ == "__main__":

@@ -53,18 +53,19 @@ which reads the chunk's id column in windows that double in size.  No
 region is installed during a call, so the address index and every
 edge's target stay fixed while it runs: an item's state is its id's held
 state, unless the item follows an exceptional edge, one that
-``append_region`` made to a state that is not its id's held state (the
-second state of a recording's repeated address, or a look-ahead
-expansion's copy of an address an earlier region holds).  Such an edge
-runs within one region, from a state that holds the previous item's id,
-so only an item whose pair of previous id and id keys one can follow
-one; a running flag decides which do when each pair keys one edge, and
-the runs of each region's edges decide otherwise (``_resolve``).  An
-item is interpreter-side exactly when its id is not held, so where the
-call stops depends on the held states alone: after the first landing,
-or, for an idle manager, at the first bump that reaches the threshold,
-which the grouped running counts of the bumped ids find (``_profile``).
-A window of interpreter-side items alone only adds to ``interp``.
+``append_region`` made to a state that is not its id's held state (a
+region's copy of an address an earlier region holds, or the second
+state of a recording's repeated address).  Such an edge runs within one
+region, from a state that holds the previous item's id, so only an item
+whose pair of previous id and id keys one can follow one; a running
+flag decides which do when each pair keys one edge, and the runs of
+each region's edges decide otherwise (``_resolve``).  An item is
+interpreter-side exactly when its id is not held, so where the call
+stops depends on the held states alone: after the first landing, or,
+for an idle manager, at the first bump or push that reaches the
+threshold, which the grouped running counts of the bumped or pushed
+ids find (``_profile``, ``History.push``).  A window of
+interpreter-side items alone only adds to ``interp``.
 
 Counters are raw or derived.  The kernel counts only what the edges
 cannot give: each edge's traversals, ``interp``, the completed
@@ -108,7 +109,9 @@ lends the kernel its hotness counters and threshold instead, and the
 kernel then profiles the interpreter-side runs itself, as the manager's
 scan would: the item after a landing is bumped whatever its id, the item
 after any other interpreter-side item when its id is below that item's,
-held or not.  Such a call stops only at its ``end`` or at the bump that
+held or not.  lei, always idle, lends its ``History`` instead, and the
+kernel pushes every item after an interpreter-side item through it.
+Such a call stops only at its ``end`` or at the bump or push that
 reaches the threshold, which it leaves unwritten for the scan to make.
 """
 
@@ -139,11 +142,12 @@ CHAIN_MIN_PATH = 4
 # fruitless landings in a row that give a chain head up; items a memo keeps
 CHAIN_GIVE_UP = 3
 WALK_CAP = 1024
-# The hand-off policy of both numpy passes, the kernel's (``_pass``) and
-# lei's scan's (``rft.LeiManager._push``).  ``_HANDOFF`` is the items a
-# kernel call or a scan steps one by one, or the kernel in memo walks,
-# before it hands the rest of its run to its pass, and the pass's first
-# window or chunk; these double up to ``_PASS_CHUNK``.
+# The hand-off policy of the kernel's numpy pass (``_pass``).
+# ``_HANDOFF`` is the items a kernel call steps one by one, or in memo
+# walks, before it hands the rest of its run to the pass, and the pass's
+# first window; windows double up to ``_PASS_CHUNK``.  Within a window,
+# fewer than ``_HANDOFF`` of lei's pushes (``History.push``), or of items
+# an exceptional edge keys (``_resolve``), are taken one by one.
 #
 # For the kernel, measured as the time of kernel calls of n items with
 # the hand-off at 1024, 2048 and 4096 over their time with no hand-off
@@ -174,19 +178,20 @@ WALK_CAP = 1024
 # 512 is within the noise of 256, and the table above shows what the pass
 # costs a call that hands it only a short rest.
 #
-# For lei's scan, measured as one window against stepping the same items
-# one by one, on warm managers (Python 3.11, 2-core x86 host): lei takes
+# For lei's pushes, now made in the kernel's pass, measured when lei's
+# scan made them, as one window against pushing the same items one by one,
+# on warm managers (Python 3.11, 2-core x86 host): lei takes
 # 0.72x at 512 items on a 50-instruction loop, but on uniform noise over
 # 16k addresses, where a window holds almost as many addresses as items,
 # it breaks even only near 16k items (1.89x at 512, 0.86x at 16k, 0.42x
 # at 65,536), which the doubling windows reach after about 16k items.
-# Its pass reads and writes its records in place, and runs 0.88-1.11x the
-# per-item time at 1,000 items of the benchmark's noise and 0.43-0.50x at
-# 4,000.
+# The pass reads and writes lei's records in place, and ran 0.88-1.11x
+# the per-item time at 1,000 items of the benchmark's noise and 0.43-0.50x
+# at 4,000.
 _HANDOFF = 512
-# the passes' largest window or chunk, the kernel's pass's step between
-# adding its notes to the edges, and the lazy flow map's catch-up step
-# (``rft._ExpansionMixin``), bounding their transient arrays to a few MB
+# the pass's largest window, its step between adding its notes to the
+# edges, and the lazy flow map's catch-up step (``rft._ExpansionMixin``),
+# bounding their transient arrays to a few MB
 _PASS_CHUNK = 1 << 16
 
 
@@ -195,6 +200,147 @@ def _first_true(mask: np.ndarray) -> int:
     length."""
     k = int(mask.argmax())
     return k if mask[k] else len(mask)
+
+
+class History:
+    """lei's history of pushes, which ``rft.LeiManager`` lends the kernel
+    as its ``exit_counts``.
+
+    Each push gets the next position, ``pos``.  ``last`` holds each id's
+    latest push position (-1, below any floor, before its first push) and
+    ``counts`` its cycle count, its hotness: a push is a cycle when its
+    id's prior push is not below ``floor``, the latest restart, and at
+    most ``capacity`` pushes back.  The pushes are not stored one by one.
+    Each run of pushes of consecutive trace items is held as its ``(first
+    position, first trace index)`` in ``runs``, oldest first, and runs
+    wholly before the last ``capacity`` pushes are trimmed now and then.
+    ``base`` is the trace index of the attached chunk's item 0."""
+
+    __slots__ = ("last", "counts", "pos", "floor", "capacity", "runs", "base", "_trim_at")
+
+    def __init__(self, ids: int, capacity: int):
+        self.last = array("q", [-1]) * ids
+        self.counts = array("q", [0]) * ids
+        self.pos = self.floor = self.base = 0
+        self.capacity = capacity
+        self.runs: list[tuple[int, int]] = []
+        self._trim_at = 2 * capacity
+
+    def shift(self) -> Optional[int]:
+        """The latest run's position minus chunk index, which a push that
+        continues it shares; None before the first push."""
+        if not self.runs:
+            return None
+        p, t = self.runs[-1]
+        return p - t + self.base
+
+    def start(self, pos: int, i: int) -> None:
+        """Begin a run with the push at ``pos`` of the chunk's item ``i``."""
+        self.runs.append((pos, self.base + i))
+        if pos >= self._trim_at:
+            self._trim(pos)
+
+    def _trim(self, pos: int) -> None:
+        runs = self.runs
+        oldest = pos - self.capacity
+        j = 0
+        while j + 1 < len(runs) and runs[j + 1][0] <= oldest:
+            j += 1
+        del runs[:j]
+        self._trim_at = pos + self.capacity
+
+    def push(self, ids: np.ndarray, items: np.ndarray, threshold: int) -> int:
+        """Push the non-empty ``ids``, the chunk's items ``items`` in
+        ascending order, as the kernel's loop would, up to the first push
+        that reaches ``threshold``, which is left unwritten.  Returns the
+        number pushed.  Each id's record is read and written once."""
+        n = len(ids)
+        pos = self.pos
+        if n < _HANDOFF:
+            last, counts, floor, capacity = self.last, self.counts, self.floor, self.capacity
+            shift = self.shift()
+            for a, i in zip(ids.tolist(), items.tolist()):
+                prior = last[a]
+                if prior >= floor and pos - prior <= capacity:
+                    c = counts[a] + 1
+                    if c >= threshold:
+                        break
+                    counts[a] = c
+                last[a] = pos
+                if pos - i != shift:
+                    shift = pos - i
+                    self.start(pos, i)
+                pos += 1
+            n, self.pos = pos - self.pos, pos
+            return n
+        keys, starts, lengths, order = _grouped(ids)
+        last, count = np.asarray(self.last), np.asarray(self.counts)
+        # each push's prior push: the previous one of its id here, or its
+        # id's latest
+        at = order + pos
+        prior = np.empty(n, dtype=np.int64)
+        prior[1:] = at[:-1]
+        prior[starts] = last[keys]
+        cyc = (prior >= self.floor) & (at - prior <= self.capacity)
+        # each id's running count of cycles, from its record's count
+        run = np.cumsum(cyc)
+        run += np.repeat(count[keys] - run[starts] + cyc[starts], lengths)
+        hot = order[cyc & (run >= threshold)]
+        if len(hot):
+            k = int(hot.min())
+            return k and self.push(ids[:k], items[:k], threshold)
+        ends = starts + lengths - 1
+        last[keys] = at[ends]
+        count[keys] = run[ends]
+        # a push whose item does not follow the previous push's starts a run
+        if pos - int(items[0]) != self.shift():
+            self.start(pos, int(items[0]))
+        if int(items[-1]) - int(items[0]) >= n:
+            k = (items[1:] != items[:-1] + 1).nonzero()[0] + 1
+            self.runs.extend(zip((k + pos).tolist(), (items.take(k) + self.base).tolist()))
+        self.pos = pos + n
+        if self.pos >= self._trim_at:
+            self._trim(self.pos)
+        return n
+
+
+def _after(ids: np.ndarray, off: np.ndarray, n: int, p: int, above: int) -> int:
+    """What item ``n`` of a window is compared with once its first ``n``
+    items are stepped, item 0 having been compared with ``p``: -1 after a
+    native item, ``above`` after a landing, else the previous id."""
+    if not n:
+        return p
+    j = n - 1
+    if not off[j]:
+        return -1
+    landed = not off[j - 1] if j else p < 0
+    return above if landed else int(ids[j])
+
+
+def _push(ids: np.ndarray, off: np.ndarray, alone: bool, at: int, p: int, above: int,
+          history: History, threshold: int) -> tuple[int, int]:
+    """Push a window of ids, the chunk's items from ``at``, through lei's
+    ``history`` by lei's rule: an item is pushed when the item before it
+    ran interpreter-side, item 0 when ``p``, what it is compared with
+    (see ``_profile``), is not -1.  Returns ``(n, p)`` as ``_profile``
+    does: ``n`` is the window's length unless the push of item ``n``
+    reaches the threshold, unwritten."""
+    n = len(ids)
+    if alone:
+        # every item but the first is pushed
+        s = 0 if p >= 0 else 1
+        pushing, items = ids[s:], np.arange(at + s, at + n)
+    else:
+        pushed = np.empty(n, dtype=bool)
+        pushed[0] = p >= 0
+        pushed[1:] = off[:-1]
+        k = pushed.nonzero()[0]
+        pushing, items = ids.take(k), k + at
+    if len(items):
+        done = history.push(pushing, items, threshold)
+        if done < len(items):
+            n = int(items[done]) - at
+    return n, _after(ids, off, n, p, above)
 
 
 def _profile(ids: np.ndarray, off: np.ndarray, alone: bool, p: int, above: int,
@@ -247,13 +393,7 @@ def _profile(ids: np.ndarray, off: np.ndarray, alone: bool, p: int, above: int,
             np.add.at(counts, targets[:np.searchsorted(bump, n)], 1)
         else:
             counts[keys] = was + lengths
-    if not n:
-        return 0, p
-    j = n - 1
-    if not off[j]:
-        return n, -1
-    landed = not off[j - 1] if j else p < 0
-    return n, above if landed else int(ids[j])
+    return n, _after(ids, off, n, p, above)
 
 
 class Region:
@@ -363,9 +503,14 @@ class Automaton:
         self._edges: list[dict[int, list[int]]] = [{}]
         self._regions: list[Region] = []
         # the exceptional edges, ``state * m + id`` -> target state for a
-        # table of m addresses, and the numpy pass's sorted copy of them
+        # table of m addresses; those made since the numpy pass's last
+        # table again as rows of that code, the code ``source's id * m +
+        # id`` of the pair of ids it keys and its target; that table, and
+        # the sorted rows it came from (``_tabulate``)
         self._exceptional: dict[int, int] = {}
+        self._exceptional_rows = array("q")
         self._exceptional_table: Optional[tuple] = None
+        self._exceptional_sorted: Optional[tuple] = None
         # the edge traversals the numpy pass noted, as arrays of codes, and
         # their items; ``_count_traversed`` adds them to the edges
         self._traversed: list[np.ndarray] = []
@@ -384,6 +529,8 @@ class Automaton:
         Call it before the first region is appended."""
         self._table = table
         self._first = array("I", [0]) * len(table)
+        # 1 at each id an exceptional edge keys
+        self._keyed = bytearray(len(table))
 
     # -- introspection ------------------------------------------------
 
@@ -440,7 +587,7 @@ class Automaton:
 
     def run_native_stretch(self, addrs: Sequence[int], sizes: Sequence[int],
                            i: int, end: int, h: int,
-                           exit_counts: Optional[array] = None,
+                           exit_counts: Optional[array | History] = None,
                            threshold: int = 1) -> tuple[int, float]:
         """The stepping kernel: the only code applying the resolution rules.
 
@@ -470,6 +617,12 @@ class Automaton:
         the scan makes that bump and starts a recording.  So the call
         stops only there or at ``end``, and the counts are those the scan
         would keep.  Item ``h`` is never bumped: the scan has seen it.
+        ``exit_counts`` may instead be lei's ``History``, with lei's
+        threshold.  The kernel then pushes every item after ``h`` whose
+        previous item ran interpreter-side, a landing's follower included
+        and the landing not, as lei's scan would, and stops unwritten at
+        the push that reaches the threshold, so that the scan makes it and
+        emits.
 
         Per native item it counts only the edge traversal and, in a region
         with two or more recorded states, a completion; executions, entries
@@ -489,8 +642,8 @@ class Automaton:
         cuts no memo short.
         A call that has stepped ``_HANDOFF`` items, one by one or in
         walks, hands the rest of its run to a numpy pass (``_pass``), which
-        profiles and stops where this loop would and returns what it would;
-        a walk it cuts short is not kept.
+        profiles or pushes and stops where this loop would and returns what
+        it would; a walk it cuts short is not kept.
         ``addrs`` holds the items' ids: a list of ints or, from the engine,
         a chunk's ``Trace._ids``, an ``array`` of u8, u16 or u32: one
         iterator reads it, moved past each walk stepped in one go, a
@@ -518,6 +671,15 @@ class Automaton:
         # before item h, which the kernel never bumps
         above = len(first)
         p = -1
+        # lei pushes every item after an interpreter-side one: the id it
+        # is compared with is lifted above every id
+        lei = type(exit_counts) is History
+        lift = 0
+        if lei:
+            hist = exit_counts
+            last, counts, floor, capacity = hist.last, hist.counts, hist.floor, hist.capacity
+            pos, shift = hist.pos, hist.shift()
+            lift = above + 1
         # the start of a walk being stepped item by item from region wr's
         # head, or -1
         ws = -1
@@ -532,11 +694,24 @@ class Automaton:
                 break
             if a < p:
                 # the manager's profiling rule, applied for it: stop at the
-                # bump that gets hot, unwritten, so the scan makes it
-                c = exit_counts[a] + 1
-                if c >= threshold:
-                    break
-                exit_counts[a] = c
+                # bump or push that gets hot, unwritten, so the scan makes it
+                if lei:
+                    prior = last[a]
+                    if prior >= floor and pos - prior <= capacity:
+                        c = counts[a] + 1
+                        if c >= threshold:
+                            break
+                        counts[a] = c
+                    last[a] = pos
+                    if pos - i != shift:
+                        shift = pos - i
+                        hist.start(pos, i)
+                    pos += 1
+                else:
+                    c = exit_counts[a] + 1
+                    if c >= threshold:
+                        break
+                    exit_counts[a] = c
             i += 1
             # rule 1: the current state's edge
             e = cur_edges.get(a)
@@ -553,7 +728,7 @@ class Automaton:
                         cur_owner = -1
                         p = above
                     else:
-                        p = a
+                        p = a + lift
                     if exit_counts is None:
                         break
                     continue
@@ -614,6 +789,8 @@ class Automaton:
         self._cur_owner = cur_owner
         self._traversing = traversing
         self.interp = interp
+        if lei:
+            hist.pos = pos
         if handoff:
             return self._pass(addrs, i, end, p == above, exit_counts, threshold)
         return i, math.inf if p == above else addrs[i - 1]
@@ -648,7 +825,7 @@ class Automaton:
         r.walk_closes = any(e[0] == r.core_tail_state for e in followed)
 
     def _pass(self, addrs: Sequence[int], i: int, end: int, landed: bool,
-              exit_counts: Optional[array], threshold: int) -> tuple[int, float]:
+              exit_counts: Optional[array | History], threshold: int) -> tuple[int, float]:
         """Step items ``i..end-1`` from the cursor as the kernel's loop would,
         in numpy, and return what the kernel returns; ``landed`` tells
         whether item ``i - 1`` was a landing.
@@ -658,9 +835,10 @@ class Automaton:
         (see ``_resolve``), and an item is interpreter-side exactly when
         its id is not held.  So where the call stops depends on ``held``
         alone: after its first landing or, with ``exit_counts``, at the
-        first bump that reaches the threshold (``_profile``).  The pass
-        finds that stop in windows of ``addrs`` of ``_HANDOFF`` items
-        doubling in size, bumping the counts before it, and steps the items
+        first bump or push that reaches the threshold (``_profile``,
+        ``_push``).  The pass finds that stop in windows of ``addrs`` of
+        ``_HANDOFF`` items doubling in size, bumping the counts or pushing
+        the history before it, and steps the items
         up to it, or up to ``_PASS_CHUNK`` of them, at once: each native
         item's ``(previous state, state)`` code joins ``_traversed``, which
         ``_count_traversed`` turns into edge counts, and completions are
@@ -669,7 +847,8 @@ class Automaton:
         ``interp``."""
         column = np.asarray(addrs)
         held, owner, mark = (np.asarray(a) for a in (self._first, self._owner_col, self._mark_col))
-        counts = None if exit_counts is None else np.asarray(exit_counts)
+        lei = type(exit_counts) is History
+        counts = None if exit_counts is None or lei else np.asarray(exit_counts)
         regions = self._regions
         tid, traversing, interp = self._cur, self._traversing, self.interp
         # what the next item is compared with for a backward branch, as in
@@ -685,7 +864,10 @@ class Automaton:
                 ids = column[stop:stop + min(size, end - stop, _PASS_CHUNK - (stop - i))]
                 off = held.take(ids) == NTE_STATE
                 alone = bool(off.all())
-                if counts is None:
+                if lei:
+                    n, p = _push(ids, off, alone, stop, p, above, exit_counts, threshold)
+                    stopped = n < len(ids)
+                elif counts is None:
                     # the run ends with its first landing
                     n = _first_true(off)
                     stopped = n < len(ids)
@@ -794,22 +976,41 @@ class Automaton:
         the previous edge's target at the previous item.  A walk of copies
         starts at an edge from the previous item's held state, unless the
         item before is still on a walk, and follows the run to its end;
-        taking the starts in item order decides which are walks.  A region
-        with two edges at one item, from a recording that repeats an
-        address, has these items stepped one by one instead."""
+        taking the starts in item order decides which are walks.  Fewer
+        than ``_HANDOFF`` items whose ids an edge keys, or a region with
+        two edges at one item, from a recording that repeats an address,
+        have these items resolved one by one instead, from the previous
+        item's state."""
         m = len(self._first)
-        if self._exceptional_table is None:
-            self._exceptional_table = self._tabulate(m)
-        pairs, firsts, counts, sources, targets, regions, keyed = self._exceptional_table
         exceptional = self._exceptional
         st[0] = exceptional.get(tid * m + int(ids[0]), int(st[0]))
-        at = keyed.take(ids[1:]).nonzero()[0] + 1
+        at = np.asarray(self._keyed).take(ids[1:]).nonzero()[0] + 1
+        if len(at) >= _HANDOFF and self._resolve_at_once(st, ids, at, m):
+            return
+        # few items, or a region with two edges at one item: one by one
+        states = []
+        k0, t = -1, 0
+        for k, a, h, p in zip(at.tolist(), ids[at].tolist(), st[at].tolist(),
+                              st[at - 1].tolist()):
+            t = exceptional.get((t if k == k0 + 1 else p) * m + a, h)
+            states.append(t)
+            k0 = k
+        st[at] = states
+
+    def _resolve_at_once(self, st: np.ndarray, ids: np.ndarray, at: np.ndarray,
+                         m: int) -> bool:
+        """``_resolve`` in numpy for the items ``at`` whose ids some
+        exceptional edge keys; False, with nothing resolved, when a region
+        has two edges at one item."""
+        if self._exceptional_table is None:
+            self._exceptional_table = self._tabulate(m)
+        pairs, firsts, counts, sources, targets, regions = self._exceptional_table
         code = ids.take(at - 1).astype(np.int64) * m + ids.take(at)
         j = np.minimum(np.searchsorted(pairs, code), len(pairs) - 1)
         hit = pairs.take(j) == code
         at, j = at[hit], j[hit]
         if not len(at):
-            return
+            return True
         many = counts.take(j)
         if many.max() == 1:
             first = firsts.take(j)
@@ -825,7 +1026,7 @@ class Automaton:
             flips = np.cumsum(via_held & ~via_chain)
             taken = via_held[last] ^ ((flips - flips[last]) & 1).astype(bool)
             st[at[taken]] = end[taken]
-            return
+            return True
         # each edge of each item, by region, then by item
         edge_at = np.repeat(at, many)
         row = np.arange(len(edge_at)) + np.repeat(firsts.take(j) - np.cumsum(many) + many, many)
@@ -860,33 +1061,29 @@ class Automaton:
             depth[run_end[walks] + 1] -= 1
             taken = np.cumsum(depth[:-1]) > 0
             st[edge_at[taken]] = end[taken]
-            return
-        states = []
-        k0, t = -1, 0
-        for k, a, h, p in zip(at.tolist(), ids[at].tolist(), st[at].tolist(),
-                              st[at - 1].tolist()):
-            t = exceptional.get((t if k == k0 + 1 else p) * m + a, h)
-            states.append(t)
-            k0 = k
-        st[at] = states
+            return True
+        return False
 
     def _tabulate(self, m: int) -> tuple:
         """``_resolve``'s tables of the exceptional edges: the sorted
         distinct codes ``previous id * m + id`` of the pairs of ids they
         key, each with the first row and the number of rows of its edges,
-        whose sources, targets and regions the next three give; and by id,
-        whether it keys one."""
-        exceptional = self._exceptional
-        codes = np.array(sorted(exceptional), dtype=np.int64)
-        source, key = np.divmod(codes, m)
-        pair = np.array(self._addr)[source] * m + key
-        order = np.argsort(pair, kind="stable")
-        pairs, firsts, counts = np.unique(pair[order], return_index=True, return_counts=True)
-        keyed = np.zeros(m, dtype=bool)
-        keyed[key] = True
-        targets = np.array([exceptional[c] for c in codes[order].tolist()], dtype=np.int64)
-        return (pairs, firsts, counts, source[order], targets,
-                np.asarray(self._owner_col)[source[order]].astype(np.int64), keyed)
+        whose sources, targets and regions the next three give.  The rows
+        are ordered by pair, then by source.  The edges made since the last
+        table are sorted alone and merged into its rows: their sources are
+        newer than any before, so they follow the rows of their pairs."""
+        new = np.array(self._exceptional_rows, dtype=np.int64).reshape(-1, 3)
+        self._exceptional_rows = array("q")
+        code, pair, target = new.take(np.lexsort((new[:, 0], new[:, 1])), axis=0).T
+        source = code // m
+        rows = (pair, source, target, np.asarray(self._owner_col).take(source).astype(np.int64))
+        if self._exceptional_sorted is not None:
+            old = self._exceptional_sorted
+            at = np.searchsorted(old[0], pair, side="right")
+            rows = tuple(np.insert(o, at, r) for o, r in zip(old, rows))
+        self._exceptional_sorted = rows
+        firsts, counts = _runs(rows[0])
+        return (rows[0].take(firsts), firsts, counts, *rows[1:])
 
     # -- growth ---------------------------------------------------------
 
@@ -956,6 +1153,8 @@ class Automaton:
             for a, (t, _) in edges.items():
                 if first[a] != t:
                     self._exceptional[sid * m + a] = t
+                    self._exceptional_rows.extend((sid * m + a, addr_l[sid] * m + a, t))
+                    self._keyed[a] = 1
                     self._exceptional_table = None
         return rid
 

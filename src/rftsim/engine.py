@@ -17,12 +17,13 @@ formation in flight) sees item ``i`` alone.  The automaton's stepping
 kernel then credits the scanned items to the interpreter and steps from
 the item the scan stopped at, returning the next ``(i, prev)``.  It also
 takes the manager's ``exit_counts`` and the threshold.  While the
-manager is busy, or for ``lei``, these are None, and the kernel steps
-the native run that follows, up to a region exit.  While the manager is
-idle, the kernel profiles the interpreter-side runs itself, by the rule
-the scan applies, and steps on through native and interpreter-side
-items alike: it stops only at the chunk's end or at a bump that reaches
-the threshold, where the scan makes that bump and starts a recording.
+manager is busy, these are None, and the kernel steps the native run
+that follows, up to a region exit.  While the manager is idle, the
+kernel profiles the interpreter-side runs itself, by the rule the scan
+applies, or for ``lei``, always idle, pushes them through lei's
+history, and steps on through native and interpreter-side items alike:
+it stops only at the chunk's end or at a bump or push that reaches the
+threshold, where the scan makes it and starts a recording or emits.
 So an idle stretch costs one kernel call, not a scan and a call per
 region exit.  A scan that emits hands back the region to install, its
 look-ahead (if any) already run where the recording was emitted; the
@@ -41,21 +42,17 @@ in memory builds at its first simulation, with its id column, and a
 ``TraceFile`` at ``validate()``, mapping each chunk it reads.  An id is
 an address's rank in the table, so ids keep the addresses' order.
 
-Every technique's ``scan`` is one driver, ``RegionManager.scan``, which
-steps items one by one in Python, reading the ``array`` that holds the
-chunk's ids, as the kernel does, and leaves what a technique does with
-an item to its hooks.  Once a scan of ``lei`` has taken
-``automaton._HANDOFF`` items, the rest of the run goes to its numpy pass
-over slices of the id column, which reads chunks that start at that
-length and double up to ``automaton._PASS_CHUNK`` and stops at the
-first item the scan must see itself, with everything before it
-applied.  The
-kernel does the same, by the same two constants: a call that has
-stepped ``_HANDOFF`` items gives the rest of its run to its own numpy
-pass over the id column, which also profiles an idle manager's
-interpreter-side items.  So a long cold, noisy or native run costs a few
-numpy passes, not one Python step per item, while the short calls and
-scans never pay numpy's per-call cost.
+The scan of every technique but ``lei`` is one driver,
+``RegionManager.scan``, which steps items one by one in Python, reading
+the ``array`` that holds the chunk's ids, as the kernel does, and leaves
+what a technique does with an item to its hooks.  A kernel call that
+has stepped ``automaton._HANDOFF`` items gives the rest of its run to a
+numpy pass over slices of the id column, in windows that start at that
+length and double up to ``automaton._PASS_CHUNK``, which also profiles
+an idle manager's interpreter-side items or pushes them through lei's
+history.  So a long cold, noisy or native run costs a few numpy passes,
+not one Python step per item, while the short calls never pay numpy's
+per-call cost.
 
 Recording is purely observational: while a manager records, instructions
 keep being attributed to the states actually traversed.

@@ -1,16 +1,18 @@
 """Region formation techniques.
 
 One driver, ``RegionManager.scan``, consumes interpreter-side runs of
-the trace for all six techniques, and each technique supplies its own
-rules and numpy pass through four hooks.  Items executed inside regions
-are never shown to a manager: every technique ignores native-side
-transitions except the entry into a region, which ends a recording.  An
-idle manager (five techniques profile while no formation is in flight)
-lends its hotness counters to the automaton's stepping kernel, which
-applies the backward-branch profiling rule those five share to the
-interpreter-side runs itself and stops at the bump that gets hot; the
-scan makes that bump and records.  So a scan runs while a formation is
-in flight, at such a stop, and always for ``lei``.  The engine installs
+the trace for five techniques, and each supplies its own rules through
+three hooks.  Items executed inside regions are never shown to a
+manager: every technique ignores native-side transitions except the
+entry into a region, which ends a recording.  An idle manager (five
+techniques profile while no formation is in flight) lends its hotness
+counters to the automaton's stepping kernel, which applies the
+backward-branch profiling rule those five share to the interpreter-side
+runs itself and stops at the bump that gets hot; the scan makes that
+bump and records.  ``lei``, which has no formation in flight, lends its
+history instead: the kernel pushes the items lei pushes and stops at the
+push that gets hot, and lei's scan makes that push and emits.  So a scan
+runs while a formation is in flight or at such a stop.  The engine installs
 an emitted region into the automaton before performing the emitting
 item's transition, so a recording stopped by a loop-closing branch
 catches that very branch target as its first native execution.
@@ -45,7 +47,7 @@ from typing import Callable, Collection, Mapping, Optional, Sequence
 import numpy as np
 
 from . import automaton
-from .trace_io import Trace, TraceFile, _grouped, _runs
+from .trace_io import Trace, TraceFile, _runs
 
 TECHNIQUES = ("net", "mret2", "lei", "netplus", "net-r", "netplus-e-r")
 
@@ -105,17 +107,17 @@ class RegionManager:
     ``start..end-1`` of ``source``, a ``Trace`` or a ``TraceFile``;
     ``held`` is nonzero at each id some region holds (``Automaton.held``,
     which grows in place), one entry per id, so the per-id counters are
-    arrays of that length.  A scan indexes ``held``, and its numpy pass
-    indexes a numpy view of it.  The engine then feeds the window in
+    arrays of that length.  A scan indexes ``held``.  The engine then
+    feeds the window in
     chunks, each a ``Trace`` of the source's items from ``base`` on: a
     trace in memory is one chunk at base 0, and a file is read
     ``trace_io._REPLAY_CHUNK`` items at a time.  ``attach(chunk, base)``
     binds the chunk's id column, the ``array`` the per-item loop reads
-    (``Trace._ids``) and a numpy view of it, which the numpy passes slice,
-    and its sizes, and ``detach()`` lets go of them before the next chunk
-    is read.
+    (``Trace._ids``) and a numpy view of it, which ``_span`` slices, and
+    its sizes, and ``detach()`` lets go of them before the next chunk is
+    read.
 
-    Scans, hooks and passes work in chunk indices.  An index leaves the
+    Scans and hooks work in chunk indices.  An index leaves the
     chunk only as an emission's due index, which ``complete`` gets as a
     trace index, and where LEI's emission and the look-ahead's flow map
     read items back (``_span``): from the chunk when it holds them, else
@@ -149,7 +151,7 @@ class RegionManager:
     at, and a recording in flight never outlives its scan unless that scan
     reached its ``end``: the next chunk's first scan carries it on.
 
-    ``scan`` owns the loop, and a technique supplies four hooks.  While
+    ``scan`` owns the loop, and a technique supplies three hooks.  While
     the manager profiles (``_profiling``), the scan applies the rule that
     five techniques share to item ``i`` alone: an item whose id is below
     ``prev`` bumps that id's count in ``_hot``, and the bump that reaches
@@ -157,19 +159,13 @@ class RegionManager:
     does, the scan returns ``(i, None)``: the kernel, lent the counts,
     steps item ``i`` and profiles the rest of the run.  Otherwise, and
     for every item while a formation is in flight, each item goes to
-    ``_see(i, a, prev)``, which records, arms or pushes it and returns a
-    region to emit, or None, and a held item ends the scan, which returns
+    ``_see(i, a, prev)``, which records or arms it and returns a region
+    to emit, or None, and a held item ends the scan, which returns
     ``_entered(i)`` with it: the emission due at ``i + 1``, or None.  A
-    scan steps ``automaton._HANDOFF`` items one by one, as a kernel call
-    does, and offers the rest of its run to ``_pass(i, end)``, a numpy
-    pass over the column: ``LeiManager._push`` for lei, whose history
-    takes every item, and no pass at all while a formation is in flight.
-    The pass reads the column in chunks of ``_HANDOFF`` items doubling up
-    to ``automaton._PASS_CHUNK`` and returns the first item that stops
-    the scan, a held item or one whose push reaches the threshold, with
-    every item before it applied; the scan then steps that item itself.
-    Scans shorter than ``_HANDOFF`` never hand off: numpy's cost per call
-    would outweigh what it saves on them.
+    formation in flight steps item by item: it is short, and ends at the
+    first held item.  ``LeiManager`` has no formation in flight and
+    replaces the scan: it pushes item ``i`` alone and emits when that
+    push is hot.
 
     Each emission passes its recorded ``(id, size)`` pairs through
     ``complete(items, due)``, which returns the region; look-ahead
@@ -177,13 +173,13 @@ class RegionManager:
     ``due``.
 
     ``exit_counts`` is read after each scan.  It is None while a
-    formation is in flight, and always for ``lei``, which profiles no
-    backward branches; otherwise it is ``_hot``, which the engine lends
-    the kernel with the threshold.  The kernel then bumps the counts as
-    the scan would, both for region-exit followers and for backward
-    branches taken interpreter-side, and returns unwritten at the bump
-    that reaches the threshold, so that the scan, called there with
-    ``prev``, makes it and starts the recording.
+    formation is in flight; otherwise it is ``_hot``, or for ``lei`` its
+    history, which the engine lends the kernel with the threshold.  The
+    kernel then bumps the counts as the scan would, both for region-exit
+    followers and for backward branches taken interpreter-side, or pushes
+    the history, and returns unwritten at the bump or push that reaches
+    the threshold, so that the scan, called there with ``prev``, makes it
+    and starts the recording or emits.
     """
 
     def __init__(self, config: RFTConfig):
@@ -222,15 +218,9 @@ class RegionManager:
                 return i, self._entered(i)
             prev = a
             i += 1
-        stop = i + automaton._HANDOFF if end - i > automaton._HANDOFF else end
         while True:
-            if i >= stop:
-                if i < end:
-                    i = self._pass(i, end)
-                    prev = addrs[i - 1]
-                    stop = end
-                if i >= end:
-                    return end, None
+            if i >= end:
+                return end, None
             a = addrs[i]
             region = self._see(i, a, prev)
             if region is not None:
@@ -248,10 +238,6 @@ class RegionManager:
 
     def _entered(self, i: int) -> Optional[tuple]:
         return None
-
-    def _pass(self, i: int, end: int) -> int:
-        # a formation in flight steps item by item
-        return i
 
     # the benchmark harness still wraps this; nothing calls it
     def _handle(self, *args) -> None: ...
@@ -411,18 +397,14 @@ class LeiManager(RegionManager):
     collapsed to their final occurrence, capped at the size limit, and
     the history restarts at the cycle head.
 
-    The history is not stored item by item.  Each push gets a global
-    position, and the pushes of one scan are consecutive trace items, so
-    the history is held as runs, one ``(first position, first trace
-    index)`` per scan, and an item's position is its index plus the
-    scan's ``_shift``; runs wholly before the last ``history_capacity``
-    pushes are trimmed now and then.  A restart only raises the floor: a
-    prior push counts when it is among the last ``history_capacity``
-    pushes and not below the floor.  Each address keeps one record at its
-    id: its latest push position (-1, below any floor, before its first
-    push) in ``_last``, and its cycle count, its hotness, in ``_hot``, so
-    the numpy pass reads and writes a chunk's records once per distinct
-    address.
+    The history is an ``automaton.History``: each address keeps one
+    record at its id, its latest push position and its cycle count, and
+    the pushes are held as runs of consecutive trace items.  A restart
+    only raises its floor.  lei has no formation in flight, so it always
+    lends the history to the kernel as its ``exit_counts``, and the kernel
+    pushes each item it steps after an interpreter-side one.  The scan
+    pushes item ``i`` alone, the item the kernel stopped at unwritten, and
+    emits when that push is hot.
     An emission maps the window's positions back to trace indices
     through the runs; each address takes its size from its last
     occurrence there, and the cycle head from the emitting item.
@@ -430,89 +412,40 @@ class LeiManager(RegionManager):
 
     def __init__(self, config: RFTConfig):
         super().__init__(config)
-        self._profiling = False
         self._capacity = config.history_capacity
-        # (first push position, first trace index) per scan, oldest first
-        self._runs: list[tuple[int, int]] = []
-        self._pos = 0  # position of the next push
-        self._shift = 0  # push position minus trace index, in this scan
-        self._floor = 0  # position of the latest restart
-        self._trim_at = 2 * config.history_capacity
 
     def begin(self, source, start, end, held):
         super().begin(source, start, end, held)
-        # each id's latest push position; its cycle count is its hotness
-        self._last = array("q", [-1]) * len(held)
+        self._history = automaton.History(len(held), self._capacity)
+        self._hot = self._history.counts
+
+    def attach(self, chunk, base):
+        super().attach(chunk, base)
+        self._history.base = base
+
+    @property
+    def exit_counts(self) -> automaton.History:
+        """The history, which the kernel pushes through."""
+        return self._history
 
     def scan(self, i, end, prev):
-        pos = self._pos
-        if pos >= self._trim_at:
-            self._trim(pos)
-        self._runs.append((pos, self._base + i))
-        self._shift = shift = pos - i
-        # not super(), whose lookup would cost each of lei's many short scans
-        k, region = RegionManager.scan(self, i, end, prev)
-        # the scan pushed every item it visited, item k included
-        self._pos = (k + 1 if k < end else end) + shift
-        return k, region
-
-    def _see(self, i, a, prev):
-        pos = i + self._shift
-        prior = self._last[a]
-        self._last[a] = pos
-        if prior >= self._floor and pos - prior <= self._capacity:
+        h = self._history
+        a = self._addrs[i]
+        pos = h.pos
+        if pos - i != h.shift():
+            h.start(pos, i)
+        prior = h.last[a]
+        h.last[a] = pos
+        h.pos = pos + 1
+        if prior >= h.floor and pos - prior <= h.capacity:
             c = self._hot[a] + 1
             if c < self._threshold:
                 self._hot[a] = c
             else:
                 self._hot[a] = 0
-                self._floor = pos
-                return self.complete(self._emit(i, prior, pos), self._base + i)
-        return None
-
-    def _pass(self, i, end):
-        shift = self._shift
-        return _chunked(lambda lo, hi: self._push(lo, hi, lo + shift), i, end)
-
-    def _push(self, lo, hi, pos) -> int:
-        """Push items ``lo..hi-1``, the first at position ``pos``, as the
-        per-item loop would, unless one of them stops the scan: a held
-        item, or one whose push reaches the threshold.  Returns ``hi``, or
-        the index of the first such item with nothing pushed."""
-        col = self._col[lo:hi]
-        n = hi - lo
-        keys, starts, lengths, items = _grouped(col)
-        # each address's record, read and written in place
-        last, count = np.asarray(self._last), np.asarray(self._hot)
-        # each item's prior push: the previous item of its address in the
-        # chunk, or its address's latest push
-        at = items + pos
-        prior = np.empty(n, dtype=np.int64)
-        prior[1:] = at[:-1]
-        prior[starts] = last[keys]
-        cyc = (prior >= self._floor) & (at - prior <= self._capacity)
-        # each address's running count of cycles, from its record's count
-        run = np.cumsum(cyc)
-        run += np.repeat(count[keys] - run[starts] + cyc[starts], lengths)
-        hot = items[cyc & (run >= self._threshold)]
-        k = automaton._first_true(np.asarray(self._held).take(col) != 0)
-        if len(hot):
-            k = min(k, int(hot.min()))
-        if k < n:
-            return lo + k
-        ends = starts + lengths - 1
-        last[keys] = at[ends]
-        count[keys] = run[ends]
-        return hi
-
-    def _trim(self, pos: int) -> None:
-        runs = self._runs
-        oldest = pos - self._capacity
-        j = 0
-        while j + 1 < len(runs) and runs[j + 1][0] <= oldest:
-            j += 1
-        del runs[:j]
-        self._trim_at = pos + self._capacity
+                h.floor = pos
+                return i, self.complete(self._emit(i, prior, pos), self._base + i)
+        return i, None
 
     def _emit(self, i, prior, pos) -> list[tuple[int, int]]:
         # walk the pushes at positions [prior, pos) newest first, keeping
@@ -520,7 +453,7 @@ class LeiManager(RegionManager):
         kept: list[tuple[int, int]] = []
         done: set[int] = set()
         stop = pos
-        for p, t in reversed(self._runs):
+        for p, t in reversed(self._history.runs):
             shift = t - p  # trace index minus push position in this run
             addrs, sizes = self._span(max(p, prior) + shift, stop + shift)
             for x, s in zip(reversed(addrs.tolist()), reversed(sizes)):
@@ -534,28 +467,6 @@ class LeiManager(RegionManager):
         # the cycle head, pushed at prior, takes the emitting item's size
         kept[0] = (kept[0][0], self._sizes[i])
         return kept[: self._max_size]
-
-
-# --- numpy passes over trace chunks -------------------------------------------
-
-def _chunked(step: Callable[[int, int], int], i: int, end: int) -> int:
-    """Run ``step(lo, hi)`` over ``[i, end)`` in chunks of
-    ``automaton._HANDOFF`` items doubling up to
-    ``automaton._PASS_CHUNK``.  A step applies its chunk and returns
-    ``hi``, or returns the index of the chunk's first item that stops the
-    scan with nothing applied; the items before that one are then applied
-    as a shorter chunk, and that index is returned."""
-    size = min(automaton._HANDOFF, automaton._PASS_CHUNK)
-    while i < end:
-        hi = min(end, i + size)
-        k = step(i, hi)
-        if k < hi:
-            if k > i:
-                step(i, k)
-            return k
-        i = hi
-        size = min(2 * size, automaton._PASS_CHUNK)
-    return end
 
 
 # --- look-ahead expansion ---------------------------------------------------

@@ -53,6 +53,16 @@ def naive_run(trace: Trace, config: SimulationConfig) -> LiteralAutomaton:
     return automaton
 
 
+def lei_history(history, addrs) -> list:
+    """The addresses in lei's ``History``, oldest first: its pushes from
+    the later of the restart and the last ``capacity`` pushes on, mapped
+    to trace indices through its runs, ``addrs`` being the trace's."""
+    oldest = max(history.floor, history.pos - history.capacity)
+    runs = history.runs + [(history.pos, None)]
+    return [addrs[t + q - p] for (p, t), (nxt, _) in zip(runs, runs[1:])
+            for q in range(max(p, oldest), nxt)]
+
+
 class PassAutomaton(Automaton):
     """The automaton, counting the items its kernel steps in the numpy pass
     (``passed``)."""

@@ -1,6 +1,8 @@
 import math
 import random
 from array import array
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,9 +12,9 @@ from hypothesis.stateful import (RuleBasedStateMachine, initialize, invariant, p
                                  rule, run_state_machine_as_test)
 
 from conftest import (IDENTITY, MemoAutomaton, PassAutomaton, drive, identity_automaton,
-                      naive_run)
+                      lei_history, naive_run)
 from reference import I2N, N2I, N2N, SI, SN, LiteralAutomaton, make_reference
-from rftsim import RFTConfig, Trace, automaton, trace_io
+from rftsim import RFTConfig, Trace, automaton, engine, trace_io
 from rftsim.automaton import CHAIN_GIVE_UP, CHAIN_MIN_PATH, WALK_CAP, Automaton
 from rftsim.engine import SimulationConfig, run_simulation
 from rftsim.rft import make_rft
@@ -980,6 +982,8 @@ def test_follower_at_the_end_ends_the_call(seq, end):
 
 # ids that no recording holds, disjoint from ``POOL`` below
 COLD = [0x600 + 4 * k for k in range(6)]
+# the history capacity of the stateful machine's lei, short enough to wrap
+LEI_CAPACITY = 6
 
 
 @pytest.mark.parametrize("threshold, stop, prev, hot", [
@@ -1088,6 +1092,164 @@ def test_kernel_profiling_matches_naive_loop_on_the_hand_worked_items():
             assert dump == naive_run(trace, config).dump(), (handoff, threshold)
 
 
+# --- lei's history pushed in the kernel ------------------------------------------
+
+def lei_call(seq, threshold, capacity=8192):
+    """lei's scan over item 0 of ``seq``, region [A, B] installed, then one
+    kernel call lent lei's history, with the kernel's hand-off at 1 and
+    out of reach, which must agree.  The dump must be the literal model's
+    over the items the call consumed, and the history's pushes, positions
+    and cycle counts the reference lei manager's; where the call stopped
+    before the end, the scan makes the push there and emits the region
+    the reference emits.  Returns ``(next_i, prev, history)``, ``prev``
+    as an address."""
+    trace = Trace(seq, [4] * len(seq))
+    table, ids = trace.table().tolist(), trace._ids
+    config = RFTConfig("lei", threshold=threshold, history_capacity=capacity)
+    results = []
+    for handoff in (1, HUGE):
+        auto = Automaton()
+        auto.bind(trace.table())
+        auto.append_region([(table.index(A), 4), (table.index(B), 4)])
+        manager = make_rft(config)
+        manager.begin(trace, 0, len(seq), auto.held)
+        manager.attach(trace, 0)
+        assert manager.scan(0, len(seq), -1) == (0, None)
+        history = manager.exit_counts
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(automaton, "_HANDOFF", handoff)
+            i, prev = auto.run_native_stretch(ids, trace.sizes, 0, len(seq), 0, history,
+                                              threshold)
+        prev = prev if prev == math.inf else table[prev]
+        results.append(((i, prev), auto.dump(), history.pos, lei_history(history, seq),
+                        {table[k]: c for k, c in enumerate(history.counts) if c}))
+    assert results[0] == results[1]
+    (i, prev), dump, pos, pushed, hot = results[1]
+    model = LiteralAutomaton()
+    model.append([(A, 4), (B, 4)])
+    reference = make_reference(config)
+    last, kind = None, SI
+    for a in seq[:i]:
+        assert reference.handle(last, (a, 4), kind) is None
+        kind = model.step(a)
+        last = (a, 4)
+    assert dump == model.dump()
+    assert prev == model_prev(kind, seq, i)
+    assert (pos, pushed) == (reference.hist._pushed, list(reference.hist._buf))
+    assert hot == {a: c for a, c in reference.hot.items() if c}
+    if i < len(seq):
+        region = reference.handle(last, (seq[i], 4), kind)
+        k, got = manager.scan(i, len(seq), prev)
+        assert region is not None and k == i
+        assert [(table[a], s) for a, s in got[0]] == region
+    return i, prev, history
+
+
+def test_lei_pushes_the_entry_and_not_the_landing():
+    # A enters the region from X and is pushed; B runs natively, and the
+    # landing Y after it is not pushed; V, after Y, is, and so is A again
+    i, prev, history = lei_call([X, A, B, Y, V, A, B, W], 5)
+    # the call ends at the landing W
+    assert (i, prev) == (8, math.inf)
+    assert lei_history(history, [X, A, B, Y, V, A, B, W]) == [X, A, V, A]
+    assert history.runs == [(0, 0), (2, 4)]
+
+
+@pytest.mark.parametrize("threshold, stop", [(1, 4), (2, 7)])
+def test_hot_push_at_a_held_entry_stops_the_call_unwritten(threshold, stop):
+    # A, entered after the landing Y, cycles at items 4 and 7: the push
+    # that reaches the threshold stops the call there, after the landing
+    seq = [X, A, B, Y, A, B, Y, A, B]
+    i, prev, history = lei_call(seq, threshold)
+    assert (i, prev) == (stop, math.inf)
+    # the push is left for the scan, which made it and restarted
+    assert history.floor == history.pos - 1
+
+
+@pytest.mark.parametrize("seq", [[X, X, A, B], [Y, Y, Y, A, B]])
+def test_hot_push_at_the_calls_first_item_after_h(seq):
+    # the scan pushed item 0; item 1 repeats it at threshold 1
+    assert lei_call(seq, 1)[:2] == (1, seq[0])
+
+
+def test_history_trimmed_at_capacity_4():
+    # each period pushes Y, V and A, one run of three items; the runs
+    # before the last four pushes are trimmed
+    seq = [A, B, X, Y, V] * 30
+    i, _, history = lei_call(seq, 1 << 20, capacity=4)
+    assert i == len(seq)
+    assert len(history.runs) <= 3 and history.runs[0][0] > 0
+
+
+def test_history_trimmed_at_capacity_100000():
+    # four pushes per period, 208,000 in all: runs are first trimmed at
+    # 200,000 pushes, and the last 100,000 stay
+    seq = [A, B, X, Y, V, W] * 52_000
+    i, _, history = lei_call(seq, 1 << 20, capacity=100_000)
+    assert i == len(seq) and history.pos == 208_000
+    assert 0 < history.runs[0][0] <= history.pos - 100_000
+
+
+LEI_WORKED = [[X, A, B, Y, V, A, B, W], [X, A, B, Y, A, B, Y, A, B], [X, X, A, B],
+              [Y, Y, Y, A, B], [A, B, X, Y, V] * 6]
+
+
+def test_lei_hand_worked_items_match_naive_loop():
+    """The engine over a warm-up that forms region [A, B], then each
+    hand-worked stream above, against the naive loop, with the kernel's
+    hand-off at 1 and out of reach, at thresholds 1 to 4 and history
+    capacities 4 and 8192."""
+    for seq in LEI_WORKED:
+        for threshold in range(1, 5):
+            trace = Trace([A, B] * (threshold + 1) + seq * 3,
+                          [4] * (2 * threshold + 2 + 3 * len(seq)))
+            for capacity in (4, 8192):
+                config = SimulationConfig(rft=RFTConfig("lei", threshold=threshold,
+                                                        history_capacity=capacity),
+                                          collect_dump=True)
+                expected = naive_run(trace, config).dump()
+                assert expected["regions"][0]["recorded_states"] == [1, 2]
+                for handoff in (1, HUGE):
+                    with pytest.MonkeyPatch.context() as mp:
+                        mp.setattr(automaton, "_HANDOFF", handoff)
+                        dump = run_simulation(trace, config).dump
+                    assert dump == expected, (seq, threshold, capacity, handoff)
+
+
+@pytest.mark.parametrize("handoff", [1, HUGE], ids=["handoff-1", "handoff-huge"])
+def test_history_run_across_a_replay_chunk_boundary(tmp_path, monkeypatch, handoff):
+    """lei over a trace file read 6 items at a time: a loop of four
+    instructions gets hot at item 8, in the third chunk, and its window,
+    items 4 to 7, spans the first chunk boundary; the pushes up to it are
+    one run across both boundaries.  Then the loop runs natively, and the
+    exits after it push their landings' followers."""
+    monkeypatch.setattr(trace_io, "_REPLAY_CHUNK", 6)
+    monkeypatch.setattr(automaton, "_HANDOFF", handoff)
+    loop = [0x100, 0x104, 0x108, 0x10C]
+    addrs = loop * 6 + [0x200, 0x204] + loop * 2 + [0x300, 0x304, 0x308]
+    trace = Trace(addrs, [4] * len(addrs))
+    path = tmp_path / "lei.rtr"
+    write_trace(path, trace)
+    managers = []
+
+    def kept(config):
+        managers.append(make_rft(config))
+        return managers[-1]
+    monkeypatch.setattr(engine, "make_rft", kept)
+    config = SimulationConfig(rft=RFTConfig("lei", threshold=2), collect_dump=True)
+    with TraceFile(path) as source:
+        dump = run_simulation(source, config).dump
+    assert dump == naive_run(trace, config).dump()
+    assert dump["regions"][0]["recorded_states"] == [1, 2, 3, 4]
+    # items 0 to 8 pushed in one run; the landing 0x200 at item 24, the
+    # first of its chunk, is not pushed, and its follower 0x204 and the
+    # entry 0x100 after it are; so are 0x304 and 0x308 after the landing
+    # 0x300, the last across the last chunk boundary
+    history = managers[0].exit_counts
+    assert history.runs == [(0, 0), (9, 25), (11, 35)]
+    assert lei_history(history, addrs) == [0x100, 0x204, 0x100, 0x304, 0x308]
+
+
 # --- the kernel against the literal model, stateful ---------------------------
 
 POOL = [0x100 + 4 * k for k in range(12)]
@@ -1100,9 +1262,11 @@ class KernelMachine(RuleBasedStateMachine):
     interpreter for one item, or leaving for a run of ``COLD`` ids, which
     no region holds.  Some calls hand the kernel a manager's counts and a
     threshold; the model counts each region-exit follower and each
-    backward branch taken interpreter-side literally.  The calls over a
-    stream whose length is a multiple of 3 hand off to the numpy pass
-    after 1 or 2 items, the others after the default number."""
+    backward branch taken interpreter-side literally.  Others hand it
+    lei's history, pushed as lei's scan and kernel push it, against the
+    reference lei manager, whose emissions lei's scan must make too.  The
+    calls over a stream whose length is a multiple of 3 hand off to the
+    numpy pass after 1 or 2 items, the others after the default number."""
 
     def __init__(self):
         super().__init__()
@@ -1112,6 +1276,14 @@ class KernelMachine(RuleBasedStateMachine):
         # the kernel's counts by id, an id's count 0 until written
         self.counts = id_counts()
         self.model_counts: dict[int, int] = {}
+        # lei over the concatenated lei streams, ``lei_items``, which its
+        # emissions read back
+        self.lei_items: list[int] = []
+        self.lei = make_rft(RFTConfig("lei", history_capacity=LEI_CAPACITY))
+        self.lei.begin(SimpleNamespace(read=lambda lo, hi: SimpleNamespace(
+            _ids=self.lei_items[lo:hi], sizes=[4] * (hi - lo))), 0, 0, self.auto.held)
+        self.lei_model = make_reference(RFTConfig("lei", history_capacity=LEI_CAPACITY))
+        self.lei_hot_stops = 0
 
     @initialize(n=st.integers(1, 12), data=st.data())
     def install_first(self, n, data):
@@ -1143,6 +1315,10 @@ class KernelMachine(RuleBasedStateMachine):
     def run_counting(self, data, threshold):
         self.stream(data, self.counts, threshold)
 
+    @rule(data=st.data(), threshold=st.integers(1, 4))
+    def run_lei(self, data, threshold):
+        self.stream(data, self.lei.exit_counts, threshold)
+
     def stream(self, data, counts, threshold):
         seq = []
         for _ in range(data.draw(st.integers(1, 4))):
@@ -1172,22 +1348,47 @@ class KernelMachine(RuleBasedStateMachine):
         cut = data.draw(st.one_of(st.just(len(seq)), st.integers(1, len(seq))))
         sizes = [4] * len(seq)
         handoff = 1 + len(seq) % 2 if len(seq) % 3 == 0 else automaton._HANDOFF
+        lei = counts is self.lei.exit_counts
+        if lei:
+            self.lei._threshold = threshold
+            self.lei_model.config = replace(self.lei_model.config, threshold=threshold)
+            self.lei.attach(SimpleNamespace(_ids=seq, sizes=array("q", sizes)),
+                            len(self.lei_items))
+            self.lei_items += seq
         i = 0
         for end in (cut, len(seq)):
             while i < end:
-                # a gap credited to the interpreter starts on the
-                # interpreter state and holds no held address
-                gap = i
-                if self.model.cursor == 0:
-                    while gap < end - 1 and seq[gap] not in self.model.address:
-                        gap += 1
-                h = data.draw(st.integers(i, gap))
+                if lei:
+                    # on the interpreter state, lei's scan pushes item i
+                    # alone, and emits if the push is hot
+                    h = i
+                    if self.model.cursor == 0:
+                        region = self.lei_model.handle(None, (seq[i], 4), SI)
+                        assert self.lei.scan(i, end, None) == (i, region and (region,))
+                else:
+                    # a gap credited to the interpreter starts on the
+                    # interpreter state and holds no held address
+                    gap = i
+                    if self.model.cursor == 0:
+                        while gap < end - 1 and seq[gap] not in self.model.address:
+                            gap += 1
+                    h = data.draw(st.integers(i, gap))
                 for stop in range(i, h):
                     assert self.model.step(seq[stop]) == SI
                 kind = self.model.step(seq[h])
                 stop = h + 1
                 while stop < end:
-                    if counts is None:
+                    if lei:
+                        if kind in (SI, N2I):
+                            # pushed after an interpreter-side item, and
+                            # left unwritten when hot
+                            a = seq[stop]
+                            if (self.lei_model.hist.find(a) is not None
+                                    and self.lei_model.hot.get(a, 0) + 1 >= threshold):
+                                self.lei_hot_stops += 1
+                                break
+                            assert self.lei_model.handle(None, (a, 4), kind) is None
+                    elif counts is None:
                         if kind not in (I2N, SN, N2N):
                             break
                     elif kind == N2I or (kind == SI and seq[stop] < seq[stop - 1]):
@@ -1217,6 +1418,13 @@ class KernelMachine(RuleBasedStateMachine):
         assert nonzero(self.counts) == self.model_counts
 
     @invariant()
+    def history_agrees(self):
+        history, model = self.lei.exit_counts, self.lei_model
+        assert history.pos == model.hist._pushed
+        assert lei_history(history, self.lei_items) == list(model.hist._buf)
+        assert nonzero(history.counts) == {a: c for a, c in model.hot.items() if c}
+
+    @invariant()
     def completions_within_head_executions(self):
         for r in self.auto.all_region_stats():
             assert r.completed_traversals <= r.head_executions
@@ -1237,6 +1445,18 @@ def test_kernel_stateful_matches_literal_model(monkeypatch):
         cold_in_pass[0] += int(counts[COLD].sum()) - before
         return result
     monkeypatch.setattr(automaton, "_profile", logged)
+    # per run, lei's pushes, its hot pushes the kernel stopped at, and the
+    # pushes the numpy pass made
+    lei = []
+    pushed_in_pass = [0]
+    push = automaton._push
+
+    def pushed(ids, off, alone, at, p, above, history, threshold):
+        before = history.pos
+        result = push(ids, off, alone, at, p, above, history, threshold)
+        pushed_in_pass[0] += history.pos - before
+        return result
+    monkeypatch.setattr(automaton, "_push", pushed)
 
     class Machine(KernelMachine):
         def teardown(self):
@@ -1245,9 +1465,11 @@ def test_kernel_stateful_matches_literal_model(monkeypatch):
             counted.append(sum(self.model_counts.values()))
             cold.append((sum(self.model_counts.get(a, 0) for a in COLD), cold_in_pass[0]))
             cold_in_pass[0] = 0
+            lei.append((self.lei.exit_counts.pos, self.lei_hot_stops, pushed_in_pass[0]))
+            pushed_in_pass[0] = 0
 
     run_state_machine_as_test(Machine, settings=settings(
-        max_examples=80, stateful_step_count=15, deadline=None, derandomize=True,
+        max_examples=120, stateful_step_count=15, deadline=None, derandomize=True,
         database=None))
     # walks were stepped in one go along a memo in many runs, the numpy
     # pass stepped items in many, and the kernel counted and stepped past
@@ -1258,3 +1480,8 @@ def test_kernel_stateful_matches_literal_model(monkeypatch):
     assert sum(1 for c in counted if c) >= 10
     assert sum(1 for c, q in cold if c > q) >= 10
     assert sum(1 for _, q in cold if q) >= 10
+    # lei pushed in many runs, in the numpy pass in many, and the kernel
+    # stopped at a hot push in many
+    assert sum(1 for n, _, _ in lei if n) >= 10
+    assert sum(1 for _, _, q in lei if q) >= 10
+    assert sum(1 for _, s, _ in lei if s) >= 10

@@ -267,19 +267,20 @@ def test_scans_visit_each_item_at_most_once(monkeypatch):
 EXIT_COUNTS_TRACE = [0x108, 0x100, 0x104, 0x10C, 0x104, 0x108, 0x100, 0x104, 0x10C,
                      0x104]
 # after each item of EXIT_COUNTS_TRACE: True where the manager declares its
-# hotness dict, False where it declares None
+# hotness counts (lei: its history), False where it declares None
 IDLE_AFTER = {
     "net": [True, False, False, False, True, True, False, False, False, True],
     "mret2": [True] + [False] * 8 + [True],
-    "lei": [False] * 10,
+    "lei": [True] * 10,
 }
 
 
 @pytest.mark.parametrize("technique", TECHNIQUES)
 def test_exit_counts_declared_only_while_idle(technique):
-    """Scanned one item at a time, net and net-r declare their hotness dict
-    except while a recording is in flight, mret2 only in its idle state
-    (not in either pass or while armed), and lei never."""
+    """Scanned one item at a time, net and net-r declare their hotness
+    counts except while a recording is in flight, mret2 only in its idle
+    state (not in either pass or while armed), and lei, which has no
+    formation in flight, always declares its history, emitting or not."""
     manager = make_rft(RFTConfig(technique=technique, threshold=1))
     addrs = EXIT_COUNTS_TRACE
     sizes = [4] * len(addrs)
@@ -290,7 +291,7 @@ def test_exit_counts_declared_only_while_idle(technique):
     for i in range(len(addrs)):
         manager.scan(i, i + 1, ids[i - 1] if i else -1)
         counts = manager.exit_counts
-        assert counts is None or counts is manager._hot
+        assert counts is None or counts is getattr(manager, "_history", manager._hot)
         declared.append(counts is not None)
         states.append(getattr(manager, "_state", None))
     base = {"net-r": "net", "netplus": "net", "netplus-e-r": "net"}.get(technique, technique)
@@ -299,16 +300,26 @@ def test_exit_counts_declared_only_while_idle(technique):
         assert states == [_IDLE] + [_REC1] * 3 + [_ARMED] * 2 + [_REC2] * 3 + [_IDLE]
 
 
+def gets_hot(counts, a: int, threshold: int) -> bool:
+    """Whether a bump of id ``a`` in an idle manager's ``counts``, or for
+    lei a push of it through its history, reaches ``threshold``."""
+    if isinstance(counts, automaton.History):
+        prior = counts.last[a]
+        return (prior >= counts.floor and counts.pos - prior <= counts.capacity
+                and counts.counts[a] + 1 >= threshold)
+    return counts[a] + 1 >= threshold
+
+
 def test_no_scan_starts_at_a_follower_the_kernel_counts(monkeypatch):
     """A scan never starts at an item that the kernel, lent an idle
-    manager's counts, could have profiled and stepped past.  Such a
-    kernel call stops only at the end of the window or at a bump that
-    reaches the threshold, so an idle manager's scan after the window's
-    first item starts at a bumped item, a region-exit follower or a
-    backward-branch target, whose count plus one reaches the threshold.
-    The scans that start at a held region-exit follower are those the
-    kernel must leave: the threshold is reached, the manager is busy, or
-    it is ``lei``."""
+    manager's counts or lei's history, could have profiled or pushed and
+    stepped past.  Such a kernel call stops only at the end of the window
+    or at a bump or push that reaches the threshold, so an idle manager's
+    scan after the window's first item starts at a bumped item, a
+    region-exit follower or a backward-branch target, whose count plus
+    one reaches the threshold, and lei's at a push that does.  The scans
+    that start at a held region-exit follower are those the kernel must
+    leave: the threshold is reached, or the manager is busy."""
     fallbacks = []
     hot = []
 
@@ -319,11 +330,13 @@ def test_no_scan_starts_at_a_follower_the_kernel_counts(monkeypatch):
         def checked(i, end, prev):
             addrs = manager._addrs
             counts = manager.exit_counts
+            lei = config.technique == "lei"
             if counts is not None and i:
-                assert addrs[i] < prev and counts[addrs[i]] + 1 >= config.threshold, config
+                assert (lei or addrs[i] < prev) and gets_hot(counts, addrs[i],
+                                                             config.threshold), config
                 hot.append(config.technique)
             if prev == math.inf and i < end and manager._held[addrs[i]]:
-                assert counts is None or counts[addrs[i]] + 1 >= config.threshold, config
+                assert counts is None or gets_hot(counts, addrs[i], config.threshold), config
                 fallbacks.append(config.technique)
             return scan(i, end, prev)
         manager.scan = checked
@@ -334,8 +347,8 @@ def test_no_scan_starts_at_a_follower_the_kernel_counts(monkeypatch):
     for case in range(60):
         trace = random_trace(rng, max_items=1200)
         run_simulation(trace, SimulationConfig(rft=random_rft_config(rng, TECHNIQUES[case % 6])))
-    assert {"net", "mret2", "lei"} <= set(fallbacks)
-    assert set(hot) == set(TECHNIQUES) - {"lei"}
+    assert {"net", "mret2"} <= set(fallbacks)
+    assert set(hot) == set(TECHNIQUES)
 
 
 def test_sweep_results_match_standalone_runs():

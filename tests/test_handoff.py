@@ -1,22 +1,18 @@
-"""The numpy passes that profile idle runs against the per-item models.
+"""The numpy pass that profiles idle runs against the per-item models.
 
-lei's scan steps ``automaton._HANDOFF`` items one by one and hands the
-rest of its run to its numpy pass (``LeiManager._push``), in chunks that
-grow from ``_HANDOFF`` items up to ``automaton._PASS_CHUNK``.  The other
-techniques' idle scan sees its first item only: the stepping kernel,
-lent the manager's counts, profiles the rest of the run, and after
-``_HANDOFF`` items hands it to its own pass (``Automaton._pass``), in
-windows that grow up to ``_PASS_CHUNK``.  Patching the two to a few
-items puts the hand-offs and the window boundaries all over short
-windows; the per-item reference managers and the naive engine loop of
-``conftest`` must not see a difference, at those sizes or at the
-defaults.  Logged passes also
-pin when each hands off at all.
+An idle scan sees its first item only: the stepping kernel, lent the
+manager's counts or lei's history, profiles or pushes the rest of the
+run, and after ``automaton._HANDOFF`` items hands it to its numpy pass
+(``Automaton._pass``), in windows that grow up to
+``automaton._PASS_CHUNK``.  Patching the two to a few items puts the
+hand-offs and the window boundaries all over short windows; the
+per-item reference managers and the naive engine loop of ``conftest``
+must not see a difference, at those sizes or at the defaults.  Logged
+passes also pin when a call hands off at all.
 """
 
 from __future__ import annotations
 
-import math
 import random
 import re
 
@@ -25,7 +21,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rftsim.automaton as automaton
-import rftsim.rft as rft
 from conftest import (bind, high_walk, naive_run, random_graph_walk, random_noise,
                       random_rft_config, random_trace, scan_run)
 from reference import N2I, SI, make_reference, reference_run
@@ -44,31 +39,24 @@ def size_id(sizes):
 
 @pytest.fixture
 def passes(monkeypatch):
-    """Logs ``(start, stop, end)`` per numpy pass that profiles: lei's
-    scan's, and the kernel's when lent a manager's counts; the item it
-    began at, the index it returned and the end of its scan or call."""
+    """Logs ``(start, stop, end)`` per numpy pass that profiles or pushes,
+    the kernel's when lent a manager's counts or lei's history: the item
+    it began at, the index it returned and the end of its call."""
     log = []
-    chunked = rft._chunked
     step = automaton.Automaton._pass
-
-    def logged(push, i, end):
-        k = chunked(push, i, end)
-        log.append((i, k, end))
-        return k
 
     def profiled(self, addrs, i, end, landed, exit_counts, threshold):
         k, prev = step(self, addrs, i, end, landed, exit_counts, threshold)
         if exit_counts is not None:
             log.append((i, k, end))
         return k, prev
-    monkeypatch.setattr(rft, "_chunked", logged)
     monkeypatch.setattr(automaton.Automaton, "_pass", profiled)
     return log
 
 
 def set_sizes(monkeypatch, sizes):
-    """The hand-off at ``sizes[0]`` items, and lei's chunks and the
-    kernel's windows capped at ``sizes[1]``."""
+    """The hand-off at ``sizes[0]`` items, and the kernel's windows capped
+    at ``sizes[1]``."""
     if sizes is not None:
         monkeypatch.setattr(automaton, "_HANDOFF", sizes[0])
         monkeypatch.setattr(automaton, "_PASS_CHUNK", sizes[1])
@@ -136,9 +124,8 @@ def test_engine_matches_naive_loop_across_the_hand_off(monkeypatch, passes, size
 @pytest.mark.parametrize("sizes", [(1, 1), (3, 7), None], ids=size_id)
 def test_scan_matches_reference_on_high_addresses(monkeypatch, passes, sizes, wide):
     """Addresses on both sides of 2**63, in a span narrow enough to be
-    coded relative to the smallest or, with ``wide``, reaching 2**64 - 1,
-    which lei's pass orders by a stable argsort instead; a signed
-    conversion would misorder either."""
+    coded relative to the smallest or, with ``wide``, reaching 2**64 - 1;
+    a signed conversion would misorder either."""
     set_sizes(monkeypatch, sizes)
     rng = random.Random(0x2063 + wide)
     for case in range(48):
@@ -165,12 +152,10 @@ def rising(n):
 def test_idle_scan_hands_off_after_exactly_handoff_items(monkeypatch, passes, sizes, tech):
     """An idle run of more than a hand-off's length goes to a numpy pass at
     the hand-off's item; a shorter run, or one of exactly that length, is
-    stepped item by item.  lei's scan steps ``_HANDOFF`` items itself.  The
-    other techniques' idle scan returns at its first item, which it has
-    profiled, and the kernel, lent the counts, profiles the run and
-    steps as many items itself."""
+    stepped item by item.  The idle scan returns at its first item, which
+    it has profiled or pushed, and the kernel, lent the counts or lei's
+    history, profiles or pushes the run and steps as many items itself."""
     set_sizes(monkeypatch, sizes)
-    lei = tech == "lei"
     h = automaton._HANDOFF
     addrs = rising(3 * h)
     manager = make_rft(RFTConfig(tech, threshold=1 << 20))
@@ -181,9 +166,6 @@ def test_idle_scan_hands_off_after_exactly_handoff_items(monkeypatch, passes, si
     ids = trace._ids
     for i, end in [(0, h), (h, 2 * h + 1), (2 * h + 1, 3 * h)]:
         prev = ids[i - 1] if i else -1
-        if lei:
-            assert manager.scan(i, end, prev) == (end, None)
-            continue
         assert manager.scan(i, end, prev) == (i, None)
         assert auto.run_native_stretch(ids, trace.sizes, i, end, i, manager.exit_counts,
                                        1 << 20) == (end, ids[end - 1])
@@ -211,8 +193,9 @@ def test_no_hand_off_with_a_formation_in_flight(monkeypatch, passes, sizes, tech
                                                 state):
     """A scan that starts with a formation in flight, or that starts one
     at its first item, the only item an idle scan profiles, steps its
-    whole run itself.  lei has no formation in flight, and over the same
-    items it hands off after ``_HANDOFF`` items either way."""
+    whole run itself.  lei has no formation in flight: over the same
+    items its scan pushes its first item, and the kernel, lent its
+    history, hands off after ``_HANDOFF`` items."""
     set_sizes(monkeypatch, sizes)
     addrs = prefix + rising(3 * automaton._HANDOFF)
     n, end = len(prefix), len(addrs)
@@ -237,10 +220,13 @@ def test_no_hand_off_with_a_formation_in_flight(monkeypatch, passes, sizes, tech
     for manager in (continues, starts):
         assert manager.exit_counts is None and getattr(manager, "_state", None) == state
     lei = attached("lei", 1 << 20)
-    assert lei.scan(0, n, -1) == (n, None)
-    assert lei.scan(n, end, ids[n - 1]) == (end, None)
-    assert attached("lei", 1 << 20).scan(0, end, -1) == (end, None)
-    assert passes == [(n + automaton._HANDOFF, end, end), (automaton._HANDOFF, end, end)]
+    assert lei.scan(0, end, -1) == (0, None)
+    auto = Automaton()
+    auto.bind(trace.table())
+    assert auto.run_native_stretch(ids, trace.sizes, 0, end, 0, lei.exit_counts,
+                                   1 << 20) == (end, ids[end - 1])
+    assert passes == [(automaton._HANDOFF, end, end)]
+    assert lei.exit_counts.pos == end
 
 
 # --- hand-worked cases ------------------------------------------------------------
@@ -270,19 +256,19 @@ def test_threshold_reached_on_a_chunks_first_and_last_item(monkeypatch, passes, 
 @pytest.mark.parametrize("tech", TECHNIQUES)
 @pytest.mark.parametrize("at", [8, 9, 12])
 def test_held_item_at_a_chunk_start(monkeypatch, passes, tech, at):
-    """A held item stops lei's pass unvisited; the scan then visits it,
-    so a backward branch into it is still profiled.  The kernel's pass,
-    profiling for the other techniques, bumps that branch and steps on
-    into the region, unless the bump reaches the threshold (threshold
-    1): then it stops there, unwritten, and the scan makes the bump.
-    Items 8 and 12 start chunks, item 9 does not."""
+    """The kernel's pass, profiling for net and its variants, bumps a
+    backward branch into a region and steps on into it, unless the bump
+    reaches the threshold (threshold 1): then it stops there, unwritten,
+    and the scan makes the bump.  For lei it pushes the held item, whose
+    address is new to the history, and steps on.  Items 8 and 12 start
+    windows, item 9 does not."""
     set_sizes(monkeypatch, (4, 4))
     addrs = [0x2000 + 4 * k for k in range(20)]
     addrs[at] = 0x100  # a backward branch into a region
     for threshold in (1, 2):
         passes.clear()
         check_scan(RFTConfig(tech, threshold=threshold), addrs, [4] * 20, {0x100})
-        assert passes[0][:2] == (4, at if tech == "lei" or threshold == 1 else 20)
+        assert passes[0][:2] == (4, at if tech != "lei" and threshold == 1 else 20)
 
 
 @pytest.mark.parametrize("tech", ["net", "mret2", "net-r"])
@@ -319,15 +305,16 @@ def test_region_exit_target_is_the_first_item_only(monkeypatch, tech):
 @pytest.mark.parametrize("sizes", [(1, 4), (2, 5), (7, 7)], ids=size_id)
 def test_lei_with_a_raised_floor_and_a_short_history(monkeypatch, sizes):
     """lei after restarts, so the floor is above 0, with a history shorter
-    than the chunks, so a prior push within the chunk can lie outside it."""
+    than the pass's windows, so a prior push within a window can lie
+    outside it."""
     set_sizes(monkeypatch, sizes)
     pushed = []
-    push = rft.LeiManager._push
+    push = automaton.History.push
 
-    def noted(self, lo, hi, pos):
-        pushed.append((self._floor, hi - lo, self._capacity))
-        return push(self, lo, hi, pos)
-    monkeypatch.setattr(rft.LeiManager, "_push", noted)
+    def noted(self, ids, items, threshold):
+        pushed.append((self.floor, len(ids), self.capacity))
+        return push(self, ids, items, threshold)
+    monkeypatch.setattr(automaton.History, "push", noted)
     rng = random.Random(0x1E1F)
     for case in range(40):
         trace = (random_noise if case % 2 else random_graph_walk)(rng, 600)
@@ -347,8 +334,8 @@ def test_long_run_rejects_address_outside_u64(monkeypatch, passes, technique, ba
     """A long interpreter-side run with out-of-range addresses at items
     1500 and 1700 cannot be built as a trace, so no technique steps one;
     construction names the first.  With the nearest u64 bound there
-    instead, the run, handed to a numpy pass, matches the naive loop: to
-    lei's scan's pass, or to the kernel's, at the same hand-off."""
+    instead, the run, handed to the kernel's numpy pass at the hand-off,
+    matches the naive loop."""
     noise = random_noise(random.Random(5), 2000)
     addrs = noise.addresses.tolist()
     addrs[1500] = addrs[1700] = bad
@@ -434,6 +421,38 @@ def test_engine_with_idle_runs_profiled_in_the_pass_matches_naive_loop():
            threshold=st.integers(2, 8), handoff=st.integers(1, 4), window=st.integers(1, 8))
     def check(trace, technique, threshold, handoff, window):
         config = SimulationConfig(rft=RFTConfig(technique, threshold=threshold),
+                                  collect_dump=True)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(automaton, "_HANDOFF", handoff)
+            mp.setattr(automaton, "_PASS_CHUNK", window)
+            mp.setattr(automaton.Automaton, "_pass", logged)
+            dump = run_simulation(trace, config).dump
+        assert dump == naive_run(trace, config).dump()
+
+    check()
+    assert sum(stops) >= 50 and len(stops) - sum(stops) >= 50
+
+
+def test_lei_with_runs_pushed_in_the_pass_matches_naive_loop():
+    """With the kernel's hand-off at 1 to 4 items and its windows at 1 to
+    8, its numpy pass pushes lei's runs through histories of 1 to 12
+    pushes, and at thresholds 1 to 8 pushes reach the threshold inside
+    pass windows: the engine must match the naive loop, and some passes
+    must stop at such a push, others run to their call's end."""
+    stops = []
+    step = automaton.Automaton._pass
+
+    def logged(self, addrs, i, end, landed, exit_counts, threshold):
+        k, prev = step(self, addrs, i, end, landed, exit_counts, threshold)
+        stops.append(k < end)
+        return k, prev
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(trace=loops_and_noise(), threshold=st.integers(1, 8),
+           capacity=st.integers(1, 12), handoff=st.integers(1, 4), window=st.integers(1, 8))
+    def check(trace, threshold, capacity, handoff, window):
+        config = SimulationConfig(rft=RFTConfig("lei", threshold=threshold,
+                                                history_capacity=capacity),
                                   collect_dump=True)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(automaton, "_HANDOFF", handoff)

@@ -33,7 +33,6 @@ from pathlib import Path
 import pytest
 
 import rftsim.automaton as automaton
-import rftsim.rft as rft
 from conftest import (bench_prefix, bench_render, random_graph_walk, random_noise,
                       random_rft_config, random_trace)
 from rftsim import trace_io
@@ -103,11 +102,10 @@ def test_window_equals_sliced_trace(tmp_path, name, trace, configs):
             == _rows(tmp_path, sliced, [(rft, 0, None) for rft in configs], "s.rtr"))
 
 
-# the kernel's and lei's scan's hand-off to their numpy passes and the
-# passes' largest chunk, a chain head's shortest kept memo, its fruitless
-# landings before it is given up and the longest memo, and the records a
-# binary load reads at a time; a memo needs at least one item, so
-# CHAIN_MIN_PATH stays >= 1
+# the kernel's hand-off to its numpy pass and the pass's largest window,
+# a chain head's shortest kept memo, its fruitless landings before it is
+# given up and the longest memo, and the records a binary load reads at a
+# time; a memo needs at least one item, so CHAIN_MIN_PATH stays >= 1
 KNOBS = [(automaton, "_HANDOFF"), (automaton, "_PASS_CHUNK"), (automaton, "CHAIN_MIN_PATH"),
          (automaton, "CHAIN_GIVE_UP"), (automaton, "WALK_CAP"), (trace_io, "_LOAD_CHUNK")]
 HUGE = 1 << 40
@@ -132,16 +130,16 @@ def knob_cases(tmp_path_factory):
     """``(workload, trace, {format: path}, configs, dumps)`` for each
     benchmark workload rendered for 2,000 items, and for the first 2,000
     items of full-size loop-nest, at thresholds 8 and 64, the dumps taken
-    at the default knobs, where these traces run the scans' numpy passes
-    and keep memos; the kernel's numpy pass runs on them when its
-    hand-off is patched down."""
+    at the default knobs, where these traces run the kernel's numpy pass
+    with lei's history and keep memos; the pass runs on more of them when
+    its hand-off is patched down."""
     root = tmp_path_factory.mktemp("knobs")
     work = {"passes": 0, "memos": 0}
-    chunked, keep = rft._chunked, automaton.Automaton._keep
+    step, keep = automaton.Automaton._pass, automaton.Automaton._keep
 
-    def counted_chunked(step, i, end):
-        work["passes"] += 1
-        return chunked(step, i, end)
+    def counted_pass(self, addrs, i, end, landed, exit_counts, threshold):
+        work["passes"] += isinstance(exit_counts, automaton.History)
+        return step(self, addrs, i, end, landed, exit_counts, threshold)
 
     def counted_keep(self, region, addrs, ws, we):
         keep(self, region, addrs, ws, we)
@@ -149,7 +147,7 @@ def knob_cases(tmp_path_factory):
 
     cases = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(rft, "_chunked", counted_chunked)
+        mp.setattr(automaton.Automaton, "_pass", counted_pass)
         mp.setattr(automaton.Automaton, "_keep", counted_keep)
         for workload, trace in [(w, bench_render(w, 2_000))
                                 for w in ("loop-nest", "graph-walk", "interp-noise")] + [

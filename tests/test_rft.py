@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (addressed, bind, detour_trace, random_graph_walk, random_noise,
-                      random_rft_config, random_trace, scan_run)
+from conftest import (addressed, bind, detour_trace, lei_history, random_graph_walk,
+                      random_noise, random_rft_config, random_trace, scan_run)
 from reference import (SI, FlowMap, HistoryBuffer, literal_expand, netr_stop_condition,
                        reference_run, was_backward_branch)
 from rftsim import SimulationConfig, Trace, run_simulation
@@ -34,16 +34,6 @@ def loop_feed(addrs, iters, size=4):
 def addresses(region):
     """The recorded addresses of a region, in order."""
     return [a for a, _ in region[0]]
-
-
-def lei_history(mgr, addrs):
-    """The addresses in a lei manager's history, oldest first: its pushes
-    from the later of the restart and the last ``history_capacity`` pushes
-    on, mapped to trace indices through its runs."""
-    oldest = max(mgr._floor, mgr._pos - mgr._capacity)
-    runs = mgr._runs + [(mgr._pos, None)]
-    return [addrs[t + q - p] for (p, t), (nxt, _) in zip(runs, runs[1:])
-            for q in range(max(p, oldest), nxt)]
 
 
 def seed_lei_cycle_counts(mgr, counts):
@@ -247,7 +237,7 @@ def test_lei_cold_cycle_emits_nothing():
     mgr = LeiManager(cfg("lei", threshold=100))
     seq = loop_feed([0x100, 0x104], 20)
     assert feed(mgr, seq) == []
-    assert len(lei_history(mgr, [a for a, _ in seq])) > 0  # buffer intact
+    assert len(lei_history(mgr._history, [a for a, _ in seq])) > 0  # buffer intact
 
 
 def test_lei_inner_loop_kept_once():
@@ -269,7 +259,7 @@ def test_lei_ignores_native_side():
     seq = loop_feed([0x100, 0x104], 20)
     assert feed(mgr, seq, held={0x100, 0x104}) == []
     # only the entry into the region was interpreter-side
-    assert lei_history(mgr, [a for a, _ in seq]) == [0x100]
+    assert lei_history(mgr._history, [a for a, _ in seq]) == [0x100]
 
 
 def test_lei_window_spans_region_entry_and_native_run():
