@@ -12,13 +12,15 @@ the dense lookup's, so its ids come from the binary search.  It prints
 one line per config, with the items the stepping kernel's numpy pass
 stepped, the interpreter-side items the kernel profiled for an idle
 manager and the items it pushed through ``lei``'s history, each in its
-per-item loop and in its pass, and the walks it stepped in one go along
-a chain head's memo (memo hits).  It exits 1 if any dump differs, if
-the pass stepped no item on loop-nest or on graph-walk, whose long
-native runs it exists for, if the pass profiled no item for ``net`` or
-pushed none for ``lei`` on graph-walk, whose idle stretches it exists
-for, or if no loop-nest config hit a memo, whose inner loops the memo
-exists for.
+per-item loop and in its pass, the walks it stepped in one go along a
+chain head's memo (memo hits), and the items the pass resolved onto a
+copy through exceptional edges, with the longest such walk.  It exits 1
+if any dump differs, if the pass stepped no item on loop-nest or on
+graph-walk, whose long native runs it exists for, if the pass profiled
+no item for ``net`` or pushed none for ``lei`` on graph-walk, whose idle
+stretches it exists for, if no loop-nest config hit a memo, whose inner
+loops the memo exists for, or if the pass followed no walk longer than
+one item for ``netplus`` on graph-walk, whose look-ahead copies chain.
 
     python experiments/oracle_scale.py               # full size, seed 1
     python experiments/oracle_scale.py --items 5000  # each trace's prefix
@@ -53,6 +55,9 @@ PASSED = ("loop-nest", "graph-walk")
 # and push some of
 PROFILED = ("graph-walk", "net")
 PUSHED = ("graph-walk", "lei")
+# the config whose walks of exceptional edges the pass must follow past
+# their first item
+CHAINED = ("graph-walk", "netplus")
 
 
 def main(argv=None) -> int:
@@ -75,10 +80,13 @@ def main(argv=None) -> int:
     # the items the kernel's numpy pass steps, the interpreter-side items
     # the kernel profiles in its loop and in its pass, the items it pushes
     # through lei's history in its loop and in its pass, and the memo
-    # hits, in the current config, and the items the pass steps per trace
-    stepped = [0, 0, 0, 0, 0, 0]
+    # hits, the items the pass resolves onto a copy and its longest walk
+    # of them, in the current config, and the items the pass steps per
+    # trace
+    stepped = [0] * 8
     passed = dict.fromkeys(traces, 0)
     kernel, step, flush = Automaton.run_native_stretch, Automaton._pass, Region.flush
+    resolve = Automaton._resolve
 
     def work(exit_counts, interp):
         """What a kernel call or pass lent ``exit_counts`` has profiled or
@@ -108,15 +116,26 @@ def main(argv=None) -> int:
         # every hit is flushed once, at the latest when a report is built
         stepped[5] += self.hits
         flush(self)
+    def resolved(self, st, ids, tid):
+        # a walk ends before an item on its held state, so the runs of
+        # items moved off it are the walks, or a walk's piece in a window
+        held = st.copy()
+        resolve(self, st, ids, tid)
+        moved = np.flatnonzero(st != held)
+        stepped[6] += len(moved)
+        if len(moved):
+            ends = np.flatnonzero(np.diff(moved, append=-1) != 1)
+            stepped[7] = max(stepped[7], int(np.diff(ends, prepend=-1).max()))
     Automaton.run_native_stretch, Automaton._pass, Region.flush = counted_call, counted, flushed
-    profiled = pushed = hits = 0
+    Automaton._resolve = resolved
+    profiled = pushed = hits = longest = 0
     try:
         for name, trace in traces.items():
             for threshold in THRESHOLDS:
                 for technique in TECHNIQUES:
                     config = SimulationConfig(rft=RFTConfig(technique, threshold=threshold),
                                               collect_dump=True)
-                    stepped[:] = [0] * 6
+                    stepped[:] = [0] * 8
                     same = run_simulation(trace, config).dump == naive_run(trace, config).dump()
                     differing += not same
                     passed[name] += stepped[0]
@@ -126,14 +145,18 @@ def main(argv=None) -> int:
                         profiled += stepped[2]
                     if (name, technique) == PUSHED:
                         pushed += stepped[4]
+                    if (name, technique) == CHAINED:
+                        longest = max(longest, stepped[7])
                     print(f"{name} {technique} threshold {threshold} ({stepped[0]} in the "
                           f"pass; profiled {stepped[1]} in the loop, {stepped[2]} in the "
                           f"pass; pushed {stepped[3]} in the loop, {stepped[4]} in the "
-                          f"pass; {stepped[5]} memo hits) {len(trace)} items: "
+                          f"pass; {stepped[5]} memo hits; {stepped[6]} onto copies, longest "
+                          f"walk {stepped[7]}) {len(trace)} items: "
                           f"{'same' if same else 'DIFFERS'}",
                           flush=True)
     finally:
         Automaton.run_native_stretch, Automaton._pass, Region.flush = kernel, step, flush
+        Automaton._resolve = resolve
     unused = [name for name in PASSED if not passed[name]]
     for name in unused:
         print(f"the kernel's numpy pass stepped no item on {name}", file=sys.stderr)
@@ -145,8 +168,11 @@ def main(argv=None) -> int:
               file=sys.stderr)
     if not hits:
         print("no config hit a chain head's memo on loop-nest", file=sys.stderr)
+    if longest < 2:
+        print("the kernel's numpy pass followed no walk longer than one item for {1} on {0}"
+              .format(*CHAINED), file=sys.stderr)
     print(f"{differing} of {len(traces) * len(THRESHOLDS) * len(TECHNIQUES)} dumps differ")
-    return 1 if differing or unused or not profiled or not pushed or not hits else 0
+    return 1 if differing or unused or not profiled or not pushed or not hits or longest < 2 else 0
 
 
 if __name__ == "__main__":

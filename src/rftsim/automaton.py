@@ -55,11 +55,15 @@ edge's target stay fixed while it runs: an item's state is its id's held
 state, unless the item follows an exceptional edge, one that
 ``append_region`` made to a state that is not its id's held state (a
 region's copy of an address an earlier region holds, or the second
-state of a recording's repeated address).  Such an edge runs within one
-region, from a state that holds the previous item's id, so only an item
-whose pair of previous id and id keys one can follow one; a running
-flag decides which do when each pair keys one edge, and the runs of
-each region's edges decide otherwise (``_resolve``).  An item is
+state of a recording's repeated address).  Such an edge leaves its
+source id's held state (a start row, at most one per pair of ids) or a
+copy (a chain row), so an item leaves its id's held state only after an
+item on its own held state whose pair of ids keys a start row, or after
+an item on a copy with a chain row for its id.  The pass finds the walk
+starts, follows each one's walk along the chain rows, and keeps the
+walks whose start follows an item on its held state: the first, and
+then each first start two items or more past a kept walk's end
+(``_resolve``).  An item is
 interpreter-side exactly when its id is not held, so where the call
 stops depends on the held states alone: after the first landing, or,
 for an idle manager, at the first bump or push that reaches the
@@ -146,8 +150,8 @@ WALK_CAP = 1024
 # ``_HANDOFF`` is the items a kernel call steps one by one, or in memo
 # walks, before it hands the rest of its run to the pass, and the pass's
 # first window; windows double up to ``_PASS_CHUNK``.  Within a window,
-# fewer than ``_HANDOFF`` of lei's pushes (``History.push``), or of items
-# an exceptional edge keys (``_resolve``), are taken one by one.
+# fewer than ``_HANDOFF`` of lei's pushes (``History.push``) are taken one
+# by one.
 #
 # For the kernel, measured as the time of kernel calls of n items with
 # the hand-off at 1024, 2048 and 4096 over their time with no hand-off
@@ -193,6 +197,20 @@ _HANDOFF = 512
 # edges, and the lazy flow map's catch-up step (``rft._ExpansionMixin``),
 # bounding their transient arrays to a few MB
 _PASS_CHUNK = 1 << 16
+# ``_resolve`` takes a window's walk starts one by one when it has at most
+# this many, and follows walks in numpy rounds while more than this many
+# are on.  The six techniques' summed ``_resolve`` time, in ms, over the
+# calls of seed-1 runs of the benchmark's workloads, replayed in-process
+# (minimum of three, Python 3.11, numpy 2.4, 2-core x86 host), by value;
+# the last row sums the three workloads at thresholds 8, 64, 256, 1024:
+#
+#                         8     16     32     64    128
+#     loop-nest     64   68.0   66.9   67.2   75.4   77.7
+#     graph-walk     8  166.6  143.6  131.0  132.6  173.5
+#     graph-walk    64   89.5   87.4   86.7   81.5   96.6
+#     graph-walk  1024   68.4   68.1   67.0   67.6   71.2
+#     all               586.8  569.3  553.8  558.8  616.7
+_FEW_WALKS = 32
 
 
 def _first_true(mask: np.ndarray) -> int:
@@ -503,14 +521,16 @@ class Automaton:
         self._edges: list[dict[int, list[int]]] = [{}]
         self._regions: list[Region] = []
         # the exceptional edges, ``state * m + id`` -> target state for a
-        # table of m addresses; those made since the numpy pass's last
-        # table again as rows of that code, the code ``source's id * m +
-        # id`` of the pair of ids it keys and its target; that table, and
-        # the sorted rows it came from (``_tabulate``)
+        # table of m addresses; ``_resolve``'s tables of them, sorted codes
+        # from -1, below every code, beside targets: the start rows, by
+        # ``source's id * m + id``, and the chain rows, by ``source * m +
+        # id``; the rows made since, as (0 for a start row or 1, code,
+        # target) (``_tabulate``); per state, 1 when it has chain rows
         self._exceptional: dict[int, int] = {}
-        self._exceptional_rows = array("q")
-        self._exceptional_table: Optional[tuple] = None
-        self._exceptional_sorted: Optional[tuple] = None
+        self._starts = (np.array([-1]), np.zeros(1, np.int64))
+        self._new_rows = array("q")
+        self._chains = (array("q", [-1]), array("q", [0]))
+        self._chained = bytearray(1)
         # the edge traversals the numpy pass noted, as arrays of codes, and
         # their items; ``_count_traversed`` adds them to the edges
         self._traversed: list[np.ndarray] = []
@@ -529,8 +549,9 @@ class Automaton:
         Call it before the first region is appended."""
         self._table = table
         self._first = array("I", [0]) * len(table)
-        # 1 at each id an exceptional edge keys
-        self._keyed = bytearray(len(table))
+        # per id, 1 when a start row leaves it and 2 when one keys it
+        # (``_resolve``)
+        self._starting = np.zeros(len(table), dtype=np.uint8)
 
     # -- introspection ------------------------------------------------
 
@@ -831,10 +852,10 @@ class Automaton:
         whether item ``i - 1`` was a landing.
 
         No region is installed during a call, so each item's state is that
-        of its id in ``held``, unless the item follows an exceptional edge
-        (see ``_resolve``), and an item is interpreter-side exactly when
-        its id is not held.  So where the call stops depends on ``held``
-        alone: after its first landing or, with ``exit_counts``, at the
+        of its id in ``held``, unless it lies on a walk of exceptional edges
+        from a walk start (see ``_resolve``), and an item is interpreter-side
+        exactly when its id is not held.  So where the call stops depends on
+        ``held`` alone: after its first landing or, with ``exit_counts``, at the
         first bump or push that reaches the threshold (``_profile``,
         ``_push``).  The pass finds that stop in windows of ``addrs`` of
         ``_HANDOFF`` items doubling in size, bumping the counts or pushing
@@ -956,134 +977,106 @@ class Automaton:
         if any, from state ``tid`` before the first item.
 
         An exceptional edge is one ``append_region`` made whose target is
-        not the state of its id in ``held``.  Only these take rule 1 where
-        rule 2 would not, each from a state that holds the previous item's
-        id to another state of its region: its source is that id's held
-        state or a copy, a state no other edge reaches.  So an item can
-        follow one only when the pair of its previous id and its id keys
-        one, and it does exactly when the previous item's state is the
-        edge's source: that item's held state, or the target of the edge
-        it followed, in the same region.
-
-        When each such pair keys one edge, a running flag over these items
-        decides which follow theirs: an item whose edge's source is the
-        previous item's held state and not the target of the previous
-        item's edge sets the flag if the previous item has no edge and
-        flips it otherwise, one whose source is that target and not the
-        held state keeps it, one whose source is both sets it, and one
-        whose source is neither clears it.  Otherwise their edges, ordered
-        by region, then by item, form runs in which each edge's source is
-        the previous edge's target at the previous item.  A walk of copies
-        starts at an edge from the previous item's held state, unless the
-        item before is still on a walk, and follows the run to its end;
-        taking the starts in item order decides which are walks.  Fewer
-        than ``_HANDOFF`` items whose ids an edge keys, or a region with
-        two edges at one item, from a recording that repeats an address,
-        have these items resolved one by one instead, from the previous
-        item's state."""
-        m = len(self._first)
-        exceptional = self._exceptional
-        st[0] = exceptional.get(tid * m + int(ids[0]), int(st[0]))
-        at = np.asarray(self._keyed).take(ids[1:]).nonzero()[0] + 1
-        if len(at) >= _HANDOFF and self._resolve_at_once(st, ids, at, m):
+        not the state of its id in ``held``: a copy, which no other edge
+        reaches.  So an item leaves its id's held state only after an item
+        on its own held state with such an edge for the item's id (a start
+        row, one per pair of ids), or after an item on a copy with one (a
+        chain row).  The start candidates are the items whose pair of ids
+        keys a start row, and item 0 when state ``tid`` has an edge for its
+        id; each one's walk follows chain rows until a copy has none for
+        the next id, whose item is back on its held state.  A candidate's
+        walk is taken when the item before it is on its held state: the
+        first is, and the next taken lies two items or more past a taken
+        walk's end.  At most ``_FEW_WALKS`` candidates are taken one by
+        one, in item order; more have their walks followed in numpy rounds
+        while more than ``_FEW_WALKS`` are on, then one by one, and the
+        taken ones found from the walks' ends."""
+        m, n, exceptional, chained = len(self._first), len(ids), self._exceptional, self._chained
+        # the items whose previous id a start row leaves (bit 1) and whose
+        # id one keys (bit 2)
+        flags = self._starting.take(ids)
+        pos = ((flags[:-1] << 1) & flags[1:]).nonzero()[0] + 1
+        if len(pos) <= _FEW_WALKS:
+            # one by one, from item 0 and the state before it: an item two
+            # or more past the last walk's end is on its held state
+            after, items, states = 0, [], []
+            for k, p, a in zip(chain((0,), pos.tolist()), chain((tid,), st.take(pos - 1).tolist()),
+                               chain((ids.item(0),), ids.take(pos).tolist())):
+                if k >= after and (t := exceptional.get(p * m + a)) is not None:
+                    while t is not None:
+                        items.append(k), states.append(t)
+                        k += 1
+                        t = exceptional.get(t * m + ids.item(k)) if k < n and chained[t] else None
+                    after = k + 1
+            st[items] = states
             return
-        # few items, or a region with two edges at one item: one by one
-        states = []
-        k0, t = -1, 0
-        for k, a, h, p in zip(at.tolist(), ids[at].tolist(), st[at].tolist(),
-                              st[at - 1].tolist()):
-            t = exceptional.get((t if k == k0 + 1 else p) * m + a, h)
-            states.append(t)
-            k0 = k
-        st[at] = states
+        if self._new_rows:
+            self._tabulate()
+        starts, start_to = self._starts
+        code = np.multiply(ids.take(pos - 1), m, dtype=np.int64) + ids.take(pos)
+        j = starts.searchsorted(code)
+        hit = starts.take(j, mode="clip") == code
+        pos, to = pos[hit], start_to.take(j[hit])
+        t = exceptional.get(tid * m + ids.item(0))
+        if t is not None:
+            pos, to = np.concatenate(([0], pos)), np.concatenate(([t], to))
+        # each walk's items past its first, as (walk, item, state) parts in
+        # item order; a walk on a copy with no chain row ends at once
+        end = pos.copy()
+        w = np.asarray(chained).take(to).nonzero()[0]
+        k, s = pos.take(w), to.take(w)
+        parts = []
+        while len(w) > _FEW_WALKS:
+            chains, chain_to = (np.asarray(a) for a in self._chains)
+            k = k + 1
+            if k[-1] == n:
+                w, k, s = w[:-1], k[:-1], s[:-1]
+            code = s * m + ids.take(k)
+            j = chains.searchsorted(code)
+            hit = chains.take(j, mode="clip") == code
+            w, k, s = w[hit], k[hit], chain_to.take(j[hit])
+            end[w] = k
+            parts.append((w, k, s))
+        if len(w):
+            rest = ([], [], [])
+            for w, k, s in zip(w.tolist(), k.tolist(), s.tolist()):
+                while k + 1 < n and (s := exceptional.get(s * m + ids.item(k + 1))) is not None:
+                    k += 1
+                    rest[0].append(w), rest[1].append(k), rest[2].append(s)
+                end[w] = k
+            parts.append(tuple(np.array(r, dtype=np.int64) for r in rest))
+        # a candidate is taken when no earlier walk reaches the item before
+        # it; past one that is, the next taken is the first candidate two
+        # items or more past a taken walk's end: the chains of those from
+        # each clear candidate, which doubling the jumps marks in log rounds,
+        # until a round marks none
+        on = np.empty(len(pos) + 1, dtype=bool)
+        on[0] = on[-1] = True
+        np.greater(pos[1:] - 1, np.maximum.accumulate(end[:-1]), out=on[1:-1])
+        if not on.all():
+            jump = np.concatenate((pos.searchsorted(end + 2), [len(pos)]))
+            while not on.take(nxt := jump[on]).all():
+                on[nxt] = True
+                jump = jump.take(jump)
+        taken = on[:-1]
+        st[pos[taken]] = to[taken]
+        if parts:
+            w, k, s = (np.concatenate(part) for part in zip(*parts))
+            taken = taken.take(w)
+            st[k[taken]] = s[taken]
 
-    def _resolve_at_once(self, st: np.ndarray, ids: np.ndarray, at: np.ndarray,
-                         m: int) -> bool:
-        """``_resolve`` in numpy for the items ``at`` whose ids some
-        exceptional edge keys; False, with nothing resolved, when a region
-        has two edges at one item."""
-        if self._exceptional_table is None:
-            self._exceptional_table = self._tabulate(m)
-        pairs, firsts, counts, sources, targets, regions = self._exceptional_table
-        code = ids.take(at - 1).astype(np.int64) * m + ids.take(at)
-        j = np.minimum(np.searchsorted(pairs, code), len(pairs) - 1)
-        hit = pairs.take(j) == code
-        at, j = at[hit], j[hit]
-        if not len(at):
-            return True
-        many = counts.take(j)
-        if many.max() == 1:
-            first = firsts.take(j)
-            source, end = sources.take(first), targets.take(first)
-            via_held = source == st.take(at - 1)
-            chained = np.zeros(len(at), dtype=bool)
-            chained[1:] = at[1:] == at[:-1] + 1
-            via_chain = np.zeros(len(at), dtype=bool)
-            via_chain[1:] = chained[1:] & (end[:-1] == source[1:])
-            last = np.arange(len(at))
-            last[chained & (via_held != via_chain)] = 0
-            last = np.maximum.accumulate(last)
-            flips = np.cumsum(via_held & ~via_chain)
-            taken = via_held[last] ^ ((flips - flips[last]) & 1).astype(bool)
-            st[at[taken]] = end[taken]
-            return True
-        # each edge of each item, by region, then by item
-        edge_at = np.repeat(at, many)
-        row = np.arange(len(edge_at)) + np.repeat(firsts.take(j) - np.cumsum(many) + many, many)
-        # they come by item, then by row: a stable sort by region, a radix
-        # sort of the narrowest type, orders them
-        region = regions.take(row)
-        order = np.argsort(region.astype(np.min_scalar_type(len(self._regions))), kind="stable")
-        edge_at, row, region = edge_at.take(order), row.take(order), region.take(order)
-        same = region[1:] == region[:-1]
-        if not (same & (edge_at[1:] == edge_at[:-1])).any():
-            source, end = sources.take(row), targets.take(row)
-            linked = np.zeros(len(row), dtype=bool)
-            linked[1:] = same & (edge_at[1:] == edge_at[:-1] + 1) & (end[:-1] == source[1:])
-            # the index of the last edge of each edge's run
-            run_end = np.where(np.append(~linked[1:], True), np.arange(len(row)), len(row))
-            run_end = np.minimum.accumulate(run_end[::-1])[::-1]
-            starts = np.flatnonzero(source == st.take(edge_at - 1))
-            starts = starts[np.argsort(edge_at[starts], kind="stable")]
-            # the walk after a walk is the first start at least two items
-            # past its end, so the walks are the chain of those from the
-            # first start, which doubling the jumps marks in log rounds
-            jump = np.append(np.searchsorted(edge_at[starts], edge_at[run_end[starts]] + 2),
-                             len(starts))
-            on = np.zeros(len(starts) + 1, dtype=bool)
-            on[0] = True
-            while jump[0] < len(starts):
-                on[jump[on]] = True
-                jump = jump[jump]
-            walks = starts[on[:-1]]
-            depth = np.zeros(len(row) + 1, dtype=np.int64)
-            depth[walks] += 1
-            depth[run_end[walks] + 1] -= 1
-            taken = np.cumsum(depth[:-1]) > 0
-            st[edge_at[taken]] = end[taken]
-            return True
-        return False
-
-    def _tabulate(self, m: int) -> tuple:
-        """``_resolve``'s tables of the exceptional edges: the sorted
-        distinct codes ``previous id * m + id`` of the pairs of ids they
-        key, each with the first row and the number of rows of its edges,
-        whose sources, targets and regions the next three give.  The rows
-        are ordered by pair, then by source.  The edges made since the last
-        table are sorted alone and merged into its rows: their sources are
-        newer than any before, so they follow the rows of their pairs."""
-        new = np.array(self._exceptional_rows, dtype=np.int64).reshape(-1, 3)
-        self._exceptional_rows = array("q")
-        code, pair, target = new.take(np.lexsort((new[:, 0], new[:, 1])), axis=0).T
-        source = code // m
-        rows = (pair, source, target, np.asarray(self._owner_col).take(source).astype(np.int64))
-        if self._exceptional_sorted is not None:
-            old = self._exceptional_sorted
-            at = np.searchsorted(old[0], pair, side="right")
-            rows = tuple(np.insert(o, at, r) for o, r in zip(old, rows))
-        self._exceptional_sorted = rows
-        firsts, counts = _runs(rows[0])
-        return (rows[0].take(firsts), firsts, counts, *rows[1:])
+    def _tabulate(self) -> None:
+        """Merge the rows made since the last call into ``_resolve``'s
+        tables: start rows into their sorted places, chain rows after every
+        earlier one, as a new region's states follow every earlier state."""
+        rows = np.array(self._new_rows, dtype=np.int64).reshape(-1, 3)
+        rows = rows.take(rows[:, 1].argsort(kind="stable"), axis=0)  # chains come near sorted
+        start = rows[:, 0] == 0
+        at = self._starts[0].searchsorted(rows[start, 1])
+        self._starts = tuple(np.insert(a, at, r) for a, r in zip(self._starts, rows[start, 1:].T))
+        for column, values in zip(self._chains, rows[~start, 1:].T):
+            column.frombytes(values.tobytes())
+        self._new_rows = array("q")
 
     # -- growth ---------------------------------------------------------
 
@@ -1149,13 +1142,20 @@ class Automaton:
         for sid in range(base, len(addr_l)):
             first[addr_l[sid]] = first[addr_l[sid]] or sid
         m = len(first)
+        rows, starting, chained = self._new_rows, self._starting, self._chained
+        chained.extend(bytes(len(items)))
         for sid, edges in enumerate(new_edges, start=base):
             for a, (t, _) in edges.items():
                 if first[a] != t:
                     self._exceptional[sid * m + a] = t
-                    self._exceptional_rows.extend((sid * m + a, addr_l[sid] * m + a, t))
-                    self._keyed[a] = 1
-                    self._exceptional_table = None
+                    # a held state stays held, so a row keeps its kind
+                    if first[addr_l[sid]] == sid:
+                        rows.extend((0, addr_l[sid] * m + a, t))
+                        starting[addr_l[sid]] |= 1
+                        starting[a] |= 2
+                    else:
+                        rows.extend((1, sid * m + a, t))
+                        chained[sid] = 1
         return rid
 
     # -- reporting --------------------------------------------------------

@@ -781,6 +781,100 @@ def test_two_regions_copying_one_loop():
              for r in dump["regions"][1:]] == [[120] * 3 + [20], [20] + [80] * 3]
 
 
+# --- walks of exceptional edges, by hand --------------------------------------------
+# ``_resolve`` takes up to ``_FEW_WALKS`` walk starts one by one and follows
+# more in numpy rounds: patched to 0, every window with a start takes the
+# rounds; patched huge, every window takes its starts one by one
+FEW = [0, 1 << 40]
+# region 1's copies of region 0's inner loop, entered from region 1's F
+INNER = [C, D, E]
+COPIES = [rec([A, B] + INNER), rec([F, G, H], INNER, {F: (C,), C: (D,), D: (E,), E: (C, G)})]
+
+
+def executions(auto):
+    return [s["executions"] for s in auto.dump()["states"][1:]]
+
+
+@pytest.mark.parametrize("few", FEW)
+def test_start_one_item_past_a_walk_is_not_taken_and_two_items_past_is(monkeypatch, few):
+    # region 1's T and region 2's S hold edges to their copies of U and T,
+    # starts keyed by the pairs (T, U) and (S, T).  In S T U, T's walk
+    # onto region 2's copy ends at once and U, one item past it, does not
+    # start one: region 2's copy of T has no edge for U, so U takes rule 2
+    # to region 0's U.  In S T T U the second T takes rule 2 to region 1's
+    # T, and U, two items past the walk, starts one onto region 1's copy
+    monkeypatch.setattr(automaton, "_FEW_WALKS", few)
+    S, T, U = 0x200, 0x204, 0x208
+    seq = ([S, T, U] + [S, T, T, U]) * 20
+    _, _, auto = pass_call([rec([U]), rec([T, U]), rec([S, T])], seq)
+    # U, T, U's copy, S, T's copy
+    assert executions(auto) == [20, 20, 20, 40, 40]
+
+
+@pytest.mark.parametrize("few", FEW)
+def test_starts_at_consecutive_items_take_every_other_one(monkeypatch, few):
+    # each region holds its first address and a copy of the next one's,
+    # which an earlier region holds, so the pairs (x0, x1) .. (x4, x5) key
+    # starts at five items in a row: x1, x3 and x5 take theirs, onto one-
+    # item walks, and x2 and x4, one item past a walk, do not
+    monkeypatch.setattr(automaton, "_FEW_WALKS", few)
+    xs = [0x200 + 4 * k for k in range(6)]
+    regions = [rec([xs[5]])] + [rec([xs[k], xs[k + 1]]) for k in range(4, -1, -1)]
+    _, _, auto = pass_call(regions, xs * 10)
+    assert executions(auto) == [0, 10, 10, 0, 0, 10, 10, 0, 0, 10, 10]
+
+
+@pytest.mark.parametrize("few", FEW)
+def test_copy_walk_carried_across_pass_windows(monkeypatch, few):
+    # in windows of 5 items, the walks through region 1's copies cross
+    # window ends, and each next window's item 0 follows the edge of the
+    # copy the last one ended on, the cursor's state; some of those windows
+    # also hold the start of the next walk
+    monkeypatch.setattr(automaton, "_FEW_WALKS", few)
+    monkeypatch.setattr(automaton, "_PASS_CHUNK", 5)
+    seq = ([F] + INNER * 3 + [G, H]) * 20 + [A, B] + INNER
+    i, prev, auto = pass_call(COPIES, seq)
+    assert (i, prev) == (len(seq), E) and auto.passed == len(seq) - 1
+    copies = auto.dump()["regions"][1]["expansion_states"]
+    assert [executions(auto)[s - 1] for s in copies] == [60] * 3
+
+
+@pytest.mark.parametrize("tail", [[G, H], [F, C, D]])
+def test_many_short_walks_and_one_long_walk(tail):
+    # one window holds a walk of 90 copies and 40 walks of 3: the pass
+    # follows all 41 in numpy rounds while more than _FEW_WALKS (32) are
+    # on, and the long one alone one by one once the short ones end; a
+    # last short walk, cut by the window's end, drops out of the rounds.
+    # Region 1's E holds an edge to its copy of Z, so each Z right after a
+    # walk is a start, which the walk's end overrules.  Region 2's copy of
+    # E makes its edges to its copies of D and C in that order
+    assert automaton._FEW_WALKS == 32
+    Z = 0x300
+    regions = [rec([Z]), rec([A, B, C, D, E, Z]),
+               rec([F, G, H], INNER, {F: (C,), C: (D,), D: (E,), E: (D, C, G)})]
+    seq = [F] + INNER * 30 + [Z] + ([F] + INNER + [Z]) * 40 + tail
+    i, prev, auto = pass_call(regions, seq)
+    assert (i, prev) == (len(seq), tail[-1]) and auto.passed == len(seq) - 1
+    copies = auto.dump()["regions"][2]["expansion_states"]
+    assert [executions(auto)[s - 1] for s in copies] == [70 + (tail[0] == F)] * 2 + [70]
+    # region 0's Z, and region 1's copy of it
+    assert [executions(auto)[s - 1] for s in (1, 7)] == [41, 0]
+
+
+@pytest.mark.parametrize("few", FEW)
+def test_copy_without_an_edge_falls_back_to_rule_2_and_restarts(monkeypatch, few):
+    # region 1's copy of D has no edge for F: F takes rule 2 to region 1's
+    # F, and the C after it, two items past the walk's end, starts the next
+    # walk; after the last walk, A takes rule 2 to region 0, whose own
+    # inner loop the rest runs on
+    monkeypatch.setattr(automaton, "_FEW_WALKS", few)
+    seq = [F, C, D] * 40 + [A, B] + INNER
+    i, prev, auto = pass_call(COPIES, seq)
+    assert (i, prev) == (len(seq), E)
+    # region 0's A, B, C, D, E, region 1's F, G, H and its copies
+    assert executions(auto) == [1] * 5 + [40, 0, 0, 40, 40, 0]
+
+
 def test_landing_at_the_end_returns_infinity():
     # the call's last item leaves the region: prev is infinity, and the
     # cursor sits on the interpreter state

@@ -26,6 +26,7 @@ prefixes, so that it does not rot.
 """
 
 import importlib.util
+import json
 import random
 import sys
 from pathlib import Path
@@ -104,10 +105,12 @@ def test_window_equals_sliced_trace(tmp_path, name, trace, configs):
 
 # the kernel's hand-off to its numpy pass and the pass's largest window,
 # a chain head's shortest kept memo, its fruitless landings before it is
-# given up and the longest memo, and the records a binary load reads at a
-# time; a memo needs at least one item, so CHAIN_MIN_PATH stays >= 1
+# given up and the longest memo, the records a binary load reads at a
+# time, and the walks of exceptional edges the pass follows one by one;
+# a memo needs at least one item, so CHAIN_MIN_PATH stays >= 1
 KNOBS = [(automaton, "_HANDOFF"), (automaton, "_PASS_CHUNK"), (automaton, "CHAIN_MIN_PATH"),
-         (automaton, "CHAIN_GIVE_UP"), (automaton, "WALK_CAP"), (trace_io, "_LOAD_CHUNK")]
+         (automaton, "CHAIN_GIVE_UP"), (automaton, "WALK_CAP"), (trace_io, "_LOAD_CHUNK"),
+         (automaton, "_FEW_WALKS")]
 HUGE = 1 << 40
 
 
@@ -116,7 +119,7 @@ def _knob_sets() -> dict:
     beyond any trace, alternating both ways, and each alone at 1."""
     n = len(KNOBS)
     sets = {"all-1": (1,) * n, "all-huge": (HUGE,) * n,
-            "1-huge": (1, HUGE) * (n // 2), "huge-1": (HUGE, 1) * (n // 2)}
+            "1-huge": ((1, HUGE) * n)[:n], "huge-1": ((HUGE, 1) * n)[:n]}
     for k, (_, name) in enumerate(KNOBS):
         sets[f"{name}-1"] = (None,) * k + (1,) + (None,) * (n - 1 - k)
     return sets
@@ -223,3 +226,37 @@ def test_oracle_scale_fails_when_no_memo_hits(oracle_scale, monkeypatch, capsys)
     out, err = capsys.readouterr()
     assert out.splitlines()[-1] == "0 of 60 dumps differ"
     assert err == "no config hit a chain head's memo on loop-nest\n"
+
+
+def test_oracle_scale_fails_when_no_walk_is_followed(oracle_scale, monkeypatch, capsys):
+    # net's walks on graph-walk end at their first item
+    monkeypatch.setattr(oracle_scale, "CHAINED", ("graph-walk", "net"))
+    assert oracle_scale.main(["--items", "5000"]) == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines()[-1] == "0 of 60 dumps differ"
+    assert err == ("the kernel's numpy pass followed no walk longer than one item for net "
+                   "on graph-walk\n")
+
+
+def test_rates_on_bench_prefixes(tmp_path, capsys):
+    """``experiments/rates.py`` on 2,000-item prefixes, this checkout
+    against itself: both tables have every config, with its kernel calls,
+    and the JSON holds both."""
+    path = Path(__file__).resolve().parent.parent / "experiments" / "rates.py"
+    spec = importlib.util.spec_from_file_location("rates", path)
+    rates = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(rates)
+    out = tmp_path / "rates.json"
+    root = path.parent.parent
+    assert rates.main(["--items", "2000", "--rounds", "1", "--src", str(root),
+                       "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["env"]["items"] == {"loop-nest": 2000, "graph-walk": 2000, "interp-noise": 2000}
+    for table in (doc["rates"], doc["against"]["rates"]):
+        assert len(table) == 72
+        assert all(row["items_per_s"] >= row["worst_items_per_s"] > 0 for row in table.values())
+    assert ({key: row["kernel_calls"] for key, row in doc["rates"].items()}
+            == {key: row["kernel_calls"] for key, row in doc["against"]["rates"].items()})
+    assert doc["rates"]["graph-walk/8/net"]["kernel_calls"] > 0
+    out = capsys.readouterr().out
+    assert out.count("### Rates at ") == 2 and out.count("| graph-walk | 64 |") == 2
