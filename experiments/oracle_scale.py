@@ -13,14 +13,18 @@ one line per config, with the items the stepping kernel's numpy pass
 stepped, the interpreter-side items the kernel profiled for an idle
 manager and the items it pushed through ``lei``'s history, each in its
 per-item loop and in its pass, the walks it stepped in one go along a
-chain head's memo (memo hits), and the items the pass resolved onto a
-copy through exceptional edges, with the longest such walk.  It exits 1
-if any dump differs, if the pass stepped no item on loop-nest or on
-graph-walk, whose long native runs it exists for, if the pass profiled
-no item for ``net`` or pushed none for ``lei`` on graph-walk, whose idle
-stretches it exists for, if no loop-nest config hit a memo, whose inner
-loops the memo exists for, or if the pass followed no walk longer than
-one item for ``netplus`` on graph-walk, whose look-ahead copies chain.
+chain head's memo (memo hits), the items the pass resolved onto a
+copy through exceptional edges, with the longest such walk, and the calls
+of each branch of ``trace_io._grouped``, the one for ids of 8 or 16 bits
+and the one for wider ids.  It exits 1 if any dump differs, if the pass
+stepped no item on loop-nest or on graph-walk, whose long native runs it
+exists for, if the pass profiled no item for ``net`` or pushed none for
+``lei`` on graph-walk, whose idle stretches it exists for, if no
+loop-nest config hit a memo, whose inner loops the memo exists for, if
+the pass followed no walk longer than one item for ``netplus`` on
+graph-walk, whose look-ahead copies chain, or if ``_grouped`` never took
+its 8- and 16-bit branch on graph-walk, whose ids are u8, or its wider
+branch on many-addresses, whose ids are u32.
 
     python experiments/oracle_scale.py               # full size, seed 1
     python experiments/oracle_scale.py --items 5000  # each trace's prefix
@@ -38,17 +42,17 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "bench")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "bench"),
+                str(ROOT / "experiments")]
 
 from conftest import naive_run  # noqa: E402
-from rftsim import RFTConfig, SimulationConfig, Trace, run_simulation  # noqa: E402
+from rates import many_addresses  # noqa: E402
+from rftsim import RFTConfig, SimulationConfig, Trace, automaton, run_simulation  # noqa: E402
 from rftsim.automaton import Automaton, History, Region  # noqa: E402
 from rftsim.rft import TECHNIQUES  # noqa: E402
 from workloads import DEFAULT_SEED, WORKLOADS  # noqa: E402
 
 THRESHOLDS = (64, 1024)
-# addresses run once each before graph-walk's in the many-addresses trace
-FRESH = 70_000
 # the workloads on which the kernel's numpy pass must step some items
 PASSED = ("loop-nest", "graph-walk")
 # the configs whose interpreter-side items the pass must profile some of,
@@ -58,6 +62,9 @@ PUSHED = ("graph-walk", "lei")
 # the config whose walks of exceptional edges the pass must follow past
 # their first item
 CHAINED = ("graph-walk", "netplus")
+# the traces on which ``_grouped`` must take its branch for ids of 8 or 16
+# bits, and its branch for wider ids
+NARROW, WIDE = "graph-walk", "many-addresses"
 
 
 def main(argv=None) -> int:
@@ -73,20 +80,19 @@ def main(argv=None) -> int:
             trace = Trace(trace.addresses[:args.items], trace.sizes[:args.items])
         traces[name] = trace
     walk = traces["graph-walk"]
-    fresh = np.arange(0, 4 * FRESH, 4, dtype=np.uint64)
-    traces["many-addresses"] = Trace(np.concatenate([fresh, walk.addresses + np.uint64(4 * FRESH)]),
-                                     np.concatenate([np.full(FRESH, 4), walk.sizes]))
+    traces["many-addresses"] = many_addresses(walk)
     traces["wide-span"] = Trace(walk.addresses << np.uint64(24), walk.sizes)
     # the items the kernel's numpy pass steps, the interpreter-side items
     # the kernel profiles in its loop and in its pass, the items it pushes
     # through lei's history in its loop and in its pass, and the memo
     # hits, the items the pass resolves onto a copy and its longest walk
-    # of them, in the current config, and the items the pass steps per
-    # trace
-    stepped = [0] * 8
+    # of them, and the calls of ``_grouped`` for ids of 8 or 16 bits and
+    # for wider ones, in the current config, and the items the pass steps
+    # per trace
+    stepped = [0] * 10
     passed = dict.fromkeys(traces, 0)
     kernel, step, flush = Automaton.run_native_stretch, Automaton._pass, Region.flush
-    resolve = Automaton._resolve
+    resolve, grouped = Automaton._resolve, automaton._grouped
 
     def work(exit_counts, interp):
         """What a kernel call or pass lent ``exit_counts`` has profiled or
@@ -126,16 +132,20 @@ def main(argv=None) -> int:
         if len(moved):
             ends = np.flatnonzero(np.diff(moved, append=-1) != 1)
             stepped[7] = max(stepped[7], int(np.diff(ends, prepend=-1).max()))
+    def counted_grouped(col):
+        # the branch ``_grouped`` takes, by the ids' width
+        stepped[8 + (col.dtype.itemsize > 2)] += 1
+        return grouped(col)
     Automaton.run_native_stretch, Automaton._pass, Region.flush = counted_call, counted, flushed
-    Automaton._resolve = resolved
-    profiled = pushed = hits = longest = 0
+    Automaton._resolve, automaton._grouped = resolved, counted_grouped
+    profiled = pushed = hits = longest = narrow = wide = 0
     try:
         for name, trace in traces.items():
             for threshold in THRESHOLDS:
                 for technique in TECHNIQUES:
                     config = SimulationConfig(rft=RFTConfig(technique, threshold=threshold),
                                               collect_dump=True)
-                    stepped[:] = [0] * 8
+                    stepped[:] = [0] * 10
                     same = run_simulation(trace, config).dump == naive_run(trace, config).dump()
                     differing += not same
                     passed[name] += stepped[0]
@@ -147,16 +157,19 @@ def main(argv=None) -> int:
                         pushed += stepped[4]
                     if (name, technique) == CHAINED:
                         longest = max(longest, stepped[7])
+                    narrow += stepped[8] if name == NARROW else 0
+                    wide += stepped[9] if name == WIDE else 0
                     print(f"{name} {technique} threshold {threshold} ({stepped[0]} in the "
                           f"pass; profiled {stepped[1]} in the loop, {stepped[2]} in the "
                           f"pass; pushed {stepped[3]} in the loop, {stepped[4]} in the "
                           f"pass; {stepped[5]} memo hits; {stepped[6]} onto copies, longest "
-                          f"walk {stepped[7]}) {len(trace)} items: "
+                          f"walk {stepped[7]}; grouped {stepped[8]} narrow, {stepped[9]} "
+                          f"wide) {len(trace)} items: "
                           f"{'same' if same else 'DIFFERS'}",
                           flush=True)
     finally:
         Automaton.run_native_stretch, Automaton._pass, Region.flush = kernel, step, flush
-        Automaton._resolve = resolve
+        Automaton._resolve, automaton._grouped = resolve, grouped
     unused = [name for name in PASSED if not passed[name]]
     for name in unused:
         print(f"the kernel's numpy pass stepped no item on {name}", file=sys.stderr)
@@ -171,8 +184,14 @@ def main(argv=None) -> int:
     if longest < 2:
         print("the kernel's numpy pass followed no walk longer than one item for {1} on {0}"
               .format(*CHAINED), file=sys.stderr)
+    if not narrow:
+        print(f"_grouped never took its branch for ids of 8 or 16 bits on {NARROW}",
+              file=sys.stderr)
+    if not wide:
+        print(f"_grouped never took its branch for wider ids on {WIDE}", file=sys.stderr)
     print(f"{differing} of {len(traces) * len(THRESHOLDS) * len(TECHNIQUES)} dumps differ")
-    return 1 if differing or unused or not profiled or not pushed or not hits or longest < 2 else 0
+    return 1 if (differing or unused or not profiled or not pushed or not hits or longest < 2
+                 or not narrow or not wide) else 0
 
 
 if __name__ == "__main__":

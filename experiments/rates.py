@@ -1,10 +1,13 @@
 """Simulation rates across the operating range.
 
 For each of the six techniques, the benchmark's three workloads at seed 1
-(``bench/workloads.py``) and thresholds 8, 64, 256 and 1024, this runs
-``run_simulation`` in-process and records the items simulated per second
-of process time and the stepping kernel's calls
-(``Automaton.run_native_stretch``): 72 configs.  Each round runs every
+(``bench/workloads.py``) and ``many-addresses``, and thresholds 8, 64, 256
+and 1024, this runs ``run_simulation`` in-process and records the items
+simulated per second of process time and the stepping kernel's calls
+(``Automaton.run_native_stretch``): 96 configs.  ``many-addresses`` runs
+``FRESH`` fresh addresses once each before graph-walk's, so that its ids
+are u32 where the workloads' are u8 or u16, and a change whose speed
+depends on the ids' width shows in its rows.  Each round runs every
 config in a fresh worker process, a short one several times; a config's
 rate is its best round (its minimum time) and its range runs from its
 worst round to its best.
@@ -45,6 +48,18 @@ SEED = 1
 # and keeps its fastest run: interp-noise runs in a few ms above threshold
 # 8, where one run's time is mostly noise
 REPEAT, SHORT_S = 10, 0.1
+# addresses run once each before graph-walk's in the many-addresses trace
+FRESH = 70_000
+
+
+def many_addresses(walk):
+    """``FRESH`` fresh addresses, each run once and all below those of the
+    trace ``walk``, then ``walk``: more than 65,536 distinct addresses, so
+    its ids are u32."""
+    from rftsim import Trace
+    fresh = np.arange(0, 4 * FRESH, 4, dtype=np.uint64)
+    return Trace(np.concatenate([fresh, walk.addresses + np.uint64(4 * FRESH)]),
+                 np.concatenate([np.full(FRESH, 4), walk.sizes]))
 
 
 def _worker(src: Path, traces: Path) -> dict:
@@ -143,10 +158,12 @@ def main(argv=None) -> int:
     runs = {side: [] for side in sides}
     items = {}
     with tempfile.TemporaryDirectory() as traces:
-        for k, (name, workload) in enumerate(WORKLOADS.items()):
-            trace = workload.generate(SEED, workload.items if args.items is None
-                                      else min(args.items, workload.items))
-            # numbered, so that workers take them in the benchmark's order
+        generated = {name: workload.generate(SEED, workload.items if args.items is None
+                                             else min(args.items, workload.items))
+                     for name, workload in WORKLOADS.items()}
+        generated["many-addresses"] = many_addresses(generated["graph-walk"])
+        for k, (name, trace) in enumerate(generated.items()):
+            # numbered, so that workers take them in this order
             np.savez(Path(traces) / f"{k}-{name}.npz", addresses=trace.addresses,
                      sizes=np.asarray(trace.sizes))
             items[name] = len(trace)

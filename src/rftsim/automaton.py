@@ -114,7 +114,8 @@ kernel then profiles the interpreter-side runs itself, as the manager's
 scan would: the item after a landing is bumped whatever its id, the item
 after any other interpreter-side item when its id is below that item's,
 held or not.  lei, always idle, lends its ``History`` instead, and the
-kernel pushes every item after an interpreter-side item through it.
+kernel pushes every item after an interpreter-side item through it,
+writing each push's trace index into the history's ring.
 Such a call stops only at its ``end`` or at the bump or push that
 reaches the threshold, which it leaves unwritten for the scan to make.
 """
@@ -129,7 +130,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .trace_io import _grouped, _runs
+from .trace_io import _grouped, _runs, _sort
 
 NTE_STATE = 0
 
@@ -182,16 +183,16 @@ WALK_CAP = 1024
 # 512 is within the noise of 256, and the table above shows what the pass
 # costs a call that hands it only a short rest.
 #
-# For lei's pushes, now made in the kernel's pass, measured when lei's
-# scan made them, as one window against pushing the same items one by one,
-# on warm managers (Python 3.11, 2-core x86 host): lei takes
-# 0.72x at 512 items on a 50-instruction loop, but on uniform noise over
-# 16k addresses, where a window holds almost as many addresses as items,
-# it breaks even only near 16k items (1.89x at 512, 0.86x at 16k, 0.42x
-# at 65,536), which the doubling windows reach after about 16k items.
-# The pass reads and writes lei's records in place, and ran 0.88-1.11x
-# the per-item time at 1,000 items of the benchmark's noise and 0.43-0.50x
-# at 4,000.
+# For lei's pushes, the time of one window pushed in numpy by
+# ``History.push`` over the same pushes made one by one, on a history
+# warmed by 70,000 pushes (minimum of seven, same host), by pushes:
+#
+#                                 512   1000   4000  16384  65536
+#     50-instruction loop        1.01   0.53   0.18   0.05   0.04
+#     noise over 16k addresses   1.06   0.66   0.27   0.17   0.11
+#     the benchmark's noise      1.14   0.76   0.33   0.17   0.12
+#
+# so a window of 512 pushes about breaks even, and larger ones gain.
 _HANDOFF = 512
 # the pass's largest window, its step between adding its notes to the
 # edges, and the lazy flow map's catch-up step (``rft._ExpansionMixin``),
@@ -228,44 +229,20 @@ class History:
     latest push position (-1, below any floor, before its first push) and
     ``counts`` its cycle count, its hotness: a push is a cycle when its
     id's prior push is not below ``floor``, the latest restart, and at
-    most ``capacity`` pushes back.  The pushes are not stored one by one.
-    Each run of pushes of consecutive trace items is held as its ``(first
-    position, first trace index)`` in ``runs``, oldest first, and runs
-    wholly before the last ``capacity`` pushes are trimmed now and then.
-    ``base`` is the trace index of the attached chunk's item 0."""
+    most ``capacity`` pushes back.  ``ring`` holds the trace index of each
+    of the latest pushes, that of position ``q`` at slot ``q % len(ring)``:
+    its slots number ``capacity``, or the window's length when that is
+    less, since each item is pushed once at most.  ``base`` is the trace
+    index of the attached chunk's item 0."""
 
-    __slots__ = ("last", "counts", "pos", "floor", "capacity", "runs", "base", "_trim_at")
+    __slots__ = ("last", "counts", "pos", "floor", "capacity", "ring", "base")
 
-    def __init__(self, ids: int, capacity: int):
+    def __init__(self, ids: int, capacity: int, window: int):
         self.last = array("q", [-1]) * ids
         self.counts = array("q", [0]) * ids
         self.pos = self.floor = self.base = 0
         self.capacity = capacity
-        self.runs: list[tuple[int, int]] = []
-        self._trim_at = 2 * capacity
-
-    def shift(self) -> Optional[int]:
-        """The latest run's position minus chunk index, which a push that
-        continues it shares; None before the first push."""
-        if not self.runs:
-            return None
-        p, t = self.runs[-1]
-        return p - t + self.base
-
-    def start(self, pos: int, i: int) -> None:
-        """Begin a run with the push at ``pos`` of the chunk's item ``i``."""
-        self.runs.append((pos, self.base + i))
-        if pos >= self._trim_at:
-            self._trim(pos)
-
-    def _trim(self, pos: int) -> None:
-        runs = self.runs
-        oldest = pos - self.capacity
-        j = 0
-        while j + 1 < len(runs) and runs[j + 1][0] <= oldest:
-            j += 1
-        del runs[:j]
-        self._trim_at = pos + self.capacity
+        self.ring = array("q", [0]) * max(min(capacity, window), 1)
 
     def push(self, ids: np.ndarray, items: np.ndarray, threshold: int) -> int:
         """Push the non-empty ``ids``, the chunk's items ``items`` in
@@ -273,10 +250,10 @@ class History:
         that reaches ``threshold``, which is left unwritten.  Returns the
         number pushed.  Each id's record is read and written once."""
         n = len(ids)
-        pos = self.pos
+        pos, ring = self.pos, self.ring
         if n < _HANDOFF:
             last, counts, floor, capacity = self.last, self.counts, self.floor, self.capacity
-            shift = self.shift()
+            size, base = len(ring), self.base
             for a, i in zip(ids.tolist(), items.tolist()):
                 prior = last[a]
                 if prior >= floor and pos - prior <= capacity:
@@ -285,9 +262,7 @@ class History:
                         break
                     counts[a] = c
                 last[a] = pos
-                if pos - i != shift:
-                    shift = pos - i
-                    self.start(pos, i)
+                ring[pos % size] = base + i
                 pos += 1
             n, self.pos = pos - self.pos, pos
             return n
@@ -310,15 +285,10 @@ class History:
         ends = starts + lengths - 1
         last[keys] = at[ends]
         count[keys] = run[ends]
-        # a push whose item does not follow the previous push's starts a run
-        if pos - int(items[0]) != self.shift():
-            self.start(pos, int(items[0]))
-        if int(items[-1]) - int(items[0]) >= n:
-            k = (items[1:] != items[:-1] + 1).nonzero()[0] + 1
-            self.runs.extend(zip((k + pos).tolist(), (items.take(k) + self.base).tolist()))
+        # the positions of the pushes that fit the ring
+        q = np.arange(max(pos, pos + n - len(ring)), pos + n)
+        np.asarray(ring)[q % len(ring)] = items[q - pos] + self.base
         self.pos = pos + n
-        if self.pos >= self._trim_at:
-            self._trim(self.pos)
         return n
 
 
@@ -397,7 +367,7 @@ def _profile(ids: np.ndarray, off: np.ndarray, alone: bool, p: int, above: int,
     targets = ids.take(bump)
     n = len(ids)
     if len(targets):
-        ordered = np.sort(targets)
+        ordered = _sort(targets)
         starts, lengths = _runs(ordered)
         keys = ordered[starts]
         was = counts.take(keys)
@@ -699,7 +669,7 @@ class Automaton:
         if lei:
             hist = exit_counts
             last, counts, floor, capacity = hist.last, hist.counts, hist.floor, hist.capacity
-            pos, shift = hist.pos, hist.shift()
+            pos, ring, base, size = hist.pos, hist.ring, hist.base, len(hist.ring)
             lift = above + 1
         # the start of a walk being stepped item by item from region wr's
         # head, or -1
@@ -724,9 +694,7 @@ class Automaton:
                             break
                         counts[a] = c
                     last[a] = pos
-                    if pos - i != shift:
-                        shift = pos - i
-                        hist.start(pos, i)
+                    ring[pos % size] = base + i
                     pos += 1
                 else:
                     c = exit_counts[a] + 1
@@ -869,7 +837,9 @@ class Automaton:
         column = np.asarray(addrs)
         held, owner, mark = (np.asarray(a) for a in (self._first, self._owner_col, self._mark_col))
         lei = type(exit_counts) is History
-        counts = None if exit_counts is None or lei else np.asarray(exit_counts)
+        # an int64 view: numpy types an array("q") as longlong, which misses
+        # ``np.add.at``'s fast path
+        counts = None if exit_counts is None or lei else np.asarray(exit_counts).view(np.int64)
         regions = self._regions
         tid, traversing, interp = self._cur, self._traversing, self.interp
         # what the next item is compared with for a backward branch, as in

@@ -399,15 +399,16 @@ class LeiManager(RegionManager):
 
     The history is an ``automaton.History``: each address keeps one
     record at its id, its latest push position and its cycle count, and
-    the pushes are held as runs of consecutive trace items.  A restart
+    a ring holds the trace index of each of the latest pushes.  A restart
     only raises its floor.  lei has no formation in flight, so it always
     lends the history to the kernel as its ``exit_counts``, and the kernel
     pushes each item it steps after an interpreter-side one.  The scan
     pushes item ``i`` alone, the item the kernel stopped at unwritten, and
     emits when that push is hot.
-    An emission maps the window's positions back to trace indices
-    through the runs; each address takes its size from its last
-    occurrence there, and the cycle head from the emitting item.
+    An emission reads the trace indices of the cycle's push positions
+    from the ring, and the items from the trace a run of consecutive
+    indices at a time (``_span``); each address takes its size from its
+    last occurrence there, and the cycle head from the emitting item.
     """
 
     def __init__(self, config: RFTConfig):
@@ -416,7 +417,7 @@ class LeiManager(RegionManager):
 
     def begin(self, source, start, end, held):
         super().begin(source, start, end, held)
-        self._history = automaton.History(len(held), self._capacity)
+        self._history = automaton.History(len(held), self._capacity, end - start)
         self._hot = self._history.counts
 
     def attach(self, chunk, base):
@@ -432,11 +433,10 @@ class LeiManager(RegionManager):
         h = self._history
         a = self._addrs[i]
         pos = h.pos
-        if pos - i != h.shift():
-            h.start(pos, i)
         prior = h.last[a]
         h.last[a] = pos
         h.pos = pos + 1
+        region = None
         if prior >= h.floor and pos - prior <= h.capacity:
             c = self._hot[a] + 1
             if c < self._threshold:
@@ -444,25 +444,27 @@ class LeiManager(RegionManager):
             else:
                 self._hot[a] = 0
                 h.floor = pos
-                return i, self.complete(self._emit(i, prior, pos), self._base + i)
-        return i, None
+                region = self.complete(self._emit(i, prior, pos), self._base + i)
+        # after the emission, which may read the slot it takes
+        h.ring[pos % len(h.ring)] = self._base + i
+        return i, region
 
     def _emit(self, i, prior, pos) -> list[tuple[int, int]]:
-        # walk the pushes at positions [prior, pos) newest first, keeping
-        # each address at its last occurrence
+        # the trace indices of the pushes at positions [prior, pos), read
+        # newest run of consecutive ones first, keeping each address at its
+        # last occurrence
+        ring = self._history.ring
+        first, stop = prior % len(ring), (pos - 1) % len(ring) + 1
+        t = ring[first:stop] if first < stop else ring[first:] + ring[:stop]
+        cut = [0, *(k for k in range(1, len(t)) if t[k] != t[k - 1] + 1), len(t)]
         kept: list[tuple[int, int]] = []
         done: set[int] = set()
-        stop = pos
-        for p, t in reversed(self._history.runs):
-            shift = t - p  # trace index minus push position in this run
-            addrs, sizes = self._span(max(p, prior) + shift, stop + shift)
+        for lo, hi in zip(reversed(cut[:-1]), reversed(cut[1:])):
+            addrs, sizes = self._span(t[lo], t[hi - 1] + 1)
             for x, s in zip(reversed(addrs.tolist()), reversed(sizes)):
                 if x not in done:
                     done.add(x)
                     kept.append((x, s))
-            if p <= prior:
-                break
-            stop = p
         kept.reverse()
         # the cycle head, pushed at prior, takes the emitting item's size
         kept[0] = (kept[0][0], self._sizes[i])

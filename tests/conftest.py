@@ -56,11 +56,10 @@ def naive_run(trace: Trace, config: SimulationConfig) -> LiteralAutomaton:
 def lei_history(history, addrs) -> list:
     """The addresses in lei's ``History``, oldest first: its pushes from
     the later of the restart and the last ``capacity`` pushes on, mapped
-    to trace indices through its runs, ``addrs`` being the trace's."""
+    to trace indices through its ring, ``addrs`` being the trace's."""
+    ring = history.ring
     oldest = max(history.floor, history.pos - history.capacity)
-    runs = history.runs + [(history.pos, None)]
-    return [addrs[t + q - p] for (p, t), (nxt, _) in zip(runs, runs[1:])
-            for q in range(max(p, oldest), nxt)]
+    return [addrs[ring[q % len(ring)]] for q in range(oldest, history.pos)]
 
 
 class PassAutomaton(Automaton):

@@ -1246,7 +1246,8 @@ def test_lei_pushes_the_entry_and_not_the_landing():
     # the call ends at the landing W
     assert (i, prev) == (8, math.inf)
     assert lei_history(history, [X, A, B, Y, V, A, B, W]) == [X, A, V, A]
-    assert history.runs == [(0, 0), (2, 4)]
+    # the ring, sized to the window, holds the pushes' trace indices
+    assert len(history.ring) == 8 and list(history.ring[:history.pos]) == [0, 1, 4, 5]
 
 
 @pytest.mark.parametrize("threshold, stop", [(1, 4), (2, 7)])
@@ -1266,22 +1267,67 @@ def test_hot_push_at_the_calls_first_item_after_h(seq):
     assert lei_call(seq, 1)[:2] == (1, seq[0])
 
 
+def ring_order(history) -> list:
+    """The trace indices in lei's ring, oldest push first."""
+    size = len(history.ring)
+    return [history.ring[q % size] for q in range(max(history.pos - size, 0), history.pos)]
+
+
 def test_history_trimmed_at_capacity_4():
-    # each period pushes Y, V and A, one run of three items; the runs
-    # before the last four pushes are trimmed
+    # each period pushes Y, V and A, items 5k + 3 to 5k + 5, and the last
+    # period ends before its A: the ring keeps the last four pushes
     seq = [A, B, X, Y, V] * 30
     i, _, history = lei_call(seq, 1 << 20, capacity=4)
-    assert i == len(seq)
-    assert len(history.runs) <= 3 and history.runs[0][0] > 0
+    assert i == len(seq) and history.pos == 1 + 3 * 30 - 1
+    assert len(history.ring) == 4 and ring_order(history) == [144, 145, 148, 149]
 
 
 def test_history_trimmed_at_capacity_100000():
-    # four pushes per period, 208,000 in all: runs are first trimmed at
-    # 200,000 pushes, and the last 100,000 stay
+    # item 0, then four pushes per period, items 6k + 3 to 6k + 6, and the
+    # last period ends before its A: 208,000 pushes, and the ring keeps
+    # the last 100,000
     seq = [A, B, X, Y, V, W] * 52_000
     i, _, history = lei_call(seq, 1 << 20, capacity=100_000)
     assert i == len(seq) and history.pos == 208_000
-    assert 0 < history.runs[0][0] <= history.pos - 100_000
+    q = np.arange(108_000, 208_000) - 1
+    assert len(history.ring) == 100_000
+    assert ring_order(history) == (6 * (q // 4) + 3 + q % 4).tolist()
+
+
+def test_history_wraps_in_one_numpy_push(monkeypatch):
+    """Pushes one by one, then one numpy push of more items than the
+    capacity, from a chunk at base 1000: the ring wraps, keeps the last
+    ``capacity`` pushes' trace indices, and ends as when every push is
+    made one by one."""
+    ids = np.array([k % 7 for k in range(700)], dtype=np.uint8)
+    items = np.arange(0, 2100, 3)
+    states = []
+    for handoff in (automaton._HANDOFF, HUGE):
+        monkeypatch.setattr(automaton, "_HANDOFF", handoff)
+        history = automaton.History(7, 100, 10_000)
+        history.base = 1000
+        assert history.push(ids[:30], items[:30], 1 << 20) == 30
+        assert history.push(ids[30:], items[30:], 1 << 20) == 670
+        states.append((history.ring.tolist(), history.last.tolist(), history.counts.tolist(),
+                       history.pos))
+    assert states[0] == states[1]
+    assert len(history.ring) == 100 and ring_order(history) == (items[-100:] + 1000).tolist()
+
+
+def test_ring_sized_to_a_window_below_the_capacity():
+    """lei's ring takes the window's length when the capacity is above it,
+    one slot on an empty window; with the capacity above the window, lei
+    over a loop that cycles through every push matches the naive loop."""
+    trace = Trace([A, B, X, Y, V] * 8, [4] * 40)
+    manager = make_rft(RFTConfig("lei", history_capacity=8192))
+    for start, end, size in ((0, 40, 40), (5, 25, 20), (3, 3, 1)):
+        manager.begin(trace, start, end, array("I", [0]) * 5)
+        assert len(manager.exit_counts.ring) == size
+    for capacity in (39, 40, 41, 8192):
+        config = SimulationConfig(rft=RFTConfig("lei", threshold=2, history_capacity=capacity),
+                                  collect_dump=True)
+        dump = run_simulation(trace, config).dump
+        assert dump == naive_run(trace, config).dump() and dump["regions"]
 
 
 LEI_WORKED = [[X, A, B, Y, V, A, B, W], [X, A, B, Y, A, B, Y, A, B], [X, X, A, B],
@@ -1340,8 +1386,32 @@ def test_history_run_across_a_replay_chunk_boundary(tmp_path, monkeypatch, hando
     # entry 0x100 after it are; so are 0x304 and 0x308 after the landing
     # 0x300, the last across the last chunk boundary
     history = managers[0].exit_counts
-    assert history.runs == [(0, 0), (9, 25), (11, 35)]
+    assert list(history.ring[:history.pos]) == [*range(9), 25, 26, 35, 36]
     assert lei_history(history, addrs) == [0x100, 0x204, 0x100, 0x304, 0x308]
+
+
+@pytest.mark.parametrize("handoff", [1, HUGE], ids=["handoff-1", "handoff-huge"])
+def test_streamed_emission_reads_a_wrapped_ring_across_a_chunk(tmp_path, monkeypatch,
+                                                               handoff):
+    """lei over a trace file read 9 items at a time, with a ring of five
+    slots: a loop of four instructions gets hot at item 11, in the second
+    chunk, and its cycle, items 7 to 10, lies in slots 2, 3, 4 and 0, across
+    the ring's end, and spans the first chunk boundary; the emission reads
+    it back from the file."""
+    monkeypatch.setattr(trace_io, "_REPLAY_CHUNK", 9)
+    monkeypatch.setattr(automaton, "_HANDOFF", handoff)
+    loop = [0x100, 0x104, 0x108, 0x10C]
+    addrs = [0x400, 0x404, 0x408] + loop * 5 + [0x300, 0x304, 0x308]
+    trace = Trace(addrs, [4] * len(addrs))
+    path = tmp_path / "lei.rtr"
+    write_trace(path, trace)
+    config = SimulationConfig(rft=RFTConfig("lei", threshold=2, history_capacity=5),
+                              collect_dump=True)
+    with TraceFile(path) as source:
+        dump = run_simulation(source, config).dump
+    assert dump == naive_run(trace, config).dump()
+    assert [r["entry_address"] for r in dump["regions"]] == [0x100]
+    assert dump["regions"][0]["recorded_states"] == [1, 2, 3, 4]
 
 
 # --- the kernel against the literal model, stateful ---------------------------
@@ -1371,11 +1441,11 @@ class KernelMachine(RuleBasedStateMachine):
         self.counts = id_counts()
         self.model_counts: dict[int, int] = {}
         # lei over the concatenated lei streams, ``lei_items``, which its
-        # emissions read back
+        # emissions read back, in a window with no end in reach
         self.lei_items: list[int] = []
         self.lei = make_rft(RFTConfig("lei", history_capacity=LEI_CAPACITY))
         self.lei.begin(SimpleNamespace(read=lambda lo, hi: SimpleNamespace(
-            _ids=self.lei_items[lo:hi], sizes=[4] * (hi - lo))), 0, 0, self.auto.held)
+            _ids=self.lei_items[lo:hi], sizes=[4] * (hi - lo))), 0, HUGE, self.auto.held)
         self.lei_model = make_reference(RFTConfig("lei", history_capacity=LEI_CAPACITY))
         self.lei_hot_stops = 0
 

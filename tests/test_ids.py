@@ -16,10 +16,12 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import naive_run, random_graph_walk, random_noise, random_trace
 from rftsim import trace_io
-from rftsim.automaton import Automaton
+from rftsim.automaton import Automaton, _profile
 from rftsim.engine import SimulationConfig, run_simulation
 from rftsim.metrics import compute_report
 from rftsim.rft import TECHNIQUES, RFTConfig
@@ -217,3 +219,43 @@ def test_duplication_ratio_counts_held_addresses_not_slots():
     assert [r.entry_address for r in report.regions] == [0x1000, 0x2000]
     states = automaton.dump()["states"]
     assert [s["address"] for s in states[1:]] == [0x1000, 0x2000, 0x2000, 0x3000]
+
+
+WIDTHS = (np.uint8, np.uint16, np.uint32, np.uint64)
+
+
+@st.composite
+def _windows(draw):
+    """A window of ids below 256, few distinct or many, which ones ran
+    interpreter-side, what item 0 is compared with, counts by id and a
+    threshold."""
+    span, n = draw(st.sampled_from([3, 60, 256])), draw(st.integers(1, 700))
+    ids = draw(st.lists(st.integers(0, span - 1), min_size=n, max_size=n))
+    off = draw(st.one_of(st.just([True] * len(ids)),
+                         st.lists(st.booleans(), min_size=len(ids), max_size=len(ids))))
+    p = draw(st.sampled_from([-1, 256, *ids[:1]]))
+    counts = draw(st.lists(st.integers(0, 6), min_size=256, max_size=256))
+    return ids, off, p, counts, draw(st.integers(1, 40))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_windows())
+@example(([k % 3 for k in range(600)], [True] * 600, -1, [0] * 256, 150))
+def test_grouping_and_profiling_agree_at_each_id_width(window):
+    """``_grouped`` and ``_profile`` sort u8 and u16 ids one way and u32 and
+    u64 ids another (``trace_io._sort``): the same ids at each width give
+    the same groups, items in order of value then index, and the same
+    stop, ``prev`` and counts."""
+    ids, off, p, counts, threshold = window
+    off = np.array(off)
+    results = []
+    for width in WIDTHS:
+        col = np.array(ids, dtype=width)
+        grouped = tuple(a.tolist() for a in trace_io._grouped(col))
+        got = np.array(counts, dtype=np.int64)
+        stop = _profile(col, off, bool(off.all()), p, 256, got, threshold)
+        results.append((grouped, stop, got.tolist()))
+    assert all(r == results[0] for r in results[1:])
+    keys, starts, lengths, items = results[0][0]
+    assert items == sorted(range(len(ids)), key=lambda k: (ids[k], k))
+    assert keys == sorted(set(ids)) and sum(lengths) == len(ids)

@@ -238,6 +238,16 @@ def test_oracle_scale_fails_when_no_walk_is_followed(oracle_scale, monkeypatch, 
                    "on graph-walk\n")
 
 
+def test_oracle_scale_fails_when_a_grouping_branch_goes_unused(oracle_scale, monkeypatch,
+                                                               capsys):
+    # graph-walk's ids are u8, so it never takes the branch for wider ids
+    monkeypatch.setattr(oracle_scale, "WIDE", "graph-walk")
+    assert oracle_scale.main(["--items", "5000"]) == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines()[-1] == "0 of 60 dumps differ"
+    assert err == "_grouped never took its branch for wider ids on graph-walk\n"
+
+
 def test_rates_on_bench_prefixes(tmp_path, capsys):
     """``experiments/rates.py`` on 2,000-item prefixes, this checkout
     against itself: both tables have every config, with its kernel calls,
@@ -251,12 +261,15 @@ def test_rates_on_bench_prefixes(tmp_path, capsys):
     assert rates.main(["--items", "2000", "--rounds", "1", "--src", str(root),
                        "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
-    assert doc["env"]["items"] == {"loop-nest": 2000, "graph-walk": 2000, "interp-noise": 2000}
+    # many-addresses runs its fresh addresses before graph-walk's prefix
+    assert doc["env"]["items"] == {"loop-nest": 2000, "graph-walk": 2000, "interp-noise": 2000,
+                                   "many-addresses": 72_000}
     for table in (doc["rates"], doc["against"]["rates"]):
-        assert len(table) == 72
+        assert len(table) == 96
         assert all(row["items_per_s"] >= row["worst_items_per_s"] > 0 for row in table.values())
     assert ({key: row["kernel_calls"] for key, row in doc["rates"].items()}
             == {key: row["kernel_calls"] for key, row in doc["against"]["rates"].items()})
     assert doc["rates"]["graph-walk/8/net"]["kernel_calls"] > 0
     out = capsys.readouterr().out
     assert out.count("### Rates at ") == 2 and out.count("| graph-walk | 64 |") == 2
+    assert out.count("| many-addresses | 64 |") == 2
