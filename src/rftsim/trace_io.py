@@ -192,9 +192,9 @@ def _grouped(col: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nd
     """``(keys, starts, lengths, items)``: ``items`` lists the indices of
     the ids ``col`` ordered by value, then by index; the group of
     ``keys[g]``, the g-th smallest distinct value, is the ``lengths[g]``
-    items from ``items[starts[g]]``.  Wider ids are ordered by one sort of
-    the u64 codes ``value * n + index``: an id is below 2**32, and ``n``
-    is a chunk's length."""
+    items from ``items[starts[g]]``.  Ids of 8 or 16 bits are ordered by
+    a stable argsort, wider ones by one sort of the u64 codes ``value * n +
+    index``: an id is below 2**32, and ``n`` is a chunk's length."""
     n = len(col)
     if col.dtype.itemsize <= 2:
         items = np.argsort(col, kind="stable")

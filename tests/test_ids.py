@@ -242,10 +242,10 @@ def _windows(draw):
 @given(_windows())
 @example(([k % 3 for k in range(600)], [True] * 600, -1, [0] * 256, 150))
 def test_grouping_and_profiling_agree_at_each_id_width(window):
-    """``_grouped`` and ``_profile`` sort u8 and u16 ids one way and u32 and
-    u64 ids another (``trace_io._sort``): the same ids at each width give
-    the same groups, items in order of value then index, and the same
-    stop, ``prev`` and counts."""
+    """``_grouped`` and ``_profile`` pick their sorts by the ids' width
+    (``trace_io._sort``): the same ids at each width give the same groups,
+    items in order of value then index, and the same stop, ``prev`` and
+    counts."""
     ids, off, p, counts, threshold = window
     off = np.array(off)
     results = []
